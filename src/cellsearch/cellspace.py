@@ -42,7 +42,8 @@ class OpLabel(enum.Enum):
     MAXPOOL3X3 = "maxpool3x3"
 
 
-# Wire codes, fixed by the serialization format.
+# Op codes, hashed into every canonical digest: changing one changes every
+# hash.
 OP_CODES = {
     OpLabel.IN: 0,
     OpLabel.OUT: 1,
@@ -52,9 +53,6 @@ OP_CODES = {
 }
 
 INTERIOR_OPS = (OpLabel.CONV3X3, OpLabel.CONV1X1, OpLabel.MAXPOOL3X3)
-
-SERIALIZATION_VERSION = 1
-
 
 class Violation(enum.Enum):
     TOO_MANY_VERTICES = "too_many_vertices"
@@ -125,12 +123,6 @@ class ModelSpec:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return (i, j) in self._edge_set()
-
-    def _edge_set(self) -> frozenset:
-        return frozenset(self.edges)
-
     def predecessors(self, j: int) -> list[int]:
         return [i for i, k in self.edges if k == j]
 
@@ -155,76 +147,22 @@ class ModelSpec:
             raise ValueError(f"malformed spec object: {exc}") from exc
         return cls(v, edges, ops)
 
-    def to_bytes(self) -> bytes:
-        """Binary wire form: version, vertex count, packed adjacency bits
-        (row-major upper triangle, big-endian within each byte), op codes."""
-        v = self.num_vertices
-        pairs = upper_triangle_pairs(v)
-        present = self._edge_set()
-        bits = bytearray((len(pairs) + 7) // 8)
-        for idx, pair in enumerate(pairs):
-            if pair in present:
-                bits[idx // 8] |= 0x80 >> (idx % 8)
-        return bytes(
-            [SERIALIZATION_VERSION, v]
-            + list(bits)
-            + [OP_CODES[op] for op in self.ops]
-        )
 
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "ModelSpec":
-        if len(data) < 2:
-            raise ValueError("truncated spec encoding")
-        if data[0] != SERIALIZATION_VERSION:
-            raise ValueError(f"unsupported version tag {data[0]}")
-        v = data[1]
-        pairs = upper_triangle_pairs(v)
-        n_bit_bytes = (len(pairs) + 7) // 8
-        if len(data) != 2 + n_bit_bytes + v:
-            raise ValueError("spec encoding has wrong length")
-        bits = data[2 : 2 + n_bit_bytes]
-        edges = tuple(
-            pair
-            for idx, pair in enumerate(pairs)
-            if bits[idx // 8] & (0x80 >> (idx % 8))
-        )
-        code_to_op = {code: op for op, code in OP_CODES.items()}
-        try:
-            ops = tuple(code_to_op[c] for c in data[2 + n_bit_bytes :])
-        except KeyError as exc:
-            raise ValueError(f"unknown op code {exc}") from exc
-        return cls(v, edges, ops)
-
-
-def _reachable_from_input(spec: ModelSpec) -> set[int]:
-    seen = {0}
-    stack = [0]
-    succ = {i: [] for i in range(spec.num_vertices)}
+def _on_path(spec: ModelSpec) -> set[int]:
+    """Vertices on some directed input->output path; empty when the output
+    is unreachable from the input. Edges are sorted with i < j, so one
+    forward sweep settles reachability from the input and one backward
+    sweep settles reachability of the output."""
+    v = spec.num_vertices
+    from_input = [True] + [False] * (v - 1)
     for i, j in spec.edges:
-        succ[i].append(j)
-    while stack:
-        node = stack.pop()
-        for nxt in succ[node]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return seen
-
-
-def _coreachable_from_output(spec: ModelSpec) -> set[int]:
-    out = spec.num_vertices - 1
-    seen = {out}
-    stack = [out]
-    pred = {i: [] for i in range(spec.num_vertices)}
-    for i, j in spec.edges:
-        pred[j].append(i)
-    while stack:
-        node = stack.pop()
-        for prv in pred[node]:
-            if prv not in seen:
-                seen.add(prv)
-                stack.append(prv)
-    return seen
+        if from_input[i]:
+            from_input[j] = True
+    to_output = [False] * (v - 1) + [True]
+    for i, j in reversed(spec.edges):
+        if to_output[j]:
+            to_output[i] = True
+    return {k for k in range(v) if from_input[k] and to_output[k]}
 
 
 def validate(spec: ModelSpec, limits: SpaceLimits) -> ValidationReport:
@@ -245,8 +183,8 @@ def validate(spec: ModelSpec, limits: SpaceLimits) -> ValidationReport:
     interiors_ok = all(op in INTERIOR_OPS for op in spec.ops[1:-1])
     if not (terminals_ok and interiors_ok):
         violations.append(Violation.BAD_TERMINAL_OPS)
-    on_path = _reachable_from_input(spec) & _coreachable_from_output(spec)
-    if (v - 1) not in _reachable_from_input(spec):
+    on_path = _on_path(spec)
+    if not on_path:
         violations.append(Violation.NO_IN_OUT_PATH)
     if len(on_path) < v:
         violations.append(Violation.DANGLING_VERTEX)
@@ -262,7 +200,7 @@ def prune(spec: ModelSpec) -> ModelSpec:
     """
     if spec.ops[0] is not OpLabel.IN or spec.ops[-1] is not OpLabel.OUT:
         raise InvalidSpecError("prune requires IN at vertex 0 and OUT at the last vertex")
-    keep = sorted(_reachable_from_input(spec) & _coreachable_from_output(spec))
+    keep = sorted(_on_path(spec))
     if not keep:
         raise NoPathError("output is unreachable from input")
     renumber = {old: new for new, old in enumerate(keep)}
@@ -282,8 +220,7 @@ def is_canonical_input(spec: ModelSpec) -> bool:
         return False
     if any(op not in INTERIOR_OPS for op in spec.ops[1:-1]):
         return False
-    on_path = _reachable_from_input(spec) & _coreachable_from_output(spec)
-    return len(on_path) == spec.num_vertices
+    return len(_on_path(spec)) == spec.num_vertices
 
 
 def require_canonical(spec: ModelSpec) -> None:

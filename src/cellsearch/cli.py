@@ -44,14 +44,7 @@ from .oracle import (
     dump_table_lines,
     synth_record,
 )
-from .predictor import (
-    TrainConfig,
-    TrainedPredictor,
-    heldout_accuracy,
-    save_predictor,
-    stratified_split,
-    train,
-)
+from .predictor import TrainConfig, fit, save_predictor
 from .traces import write_trace
 
 
@@ -277,37 +270,30 @@ def cmd_label(args) -> int:
 
 def cmd_train_predictor(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
-    items, meta = read_labeled(args.data)
-    train_ds, held_ds, split_meta = stratified_split(
-        items,
-        np.random.default_rng(seed),
-        heldout_fraction=args.heldout_fraction,
-        target_positive_share=args.target_positive_share,
-    )
+    flags = {
+        k: getattr(args, k)
+        for k in TrainConfig.__dataclass_fields__
+        if getattr(args, k, None) is not None
+    }
     try:
-        cfg = TrainConfig(
-            learning_rate=args.learning_rate,
-            epochs=args.epochs,
-            batch=args.batch,
-            seed=seed,
-            hidden_size=args.hidden,
-        )
+        cfg = TrainConfig(**flags)
     except ConfigError as exc:
         raise UsageError(str(exc)) from None
-    params, losses = train(train_ds, cfg)
-    held_acc = heldout_accuracy(params, held_ds)
-    trained = TrainedPredictor(
-        params=params,
-        threshold_used=float(meta.get("threshold", DEFAULT_LABEL_THRESHOLD)),
-        train_seed=seed,
+    items, meta = read_labeled(args.data)
+    trained, split_meta, held_acc, final_loss = fit(
+        items,
+        cfg,
+        seed,
+        np.random.default_rng(seed),
+        float(meta.get("threshold", DEFAULT_LABEL_THRESHOLD)),
     )
     save_predictor(trained, args.out)
     _emit(
         {
-            "train_size": len(train_ds),
-            "heldout_size": len(held_ds),
+            "train_size": split_meta["train_size"],
+            "heldout_size": split_meta["heldout_size"],
             "heldout_accuracy": held_acc,
-            "final_train_loss": losses[-1],
+            "final_train_loss": final_loss,
             "positive_share": split_meta["train_positive_share"],
             "out": args.out,
         }
@@ -380,14 +366,13 @@ def build_parser() -> argparse.ArgumentParser:
     tp.add_argument("--data", required=True)
     tp.add_argument("--out", required=True)
     tp.add_argument("--seed", type=int)
-    tp.add_argument("--epochs", type=int, default=200)
-    tp.add_argument("--learning-rate", type=float, default=0.05, dest="learning_rate")
-    tp.add_argument("--batch", type=int, default=16)
-    tp.add_argument("--hidden", type=int, default=16)
-    tp.add_argument("--heldout-fraction", type=float, default=0.2, dest="heldout_fraction")
-    tp.add_argument(
-        "--target-positive-share", type=float, default=0.2, dest="target_positive_share"
-    )
+    # unset flags keep the TrainConfig defaults
+    tp.add_argument("--epochs", type=int)
+    tp.add_argument("--learning-rate", type=float, dest="learning_rate")
+    tp.add_argument("--batch", type=int)
+    tp.add_argument("--hidden", type=int, dest="hidden_size")
+    tp.add_argument("--heldout-fraction", type=float, dest="heldout_fraction")
+    tp.add_argument("--target-positive-share", type=float, dest="target_positive_share")
     tp.set_defaults(func=cmd_train_predictor)
 
     cmp_ = sub.add_parser("compare", help="speedup report between two run summaries")

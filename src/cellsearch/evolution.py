@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import cellspace
 from .cellspace import ModelSpec, SpaceLimits
@@ -36,11 +36,9 @@ class Individual:
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    limits: SpaceLimits = field(default_factory=SpaceLimits)
     population_size: int = 50
     sample_size: int = 10
     cycles: int = 2000
-    seed: int = 0
 
     def __post_init__(self):
         if not 1 <= self.sample_size <= self.population_size:
@@ -56,12 +54,14 @@ def _evaluate(spec: ModelSpec, fitness, clock: SimClock, birth_index: int) -> In
     return Individual(spec, value, fitness.mode, birth_index, clock.elapsed_s)
 
 
-def init_population(cfg: EvolutionConfig, fitness, clock: SimClock, rng: random.Random):
+def init_population(
+    cfg: EvolutionConfig, limits: SpaceLimits, fitness, clock: SimClock, rng: random.Random
+):
     """Fill the queue with random architectures, evaluating each."""
     population: deque[Individual] = deque()
     history: list[Individual] = []
     while len(population) < cfg.population_size:
-        spec = cellspace.random_spec(rng, cfg.limits)
+        spec = cellspace.random_spec(rng, limits)
         ind = _evaluate(spec, fitness, clock, birth_index=len(history))
         population.append(ind)
         history.append(ind)
@@ -79,11 +79,13 @@ def tournament_select(population, sample_size: int, rng: random.Random) -> Indiv
     return best
 
 
-def evolve_cycle(population, history, cfg: EvolutionConfig, fitness, clock, rng) -> None:
+def evolve_cycle(
+    population, history, cfg: EvolutionConfig, limits: SpaceLimits, fitness, clock, rng
+) -> None:
     """One aging-evolution step: select, mutate, evaluate, age out."""
     parent = tournament_select(population, cfg.sample_size, rng)
     try:
-        child_spec = cellspace.mutate(parent.spec, rng, cfg.limits)
+        child_spec = cellspace.mutate(parent.spec, rng, limits)
     except ExhaustedError as exc:
         parent_hash = cellspace.canonical_hash(cellspace.prune(parent.spec))
         raise ExhaustedError(
@@ -95,16 +97,17 @@ def evolve_cycle(population, history, cfg: EvolutionConfig, fitness, clock, rng)
     population.popleft()
 
 
-def run_evolution(cfg: EvolutionConfig, fitness, clock: SimClock):
+def run_evolution(cfg: EvolutionConfig, limits: SpaceLimits, seed: int, fitness, clock: SimClock):
     """Initialize, evolve until the history holds `cycles` individuals, and
-    return (best-ever individual, trace, history).
+    return (best-ever individual, trace, history). `seed` drives every
+    random draw; cells stay within `limits`.
 
     The trace gets one row after initialization (index 0) and one per cycle;
     the true-accuracy column is filled in oracle mode, where fitness IS the
     measured accuracy, and left unknown in predictor mode.
     """
-    rng = random.Random(cfg.seed)
-    population, history = init_population(cfg, fitness, clock, rng)
+    rng = random.Random(seed)
+    population, history = init_population(cfg, limits, fitness, clock, rng)
     best = max(history, key=Individual.key)
     trace = SearchTrace()
     true_known = fitness.mode == "ORACLE"
@@ -119,27 +122,8 @@ def run_evolution(cfg: EvolutionConfig, fitness, clock: SimClock):
 
     record(0)
     for cycle in range(1, cfg.cycles - cfg.population_size + 1):
-        evolve_cycle(population, history, cfg, fitness, clock, rng)
+        evolve_cycle(population, history, cfg, limits, fitness, clock, rng)
         if history[-1].key() > best.key():
             best = history[-1]
         record(cycle)
     return best, trace, history
-
-
-def history_lines(history) -> list[str]:
-    """Line-delimited export of a run's full evaluation history."""
-    import json
-
-    return [
-        json.dumps(
-            {
-                "cycle": ind.birth_index,
-                "spec": ind.spec.to_json_obj(),
-                "fitness": ind.fitness,
-                "eval_mode": ind.eval_mode,
-                "clock_s": ind.clock_s,
-            },
-            sort_keys=True,
-        )
-        for ind in history
-    ]

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import cellspace, evolution, predictor, reinforce
 from .cellspace import ModelSpec, SpaceLimits
 from .errors import ConfigError, ExhaustedError, ParseError, TooLargeError
+from .evolution import EvolutionConfig
 from .oracle import (
     DEFAULT_LABEL_THRESHOLD,
     OracleFitness,
@@ -32,14 +33,8 @@ from .oracle import (
     synth_record,
     synthetic_label_threshold,
 )
-from .predictor import (
-    PredictorFitness,
-    TrainConfig,
-    TrainedPredictor,
-    heldout_accuracy,
-    stratified_split,
-    train,
-)
+from .predictor import PredictorFitness, TrainConfig, TrainedPredictor
+from .reinforce import DecisionSchedule, ReinforceConfig
 from .traces import SearchTrace
 
 _EPS = 1e-12
@@ -53,38 +48,25 @@ _LABEL_ATTEMPT_FACTOR = 1000
 # configuration
 
 
-@dataclass(frozen=True)
-class EvolutionParams:
-    population_size: int = 50
-    sample_size: int = 10
-    cycles: int = 2000
+def _limits_from_json(obj) -> SpaceLimits:
+    return SpaceLimits(int(obj["max_vertices"]), int(obj["max_edges"]))
 
 
-@dataclass(frozen=True)
-class ReinforceParams:
-    batch_size: int = 20
-    iterations: int = 50
-    learning_rate: float = 0.005
-    hidden_size: int = reinforce.DEFAULT_HIDDEN
-    emb_dim: int = reinforce.DEFAULT_EMB_DIM
-    init_scale: float = 0.1
-    beta: float = 0.9
-
-
-@dataclass(frozen=True)
-class PredictorParams:
-    learning_rate: float = 0.05
-    epochs: int = 200
-    batch: int = 16
-    hidden_size: int = predictor.DEFAULT_HIDDEN
-    init_scale: float = predictor.DEFAULT_INIT_SCALE
-    heldout_fraction: float = 0.2
-    target_positive_share: float = 0.2
+# config keys holding a nested object -> the function that reads it
+_NESTED = {
+    "limits": _limits_from_json,
+    "synthetic": SyntheticOracleParams.from_json_obj,
+    "evolution": lambda obj: EvolutionConfig(**obj),
+    "reinforce": lambda obj: ReinforceConfig(**obj),
+    "predictor": lambda obj: TrainConfig(**obj),
+}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one run needs; echoed verbatim into its outputs."""
+    """Everything one run needs; echoed verbatim into its outputs. The
+    search space (`limits`) and the `seed` are shared by every algorithm;
+    each algorithm's own hyperparameters sit in its config object."""
 
     algo: str = "EVOLUTION"  # EVOLUTION | REINFORCE
     fitness: str = "ORACLE"  # ORACLE | PREDICTOR
@@ -97,9 +79,9 @@ class ExperimentConfig:
     label_threshold: float | None = None  # None: quantile rule / file default
     top_k: int = 10
     seed: int = 0
-    evolution: EvolutionParams = field(default_factory=EvolutionParams)
-    reinforce: ReinforceParams = field(default_factory=ReinforceParams)
-    predictor: PredictorParams = field(default_factory=PredictorParams)
+    evolution: EvolutionConfig = field(default_factory=EvolutionConfig)
+    reinforce: ReinforceConfig = field(default_factory=ReinforceConfig)
+    predictor: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
         if self.algo not in ("EVOLUTION", "REINFORCE"):
@@ -118,57 +100,24 @@ class ExperimentConfig:
             raise ConfigError("top_k must be at least 1")
 
     def to_json_obj(self) -> dict:
-        return {
-            "algo": self.algo,
-            "fitness": self.fitness,
-            "limits": {
-                "max_vertices": self.limits.max_vertices,
-                "max_edges": self.limits.max_edges,
-            },
-            "oracle_source": self.oracle_source,
-            "table_path": self.table_path,
-            "synthetic": self.synthetic.to_json_obj(),
-            "n_label": self.n_label,
-            "label_charge": self.label_charge,
-            "label_threshold": self.label_threshold,
-            "top_k": self.top_k,
-            "seed": self.seed,
-            "evolution": {
-                k: getattr(self.evolution, k)
-                for k in EvolutionParams.__dataclass_fields__
-            },
-            "reinforce": {
-                k: getattr(self.reinforce, k)
-                for k in ReinforceParams.__dataclass_fields__
-            },
-            "predictor": {
-                k: getattr(self.predictor, k)
-                for k in PredictorParams.__dataclass_fields__
-            },
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ExperimentConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(obj) - known
+        """Inverse of to_json_obj. Unknown keys and malformed or out-of-range
+        nested objects raise ConfigError naming the key."""
+        if not isinstance(obj, dict):
+            raise ConfigError("config must be a JSON object")
+        unknown = set(obj) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = {}
-        for key, value in obj.items():
-            if key == "limits":
-                kwargs[key] = SpaceLimits(
-                    int(value["max_vertices"]), int(value["max_edges"])
-                )
-            elif key == "synthetic":
-                kwargs[key] = SyntheticOracleParams.from_json_obj(value)
-            elif key == "evolution":
-                kwargs[key] = EvolutionParams(**value)
-            elif key == "reinforce":
-                kwargs[key] = ReinforceParams(**value)
-            elif key == "predictor":
-                kwargs[key] = PredictorParams(**value)
-            else:
-                kwargs[key] = value
+        kwargs = dict(obj)
+        for key, build in _NESTED.items():
+            if key in kwargs:
+                try:
+                    kwargs[key] = build(kwargs[key])
+                except (ConfigError, KeyError, TypeError, ValueError) as exc:
+                    raise ConfigError(f"config key {key!r}: {exc}") from None
         return cls(**kwargs)
 
 
@@ -291,7 +240,7 @@ class RunSummary:
                 improvements=tuple((float(s), float(a)) for s, a in obj["improvements"]),
                 phases=obj.get("phases", {}),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (ConfigError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed run summary: {exc}") from exc
 
 
@@ -397,28 +346,10 @@ def run_predictor_pipeline(cfg: ExperimentConfig, oracle, clock: SimClock, rng: 
     labeled, events, threshold = label_random_specs(cfg, oracle, clock, rng)
     labeling_cost = clock.elapsed_s - started_at
 
-    p = cfg.predictor
     split_gen = np.random.default_rng(rng.getrandbits(32))
-    train_ds, held_ds, meta = stratified_split(
-        labeled,
-        split_gen,
-        heldout_fraction=p.heldout_fraction,
-        target_positive_share=p.target_positive_share,
+    trained, meta, held_acc, final_loss = predictor.fit(
+        labeled, cfg.predictor, cfg.seed, split_gen, threshold
     )
-    params, losses = train(
-        train_ds,
-        TrainConfig(
-            learning_rate=p.learning_rate,
-            epochs=p.epochs,
-            batch=p.batch,
-            seed=cfg.seed,
-            init_scale=p.init_scale,
-            hidden_size=p.hidden_size,
-        ),
-    )
-    held_acc = heldout_accuracy(params, held_ds)
-
-    trained = TrainedPredictor(params=params, threshold_used=threshold, train_seed=cfg.seed)
     report = LabelingReport(
         threshold=threshold,
         n_labeled=len(labeled),
@@ -426,7 +357,7 @@ def run_predictor_pipeline(cfg: ExperimentConfig, oracle, clock: SimClock, rng: 
         labeling_sim_seconds=labeling_cost,
         heldout_accuracy=held_acc,
         split_meta=meta,
-        final_train_loss=losses[-1],
+        final_train_loss=final_loss,
         label_events=tuple(events),
     )
     return trained, report
@@ -508,35 +439,12 @@ def _search(cfg: ExperimentConfig, fitness, clock: SimClock):
     """Dispatch to the configured search loop; returns (history, trace,
     best (spec, fitness) pair or None, invalid count)."""
     if cfg.algo == "EVOLUTION":
-        e = cfg.evolution
         best, trace, history = evolution.run_evolution(
-            evolution.EvolutionConfig(
-                limits=cfg.limits,
-                population_size=e.population_size,
-                sample_size=e.sample_size,
-                cycles=e.cycles,
-                seed=cfg.seed,
-            ),
-            fitness,
-            clock,
+            cfg.evolution, cfg.limits, cfg.seed, fitness, clock
         )
         return history, trace, (best.spec, best.fitness), 0
-    r = cfg.reinforce
-    result = reinforce.run_reinforce(
-        reinforce.ReinforceConfig(
-            limits=cfg.limits,
-            batch_size=r.batch_size,
-            iterations=r.iterations,
-            learning_rate=r.learning_rate,
-            seed=cfg.seed,
-            hidden_size=r.hidden_size,
-            emb_dim=r.emb_dim,
-            init_scale=r.init_scale,
-            beta=r.beta,
-        ),
-        fitness,
-        clock,
-    )
+    schedule = DecisionSchedule.from_limits(cfg.limits)
+    result = reinforce.run_reinforce(cfg.reinforce, schedule, cfg.seed, fitness, clock)
     best = None
     for s in result.history:
         if s.spec is not None and (best is None or s.reward > best[1]):

@@ -227,17 +227,16 @@ class OracleFitness:
     """Ground-truth fitness for the search loops: queries the oracle at full
     charge and returns validation accuracy.
 
-    With memoization on (the default), repeat evaluations of an
-    already-seen hash are served from a per-run memo without touching the
-    clock — a trained model need not be retrained. Hits are counted for run
-    metadata.
+    Repeat evaluations of an already-seen hash are served from a per-run
+    memo without touching the clock — a trained model need not be
+    retrained. Hits are counted for run metadata.
     """
 
     mode = "ORACLE"
 
-    def __init__(self, source, memoize: bool = True):
+    def __init__(self, source):
         self.source = source
-        self.memo: dict[str, float] | None = {} if memoize else None
+        self.memo: dict[str, float] = {}
         self.memo_hits = 0
         self.evaluations = 0
 
@@ -246,13 +245,12 @@ class OracleFitness:
         # cell they prune to.
         phenotype = cellspace.prune(spec)
         digest = cellspace.canonical_hash(phenotype)
-        if self.memo is not None and digest in self.memo:
+        if digest in self.memo:
             self.memo_hits += 1
             return self.memo[digest]
         record = query(self.source, phenotype, clock, charge=1.0)
         self.evaluations += 1
-        if self.memo is not None:
-            self.memo[digest] = record.val_accuracy
+        self.memo[digest] = record.val_accuracy
         return record.val_accuracy
 
 

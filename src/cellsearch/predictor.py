@@ -259,18 +259,25 @@ class LabeledDataset:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """The predictor's split and training hyperparameters."""
+
     learning_rate: float = 0.05
     epochs: int = 200
     batch: int = 16
-    seed: int = 0
-    init_scale: float = DEFAULT_INIT_SCALE
     hidden_size: int = DEFAULT_HIDDEN
+    init_scale: float = DEFAULT_INIT_SCALE
+    heldout_fraction: float = 0.2
+    target_positive_share: float = 0.2
 
     def __post_init__(self):
         if self.learning_rate <= 0 or self.init_scale <= 0:
             raise ConfigError("learning_rate and init_scale must be positive")
         if self.epochs <= 0 or self.batch <= 0 or self.hidden_size <= 0:
             raise ConfigError("epochs, batch and hidden_size must be positive")
+        if not 0.0 < self.heldout_fraction < 1.0:
+            raise ConfigError("heldout_fraction must lie in (0, 1)")
+        if not 0.0 <= self.target_positive_share < 1.0:
+            raise ConfigError("target_positive_share must lie in [0, 1)")
 
 
 def stratified_split(
@@ -310,6 +317,8 @@ def stratified_split(
     train_share = (len(train_pos) / len(train)) if train else 0.0
     meta = {
         "pool_size": len(labeled),
+        "train_size": len(train),
+        "heldout_size": len(held),
         "pool_positives": len(pos),
         "heldout_positives": n_held_pos,
         "train_positives": len(train_pos),
@@ -326,8 +335,8 @@ def stratified_split(
     )
 
 
-def train(data: LabeledDataset, cfg: TrainConfig):
-    """Minibatch gradient descent from a seeded uniform init.
+def train(data: LabeledDataset, cfg: TrainConfig, seed: int):
+    """Minibatch gradient descent from a uniform init drawn from `seed`.
 
     Returns (params, per-epoch mean loss list). Fails fast when the data
     cannot define the task (a single class present).
@@ -341,8 +350,8 @@ def train(data: LabeledDataset, cfg: TrainConfig):
             f"training set has {n_pos}/{n} positives; both classes are required"
         )
     encoded = [(encode(spec), label) for spec, label in data.items]
-    params = RnnParams.seeded(cfg.seed, cfg.hidden_size, cfg.init_scale)
-    gen = np.random.default_rng(cfg.seed + 1)
+    params = RnnParams.seeded(seed, cfg.hidden_size, cfg.init_scale)
+    gen = np.random.default_rng(seed + 1)
     lr = cfg.learning_rate
     epoch_losses = []
     for _ in range(cfg.epochs):
@@ -373,6 +382,22 @@ def heldout_accuracy(params: RnnParams, data: LabeledDataset) -> float:
         (predict(params, spec) > 0.5) == bool(label) for spec, label in data.items
     )
     return hits / len(data.items)
+
+
+def fit(labeled, cfg: TrainConfig, seed: int, split_gen: np.random.Generator, threshold: float):
+    """Split labeled (spec, y) pairs with `split_gen` (see stratified_split),
+    train on the training part and score on the held-out part. `threshold`
+    is the accuracy the labels were cut at, kept as provenance.
+
+    Returns (TrainedPredictor, split meta, held-out accuracy, final
+    per-epoch training loss).
+    """
+    train_ds, held_ds, meta = stratified_split(
+        labeled, split_gen, cfg.heldout_fraction, cfg.target_positive_share
+    )
+    params, losses = train(train_ds, cfg, seed)
+    trained = TrainedPredictor(params=params, threshold_used=threshold, train_seed=seed)
+    return trained, meta, heldout_accuracy(params, held_ds), losses[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -19,16 +19,15 @@ gradients are exact backprop through the sampling-time forward pass.
 
 from __future__ import annotations
 
-import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .cellspace import ModelSpec, OpLabel, SpaceLimits, prune, validate
-from .errors import ConfigError, NoPathError, ParseError, ShapeError
+from .errors import ConfigError, NoPathError, ShapeError
 from .oracle import SimClock
 from .traces import SearchTrace
 
@@ -194,6 +193,10 @@ class ControllerState:
 
     @classmethod
     def from_flat(cls, theta: np.ndarray, hidden_size, emb_dim):
+        """Unflatten a parameter vector. Every update lands here, so this is
+        where a diverged step is caught: non-finite entries raise."""
+        if not np.all(np.isfinite(theta)):
+            raise ShapeError("controller parameters contain non-finite entries")
         parts = {}
         at = 0
         for name, shape in _shapes(hidden_size, emb_dim).items():
@@ -203,15 +206,6 @@ class ControllerState:
         if at != theta.size:
             raise ShapeError(f"flat vector has {theta.size} entries, expected {at}")
         return cls(hidden_size=hidden_size, emb_dim=emb_dim, **parts)
-
-
-def _check_controller(controller: ControllerState) -> None:
-    for name, shape in _shapes(controller.hidden_size, controller.emb_dim).items():
-        arr = getattr(controller, name)
-        if arr.shape != shape:
-            raise ShapeError(f"{name}: expected shape {shape}, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ShapeError(f"{name} contains non-finite entries")
 
 
 @dataclass
@@ -271,7 +265,6 @@ def sample(controller: ControllerState, schedule: DecisionSchedule, rng: random.
     logits; the action is drawn from their softmax. Exact per-step
     log-probabilities are kept for the gradient pass.
     """
-    _check_controller(controller)
     c = controller
     inputs = c.emb @ c.W_e.T + c.b_h  # one row per embedding
     h = np.zeros(c.hidden_size)
@@ -328,7 +321,6 @@ def logprob_and_grad(controller: ControllerState, schedule: DecisionSchedule, ac
     fix every step's input, so only the recurrence runs step by step; the
     heads and the weight gradients are computed for all steps at once.
     Returns (logprob, gradient as a flat vector aligned with flatten())."""
-    _check_controller(controller)
     c = controller
     T = schedule.num_steps
     if len(actions) != T:
@@ -405,11 +397,9 @@ def reinforce_update(
 
 @dataclass(frozen=True)
 class ReinforceConfig:
-    limits: SpaceLimits = field(default_factory=SpaceLimits)
     batch_size: int = 20
     iterations: int = 50
     learning_rate: float = 0.005
-    seed: int = 0
     hidden_size: int = DEFAULT_HIDDEN
     emb_dim: int = DEFAULT_EMB_DIM
     init_scale: float = 0.1
@@ -437,9 +427,10 @@ class ReinforceResult:
 
 def run_reinforce(
     cfg: ReinforceConfig,
+    schedule: DecisionSchedule,
+    seed: int,
     fitness,
     clock: SimClock,
-    schedule: DecisionSchedule | None = None,
     reward_fn=None,
 ) -> ReinforceResult:
     """Batched policy-gradient loop.
@@ -451,15 +442,12 @@ def run_reinforce(
     value. One trace row per batch; its fitness is the best reward itself.
     A custom `reward_fn(sample, clock)` replaces the fitness adapter
     (bandit probes); otherwise fitness supplies rewards via reward_of.
+    `seed` drives the controller init and every sampling draw.
     """
-    if schedule is None:
-        schedule = DecisionSchedule.from_limits(cfg.limits)
     if reward_fn is None and fitness is None:
         raise ConfigError("need a fitness adapter or a reward function")
-    controller = ControllerState.seeded(
-        cfg.seed, cfg.hidden_size, cfg.emb_dim, cfg.init_scale
-    )
-    rng = random.Random(cfg.seed)
+    controller = ControllerState.seeded(seed, cfg.hidden_size, cfg.emb_dim, cfg.init_scale)
+    rng = random.Random(seed)
     baseline = Baseline(beta=cfg.beta)
     trace = SearchTrace()
     history = []
@@ -486,77 +474,3 @@ def run_reinforce(
         trace.append(it, clock.elapsed_s, best if true_known else None, best)
     return ReinforceResult(controller, baseline, trace, history, invalid_count)
 
-
-# ---------------------------------------------------------------------------
-# checkpoints
-
-
-def save_controller(
-    controller: ControllerState,
-    schedule: DecisionSchedule,
-    baseline: Baseline,
-    path,
-) -> None:
-    obj = {
-        "hidden": controller.hidden_size,
-        "emb_dim": controller.emb_dim,
-        "schedule": {
-            "arities": list(schedule.arities),
-            "edge_pairs": [list(p) for p in schedule.edge_pairs],
-            "num_vertices": schedule.num_vertices,
-            "limits": (
-                {
-                    "max_vertices": schedule.limits.max_vertices,
-                    "max_edges": schedule.limits.max_edges,
-                }
-                if schedule.limits
-                else None
-            ),
-        },
-        "baseline": {
-            "value": baseline.value,
-            "beta": baseline.beta,
-            "initialized": baseline.initialized,
-        },
-    }
-    for name in ControllerState._FIELDS:
-        obj[name] = getattr(controller, name).tolist()
-    with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True)
-        fh.write("\n")
-
-
-def load_controller(path):
-    """Returns (controller, schedule, baseline)."""
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    try:
-        controller = ControllerState(
-            hidden_size=int(obj["hidden"]),
-            emb_dim=int(obj["emb_dim"]),
-            **{
-                name: np.asarray(obj[name], dtype=float)
-                for name in ControllerState._FIELDS
-            },
-        )
-        sched = obj["schedule"]
-        lim = sched["limits"]
-        schedule = DecisionSchedule(
-            arities=tuple(sched["arities"]),
-            edge_pairs=tuple(tuple(p) for p in sched["edge_pairs"]),
-            num_vertices=int(sched["num_vertices"]),
-            limits=SpaceLimits(lim["max_vertices"], lim["max_edges"]) if lim else None,
-        )
-        base = obj["baseline"]
-        baseline = Baseline(
-            value=float(base["value"]),
-            beta=float(base["beta"]),
-            initialized=bool(base["initialized"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: malformed controller checkpoint: {exc}") from exc
-    _check_controller(controller)
-    return controller, schedule, baseline

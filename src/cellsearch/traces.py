@@ -48,14 +48,6 @@ class SearchTrace:
             last_s = row.sim_seconds
             last_fit = row.best_fitness
 
-    def first_time_reaching(self, target: float):
-        """Earliest simulated time whose best-so-far true accuracy meets the
-        target, or None if the run never got there."""
-        for row in self.rows:
-            if row.best_true_acc is not None and row.best_true_acc >= target - _EPS:
-                return row.sim_seconds
-        return None
-
     def final_row(self) -> TraceRow:
         if not self.rows:
             raise ValueError("empty trace")

@@ -233,9 +233,9 @@ def test_criterion_5_reinforce_convergence(optimum, class_accuracies, capsys):
     >= 99% of the optimum's true accuracy within 1,000 sampled cells,
     median of 10 seeds."""
     rewards = (1.0, 0.0, 0.0)
-    cfg = ReinforceConfig(batch_size=20, iterations=2000, learning_rate=0.005, seed=0)
+    cfg = ReinforceConfig(batch_size=20, iterations=2000, learning_rate=0.005)
     res = run_reinforce(
-        cfg, None, SimClock(), schedule=BANDIT,
+        cfg, BANDIT, 0, None, SimClock(),
         reward_fn=lambda s, _: rewards[s.actions[0]],
     )
     p_best = math.exp(logprob_and_grad(res.controller, BANDIT, (0,))[0])
@@ -245,10 +245,11 @@ def test_criterion_5_reinforce_convergence(optimum, class_accuracies, capsys):
     ranks = []
     invalid = []
     for seed in SEEDS:
-        run_cfg = ReinforceConfig(
-            limits=LIMITS, batch_size=2, iterations=500, learning_rate=0.2, seed=seed
+        run_cfg = ReinforceConfig(batch_size=2, iterations=500, learning_rate=0.2)
+        result = run_reinforce(
+            run_cfg, DecisionSchedule.from_limits(LIMITS), seed,
+            OracleFitness(SyntheticOracle()), SimClock(),
         )
-        result = run_reinforce(run_cfg, OracleFitness(SyntheticOracle()), SimClock())
         best = result.trace.final_row().best_fitness
         ratios.append(best / optimum.val_accuracy)
         ranks.append(1 + sum(acc > best for acc in class_accuracies))

@@ -488,30 +488,3 @@ def test_json_round_trip(space59_specs):
 def test_json_obj_shape(chain3_conv1x1):
     obj = chain3_conv1x1.to_json_obj()
     assert obj == {"v": 3, "edges": [[0, 1], [1, 2]], "ops": ["in", "conv1x1", "out"]}
-
-
-def test_bytes_round_trip(space59_specs):
-    for s in space59_specs[::53]:
-        assert ModelSpec.from_bytes(s.to_bytes()) == s
-
-
-def test_bytes_layout_two_vertex(two_vertex):
-    # version=1, v=2, one adjacency bit (set) in the high bit, op codes 0,1.
-    assert two_vertex.to_bytes() == bytes([1, 2, 0b1000_0000, 0, 1])
-
-
-def test_bytes_layout_three_vertex(chain3_conv1x1):
-    # pairs (0,1),(0,2),(1,2) -> bits 1,0,1 -> 0b1010_0000; ops in,conv1x1,out.
-    assert chain3_conv1x1.to_bytes() == bytes([1, 3, 0b1010_0000, 0, 3, 1])
-
-
-def test_bytes_rejects_bad_version(two_vertex):
-    data = bytearray(two_vertex.to_bytes())
-    data[0] = 9
-    with pytest.raises(ValueError):
-        ModelSpec.from_bytes(bytes(data))
-
-
-def test_bytes_rejects_wrong_length(two_vertex):
-    with pytest.raises(ValueError):
-        ModelSpec.from_bytes(two_vertex.to_bytes() + b"\x00")

@@ -305,6 +305,31 @@ def test_inconsistent_config_is_usage_error(capsys, tmp_path):
     )
     assert code == 1
     assert "labeling budget" in err
+    # out-of-range search settings are refused before any output is made
+    for flags in (
+        ("--population-size", "10", "--sample-size", "20"),
+        ("--iterations", "-1"),
+        ("--population-size", "10", "--cycles", "5"),
+    ):
+        out = tmp_path / "bad"
+        code, _, err = run_cli(capsys, "run", *flags, "--out", str(out))
+        assert code == 1, flags
+        assert "usage error" in err
+        assert not out.exists()
+    # so are malformed nested objects in a config file
+    cfg_path = tmp_path / "cfg.json"
+    for obj in (
+        {"evolution": {"populaton_size": 5}},
+        {"limits": {"max_vertices": 1, "max_edges": 9}},
+        {"limits": [5, 9]},
+    ):
+        cfg_path.write_text(json.dumps(obj))
+        code, _, err = run_cli(
+            capsys, "run", "--config", str(cfg_path), "--out", str(tmp_path / "bad")
+        )
+        assert code == 1, obj
+        (key,) = obj
+        assert repr(key) in err
 
 
 def test_missing_input_file_is_runtime_error(capsys, tmp_path):

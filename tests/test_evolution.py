@@ -14,7 +14,6 @@ from cellsearch.evolution import (
     EvolutionConfig,
     Individual,
     evolve_cycle,
-    history_lines,
     init_population,
     run_evolution,
     tournament_select,
@@ -22,6 +21,8 @@ from cellsearch.evolution import (
 from cellsearch.oracle import OracleFitness, SimClock, SyntheticOracle, synth_record
 
 from conftest import make_spec
+
+LIMITS = SpaceLimits(5, 9)
 
 
 class ScriptedFitness:
@@ -133,26 +134,22 @@ def test_config_rejects_cycles_below_population():
 
 
 def test_population_is_fifo_window_of_history():
-    cfg = EvolutionConfig(
-        limits=SpaceLimits(5, 9), population_size=5, sample_size=2, cycles=30, seed=1
-    )
-    rng = random.Random(cfg.seed)
+    cfg = EvolutionConfig(population_size=5, sample_size=2, cycles=30)
+    rng = random.Random(1)
     clock = SimClock()
     fitness = OracleFitness(SyntheticOracle())
-    population, history = init_population(cfg, fitness, clock, rng)
+    population, history = init_population(cfg, LIMITS, fitness, clock, rng)
     for _ in range(12):
-        evolve_cycle(population, history, cfg, fitness, clock, rng)
+        evolve_cycle(population, history, cfg, LIMITS, fitness, clock, rng)
     assert len(history) == 17
     assert [ind.birth_index for ind in population] == list(range(12, 17))
 
 
 def test_run_returns_history_max_even_after_aging_out():
     values = [0.9, 0.1, 0.2, 0.3, 0.35, 0.4]
-    cfg = EvolutionConfig(
-        limits=SpaceLimits(5, 9), population_size=3, sample_size=2, cycles=6, seed=0
-    )
+    cfg = EvolutionConfig(population_size=3, sample_size=2, cycles=6)
     clock = SimClock()
-    best, trace, history = run_evolution(cfg, ScriptedFitness(values), clock)
+    best, trace, history = run_evolution(cfg, LIMITS, 0, ScriptedFitness(values), clock)
     assert best.fitness == 0.9 and best.birth_index == 0
     # the champion has aged out: every survivor is strictly worse
     final_window = history[-cfg.population_size :]
@@ -161,22 +158,19 @@ def test_run_returns_history_max_even_after_aging_out():
 
 
 def test_cycles_equal_population_does_no_evolution():
-    cfg = EvolutionConfig(
-        limits=SpaceLimits(5, 9), population_size=4, sample_size=2, cycles=4, seed=0
-    )
+    cfg = EvolutionConfig(population_size=4, sample_size=2, cycles=4)
     clock = SimClock()
-    best, trace, history = run_evolution(cfg, ScriptedFitness([0.1, 0.2, 0.3, 0.25]), clock)
+    fitness = ScriptedFitness([0.1, 0.2, 0.3, 0.25])
+    best, trace, history = run_evolution(cfg, LIMITS, 0, fitness, clock)
     assert len(history) == 4
     assert len(trace.rows) == 1 and trace.rows[0].index == 0
     assert best.fitness == 0.3
 
 
 def test_trace_shape_and_monotonicity():
-    cfg = EvolutionConfig(
-        limits=SpaceLimits(5, 9), population_size=5, sample_size=3, cycles=40, seed=2
-    )
+    cfg = EvolutionConfig(population_size=5, sample_size=3, cycles=40)
     clock = SimClock()
-    best, trace, history = run_evolution(cfg, OracleFitness(SyntheticOracle()), clock)
+    best, trace, history = run_evolution(cfg, LIMITS, 2, OracleFitness(SyntheticOracle()), clock)
     assert len(trace.rows) == cfg.cycles - cfg.population_size + 1
     assert [r.index for r in trace.rows] == list(range(len(trace.rows)))
     fits = [r.best_fitness for r in trace.rows]
@@ -187,11 +181,9 @@ def test_trace_shape_and_monotonicity():
 
 
 def test_predictor_mode_leaves_clock_and_true_column_alone():
-    cfg = EvolutionConfig(
-        limits=SpaceLimits(5, 9), population_size=5, sample_size=2, cycles=25, seed=3
-    )
+    cfg = EvolutionConfig(population_size=5, sample_size=2, cycles=25)
     clock = SimClock()
-    best, trace, history = run_evolution(cfg, FreeFitness(random.Random(5)), clock)
+    best, trace, history = run_evolution(cfg, LIMITS, 3, FreeFitness(random.Random(5)), clock)
     assert clock.elapsed_s == 0.0
     assert all(r.best_true_acc is None for r in trace.rows)
     assert all(ind.eval_mode == "PREDICTOR" for ind in history)
@@ -202,13 +194,11 @@ def test_predictor_mode_leaves_clock_and_true_column_alone():
 
 
 def test_clock_charges_each_distinct_phenotype_once():
-    cfg = EvolutionConfig(
-        limits=SpaceLimits(5, 9), population_size=10, sample_size=3, cycles=120, seed=4
-    )
+    cfg = EvolutionConfig(population_size=10, sample_size=3, cycles=120)
     clock = SimClock()
     oracle = SyntheticOracle()
     fitness = OracleFitness(oracle)
-    best, trace, history = run_evolution(cfg, fitness, clock)
+    best, trace, history = run_evolution(cfg, LIMITS, 4, fitness, clock)
     expected = 0.0
     seen = set()
     for ind in history:
@@ -222,32 +212,18 @@ def test_clock_charges_each_distinct_phenotype_once():
     assert fitness.memo_hits == len(history) - len(seen)
 
 
-def test_memoization_disabled_charges_every_evaluation():
-    cfg = EvolutionConfig(
-        limits=SpaceLimits(5, 9), population_size=5, sample_size=2, cycles=30, seed=4
-    )
-    oracle = SyntheticOracle()
-    clock_memo, clock_raw = SimClock(), SimClock()
-    run_evolution(cfg, OracleFitness(oracle), clock_memo)
-    run_evolution(cfg, OracleFitness(oracle, memoize=False), clock_raw)
-    # identical search path (same seed drives the same rng draws), but the
-    # unmemoized run re-charges duplicates
-    assert clock_raw.elapsed_s > clock_memo.elapsed_s
-
-
 # ---------------------------------------------------------------------------
 # determinism & export
 
 
 def test_same_seed_reproduces_run_exactly():
-    cfg = EvolutionConfig(
-        limits=SpaceLimits(5, 9), population_size=8, sample_size=3, cycles=60, seed=7
-    )
+    cfg = EvolutionConfig(population_size=8, sample_size=3, cycles=60)
 
     def one():
         clock = SimClock()
-        best, trace, history = run_evolution(cfg, OracleFitness(SyntheticOracle()), clock)
-        return trace.to_csv_lines(), history_lines(history), best
+        fitness = OracleFitness(SyntheticOracle())
+        best, trace, history = run_evolution(cfg, LIMITS, 7, fitness, clock)
+        return trace.to_csv_lines(), history, best
 
     lines_a, hist_a, best_a = one()
     lines_b, hist_b, best_b = one()
@@ -258,31 +234,12 @@ def test_same_seed_reproduces_run_exactly():
 
 def test_different_seed_diverges():
     def run(seed):
-        cfg = EvolutionConfig(
-            limits=SpaceLimits(5, 9), population_size=8, sample_size=3, cycles=60, seed=seed
-        )
+        cfg = EvolutionConfig(population_size=8, sample_size=3, cycles=60)
         clock = SimClock()
-        _, trace, _ = run_evolution(cfg, OracleFitness(SyntheticOracle()), clock)
+        _, trace, _ = run_evolution(cfg, LIMITS, seed, OracleFitness(SyntheticOracle()), clock)
         return trace.to_csv_lines()
 
     assert run(7) != run(8)
-
-
-def test_history_lines_round_trip_specs():
-    import json
-
-    cfg = EvolutionConfig(
-        limits=SpaceLimits(5, 9), population_size=5, sample_size=2, cycles=15, seed=9
-    )
-    clock = SimClock()
-    _, _, history = run_evolution(cfg, OracleFitness(SyntheticOracle()), clock)
-    lines = history_lines(history)
-    assert len(lines) == len(history)
-    for line, ind in zip(lines, history):
-        obj = json.loads(line)
-        assert obj["cycle"] == ind.birth_index
-        assert obj["fitness"] == ind.fitness
-        assert ModelSpec.from_json_obj(obj["spec"]) == ind.spec
 
 
 # ---------------------------------------------------------------------------
@@ -290,12 +247,10 @@ def test_history_lines_round_trip_specs():
 
 
 def test_exhausted_mutation_reports_cycle():
-    cfg = EvolutionConfig(
-        limits=SpaceLimits(2, 1), population_size=1, sample_size=1, cycles=2, seed=0
-    )
+    cfg = EvolutionConfig(population_size=1, sample_size=1, cycles=2)
     clock = SimClock()
     with pytest.raises(ExhaustedError, match="cycle 1"):
-        run_evolution(cfg, OracleFitness(SyntheticOracle()), clock)
+        run_evolution(cfg, SpaceLimits(2, 1), 0, OracleFitness(SyntheticOracle()), clock)
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +265,8 @@ def test_evolution_finds_global_optimum_small_seeds():
     opt_acc = max(synth_record(s, oracle.params).val_accuracy for s in specs)
     found = 0
     for seed in range(3):
-        cfg = EvolutionConfig(
-            limits=limits, population_size=50, sample_size=10, cycles=2000, seed=seed
-        )
+        cfg = EvolutionConfig(population_size=50, sample_size=10, cycles=2000)
         clock = SimClock()
-        best, trace, _ = run_evolution(cfg, OracleFitness(oracle), clock)
+        best, trace, _ = run_evolution(cfg, limits, seed, OracleFitness(oracle), clock)
         found += best.fitness >= opt_acc - 1e-12
     assert found == 3

@@ -11,13 +11,10 @@ import pytest
 from cellsearch import cellspace
 from cellsearch.cellspace import ModelSpec, OpLabel, SpaceLimits
 from cellsearch.errors import ConfigError, ExhaustedError, ParseError
-from cellsearch.evolution import Individual
+from cellsearch.evolution import EvolutionConfig, Individual
 from cellsearch.harness import (
     CompareReport,
-    EvolutionParams,
     ExperimentConfig,
-    PredictorParams,
-    ReinforceParams,
     RunSummary,
     compare_runs,
     effective_label_threshold,
@@ -40,7 +37,8 @@ from cellsearch.oracle import (
     synth_record,
     synthetic_label_threshold,
 )
-from cellsearch.reinforce import SampledArch
+from cellsearch.predictor import TrainConfig
+from cellsearch.reinforce import ReinforceConfig, SampledArch
 from cellsearch.traces import SearchTrace, read_trace, write_trace
 
 OPTIMUM_HASH_5_9 = "e630aae1d56e850ac87f7aa771b47739"
@@ -55,8 +53,8 @@ def small_cfg(**kw):
         n_label=60,
         top_k=5,
         seed=0,
-        evolution=EvolutionParams(population_size=20, sample_size=5, cycles=150),
-        predictor=PredictorParams(epochs=80),
+        evolution=EvolutionConfig(population_size=20, sample_size=5, cycles=150),
+        predictor=TrainConfig(epochs=80),
     )
     defaults.update(kw)
     return ExperimentConfig(**defaults)
@@ -95,9 +93,9 @@ def test_config_json_round_trip():
         label_threshold=0.81,
         top_k=4,
         seed=99,
-        evolution=EvolutionParams(population_size=10, sample_size=3, cycles=40),
-        reinforce=ReinforceParams(batch_size=8, iterations=12, learning_rate=0.02),
-        predictor=PredictorParams(epochs=50, hidden_size=8),
+        evolution=EvolutionConfig(population_size=10, sample_size=3, cycles=40),
+        reinforce=ReinforceConfig(batch_size=8, iterations=12, learning_rate=0.02),
+        predictor=TrainConfig(epochs=50, hidden_size=8),
     )
     obj = json.loads(json.dumps(cfg.to_json_obj(), sort_keys=True))
     assert ExperimentConfig.from_json_obj(obj) == cfg
@@ -108,6 +106,79 @@ def test_config_rejects_unknown_keys():
     obj["tpu_pods"] = 512
     with pytest.raises(ConfigError):
         ExperimentConfig.from_json_obj(obj)
+    # malformed or out-of-range nested objects are config errors naming the key
+    for bad in (
+        {"evolution": {"populaton_size": 5}},
+        {"evolution": {"population_size": 10, "sample_size": 20}},
+        {"evolution": {"population_size": 10, "cycles": 5}},
+        {"reinforce": {"iterations": -1}},
+        {"predictor": {"heldout_fraction": 1.5}},
+        {"synthetic": {"base_acc": 0.5}},
+        {"limits": {"max_vertices": 1, "max_edges": 9}},
+        {"limits": {"max_vertices": 5}},
+        {"limits": [5, 9]},
+    ):
+        (key,) = bad
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig.from_json_obj(bad)
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_json_obj([{"algo": "EVOLUTION"}])
+    # limits entries are coerced to int, as before
+    loose = ExperimentConfig.from_json_obj({"limits": {"max_vertices": "5", "max_edges": 9.0}})
+    assert loose.limits == SpaceLimits(5, 9)
+
+
+def test_config_echo_schema():
+    # summary.json echoes this object, so its key set and defaults are part
+    # of the file format
+    obj = ExperimentConfig().to_json_obj()
+    nested = ("limits", "synthetic", "evolution", "reinforce", "predictor")
+    assert {k: v for k, v in obj.items() if k not in nested} == {
+        "algo": "EVOLUTION",
+        "fitness": "ORACLE",
+        "oracle_source": "SYNTHETIC",
+        "table_path": None,
+        "n_label": 400,
+        "label_charge": 1.0,
+        "label_threshold": None,
+        "top_k": 10,
+        "seed": 0,
+    }
+    assert obj["limits"] == {"max_vertices": 7, "max_edges": 9}
+    assert obj["synthetic"] == {
+        "base_accuracy": 0.62,
+        "conv3x3_gain": 0.045,
+        "conv1x1_gain": 0.030,
+        "maxpool_gain": 0.010,
+        "depth_gain": 0.015,
+        "edge_penalty": 0.004,
+        "accuracy_cap": 0.95,
+        "jitter_scale": 0.02,
+        "time_base_s": 200.0,
+        "time_conv3x3_s": 300.0,
+        "time_conv1x1_s": 150.0,
+        "time_maxpool_s": 60.0,
+        "time_edge_s": 40.0,
+    }
+    assert obj["evolution"] == {"population_size": 50, "sample_size": 10, "cycles": 2000}
+    assert obj["reinforce"] == {
+        "batch_size": 20,
+        "iterations": 50,
+        "learning_rate": 0.005,
+        "hidden_size": 32,
+        "emb_dim": 8,
+        "init_scale": 0.1,
+        "beta": 0.9,
+    }
+    assert obj["predictor"] == {
+        "learning_rate": 0.05,
+        "epochs": 200,
+        "batch": 16,
+        "hidden_size": 16,
+        "init_scale": 0.4,
+        "heldout_fraction": 0.2,
+        "target_positive_share": 0.2,
+    }
 
 
 def test_effective_threshold_rules():
@@ -311,7 +382,7 @@ def test_summary_cross_check_catches_tampering():
         ExperimentConfig(
             fitness="ORACLE",
             limits=SpaceLimits(4, 9),
-            evolution=EvolutionParams(population_size=10, sample_size=3, cycles=60),
+            evolution=EvolutionConfig(population_size=10, sample_size=3, cycles=60),
             seed=2,
         )
     )
@@ -331,7 +402,7 @@ def test_summary_file_round_trip(tmp_path):
         ExperimentConfig(
             fitness="ORACLE",
             limits=SpaceLimits(4, 9),
-            evolution=EvolutionParams(population_size=10, sample_size=3, cycles=50),
+            evolution=EvolutionConfig(population_size=10, sample_size=3, cycles=50),
             seed=4,
         )
     )
@@ -360,7 +431,7 @@ def test_ground_truth_run_bookkeeping():
     cfg = ExperimentConfig(
         fitness="ORACLE",
         limits=SpaceLimits(4, 9),
-        evolution=EvolutionParams(population_size=15, sample_size=4, cycles=120),
+        evolution=EvolutionConfig(population_size=15, sample_size=4, cycles=120),
         seed=3,
     )
     result = run_experiment(cfg)
@@ -378,7 +449,7 @@ def test_ground_truth_run_deterministic():
     cfg = ExperimentConfig(
         fitness="ORACLE",
         limits=SpaceLimits(4, 9),
-        evolution=EvolutionParams(population_size=10, sample_size=3, cycles=80),
+        evolution=EvolutionConfig(population_size=10, sample_size=3, cycles=80),
         seed=11,
     )
     a, b = run_experiment(cfg), run_experiment(cfg)
@@ -391,7 +462,7 @@ def test_reinforce_oracle_run():
         algo="REINFORCE",
         fitness="ORACLE",
         limits=SpaceLimits(4, 9),
-        reinforce=ReinforceParams(batch_size=6, iterations=20),
+        reinforce=ReinforceConfig(batch_size=6, iterations=20),
         seed=1,
     )
     result = run_experiment(cfg)
@@ -432,7 +503,7 @@ def test_predictor_run_deterministic():
 def test_predictor_run_with_reinforce_search():
     cfg = small_cfg(
         algo="REINFORCE",
-        reinforce=ReinforceParams(batch_size=5, iterations=15),
+        reinforce=ReinforceConfig(batch_size=5, iterations=15),
         seed=2,
     )
     result = run_experiment(cfg)

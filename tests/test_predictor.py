@@ -264,7 +264,7 @@ def _toy_dataset():
 def test_train_learns_separable_rule():
     items = _toy_dataset()
     train_set, held, meta = stratified_split(items, np.random.default_rng(5))
-    params, losses = train(train_set, TrainConfig(seed=3))
+    params, losses = train(train_set, TrainConfig(), 3)
     assert heldout_accuracy(params, held) == 1.0
     # training made progress and is stable late
     assert losses[-1] < losses[0]
@@ -275,9 +275,9 @@ def test_train_learns_separable_rule():
 def test_train_is_deterministic():
     items = _toy_dataset()
     train_set, _, _ = stratified_split(items, np.random.default_rng(5))
-    cfg = TrainConfig(seed=9, epochs=12)
-    p1, l1 = train(train_set, cfg)
-    p2, l2 = train(train_set, cfg)
+    cfg = TrainConfig(epochs=12)
+    p1, l1 = train(train_set, cfg, 9)
+    p2, l2 = train(train_set, cfg, 9)
     assert l1 == l2
     assert np.array_equal(p1.W_x, p2.W_x)
     assert np.array_equal(p1.W_h, p2.W_h)
@@ -289,9 +289,9 @@ def test_train_is_deterministic():
 def test_train_rejects_single_class(two_vertex, chain3_conv1x1):
     data = LabeledDataset(((two_vertex, 1), (chain3_conv1x1, 1)), "TRAIN")
     with pytest.raises(DegenerateDataError):
-        train(data, TrainConfig())
+        train(data, TrainConfig(), 0)
     with pytest.raises(DegenerateDataError):
-        train(LabeledDataset((), "TRAIN"), TrainConfig())
+        train(LabeledDataset((), "TRAIN"), TrainConfig(), 0)
 
 
 def test_train_config_validation():

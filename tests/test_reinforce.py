@@ -10,7 +10,7 @@ import pytest
 
 from cellsearch import cellspace
 from cellsearch.cellspace import OpLabel, SpaceLimits
-from cellsearch.errors import ConfigError, ParseError, ShapeError
+from cellsearch.errors import ConfigError, ShapeError
 from cellsearch.oracle import (
     OracleFitness,
     SimClock,
@@ -24,13 +24,11 @@ from cellsearch.reinforce import (
     DecisionSchedule,
     ReinforceConfig,
     SampledArch,
-    load_controller,
     logprob_and_grad,
     reinforce_update,
     reward_of,
     run_reinforce,
     sample,
-    save_controller,
     utility,
 )
 
@@ -39,6 +37,7 @@ from conftest import central_differences, max_relative_error
 OPTIMUM_HASH_5_9 = "e630aae1d56e850ac87f7aa771b47739"
 
 BANDIT = DecisionSchedule((3,))
+SCHEDULE_5_9 = DecisionSchedule.from_limits(SpaceLimits(5, 9))
 
 
 def bandit_probs(controller):
@@ -289,6 +288,18 @@ def test_logprob_rejects_wrong_length():
         logprob_and_grad(controller, BANDIT, (0, 1))
 
 
+def test_from_flat_rejects_non_finite_parameters():
+    # every update unflattens through from_flat, so a diverged step stops here
+    theta = ControllerState.seeded(0, 4, 2).flatten()
+    assert ControllerState.from_flat(theta, 4, 2).flatten().tolist() == theta.tolist()
+    theta[7] = np.nan
+    with pytest.raises(ShapeError, match="non-finite"):
+        ControllerState.from_flat(theta, 4, 2)
+    theta[7] = np.inf
+    with pytest.raises(ShapeError, match="non-finite"):
+        ControllerState.from_flat(theta, 4, 2)
+
+
 # ---------------------------------------------------------------------------
 # the estimator on the enumerable bandit
 
@@ -408,10 +419,10 @@ def test_run_replays_the_utility_update_by_hand():
     # exp(10 (R - best so far)), an EMA baseline over batch-mean utilities
     # that reads 0 on the first batch, and one plain gradient step each.
     rewards = (0.9, 0.5, 0.2)
-    cfg = ReinforceConfig(batch_size=3, iterations=2, learning_rate=0.3, seed=5,
+    cfg = ReinforceConfig(batch_size=3, iterations=2, learning_rate=0.3,
                           hidden_size=3, emb_dim=2, init_scale=0.5)
     res = run_reinforce(
-        cfg, None, SimClock(), schedule=BANDIT,
+        cfg, BANDIT, 5, None, SimClock(),
         reward_fn=lambda s, _: rewards[s.actions[0]],
     )
 
@@ -476,22 +487,20 @@ def test_baseline_stays_within_reward_hull():
 
 
 def test_run_zero_iterations_is_a_no_op():
-    cfg = ReinforceConfig(limits=SpaceLimits(5, 9), iterations=0, seed=3)
+    cfg = ReinforceConfig(iterations=0)
     clock = SimClock()
-    res = run_reinforce(cfg, OracleFitness(SyntheticOracle()), clock)
+    res = run_reinforce(cfg, SCHEDULE_5_9, 3, OracleFitness(SyntheticOracle()), clock)
     assert len(res.trace.rows) == 0
     assert res.history == [] and res.invalid_count == 0
     assert clock.elapsed_s == 0.0
-    fresh = ControllerState.seeded(cfg.seed, cfg.hidden_size, cfg.emb_dim, cfg.init_scale)
+    fresh = ControllerState.seeded(3, cfg.hidden_size, cfg.emb_dim, cfg.init_scale)
     assert np.array_equal(res.controller.flatten(), fresh.flatten())
 
 
 def test_run_oracle_mode_bookkeeping():
-    cfg = ReinforceConfig(
-        limits=SpaceLimits(5, 9), batch_size=5, iterations=20, seed=1
-    )
+    cfg = ReinforceConfig(batch_size=5, iterations=20)
     clock = SimClock()
-    res = run_reinforce(cfg, OracleFitness(SyntheticOracle()), clock)
+    res = run_reinforce(cfg, SCHEDULE_5_9, 1, OracleFitness(SyntheticOracle()), clock)
     assert len(res.trace.rows) == 20
     assert len(res.history) == 100
     assert res.invalid_count == sum(s.invalid for s in res.history)
@@ -502,22 +511,18 @@ def test_run_oracle_mode_bookkeeping():
 
 
 def test_run_predictor_mode_never_charges():
-    cfg = ReinforceConfig(
-        limits=SpaceLimits(5, 9), batch_size=5, iterations=15, seed=2
-    )
+    cfg = ReinforceConfig(batch_size=5, iterations=15)
     clock = SimClock()
-    res = run_reinforce(cfg, PredictorFitness(RnnParams.seeded(0)), clock)
+    res = run_reinforce(cfg, SCHEDULE_5_9, 2, PredictorFitness(RnnParams.seeded(0)), clock)
     assert clock.elapsed_s == 0.0
     assert all(r.best_true_acc is None for r in res.trace.rows)
 
 
 def test_run_is_deterministic():
-    cfg = ReinforceConfig(
-        limits=SpaceLimits(5, 9), batch_size=4, iterations=25, seed=11
-    )
+    cfg = ReinforceConfig(batch_size=4, iterations=25)
 
     def one():
-        res = run_reinforce(cfg, OracleFitness(SyntheticOracle()), SimClock())
+        res = run_reinforce(cfg, SCHEDULE_5_9, 11, OracleFitness(SyntheticOracle()), SimClock())
         return res.trace.to_csv_lines(), res.controller.flatten()
 
     lines_a, theta_a = one()
@@ -528,9 +533,9 @@ def test_run_is_deterministic():
 
 def test_run_bandit_converges_toward_best_action():
     rewards = (1.0, 0.0, 0.0)
-    cfg = ReinforceConfig(batch_size=20, iterations=500, learning_rate=0.05, seed=0)
+    cfg = ReinforceConfig(batch_size=20, iterations=500, learning_rate=0.05)
     res = run_reinforce(
-        cfg, None, SimClock(), schedule=BANDIT,
+        cfg, BANDIT, 0, None, SimClock(),
         reward_fn=lambda s, _: rewards[s.actions[0]],
     )
     assert bandit_probs(res.controller)[0] > 0.9
@@ -538,7 +543,7 @@ def test_run_bandit_converges_toward_best_action():
 
 def test_run_requires_some_reward_source():
     with pytest.raises(ConfigError):
-        run_reinforce(ReinforceConfig(iterations=1), None, SimClock())
+        run_reinforce(ReinforceConfig(iterations=1), BANDIT, 0, None, SimClock())
 
 
 def test_config_validation():
@@ -550,29 +555,3 @@ def test_config_validation():
         ReinforceConfig(learning_rate=0.0)
     with pytest.raises(ConfigError):
         ReinforceConfig(beta=1.0)
-
-
-# ---------------------------------------------------------------------------
-# checkpoints
-
-
-def test_controller_checkpoint_round_trip(tmp_path):
-    controller = ControllerState.seeded(6, hidden_size=8, emb_dim=3)
-    sched = DecisionSchedule.from_limits(SpaceLimits(5, 9))
-    baseline = Baseline(value=0.73, beta=0.9, initialized=True)
-    path = tmp_path / "controller.json"
-    save_controller(controller, sched, baseline, path)
-    c2, s2, b2 = load_controller(path)
-    assert np.array_equal(c2.flatten(), controller.flatten())
-    assert s2 == sched
-    assert b2 == baseline
-
-
-def test_controller_checkpoint_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text("{]")
-    with pytest.raises(ParseError):
-        load_controller(path)
-    path.write_text("{}")
-    with pytest.raises(ParseError):
-        load_controller(path)
