@@ -126,9 +126,6 @@ class ModelSpec:
     def predecessors(self, j: int) -> list[int]:
         return [i for i, k in self.edges if k == j]
 
-    def successors(self, i: int) -> list[int]:
-        return [k for h, k in self.edges if h == i]
-
     def to_json_obj(self) -> dict:
         """Human-readable form used in every file interface."""
         return {
@@ -212,19 +209,16 @@ def prune(spec: ModelSpec) -> ModelSpec:
     return ModelSpec(len(keep), edges, ops)
 
 
-def is_canonical_input(spec: ModelSpec) -> bool:
-    """True when a spec is acceptable for hashing, feature extraction, and
-    encoding: proper terminals, real interior ops, every vertex on an
-    input->output path (i.e. the spec equals its own pruning)."""
-    if spec.ops[0] is not OpLabel.IN or spec.ops[-1] is not OpLabel.OUT:
-        return False
-    if any(op not in INTERIOR_OPS for op in spec.ops[1:-1]):
-        return False
-    return len(_on_path(spec)) == spec.num_vertices
-
-
 def require_canonical(spec: ModelSpec) -> None:
-    if not is_canonical_input(spec):
+    """Accept a spec for hashing, feature extraction, and encoding only when
+    it has proper terminals, real interior ops, and every vertex on an
+    input->output path (i.e. the spec equals its own pruning)."""
+    if (
+        spec.ops[0] is not OpLabel.IN
+        or spec.ops[-1] is not OpLabel.OUT
+        or any(op not in INTERIOR_OPS for op in spec.ops[1:-1])
+        or len(_on_path(spec)) != spec.num_vertices
+    ):
         raise InvalidSpecError(
             "spec must be pruned and valid (IN/OUT terminals, interior ops, "
             "all vertices on an input->output path)"

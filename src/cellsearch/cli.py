@@ -22,7 +22,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import cellspace
 from .cellspace import SpaceLimits
 from .errors import CellSearchError, ConfigError
 from .harness import (
@@ -33,7 +32,6 @@ from .harness import (
     read_labeled,
     read_summary,
     run_experiment,
-    synthetic_optimum,
     write_labeled,
     write_summary,
 )
@@ -42,7 +40,8 @@ from .oracle import (
     SimClock,
     SyntheticOracleParams,
     dump_table_lines,
-    synth_record,
+    synthetic_optimum,
+    synthetic_table,
 )
 from .predictor import TrainConfig, fit, save_predictor
 from .traces import write_trace
@@ -89,7 +88,7 @@ def _emit(obj) -> None:
 def _load_params(path) -> SyntheticOracleParams:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return SyntheticOracleParams.from_json_obj(json.load(fh))
+            return SyntheticOracleParams(**json.load(fh))
         except (json.JSONDecodeError, TypeError) as exc:
             raise UsageError(f"{path}: bad synthetic params: {exc}") from None
 
@@ -188,18 +187,10 @@ def cmd_run(args) -> int:
 def cmd_enumerate(args) -> int:
     params = _load_params(args.params) if args.params else SyntheticOracleParams()
     if args.optimum:
-        spec, record = synthetic_optimum(params, args.limits)
-        _emit(
-            {
-                "hash": record.spec_hash,
-                "val_accuracy": record.val_accuracy,
-                "train_time_s": record.train_time_s,
-                "spec": spec.to_json_obj(),
-            }
-        )
-        return 0
-    for spec in cellspace.enumerate_space(args.limits):
-        record = synth_record(spec, params)
+        table = [synthetic_optimum(params, args.limits)]
+    else:
+        table = synthetic_table(params, args.limits)
+    for spec, record in table:
         _emit(
             {
                 "hash": record.spec_hash,
@@ -213,14 +204,12 @@ def cmd_enumerate(args) -> int:
 
 def cmd_gen_synthetic(args) -> int:
     params = _load_params(args.params) if args.params else SyntheticOracleParams()
-    pairs = [
-        (spec, synth_record(spec, params))
-        for spec in cellspace.enumerate_space(args.limits)
-    ]
+    count = 0
     with open(args.out, "w", encoding="utf-8") as fh:
-        for line in dump_table_lines(pairs):
+        for line in dump_table_lines(synthetic_table(params, args.limits)):
             fh.write(line + "\n")
-    _emit({"count": len(pairs), "out": args.out})
+            count += 1
+    _emit({"count": count, "out": args.out})
     return 0
 
 

@@ -30,8 +30,8 @@ from .oracle import (
     label as binary_label,
     load_table,
     query,
-    synth_record,
     synthetic_label_threshold,
+    synthetic_optimum,
 )
 from .predictor import PredictorFitness, TrainConfig, TrainedPredictor
 from .reinforce import DecisionSchedule, ReinforceConfig
@@ -55,7 +55,7 @@ def _limits_from_json(obj) -> SpaceLimits:
 # config keys holding a nested object -> the function that reads it
 _NESTED = {
     "limits": _limits_from_json,
-    "synthetic": SyntheticOracleParams.from_json_obj,
+    "synthetic": lambda obj: SyntheticOracleParams(**obj),
     "evolution": lambda obj: EvolutionConfig(**obj),
     "reinforce": lambda obj: ReinforceConfig(**obj),
     "predictor": lambda obj: TrainConfig(**obj),
@@ -98,6 +98,18 @@ class ExperimentConfig:
             raise ConfigError("label_charge must lie in (0, 1]")
         if self.top_k < 1:
             raise ConfigError("top_k must be at least 1")
+        if self.algo == "REINFORCE":
+            DecisionSchedule.from_limits(self.limits)  # refuses too many decisions
+        if (
+            self.fitness == "PREDICTOR"
+            and self.oracle_source == "SYNTHETIC"
+            and self.label_threshold is None
+            and self.limits.max_vertices > cellspace.ENUMERATION_VERTEX_CAP
+        ):
+            raise ConfigError(
+                f"max_vertices={self.limits.max_vertices} is too large to enumerate for "
+                "the default synthetic label threshold; set --label-threshold"
+            )
 
     def to_json_obj(self) -> dict:
         return asdict(self)
@@ -136,18 +148,6 @@ def effective_label_threshold(cfg: ExperimentConfig) -> float:
     if cfg.oracle_source == "SYNTHETIC":
         return synthetic_label_threshold(cfg.synthetic, cfg.limits)
     return DEFAULT_LABEL_THRESHOLD
-
-
-def synthetic_optimum(params: SyntheticOracleParams, limits: SpaceLimits):
-    """(spec, record) of the best cell in the enumerated synthetic space."""
-    best = None
-    for spec in cellspace.enumerate_space(limits):
-        record = synth_record(spec, params)
-        if best is None or record.val_accuracy > best[1].val_accuracy:
-            best = (spec, record)
-    if best is None:
-        raise ConfigError("empty space")
-    return best
 
 
 # ---------------------------------------------------------------------------

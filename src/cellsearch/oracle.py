@@ -8,6 +8,7 @@ of every convergence trace.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -64,13 +65,6 @@ class SyntheticOracleParams:
     time_conv1x1_s: float = 150.0
     time_maxpool_s: float = 60.0
     time_edge_s: float = 40.0
-
-    def to_json_obj(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "SyntheticOracleParams":
-        return cls(**obj)
 
 
 @dataclass
@@ -134,7 +128,6 @@ def synth_record(spec: ModelSpec, params: SyntheticOracleParams) -> BenchmarkRec
     two non-isomorphic cells tie (almost surely). Time grows with the
     operation mix and edge count.
     """
-    cellspace.require_canonical(spec)
     digest = cellspace.canonical_hash(spec)
     f = spec_features(spec)
     raw = (
@@ -179,17 +172,39 @@ def label(record: BenchmarkRecord, threshold: float = DEFAULT_LABEL_THRESHOLD) -
     return 1 if record.val_accuracy > threshold else 0
 
 
+def synthetic_table(params: SyntheticOracleParams, limits: SpaceLimits):
+    """Yield (spec, record) for one representative of every class of the
+    enumerated space, in enumeration order."""
+    for spec in cellspace.enumerate_space(limits):
+        yield spec, synth_record(spec, params)
+
+
+@functools.lru_cache(maxsize=32)
+def _synthetic_scan(params: SyntheticOracleParams, limits: SpaceLimits):
+    """(label threshold, optimum) from one pass over the synthetic table.
+    Both are pure functions of (params, limits), so the process keeps them."""
+    accs = []
+    best = None
+    for spec, record in synthetic_table(params, limits):
+        accs.append(record.val_accuracy)
+        if best is None or record.val_accuracy > best[1].val_accuracy:
+            best = (spec, record)
+    return float(np.quantile(accs, SYNTHETIC_THRESHOLD_QUANTILE)), best
+
+
 def synthetic_label_threshold(
     params: SyntheticOracleParams, limits: SpaceLimits
 ) -> float:
     """Label threshold for synthetic runs: the 0.90 quantile of accuracy
     over the enumerated space, so both classes are populated regardless of
     where the synthetic accuracy range sits."""
-    accs = [
-        synth_record(spec, params).val_accuracy
-        for spec in cellspace.enumerate_space(limits)
-    ]
-    return float(np.quantile(accs, SYNTHETIC_THRESHOLD_QUANTILE))
+    return _synthetic_scan(params, limits)[0]
+
+
+def synthetic_optimum(params: SyntheticOracleParams, limits: SpaceLimits):
+    """(spec, record) of the best cell in the enumerated synthetic space
+    (the first in enumeration order on a tie)."""
+    return _synthetic_scan(params, limits)[1]
 
 
 def load_table(path) -> BenchmarkTable:
@@ -254,18 +269,15 @@ class OracleFitness:
         return record.val_accuracy
 
 
-def dump_table_lines(records) -> list[str]:
-    """Serialize (spec, record) pairs to benchmark-file lines."""
-    lines = []
+def dump_table_lines(records):
+    """Serialize (spec, record) pairs to benchmark-file lines, one at a
+    time."""
     for spec, record in records:
-        lines.append(
-            json.dumps(
-                {
-                    "spec": spec.to_json_obj(),
-                    "val_accuracy": record.val_accuracy,
-                    "train_time_s": record.train_time_s,
-                },
-                sort_keys=True,
-            )
+        yield json.dumps(
+            {
+                "spec": spec.to_json_obj(),
+                "val_accuracy": record.val_accuracy,
+                "train_time_s": record.train_time_s,
+            },
+            sort_keys=True,
         )
-    return lines

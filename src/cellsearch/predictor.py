@@ -23,7 +23,6 @@ from .errors import ConfigError, DegenerateDataError, ParseError, ShapeError
 # order, one SEP, then v(v-1)/2 adjacency bits in row-major order.
 OP_CONV3X3, OP_CONV1X1, OP_MAXPOOL, EDGE_0, EDGE_1, SEP = range(6)
 ALPHABET_SIZE = 6
-TOKEN_NAMES = ("OP_CONV3X3", "OP_CONV1X1", "OP_MAXPOOL", "EDGE_0", "EDGE_1", "SEP")
 
 DEFAULT_HIDDEN = 16
 
@@ -58,6 +57,17 @@ def encode(spec: ModelSpec) -> np.ndarray:
     return np.asarray(tokens, dtype=np.int64)
 
 
+def _shapes(hidden_size: int) -> dict:
+    """Parameter name -> shape, in flatten() order."""
+    return {
+        "W_x": (hidden_size, ALPHABET_SIZE),
+        "W_h": (hidden_size, hidden_size),
+        "b_h": (hidden_size,),
+        "w_o": (hidden_size,),
+        "b_o": (),
+    }
+
+
 @dataclass
 class RnnParams:
     """Weights of the Elman cell plus the scalar output head."""
@@ -66,82 +76,73 @@ class RnnParams:
     W_h: np.ndarray  # hidden x hidden
     b_h: np.ndarray  # hidden
     w_o: np.ndarray  # hidden
-    b_o: float
-    hidden_size: int = DEFAULT_HIDDEN
+    b_o: np.ndarray  # 0-d
+
+    _FIELDS = tuple(_shapes(1))
+
+    @property
+    def hidden_size(self) -> int:
+        return self.W_h.shape[0]
 
     @classmethod
     def zeros(cls, hidden_size: int = DEFAULT_HIDDEN) -> "RnnParams":
-        return cls(
-            W_x=np.zeros((hidden_size, ALPHABET_SIZE)),
-            W_h=np.zeros((hidden_size, hidden_size)),
-            b_h=np.zeros(hidden_size),
-            w_o=np.zeros(hidden_size),
-            b_o=0.0,
-            hidden_size=hidden_size,
-        )
+        return cls(**{name: np.zeros(shape) for name, shape in _shapes(hidden_size).items()})
 
     @classmethod
     def seeded(
         cls, seed: int, hidden_size: int = DEFAULT_HIDDEN, init_scale: float = DEFAULT_INIT_SCALE
     ) -> "RnnParams":
         gen = np.random.default_rng(seed)
-        u = lambda *shape: gen.uniform(-init_scale, init_scale, shape)
         return cls(
-            W_x=u(hidden_size, ALPHABET_SIZE),
-            W_h=u(hidden_size, hidden_size),
-            b_h=u(hidden_size),
-            w_o=u(hidden_size),
-            b_o=float(gen.uniform(-init_scale, init_scale)),
-            hidden_size=hidden_size,
+            **{
+                name: gen.uniform(-init_scale, init_scale, shape)
+                for name, shape in _shapes(hidden_size).items()
+            }
+        )
+
+    def flatten(self) -> np.ndarray:
+        return np.concatenate(
+            [np.asarray(getattr(self, name)).ravel() for name in self._FIELDS]
+        )
+
+    @classmethod
+    def from_flat(cls, theta, hidden_size: int) -> "RnnParams":
+        """Unflatten a parameter vector. Every training step and every
+        loaded file lands here, so this is where bad parameters are caught:
+        a wrong length or non-finite entries raise."""
+        theta = np.array(theta, dtype=float)
+        shapes = _shapes(hidden_size)
+        sizes = [int(np.prod(shape)) for shape in shapes.values()]
+        if theta.shape != (sum(sizes),):
+            raise ShapeError(f"flat vector has shape {theta.shape}, expected ({sum(sizes)},)")
+        if not np.all(np.isfinite(theta)):
+            raise ShapeError("predictor parameters contain non-finite entries")
+        parts = np.split(theta, np.cumsum(sizes)[:-1])
+        return cls(
+            **{name: part.reshape(shape) for (name, shape), part in zip(shapes.items(), parts)}
         )
 
     def to_json_obj(self) -> dict:
-        return {
-            "hidden": self.hidden_size,
-            "alphabet": ALPHABET_SIZE,
-            "W_x": self.W_x.tolist(),
-            "W_h": self.W_h.tolist(),
-            "b_h": self.b_h.tolist(),
-            "w_o": self.w_o.tolist(),
-            "b_o": float(self.b_o),
-        }
+        obj = {name: getattr(self, name).tolist() for name in self._FIELDS}
+        obj.update(hidden=self.hidden_size, alphabet=ALPHABET_SIZE)
+        return obj
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "RnnParams":
+        """Inverse of to_json_obj; a wrong shape or a non-finite value
+        raises ShapeError."""
         try:
             if obj["alphabet"] != ALPHABET_SIZE:
                 raise ParseError(f"alphabet size {obj['alphabet']} != {ALPHABET_SIZE}")
-            params = cls(
-                W_x=np.asarray(obj["W_x"], dtype=float),
-                W_h=np.asarray(obj["W_h"], dtype=float),
-                b_h=np.asarray(obj["b_h"], dtype=float),
-                w_o=np.asarray(obj["w_o"], dtype=float),
-                b_o=float(obj["b_o"]),
-                hidden_size=int(obj["hidden"]),
-            )
+            hidden = int(obj["hidden"])
+            parts = {name: np.asarray(obj[name], dtype=float) for name in cls._FIELDS}
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed predictor object: {exc}") from exc
-        _check_shapes(params)
-        return params
-
-
-def _check_shapes(params: RnnParams) -> None:
-    h = params.hidden_size
-    expect = {
-        "W_x": (h, ALPHABET_SIZE),
-        "W_h": (h, h),
-        "b_h": (h,),
-        "w_o": (h,),
-    }
-    for name, shape in expect.items():
-        got = getattr(params, name).shape
-        if got != shape:
-            raise ShapeError(f"{name}: expected shape {shape}, got {got}")
-    for name in expect:
-        if not np.all(np.isfinite(getattr(params, name))):
-            raise ShapeError(f"{name} contains non-finite entries")
-    if not np.isfinite(params.b_o):
-        raise ShapeError("b_o is non-finite")
+        for name, shape in _shapes(hidden).items():
+            if parts[name].shape != shape:
+                raise ShapeError(f"{name}: expected shape {shape}, got {parts[name].shape}")
+        flat = np.concatenate([parts[name].ravel() for name in cls._FIELDS])
+        return cls.from_flat(flat, hidden)
 
 
 def _sigmoid(z):
@@ -165,7 +166,6 @@ def _check_tokens(seq) -> np.ndarray:
 
 def forward(params: RnnParams, seq) -> float:
     """Run the recurrence over one sequence; return P(label = 1) in (0,1)."""
-    _check_shapes(params)
     seq = _check_tokens(seq)
     h = np.zeros(params.hidden_size)
     for t in seq:
@@ -183,7 +183,6 @@ def loss_and_grad(params: RnnParams, batch):
     padded steps unchanged, starting from the shared zero state).
     Returns (loss, RnnParams-shaped gradient).
     """
-    _check_shapes(params)
     if not batch:
         raise ValueError("empty batch")
     seqs = [_check_tokens(seq) for seq, _ in batch]
@@ -208,23 +207,19 @@ def loss_and_grad(params: RnnParams, batch):
     loss = float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
 
     dz = (p - y) / B
-    g_w_o = hs[:, T].T @ dz
-    g_b_o = float(dz.sum())
-    g_W_x = np.zeros_like(params.W_x)
-    g_W_h = np.zeros_like(params.W_h)
-    g_b_h = np.zeros_like(params.b_h)
+    g = RnnParams.zeros(H)
+    g.w_o[...] = hs[:, T].T @ dz
+    g.b_o[...] = dz.sum()
 
     dh = np.outer(dz, params.w_o)
     for t in reversed(range(T)):
         m = M[:, t : t + 1]
         da = np.where(m, dh * (1.0 - hs[:, t + 1] ** 2), 0.0)
-        g_b_h += da.sum(axis=0)
-        g_W_h += da.T @ hs[:, t]
-        np.add.at(g_W_x, (slice(None), X[:, t]), da.T)
+        g.b_h += da.sum(axis=0)
+        g.W_h += da.T @ hs[:, t]
+        np.add.at(g.W_x, (slice(None), X[:, t]), da.T)
         dh = np.where(m, da @ params.W_h, dh)
-
-    grad = RnnParams(g_W_x, g_W_h, g_b_h, g_w_o, g_b_o, hidden_size=H)
-    return loss, grad
+    return loss, g
 
 
 def predict(params: RnnParams, spec: ModelSpec) -> float:
@@ -362,14 +357,7 @@ def train(data: LabeledDataset, cfg: TrainConfig, seed: int):
             batch = [encoded[i] for i in idx]
             loss, g = loss_and_grad(params, batch)
             total += loss * len(batch)
-            params = RnnParams(
-                params.W_x - lr * g.W_x,
-                params.W_h - lr * g.W_h,
-                params.b_h - lr * g.b_h,
-                params.w_o - lr * g.w_o,
-                params.b_o - lr * g.b_o,
-                hidden_size=params.hidden_size,
-            )
+            params = RnnParams.from_flat(params.flatten() - lr * g.flatten(), cfg.hidden_size)
         epoch_losses.append(total / n)
     return params, epoch_losses
 

@@ -239,10 +239,6 @@ class SampledArch:
     invalid: bool
     reward: float = 0.0
 
-    @property
-    def logprob(self) -> float:
-        return float(sum(self.logprob_terms))
-
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max()
@@ -371,22 +367,18 @@ def reinforce_update(
     batch,
     baseline,
     learning_rate: float,
-    utilities=None,
+    utilities,
 ) -> ControllerState:
     """One ascent step along (1/m) sum_k (U_k - b) grad log P(actions_k).
 
-    U_k is `utilities[k]`, or each sample's reward when none are given.
-    `baseline` may be a Baseline (read, never updated here) or a plain
-    number; pass the value read before this batch's baseline update.
+    U_k is `utilities[k]`; `baseline` is b, the value read before this
+    batch's baseline update.
     """
     if not batch:
         raise ConfigError("empty batch")
-    if utilities is None:
-        utilities = [s.reward for s in batch]
-    b = baseline.read() if isinstance(baseline, Baseline) else float(baseline)
     total = np.zeros(controller.flatten().size)
     for s, u in zip(batch, utilities):
-        advantage = u - b
+        advantage = u - baseline
         if advantage == 0.0:
             continue
         _, g = logprob_and_grad(controller, schedule, s.actions)

@@ -38,7 +38,7 @@ from cellsearch.oracle import (
     SyntheticOracleParams,
     synth_record,
 )
-from cellsearch.predictor import encode, loss_and_grad
+from cellsearch.predictor import RnnParams, encode, loss_and_grad
 from cellsearch.reinforce import (
     ControllerState,
     DecisionSchedule,
@@ -49,7 +49,6 @@ from cellsearch.reinforce import (
 )
 
 from conftest import central_differences, max_relative_error, perm_canonical_form
-from test_predictor import _flatten, _unflatten
 
 LIMITS = SpaceLimits(5, 9)
 SEEDS = range(10)
@@ -286,12 +285,12 @@ def test_criterion_6_gradient_checks(capsys):
         batch = [(encode(s), rng.randrange(2)) for s in specs]
 
         def floss(theta):
-            return loss_and_grad(_unflatten(theta, hidden), batch)[0]
+            return loss_and_grad(RnnParams.from_flat(theta, hidden), batch)[0]
 
-        _, grad = loss_and_grad(_unflatten(theta0, hidden), batch)
+        _, grad = loss_and_grad(RnnParams.from_flat(theta0, hidden), batch)
         worst_pred = max(
             worst_pred,
-            max_relative_error(_flatten(grad), central_differences(floss, theta0)),
+            max_relative_error(grad.flatten(), central_differences(floss, theta0)),
         )
     pred_ok = worst_pred <= 1e-4
 

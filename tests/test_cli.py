@@ -310,12 +310,17 @@ def test_inconsistent_config_is_usage_error(capsys, tmp_path):
         ("--population-size", "10", "--sample-size", "20"),
         ("--iterations", "-1"),
         ("--population-size", "10", "--cycles", "5"),
+        # more decisions than the controller has step biases for
+        ("--algo", "reinforce", "--limits", "8,9"),
+        # the default label threshold would enumerate (7,9)
+        ("--fitness", "predictor"),
     ):
         out = tmp_path / "bad"
         code, _, err = run_cli(capsys, "run", *flags, "--out", str(out))
         assert code == 1, flags
         assert "usage error" in err
         assert not out.exists()
+    assert "--label-threshold" in err
     # so are malformed nested objects in a config file
     cfg_path = tmp_path / "cfg.json"
     for obj in (

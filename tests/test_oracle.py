@@ -2,6 +2,7 @@
 synthetic accuracy/time formulas (recomputed independently), benchmark file
 IO, labeling, and the frozen identity of the synthetic optimum."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -27,6 +28,8 @@ from cellsearch.oracle import (
     query,
     synth_record,
     synthetic_label_threshold,
+    synthetic_optimum,
+    synthetic_table,
 )
 
 from conftest import make_spec
@@ -109,9 +112,7 @@ def test_synthetic_rejects_unpruned():
 
 def test_params_round_trip():
     params = SyntheticOracleParams(jitter_scale=0.05)
-    again = SyntheticOracleParams.from_json_obj(
-        json.loads(json.dumps(params.to_json_obj()))
-    )
+    again = SyntheticOracleParams(**json.loads(json.dumps(dataclasses.asdict(params))))
     assert again == params
 
 
@@ -137,7 +138,9 @@ def test_longest_path_hand_cases(two_vertex):
 
 def test_longest_path_matches_exhaustive_walk(space59_specs):
     def brute(spec):
-        succs = {i: spec.successors(i) for i in range(spec.num_vertices)}
+        succs = {i: [] for i in range(spec.num_vertices)}
+        for i, j in spec.edges:
+            succs[i].append(j)
         best = 0
 
         def walk(vertex, length):
@@ -287,6 +290,30 @@ def test_synthetic_threshold_populates_both_classes(limits59):
     assert 0 < positives < len(accs)
     # by construction roughly a tenth of the space is positive
     assert 0.05 <= positives / len(accs) <= 0.15
+
+
+def test_threshold_and_optimum_share_one_enumeration(monkeypatch):
+    real = cellspace.enumerate_space
+    calls = []
+
+    def counting(limits):
+        calls.append(limits)
+        return real(limits)
+
+    monkeypatch.setattr(cellspace, "enumerate_space", counting)
+    # coefficients no other test uses, so the per-process cache starts cold
+    params = SyntheticOracleParams(base_accuracy=0.6123)
+    limits = SpaceLimits(4, 9)
+    thr = synthetic_label_threshold(params, limits)
+    spec, record = synthetic_optimum(params, limits)
+    assert synthetic_label_threshold(params, limits) == thr
+    assert calls == [limits]
+    table = list(synthetic_table(params, limits))
+    assert [s for s, _ in table] == list(real(limits))
+    assert all(rec == synth_record(s, params) for s, rec in table)
+    accs = [rec.val_accuracy for _, rec in table]
+    assert thr == float(np.quantile(accs, 0.9))
+    assert (spec, record) == table[accs.index(max(accs))]
 
 
 def test_isomorphic_storable_drawings_get_identical_records():

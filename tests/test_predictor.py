@@ -51,31 +51,6 @@ from conftest import (
 )
 
 
-def _flatten(params: RnnParams) -> np.ndarray:
-    return np.concatenate(
-        [
-            params.W_x.ravel(),
-            params.W_h.ravel(),
-            params.b_h,
-            params.w_o,
-            [params.b_o],
-        ]
-    )
-
-
-def _unflatten(theta: np.ndarray, hidden: int) -> RnnParams:
-    sizes = [hidden * ALPHABET_SIZE, hidden * hidden, hidden, hidden, 1]
-    parts = np.split(theta, np.cumsum(sizes)[:-1])
-    return RnnParams(
-        W_x=parts[0].reshape(hidden, ALPHABET_SIZE),
-        W_h=parts[1].reshape(hidden, hidden),
-        b_h=parts[2].copy(),
-        w_o=parts[3].copy(),
-        b_o=float(parts[4][0]),
-        hidden_size=hidden,
-    )
-
-
 # ---------------------------------------------------------------------------
 # encoding
 
@@ -166,15 +141,30 @@ def test_forward_stays_inside_open_interval(two_vertex):
         assert math.isfinite(loss)
 
 
-def test_forward_shape_errors(two_vertex):
-    params = RnnParams.zeros()
-    params.W_h = np.zeros((16, 15))
-    with pytest.raises(ShapeError):
-        forward(params, encode(two_vertex))
+def test_forward_shape_errors():
+    # parameters are checked where they enter: every training step goes
+    # through from_flat, which refuses a vector of the wrong length
+    theta = RnnParams.zeros(4).flatten()
+    for bad in (theta[:-1], np.append(theta, 0.0), theta.reshape(1, -1)):
+        with pytest.raises(ShapeError):
+            RnnParams.from_flat(bad, 4)
     with pytest.raises(ShapeError):
         forward(RnnParams.zeros(), np.array([0, 6]))
     with pytest.raises(ShapeError):
         forward(RnnParams.zeros(), np.array([], dtype=int))
+
+
+def test_from_flat_rejects_non_finite_parameters():
+    # every training step unflattens through from_flat, so a diverged step
+    # stops here
+    theta = RnnParams.seeded(0, 4).flatten()
+    assert RnnParams.from_flat(theta, 4).flatten().tolist() == theta.tolist()
+    theta[7] = np.nan
+    with pytest.raises(ShapeError, match="non-finite"):
+        RnnParams.from_flat(theta, 4)
+    theta[7] = np.inf
+    with pytest.raises(ShapeError, match="non-finite"):
+        RnnParams.from_flat(theta, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -233,12 +223,12 @@ def test_gradients_match_finite_differences():
         batch = [(encode(s), rng.randrange(2)) for s in specs]
 
         def f(theta):
-            loss, _ = loss_and_grad(_unflatten(theta, hidden), batch)
+            loss, _ = loss_and_grad(RnnParams.from_flat(theta, hidden), batch)
             return loss
 
-        _, grad = loss_and_grad(_unflatten(theta0, hidden), batch)
+        _, grad = loss_and_grad(RnnParams.from_flat(theta0, hidden), batch)
         numeric = central_differences(f, theta0)
-        err = max_relative_error(_flatten(grad), numeric)
+        err = max_relative_error(grad.flatten(), numeric)
         worst = max(worst, err)
     assert worst <= 1e-4, f"worst relative error {worst}"
 
@@ -396,17 +386,21 @@ def test_load_rejects_wrong_alphabet(tmp_path):
 
 
 def test_load_rejects_inconsistent_shapes(tmp_path):
-    params = RnnParams.seeded(1)
-    obj = params.to_json_obj()
-    obj["W_h"] = [row[:-1] for row in obj["W_h"]]
-    obj["threshold_used"] = 0.9
-    obj["train_seed"] = 0
     import json
 
-    path = tmp_path / "shape.json"
-    path.write_text(json.dumps(obj))
-    with pytest.raises(ShapeError):
-        load_predictor(path)
+    for name, value in (
+        ("W_h", [row[:-1] for row in RnnParams.seeded(1).to_json_obj()["W_h"]]),
+        ("b_o", [0.5]),
+        ("b_o", float("nan")),
+    ):
+        obj = RnnParams.seeded(1).to_json_obj()
+        obj[name] = value
+        obj["threshold_used"] = 0.9
+        obj["train_seed"] = 0
+        path = tmp_path / "shape.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ShapeError):
+            load_predictor(path)
 
 
 def test_load_requires_metadata(tmp_path):

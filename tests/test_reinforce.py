@@ -144,7 +144,7 @@ def test_sample_logprob_matches_replay():
         s = sample(controller, sched, rng)
         assert all(term <= 0.0 for term in s.logprob_terms)
         replay, _ = logprob_and_grad(controller, sched, s.actions)
-        assert abs(s.logprob - replay) < 1e-12
+        assert abs(sum(s.logprob_terms) - replay) < 1e-12
 
 
 def test_sample_deterministic():
@@ -310,7 +310,10 @@ def test_update_is_zero_when_rewards_equal_baseline():
     batch = [sample(controller, BANDIT, rng) for _ in range(4)]
     for s in batch:
         s.reward = 0.7
-    updated = reinforce_update(controller, BANDIT, batch, 0.7, learning_rate=0.5)
+    updated = reinforce_update(
+        controller, BANDIT, batch, 0.7, learning_rate=0.5,
+        utilities=[s.reward for s in batch],
+    )
     assert np.array_equal(updated.flatten(), controller.flatten())
 
 
