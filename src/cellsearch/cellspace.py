@@ -375,6 +375,14 @@ def mutate(parent: ModelSpec, rng, limits: SpaceLimits) -> ModelSpec:
     )
 
 
+def check_enumerable(limits: SpaceLimits) -> None:
+    """Raise TooLargeError when enumerate_space would refuse `limits`."""
+    if limits.max_vertices > ENUMERATION_VERTEX_CAP:
+        raise TooLargeError(
+            f"refusing to enumerate max_vertices={limits.max_vertices} > {ENUMERATION_VERTEX_CAP}"
+        )
+
+
 def enumerate_space(limits: SpaceLimits) -> Iterator[ModelSpec]:
     """Yield one representative per isomorphism class of valid specs.
 
@@ -383,10 +391,7 @@ def enumerate_space(limits: SpaceLimits) -> Iterator[ModelSpec]:
     product order over (conv3x3, conv1x1, maxpool3x3). Deduplicated by
     canonical hash.
     """
-    if limits.max_vertices > ENUMERATION_VERTEX_CAP:
-        raise TooLargeError(
-            f"refusing to enumerate max_vertices={limits.max_vertices} > {ENUMERATION_VERTEX_CAP}"
-        )
+    check_enumerable(limits)
     seen: set[str] = set()
     for v in range(2, limits.max_vertices + 1):
         pairs = upper_triangle_pairs(v)

@@ -18,7 +18,7 @@ import json
 import os
 import random
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -98,49 +98,44 @@ def _load_params(path) -> SyntheticOracleParams:
 
 
 def _config_from_args(args) -> ExperimentConfig:
+    """The config file's object with the flags merged over it, checked once."""
+    obj = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             try:
-                cfg = ExperimentConfig.from_json_obj(json.load(fh))
+                obj = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise UsageError(f"{args.config}: {exc}") from None
-    else:
-        cfg = ExperimentConfig()
+        if not isinstance(obj, dict):
+            raise ConfigError("config must be a JSON object")
 
-    top = {}
     if args.algo:
-        top["algo"] = args.algo.upper()
+        obj["algo"] = args.algo.upper()
     if args.fitness:
-        top["fitness"] = args.fitness.upper()
+        obj["fitness"] = args.fitness.upper()
     if args.oracle:
         if args.oracle.lower() == "synthetic":
-            top["oracle_source"] = "SYNTHETIC"
-            top["table_path"] = None
+            obj["oracle_source"] = "SYNTHETIC"
+            obj["table_path"] = None
         else:
-            top["oracle_source"] = "FILE"
-            top["table_path"] = args.oracle
+            obj["oracle_source"] = "FILE"
+            obj["table_path"] = args.oracle
     if args.limits:
-        top["limits"] = args.limits
+        obj["limits"] = asdict(args.limits)
     for name in ("n_label", "label_charge", "label_threshold", "top_k"):
         value = getattr(args, name)
         if value is not None:
-            top[name] = value
-
-    evo = {
-        k: getattr(args, k)
-        for k in ("population_size", "sample_size", "cycles")
-        if getattr(args, k) is not None
-    }
-    if evo:
-        top["evolution"] = replace(cfg.evolution, **evo)
-    ref = {
-        k: getattr(args, k)
-        for k in ("batch_size", "iterations", "learning_rate")
-        if getattr(args, k) is not None
-    }
-    if ref:
-        top["reinforce"] = replace(cfg.reinforce, **ref)
-    return replace(cfg, **top) if top else cfg
+            obj[name] = value
+    for key, names in (
+        ("evolution", ("population_size", "sample_size", "cycles")),
+        ("reinforce", ("batch_size", "iterations", "learning_rate")),
+    ):
+        flags = {k: getattr(args, k) for k in names if getattr(args, k) is not None}
+        if flags:
+            nested = obj.get(key, {})
+            # a malformed nested value is left for from_json_obj to name
+            obj[key] = {**nested, **flags} if isinstance(nested, dict) else nested
+    return ExperimentConfig.from_json_obj(obj)
 
 
 def cmd_run(args) -> int:

@@ -48,13 +48,9 @@ _LABEL_ATTEMPT_FACTOR = 1000
 # configuration
 
 
-def _limits_from_json(obj) -> SpaceLimits:
-    return SpaceLimits(int(obj["max_vertices"]), int(obj["max_edges"]))
-
-
 # config keys holding a nested object -> the function that reads it
 _NESTED = {
-    "limits": _limits_from_json,
+    "limits": lambda obj: SpaceLimits(int(obj["max_vertices"]), int(obj["max_edges"])),
     "synthetic": lambda obj: SyntheticOracleParams(**obj),
     "evolution": lambda obj: EvolutionConfig(**obj),
     "reinforce": lambda obj: ReinforceConfig(**obj),
@@ -100,16 +96,20 @@ class ExperimentConfig:
             raise ConfigError("top_k must be at least 1")
         if self.algo == "REINFORCE":
             DecisionSchedule.from_limits(self.limits)  # refuses too many decisions
-        if (
-            self.fitness == "PREDICTOR"
-            and self.oracle_source == "SYNTHETIC"
-            and self.label_threshold is None
-            and self.limits.max_vertices > cellspace.ENUMERATION_VERTEX_CAP
-        ):
-            raise ConfigError(
-                f"max_vertices={self.limits.max_vertices} is too large to enumerate for "
-                "the default synthetic label threshold; set --label-threshold"
-            )
+        if self.fitness == "PREDICTOR" and self.derives_synthetic_threshold:
+            try:
+                cellspace.check_enumerable(self.limits)
+            except TooLargeError as exc:
+                raise ConfigError(
+                    f"{exc} for the default synthetic label threshold; "
+                    "set --label-threshold"
+                ) from None
+
+    @property
+    def derives_synthetic_threshold(self) -> bool:
+        """True when the label threshold is the quantile rule over the
+        enumerated synthetic space."""
+        return self.label_threshold is None and self.oracle_source == "SYNTHETIC"
 
     def to_json_obj(self) -> dict:
         return asdict(self)
@@ -143,10 +143,10 @@ def effective_label_threshold(cfg: ExperimentConfig) -> float:
     """The configured threshold, or the source's default rule: the 0.90
     accuracy quantile over the enumerated space for the synthetic oracle,
     the fixed default for file tables."""
+    if cfg.derives_synthetic_threshold:
+        return synthetic_label_threshold(cfg.synthetic, cfg.limits)
     if cfg.label_threshold is not None:
         return cfg.label_threshold
-    if cfg.oracle_source == "SYNTHETIC":
-        return synthetic_label_threshold(cfg.synthetic, cfg.limits)
     return DEFAULT_LABEL_THRESHOLD
 
 

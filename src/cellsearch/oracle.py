@@ -179,10 +179,11 @@ def synthetic_table(params: SyntheticOracleParams, limits: SpaceLimits):
         yield spec, synth_record(spec, params)
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=1)
 def _synthetic_scan(params: SyntheticOracleParams, limits: SpaceLimits):
     """(label threshold, optimum) from one pass over the synthetic table.
-    Both are pure functions of (params, limits), so the process keeps them."""
+    Both are pure functions of (params, limits), so the process keeps the
+    last pair: a run, or every seed of one `run`, shares one key."""
     accs = []
     best = None
     for spec, record in synthetic_table(params, limits):

@@ -210,6 +210,25 @@ def test_run_config_file_with_flag_overrides(capsys, tmp_path):
     assert summary.config.evolution.population_size == 8  # file survives
 
 
+def test_run_config_file_flags_make_it_runnable(capsys, tmp_path):
+    # the checks see the config after the flags are merged over the file
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"fitness": "PREDICTOR", "n_label": 30}))
+    for flags in (
+        ("--limits", "4,9"),
+        ("--label-threshold", "0.7", "--cycles", "20"),
+    ):
+        out = tmp_path / "r"
+        code, _, err = run_cli(
+            capsys,
+            "run", "--config", str(cfg_path), *flags,
+            "--population-size", "8", "--sample-size", "3",
+            "--seed", "1", "--out", str(out),
+        )
+        assert code == 0, (flags, err)
+        assert read_summary(out / "summary.json").config.fitness == "PREDICTOR"
+
+
 def test_nas_seed_env_is_the_default(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("NAS_SEED", "23")
     out = tmp_path / "r"

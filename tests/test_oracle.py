@@ -301,8 +301,8 @@ def test_threshold_and_optimum_share_one_enumeration(monkeypatch):
         return real(limits)
 
     monkeypatch.setattr(cellspace, "enumerate_space", counting)
-    # coefficients no other test uses, so the per-process cache starts cold
-    params = SyntheticOracleParams(base_accuracy=0.6123)
+    oracle._synthetic_scan.cache_clear()
+    params = SyntheticOracleParams()
     limits = SpaceLimits(4, 9)
     thr = synthetic_label_threshold(params, limits)
     spec, record = synthetic_optimum(params, limits)
