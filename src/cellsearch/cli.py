@@ -26,6 +26,7 @@ from .cellspace import SpaceLimits
 from .errors import CellSearchError, ConfigError
 from .harness import (
     ExperimentConfig,
+    PaidQueries,
     build_oracle,
     compare_runs,
     label_random_specs,
@@ -169,8 +170,8 @@ def cmd_run(args) -> int:
                 "best_true_acc": result.summary.best_true_acc,
                 "total_sim_seconds": result.summary.total_sim_seconds,
             }
-            if result.labeling is not None:
-                line["heldout_accuracy"] = result.labeling.heldout_accuracy
+            if "labeling" in result.summary.phases:
+                line["heldout_accuracy"] = result.summary.phases["labeling"]["heldout_accuracy"]
             _emit(line)
     return 0
 
@@ -224,12 +225,13 @@ def cmd_label(args) -> int:
             label_threshold=args.threshold,
             seed=seed,
         )
+        cfg.check_threshold_derivable("--threshold")
     except ConfigError as exc:
         raise UsageError(str(exc)) from None
 
     clock = SimClock()
-    labeled, events, threshold = label_random_specs(
-        cfg, build_oracle(cfg), clock, random.Random(seed)
+    labeled, threshold = label_random_specs(
+        cfg, PaidQueries(build_oracle(cfg), clock), random.Random(seed)
     )
     meta = {
         "threshold": threshold,

@@ -24,9 +24,7 @@ from .traces import SearchTrace
 class Individual:
     spec: ModelSpec
     fitness: float
-    eval_mode: str  # ORACLE or PREDICTOR
     birth_index: int
-    clock_s: float  # simulated clock reading right after evaluation
 
     def key(self) -> tuple:
         # Ties in fitness go to the younger individual, biasing search
@@ -50,8 +48,7 @@ class EvolutionConfig:
 
 
 def _evaluate(spec: ModelSpec, fitness, clock: SimClock, birth_index: int) -> Individual:
-    value = fitness.evaluate(spec, clock)
-    return Individual(spec, value, fitness.mode, birth_index, clock.elapsed_s)
+    return Individual(spec, fitness.evaluate(spec, clock), birth_index)
 
 
 def init_population(

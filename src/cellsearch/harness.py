@@ -96,20 +96,25 @@ class ExperimentConfig:
             raise ConfigError("top_k must be at least 1")
         if self.algo == "REINFORCE":
             DecisionSchedule.from_limits(self.limits)  # refuses too many decisions
-        if self.fitness == "PREDICTOR" and self.derives_synthetic_threshold:
-            try:
-                cellspace.check_enumerable(self.limits)
-            except TooLargeError as exc:
-                raise ConfigError(
-                    f"{exc} for the default synthetic label threshold; "
-                    "set --label-threshold"
-                ) from None
+        if self.fitness == "PREDICTOR":
+            self.check_threshold_derivable("--label-threshold")
 
     @property
     def derives_synthetic_threshold(self) -> bool:
         """True when the label threshold is the quantile rule over the
         enumerated synthetic space."""
         return self.label_threshold is None and self.oracle_source == "SYNTHETIC"
+
+    def check_threshold_derivable(self, flag: str) -> None:
+        """Refuse, naming the threshold `flag`, a default synthetic threshold
+        that would have to enumerate a space too large to enumerate."""
+        if self.derives_synthetic_threshold:
+            try:
+                cellspace.check_enumerable(self.limits)
+            except TooLargeError as exc:
+                raise ConfigError(
+                    f"{exc} for the default synthetic label threshold; set {flag}"
+                ) from None
 
     def to_json_obj(self) -> dict:
         return asdict(self)
@@ -279,43 +284,37 @@ def read_summary(path) -> RunSummary:
 # the predictor pipeline
 
 
-@dataclass(frozen=True)
-class QueryEvent:
-    """One paid ground-truth query: what was asked and when."""
-
-    spec: ModelSpec
-    digest: str
-    true_acc: float
-    sim_seconds: float  # clock reading after the charge
-
-
 @dataclass
-class LabelingReport:
-    """Cost and outcome of the labeling + training phases."""
+class PaidQueries:
+    """The run's paid ground-truth queries, recorded where they are made.
 
-    threshold: float
-    n_labeled: int
-    positives: int
-    labeling_sim_seconds: float
-    heldout_accuracy: float
-    split_meta: dict
-    final_train_loss: float
-    # one QueryEvent per label, in draw order — the ground-truth
-    # observations the run paid for
-    label_events: tuple = ()
+    Each query charges the clock, keeps the best (spec, hash, true accuracy)
+    answered so far (only a strictly better answer replaces it) and appends
+    the trace row (n, clock, best, best): the run's trace is this log."""
+
+    oracle: object
+    clock: SimClock
+    trace: SearchTrace = field(default_factory=SearchTrace)
+    best: tuple | None = None  # (spec, hash, true accuracy)
+
+    def query(self, spec: ModelSpec, digest: str, charge: float):
+        record = query(self.oracle, spec, self.clock, charge=charge)
+        if self.best is None or record.val_accuracy > self.best[2]:
+            self.best = (spec, digest, record.val_accuracy)
+        best_true = self.best[2]
+        self.trace.append(len(self.trace.rows) + 1, self.clock.elapsed_s, best_true, best_true)
+        return record
 
 
-def label_random_specs(cfg: ExperimentConfig, oracle, clock: SimClock, rng: random.Random):
-    """Draw cfg.n_label distinct-by-hash random cells, query each one
-    (charging label_charge x its training time), and binarize at the
-    effective threshold. Returns (labeled (spec, y) list, QueryEvent list,
-    threshold)."""
+def label_random_specs(cfg: ExperimentConfig, paid: PaidQueries, rng: random.Random):
+    """Draw cfg.n_label distinct-by-hash random cells, query each one through
+    `paid` (charging label_charge x its training time), and binarize at the
+    effective threshold. Returns (labeled (spec, y) list, threshold)."""
     if cfg.n_label <= 0:
         raise ConfigError("n_label must be positive")
     threshold = effective_label_threshold(cfg)
     seen = set()
     labeled = []
-    events = []
     attempts = 0
     while len(labeled) < cfg.n_label:
         attempts += 1
@@ -329,72 +328,53 @@ def label_random_specs(cfg: ExperimentConfig, oracle, clock: SimClock, rng: rand
         if digest in seen:
             continue
         seen.add(digest)
-        record = query(oracle, spec, clock, charge=cfg.label_charge)
+        record = paid.query(spec, digest, cfg.label_charge)
         labeled.append((spec, binary_label(record, threshold)))
-        events.append(QueryEvent(spec, digest, record.val_accuracy, clock.elapsed_s))
-    return labeled, events, threshold
+    return labeled, threshold
 
 
-def run_predictor_pipeline(cfg: ExperimentConfig, oracle, clock: SimClock, rng: random.Random):
+def run_predictor_pipeline(cfg: ExperimentConfig, paid: PaidQueries, rng: random.Random):
     """Label N distinct random cells, then fit the binary predictor.
 
     Phase 1 charges `label_charge` x training time per distinct-by-hash
     architecture; phase 2 (the 80/20 stratified split and the training loop)
-    is free. Returns (TrainedPredictor, LabelingReport).
+    is free. Returns (TrainedPredictor, the labeling phase's summary entry).
     """
-    started_at = clock.elapsed_s
-    labeled, events, threshold = label_random_specs(cfg, oracle, clock, rng)
-    labeling_cost = clock.elapsed_s - started_at
+    started_at = paid.clock.elapsed_s
+    labeled, threshold = label_random_specs(cfg, paid, rng)
+    labeling_cost = paid.clock.elapsed_s - started_at
 
     split_gen = np.random.default_rng(rng.getrandbits(32))
-    trained, meta, held_acc, final_loss = predictor.fit(
+    trained, _, held_acc, _ = predictor.fit(
         labeled, cfg.predictor, cfg.seed, split_gen, threshold
     )
-    report = LabelingReport(
-        threshold=threshold,
-        n_labeled=len(labeled),
-        positives=sum(y for _, y in labeled),
-        labeling_sim_seconds=labeling_cost,
-        heldout_accuracy=held_acc,
-        split_meta=meta,
-        final_train_loss=final_loss,
-        label_events=tuple(events),
-    )
-    return trained, report
+    return trained, {
+        "sim_seconds": labeling_cost,
+        "oracle_queries": len(labeled),
+        "positives": sum(y for _, y in labeled),
+        "threshold": threshold,
+        "heldout_accuracy": held_acc,
+    }
 
 
-def _spec_and_score(item):
-    """History entries from either search loop -> (genome, fitness)."""
-    if hasattr(item, "reward"):
-        return item.spec, item.reward
-    return item.spec, item.fitness
-
-
-@dataclass
-class RevalidationResult:
-    best_spec: ModelSpec | None
-    best_hash: str | None
-    best_true_acc: float | None
-    events: tuple = ()  # one QueryEvent per revalidated candidate
-    sim_seconds: float = 0.0
-
-
-def topk_revalidate(history, k: int, oracle, clock: SimClock) -> RevalidationResult:
+def topk_revalidate(history, k: int, paid: PaidQueries) -> tuple:
     """Ground the k most promising distinct cells of a predictor-guided run.
 
     Candidates are distinct canonical hashes ranked by their best predictor
     fitness in the history (first-seen order breaks ties); each is queried
-    at full charge, and the true-best among them is reported. k larger than
-    the distinct count just revalidates everything.
+    through `paid` at full charge, so the log holds the true-best answer.
+    k larger than the distinct count just revalidates everything. Returns
+    the revalidated hashes in query order.
     """
     if k < 1:
         raise ConfigError("k must be at least 1")
     ranked = {}  # hash -> (score, first_seen, phenotype)
     for order, item in enumerate(history):
-        spec, score = _spec_and_score(item)
-        if spec is None:
+        if item.spec is None:
             continue
-        phenotype = cellspace.prune(spec)
+        # evolution individuals carry a fitness, controller samples a reward
+        score = item.reward if hasattr(item, "reward") else item.fitness
+        phenotype = cellspace.prune(item.spec)
         digest = cellspace.canonical_hash(phenotype)
         if digest not in ranked or score > ranked[digest][0]:
             first_seen = ranked[digest][1] if digest in ranked else order
@@ -402,24 +382,9 @@ def topk_revalidate(history, k: int, oracle, clock: SimClock) -> RevalidationRes
     candidates = sorted(
         ranked.items(), key=lambda kv: (-kv[1][0], kv[1][1])
     )[: min(k, len(ranked))]
-
-    started_at = clock.elapsed_s
-    best = None
-    events = []
     for digest, (_, _, phenotype) in candidates:
-        record = query(oracle, phenotype, clock, charge=1.0)
-        events.append(QueryEvent(phenotype, digest, record.val_accuracy, clock.elapsed_s))
-        if best is None or record.val_accuracy > best[2]:
-            best = (phenotype, digest, record.val_accuracy)
-    if best is None:
-        return RevalidationResult(None, None, None, (), 0.0)
-    return RevalidationResult(
-        best_spec=best[0],
-        best_hash=best[1],
-        best_true_acc=best[2],
-        events=tuple(events),
-        sim_seconds=clock.elapsed_s - started_at,
-    )
+        paid.query(phenotype, digest, 1.0)
+    return tuple(digest for digest, _ in candidates)
 
 
 # ---------------------------------------------------------------------------
@@ -432,129 +397,104 @@ class ExperimentResult:
     trace: SearchTrace  # the run's cost/true-accuracy record (written to disk)
     search_trace: SearchTrace | None = None  # predictor-phase internal trace
     trained: TrainedPredictor | None = None
-    labeling: LabelingReport | None = None
 
 
 def _search(cfg: ExperimentConfig, fitness, clock: SimClock):
     """Dispatch to the configured search loop; returns (history, trace,
-    best (spec, fitness) pair or None, invalid count)."""
+    best-scoring genome or None, invalid count)."""
     if cfg.algo == "EVOLUTION":
         best, trace, history = evolution.run_evolution(
             cfg.evolution, cfg.limits, cfg.seed, fitness, clock
         )
-        return history, trace, (best.spec, best.fitness), 0
+        return history, trace, best.spec, 0
     schedule = DecisionSchedule.from_limits(cfg.limits)
     result = reinforce.run_reinforce(cfg.reinforce, schedule, cfg.seed, fitness, clock)
-    best = None
-    for s in result.history:
-        if s.spec is not None and (best is None or s.reward > best[1]):
-            best = (s.spec, s.reward)
-    return result.history, result.trace, best, result.invalid_count
+    # max keeps the first of equal rewards
+    valid = [s for s in result.history if s.spec is not None]
+    best = max(valid, key=lambda s: s.reward, default=None)
+    return result.history, result.trace, None if best is None else best.spec, result.invalid_count
 
 
-def _run_ground_truth(cfg: ExperimentConfig, oracle) -> ExperimentResult:
-    clock = SimClock()
-    fitness = OracleFitness(oracle)
-    history, trace, best, invalid = _search(cfg, fitness, clock)
-    if best is None:
-        best_spec, best_hash = None, None
-    else:
-        best_spec = cellspace.prune(best[0])
-        best_hash = cellspace.canonical_hash(best_spec)
+def _summarise(
+    cfg, trace: SearchTrace, clock: SimClock, best_spec, best_hash, **counts
+) -> RunSummary:
+    """Both run kinds' summary: the best true accuracy and fitness and the
+    improvements are read off the run's trace, the total bill off its clock
+    (so cross_check catches a charge the trace did not record); `counts`
+    holds the remaining RunSummary fields."""
     final = trace.final_row()
     summary = RunSummary(
         best_spec=best_spec,
         best_hash=best_hash,
         best_true_acc=final.best_true_acc,
         best_fitness=final.best_fitness,
-        total_sim_seconds=final.sim_seconds,
+        total_sim_seconds=clock.elapsed_s,
+        seed=cfg.seed,
+        config=cfg,
+        improvements=true_acc_improvements(trace),
+        **counts,
+    )
+    summary.cross_check(trace)
+    return summary
+
+
+def _run_ground_truth(cfg: ExperimentConfig, oracle) -> ExperimentResult:
+    clock = SimClock()
+    fitness = OracleFitness(oracle)
+    history, trace, best, invalid = _search(cfg, fitness, clock)
+    best_spec = None if best is None else cellspace.prune(best)
+    best_hash = None if best is None else cellspace.canonical_hash(best_spec)
+    summary = _summarise(
+        cfg, trace, clock, best_spec, best_hash,
         evaluations=fitness.evaluations,
         labels=0,
         invalid_samples=invalid,
         memo_hits=fitness.memo_hits,
-        seed=cfg.seed,
-        config=cfg,
-        improvements=true_acc_improvements(trace),
         phases={
             "search": {
-                "sim_seconds": final.sim_seconds,
+                "sim_seconds": trace.final_row().sim_seconds,
                 "oracle_queries": fitness.evaluations,
                 "memo_hits": fitness.memo_hits,
             }
         },
     )
-    summary.cross_check(trace)
     return ExperimentResult(summary=summary, trace=trace)
 
 
 def _run_predictor_guided(cfg: ExperimentConfig, oracle) -> ExperimentResult:
-    clock = SimClock()
-    rng = random.Random(cfg.seed)
-    trained, report = run_predictor_pipeline(cfg, oracle, clock, rng)
-
-    # the run's own trace records ground-truth observations: one row per
-    # labeling query, then one per revalidation query (the free
-    # predictor-guided search in between contributes no rows here; its
-    # internal trace is kept separately)
-    trace = SearchTrace()
-    best_true = None
-    best_pair = None  # (spec, hash) of the best ground-truthed cell
-    for idx, ev in enumerate(report.label_events, start=1):
-        if best_true is None or ev.true_acc > best_true:
-            best_true = ev.true_acc
-            best_pair = (ev.spec, ev.digest)
-        trace.append(idx, ev.sim_seconds, best_true, best_true)
+    # the run's own trace is the log of its paid ground-truth queries: one
+    # row per label, then one per revalidation (the predictor-guided search
+    # in between is free; its internal trace is kept separately)
+    paid = PaidQueries(oracle, SimClock())
+    trained, labeling = run_predictor_pipeline(cfg, paid, random.Random(cfg.seed))
 
     guided = PredictorFitness(trained.params)
-    history, search_trace, _, invalid = _search(cfg, guided, clock)
+    history, search_trace, _, invalid = _search(cfg, guided, paid.clock)
 
-    reval = topk_revalidate(history, cfg.top_k, oracle, clock)
-    idx = len(report.label_events)
-    for ev in reval.events:
-        idx += 1
-        if ev.true_acc > best_true:
-            best_true = ev.true_acc
-            best_pair = (ev.spec, ev.digest)
-        trace.append(idx, ev.sim_seconds, best_true, best_true)
+    started_at = paid.clock.elapsed_s
+    revalidated = topk_revalidate(history, cfg.top_k, paid)
 
-    summary = RunSummary(
-        best_spec=best_pair[0] if best_pair else None,
-        best_hash=best_pair[1] if best_pair else None,
-        best_true_acc=best_true,
-        best_fitness=trace.final_row().best_fitness,
-        total_sim_seconds=clock.elapsed_s,
+    best_spec, best_hash, _ = paid.best
+    summary = _summarise(
+        cfg, paid.trace, paid.clock, best_spec, best_hash,
         evaluations=guided.evaluations,
-        labels=report.n_labeled,
+        labels=labeling["oracle_queries"],
         invalid_samples=invalid,
         memo_hits=0,
-        seed=cfg.seed,
-        config=cfg,
-        improvements=true_acc_improvements(trace),
         phases={
-            "labeling": {
-                "sim_seconds": report.labeling_sim_seconds,
-                "oracle_queries": report.n_labeled,
-                "positives": report.positives,
-                "threshold": report.threshold,
-                "heldout_accuracy": report.heldout_accuracy,
-            },
+            "labeling": labeling,
             "search": {
                 "sim_seconds": 0.0,
                 "predictor_queries": guided.evaluations,
             },
             "revalidation": {
-                "sim_seconds": reval.sim_seconds,
-                "oracle_queries": len(reval.events),
+                "sim_seconds": paid.clock.elapsed_s - started_at,
+                "oracle_queries": len(revalidated),
             },
         },
     )
-    summary.cross_check(trace)
     return ExperimentResult(
-        summary=summary,
-        trace=trace,
-        search_trace=search_trace,
-        trained=trained,
-        labeling=report,
+        summary=summary, trace=paid.trace, search_trace=search_trace, trained=trained
     )
 
 
@@ -584,14 +524,7 @@ class CompareReport:
     reason: str = ""
 
     def to_json_obj(self) -> dict:
-        return {
-            "status": self.status,
-            "target": self.target,
-            "time_a": self.time_a,
-            "time_b": self.time_b,
-            "speedup": self.speedup,
-            "reason": self.reason,
-        }
+        return asdict(self)
 
 
 def default_compare_target(a: RunSummary, b: RunSummary):

@@ -192,20 +192,23 @@ class ControllerState:
         )
 
     @classmethod
-    def from_flat(cls, theta: np.ndarray, hidden_size, emb_dim):
+    def from_flat(cls, theta, hidden_size, emb_dim):
         """Unflatten a parameter vector. Every update lands here, so this is
-        where a diverged step is caught: non-finite entries raise."""
+        where bad parameters are caught: a wrong length or non-finite
+        entries raise."""
+        theta = np.array(theta, dtype=float)
+        shapes = _shapes(hidden_size, emb_dim)
+        sizes = [int(np.prod(shape)) for shape in shapes.values()]
+        if theta.shape != (sum(sizes),):
+            raise ShapeError(f"flat vector has shape {theta.shape}, expected ({sum(sizes)},)")
         if not np.all(np.isfinite(theta)):
             raise ShapeError("controller parameters contain non-finite entries")
-        parts = {}
-        at = 0
-        for name, shape in _shapes(hidden_size, emb_dim).items():
-            size = int(np.prod(shape))
-            parts[name] = theta[at : at + size].reshape(shape).copy()
-            at += size
-        if at != theta.size:
-            raise ShapeError(f"flat vector has {theta.size} entries, expected {at}")
-        return cls(hidden_size=hidden_size, emb_dim=emb_dim, **parts)
+        parts = np.split(theta, np.cumsum(sizes)[:-1])
+        return cls(
+            hidden_size=hidden_size,
+            emb_dim=emb_dim,
+            **{name: part.reshape(shape) for (name, shape), part in zip(shapes.items(), parts)},
+        )
 
 
 @dataclass

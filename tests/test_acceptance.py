@@ -150,7 +150,7 @@ def test_criterion_2_evolution_finds_the_optimum(gt_runs, optimum, capsys):
 
 def test_criterion_3_predictor_reliability(pipeline_runs, capsys):
     runs, wall = pipeline_runs
-    accs = [r.labeling.heldout_accuracy for r in runs]
+    accs = [r.summary.phases["labeling"]["heldout_accuracy"] for r in runs]
     hits = sum(a >= 0.85 for a in accs)
     ok = hits >= 8 and wall < 60.0
     _verdict(

@@ -1,6 +1,7 @@
 """Command-line contract: subcommand outputs, file artifacts, exit codes,
 seeding, and byte-identical reruns."""
 
+import hashlib
 import json
 import os
 
@@ -254,6 +255,48 @@ def test_nas_seed_garbage_is_a_usage_error(capsys, tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# pinned bytes
+
+# sha256 of every artifact file and of stdout (with the out path masked)
+PINNED_DIGESTS = {
+    ("run", "--algo", "evolution", "--fitness", "oracle", "--limits", "4,9",
+     "--cycles", "200", "--seed", "0"): {
+        "summary.json": "b2d8f781c31e893d3ce52c3af6d57ea6249b6e31817bcae09d428da7132c2f36",
+        "trace.csv": "4bd5d579d65cbb8cf230193810f5b1ae7b8b7a512e97aca7937ca3021a9acc40",
+        "stdout": "a4a4dbdf878e2a4d7477d2daa6356e2fe69eb139a20b6b5f32e5d155ddb37479",
+    },
+    ("run", "--fitness", "predictor", "--limits", "4,9", "--n-label", "60",
+     "--seed", "2"): {
+        "predictor.json": "85e7774234819b2ef7753b3bac185f60551b4c3fad3f79619b8e1cdb30ea64e5",
+        "search_trace.csv": "0b6a9715b45ddd9f7e1db1bab12e9b72d96c9dfe324b92bed93b46482e879b18",
+        "summary.json": "d239e391a26210b9c4c3b029854a1da621bf95061571255774cd279fca868534",
+        "trace.csv": "6122ab5c67550592cdc02608343b309e54a216666654ceb8e7d084038214cd5d",
+        "stdout": "2a377c88b5513206157c1323eb19c706b036478891e28defa938b6de83f47aca",
+    },
+    ("label", "--limits", "4,9", "--n", "80", "--seed", "3"): {
+        "out": "5edd94ae3327446a19d372c4da8a3f0e72ea8c0753d27eb48704c2e165cb8df7",
+        "stdout": "fbe76eb191e717ad9859de958597f169eba456f08ccdec5e49a1cf85eda9c6e2",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "argv", list(PINNED_DIGESTS), ids=["evolution-oracle", "predictor", "label"]
+)
+def test_outputs_match_pinned_digests(capsys, tmp_path, argv):
+    """The bytes a refactor must keep: these three runs' files and stdout are
+    pinned by sha256. A change meant to alter bytes updates the digests here
+    and says so in CHANGES.md."""
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 0, err
+    files = [out] if out.is_file() else sorted(out.iterdir())
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
+    got["stdout"] = hashlib.sha256(stdout.replace(str(out), "<out>").encode()).hexdigest()
+    assert got == PINNED_DIGESTS[argv]
+
+
+# ---------------------------------------------------------------------------
 # compare
 
 
@@ -325,21 +368,26 @@ def test_inconsistent_config_is_usage_error(capsys, tmp_path):
     assert code == 1
     assert "labeling budget" in err
     # out-of-range search settings are refused before any output is made
-    for flags in (
-        ("--population-size", "10", "--sample-size", "20"),
-        ("--iterations", "-1"),
-        ("--population-size", "10", "--cycles", "5"),
+    errs = {}
+    for argv in (
+        ("run", "--population-size", "10", "--sample-size", "20"),
+        ("run", "--iterations", "-1"),
+        ("run", "--population-size", "10", "--cycles", "5"),
         # more decisions than the controller has step biases for
-        ("--algo", "reinforce", "--limits", "8,9"),
+        ("run", "--algo", "reinforce", "--limits", "8,9"),
         # the default label threshold would enumerate (7,9)
-        ("--fitness", "predictor"),
+        ("run", "--fitness", "predictor"),
+        ("label", "--limits", "7,9", "--n", "10"),
     ):
         out = tmp_path / "bad"
-        code, _, err = run_cli(capsys, "run", *flags, "--out", str(out))
-        assert code == 1, flags
+        code, _, err = run_cli(capsys, *argv, "--out", str(out))
+        assert code == 1, argv
         assert "usage error" in err
         assert not out.exists()
-    assert "--label-threshold" in err
+        errs[argv] = err
+    # each names the threshold flag its own subcommand has
+    assert "--label-threshold" in errs["run", "--fitness", "predictor"]
+    assert "--threshold" in errs["label", "--limits", "7,9", "--n", "10"]
     # so are malformed nested objects in a config file
     cfg_path = tmp_path / "cfg.json"
     for obj in (

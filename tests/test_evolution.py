@@ -57,7 +57,7 @@ class FreeFitness:
 def _population_of(fitnesses):
     spec = ModelSpec(2, ((0, 1),), (OpLabel.IN, OpLabel.OUT))
     return deque(
-        Individual(spec, f, "ORACLE", birth_index=i, clock_s=0.0)
+        Individual(spec, f, birth_index=i)
         for i, f in enumerate(fitnesses)
     )
 
@@ -186,7 +186,6 @@ def test_predictor_mode_leaves_clock_and_true_column_alone():
     best, trace, history = run_evolution(cfg, LIMITS, 3, FreeFitness(random.Random(5)), clock)
     assert clock.elapsed_s == 0.0
     assert all(r.best_true_acc is None for r in trace.rows)
-    assert all(ind.eval_mode == "PREDICTOR" for ind in history)
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cellsearch import cellspace
+from cellsearch import cellspace, harness
 from cellsearch.cellspace import ModelSpec, OpLabel, SpaceLimits
 from cellsearch.errors import ConfigError, ExhaustedError, ParseError
 from cellsearch.evolution import EvolutionConfig, Individual
 from cellsearch.harness import (
     CompareReport,
     ExperimentConfig,
+    PaidQueries,
     RunSummary,
     compare_runs,
     effective_label_threshold,
@@ -31,6 +32,8 @@ from cellsearch.harness import (
 )
 from cellsearch.oracle import (
     DEFAULT_LABEL_THRESHOLD,
+    BenchmarkRecord,
+    BenchmarkTable,
     SimClock,
     SyntheticOracle,
     SyntheticOracleParams,
@@ -39,7 +42,7 @@ from cellsearch.oracle import (
 )
 from cellsearch.predictor import TrainConfig
 from cellsearch.reinforce import ReinforceConfig, SampledArch
-from cellsearch.traces import SearchTrace, read_trace, write_trace
+from cellsearch.traces import SearchTrace, TraceRow, read_trace, write_trace
 
 OPTIMUM_HASH_5_9 = "e630aae1d56e850ac87f7aa771b47739"
 
@@ -211,67 +214,104 @@ def test_synthetic_optimum_matches_enumeration():
 # labeling
 
 
+def _paid(clock=None):
+    """A query log over the default synthetic oracle."""
+    return PaidQueries(SyntheticOracle(), clock or SimClock())
+
+
+def test_paid_queries_charge_and_keep_the_first_best():
+    a, b, c = _three_cells()
+    table = BenchmarkTable(
+        {
+            cellspace.canonical_hash(spec): BenchmarkRecord(
+                cellspace.canonical_hash(spec), acc, 100.0
+            )
+            for spec, acc in ((a, 0.5), (b, 0.7), (c, 0.7))
+        }
+    )
+    paid = PaidQueries(table, SimClock())
+    for spec, charge in ((a, 1.0), (b, 0.5), (c, 1.0)):
+        paid.query(spec, cellspace.canonical_hash(spec), charge)
+    # a tie does not replace the best: c matches b's 0.7 and b stays
+    assert paid.best == (b, cellspace.canonical_hash(b), 0.7)
+    assert paid.trace.rows == [
+        TraceRow(1, 100.0, 0.5, 0.5),
+        TraceRow(2, 150.0, 0.7, 0.7),
+        TraceRow(3, 250.0, 0.7, 0.7),
+    ]
+
+
 def test_labeling_distinct_and_charged():
     cfg = ExperimentConfig(limits=SpaceLimits(4, 9), n_label=40, seed=5)
-    clock = SimClock()
-    labeled, events, threshold = label_random_specs(
-        cfg, SyntheticOracle(), clock, random.Random(5)
-    )
-    assert len(labeled) == 40 and len(events) == 40
-    hashes = [ev.digest for ev in events]
+    paid = _paid()
+    labeled, threshold = label_random_specs(cfg, paid, random.Random(5))
+    assert len(labeled) == 40 and len(paid.trace.rows) == 40
+    hashes = [cellspace.canonical_hash(spec) for spec, _ in labeled]
     assert len(set(hashes)) == 40
     expected_cost = sum(
         synth_record(spec, cfg.synthetic).train_time_s for spec, _ in labeled
     )
-    assert clock.elapsed_s == pytest.approx(expected_cost)
-    for (spec, y), ev in zip(labeled, events):
-        assert y == (1 if ev.true_acc > threshold else 0)
-        assert cellspace.canonical_hash(spec) == ev.digest
+    assert paid.clock.elapsed_s == pytest.approx(expected_cost)
+    for spec, y in labeled:
+        assert y == (1 if synth_record(spec, cfg.synthetic).val_accuracy > threshold else 0)
 
 
 def test_labeling_partial_charge_scales_cost():
     cfg_full = ExperimentConfig(limits=SpaceLimits(4, 9), n_label=30, seed=1)
     cfg_half = replace(cfg_full, label_charge=0.5)
     full, half = SimClock(), SimClock()
-    label_random_specs(cfg_full, SyntheticOracle(), full, random.Random(1))
-    label_random_specs(cfg_half, SyntheticOracle(), half, random.Random(1))
+    label_random_specs(cfg_full, _paid(full), random.Random(1))
+    label_random_specs(cfg_half, _paid(half), random.Random(1))
     assert half.elapsed_s == pytest.approx(0.5 * full.elapsed_s)
 
 
 def test_labeling_space_too_small():
     cfg = ExperimentConfig(limits=SpaceLimits(2, 1), n_label=2)
     with pytest.raises(ExhaustedError):
-        label_random_specs(cfg, SyntheticOracle(), SimClock(), random.Random(0))
+        label_random_specs(cfg, _paid(), random.Random(0))
 
 
 def test_labeling_deterministic():
     cfg = ExperimentConfig(limits=SpaceLimits(4, 9), n_label=25, seed=8)
-    _, ev_a, _ = label_random_specs(cfg, SyntheticOracle(), SimClock(), random.Random(8))
-    _, ev_b, _ = label_random_specs(cfg, SyntheticOracle(), SimClock(), random.Random(8))
-    assert [e.digest for e in ev_a] == [e.digest for e in ev_b]
+    a, _ = label_random_specs(cfg, _paid(), random.Random(8))
+    b, _ = label_random_specs(cfg, _paid(), random.Random(8))
+    assert [cellspace.canonical_hash(s) for s, _ in a] == [
+        cellspace.canonical_hash(s) for s, _ in b
+    ]
 
 
-def test_pipeline_report_consistency():
+def test_pipeline_report_consistency(monkeypatch):
+    # record what the pipeline hands the predictor's fit step
+    fits = []
+    real_fit = harness.predictor.fit
+
+    def recording_fit(labeled, *args):
+        out = real_fit(labeled, *args)
+        fits.append((list(labeled), out[1]))
+        return out
+
+    monkeypatch.setattr(harness.predictor, "fit", recording_fit)
     cfg = small_cfg()
-    clock = SimClock()
-    trained, report = run_predictor_pipeline(
-        cfg, SyntheticOracle(), clock, random.Random(cfg.seed)
+    paid = _paid()
+    trained, labeling = run_predictor_pipeline(cfg, paid, random.Random(cfg.seed))
+    assert len(fits) == 1
+    pool, meta = fits[0]
+    assert labeling["oracle_queries"] == cfg.n_label == len(paid.trace.rows)
+    assert labeling["positives"] == sum(
+        1 for spec, _ in pool
+        if synth_record(spec, cfg.synthetic).val_accuracy > labeling["threshold"]
     )
-    assert report.n_labeled == cfg.n_label
-    assert report.positives == sum(
-        1 for ev in report.label_events if ev.true_acc > report.threshold
-    )
-    assert report.labeling_sim_seconds == clock.elapsed_s
-    assert 0.0 <= report.heldout_accuracy <= 1.0
-    assert trained.threshold_used == report.threshold
+    assert labeling["sim_seconds"] == paid.clock.elapsed_s
+    assert 0.0 <= labeling["heldout_accuracy"] <= 1.0
+    assert trained.threshold_used == labeling["threshold"]
     assert trained.train_seed == cfg.seed
-    assert report.split_meta["pool_size"] == cfg.n_label
+    assert meta["pool_size"] == cfg.n_label
 
 
 def test_pipeline_needs_a_budget():
     cfg = ExperimentConfig(fitness="ORACLE", n_label=0)
     with pytest.raises(ConfigError):
-        run_predictor_pipeline(cfg, SyntheticOracle(), SimClock(), random.Random(0))
+        run_predictor_pipeline(cfg, _paid(), random.Random(0))
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +321,7 @@ def test_pipeline_needs_a_budget():
 def _history_from(scored_specs):
     """[(spec, predictor_score)] -> evolution-style history."""
     return [
-        Individual(spec=s, fitness=f, eval_mode="PREDICTOR", birth_index=i, clock_s=0.0)
+        Individual(spec=s, fitness=f, birth_index=i)
         for i, (s, f) in enumerate(scored_specs)
     ]
 
@@ -294,21 +334,21 @@ def _three_cells():
 def test_topk_one_charge_for_k_one():
     a, b, c = _three_cells()
     history = _history_from([(a, 0.9), (b, 0.5), (c, 0.1)])
-    clock = SimClock()
-    result = topk_revalidate(history, 1, SyntheticOracle(), clock)
-    assert len(result.events) == 1
+    paid = _paid()
+    hashes = topk_revalidate(history, 1, paid)
+    assert len(hashes) == 1
     record = synth_record(a, SyntheticOracleParams())
-    assert clock.elapsed_s == record.train_time_s
-    assert result.best_hash == record.spec_hash
-    assert result.best_true_acc == record.val_accuracy
+    assert paid.clock.elapsed_s == record.train_time_s
+    _, best_hash, best_true_acc = paid.best
+    assert best_hash == record.spec_hash
+    assert best_true_acc == record.val_accuracy
 
 
 def test_topk_ranks_by_best_score_per_hash():
     a, b, c = _three_cells()
     # c appears twice; its max score (0.95) should outrank b's 0.5
     history = _history_from([(a, 0.9), (b, 0.5), (c, 0.2), (c, 0.95)])
-    result = topk_revalidate(history, 2, SyntheticOracle(), SimClock())
-    got = {ev.digest for ev in result.events}
+    got = set(topk_revalidate(history, 2, _paid()))
     assert got == {
         cellspace.canonical_hash(c),
         cellspace.canonical_hash(a),
@@ -318,17 +358,18 @@ def test_topk_ranks_by_best_score_per_hash():
 def test_topk_clamps_to_distinct_count():
     a, b, c = _three_cells()
     history = _history_from([(a, 0.9), (b, 0.5), (c, 0.1), (a, 0.9)])
-    result = topk_revalidate(history, 100, SyntheticOracle(), SimClock())
-    assert len(result.events) == 3
-    accs = [ev.true_acc for ev in result.events]
-    assert result.best_true_acc == max(accs)
+    paid = _paid()
+    hashes = topk_revalidate(history, 100, paid)
+    assert len(hashes) == 3
+    accs = [synth_record(s, SyntheticOracleParams()).val_accuracy for s in (a, b, c)]
+    assert paid.best[2] == max(accs)
 
 
 def test_topk_tie_breaks_by_first_seen():
     a, b, _ = _three_cells()
     history = _history_from([(b, 0.7), (a, 0.7)])
-    result = topk_revalidate(history, 1, SyntheticOracle(), SimClock())
-    assert result.events[0].digest == cellspace.canonical_hash(b)
+    hashes = topk_revalidate(history, 1, _paid())
+    assert hashes[0] == cellspace.canonical_hash(b)
 
 
 def test_topk_accepts_sampled_arch_history_and_skips_invalid():
@@ -338,8 +379,7 @@ def test_topk_accepts_sampled_arch_history_and_skips_invalid():
         SampledArch((), (), None, True, reward=0.0),
         SampledArch((), (), b, False, reward=0.6),
     ]
-    result = topk_revalidate(history, 5, SyntheticOracle(), SimClock())
-    assert len(result.events) == 2
+    assert len(topk_revalidate(history, 5, _paid())) == 2
 
 
 def test_topk_prunes_genomes():
@@ -349,19 +389,22 @@ def test_topk_prunes_genomes():
         ((0, 1), (1, 3)),
         (OpLabel.IN, OpLabel.CONV3X3, OpLabel.CONV1X1, OpLabel.OUT),
     )
-    result = topk_revalidate(_history_from([(genome, 0.9)]), 1, SyntheticOracle(), SimClock())
-    assert result.best_spec.num_vertices == 3
-    assert result.best_hash == cellspace.canonical_hash(cellspace.prune(genome))
+    paid = _paid()
+    topk_revalidate(_history_from([(genome, 0.9)]), 1, paid)
+    best_spec, best_hash, _ = paid.best
+    assert best_spec.num_vertices == 3
+    assert best_hash == cellspace.canonical_hash(cellspace.prune(genome))
 
 
 def test_topk_rejects_bad_k():
     with pytest.raises(ConfigError):
-        topk_revalidate([], 0, SyntheticOracle(), SimClock())
+        topk_revalidate([], 0, _paid())
 
 
 def test_topk_empty_history():
-    result = topk_revalidate([], 3, SyntheticOracle(), SimClock())
-    assert result.best_spec is None and result.events == ()
+    paid = _paid()
+    assert topk_revalidate([], 3, paid) == ()
+    assert paid.best is None and paid.trace.rows == []
 
 
 # ---------------------------------------------------------------------------

@@ -292,6 +292,10 @@ def test_from_flat_rejects_non_finite_parameters():
     # every update unflattens through from_flat, so a diverged step stops here
     theta = ControllerState.seeded(0, 4, 2).flatten()
     assert ControllerState.from_flat(theta, 4, 2).flatten().tolist() == theta.tolist()
+    # so does a vector of the wrong length, short or long
+    for bad in (theta[:-1], np.append(theta, 0.0)):
+        with pytest.raises(ShapeError, match="flat vector"):
+            ControllerState.from_flat(bad, 4, 2)
     theta[7] = np.nan
     with pytest.raises(ShapeError, match="non-finite"):
         ControllerState.from_flat(theta, 4, 2)
