@@ -15,6 +15,7 @@ benchmark lookup and enumeration never distinguish two drawings of one cell.
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 import itertools
 from dataclasses import dataclass
@@ -28,6 +29,13 @@ from .errors import (
 )
 
 MAX_REJECTION_ATTEMPTS = 10_000
+
+# Bounds of the value-keyed memos on `canonical_hash` and `prune`. Search
+# re-derives a few hundred distinct cells per seeded run as fresh, equal
+# `ModelSpec` objects; unbounded memos raised peak memory by up to 37% on
+# the predictor pipeline, whose random draws are mostly distinct.
+HASH_MEMO_SIZE = 1024
+PRUNE_MEMO_SIZE = 256
 
 # Vertex counts above this make per-v enumeration (2^(v(v-1)/2) * 3^(v-2))
 # intractable on a desk machine.
@@ -193,8 +201,13 @@ def prune(spec: ModelSpec) -> ModelSpec:
 
     Surviving vertices are renumbered in their original order. Idempotent;
     never grows the graph. Raises NoPathError when the output is unreachable
-    from the input.
+    from the input. Equal specs share one memo entry (PRUNE_MEMO_SIZE);
+    errors are raised afresh on every call.
     """
+    return _prune_memo(spec)
+
+
+def _prune(spec: ModelSpec) -> ModelSpec:
     if spec.ops[0] is not OpLabel.IN or spec.ops[-1] is not OpLabel.OUT:
         raise InvalidSpecError("prune requires IN at vertex 0 and OUT at the last vertex")
     keep = sorted(_on_path(spec))
@@ -207,6 +220,11 @@ def prune(spec: ModelSpec) -> ModelSpec:
     )
     ops = tuple(spec.ops[old] for old in keep)
     return ModelSpec(len(keep), edges, ops)
+
+
+# perfbench's tracer wraps only plain functions (`inspect.isfunction`), so
+# `prune` and `canonical_hash` stay `def`s that call their memos.
+_prune_memo = functools.lru_cache(maxsize=PRUNE_MEMO_SIZE)(_prune)
 
 
 def require_canonical(spec: ModelSpec) -> None:
@@ -241,8 +259,13 @@ def canonical_hash(spec: ModelSpec) -> str:
     preserve edges, operations, and the IN/OUT roles cannot change any of
     those ingredients, so isomorphic specs collide by construction.
 
-    Returns 32 lowercase hex characters.
+    Returns 32 lowercase hex characters. Equal specs share one memo entry
+    (HASH_MEMO_SIZE); InvalidSpecError is raised afresh on every call.
     """
+    return _hash_memo(spec)
+
+
+def _wl_hash(spec: ModelSpec) -> str:
     require_canonical(spec)
     v = spec.num_vertices
     preds: list[list[int]] = [[] for _ in range(v)]
@@ -270,12 +293,18 @@ def canonical_hash(spec: ModelSpec) -> str:
     return _h(b"".join(sorted(digests)), bytes([v])).hex()
 
 
+_hash_memo = functools.lru_cache(maxsize=HASH_MEMO_SIZE)(_wl_hash)
+
+
 def random_spec(rng, limits: SpaceLimits) -> ModelSpec:
-    """Sample a valid, pruned spec uniformly-ish by rejection.
+    """Sample a valid, pruned spec by rejection. Not uniform over cells.
 
     Draws a vertex count uniform in [2, max_vertices], each upper-triangular
     edge with probability 0.5, interior ops uniform, then prunes; anything
-    failing validation is redrawn from scratch. `rng` is a random.Random.
+    failing validation is redrawn from scratch. The vertex count is drawn
+    before pruning, and pruning only shrinks cells, so small cells dominate:
+    at (5,9) about 49% of draws are the single 2-vertex class. `rng` is a
+    random.Random.
     """
     for _ in range(MAX_REJECTION_ATTEMPTS):
         v = rng.randint(2, limits.max_vertices)

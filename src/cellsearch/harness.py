@@ -19,7 +19,13 @@ import numpy as np
 
 from . import cellspace, evolution, predictor, reinforce
 from .cellspace import ModelSpec, SpaceLimits
-from .errors import ConfigError, ExhaustedError, ParseError, TooLargeError
+from .errors import (
+    ConfigError,
+    DegenerateDataError,
+    ExhaustedError,
+    ParseError,
+    TooLargeError,
+)
 from .evolution import EvolutionConfig
 from .oracle import (
     DEFAULT_LABEL_THRESHOLD,
@@ -339,10 +345,19 @@ def run_predictor_pipeline(cfg: ExperimentConfig, paid: PaidQueries, rng: random
     Phase 1 charges `label_charge` x training time per distinct-by-hash
     architecture; phase 2 (the 80/20 stratified split and the training loop)
     is free. Returns (TrainedPredictor, the labeling phase's summary entry).
+    A one-class pool raises DegenerateDataError naming the flags that
+    change it.
     """
     started_at = paid.clock.elapsed_s
     labeled, threshold = label_random_specs(cfg, paid, rng)
     labeling_cost = paid.clock.elapsed_s - started_at
+    positives = sum(y for _, y in labeled)
+    if positives in (0, len(labeled)):
+        raise DegenerateDataError(
+            f"labeled pool has {positives}/{len(labeled)} positives at "
+            f"threshold {threshold!r}; the predictor needs both classes: "
+            f"raise --n-label or change --label-threshold"
+        )
 
     split_gen = np.random.default_rng(rng.getrandbits(32))
     trained, _, held_acc, _ = predictor.fit(
@@ -351,7 +366,7 @@ def run_predictor_pipeline(cfg: ExperimentConfig, paid: PaidQueries, rng: random
     return trained, {
         "sim_seconds": labeling_cost,
         "oracle_queries": len(labeled),
-        "positives": sum(y for _, y in labeled),
+        "positives": positives,
         "threshold": threshold,
         "heldout_accuracy": held_acc,
     }

@@ -404,6 +404,18 @@ def test_inconsistent_config_is_usage_error(capsys, tmp_path):
         assert repr(key) in err
 
 
+def test_one_class_label_pool_error_names_its_flags(capsys, tmp_path):
+    # 8 labels at (4,9) are all below the 0.90-quantile threshold
+    code, stdout, err = run_cli(
+        capsys, "run", "--fitness", "predictor", "--limits", "4,9",
+        "--n-label", "8", "--seed", "0", "--out", str(tmp_path / "run"),
+    )
+    assert code == 2
+    assert stdout == ""
+    assert "labeled pool has 0/8 positives at threshold" in err
+    assert "--n-label" in err and "--label-threshold" in err
+
+
 def test_missing_input_file_is_runtime_error(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, "compare", str(tmp_path / "no.json"), str(tmp_path / "no2.json")
