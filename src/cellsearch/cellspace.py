@@ -131,9 +131,6 @@ class ModelSpec:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def predecessors(self, j: int) -> list[int]:
-        return [i for i, k in self.edges if k == j]
-
     def to_json_obj(self) -> dict:
         """Human-readable form used in every file interface."""
         return {
@@ -170,6 +167,22 @@ def _on_path(spec: ModelSpec) -> set[int]:
     return {k for k in range(v) if from_input[k] and to_output[k]}
 
 
+def _broken_rules(spec: ModelSpec) -> list[Violation]:
+    """The cell rules, without budgets: IN/OUT terminals, real interior
+    ops, and every vertex on some directed input->output path."""
+    broken = []
+    terminals_ok = spec.ops[0] is OpLabel.IN and spec.ops[-1] is OpLabel.OUT
+    interiors_ok = all(op in INTERIOR_OPS for op in spec.ops[1:-1])
+    if not (terminals_ok and interiors_ok):
+        broken.append(Violation.BAD_TERMINAL_OPS)
+    on_path = _on_path(spec)
+    if not on_path:
+        broken.append(Violation.NO_IN_OUT_PATH)
+    if len(on_path) < spec.num_vertices:
+        broken.append(Violation.DANGLING_VERTEX)
+    return broken
+
+
 def validate(spec: ModelSpec, limits: SpaceLimits) -> ValidationReport:
     """Check a structurally well-formed spec against the space constraints.
 
@@ -179,20 +192,11 @@ def validate(spec: ModelSpec, limits: SpaceLimits) -> ValidationReport:
     directed path from input to output.
     """
     violations = []
-    v = spec.num_vertices
-    if v > limits.max_vertices:
+    if spec.num_vertices > limits.max_vertices:
         violations.append(Violation.TOO_MANY_VERTICES)
     if spec.num_edges > limits.max_edges:
         violations.append(Violation.TOO_MANY_EDGES)
-    terminals_ok = spec.ops[0] is OpLabel.IN and spec.ops[-1] is OpLabel.OUT
-    interiors_ok = all(op in INTERIOR_OPS for op in spec.ops[1:-1])
-    if not (terminals_ok and interiors_ok):
-        violations.append(Violation.BAD_TERMINAL_OPS)
-    on_path = _on_path(spec)
-    if not on_path:
-        violations.append(Violation.NO_IN_OUT_PATH)
-    if len(on_path) < v:
-        violations.append(Violation.DANGLING_VERTEX)
+    violations += _broken_rules(spec)
     return ValidationReport(valid=not violations, violations=tuple(violations))
 
 
@@ -227,19 +231,26 @@ def _prune(spec: ModelSpec) -> ModelSpec:
 _prune_memo = functools.lru_cache(maxsize=PRUNE_MEMO_SIZE)(_prune)
 
 
+def phenotype(genome: ModelSpec, limits: SpaceLimits) -> ModelSpec | None:
+    """The cell a genome denotes: its pruning when that is valid under the
+    limits, or None when the output is unreachable or the pruning breaks a
+    rule or budget."""
+    try:
+        cell = prune(genome)
+    except NoPathError:
+        return None
+    return cell if validate(cell, limits).valid else None
+
+
 def require_canonical(spec: ModelSpec) -> None:
     """Accept a spec for hashing, feature extraction, and encoding only when
-    it has proper terminals, real interior ops, and every vertex on an
-    input->output path (i.e. the spec equals its own pruning)."""
-    if (
-        spec.ops[0] is not OpLabel.IN
-        or spec.ops[-1] is not OpLabel.OUT
-        or any(op not in INTERIOR_OPS for op in spec.ops[1:-1])
-        or len(_on_path(spec)) != spec.num_vertices
-    ):
+    it breaks no cell rule (i.e. the spec equals its own pruning); otherwise
+    raise InvalidSpecError naming the rules it breaks."""
+    broken = _broken_rules(spec)
+    if broken:
         raise InvalidSpecError(
-            "spec must be pruned and valid (IN/OUT terminals, interior ops, "
-            "all vertices on an input->output path)"
+            "spec is not a pruned, valid cell: "
+            + ", ".join(rule.value for rule in broken)
         )
 
 
@@ -314,12 +325,9 @@ def random_spec(rng, limits: SpaceLimits) -> ModelSpec:
             + tuple(rng.choice(INTERIOR_OPS) for _ in range(v - 2))
             + (OpLabel.OUT,)
         )
-        try:
-            candidate = prune(ModelSpec(v, edges, ops))
-        except NoPathError:
-            continue
-        if validate(candidate, limits).valid:
-            return candidate
+        cell = phenotype(ModelSpec(v, edges, ops), limits)
+        if cell is not None:
+            return cell
     raise ExhaustedError(
         f"no valid random spec after {MAX_REJECTION_ATTEMPTS} draws at {limits}"
     )
@@ -392,11 +400,7 @@ def mutate(parent: ModelSpec, rng, limits: SpaceLimits) -> ModelSpec:
     for _ in range(MAX_REJECTION_ATTEMPTS):
         edit = rng.choice(menu)
         child = _apply_edit(genome, edit)
-        try:
-            phenotype = prune(child)
-        except NoPathError:
-            continue
-        if validate(phenotype, limits).valid:
+        if phenotype(child, limits) is not None:
             return child
     raise ExhaustedError(
         f"no valid mutation of a {parent.num_vertices}-vertex parent "

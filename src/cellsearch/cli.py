@@ -98,6 +98,13 @@ def _load_params(path) -> SyntheticOracleParams:
 # run
 
 
+def _oracle_fields(oracle: str) -> dict:
+    """`--oracle synthetic|PATH` as ExperimentConfig fields."""
+    if oracle.lower() == "synthetic":
+        return {"oracle_source": "SYNTHETIC", "table_path": None}
+    return {"oracle_source": "FILE", "table_path": oracle}
+
+
 def _config_from_args(args) -> ExperimentConfig:
     """The config file's object with the flags merged over it, checked once."""
     obj = {}
@@ -115,12 +122,7 @@ def _config_from_args(args) -> ExperimentConfig:
     if args.fitness:
         obj["fitness"] = args.fitness.upper()
     if args.oracle:
-        if args.oracle.lower() == "synthetic":
-            obj["oracle_source"] = "SYNTHETIC"
-            obj["table_path"] = None
-        else:
-            obj["oracle_source"] = "FILE"
-            obj["table_path"] = args.oracle
+        obj.update(_oracle_fields(args.oracle))
     if args.limits:
         obj["limits"] = asdict(args.limits)
     for name in ("n_label", "label_charge", "label_threshold", "top_k"):
@@ -218,8 +220,7 @@ def cmd_label(args) -> int:
     try:
         cfg = ExperimentConfig(
             limits=args.limits or SpaceLimits(),
-            oracle_source="SYNTHETIC" if args.oracle.lower() == "synthetic" else "FILE",
-            table_path=None if args.oracle.lower() == "synthetic" else args.oracle,
+            **_oracle_fields(args.oracle),
             n_label=args.n,
             label_charge=args.charge,
             label_threshold=args.threshold,

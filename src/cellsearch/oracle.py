@@ -70,7 +70,6 @@ class SyntheticOracleParams:
 @dataclass
 class BenchmarkTable:
     records: dict[str, BenchmarkRecord] = field(default_factory=dict)
-    source: str = "FILE"
 
     def record_for(self, spec: ModelSpec) -> BenchmarkRecord:
         digest = cellspace.canonical_hash(spec)
@@ -85,8 +84,6 @@ class BenchmarkTable:
 class SyntheticOracle:
     """Deterministic stand-in for training-and-evaluating an architecture."""
 
-    source = "SYNTHETIC"
-
     def __init__(self, params: SyntheticOracleParams | None = None):
         self.params = params or SyntheticOracleParams()
 
@@ -95,18 +92,16 @@ class SyntheticOracle:
 
 
 def longest_path_edges(spec: ModelSpec) -> int:
-    """Length in edges of the longest input->output path (DP over the
-    topological vertex order)."""
-    v = spec.num_vertices
-    best = [None] * v
-    best[0] = 0
-    for j in range(1, v):
-        reachable = [best[i] for i in spec.predecessors(j) if best[i] is not None]
-        if reachable:
-            best[j] = max(reachable) + 1
-    if best[v - 1] is None:
+    """Length in edges of the longest input->output path. Edges are sorted
+    with i < j, so every edge into i precedes every edge out of it and one
+    forward sweep settles each vertex's depth."""
+    depth = [0] + [None] * (spec.num_vertices - 1)
+    for i, j in spec.edges:
+        if depth[i] is not None and (depth[j] is None or depth[j] <= depth[i]):
+            depth[j] = depth[i] + 1
+    if depth[-1] is None:
         raise ValueError("no input->output path")
-    return best[v - 1]
+    return depth[-1]
 
 
 def spec_features(spec: ModelSpec) -> dict:
@@ -215,7 +210,7 @@ def load_table(path) -> BenchmarkTable:
     "train_time_s": t}. Hashes are recomputed from the spec; a repeated
     hash is an error, as is any accuracy outside [0, 1].
     """
-    table = BenchmarkTable(records={}, source="FILE")
+    table = BenchmarkTable()
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()

@@ -51,9 +51,8 @@ def encode(spec: ModelSpec) -> np.ndarray:
     tokens = [_OP_TOKENS[op] for op in spec.ops[1:-1]]
     tokens.append(SEP)
     edges = set(spec.edges)
-    for i in range(spec.num_vertices):
-        for j in range(i + 1, spec.num_vertices):
-            tokens.append(EDGE_1 if (i, j) in edges else EDGE_0)
+    for pair in cellspace.upper_triangle_pairs(spec.num_vertices):
+        tokens.append(EDGE_1 if pair in edges else EDGE_0)
     return np.asarray(tokens, dtype=np.int64)
 
 
@@ -233,14 +232,11 @@ def predict(params: RnnParams, spec: ModelSpec) -> float:
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Specs with binary labels, tagged with the split they belong to."""
+    """Specs with binary labels."""
 
     items: tuple  # of (ModelSpec, int)
-    split: str  # TRAIN or HELDOUT
 
     def __post_init__(self):
-        if self.split not in ("TRAIN", "HELDOUT"):
-            raise ConfigError(f"unknown split tag {self.split!r}")
         for _, label in self.items:
             if label not in (0, 1):
                 raise ConfigError(f"label must be 0 or 1, got {label!r}")
@@ -281,7 +277,7 @@ def stratified_split(
     heldout_fraction: float = 0.2,
     target_positive_share: float = 0.2,
 ):
-    """Split labeled (spec, y) pairs into TRAIN/HELDOUT datasets.
+    """Split labeled (spec, y) pairs into training and held-out datasets.
 
     The held-out set takes `heldout_fraction` of each class (so its base
     rate matches the pool). The training set keeps every remaining positive
@@ -324,8 +320,8 @@ def stratified_split(
         "positive_share_shortfall": max(0.0, target_positive_share - train_share),
     }
     return (
-        LabeledDataset(tuple(train), "TRAIN"),
-        LabeledDataset(tuple(held), "HELDOUT"),
+        LabeledDataset(tuple(train)),
+        LabeledDataset(tuple(held)),
         meta,
     )
 

@@ -26,13 +26,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .cellspace import ModelSpec, OpLabel, SpaceLimits, prune, validate
-from .errors import ConfigError, NoPathError, ShapeError
+from .cellspace import (
+    INTERIOR_OPS, ModelSpec, OpLabel, SpaceLimits, phenotype, upper_triangle_pairs,
+)
+from .errors import ConfigError, ShapeError
 from .oracle import SimClock
 from .traces import SearchTrace
-
-# Interior op chosen by each ternary action, in action-index order.
-ACTION_OPS = (OpLabel.CONV3X3, OpLabel.CONV1X1, OpLabel.MAXPOOL3X3)
 
 # Embedding-table rows: the learned start token, then one row per
 # (step type, action) pair.
@@ -53,21 +52,26 @@ MAX_STEPS = 26
 REWARD_SHARPNESS = 10.0
 
 
+def _layout(limits: SpaceLimits) -> tuple:
+    """Arities of the full-space schedule: one binary step per
+    upper-triangle pair, then one ternary step per interior vertex."""
+    v = limits.max_vertices
+    return (2,) * len(upper_triangle_pairs(v)) + (3,) * (v - 2)
+
+
 @dataclass(frozen=True)
 class DecisionSchedule:
-    """Ordered decision arities, plus (optionally) how to assemble the
-    resulting actions into a cell.
+    """Ordered decision arities, plus (optionally) the limits whose cells
+    the resulting actions assemble into.
 
     The full-space schedule for max_vertices v is C(v,2) binary edge
     decisions in row-major upper-triangle order followed by v-2 ternary op
-    decisions. Schedules built directly from an arity tuple (no limits)
-    support sampling and gradients but not assembly — useful for bandit
-    probes of the estimator.
+    decisions, each choosing INTERIOR_OPS[action]. Schedules built without
+    limits support sampling and gradients but not assembly — useful for
+    bandit probes of the estimator.
     """
 
     arities: tuple
-    edge_pairs: tuple = ()
-    num_vertices: int = 0
     limits: SpaceLimits | None = None
 
     def __post_init__(self):
@@ -79,18 +83,20 @@ class DecisionSchedule:
                 f"schedule has {len(self.arities)} decisions; the controller "
                 f"has step biases for at most {MAX_STEPS} (cells of up to 7 vertices)"
             )
-        if self.num_vertices:
-            n_edges = len(self.edge_pairs)
-            n_ops = self.num_vertices - 2
-            if self.arities != (2,) * n_edges + (3,) * n_ops:
-                raise ConfigError("arities do not match the assembly layout")
+        if self.limits is not None and self.arities != _layout(self.limits):
+            raise ConfigError(f"arities do not match the assembly layout of {self.limits}")
 
     @classmethod
     def from_limits(cls, limits: SpaceLimits) -> "DecisionSchedule":
-        v = limits.max_vertices
-        pairs = tuple((i, j) for i in range(v) for j in range(i + 1, v))
-        arities = (2,) * len(pairs) + (3,) * (v - 2)
-        return cls(arities, pairs, v, limits)
+        return cls(_layout(limits), limits)
+
+    @cached_property
+    def edge_pairs(self) -> tuple:
+        """The (i, j) pair each binary step decides, in step order; empty
+        without limits."""
+        if self.limits is None:
+            return ()
+        return tuple(upper_triangle_pairs(self.limits.max_vertices))
 
     @property
     def num_steps(self) -> int:
@@ -108,7 +114,7 @@ class DecisionSchedule:
     def assemble(self, actions) -> ModelSpec | None:
         """Actions -> pruned spec, or None when the result is not a valid
         cell (no IN->OUT path, or over the edge budget after pruning)."""
-        if not self.num_vertices:
+        if self.limits is None:
             raise ConfigError("schedule has no assembly layout")
         edges = tuple(
             pair for pair, a in zip(self.edge_pairs, actions) if a == 1
@@ -116,14 +122,10 @@ class DecisionSchedule:
         op_actions = actions[len(self.edge_pairs) :]
         ops = (
             (OpLabel.IN,)
-            + tuple(ACTION_OPS[a] for a in op_actions)
+            + tuple(INTERIOR_OPS[a] for a in op_actions)
             + (OpLabel.OUT,)
         )
-        try:
-            phenotype = prune(ModelSpec(self.num_vertices, edges, ops))
-        except NoPathError:
-            return None
-        return phenotype if validate(phenotype, self.limits).valid else None
+        return phenotype(ModelSpec(self.limits.max_vertices, edges, ops), self.limits)
 
 
 def _shapes(hidden_size: int, emb_dim: int) -> dict:
@@ -288,7 +290,7 @@ def sample(controller: ControllerState, schedule: DecisionSchedule, rng: random.
 
     spec = None
     invalid = False
-    if schedule.num_vertices:
+    if schedule.limits is not None:
         spec = schedule.assemble(actions)
         invalid = spec is None
     return SampledArch(tuple(actions), tuple(terms), spec, invalid)

@@ -2,9 +2,12 @@
 exhaustively against a permutation-based isomorphism oracle), sampling,
 mutation, enumeration, and serialization."""
 
+import importlib
 import inspect
 import itertools
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +39,8 @@ from conftest import (
     perm_canonical_form,
     relabel_spec,
 )
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # Class counts per limits, frozen after two independent enumerators
 # (canonical-hash dedup vs. explicit permutation-minimal forms) agreed.
@@ -72,12 +77,6 @@ def test_rejects_duplicate_edges_and_bad_ops_length():
         ModelSpec(3, ((0, 1),), (OpLabel.IN, OpLabel.OUT))
     with pytest.raises(ValueError):
         ModelSpec(1, (), (OpLabel.IN,))
-
-
-def test_predecessors_successors(two_vertex):
-    s = make_spec(4, [(0, 1), (0, 2), (1, 3), (2, 3)], [OpLabel.CONV3X3, OpLabel.CONV1X1])
-    assert s.predecessors(3) == [1, 2]
-    assert two_vertex.predecessors(1) == [0]
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +254,7 @@ def test_hash_separates_op_change():
 
 def test_hash_rejects_unpruned_spec():
     s = make_spec(3, [(0, 2)], [OpLabel.CONV3X3])
-    with pytest.raises(InvalidSpecError):
+    with pytest.raises(InvalidSpecError, match="not a pruned, valid cell: dangling_vertex$"):
         canonical_hash(s)
 
 
@@ -339,12 +338,31 @@ def test_prune_memo_returns_an_equal_spec_for_an_equal_genome():
     assert (info.misses, info.hits) == (1, 1)
 
 
+def _benchmark_traced_names() -> set[str]:
+    """Every 'module.function' that perfbench's worker reads from its trace
+    by name, plus the function each workload's trace self-check counts."""
+    worker = (PERFBENCH / "worker.py").read_text()
+    read = set(re.findall(r'\bst\("([\w.]+)"', worker))
+    for pair in re.findall(r'count_within\(\s*"([\w.]+)",\s*"([\w.]+)"', worker):
+        read.update(pair)
+    counted = set(re.findall(r'counted="([\w.]+)"', (PERFBENCH / "workloads.py").read_text()))
+    assert read and counted
+    return read | counted
+
+
 def test_memoized_functions_stay_plain_functions():
-    # perfbench's tracer wraps only `inspect.isfunction` objects; were these
-    # the lru_cache objects themselves, the benchmark's canonical_hash and
-    # prune metrics would silently read 0.
-    assert inspect.isfunction(canonical_hash)
-    assert inspect.isfunction(prune)
+    # perfbench's tracer wraps only the public plain functions a module
+    # defines itself (`inspect.isfunction`); a renamed, re-exported or
+    # lru_cache-wrapped function would make its metrics read 0 with no more
+    # than a warning on stderr.
+    names = _benchmark_traced_names()
+    assert {"cellspace.canonical_hash", "cellspace.prune"} <= names
+    for name in sorted(names):
+        module_name, _, attr = name.partition(".")
+        module = importlib.import_module(f"cellsearch.{module_name}")
+        fn = getattr(module, attr, None)
+        assert inspect.isfunction(fn), f"{name} is not a plain function"
+        assert fn.__module__ == module.__name__, f"{name} is defined in {fn.__module__}"
 
 
 # ---------------------------------------------------------------------------

@@ -177,7 +177,7 @@ def test_query_charges_scaled_time(two_vertex):
 def test_query_file_mode_hit_and_miss(two_vertex, chain3_conv1x1):
     digest = canonical_hash(two_vertex)
     table = BenchmarkTable(
-        records={digest: BenchmarkRecord(digest, 0.7, 500.0)}, source="FILE"
+        records={digest: BenchmarkRecord(digest, 0.7, 500.0)}
     )
     clock = SimClock()
     rec = query(table, two_vertex, clock, charge=1.0)
@@ -204,7 +204,7 @@ def test_load_empty_file(tmp_path):
     path = tmp_path / "bench.jsonl"
     path.write_text("")
     table = load_table(path)
-    assert table.records == {} and table.source == "FILE"
+    assert table.records == {}
 
 
 def test_load_round_trip(tmp_path, space59_specs):
@@ -251,7 +251,7 @@ def test_load_rejects_garbage_and_uncanonical(tmp_path):
     path.write_text(
         json.dumps({"spec": unpruned, "val_accuracy": 0.5, "train_time_s": 1.0}) + "\n"
     )
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=":1: .*dangling_vertex"):
         load_table(path)
 
 

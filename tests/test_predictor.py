@@ -277,11 +277,11 @@ def test_train_is_deterministic():
 
 
 def test_train_rejects_single_class(two_vertex, chain3_conv1x1):
-    data = LabeledDataset(((two_vertex, 1), (chain3_conv1x1, 1)), "TRAIN")
+    data = LabeledDataset(((two_vertex, 1), (chain3_conv1x1, 1)))
     with pytest.raises(DegenerateDataError):
         train(data, TrainConfig(), 0)
     with pytest.raises(DegenerateDataError):
-        train(LabeledDataset((), "TRAIN"), TrainConfig(), 0)
+        train(LabeledDataset(()), TrainConfig(), 0)
 
 
 def test_train_config_validation():
@@ -306,7 +306,6 @@ def test_split_disjoint_and_proportional():
     assert not (train_hashes & held_hashes)
     assert held.positives() == round(0.2 * n_pos)
     assert len(held) == round(0.2 * n_pos) + round(0.2 * (len(items) - n_pos))
-    assert train_set.split == "TRAIN" and held.split == "HELDOUT"
 
 
 def test_split_rebalances_scarce_positives():
@@ -341,9 +340,7 @@ def test_split_reports_shortfall_when_no_positives():
 
 def test_dataset_rejects_bad_labels(two_vertex):
     with pytest.raises(ConfigError):
-        LabeledDataset(((two_vertex, 2),), "TRAIN")
-    with pytest.raises(ConfigError):
-        LabeledDataset((), "VALIDATION")
+        LabeledDataset(((two_vertex, 2),))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 against enumeration and finite differences on the T=1 bandit), the EMA
 baseline, and the batched search loop."""
 
+import itertools
 import math
 import random
 
@@ -99,6 +100,28 @@ def test_assemble_edge_budget_is_invalid():
     assert sched.assemble((1,) * 10 + (0, 0, 0)) is None
 
 
+@pytest.mark.parametrize(
+    "limits, classes, invalid", [((4, 9), 91, 153), ((5, 9), 2532, 4968)]
+)
+def test_assembly_loses_no_cell(limits, classes, invalid):
+    # every action sequence, assembled, covers exactly the enumerated classes
+    limits = SpaceLimits(*limits)
+    sched = DecisionSchedule.from_limits(limits)
+    assembled = set()
+    n_invalid = 0
+    for actions in itertools.product(*(range(a) for a in sched.arities)):
+        spec = sched.assemble(actions)
+        if spec is None:
+            n_invalid += 1
+        else:
+            assembled.add(cellspace.canonical_hash(spec))
+    assert n_invalid == invalid
+    assert len(assembled) == classes
+    assert assembled == {
+        cellspace.canonical_hash(s) for s in cellspace.enumerate_space(limits)
+    }
+
+
 def test_schedule_longer_than_the_step_biases_is_refused():
     assert DecisionSchedule.from_limits(SpaceLimits(7, 9)).num_steps == 26
     with pytest.raises(ConfigError, match="at most 26"):
@@ -109,8 +132,7 @@ def test_schedule_validation():
     with pytest.raises(ConfigError):
         DecisionSchedule((2, 4))
     with pytest.raises(ConfigError):
-        DecisionSchedule((2, 3), edge_pairs=((0, 1),), num_vertices=4,
-                         limits=SpaceLimits(4, 9))
+        DecisionSchedule((2, 3), SpaceLimits(4, 9))
     with pytest.raises(ConfigError):
         BANDIT.assemble((0,))
 
