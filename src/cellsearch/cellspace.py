@@ -167,14 +167,28 @@ def _on_path(spec: ModelSpec) -> set[int]:
     return {k for k in range(v) if from_input[k] and to_output[k]}
 
 
+def _ops_ok(spec: ModelSpec) -> bool:
+    """IN and OUT at the terminals, a real operation on every interior vertex."""
+    return (
+        spec.ops[0] is OpLabel.IN
+        and spec.ops[-1] is OpLabel.OUT
+        and all(op in INTERIOR_OPS for op in spec.ops[1:-1])
+    )
+
+
+def _over_budget(spec: ModelSpec, limits: SpaceLimits) -> list[Violation]:
+    over = []
+    if spec.num_vertices > limits.max_vertices:
+        over.append(Violation.TOO_MANY_VERTICES)
+    if spec.num_edges > limits.max_edges:
+        over.append(Violation.TOO_MANY_EDGES)
+    return over
+
+
 def _broken_rules(spec: ModelSpec) -> list[Violation]:
     """The cell rules, without budgets: IN/OUT terminals, real interior
     ops, and every vertex on some directed input->output path."""
-    broken = []
-    terminals_ok = spec.ops[0] is OpLabel.IN and spec.ops[-1] is OpLabel.OUT
-    interiors_ok = all(op in INTERIOR_OPS for op in spec.ops[1:-1])
-    if not (terminals_ok and interiors_ok):
-        broken.append(Violation.BAD_TERMINAL_OPS)
+    broken = [] if _ops_ok(spec) else [Violation.BAD_TERMINAL_OPS]
     on_path = _on_path(spec)
     if not on_path:
         broken.append(Violation.NO_IN_OUT_PATH)
@@ -191,12 +205,7 @@ def validate(spec: ModelSpec, limits: SpaceLimits) -> ValidationReport:
     interior vertices on real operations, and every vertex lies on some
     directed path from input to output.
     """
-    violations = []
-    if spec.num_vertices > limits.max_vertices:
-        violations.append(Violation.TOO_MANY_VERTICES)
-    if spec.num_edges > limits.max_edges:
-        violations.append(Violation.TOO_MANY_EDGES)
-    violations += _broken_rules(spec)
+    violations = _over_budget(spec, limits) + _broken_rules(spec)
     return ValidationReport(valid=not violations, violations=tuple(violations))
 
 
@@ -234,12 +243,13 @@ _prune_memo = functools.lru_cache(maxsize=PRUNE_MEMO_SIZE)(_prune)
 def phenotype(genome: ModelSpec, limits: SpaceLimits) -> ModelSpec | None:
     """The cell a genome denotes: its pruning when that is valid under the
     limits, or None when the output is unreachable or the pruning breaks a
-    rule or budget."""
+    rule or budget. A pruning keeps exactly the on-path vertices and IN/OUT
+    terminals, so only its budgets and interior ops remain to check."""
     try:
         cell = prune(genome)
     except NoPathError:
         return None
-    return cell if validate(cell, limits).valid else None
+    return None if _over_budget(cell, limits) or not _ops_ok(cell) else cell
 
 
 def require_canonical(spec: ModelSpec) -> None:

@@ -10,7 +10,9 @@ numpy directly so the arithmetic is fully inspectable.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +69,18 @@ def _shapes(hidden_size: int) -> dict:
     }
 
 
+@functools.lru_cache(maxsize=None)
+def _layout(hidden_size: int):
+    """((name, shape, start, stop) per parameter, flat size): where each
+    parameter of `_shapes` sits in the flat vector."""
+    layout, start = [], 0
+    for name, shape in _shapes(hidden_size).items():
+        stop = start + math.prod(shape)
+        layout.append((name, shape, start, stop))
+        start = stop
+    return tuple(layout), start
+
+
 @dataclass
 class RnnParams:
     """Weights of the Elman cell plus the scalar output head."""
@@ -110,15 +124,13 @@ class RnnParams:
         loaded file lands here, so this is where bad parameters are caught:
         a wrong length or non-finite entries raise."""
         theta = np.array(theta, dtype=float)
-        shapes = _shapes(hidden_size)
-        sizes = [int(np.prod(shape)) for shape in shapes.values()]
-        if theta.shape != (sum(sizes),):
-            raise ShapeError(f"flat vector has shape {theta.shape}, expected ({sum(sizes)},)")
-        if not np.all(np.isfinite(theta)):
+        layout, size = _layout(hidden_size)
+        if theta.shape != (size,):
+            raise ShapeError(f"flat vector has shape {theta.shape}, expected ({size},)")
+        if not np.isfinite(theta).all():
             raise ShapeError("predictor parameters contain non-finite entries")
-        parts = np.split(theta, np.cumsum(sizes)[:-1])
         return cls(
-            **{name: part.reshape(shape) for (name, shape), part in zip(shapes.items(), parts)}
+            **{name: theta[start:stop].reshape(shape) for name, shape, start, stop in layout}
         )
 
     def to_json_obj(self) -> dict:
@@ -173,51 +185,77 @@ def forward(params: RnnParams, seq) -> float:
     return float(np.clip(p, _P_LO, _P_HI))
 
 
-def loss_and_grad(params: RnnParams, batch):
-    """Mean binary cross-entropy over a batch plus exact gradients.
-
-    `batch` is a list of (token sequence, 0/1 label). Sequences of unequal
-    length are left-padded and masked, which leaves the arithmetic identical
-    to running each sequence alone (the hidden state is carried through
-    padded steps unchanged, starting from the shared zero state).
-    Returns (loss, RnnParams-shaped gradient).
-    """
+def pad_batch(batch):
+    """Check a list of (token sequence, 0/1 label) and left-pad it into the
+    form `loss_and_grad` takes: (X, M, y), an (n, T) int64 token array with
+    T the longest sequence and token 0 in padded slots, its (n, T) bool
+    mask of real tokens, and the (n,) float labels. For rows `idx` whose
+    longest sequence has L tokens, `X[idx, T - L:]` (with M and y alike) is
+    exactly the padding of those rows on their own."""
     if not batch:
         raise ValueError("empty batch")
     seqs = [_check_tokens(seq) for seq, _ in batch]
     y = np.array([float(label) for _, label in batch])
-    B = len(seqs)
     T = max(len(s) for s in seqs)
-    H = params.hidden_size
-
-    X = np.zeros((B, T), dtype=np.int64)
-    M = np.zeros((B, T), dtype=bool)
+    X = np.zeros((len(seqs), T), dtype=np.int64)
+    M = np.zeros((len(seqs), T), dtype=bool)
     for b, s in enumerate(seqs):
         X[b, T - len(s) :] = s
         M[b, T - len(s) :] = True
+    return X, M, y
 
+
+def loss_and_grad(params: RnnParams, X: np.ndarray, M: np.ndarray, y: np.ndarray):
+    """Mean binary cross-entropy over a padded batch plus exact gradients.
+
+    (X, M, y) is a batch as `pad_batch` builds it. Left-padding and masking
+    leave the arithmetic identical to running each sequence alone (the
+    hidden state is carried through padded steps unchanged, starting from
+    the shared zero state). Returns (loss, RnnParams-shaped gradient).
+    """
+    B, T = X.shape
+    H = params.hidden_size
+    padded = ~M.T  # padded[t]: rows still padding at step t
+    live = ~padded.any(axis=1)  # steps with no padded row need no masking
+    W_hT = params.W_h.T
+    x_in = params.W_x.T[X.T]  # (T, B, H): the input column of every token
+
+    # A row's padded steps all come before its first token, so its hidden
+    # state there is the zero state: zeroing those rows is the mask.
     hs = np.zeros((B, T + 1, H))
     for t in range(T):
-        a = params.W_x[:, X[:, t]].T + hs[:, t] @ params.W_h.T + params.b_h
-        hs[:, t + 1] = np.where(M[:, t : t + 1], np.tanh(a), hs[:, t])
+        np.tanh(x_in[t] + hs[:, t] @ W_hT + params.b_h, out=hs[:, t + 1])
+        if not live[t]:
+            hs[padded[t], t + 1] = 0.0
 
     z = hs[:, T] @ params.w_o + params.b_o
     p = np.clip(_sigmoid(z), _P_LO, _P_HI)
     loss = float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
 
     dz = (p - y) / B
-    g = RnnParams.zeros(H)
-    g.w_o[...] = hs[:, T].T @ dz
-    g.b_o[...] = dz.sum()
 
+    # Backprop through time. das[k] is the pre-activation gradient of step
+    # T-1-k, zero on padded rows; a padded row's dh only reaches its
+    # earlier, also padded, steps, so it needs no mask. Each parameter sum
+    # runs over t descending, b ascending, from +0.0, exactly as adding
+    # one step at a time would.
+    dtanh = 1.0 - hs[:, 1:] ** 2
+    das = np.empty((T, B, H))
     dh = np.outer(dz, params.w_o)
-    for t in reversed(range(T)):
-        m = M[:, t : t + 1]
-        da = np.where(m, dh * (1.0 - hs[:, t + 1] ** 2), 0.0)
-        g.b_h += da.sum(axis=0)
-        g.W_h += da.T @ hs[:, t]
-        np.add.at(g.W_x, (slice(None), X[:, t]), da.T)
-        dh = np.where(m, da @ params.W_h, dh)
+    for k, t in enumerate(reversed(range(T))):
+        np.multiply(dh, dtanh[:, t], out=das[k])
+        if not live[t]:
+            das[k, padded[t]] = 0.0
+        dh = das[k] @ params.W_h
+    hs_desc = hs[:, T - 1 :: -1]  # hs[:, :T], t descending
+    bins = (X.T[::-1, :, None] * H + np.arange(H)).ravel()
+    g = RnnParams(
+        W_x=np.bincount(bins, das.ravel(), ALPHABET_SIZE * H).reshape(ALPHABET_SIZE, H).T,
+        W_h=np.add.reduce(das.transpose(0, 2, 1) @ hs_desc.transpose(1, 0, 2), 0, initial=0.0),
+        b_h=np.add.reduce(das.sum(axis=1), 0, initial=0.0),
+        w_o=hs[:, T].T @ dz,
+        b_o=np.array(dz.sum()),
+    )
     return loss, g
 
 
@@ -340,8 +378,11 @@ def train(data: LabeledDataset, cfg: TrainConfig, seed: int):
         raise DegenerateDataError(
             f"training set has {n_pos}/{n} positives; both classes are required"
         )
-    encoded = [(encode(spec), label) for spec, label in data.items]
-    params = RnnParams.seeded(seed, cfg.hidden_size, cfg.init_scale)
+    X, M, y = pad_batch([(encode(spec), label) for spec, label in data.items])
+    lengths = M.sum(axis=1)
+    T = X.shape[1]
+    theta = RnnParams.seeded(seed, cfg.hidden_size, cfg.init_scale).flatten()
+    params = RnnParams.from_flat(theta, cfg.hidden_size)
     gen = np.random.default_rng(seed + 1)
     lr = cfg.learning_rate
     epoch_losses = []
@@ -350,10 +391,11 @@ def train(data: LabeledDataset, cfg: TrainConfig, seed: int):
         total = 0.0
         for start in range(0, n, cfg.batch):
             idx = order[start : start + cfg.batch]
-            batch = [encoded[i] for i in idx]
-            loss, g = loss_and_grad(params, batch)
-            total += loss * len(batch)
-            params = RnnParams.from_flat(params.flatten() - lr * g.flatten(), cfg.hidden_size)
+            cut = T - lengths[idx].max()
+            loss, g = loss_and_grad(params, X[idx, cut:], M[idx, cut:], y[idx])
+            total += loss * len(idx)
+            theta = theta - lr * g.flatten()
+            params = RnnParams.from_flat(theta, cfg.hidden_size)
         epoch_losses.append(total / n)
     return params, epoch_losses
 
@@ -426,7 +468,10 @@ def load_predictor(path) -> TrainedPredictor:
 class PredictorFitness:
     """Fitness adapter: predicted probability of clearing the threshold.
 
-    Free to evaluate — the simulated clock is never charged.
+    Free to evaluate — the simulated clock is never charged. Each instance
+    predicts each distinct pruned cell once and answers repeats from its
+    own memo, so `params` must not change while it is in use;
+    `evaluations` counts every call.
     """
 
     mode = "PREDICTOR"
@@ -434,7 +479,11 @@ class PredictorFitness:
     def __init__(self, params: RnnParams):
         self.params = params
         self.evaluations = 0
+        self._predictions: dict[ModelSpec, float] = {}
 
     def evaluate(self, spec: ModelSpec, clock) -> float:
         self.evaluations += 1
-        return predict(self.params, cellspace.prune(spec))
+        cell = cellspace.prune(spec)
+        if cell not in self._predictions:
+            self._predictions[cell] = predict(self.params, cell)
+        return self._predictions[cell]

@@ -338,6 +338,46 @@ def test_prune_memo_returns_an_equal_spec_for_an_equal_genome():
     assert (info.misses, info.hits) == (1, 1)
 
 
+def _old_phenotype(genome, limits):
+    """phenotype as prune-then-validate, the definition it must keep."""
+    try:
+        cell = prune(genome)
+    except NoPathError:
+        return None
+    return cell if validate(cell, limits).valid else None
+
+
+def test_phenotype_equals_prune_then_validate():
+    # phenotype skips the path rules that prune satisfies by construction;
+    # the answer must not change. Genomes run past the vertex budget, carry
+    # any edge count and, one slot in five, an IN or OUT label in the
+    # interior, on the path or pruned away.
+    rng = random.Random(8)
+    labels = list(OpLabel)
+    fixed = [
+        make_spec(3, [(0, 1), (1, 2)], [label]) for label in (OpLabel.IN, OpLabel.OUT)
+    ] + [
+        make_spec(4, [(0, 1), (1, 3), (0, 2)], [OpLabel.CONV1X1, label])
+        for label in (OpLabel.IN, OpLabel.OUT)
+    ]
+    seen = {True: 0, False: 0}
+    for limits in (SpaceLimits(5, 9), SpaceLimits(7, 9)):
+        for genome in fixed:
+            assert cellspace.phenotype(genome, limits) == _old_phenotype(genome, limits)
+        for _ in range(10_000):
+            v = rng.randint(2, limits.max_vertices + 1)
+            edges = [p for p in upper_triangle_pairs(v) if rng.random() < 0.5]
+            interior = [
+                rng.choice(labels) if rng.random() < 0.2 else rng.choice(cellspace.INTERIOR_OPS)
+                for _ in range(v - 2)
+            ]
+            genome = make_spec(v, edges, interior)
+            cell = cellspace.phenotype(genome, limits)
+            assert cell == _old_phenotype(genome, limits), genome
+            seen[cell is None] += 1
+    assert min(seen.values()) > 2_000, seen
+
+
 def _benchmark_traced_names() -> set[str]:
     """Every 'module.function' that perfbench's worker reads from its trace
     by name, plus the function each workload's trace self-check counts."""
@@ -356,8 +396,11 @@ def test_memoized_functions_stay_plain_functions():
     # lru_cache-wrapped function would make its metrics read 0 with no more
     # than a warning on stderr.
     names = _benchmark_traced_names()
-    assert {"cellspace.canonical_hash", "cellspace.prune"} <= names
-    for name in sorted(names):
+    assert {"cellspace.canonical_hash", "cellspace.prune", "predictor.loss_and_grad"} <= names
+    # `train` pads its set through `pad_batch` once, then steps through
+    # `loss_and_grad`; both must stay traceable for the loss_and_grad.*
+    # metrics to mean what they say.
+    for name in sorted(names | {"predictor.pad_batch"}):
         module_name, _, attr = name.partition(".")
         module = importlib.import_module(f"cellsearch.{module_name}")
         fn = getattr(module, attr, None)

@@ -8,7 +8,7 @@ import random
 import numpy as np
 import pytest
 
-from cellsearch import cellspace
+from cellsearch import cellspace, predictor
 from cellsearch.cellspace import ModelSpec, OpLabel, SpaceLimits
 from cellsearch.errors import (
     ConfigError,
@@ -36,6 +36,7 @@ from cellsearch.predictor import (
     heldout_accuracy,
     load_predictor,
     loss_and_grad,
+    pad_batch,
     predict,
     save_predictor,
     stratified_split,
@@ -137,7 +138,7 @@ def test_forward_stays_inside_open_interval(two_vertex):
         p = forward(params, seq)
         assert 0.0 < p < 1.0
         # and the resulting loss is finite
-        loss, _ = loss_and_grad(params, [(seq, 0), (seq, 1)])
+        loss, _ = loss_and_grad(params, *pad_batch([(seq, 0), (seq, 1)]))
         assert math.isfinite(loss)
 
 
@@ -174,7 +175,7 @@ def test_from_flat_rejects_non_finite_parameters():
 def test_loss_zero_params_is_ln2(two_vertex, chain3_conv1x1):
     params = RnnParams.zeros()
     batch = [(encode(two_vertex), 0), (encode(chain3_conv1x1), 1)]
-    loss, _ = loss_and_grad(params, batch)
+    loss, _ = loss_and_grad(params, *pad_batch(batch))
     assert abs(loss - math.log(2)) < 1e-15
 
 
@@ -184,7 +185,7 @@ def test_loss_matches_reference_bce_mixed_lengths():
     specs = [cellspace.random_spec(rng, SpaceLimits(7, 9)) for _ in range(8)]
     labels = [rng.randrange(2) for _ in specs]
     batch = [(encode(s), y) for s, y in zip(specs, labels)]
-    loss, _ = loss_and_grad(params, batch)
+    loss, _ = loss_and_grad(params, *pad_batch(batch))
     expected = float(
         np.mean(
             [
@@ -220,13 +221,13 @@ def test_gradients_match_finite_differences():
             cellspace.random_spec(rng, SpaceLimits(7, 9))
             for _ in range(rng.randint(1, 5))
         ]
-        batch = [(encode(s), rng.randrange(2)) for s in specs]
+        batch = pad_batch([(encode(s), rng.randrange(2)) for s in specs])
 
         def f(theta):
-            loss, _ = loss_and_grad(RnnParams.from_flat(theta, hidden), batch)
+            loss, _ = loss_and_grad(RnnParams.from_flat(theta, hidden), *batch)
             return loss
 
-        _, grad = loss_and_grad(RnnParams.from_flat(theta0, hidden), batch)
+        _, grad = loss_and_grad(RnnParams.from_flat(theta0, hidden), *batch)
         numeric = central_differences(f, theta0)
         err = max_relative_error(grad.flatten(), numeric)
         worst = max(worst, err)
@@ -235,7 +236,7 @@ def test_gradients_match_finite_differences():
 
 def test_loss_rejects_empty_batch():
     with pytest.raises(ValueError):
-        loss_and_grad(RnnParams.zeros(), [])
+        loss_and_grad(RnnParams.zeros(), *pad_batch([]))
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +275,129 @@ def test_train_is_deterministic():
     assert np.array_equal(p1.b_h, p2.b_h)
     assert np.array_equal(p1.w_o, p2.w_o)
     assert p1.b_o == p2.b_o
+
+
+def _reference_loss_and_grad(params, batch):
+    """loss_and_grad as first written: it pads each list batch itself and
+    accumulates every gradient inside the backward loop, one step at a
+    time."""
+    seqs = [np.asarray(seq, dtype=np.int64) for seq, _ in batch]
+    y = np.array([float(label) for _, label in batch])
+    B = len(seqs)
+    T = max(len(s) for s in seqs)
+    H = params.hidden_size
+    X = np.zeros((B, T), dtype=np.int64)
+    M = np.zeros((B, T), dtype=bool)
+    for b, s in enumerate(seqs):
+        X[b, T - len(s) :] = s
+        M[b, T - len(s) :] = True
+
+    hs = np.zeros((B, T + 1, H))
+    for t in range(T):
+        a = params.W_x[:, X[:, t]].T + hs[:, t] @ params.W_h.T + params.b_h
+        hs[:, t + 1] = np.where(M[:, t : t + 1], np.tanh(a), hs[:, t])
+
+    z = hs[:, T] @ params.w_o + params.b_o
+    p = np.clip(predictor._sigmoid(z), predictor._P_LO, predictor._P_HI)
+    loss = float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
+
+    dz = (p - y) / B
+    g = RnnParams.zeros(H)
+    g.w_o[...] = hs[:, T].T @ dz
+    g.b_o[...] = dz.sum()
+    dh = np.outer(dz, params.w_o)
+    for t in reversed(range(T)):
+        m = M[:, t : t + 1]
+        da = np.where(m, dh * (1.0 - hs[:, t + 1] ** 2), 0.0)
+        g.b_h += da.sum(axis=0)
+        g.W_h += da.T @ hs[:, t]
+        np.add.at(g.W_x, (slice(None), X[:, t]), da.T)
+        dh = np.where(m, da @ params.W_h, dh)
+    return loss, g
+
+
+def _reference_train(data, cfg, seed):
+    """train as first written: encode per item, a list batch per step,
+    padded per call, and the update through flatten() and from_flat."""
+    encoded = [(encode(spec), label) for spec, label in data.items]
+    params = RnnParams.seeded(seed, cfg.hidden_size, cfg.init_scale)
+    gen = np.random.default_rng(seed + 1)
+    losses = []
+    for _ in range(cfg.epochs):
+        order = gen.permutation(len(encoded))
+        total = 0.0
+        for start in range(0, len(encoded), cfg.batch):
+            batch = [encoded[i] for i in order[start : start + cfg.batch]]
+            loss, g = _reference_loss_and_grad(params, batch)
+            total += loss * len(batch)
+            params = RnnParams.from_flat(
+                params.flatten() - cfg.learning_rate * g.flatten(), cfg.hidden_size
+            )
+        losses.append(total / len(encoded))
+    return params, losses
+
+
+def _mixed_length_pool():
+    """Every 30th (5,9) class, labeled by a rule that needs the edges:
+    sequences of 2 to 14 tokens, both classes."""
+    specs = list(cellspace.enumerate_space(SpaceLimits(5, 9)))[::30]
+    items = [(s, int(s.num_edges % 3 == 0 or OpLabel.MAXPOOL3X3 in s.ops)) for s in specs]
+    lengths = {len(encode(s)) for s, _ in items}
+    assert min(lengths) == 2 and max(lengths) == 14
+    return LabeledDataset(tuple(items))
+
+
+def _assert_params_equal(a, b):
+    for name in ("W_x", "W_h", "b_h", "w_o", "b_o"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def test_train_is_bit_identical_to_the_per_batch_reference():
+    # padding once, slicing each minibatch and summing the gradients out of
+    # the recurrence must not move a single bit of the trained parameters
+    data = _mixed_length_pool()
+    cfg = TrainConfig(epochs=8, batch=16)
+    assert len(data) % cfg.batch  # a short last batch too
+    params, losses = train(data, cfg, 4)
+    ref_params, ref_losses = _reference_train(data, cfg, 4)
+    _assert_params_equal(params, ref_params)
+    assert losses == ref_losses
+
+
+def test_loss_and_grad_equals_the_reference_exactly():
+    rng = random.Random(21)
+    encoded = [(encode(s), y) for s, y in _mixed_length_pool().items]
+    params = RnnParams.seeded(13)
+    same_length = [item for item in encoded if len(item[0]) == 14][:5]
+    batches = [rng.sample(encoded, 16) for _ in range(20)]
+    batches += [same_length, encoded[:1], encoded[-1:]]
+    live_and_masked = set()
+    for batch in batches:
+        X, M, y = pad_batch(batch)
+        live_and_masked.update(M.all(axis=0).tolist())
+        loss, g = loss_and_grad(params, X, M, y)
+        ref_loss, ref_g = _reference_loss_and_grad(params, batch)
+        assert loss == ref_loss
+        _assert_params_equal(g, ref_g)
+    assert live_and_masked == {True, False}
+
+
+def test_train_calls_loss_and_grad_once_per_minibatch(monkeypatch):
+    # perfbench's tracer counts calls to the module attribute, so train must
+    # look it up there, once per minibatch
+    calls = []
+    real = predictor.loss_and_grad
+
+    def counting(*args):
+        calls.append(args[1].shape[0])
+        return real(*args)
+
+    monkeypatch.setattr(predictor, "loss_and_grad", counting)
+    train_set, _, _ = stratified_split(_toy_dataset(), np.random.default_rng(5))
+    cfg = TrainConfig(epochs=3, batch=16)
+    train(train_set, cfg, 9)
+    assert len(calls) == cfg.epochs * math.ceil(len(train_set) / cfg.batch)
+    assert sum(calls) == cfg.epochs * len(train_set)
 
 
 def test_train_rejects_single_class(two_vertex, chain3_conv1x1):
@@ -435,3 +559,37 @@ def test_predictor_fitness_prunes_and_never_charges():
     assert clock.elapsed_s == 0.0
     assert fitness.mode == "PREDICTOR"
     assert fitness.evaluations == 1
+
+
+def test_predictor_fitness_predicts_each_cell_once(monkeypatch):
+    calls = []
+    real = predictor.predict
+
+    def counting(params, spec):
+        calls.append(spec)
+        return real(params, spec)
+
+    monkeypatch.setattr(predictor, "predict", counting)
+
+    def chain():
+        return make_spec(3, [(0, 1), (1, 2)], [OpLabel.CONV3X3])
+
+    # the same cell as chain(), plus a dormant, half-connected vertex
+    dormant = make_spec(4, [(0, 1), (0, 2), (1, 3)], [OpLabel.CONV3X3, OpLabel.CONV1X1])
+    other = make_spec(3, [(0, 1), (1, 2), (0, 2)], [OpLabel.MAXPOOL3X3])
+    params = RnnParams.seeded(8)
+    fitness = PredictorFitness(params)
+    clock = SimClock()
+    values = [fitness.evaluate(g, clock) for g in (chain(), chain(), dormant, other, dormant)]
+    assert calls == [chain(), other]
+    assert values == [real(params, chain())] * 3 + [real(params, other), real(params, chain())]
+    assert fitness.evaluations == 5
+
+    # a second instance keeps its own memo
+    params2 = RnnParams.seeded(9)
+    second = PredictorFitness(params2)
+    assert second.evaluate(chain(), clock) == real(params2, chain()) != values[0]
+    assert calls == [chain(), other, chain()]
+    assert (fitness.evaluations, second.evaluations) == (5, 1)
+    assert fitness.evaluate(chain(), clock) == values[0]
+    assert len(calls) == 3
