@@ -361,33 +361,6 @@ def _pad_to(spec: ModelSpec, max_vertices: int, rng) -> ModelSpec:
     return ModelSpec(max_vertices, edges, ops)
 
 
-def _edit_menu(genome: ModelSpec) -> list[tuple]:
-    """Primitive edits of a (padded) genome: one adjacency bit flip anywhere
-    in the upper triangle, or one op swap on any interior slot (dormant
-    slots included — their ops are real genetic material that matters when
-    a later edge flip brings the vertex alive)."""
-    edits: list[tuple] = [
-        ("flip", i, j) for i, j in upper_triangle_pairs(genome.num_vertices)
-    ]
-    for k in range(1, genome.num_vertices - 1):
-        for op in INTERIOR_OPS:
-            if op is not genome.ops[k]:
-                edits.append(("op", k, op))
-    return edits
-
-
-def _apply_edit(genome: ModelSpec, edit: tuple) -> ModelSpec:
-    if edit[0] == "flip":
-        _, i, j = edit
-        present = set(genome.edges)
-        present.symmetric_difference_update({(i, j)})
-        return ModelSpec(genome.num_vertices, tuple(sorted(present)), genome.ops)
-    _, k, op = edit
-    ops = list(genome.ops)
-    ops[k] = op
-    return ModelSpec(genome.num_vertices, genome.edges, tuple(ops))
-
-
 def mutate(parent: ModelSpec, rng, limits: SpaceLimits) -> ModelSpec:
     """One uniformly-drawn primitive edit of the parent genome.
 
@@ -404,12 +377,23 @@ def mutate(parent: ModelSpec, rng, limits: SpaceLimits) -> ModelSpec:
     limits; otherwise the edit is redrawn (with replacement, up to the
     attempt cap). The child always differs from the padded parent by
     exactly the one edit.
+
+    The edits are one adjacency bit flip anywhere in the upper triangle, or
+    one op swap on any interior slot (dormant slots included: their ops are
+    real genetic material that matters when a later flip brings the vertex
+    alive). One draw below their count picks flip r, or swap r - flips.
     """
     genome = _pad_to(parent, limits.max_vertices, rng)
-    menu = _edit_menu(genome)
+    v, edges, ops = genome.num_vertices, genome.edges, genome.ops
+    pairs = upper_triangle_pairs(v)
+    swaps = [(k, op) for k in range(1, v - 1) for op in INTERIOR_OPS if op is not ops[k]]
     for _ in range(MAX_REJECTION_ATTEMPTS):
-        edit = rng.choice(menu)
-        child = _apply_edit(genome, edit)
+        r = rng.randrange(len(pairs) + len(swaps))
+        if r < len(pairs):
+            child = ModelSpec(v, tuple(sorted(set(edges) ^ {pairs[r]})), ops)
+        else:
+            k, op = swaps[r - len(pairs)]
+            child = ModelSpec(v, edges, ops[:k] + (op,) + ops[k + 1 :])
         if phenotype(child, limits) is not None:
             return child
     raise ExhaustedError(

@@ -22,11 +22,10 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
-from .cellspace import SpaceLimits
+from .cellspace import SpaceLimits, check_enumerable
 from .errors import CellSearchError, ConfigError
 from .harness import (
     ExperimentConfig,
-    PaidQueries,
     build_oracle,
     compare_runs,
     label_random_specs,
@@ -38,6 +37,7 @@ from .harness import (
 )
 from .oracle import (
     DEFAULT_LABEL_THRESHOLD,
+    PaidQueries,
     SimClock,
     SyntheticOracleParams,
     dump_table_lines,
@@ -69,9 +69,16 @@ def _limits_type(text: str) -> SpaceLimits:
 
 def _seed_list_type(text: str):
     try:
-        return [int(part) for part in text.split(",")]
+        seeds = [int(part) for part in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError("seeds must be comma-separated integers") from None
+    # each seed writes its own seed-<n> directory
+    repeated = sorted({seed for seed in seeds if seeds.count(seed) > 1})
+    if repeated:
+        raise argparse.ArgumentTypeError(
+            f"seed {', '.join(map(str, repeated))} repeated; each seed runs once"
+        )
+    return seeds
 
 
 def _default_seed() -> int:
@@ -202,6 +209,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_gen_synthetic(args) -> int:
     params = _load_params(args.params) if args.params else SyntheticOracleParams()
+    check_enumerable(args.limits)  # before the file is made
     count = 0
     with open(args.out, "w", encoding="utf-8") as fh:
         for line in dump_table_lines(synthetic_table(params, args.limits)):
@@ -217,6 +225,8 @@ def cmd_gen_synthetic(args) -> int:
 
 def cmd_label(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
+    if args.n <= 0:
+        raise UsageError(f"--n must be positive, got {args.n}")
     try:
         cfg = ExperimentConfig(
             limits=args.limits or SpaceLimits(),
@@ -230,17 +240,15 @@ def cmd_label(args) -> int:
     except ConfigError as exc:
         raise UsageError(str(exc)) from None
 
-    clock = SimClock()
-    labeled, threshold = label_random_specs(
-        cfg, PaidQueries(build_oracle(cfg), clock), random.Random(seed)
-    )
+    paid = PaidQueries(build_oracle(cfg), SimClock())
+    labeled, threshold = label_random_specs(cfg, paid, random.Random(seed))
     meta = {
         "threshold": threshold,
         "limits": [cfg.limits.max_vertices, cfg.limits.max_edges],
         "oracle_source": cfg.oracle_source,
         "label_charge": cfg.label_charge,
         "seed": seed,
-        "sim_seconds": clock.elapsed_s,
+        "sim_seconds": paid.clock.elapsed_s,
     }
     write_labeled(args.out, labeled, meta)
     _emit(
@@ -248,7 +256,7 @@ def cmd_label(args) -> int:
             "n_labeled": len(labeled),
             "positives": sum(y for _, y in labeled),
             "threshold": threshold,
-            "sim_seconds": clock.elapsed_s,
+            "sim_seconds": paid.clock.elapsed_s,
             "out": args.out,
         }
     )

@@ -47,19 +47,17 @@ class EvolutionConfig:
             raise ConfigError("cycles must be at least population_size")
 
 
-def _evaluate(spec: ModelSpec, fitness, clock: SimClock, birth_index: int) -> Individual:
-    return Individual(spec, fitness.evaluate(spec, clock), birth_index)
+def _evaluate(spec: ModelSpec, fitness, birth_index: int) -> Individual:
+    return Individual(spec, fitness.evaluate(spec), birth_index)
 
 
-def init_population(
-    cfg: EvolutionConfig, limits: SpaceLimits, fitness, clock: SimClock, rng: random.Random
-):
+def init_population(cfg: EvolutionConfig, limits: SpaceLimits, fitness, rng: random.Random):
     """Fill the queue with random architectures, evaluating each."""
     population: deque[Individual] = deque()
     history: list[Individual] = []
     while len(population) < cfg.population_size:
         spec = cellspace.random_spec(rng, limits)
-        ind = _evaluate(spec, fitness, clock, birth_index=len(history))
+        ind = _evaluate(spec, fitness, birth_index=len(history))
         population.append(ind)
         history.append(ind)
     return population, history
@@ -77,7 +75,7 @@ def tournament_select(population, sample_size: int, rng: random.Random) -> Indiv
 
 
 def evolve_cycle(
-    population, history, cfg: EvolutionConfig, limits: SpaceLimits, fitness, clock, rng
+    population, history, cfg: EvolutionConfig, limits: SpaceLimits, fitness, rng
 ) -> None:
     """One aging-evolution step: select, mutate, evaluate, age out."""
     parent = tournament_select(population, cfg.sample_size, rng)
@@ -88,7 +86,7 @@ def evolve_cycle(
         raise ExhaustedError(
             f"mutation stuck at cycle {len(history)} (parent {parent_hash}): {exc}"
         ) from exc
-    child = _evaluate(child_spec, fitness, clock, birth_index=len(history))
+    child = _evaluate(child_spec, fitness, birth_index=len(history))
     population.append(child)
     history.append(child)
     population.popleft()
@@ -97,14 +95,15 @@ def evolve_cycle(
 def run_evolution(cfg: EvolutionConfig, limits: SpaceLimits, seed: int, fitness, clock: SimClock):
     """Initialize, evolve until the history holds `cycles` individuals, and
     return (best-ever individual, trace, history). `seed` drives every
-    random draw; cells stay within `limits`.
+    random draw; cells stay within `limits`. `clock` is the one the fitness
+    charges, if any; it only stamps the trace rows here.
 
     The trace gets one row after initialization (index 0) and one per cycle;
     the true-accuracy column is filled in oracle mode, where fitness IS the
     measured accuracy, and left unknown in predictor mode.
     """
     rng = random.Random(seed)
-    population, history = init_population(cfg, limits, fitness, clock, rng)
+    population, history = init_population(cfg, limits, fitness, rng)
     best = max(history, key=Individual.key)
     trace = SearchTrace()
     true_known = fitness.mode == "ORACLE"
@@ -119,7 +118,7 @@ def run_evolution(cfg: EvolutionConfig, limits: SpaceLimits, seed: int, fitness,
 
     record(0)
     for cycle in range(1, cfg.cycles - cfg.population_size + 1):
-        evolve_cycle(population, history, cfg, limits, fitness, clock, rng)
+        evolve_cycle(population, history, cfg, limits, fitness, rng)
         if history[-1].key() > best.key():
             best = history[-1]
         record(cycle)

@@ -29,13 +29,12 @@ from .errors import (
 from .evolution import EvolutionConfig
 from .oracle import (
     DEFAULT_LABEL_THRESHOLD,
-    OracleFitness,
+    PaidQueries,
     SimClock,
     SyntheticOracle,
     SyntheticOracleParams,
     label as binary_label,
     load_table,
-    query,
     synthetic_label_threshold,
     synthetic_optimum,
 )
@@ -290,28 +289,6 @@ def read_summary(path) -> RunSummary:
 # the predictor pipeline
 
 
-@dataclass
-class PaidQueries:
-    """The run's paid ground-truth queries, recorded where they are made.
-
-    Each query charges the clock, keeps the best (spec, hash, true accuracy)
-    answered so far (only a strictly better answer replaces it) and appends
-    the trace row (n, clock, best, best): the run's trace is this log."""
-
-    oracle: object
-    clock: SimClock
-    trace: SearchTrace = field(default_factory=SearchTrace)
-    best: tuple | None = None  # (spec, hash, true accuracy)
-
-    def query(self, spec: ModelSpec, digest: str, charge: float):
-        record = query(self.oracle, spec, self.clock, charge=charge)
-        if self.best is None or record.val_accuracy > self.best[2]:
-            self.best = (spec, digest, record.val_accuracy)
-        best_true = self.best[2]
-        self.trace.append(len(self.trace.rows) + 1, self.clock.elapsed_s, best_true, best_true)
-        return record
-
-
 def label_random_specs(cfg: ExperimentConfig, paid: PaidQueries, rng: random.Random):
     """Draw cfg.n_label distinct-by-hash random cells, query each one through
     `paid` (charging label_charge x its training time), and binarize at the
@@ -416,34 +393,31 @@ class ExperimentResult:
 
 def _search(cfg: ExperimentConfig, fitness, clock: SimClock):
     """Dispatch to the configured search loop; returns (history, trace,
-    best-scoring genome or None, invalid count)."""
+    invalid count)."""
     if cfg.algo == "EVOLUTION":
-        best, trace, history = evolution.run_evolution(
+        _, trace, history = evolution.run_evolution(
             cfg.evolution, cfg.limits, cfg.seed, fitness, clock
         )
-        return history, trace, best.spec, 0
+        return history, trace, 0
     schedule = DecisionSchedule.from_limits(cfg.limits)
     result = reinforce.run_reinforce(cfg.reinforce, schedule, cfg.seed, fitness, clock)
-    # max keeps the first of equal rewards
-    valid = [s for s in result.history if s.spec is not None]
-    best = max(valid, key=lambda s: s.reward, default=None)
-    return result.history, result.trace, None if best is None else best.spec, result.invalid_count
+    return result.history, result.trace, result.invalid_count
 
 
-def _summarise(
-    cfg, trace: SearchTrace, clock: SimClock, best_spec, best_hash, **counts
-) -> RunSummary:
-    """Both run kinds' summary: the best true accuracy and fitness and the
-    improvements are read off the run's trace, the total bill off its clock
-    (so cross_check catches a charge the trace did not record); `counts`
-    holds the remaining RunSummary fields."""
+def _summarise(cfg, trace: SearchTrace, paid: PaidQueries, **counts) -> RunSummary:
+    """Both run kinds' summary: the best cell is the log's first best
+    answer (None when no query was paid), the total bill is its clock (so
+    cross_check catches a charge the trace did not record), and the best
+    true accuracy and fitness and the improvements are read off the run's
+    trace; `counts` holds the remaining RunSummary fields."""
+    best_spec, best_hash, _ = paid.best or (None, None, None)
     final = trace.final_row()
     summary = RunSummary(
         best_spec=best_spec,
         best_hash=best_hash,
         best_true_acc=final.best_true_acc,
         best_fitness=final.best_fitness,
-        total_sim_seconds=clock.elapsed_s,
+        total_sim_seconds=paid.clock.elapsed_s,
         seed=cfg.seed,
         config=cfg,
         improvements=true_acc_improvements(trace),
@@ -454,22 +428,21 @@ def _summarise(
 
 
 def _run_ground_truth(cfg: ExperimentConfig, oracle) -> ExperimentResult:
-    clock = SimClock()
-    fitness = OracleFitness(oracle)
-    history, trace, best, invalid = _search(cfg, fitness, clock)
-    best_spec = None if best is None else cellspace.prune(best)
-    best_hash = None if best is None else cellspace.canonical_hash(best_spec)
+    # the search pays through the log; its own trace, one row per cycle or
+    # batch, is the run's trace
+    paid = PaidQueries(oracle, SimClock())
+    _, trace, invalid = _search(cfg, paid, paid.clock)
     summary = _summarise(
-        cfg, trace, clock, best_spec, best_hash,
-        evaluations=fitness.evaluations,
+        cfg, trace, paid,
+        evaluations=paid.evaluations,
         labels=0,
         invalid_samples=invalid,
-        memo_hits=fitness.memo_hits,
+        memo_hits=paid.memo_hits,
         phases={
             "search": {
                 "sim_seconds": trace.final_row().sim_seconds,
-                "oracle_queries": fitness.evaluations,
-                "memo_hits": fitness.memo_hits,
+                "oracle_queries": paid.evaluations,
+                "memo_hits": paid.memo_hits,
             }
         },
     )
@@ -484,14 +457,13 @@ def _run_predictor_guided(cfg: ExperimentConfig, oracle) -> ExperimentResult:
     trained, labeling = run_predictor_pipeline(cfg, paid, random.Random(cfg.seed))
 
     guided = PredictorFitness(trained.params)
-    history, search_trace, _, invalid = _search(cfg, guided, paid.clock)
+    history, search_trace, invalid = _search(cfg, guided, paid.clock)
 
     started_at = paid.clock.elapsed_s
     revalidated = topk_revalidate(history, cfg.top_k, paid)
 
-    best_spec, best_hash, _ = paid.best
     summary = _summarise(
-        cfg, paid.trace, paid.clock, best_spec, best_hash,
+        cfg, paid.trace, paid,
         evaluations=guided.evaluations,
         labels=labeling["oracle_queries"],
         invalid_samples=invalid,

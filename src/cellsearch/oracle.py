@@ -1,5 +1,6 @@
 """Ground-truth fitness: a file-backed benchmark table or a deterministic
-synthetic benchmark, plus the simulated training-time clock.
+synthetic benchmark, the simulated training-time clock, and the log of a
+run's paid queries.
 
 Every ground-truth query charges the run's clock with the architecture's
 training time (scaled by the query's charge fraction), which is the x-axis
@@ -17,6 +18,7 @@ import numpy as np
 from . import cellspace
 from .cellspace import ModelSpec, SpaceLimits
 from .errors import DuplicateHashError, ParseError, UnknownArchitectureError
+from .traces import SearchTrace
 
 DEFAULT_LABEL_THRESHOLD = 0.90
 SYNTHETIC_THRESHOLD_QUANTILE = 0.90
@@ -234,35 +236,53 @@ def load_table(path) -> BenchmarkTable:
     return table
 
 
-class OracleFitness:
-    """Ground-truth fitness for the search loops: queries the oracle at full
-    charge and returns validation accuracy.
+@dataclass
+class PaidQueries:
+    """The run's paid ground-truth queries, recorded where they are made.
 
-    Repeat evaluations of an already-seen hash are served from a per-run
-    memo without touching the clock — a trained model need not be
-    retrained. Hits are counted for run metadata.
+    Each query charges the clock, keeps the best (spec, hash, true accuracy)
+    answered so far (only a strictly better answer replaces it) and appends
+    the trace row (n, clock, best, best). A predictor-guided run's trace is
+    this log.
+
+    As the fitness of a ground-truth search, `evaluate` pays for each
+    distinct cell once: a hash already paid for is answered from the per-run
+    memo without touching the clock, and counted in `memo_hits`.
     """
 
     mode = "ORACLE"
 
-    def __init__(self, source):
-        self.source = source
-        self.memo: dict[str, float] = {}
-        self.memo_hits = 0
-        self.evaluations = 0
+    oracle: BenchmarkTable | SyntheticOracle
+    clock: SimClock
+    trace: SearchTrace = field(default_factory=SearchTrace)
+    best: tuple | None = None  # (spec, hash, true accuracy)
+    memo: dict[str, float] = field(default_factory=dict)
+    memo_hits: int = 0
 
-    def evaluate(self, spec: ModelSpec, clock: SimClock) -> float:
-        # Search loops hand over raw genomes; the evaluated object is the
-        # cell they prune to.
-        phenotype = cellspace.prune(spec)
-        digest = cellspace.canonical_hash(phenotype)
+    @property
+    def evaluations(self) -> int:
+        """Paid queries so far, one trace row each."""
+        return len(self.trace.rows)
+
+    def query(self, spec: ModelSpec, digest: str, charge: float) -> BenchmarkRecord:
+        record = query(self.oracle, spec, self.clock, charge=charge)
+        if self.best is None or record.val_accuracy > self.best[2]:
+            self.best = (spec, digest, record.val_accuracy)
+        best_true = self.best[2]
+        self.trace.append(len(self.trace.rows) + 1, self.clock.elapsed_s, best_true, best_true)
+        return record
+
+    def evaluate(self, genome: ModelSpec) -> float:
+        # search loops hand over raw genomes; the evaluated object is the
+        # cell they prune to
+        cell = cellspace.prune(genome)
+        digest = cellspace.canonical_hash(cell)
         if digest in self.memo:
             self.memo_hits += 1
             return self.memo[digest]
-        record = query(self.source, phenotype, clock, charge=1.0)
-        self.evaluations += 1
-        self.memo[digest] = record.val_accuracy
-        return record.val_accuracy
+        accuracy = self.query(cell, digest, 1.0).val_accuracy
+        self.memo[digest] = accuracy
+        return accuracy
 
 
 def dump_table_lines(records):

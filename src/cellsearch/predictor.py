@@ -481,7 +481,7 @@ class PredictorFitness:
         self.evaluations = 0
         self._predictions: dict[ModelSpec, float] = {}
 
-    def evaluate(self, spec: ModelSpec, clock) -> float:
+    def evaluate(self, spec: ModelSpec) -> float:
         self.evaluations += 1
         cell = cellspace.prune(spec)
         if cell not in self._predictions:

@@ -296,14 +296,14 @@ def sample(controller: ControllerState, schedule: DecisionSchedule, rng: random.
     return SampledArch(tuple(actions), tuple(terms), spec, invalid)
 
 
-def reward_of(s: SampledArch, fitness, clock: SimClock) -> float:
+def reward_of(s: SampledArch, fitness) -> float:
     """Fitness of the sampled cell; invalid samples earn 0.0 and cost
     nothing."""
     if s.invalid:
         return 0.0
     if s.spec is None:
         raise ConfigError("sample carries no architecture; supply a custom reward")
-    return fitness.evaluate(s.spec, clock)
+    return fitness.evaluate(s.spec)
 
 
 def utility(s: SampledArch, best: float) -> float:
@@ -436,8 +436,8 @@ def run_reinforce(
     best reward so far, turn each reward into its utility (see `utility`),
     read the baseline, fold the batch-mean utility into the baseline, then
     take the ascent step on the utilities using the pre-update baseline
-    value. One trace row per batch; its fitness is the best reward itself.
-    A custom `reward_fn(sample, clock)` replaces the fitness adapter
+    value. One trace row per batch, stamped with `clock`; its fitness is
+    the best reward itself. A custom `reward_fn(sample, clock)` replaces the fitness adapter
     (bandit probes); otherwise fitness supplies rewards via reward_of.
     `seed` drives the controller init and every sampling draw.
     """
@@ -456,7 +456,7 @@ def run_reinforce(
         batch = [sample(controller, schedule, rng) for _ in range(cfg.batch_size)]
         for s in batch:
             s.reward = (
-                reward_fn(s, clock) if reward_fn is not None else reward_of(s, fitness, clock)
+                reward_fn(s, clock) if reward_fn is not None else reward_of(s, fitness)
             )
             invalid_count += s.invalid
             history.append(s)

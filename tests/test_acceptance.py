@@ -32,7 +32,7 @@ from cellsearch.harness import (
     synthetic_optimum,
 )
 from cellsearch.oracle import (
-    OracleFitness,
+    PaidQueries,
     SimClock,
     SyntheticOracle,
     SyntheticOracleParams,
@@ -245,9 +245,10 @@ def test_criterion_5_reinforce_convergence(optimum, class_accuracies, capsys):
     invalid = []
     for seed in SEEDS:
         run_cfg = ReinforceConfig(batch_size=2, iterations=500, learning_rate=0.2)
+        clock = SimClock()
         result = run_reinforce(
             run_cfg, DecisionSchedule.from_limits(LIMITS), seed,
-            OracleFitness(SyntheticOracle()), SimClock(),
+            PaidQueries(SyntheticOracle(), clock), clock,
         )
         best = result.trace.final_row().best_fitness
         ratios.append(best / optimum.val_accuracy)

@@ -277,14 +277,21 @@ PINNED_DIGESTS = {
         "out": "5edd94ae3327446a19d372c4da8a3f0e72ea8c0753d27eb48704c2e165cb8df7",
         "stdout": "fbe76eb191e717ad9859de958597f169eba456f08ccdec5e49a1cf85eda9c6e2",
     },
+    ("run", "--algo", "reinforce", "--fitness", "oracle", "--limits", "4,9",
+     "--batch-size", "4", "--iterations", "25", "--seed", "1"): {
+        "summary.json": "fb2472655fd0a404a1ae6e493a2480bff855f8c05b8cf24c9bb71a5c20ff4901",
+        "trace.csv": "aa0842b9d4b6fa865c50ecc50d60d15bb3d88b3d27d77199cc996782ffea5da4",
+        "stdout": "7a9474ccfc4aa91d565eadeec62ed3d77c37ee497c5a86aabccce621ff900cb7",
+    },
 }
 
 
 @pytest.mark.parametrize(
-    "argv", list(PINNED_DIGESTS), ids=["evolution-oracle", "predictor", "label"]
+    "argv", list(PINNED_DIGESTS),
+    ids=["evolution-oracle", "predictor", "label", "reinforce-oracle"],
 )
 def test_outputs_match_pinned_digests(capsys, tmp_path, argv):
-    """The bytes a refactor must keep: these three runs' files and stdout are
+    """The bytes a refactor must keep: these four runs' files and stdout are
     pinned by sha256. A change meant to alter bytes updates the digests here
     and says so in CHANGES.md."""
     out = tmp_path / "out"
@@ -378,6 +385,9 @@ def test_inconsistent_config_is_usage_error(capsys, tmp_path):
         # the default label threshold would enumerate (7,9)
         ("run", "--fitness", "predictor"),
         ("label", "--limits", "7,9", "--n", "10"),
+        ("label", "--n", "0"),
+        # both runs would write seed-1/, the second over the first
+        ("run", "--limits", "4,9", "--seeds", "0,1,2,1"),
     ):
         out = tmp_path / "bad"
         code, _, err = run_cli(capsys, *argv, "--out", str(out))
@@ -388,6 +398,8 @@ def test_inconsistent_config_is_usage_error(capsys, tmp_path):
     # each names the threshold flag its own subcommand has
     assert "--label-threshold" in errs["run", "--fitness", "predictor"]
     assert "--threshold" in errs["label", "--limits", "7,9", "--n", "10"]
+    assert "--n must be positive" in errs["label", "--n", "0"]
+    assert "seed 1 repeated" in errs["run", "--limits", "4,9", "--seeds", "0,1,2,1"]
     # so are malformed nested objects in a config file
     cfg_path = tmp_path / "cfg.json"
     for obj in (
@@ -427,6 +439,14 @@ def test_missing_input_file_is_runtime_error(capsys, tmp_path):
 def test_enumerate_too_large_is_runtime_error(capsys):
     code, _, _ = run_cli(capsys, "enumerate", "--limits", "7,9")
     assert code == 2
+
+
+def test_gen_synthetic_too_large_leaves_no_file(capsys, tmp_path):
+    out = tmp_path / "table.jsonl"
+    code, stdout, err = run_cli(capsys, "gen-synthetic", "--limits", "7,9", "--out", str(out))
+    assert code == 2
+    assert stdout == "" and "refusing to enumerate" in err
+    assert not out.exists()
 
 
 def test_help_exits_zero(capsys):

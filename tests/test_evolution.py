@@ -18,7 +18,7 @@ from cellsearch.evolution import (
     run_evolution,
     tournament_select,
 )
-from cellsearch.oracle import OracleFitness, SimClock, SyntheticOracle, synth_record
+from cellsearch.oracle import PaidQueries, SimClock, SyntheticOracle, synth_record
 
 from conftest import make_spec
 
@@ -26,7 +26,8 @@ LIMITS = SpaceLimits(5, 9)
 
 
 class ScriptedFitness:
-    """Returns a fixed sequence of fitness values; charges a flat time."""
+    """Returns a fixed sequence of fitness values; charges its own clock a
+    flat time."""
 
     mode = "ORACLE"
 
@@ -34,11 +35,12 @@ class ScriptedFitness:
         self.values = list(values)
         self.calls = 0
         self.time_per_eval = time_per_eval
+        self.clock = SimClock()
 
-    def evaluate(self, spec, clock):
+    def evaluate(self, spec):
         value = self.values[self.calls]
         self.calls += 1
-        clock.charge(self.time_per_eval)
+        self.clock.charge(self.time_per_eval)
         return value
 
 
@@ -50,7 +52,7 @@ class FreeFitness:
     def __init__(self, rng):
         self.rng = rng
 
-    def evaluate(self, spec, clock):
+    def evaluate(self, spec):
         return self.rng.random()
 
 
@@ -136,11 +138,10 @@ def test_config_rejects_cycles_below_population():
 def test_population_is_fifo_window_of_history():
     cfg = EvolutionConfig(population_size=5, sample_size=2, cycles=30)
     rng = random.Random(1)
-    clock = SimClock()
-    fitness = OracleFitness(SyntheticOracle())
-    population, history = init_population(cfg, LIMITS, fitness, clock, rng)
+    fitness = PaidQueries(SyntheticOracle(), SimClock())
+    population, history = init_population(cfg, LIMITS, fitness, rng)
     for _ in range(12):
-        evolve_cycle(population, history, cfg, LIMITS, fitness, clock, rng)
+        evolve_cycle(population, history, cfg, LIMITS, fitness, rng)
     assert len(history) == 17
     assert [ind.birth_index for ind in population] == list(range(12, 17))
 
@@ -148,8 +149,8 @@ def test_population_is_fifo_window_of_history():
 def test_run_returns_history_max_even_after_aging_out():
     values = [0.9, 0.1, 0.2, 0.3, 0.35, 0.4]
     cfg = EvolutionConfig(population_size=3, sample_size=2, cycles=6)
-    clock = SimClock()
-    best, trace, history = run_evolution(cfg, LIMITS, 0, ScriptedFitness(values), clock)
+    fitness = ScriptedFitness(values)
+    best, trace, history = run_evolution(cfg, LIMITS, 0, fitness, fitness.clock)
     assert best.fitness == 0.9 and best.birth_index == 0
     # the champion has aged out: every survivor is strictly worse
     final_window = history[-cfg.population_size :]
@@ -159,9 +160,8 @@ def test_run_returns_history_max_even_after_aging_out():
 
 def test_cycles_equal_population_does_no_evolution():
     cfg = EvolutionConfig(population_size=4, sample_size=2, cycles=4)
-    clock = SimClock()
     fitness = ScriptedFitness([0.1, 0.2, 0.3, 0.25])
-    best, trace, history = run_evolution(cfg, LIMITS, 0, fitness, clock)
+    best, trace, history = run_evolution(cfg, LIMITS, 0, fitness, fitness.clock)
     assert len(history) == 4
     assert len(trace.rows) == 1 and trace.rows[0].index == 0
     assert best.fitness == 0.3
@@ -170,7 +170,9 @@ def test_cycles_equal_population_does_no_evolution():
 def test_trace_shape_and_monotonicity():
     cfg = EvolutionConfig(population_size=5, sample_size=3, cycles=40)
     clock = SimClock()
-    best, trace, history = run_evolution(cfg, LIMITS, 2, OracleFitness(SyntheticOracle()), clock)
+    best, trace, history = run_evolution(
+        cfg, LIMITS, 2, PaidQueries(SyntheticOracle(), clock), clock
+    )
     assert len(trace.rows) == cfg.cycles - cfg.population_size + 1
     assert [r.index for r in trace.rows] == list(range(len(trace.rows)))
     fits = [r.best_fitness for r in trace.rows]
@@ -196,7 +198,7 @@ def test_clock_charges_each_distinct_phenotype_once():
     cfg = EvolutionConfig(population_size=10, sample_size=3, cycles=120)
     clock = SimClock()
     oracle = SyntheticOracle()
-    fitness = OracleFitness(oracle)
+    fitness = PaidQueries(oracle, clock)
     best, trace, history = run_evolution(cfg, LIMITS, 4, fitness, clock)
     expected = 0.0
     seen = set()
@@ -220,7 +222,7 @@ def test_same_seed_reproduces_run_exactly():
 
     def one():
         clock = SimClock()
-        fitness = OracleFitness(SyntheticOracle())
+        fitness = PaidQueries(SyntheticOracle(), clock)
         best, trace, history = run_evolution(cfg, LIMITS, 7, fitness, clock)
         return trace.to_csv_lines(), history, best
 
@@ -235,7 +237,9 @@ def test_different_seed_diverges():
     def run(seed):
         cfg = EvolutionConfig(population_size=8, sample_size=3, cycles=60)
         clock = SimClock()
-        _, trace, _ = run_evolution(cfg, LIMITS, seed, OracleFitness(SyntheticOracle()), clock)
+        _, trace, _ = run_evolution(
+            cfg, LIMITS, seed, PaidQueries(SyntheticOracle(), clock), clock
+        )
         return trace.to_csv_lines()
 
     assert run(7) != run(8)
@@ -249,7 +253,7 @@ def test_exhausted_mutation_reports_cycle():
     cfg = EvolutionConfig(population_size=1, sample_size=1, cycles=2)
     clock = SimClock()
     with pytest.raises(ExhaustedError, match="cycle 1"):
-        run_evolution(cfg, SpaceLimits(2, 1), 0, OracleFitness(SyntheticOracle()), clock)
+        run_evolution(cfg, SpaceLimits(2, 1), 0, PaidQueries(SyntheticOracle(), clock), clock)
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +270,6 @@ def test_evolution_finds_global_optimum_small_seeds():
     for seed in range(3):
         cfg = EvolutionConfig(population_size=50, sample_size=10, cycles=2000)
         clock = SimClock()
-        best, trace, _ = run_evolution(cfg, limits, seed, OracleFitness(oracle), clock)
+        best, trace, _ = run_evolution(cfg, limits, seed, PaidQueries(oracle, clock), clock)
         found += best.fitness >= opt_acc - 1e-12
     assert found == 3

@@ -15,7 +15,6 @@ from cellsearch.evolution import EvolutionConfig, Individual
 from cellsearch.harness import (
     CompareReport,
     ExperimentConfig,
-    PaidQueries,
     RunSummary,
     compare_runs,
     effective_label_threshold,
@@ -34,6 +33,7 @@ from cellsearch.oracle import (
     DEFAULT_LABEL_THRESHOLD,
     BenchmarkRecord,
     BenchmarkTable,
+    PaidQueries,
     SimClock,
     SyntheticOracle,
     SyntheticOracleParams,
@@ -239,6 +239,31 @@ def test_paid_queries_charge_and_keep_the_first_best():
         TraceRow(2, 150.0, 0.7, 0.7),
         TraceRow(3, 250.0, 0.7, 0.7),
     ]
+
+
+def test_ground_truth_summary_takes_the_first_paid_best_cell():
+    for algo, search in (
+        ("EVOLUTION", {"evolution": EvolutionConfig(population_size=10, cycles=80)}),
+        ("REINFORCE", {"reinforce": ReinforceConfig(batch_size=4, iterations=15)}),
+    ):
+        cfg = ExperimentConfig(
+            algo=algo, fitness="ORACLE", limits=SpaceLimits(4, 9), seed=2, **search
+        )
+        paid = PaidQueries(harness.build_oracle(cfg), SimClock())
+        history, trace, _ = harness._search(cfg, paid, paid.clock)
+        # the genomes in search order, each cell kept where it was first seen
+        cells = {}
+        for item in history:
+            if item.spec is not None:
+                cell = cellspace.prune(item.spec)
+                cells.setdefault(cellspace.canonical_hash(cell), cell)
+        accs = {h: synth_record(cell, cfg.synthetic).val_accuracy for h, cell in cells.items()}
+        first_best = next(h for h, acc in accs.items() if acc == max(accs.values()))
+        assert paid.evaluations == len(cells)
+        assert paid.best == (cells[first_best], first_best, accs[first_best])
+        s = run_experiment(cfg).summary
+        assert (s.best_spec, s.best_hash) == paid.best[:2]
+        assert s.best_true_acc == trace.final_row().best_true_acc == paid.best[2]
 
 
 def test_labeling_distinct_and_charged():

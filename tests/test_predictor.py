@@ -554,7 +554,7 @@ def test_predictor_fitness_prunes_and_never_charges():
         ((0, 1), (0, 2), (1, 3)),
         (OpLabel.IN, OpLabel.CONV3X3, OpLabel.CONV1X1, OpLabel.OUT),
     )
-    value = fitness.evaluate(genome, clock)
+    value = fitness.evaluate(genome)
     assert value == predict(params, cellspace.prune(genome))
     assert clock.elapsed_s == 0.0
     assert fitness.mode == "PREDICTOR"
@@ -579,8 +579,7 @@ def test_predictor_fitness_predicts_each_cell_once(monkeypatch):
     other = make_spec(3, [(0, 1), (1, 2), (0, 2)], [OpLabel.MAXPOOL3X3])
     params = RnnParams.seeded(8)
     fitness = PredictorFitness(params)
-    clock = SimClock()
-    values = [fitness.evaluate(g, clock) for g in (chain(), chain(), dormant, other, dormant)]
+    values = [fitness.evaluate(g) for g in (chain(), chain(), dormant, other, dormant)]
     assert calls == [chain(), other]
     assert values == [real(params, chain())] * 3 + [real(params, other), real(params, chain())]
     assert fitness.evaluations == 5
@@ -588,8 +587,8 @@ def test_predictor_fitness_predicts_each_cell_once(monkeypatch):
     # a second instance keeps its own memo
     params2 = RnnParams.seeded(9)
     second = PredictorFitness(params2)
-    assert second.evaluate(chain(), clock) == real(params2, chain()) != values[0]
+    assert second.evaluate(chain()) == real(params2, chain()) != values[0]
     assert calls == [chain(), other, chain()]
     assert (fitness.evaluations, second.evaluations) == (5, 1)
-    assert fitness.evaluate(chain(), clock) == values[0]
+    assert fitness.evaluate(chain()) == values[0]
     assert len(calls) == 3

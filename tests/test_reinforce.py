@@ -13,7 +13,7 @@ from cellsearch import cellspace
 from cellsearch.cellspace import OpLabel, SpaceLimits
 from cellsearch.errors import ConfigError, ShapeError
 from cellsearch.oracle import (
-    OracleFitness,
+    PaidQueries,
     SimClock,
     SyntheticOracle,
     synth_record,
@@ -200,7 +200,7 @@ def test_sample_invalid_flag_matches_spec_presence():
 def test_reward_invalid_is_free():
     clock = SimClock()
     s = SampledArch((), (), None, invalid=True)
-    assert reward_of(s, OracleFitness(SyntheticOracle()), clock) == 0.0
+    assert reward_of(s, PaidQueries(SyntheticOracle(), clock)) == 0.0
     assert clock.elapsed_s == 0.0
 
 
@@ -209,7 +209,7 @@ def test_reward_oracle_charges_train_time(two_vertex):
     oracle = SyntheticOracle()
     s = SampledArch((), (), two_vertex, invalid=False)
     record = synth_record(two_vertex, oracle.params)
-    assert reward_of(s, OracleFitness(oracle), clock) == record.val_accuracy
+    assert reward_of(s, PaidQueries(oracle, clock)) == record.val_accuracy
     assert clock.elapsed_s == record.train_time_s
 
 
@@ -217,7 +217,7 @@ def test_reward_predictor_is_free(two_vertex):
     clock = SimClock()
     fitness = PredictorFitness(RnnParams.seeded(0))
     s = SampledArch((), (), two_vertex, invalid=False)
-    r = reward_of(s, fitness, clock)
+    r = reward_of(s, fitness)
     assert 0.0 < r < 1.0
     assert clock.elapsed_s == 0.0
 
@@ -225,7 +225,7 @@ def test_reward_predictor_is_free(two_vertex):
 def test_reward_without_spec_or_marker_is_an_error():
     s = SampledArch((0,), (-1.0,), None, invalid=False)
     with pytest.raises(ConfigError):
-        reward_of(s, OracleFitness(SyntheticOracle()), SimClock())
+        reward_of(s, PaidQueries(SyntheticOracle(), SimClock()))
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +518,7 @@ def test_baseline_stays_within_reward_hull():
 def test_run_zero_iterations_is_a_no_op():
     cfg = ReinforceConfig(iterations=0)
     clock = SimClock()
-    res = run_reinforce(cfg, SCHEDULE_5_9, 3, OracleFitness(SyntheticOracle()), clock)
+    res = run_reinforce(cfg, SCHEDULE_5_9, 3, PaidQueries(SyntheticOracle(), clock), clock)
     assert len(res.trace.rows) == 0
     assert res.history == [] and res.invalid_count == 0
     assert clock.elapsed_s == 0.0
@@ -529,7 +529,7 @@ def test_run_zero_iterations_is_a_no_op():
 def test_run_oracle_mode_bookkeeping():
     cfg = ReinforceConfig(batch_size=5, iterations=20)
     clock = SimClock()
-    res = run_reinforce(cfg, SCHEDULE_5_9, 1, OracleFitness(SyntheticOracle()), clock)
+    res = run_reinforce(cfg, SCHEDULE_5_9, 1, PaidQueries(SyntheticOracle(), clock), clock)
     assert len(res.trace.rows) == 20
     assert len(res.history) == 100
     assert res.invalid_count == sum(s.invalid for s in res.history)
@@ -551,7 +551,8 @@ def test_run_is_deterministic():
     cfg = ReinforceConfig(batch_size=4, iterations=25)
 
     def one():
-        res = run_reinforce(cfg, SCHEDULE_5_9, 11, OracleFitness(SyntheticOracle()), SimClock())
+        clock = SimClock()
+        res = run_reinforce(cfg, SCHEDULE_5_9, 11, PaidQueries(SyntheticOracle(), clock), clock)
         return res.trace.to_csv_lines(), res.controller.flatten()
 
     lines_a, theta_a = one()
