@@ -1,15 +1,17 @@
 """The DAG cell search space: specs, validation, canonical hashing, sampling,
-mutation, and small-scale exhaustive enumeration.
+mutation, and exact exhaustive enumeration.
 
-A cell is a directed acyclic graph on at most `max_vertices` vertices with at
-most `max_edges` edges. Vertex 0 is the input, vertex v-1 is the output, and
-every edge goes from a lower to a higher index, so acyclicity is structural.
+A cell is a directed acyclic graph on at most `max_vertices` (itself at
+most MAX_VERTICES) vertices with at most `max_edges` edges. Vertex 0 is the
+input, vertex v-1 is the output, and every edge goes from a lower to a
+higher index, so acyclicity is structural.
 Interior vertices carry one of three operations (3x3 convolution, 1x1
 convolution, 3x3 max-pool).
 
 Isomorphic cells (same structure and labels under a relabeling of interior
 vertices) are identified by an iterative neighborhood-refinement hash, so
-benchmark lookup and enumeration never distinguish two drawings of one cell.
+benchmark lookup never distinguishes two drawings of one cell. Enumeration
+dedupes them exactly, by relabeling, without the hash.
 """
 
 from __future__ import annotations
@@ -21,12 +23,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import (
-    ExhaustedError,
-    InvalidSpecError,
-    NoPathError,
-    TooLargeError,
-)
+from .errors import ExhaustedError, InvalidSpecError, NoPathError
 
 MAX_REJECTION_ATTEMPTS = 10_000
 
@@ -37,9 +34,9 @@ MAX_REJECTION_ATTEMPTS = 10_000
 HASH_MEMO_SIZE = 1024
 PRUNE_MEMO_SIZE = 256
 
-# Vertex counts above this make per-v enumeration (2^(v(v-1)/2) * 3^(v-2))
-# intractable on a desk machine.
-ENUMERATION_VERTEX_CAP = 6
+# The package's one vertex cap: the paper's space has up to 7 vertices.
+# REINFORCE sizes its per-step biases from it, and (7,9) enumerates exactly.
+MAX_VERTICES = 7
 
 
 class OpLabel(enum.Enum):
@@ -72,12 +69,12 @@ class Violation(enum.Enum):
 
 @dataclass(frozen=True)
 class SpaceLimits:
-    max_vertices: int = 7
+    max_vertices: int = MAX_VERTICES
     max_edges: int = 9
 
     def __post_init__(self):
-        if self.max_vertices < 2:
-            raise ValueError("max_vertices must be >= 2")
+        if not 2 <= self.max_vertices <= MAX_VERTICES:
+            raise ValueError(f"max_vertices must lie in [2, {MAX_VERTICES}]")
         if self.max_edges < 1:
             raise ValueError("max_edges must be >= 1")
 
@@ -402,42 +399,48 @@ def mutate(parent: ModelSpec, rng, limits: SpaceLimits) -> ModelSpec:
     )
 
 
-def check_enumerable(limits: SpaceLimits) -> None:
-    """Raise TooLargeError when enumerate_space would refuse `limits`."""
-    if limits.max_vertices > ENUMERATION_VERTEX_CAP:
-        raise TooLargeError(
-            f"refusing to enumerate max_vertices={limits.max_vertices} > {ENUMERATION_VERTEX_CAP}"
-        )
-
-
 def enumerate_space(limits: SpaceLimits) -> Iterator[ModelSpec]:
     """Yield one representative per isomorphism class of valid specs.
 
     Deterministic order: vertex count ascending, adjacency bitmask ascending
     (bit k = k-th row-major upper-triangular pair), interior labelings in
-    product order over (conv3x3, conv1x1, maxpool3x3). Deduplicated by
-    canonical hash.
+    product order over (conv3x3, conv1x1, maxpool3x3). Each class is
+    yielded at its first member in that order, found exactly, without
+    hashing: a structure is kept only when no interior relabeling maps it
+    to a smaller storable (upward-pointing) mask, and a labeling only when
+    it comes first among its images under the structure's automorphisms.
     """
-    check_enumerable(limits)
-    seen: set[str] = set()
     for v in range(2, limits.max_vertices + 1):
         pairs = upper_triangle_pairs(v)
-        for mask in range(2 ** len(pairs)):
-            edges = tuple(p for k, p in enumerate(pairs) if mask >> k & 1)
-            if len(edges) > limits.max_edges:
+        bit = {p: 1 << k for k, p in enumerate(pairs)}
+        # edges point upward, so every vertex is on an IN->OUT path exactly
+        # when each one but IN has an in-edge and each but OUT an out-edge
+        need = [sum(bit[p] for p in pairs if p[1] == k) for k in range(1, v)]
+        need += [sum(bit[p] for p in pairs if p[0] == k) for k in range(v - 1)]
+        # per interior relabeling, the image bit of each pair; a pair that
+        # would point downward maps past every storable mask
+        past = 1 << len(pairs)
+        relabelings = [
+            (perm[1:-1], [bit.get((perm[i], perm[j]), past) for i, j in pairs])
+            for perm in ((0, *p, v - 1) for p in itertools.permutations(range(1, v - 1)))
+        ]
+        for mask in range(past):
+            if mask.bit_count() > limits.max_edges or not all(mask & b for b in need):
                 continue
-            base = ModelSpec(
-                v,
-                edges,
-                (OpLabel.IN,) + (INTERIOR_OPS[0],) * (v - 2) + (OpLabel.OUT,),
-            )
-            if not validate(base, limits).valid:
-                continue
-            for labeling in itertools.product(INTERIOR_OPS, repeat=v - 2):
-                spec = ModelSpec(
-                    v, edges, (OpLabel.IN,) + labeling + (OpLabel.OUT,)
-                )
-                digest = canonical_hash(spec)
-                if digest not in seen:
-                    seen.add(digest)
-                    yield spec
+            on = [k for k in range(len(pairs)) if mask >> k & 1]
+            automorphisms = []
+            for perm, image_bit in relabelings:
+                image = sum(image_bit[k] for k in on)
+                if image < mask:
+                    break
+                if image == mask:
+                    automorphisms.append(perm)
+            else:
+                edges = tuple(pairs[k] for k in on)
+                for labeling in itertools.product(range(3), repeat=v - 2):
+                    if all(
+                        labeling <= tuple(labeling[p - 1] for p in perm)
+                        for perm in automorphisms
+                    ):
+                        ops = tuple(INTERIOR_OPS[a] for a in labeling)
+                        yield ModelSpec(v, edges, (OpLabel.IN, *ops, OpLabel.OUT))

@@ -22,7 +22,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
-from .cellspace import SpaceLimits, check_enumerable
+from .cellspace import SpaceLimits
 from .errors import CellSearchError, ConfigError
 from .harness import (
     ExperimentConfig,
@@ -60,11 +60,12 @@ class _Parser(argparse.ArgumentParser):
 def _limits_type(text: str) -> SpaceLimits:
     try:
         v, e = (int(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"limits must look like '5,9', got {text!r}") from None
+    try:
         return SpaceLimits(v, e)
-    except (ValueError, TypeError) as exc:
-        raise argparse.ArgumentTypeError(
-            f"limits must look like '5,9': {exc}"
-        ) from None
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _seed_list_type(text: str):
@@ -97,7 +98,7 @@ def _load_params(path) -> SyntheticOracleParams:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return SyntheticOracleParams(**json.load(fh))
-        except (json.JSONDecodeError, TypeError) as exc:
+        except (TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
             raise UsageError(f"{path}: bad synthetic params: {exc}") from None
 
 
@@ -132,6 +133,11 @@ def _config_from_args(args) -> ExperimentConfig:
         obj.update(_oracle_fields(args.oracle))
     if args.limits:
         obj["limits"] = asdict(args.limits)
+    # seed precedence: --seed (or --seeds, per run), the file, NAS_SEED, 0
+    if args.seed is not None:
+        obj["seed"] = args.seed
+    elif "seed" not in obj and args.seeds is None:
+        obj["seed"] = _default_seed()
     for name in ("n_label", "label_charge", "label_threshold", "top_k"):
         value = getattr(args, name)
         if value is not None:
@@ -149,13 +155,11 @@ def _config_from_args(args) -> ExperimentConfig:
 
 
 def cmd_run(args) -> int:
-    seeds = args.seeds if args.seeds is not None else [
-        args.seed if args.seed is not None else _default_seed()
-    ]
     try:
         cfg = _config_from_args(args)
     except ConfigError as exc:
         raise UsageError(str(exc)) from None
+    seeds = args.seeds if args.seeds is not None else [cfg.seed]
 
     os.makedirs(args.out, exist_ok=True)
     for seed in seeds:
@@ -209,7 +213,6 @@ def cmd_enumerate(args) -> int:
 
 def cmd_gen_synthetic(args) -> int:
     params = _load_params(args.params) if args.params else SyntheticOracleParams()
-    check_enumerable(args.limits)  # before the file is made
     count = 0
     with open(args.out, "w", encoding="utf-8") as fh:
         for line in dump_table_lines(synthetic_table(params, args.limits)):
@@ -236,7 +239,6 @@ def cmd_label(args) -> int:
             label_threshold=args.threshold,
             seed=seed,
         )
-        cfg.check_threshold_derivable("--threshold")
     except ConfigError as exc:
         raise UsageError(str(exc)) from None
 

@@ -17,10 +17,6 @@ class ExhaustedError(CellSearchError):
     """Rejection sampling hit its attempt cap; limits are likely misconfigured."""
 
 
-class TooLargeError(CellSearchError):
-    """Exhaustive enumeration refused: the space is too big."""
-
-
 class ParseError(CellSearchError):
     """A data file failed to parse; message carries line number and reason."""
 

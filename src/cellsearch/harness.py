@@ -19,13 +19,7 @@ import numpy as np
 
 from . import cellspace, evolution, predictor, reinforce
 from .cellspace import ModelSpec, SpaceLimits
-from .errors import (
-    ConfigError,
-    DegenerateDataError,
-    ExhaustedError,
-    ParseError,
-    TooLargeError,
-)
+from .errors import ConfigError, DegenerateDataError, ExhaustedError, ParseError
 from .evolution import EvolutionConfig
 from .oracle import (
     DEFAULT_LABEL_THRESHOLD,
@@ -99,27 +93,8 @@ class ExperimentConfig:
             raise ConfigError("label_charge must lie in (0, 1]")
         if self.top_k < 1:
             raise ConfigError("top_k must be at least 1")
-        if self.algo == "REINFORCE":
-            DecisionSchedule.from_limits(self.limits)  # refuses too many decisions
-        if self.fitness == "PREDICTOR":
-            self.check_threshold_derivable("--label-threshold")
-
-    @property
-    def derives_synthetic_threshold(self) -> bool:
-        """True when the label threshold is the quantile rule over the
-        enumerated synthetic space."""
-        return self.label_threshold is None and self.oracle_source == "SYNTHETIC"
-
-    def check_threshold_derivable(self, flag: str) -> None:
-        """Refuse, naming the threshold `flag`, a default synthetic threshold
-        that would have to enumerate a space too large to enumerate."""
-        if self.derives_synthetic_threshold:
-            try:
-                cellspace.check_enumerable(self.limits)
-            except TooLargeError as exc:
-                raise ConfigError(
-                    f"{exc} for the default synthetic label threshold; set {flag}"
-                ) from None
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
 
     def to_json_obj(self) -> dict:
         return asdict(self)
@@ -153,10 +128,10 @@ def effective_label_threshold(cfg: ExperimentConfig) -> float:
     """The configured threshold, or the source's default rule: the 0.90
     accuracy quantile over the enumerated space for the synthetic oracle,
     the fixed default for file tables."""
-    if cfg.derives_synthetic_threshold:
-        return synthetic_label_threshold(cfg.synthetic, cfg.limits)
     if cfg.label_threshold is not None:
         return cfg.label_threshold
+    if cfg.oracle_source == "SYNTHETIC":
+        return synthetic_label_threshold(cfg.synthetic, cfg.limits)
     return DEFAULT_LABEL_THRESHOLD
 
 
@@ -522,11 +497,7 @@ def default_compare_target(a: RunSummary, b: RunSummary):
         return None
     if ca.synthetic != cb.synthetic or ca.limits != cb.limits:
         return None
-    try:
-        _, record = synthetic_optimum(ca.synthetic, ca.limits)
-    except TooLargeError:
-        return None
-    return record.val_accuracy
+    return synthetic_optimum(ca.synthetic, ca.limits)[1].val_accuracy
 
 
 def compare_runs(a: RunSummary, b: RunSummary, target: float | None = None) -> CompareReport:
@@ -580,8 +551,8 @@ def read_labeled(path):
         meta = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:1: {exc}") from exc
-    if meta.get("kind") != "labeled-dataset":
-        raise ParseError(f"{path}: not a labeled-dataset file")
+    if not isinstance(meta, dict) or meta.get("kind") != "labeled-dataset":
+        raise ParseError(f"{path}:1: not a labeled-dataset file")
     items = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:

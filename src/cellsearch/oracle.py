@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
+import math
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -51,8 +53,9 @@ class SimClock:
 
 @dataclass(frozen=True)
 class SyntheticOracleParams:
-    """Coefficients of the synthetic accuracy/time functions. All defaults
-    are design constants of this artifact, not measured data."""
+    """Coefficients of the synthetic accuracy/time functions: finite real
+    numbers, the time_* ones >= 0. All defaults are design constants of
+    this artifact, not measured data."""
 
     base_accuracy: float = 0.62
     conv3x3_gain: float = 0.045
@@ -67,6 +70,15 @@ class SyntheticOracleParams:
     time_conv1x1_s: float = 150.0
     time_maxpool_s: float = 60.0
     time_edge_s: float = 40.0
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not real or not math.isfinite(value):
+                raise ValueError(f"{f.name} must be a finite real number, got {value!r}")
+            if f.name.startswith("time_") and value < 0:
+                raise ValueError(f"{f.name} must be >= 0, got {value!r}")
 
 
 @dataclass

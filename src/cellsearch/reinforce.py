@@ -27,7 +27,8 @@ from functools import cached_property
 import numpy as np
 
 from .cellspace import (
-    INTERIOR_OPS, ModelSpec, OpLabel, SpaceLimits, phenotype, upper_triangle_pairs,
+    INTERIOR_OPS, MAX_VERTICES, ModelSpec, OpLabel, SpaceLimits, phenotype,
+    upper_triangle_pairs,
 )
 from .errors import ConfigError, ShapeError
 from .oracle import SimClock
@@ -43,9 +44,9 @@ N_EMBEDDINGS = 6
 DEFAULT_HIDDEN = 32
 DEFAULT_EMB_DIM = 8
 
-# Rows of the per-step bias table: the decisions of the largest documented
-# space, 7 vertices (21 edge bits + 5 ops). Longer schedules are refused.
-MAX_STEPS = 26
+# Rows of the per-step bias table: the decisions of the largest space,
+# MAX_VERTICES vertices (21 edge bits + 5 ops), so every space's schedule fits.
+MAX_STEPS = len(upper_triangle_pairs(MAX_VERTICES)) + MAX_VERTICES - 2
 
 # K in the utility exp(K * (reward - best)). At K = 10 a cell 0.01 below
 # the best so far weighs 0.90 and one 0.07 below weighs 0.50.
@@ -66,9 +67,10 @@ class DecisionSchedule:
 
     The full-space schedule for max_vertices v is C(v,2) binary edge
     decisions in row-major upper-triangle order followed by v-2 ternary op
-    decisions, each choosing INTERIOR_OPS[action]. Schedules built without
-    limits support sampling and gradients but not assembly — useful for
-    bandit probes of the estimator.
+    decisions, each choosing INTERIOR_OPS[action]; SpaceLimits caps v, so it
+    never has more than MAX_STEPS. Schedules built without limits support
+    sampling and gradients but not assembly — useful for bandit probes of
+    the estimator, which must stay within MAX_STEPS decisions.
     """
 
     arities: tuple
@@ -78,11 +80,6 @@ class DecisionSchedule:
         for a in self.arities:
             if a not in (2, 3):
                 raise ConfigError(f"unsupported arity {a}")
-        if len(self.arities) > MAX_STEPS:
-            raise ConfigError(
-                f"schedule has {len(self.arities)} decisions; the controller "
-                f"has step biases for at most {MAX_STEPS} (cells of up to 7 vertices)"
-            )
         if self.limits is not None and self.arities != _layout(self.limits):
             raise ConfigError(f"arities do not match the assembly layout of {self.limits}")
 

@@ -2,9 +2,12 @@
 exhaustively against a permutation-based isomorphism oracle), sampling,
 mutation, enumeration, and serialization."""
 
+import functools
+import hashlib
 import importlib
 import inspect
 import itertools
+import json
 import random
 import re
 from pathlib import Path
@@ -25,12 +28,7 @@ from cellsearch.cellspace import (
     upper_triangle_pairs,
     validate,
 )
-from cellsearch.errors import (
-    ExhaustedError,
-    InvalidSpecError,
-    NoPathError,
-    TooLargeError,
-)
+from cellsearch.errors import ExhaustedError, InvalidSpecError, NoPathError
 
 from conftest import (
     all_paths_vertices,
@@ -49,7 +47,30 @@ KNOWN_CLASS_COUNTS = {
     (3, 9): 7,
     (4, 9): 91,
     (5, 9): 2532,
+    (6, 9): 64542,
 }
+
+# sha256 over each yielded spec's sorted-key JSON line, in yield order, as
+# the hash-deduplicating enumerator produced them
+ORDER_DIGESTS = {
+    (4, 9): "df1df1704c38a557a0802ded0b873f4e9e19da47c137aab3f85ec6d01a8e3d26",
+    (5, 9): "94540fa5f81193ff4992e41b5996fe3cd8fdd47e2ee66ad1ebb423014c1e9697",
+    (6, 9): "380404e828a96c77d8fd9fabeceab16353e1b51704f31a8fbb9e501a7167ba08",
+}
+
+
+@functools.lru_cache(maxsize=None)
+def enumeration_pass(limits):
+    """(class count, order digest, distinct canonical hashes) from one pass
+    over enumerate_space, shared by the count and order tests."""
+    order = hashlib.sha256()
+    digests = set()
+    count = 0
+    for spec in enumerate_space(SpaceLimits(*limits)):
+        order.update((json.dumps(spec.to_json_obj(), sort_keys=True) + "\n").encode())
+        digests.add(canonical_hash(spec))
+        count += 1
+    return count, order.hexdigest(), len(digests)
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +335,8 @@ def test_hash_memo_stays_bounded_after_a_threshold_scan():
     oracle._synthetic_scan.cache_clear()
     oracle.synthetic_label_threshold(oracle.SyntheticOracleParams(), SpaceLimits(5, 9))
     info = cellspace._hash_memo.cache_info()
-    # enumeration hashes each class first, so synth_record's hash is a hit
-    assert info.misses >= 2532
-    assert info.hits >= 2532
+    # enumeration hashes nothing, so synth_record hashes each class once
+    assert (info.misses, info.hits) == (2532, 0)
     assert info.currsize == info.maxsize == cellspace.HASH_MEMO_SIZE
 
 
@@ -559,10 +579,29 @@ def test_mutate_deterministic_per_seed():
 
 @pytest.mark.parametrize("limits,count", sorted(KNOWN_CLASS_COUNTS.items()))
 def test_enumeration_class_counts(limits, count):
-    specs = list(enumerate_space(SpaceLimits(*limits)))
-    assert len(specs) == count
-    digests = [canonical_hash(s) for s in specs]
-    assert len(set(digests)) == count
+    # the distinct-hash count checks WL separation over every class
+    classes, _, distinct_hashes = enumeration_pass(limits)
+    assert classes == count
+    assert distinct_hashes == count
+
+
+@pytest.mark.parametrize("limits,digest", sorted(ORDER_DIGESTS.items()))
+def test_enumeration_order_is_pinned(limits, digest):
+    assert enumeration_pass(limits)[1] == digest
+
+
+def test_enumeration_reaches_the_full_space():
+    # the NAS-Bench-101 class count of up to 7 vertices and 9 edges
+    assert sum(1 for _ in enumerate_space(SpaceLimits(7, 9))) == 423_624
+
+
+def test_enumeration_hashes_and_validates_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("enumerate_space must not hash or validate")
+
+    for name in ("canonical_hash", "validate"):
+        monkeypatch.setattr(cellspace, name, refuse)
+    assert sum(1 for _ in enumerate_space(SpaceLimits(5, 9))) == 2532
 
 
 def test_enumeration_agrees_with_permutation_oracle_v4():
@@ -597,8 +636,10 @@ def test_enumeration_yields_valid_pruned_specs():
 
 
 def test_enumeration_guard():
-    with pytest.raises(TooLargeError):
-        list(enumerate_space(SpaceLimits(7, 9)))
+    # the one vertex cap: every space up to it enumerates
+    assert cellspace.MAX_VERTICES == SpaceLimits().max_vertices == 7
+    with pytest.raises(ValueError, match=r"max_vertices must lie in \[2, 7\]"):
+        SpaceLimits(8, 9)
 
 
 # ---------------------------------------------------------------------------

@@ -243,6 +243,28 @@ def test_nas_seed_env_is_the_default(capsys, tmp_path, monkeypatch):
     assert read_summary(out / "summary.json").seed == 23
 
 
+def test_config_file_seed_comes_after_the_flag_and_before_nas_seed(
+    capsys, tmp_path, monkeypatch
+):
+    monkeypatch.setenv("NAS_SEED", "23")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"seed": 5, "limits": {"max_vertices": 4, "max_edges": 9}}))
+    for flags, seed in (((), 5), (("--seed", "7"), 7)):
+        out = tmp_path / f"r{seed}"
+        code, _, err = run_cli(
+            capsys,
+            "run", "--config", str(cfg_path), *flags,
+            "--population-size", "8", "--sample-size", "3", "--cycles", "40",
+            "--out", str(out),
+        )
+        assert code == 0, err
+        assert read_summary(out / "summary.json").seed == seed
+    cfg_path.write_text(json.dumps({"seed": "5"}))
+    code, _, err = run_cli(capsys, "run", "--config", str(cfg_path), "--out", str(tmp_path / "bad"))
+    assert code == 1 and "seed must be an integer" in err
+    assert not (tmp_path / "bad").exists()
+
+
 def test_nas_seed_garbage_is_a_usage_error(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("NAS_SEED", "lucky")
     code, _, err = run_cli(
@@ -360,10 +382,11 @@ def test_missing_required_flag_is_usage_error(capsys):
 
 
 def test_bad_limits_is_usage_error(capsys, tmp_path):
-    code, _, _ = run_cli(
+    code, _, err = run_cli(
         capsys, "run", "--limits", "banana", "--out", str(tmp_path / "r")
     )
     assert code == 1
+    assert "limits must look like '5,9', got 'banana'" in err
 
 
 def test_inconsistent_config_is_usage_error(capsys, tmp_path):
@@ -380,11 +403,9 @@ def test_inconsistent_config_is_usage_error(capsys, tmp_path):
         ("run", "--population-size", "10", "--sample-size", "20"),
         ("run", "--iterations", "-1"),
         ("run", "--population-size", "10", "--cycles", "5"),
-        # more decisions than the controller has step biases for
+        # above the one vertex cap of 7
         ("run", "--algo", "reinforce", "--limits", "8,9"),
-        # the default label threshold would enumerate (7,9)
-        ("run", "--fitness", "predictor"),
-        ("label", "--limits", "7,9", "--n", "10"),
+        ("label", "--limits", "8,9", "--n", "10"),
         ("label", "--n", "0"),
         # both runs would write seed-1/, the second over the first
         ("run", "--limits", "4,9", "--seeds", "0,1,2,1"),
@@ -395,9 +416,12 @@ def test_inconsistent_config_is_usage_error(capsys, tmp_path):
         assert "usage error" in err
         assert not out.exists()
         errs[argv] = err
-    # each names the threshold flag its own subcommand has
-    assert "--label-threshold" in errs["run", "--fitness", "predictor"]
-    assert "--threshold" in errs["label", "--limits", "7,9", "--n", "10"]
+    for argv in (
+        ("run", "--algo", "reinforce", "--limits", "8,9"),
+        ("label", "--limits", "8,9", "--n", "10"),
+    ):
+        assert "max_vertices must lie in [2, 7]" in errs[argv]
+        assert "must look like" not in errs[argv]
     assert "--n must be positive" in errs["label", "--n", "0"]
     assert "seed 1 repeated" in errs["run", "--limits", "4,9", "--seeds", "0,1,2,1"]
     # so are malformed nested objects in a config file
@@ -405,7 +429,10 @@ def test_inconsistent_config_is_usage_error(capsys, tmp_path):
     for obj in (
         {"evolution": {"populaton_size": 5}},
         {"limits": {"max_vertices": 1, "max_edges": 9}},
+        {"limits": {"max_vertices": 8, "max_edges": 9}},
         {"limits": [5, 9]},
+        {"synthetic": {"base_accuracy": "x"}},
+        {"synthetic": {"time_edge_s": -1.0}},
     ):
         cfg_path.write_text(json.dumps(obj))
         code, _, err = run_cli(
@@ -436,16 +463,36 @@ def test_missing_input_file_is_runtime_error(capsys, tmp_path):
     assert "error" in err
 
 
-def test_enumerate_too_large_is_runtime_error(capsys):
-    code, _, _ = run_cli(capsys, "enumerate", "--limits", "7,9")
-    assert code == 2
+def test_enumerate_too_large_is_usage_error(capsys):
+    code, stdout, err = run_cli(capsys, "enumerate", "--limits", "8,9")
+    assert code == 1
+    assert stdout == "" and "max_vertices must lie in [2, 7]" in err
 
 
 def test_gen_synthetic_too_large_leaves_no_file(capsys, tmp_path):
     out = tmp_path / "table.jsonl"
-    code, stdout, err = run_cli(capsys, "gen-synthetic", "--limits", "7,9", "--out", str(out))
-    assert code == 2
-    assert stdout == "" and "refusing to enumerate" in err
+    code, stdout, err = run_cli(capsys, "gen-synthetic", "--limits", "8,9", "--out", str(out))
+    assert code == 1
+    assert stdout == "" and "max_vertices must lie in [2, 7]" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "params", [{"base_accuracy": "x"}, {"jitter_scale": True}, {"time_edge_s": -1.0}]
+)
+def test_bad_synthetic_params_are_usage_errors(capsys, tmp_path, params):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(params))
+    (name,) = params
+    code, stdout, err = run_cli(capsys, "enumerate", "--limits", "3,9", "--params", str(path))
+    assert code == 1
+    assert stdout == "" and name in err
+    out = tmp_path / "table.jsonl"
+    code, stdout, err = run_cli(
+        capsys, "gen-synthetic", "--limits", "3,9", "--params", str(path), "--out", str(out)
+    )
+    assert code == 1
+    assert stdout == "" and name in err
     assert not out.exists()
 
 

@@ -684,6 +684,10 @@ def test_labeled_file_rejects_garbage(tmp_path):
     path.write_text('{"kind": "something-else"}\n')
     with pytest.raises(ParseError):
         read_labeled(path)
+    # JSON, but not an object
+    path.write_text("[1, 2]\n")
+    with pytest.raises(ParseError, match=r":1: not a labeled-dataset file"):
+        read_labeled(path)
     a, _, _ = _three_cells()
     path.write_text(
         '{"kind": "labeled-dataset"}\n'

@@ -116,6 +116,23 @@ def test_params_round_trip():
     assert again == params
 
 
+def test_params_must_be_finite_reals_with_nonnegative_times():
+    assert SyntheticOracleParams(time_base_s=0, base_accuracy=np.float64(0.5))
+    for bad in (
+        {"base_accuracy": "x"},
+        {"depth_gain": None},
+        {"jitter_scale": True},
+        {"edge_penalty": float("nan")},
+        {"accuracy_cap": float("inf")},
+        {"time_maxpool_s": -1.0},
+    ):
+        (name,) = bad
+        with pytest.raises(ValueError, match=name):
+            SyntheticOracleParams(**bad)
+    # a negative gain is a real design choice, not an error
+    assert SyntheticOracleParams(edge_penalty=-0.01).edge_penalty == -0.01
+
+
 # ---------------------------------------------------------------------------
 # longest path
 

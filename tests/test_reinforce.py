@@ -22,6 +22,7 @@ from cellsearch.predictor import PredictorFitness, RnnParams
 from cellsearch.reinforce import (
     Baseline,
     ControllerState,
+    MAX_STEPS,
     DecisionSchedule,
     ReinforceConfig,
     SampledArch,
@@ -123,8 +124,10 @@ def test_assembly_loses_no_cell(limits, classes, invalid):
 
 
 def test_schedule_longer_than_the_step_biases_is_refused():
-    assert DecisionSchedule.from_limits(SpaceLimits(7, 9)).num_steps == 26
-    with pytest.raises(ConfigError, match="at most 26"):
+    # the largest space's schedule fills the step biases; SpaceLimits
+    # refuses any larger space before a schedule is built
+    assert DecisionSchedule.from_limits(SpaceLimits(7, 9)).num_steps == MAX_STEPS == 26
+    with pytest.raises(ValueError, match=r"\[2, 7\]"):
         DecisionSchedule.from_limits(SpaceLimits(8, 9))
 
 
