@@ -267,7 +267,9 @@ def read_summary(path) -> RunSummary:
 def label_random_specs(cfg: ExperimentConfig, paid: PaidQueries, rng: random.Random):
     """Draw cfg.n_label distinct-by-hash random cells, query each one through
     `paid` (charging label_charge x its training time), and binarize at the
-    effective threshold. Returns (labeled (spec, y) list, threshold)."""
+    effective threshold. Returns (labeled (spec, y) list, threshold). A
+    one-class pool raises DegenerateDataError naming the flags of `run` and
+    `label` that change it."""
     if cfg.n_label <= 0:
         raise ConfigError("n_label must be positive")
     threshold = effective_label_threshold(cfg)
@@ -288,6 +290,14 @@ def label_random_specs(cfg: ExperimentConfig, paid: PaidQueries, rng: random.Ran
         seen.add(digest)
         record = paid.query(spec, digest, cfg.label_charge)
         labeled.append((spec, binary_label(record, threshold)))
+    positives = sum(y for _, y in labeled)
+    if positives in (0, len(labeled)):
+        raise DegenerateDataError(
+            f"labeled pool has {positives}/{len(labeled)} positives at "
+            f"threshold {threshold!r}; the predictor needs both classes: "
+            f"raise --n-label (label: --n) or change --label-threshold "
+            f"(label: --threshold)"
+        )
     return labeled, threshold
 
 
@@ -297,19 +307,10 @@ def run_predictor_pipeline(cfg: ExperimentConfig, paid: PaidQueries, rng: random
     Phase 1 charges `label_charge` x training time per distinct-by-hash
     architecture; phase 2 (the 80/20 stratified split and the training loop)
     is free. Returns (TrainedPredictor, the labeling phase's summary entry).
-    A one-class pool raises DegenerateDataError naming the flags that
-    change it.
     """
     started_at = paid.clock.elapsed_s
     labeled, threshold = label_random_specs(cfg, paid, rng)
     labeling_cost = paid.clock.elapsed_s - started_at
-    positives = sum(y for _, y in labeled)
-    if positives in (0, len(labeled)):
-        raise DegenerateDataError(
-            f"labeled pool has {positives}/{len(labeled)} positives at "
-            f"threshold {threshold!r}; the predictor needs both classes: "
-            f"raise --n-label or change --label-threshold"
-        )
 
     split_gen = np.random.default_rng(rng.getrandbits(32))
     trained, _, held_acc, _ = predictor.fit(
@@ -318,39 +319,35 @@ def run_predictor_pipeline(cfg: ExperimentConfig, paid: PaidQueries, rng: random
     return trained, {
         "sim_seconds": labeling_cost,
         "oracle_queries": len(labeled),
-        "positives": positives,
+        "positives": sum(y for _, y in labeled),
         "threshold": threshold,
         "heldout_accuracy": held_acc,
     }
 
 
-def topk_revalidate(history, k: int, paid: PaidQueries) -> tuple:
+def topk_revalidate(predictions, k: int, paid: PaidQueries) -> tuple:
     """Ground the k most promising distinct cells of a predictor-guided run.
 
-    Candidates are distinct canonical hashes ranked by their best predictor
-    fitness in the history (first-seen order breaks ties); each is queried
-    through `paid` at full charge, so the log holds the true-best answer.
-    k larger than the distinct count just revalidates everything. Returns
-    the revalidated hashes in query order.
+    `predictions` is the run's `PredictorFitness.predictions`: every pruned
+    cell the search scored, mapped to its probability, in first-scored
+    order. Candidates are distinct canonical hashes ranked by their best
+    score; a class drawn as several cells stands as the first one scored
+    best, and ties between classes go to the class scored first. Each is
+    queried through `paid` at full charge, so the log holds the true-best
+    answer. k larger than the distinct count just revalidates everything.
+    Returns the revalidated hashes in query order.
     """
     if k < 1:
         raise ConfigError("k must be at least 1")
-    ranked = {}  # hash -> (score, first_seen, phenotype)
-    for order, item in enumerate(history):
-        if item.spec is None:
-            continue
-        # evolution individuals carry a fitness, controller samples a reward
-        score = item.reward if hasattr(item, "reward") else item.fitness
-        phenotype = cellspace.prune(item.spec)
-        digest = cellspace.canonical_hash(phenotype)
-        if digest not in ranked or score > ranked[digest][0]:
-            first_seen = ranked[digest][1] if digest in ranked else order
-            ranked[digest] = (score, first_seen, phenotype)
-    candidates = sorted(
-        ranked.items(), key=lambda kv: (-kv[1][0], kv[1][1])
-    )[: min(k, len(ranked))]
-    for digest, (_, _, phenotype) in candidates:
-        paid.query(phenotype, digest, 1.0)
+    best = {}  # hash -> (score, cell), in first-scored order
+    for cell, score in predictions.items():
+        digest = cellspace.canonical_hash(cell)
+        if digest not in best or score > best[digest][0]:
+            best[digest] = (score, cell)
+    # a stable sort keeps first-scored order among equal scores
+    candidates = sorted(best.items(), key=lambda kv: -kv[1][0])[:k]
+    for digest, (_, cell) in candidates:
+        paid.query(cell, digest, 1.0)
     return tuple(digest for digest, _ in candidates)
 
 
@@ -367,16 +364,16 @@ class ExperimentResult:
 
 
 def _search(cfg: ExperimentConfig, fitness, clock: SimClock):
-    """Dispatch to the configured search loop; returns (history, trace,
-    invalid count)."""
+    """Dispatch to the configured search loop; returns (trace, invalid
+    count)."""
     if cfg.algo == "EVOLUTION":
-        _, trace, history = evolution.run_evolution(
+        _, trace, _ = evolution.run_evolution(
             cfg.evolution, cfg.limits, cfg.seed, fitness, clock
         )
-        return history, trace, 0
+        return trace, 0
     schedule = DecisionSchedule.from_limits(cfg.limits)
     result = reinforce.run_reinforce(cfg.reinforce, schedule, cfg.seed, fitness, clock)
-    return result.history, result.trace, result.invalid_count
+    return result.trace, result.invalid_count
 
 
 def _summarise(cfg, trace: SearchTrace, paid: PaidQueries, **counts) -> RunSummary:
@@ -406,7 +403,7 @@ def _run_ground_truth(cfg: ExperimentConfig, oracle) -> ExperimentResult:
     # the search pays through the log; its own trace, one row per cycle or
     # batch, is the run's trace
     paid = PaidQueries(oracle, SimClock())
-    _, trace, invalid = _search(cfg, paid, paid.clock)
+    trace, invalid = _search(cfg, paid, paid.clock)
     summary = _summarise(
         cfg, trace, paid,
         evaluations=paid.evaluations,
@@ -432,10 +429,10 @@ def _run_predictor_guided(cfg: ExperimentConfig, oracle) -> ExperimentResult:
     trained, labeling = run_predictor_pipeline(cfg, paid, random.Random(cfg.seed))
 
     guided = PredictorFitness(trained.params)
-    history, search_trace, invalid = _search(cfg, guided, paid.clock)
+    search_trace, invalid = _search(cfg, guided, paid.clock)
 
     started_at = paid.clock.elapsed_s
-    revalidated = topk_revalidate(history, cfg.top_k, paid)
+    revalidated = topk_revalidate(guided.predictions, cfg.top_k, paid)
 
     summary = _summarise(
         cfg, paid.trace, paid,

@@ -269,24 +269,6 @@ def predict(params: RnnParams, spec: ModelSpec) -> float:
 
 
 @dataclass(frozen=True)
-class LabeledDataset:
-    """Specs with binary labels."""
-
-    items: tuple  # of (ModelSpec, int)
-
-    def __post_init__(self):
-        for _, label in self.items:
-            if label not in (0, 1):
-                raise ConfigError(f"label must be 0 or 1, got {label!r}")
-
-    def __len__(self):
-        return len(self.items)
-
-    def positives(self) -> int:
-        return sum(label for _, label in self.items)
-
-
-@dataclass(frozen=True)
 class TrainConfig:
     """The predictor's split and training hyperparameters."""
 
@@ -310,12 +292,10 @@ class TrainConfig:
 
 
 def stratified_split(
-    labeled,
-    rng: np.random.Generator,
-    heldout_fraction: float = 0.2,
-    target_positive_share: float = 0.2,
+    labeled, rng: np.random.Generator, heldout_fraction: float, target_positive_share: float
 ):
-    """Split labeled (spec, y) pairs into training and held-out datasets.
+    """Split labeled (spec, y) pairs into training and held-out lists of
+    (spec, y) pairs.
 
     The held-out set takes `heldout_fraction` of each class (so its base
     rate matches the pool). The training set keeps every remaining positive
@@ -357,28 +337,25 @@ def stratified_split(
         "target_positive_share": target_positive_share,
         "positive_share_shortfall": max(0.0, target_positive_share - train_share),
     }
-    return (
-        LabeledDataset(tuple(train)),
-        LabeledDataset(tuple(held)),
-        meta,
-    )
+    return train, held, meta
 
 
-def train(data: LabeledDataset, cfg: TrainConfig, seed: int):
-    """Minibatch gradient descent from a uniform init drawn from `seed`.
+def train(data, cfg: TrainConfig, seed: int):
+    """Minibatch gradient descent on (spec, y) pairs from a uniform init
+    drawn from `seed`.
 
     Returns (params, per-epoch mean loss list). Fails fast when the data
     cannot define the task (a single class present).
     """
-    n = len(data.items)
+    n = len(data)
     if n == 0:
         raise DegenerateDataError("empty training set")
-    n_pos = data.positives()
+    n_pos = sum(label for _, label in data)
     if n_pos == 0 or n_pos == n:
         raise DegenerateDataError(
             f"training set has {n_pos}/{n} positives; both classes are required"
         )
-    X, M, y = pad_batch([(encode(spec), label) for spec, label in data.items])
+    X, M, y = pad_batch([(encode(spec), label) for spec, label in data])
     lengths = M.sum(axis=1)
     T = X.shape[1]
     theta = RnnParams.seeded(seed, cfg.hidden_size, cfg.init_scale).flatten()
@@ -400,14 +377,12 @@ def train(data: LabeledDataset, cfg: TrainConfig, seed: int):
     return params, epoch_losses
 
 
-def heldout_accuracy(params: RnnParams, data: LabeledDataset) -> float:
-    """Fraction of items whose thresholded probability matches the label."""
-    if not data.items:
+def heldout_accuracy(params: RnnParams, data) -> float:
+    """Fraction of (spec, y) pairs whose thresholded probability matches y."""
+    if not data:
         raise DegenerateDataError("empty held-out set")
-    hits = sum(
-        (predict(params, spec) > 0.5) == bool(label) for spec, label in data.items
-    )
-    return hits / len(data.items)
+    hits = sum((predict(params, spec) > 0.5) == bool(label) for spec, label in data)
+    return hits / len(data)
 
 
 def fit(labeled, cfg: TrainConfig, seed: int, split_gen: np.random.Generator, threshold: float):
@@ -469,8 +444,10 @@ class PredictorFitness:
     """Fitness adapter: predicted probability of clearing the threshold.
 
     Free to evaluate — the simulated clock is never charged. Each instance
-    predicts each distinct pruned cell once and answers repeats from its
-    own memo, so `params` must not change while it is in use;
+    predicts each distinct pruned cell once and answers repeats from
+    `predictions`, its memo of pruned cell -> probability in first-scored
+    order, which is also the run's record of what the search scored (top-k
+    revalidation ranks it). `params` must not change while it is in use;
     `evaluations` counts every call.
     """
 
@@ -479,11 +456,11 @@ class PredictorFitness:
     def __init__(self, params: RnnParams):
         self.params = params
         self.evaluations = 0
-        self._predictions: dict[ModelSpec, float] = {}
+        self.predictions: dict[ModelSpec, float] = {}
 
     def evaluate(self, spec: ModelSpec) -> float:
         self.evaluations += 1
         cell = cellspace.prune(spec)
-        if cell not in self._predictions:
-            self._predictions[cell] = predict(self.params, cell)
-        return self._predictions[cell]
+        if cell not in self.predictions:
+            self.predictions[cell] = predict(self.params, cell)
+        return self.predictions[cell]

@@ -70,13 +70,17 @@ class DecisionSchedule:
     decisions, each choosing INTERIOR_OPS[action]; SpaceLimits caps v, so it
     never has more than MAX_STEPS. Schedules built without limits support
     sampling and gradients but not assembly — useful for bandit probes of
-    the estimator, which must stay within MAX_STEPS decisions.
+    the estimator; they too are refused past MAX_STEPS decisions.
     """
 
     arities: tuple
     limits: SpaceLimits | None = None
 
     def __post_init__(self):
+        if len(self.arities) > MAX_STEPS:
+            raise ConfigError(
+                f"{len(self.arities)} decisions exceed the controller's {MAX_STEPS} steps"
+            )
         for a in self.arities:
             if a not in (2, 3):
                 raise ConfigError(f"unsupported arity {a}")

@@ -305,15 +305,23 @@ PINNED_DIGESTS = {
         "trace.csv": "aa0842b9d4b6fa865c50ecc50d60d15bb3d88b3d27d77199cc996782ffea5da4",
         "stdout": "7a9474ccfc4aa91d565eadeec62ed3d77c37ee497c5a86aabccce621ff900cb7",
     },
+    ("run", "--algo", "reinforce", "--fitness", "predictor", "--limits", "4,9",
+     "--n-label", "60", "--batch-size", "4", "--iterations", "25", "--seed", "1"): {
+        "predictor.json": "b119d1d08f63c8ee5da1b791f1ba44c5656e603a584b3e865485d1e32df6cde4",
+        "search_trace.csv": "6871ef259688d60c9b88b7bdd9b4f78d098ccc8df42ffac954eb0966c31dc1d8",
+        "summary.json": "c3f457bcd37aed17b581884a4ffbfac649c2363bf73e9f47e59070e700344535",
+        "trace.csv": "01065fb8a169714c14f7a35bfa139bcc5c4dec918ec2797acd54a543897fb633",
+        "stdout": "aee6d2f730a39df555d0590eaf67c1b0ca80b7eaed85855bb91a695a9f9ac50b",
+    },
 }
 
 
 @pytest.mark.parametrize(
     "argv", list(PINNED_DIGESTS),
-    ids=["evolution-oracle", "predictor", "label", "reinforce-oracle"],
+    ids=["evolution-oracle", "predictor", "label", "reinforce-oracle", "reinforce-predictor"],
 )
 def test_outputs_match_pinned_digests(capsys, tmp_path, argv):
-    """The bytes a refactor must keep: these four runs' files and stdout are
+    """The bytes a refactor must keep: these five runs' files and stdout are
     pinned by sha256. A change meant to alter bytes updates the digests here
     and says so in CHANGES.md."""
     out = tmp_path / "out"
@@ -453,6 +461,19 @@ def test_one_class_label_pool_error_names_its_flags(capsys, tmp_path):
     assert stdout == ""
     assert "labeled pool has 0/8 positives at threshold" in err
     assert "--n-label" in err and "--label-threshold" in err
+
+
+def test_label_refuses_a_one_class_pool(capsys, tmp_path):
+    # the same 8 labels as above: `label` refuses them too, and writes no
+    # file that train-predictor would only reject later
+    out = tmp_path / "labels.jsonl"
+    code, stdout, err = run_cli(
+        capsys, "label", "--limits", "4,9", "--n", "8", "--seed", "0", "--out", str(out),
+    )
+    assert code == 2
+    assert stdout == "" and not out.exists()
+    assert "labeled pool has 0/8 positives at threshold" in err
+    assert "(label: --n)" in err and "(label: --threshold)" in err
 
 
 def test_missing_input_file_is_runtime_error(capsys, tmp_path):

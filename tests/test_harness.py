@@ -11,7 +11,7 @@ import pytest
 from cellsearch import cellspace, harness
 from cellsearch.cellspace import ModelSpec, OpLabel, SpaceLimits
 from cellsearch.errors import ConfigError, ExhaustedError, ParseError
-from cellsearch.evolution import EvolutionConfig, Individual
+from cellsearch.evolution import EvolutionConfig, run_evolution
 from cellsearch.harness import (
     CompareReport,
     ExperimentConfig,
@@ -40,8 +40,8 @@ from cellsearch.oracle import (
     synth_record,
     synthetic_label_threshold,
 )
-from cellsearch.predictor import TrainConfig
-from cellsearch.reinforce import ReinforceConfig, SampledArch
+from cellsearch.predictor import PredictorFitness, RnnParams, TrainConfig
+from cellsearch.reinforce import DecisionSchedule, ReinforceConfig, run_reinforce
 from cellsearch.traces import SearchTrace, TraceRow, read_trace, write_trace
 
 OPTIMUM_HASH_5_9 = "e630aae1d56e850ac87f7aa771b47739"
@@ -250,7 +250,14 @@ def test_ground_truth_summary_takes_the_first_paid_best_cell():
             algo=algo, fitness="ORACLE", limits=SpaceLimits(4, 9), seed=2, **search
         )
         paid = PaidQueries(harness.build_oracle(cfg), SimClock())
-        history, trace, _ = harness._search(cfg, paid, paid.clock)
+        if algo == "EVOLUTION":
+            _, trace, history = run_evolution(
+                cfg.evolution, cfg.limits, cfg.seed, paid, paid.clock
+            )
+        else:
+            schedule = DecisionSchedule.from_limits(cfg.limits)
+            result = run_reinforce(cfg.reinforce, schedule, cfg.seed, paid, paid.clock)
+            trace, history = result.trace, result.history
         # the genomes in search order, each cell kept where it was first seen
         cells = {}
         for item in history:
@@ -343,24 +350,25 @@ def test_pipeline_needs_a_budget():
 # top-k revalidation
 
 
-def _history_from(scored_specs):
-    """[(spec, predictor_score)] -> evolution-style history."""
-    return [
-        Individual(spec=s, fitness=f, birth_index=i)
-        for i, (s, f) in enumerate(scored_specs)
-    ]
-
-
 def _three_cells():
     mk = lambda op: ModelSpec(3, ((0, 1), (1, 2)), (OpLabel.IN, op, OpLabel.OUT))
     return mk(OpLabel.CONV3X3), mk(OpLabel.CONV1X1), mk(OpLabel.MAXPOOL3X3)
 
 
+def _two_drawings():
+    """Two pruned cells of one 4-vertex class: parallel branches whose ops
+    sit at swapped indices."""
+    edges = ((0, 1), (0, 2), (1, 3), (2, 3))
+    d1 = ModelSpec(4, edges, (OpLabel.IN, OpLabel.CONV3X3, OpLabel.CONV1X1, OpLabel.OUT))
+    d2 = ModelSpec(4, edges, (OpLabel.IN, OpLabel.CONV1X1, OpLabel.CONV3X3, OpLabel.OUT))
+    assert d1 != d2 and cellspace.canonical_hash(d1) == cellspace.canonical_hash(d2)
+    return d1, d2
+
+
 def test_topk_one_charge_for_k_one():
     a, b, c = _three_cells()
-    history = _history_from([(a, 0.9), (b, 0.5), (c, 0.1)])
     paid = _paid()
-    hashes = topk_revalidate(history, 1, paid)
+    hashes = topk_revalidate({a: 0.9, b: 0.5, c: 0.1}, 1, paid)
     assert len(hashes) == 1
     record = synth_record(a, SyntheticOracleParams())
     assert paid.clock.elapsed_s == record.train_time_s
@@ -370,66 +378,85 @@ def test_topk_one_charge_for_k_one():
 
 
 def test_topk_ranks_by_best_score_per_hash():
-    a, b, c = _three_cells()
-    # c appears twice; its max score (0.95) should outrank b's 0.5
-    history = _history_from([(a, 0.9), (b, 0.5), (c, 0.2), (c, 0.95)])
-    got = set(topk_revalidate(history, 2, _paid()))
-    assert got == {
-        cellspace.canonical_hash(c),
+    a, b, _ = _three_cells()
+    d1, d2 = _two_drawings()
+    # the class of d1/d2 ranks by its better drawing, d2's 0.95, above a's
+    # 0.9; d2, not the first-scored d1, is the cell revalidated
+    predictions = {d1: 0.2, a: 0.9, b: 0.5, d2: 0.95}
+    assert topk_revalidate(predictions, 2, _paid()) == (
+        cellspace.canonical_hash(d2),
         cellspace.canonical_hash(a),
-    }
+    )
+    paid = _paid()
+    topk_revalidate(predictions, 1, paid)
+    assert paid.best[0] == d2
 
 
 def test_topk_clamps_to_distinct_count():
     a, b, c = _three_cells()
-    history = _history_from([(a, 0.9), (b, 0.5), (c, 0.1), (a, 0.9)])
+    d1, d2 = _two_drawings()
     paid = _paid()
-    hashes = topk_revalidate(history, 100, paid)
-    assert len(hashes) == 3
-    accs = [synth_record(s, SyntheticOracleParams()).val_accuracy for s in (a, b, c)]
+    hashes = topk_revalidate({a: 0.9, d1: 0.3, b: 0.5, c: 0.1, d2: 0.2}, 100, paid)
+    assert len(hashes) == 4 == len(paid.trace.rows)
+    accs = [synth_record(s, SyntheticOracleParams()).val_accuracy for s in (a, b, c, d1)]
     assert paid.best[2] == max(accs)
 
 
 def test_topk_tie_breaks_by_first_seen():
     a, b, _ = _three_cells()
-    history = _history_from([(b, 0.7), (a, 0.7)])
-    hashes = topk_revalidate(history, 1, _paid())
-    assert hashes[0] == cellspace.canonical_hash(b)
-
-
-def test_topk_accepts_sampled_arch_history_and_skips_invalid():
-    a, b, _ = _three_cells()
-    history = [
-        SampledArch((), (), a, False, reward=0.8),
-        SampledArch((), (), None, True, reward=0.0),
-        SampledArch((), (), b, False, reward=0.6),
-    ]
-    assert len(topk_revalidate(history, 5, _paid())) == 2
-
-
-def test_topk_prunes_genomes():
-    # an unpruned genome (dormant vertex 2) must be revalidated as its cell
-    genome = ModelSpec(
-        4,
-        ((0, 1), (1, 3)),
-        (OpLabel.IN, OpLabel.CONV3X3, OpLabel.CONV1X1, OpLabel.OUT),
-    )
-    paid = _paid()
-    topk_revalidate(_history_from([(genome, 0.9)]), 1, paid)
-    best_spec, best_hash, _ = paid.best
-    assert best_spec.num_vertices == 3
-    assert best_hash == cellspace.canonical_hash(cellspace.prune(genome))
+    assert topk_revalidate({b: 0.7, a: 0.7}, 1, _paid())[0] == cellspace.canonical_hash(b)
+    # a class ties from where it was first scored, not from its best drawing
+    d1, d2 = _two_drawings()
+    hashes = topk_revalidate({d1: 0.6, a: 0.8, d2: 0.8}, 1, _paid())
+    assert hashes[0] == cellspace.canonical_hash(d1)
 
 
 def test_topk_rejects_bad_k():
     with pytest.raises(ConfigError):
-        topk_revalidate([], 0, _paid())
+        topk_revalidate({}, 0, _paid())
 
 
 def test_topk_empty_history():
     paid = _paid()
-    assert topk_revalidate([], 3, paid) == ()
+    assert topk_revalidate({}, 3, paid) == ()
     assert paid.best is None and paid.trace.rows == []
+
+
+def test_topk_accepts_sampled_arch_history_and_skips_invalid():
+    # top-k ranks the predictor's memo, so REINFORCE's invalid samples must
+    # never enter it: every class revalidated is one of a valid sample
+    limits = SpaceLimits(5, 9)
+    guided = PredictorFitness(RnnParams.seeded(0))
+    result = run_reinforce(
+        ReinforceConfig(batch_size=5, iterations=20),
+        DecisionSchedule.from_limits(limits), 3, guided, SimClock(),
+    )
+    valid = [s.spec for s in result.history if not s.invalid]
+    assert result.invalid_count > 0
+    assert set(guided.predictions) == set(valid)
+    assert all(cellspace.phenotype(cell, limits) == cell for cell in guided.predictions)
+    hashes = topk_revalidate(guided.predictions, len(result.history), _paid())
+    assert set(hashes) == {cellspace.canonical_hash(s) for s in valid}
+
+
+def test_topk_prunes_genomes():
+    # evolution's unpruned genomes enter the predictor's memo as their
+    # pruned cells, so top-k revalidates cells, never genomes
+    limits = SpaceLimits(5, 9)
+    guided = PredictorFitness(RnnParams.seeded(0))
+    _, _, history = run_evolution(
+        EvolutionConfig(population_size=20, sample_size=5, cycles=200),
+        limits, 3, guided, SimClock(),
+    )
+    cells = {cellspace.prune(ind.spec) for ind in history}
+    assert any(ind.spec != cellspace.prune(ind.spec) for ind in history)
+    assert set(guided.predictions) == cells
+    assert all(cellspace.phenotype(cell, limits) == cell for cell in guided.predictions)
+    paid = _paid()
+    hashes = topk_revalidate(guided.predictions, len(history), paid)
+    assert set(hashes) == {cellspace.canonical_hash(c) for c in cells}
+    best_spec, best_hash, _ = paid.best
+    assert best_spec in cells and best_hash == cellspace.canonical_hash(best_spec)
 
 
 # ---------------------------------------------------------------------------

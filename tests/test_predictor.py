@@ -26,7 +26,6 @@ from cellsearch.predictor import (
     OP_CONV3X3,
     OP_MAXPOOL,
     SEP,
-    LabeledDataset,
     PredictorFitness,
     RnnParams,
     TrainConfig,
@@ -252,9 +251,21 @@ def _toy_dataset():
     return items
 
 
+def _split(items, seed):
+    """stratified_split at TrainConfig's default shares."""
+    cfg = TrainConfig()
+    return stratified_split(
+        items, np.random.default_rng(seed), cfg.heldout_fraction, cfg.target_positive_share
+    )
+
+
+def _positives(items):
+    return sum(label for _, label in items)
+
+
 def test_train_learns_separable_rule():
     items = _toy_dataset()
-    train_set, held, meta = stratified_split(items, np.random.default_rng(5))
+    train_set, held, meta = _split(items, 5)
     params, losses = train(train_set, TrainConfig(), 3)
     assert heldout_accuracy(params, held) == 1.0
     # training made progress and is stable late
@@ -265,7 +276,7 @@ def test_train_learns_separable_rule():
 
 def test_train_is_deterministic():
     items = _toy_dataset()
-    train_set, _, _ = stratified_split(items, np.random.default_rng(5))
+    train_set, _, _ = _split(items, 5)
     cfg = TrainConfig(epochs=12)
     p1, l1 = train(train_set, cfg, 9)
     p2, l2 = train(train_set, cfg, 9)
@@ -319,7 +330,7 @@ def _reference_loss_and_grad(params, batch):
 def _reference_train(data, cfg, seed):
     """train as first written: encode per item, a list batch per step,
     padded per call, and the update through flatten() and from_flat."""
-    encoded = [(encode(spec), label) for spec, label in data.items]
+    encoded = [(encode(spec), label) for spec, label in data]
     params = RnnParams.seeded(seed, cfg.hidden_size, cfg.init_scale)
     gen = np.random.default_rng(seed + 1)
     losses = []
@@ -344,7 +355,7 @@ def _mixed_length_pool():
     items = [(s, int(s.num_edges % 3 == 0 or OpLabel.MAXPOOL3X3 in s.ops)) for s in specs]
     lengths = {len(encode(s)) for s, _ in items}
     assert min(lengths) == 2 and max(lengths) == 14
-    return LabeledDataset(tuple(items))
+    return items
 
 
 def _assert_params_equal(a, b):
@@ -366,7 +377,7 @@ def test_train_is_bit_identical_to_the_per_batch_reference():
 
 def test_loss_and_grad_equals_the_reference_exactly():
     rng = random.Random(21)
-    encoded = [(encode(s), y) for s, y in _mixed_length_pool().items]
+    encoded = [(encode(s), y) for s, y in _mixed_length_pool()]
     params = RnnParams.seeded(13)
     same_length = [item for item in encoded if len(item[0]) == 14][:5]
     batches = [rng.sample(encoded, 16) for _ in range(20)]
@@ -393,7 +404,7 @@ def test_train_calls_loss_and_grad_once_per_minibatch(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(predictor, "loss_and_grad", counting)
-    train_set, _, _ = stratified_split(_toy_dataset(), np.random.default_rng(5))
+    train_set, _, _ = _split(_toy_dataset(), 5)
     cfg = TrainConfig(epochs=3, batch=16)
     train(train_set, cfg, 9)
     assert len(calls) == cfg.epochs * math.ceil(len(train_set) / cfg.batch)
@@ -401,11 +412,11 @@ def test_train_calls_loss_and_grad_once_per_minibatch(monkeypatch):
 
 
 def test_train_rejects_single_class(two_vertex, chain3_conv1x1):
-    data = LabeledDataset(((two_vertex, 1), (chain3_conv1x1, 1)))
+    data = [(two_vertex, 1), (chain3_conv1x1, 1)]
     with pytest.raises(DegenerateDataError):
         train(data, TrainConfig(), 0)
     with pytest.raises(DegenerateDataError):
-        train(LabeledDataset(()), TrainConfig(), 0)
+        train([], TrainConfig(), 0)
 
 
 def test_train_config_validation():
@@ -424,11 +435,11 @@ def test_train_config_validation():
 def test_split_disjoint_and_proportional():
     items = _toy_dataset()
     n_pos = sum(y for _, y in items)
-    train_set, held, meta = stratified_split(items, np.random.default_rng(0))
-    train_hashes = {cellspace.canonical_hash(s) for s, _ in train_set.items}
-    held_hashes = {cellspace.canonical_hash(s) for s, _ in held.items}
+    train_set, held, meta = _split(items, 0)
+    train_hashes = {cellspace.canonical_hash(s) for s, _ in train_set}
+    held_hashes = {cellspace.canonical_hash(s) for s, _ in held}
     assert not (train_hashes & held_hashes)
-    assert held.positives() == round(0.2 * n_pos)
+    assert _positives(held) == round(0.2 * n_pos)
     assert len(held) == round(0.2 * n_pos) + round(0.2 * (len(items) - n_pos))
 
 
@@ -445,26 +456,21 @@ def test_split_rebalances_scarce_positives():
             seen.add(h)
             specs.append(s)
     items = [(s, 1 if i < 6 else 0) for i, s in enumerate(specs)]
-    train_set, held, meta = stratified_split(items, np.random.default_rng(1))
-    share = train_set.positives() / len(train_set)
+    train_set, held, meta = _split(items, 1)
+    share = _positives(train_set) / len(train_set)
     assert share >= 0.2
     assert meta["train_negatives_dropped"] > 0
     assert meta["positive_share_shortfall"] == 0.0
     # every positive that wasn't held out is in the training set
-    assert train_set.positives() == 6 - held.positives()
+    assert _positives(train_set) == 6 - _positives(held)
 
 
 def test_split_reports_shortfall_when_no_positives():
     rng = random.Random(2)
     items = [(cellspace.random_spec(rng, SpaceLimits(5, 9)), 0) for _ in range(20)]
-    train_set, held, meta = stratified_split(items, np.random.default_rng(3))
+    train_set, held, meta = _split(items, 3)
     assert meta["train_positive_share"] == 0.0
     assert meta["positive_share_shortfall"] == pytest.approx(0.2)
-
-
-def test_dataset_rejects_bad_labels(two_vertex):
-    with pytest.raises(ConfigError):
-        LabeledDataset(((two_vertex, 2),))
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,14 @@ def test_schedule_longer_than_the_step_biases_is_refused():
         DecisionSchedule.from_limits(SpaceLimits(8, 9))
 
 
+def test_schedule_without_limits_past_the_step_biases_is_refused():
+    # a bandit schedule has no limits to cap it, so its length is checked
+    # when it is built, not by an IndexError inside sample
+    sample(ControllerState.zeros(), DecisionSchedule((2,) * MAX_STEPS), random.Random(0))
+    with pytest.raises(ConfigError, match=r"27 decisions exceed the controller's 26 steps"):
+        DecisionSchedule((2,) * (MAX_STEPS + 1))
+
+
 def test_schedule_validation():
     with pytest.raises(ConfigError):
         DecisionSchedule((2, 4))
