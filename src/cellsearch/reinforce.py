@@ -13,8 +13,11 @@ sample by its utility exp(K * (reward - best)), where best is the best
 reward seen so far and K is REWARD_SHARPNESS; invalid samples have utility
 0. Expected reward under a noisy policy favours cells that survive its
 noise (extra shortcut edges guard against broken paths); the exponential
-utility instead favours the best cells the controller can find. All
-gradients are exact backprop through the sampling-time forward pass.
+utility instead favours the best cells the controller can find.
+
+Each rollout runs forward once: `sample` keeps its hidden states, and the
+exact gradient backpropagates through them (`follow` runs the same forward
+pass along given actions).
 """
 
 from __future__ import annotations
@@ -35,10 +38,10 @@ from .oracle import SimClock
 from .traces import SearchTrace
 
 # Embedding-table rows: the learned start token, then one row per
-# (step type, action) pair.
+# (step type, action) pair; _EMB_ROWS[arity][action] is the row a step's
+# action feeds to the next step.
 _EMB_START = 0
-_EMB_BINARY = (1, 2)
-_EMB_TERNARY = (3, 4, 5)
+_EMB_ROWS = (None, None, (1, 2), (3, 4, 5))
 N_EMBEDDINGS = 6
 
 DEFAULT_HIDDEN = 32
@@ -237,64 +240,75 @@ class Baseline:
 @dataclass
 class SampledArch:
     """One controller rollout: actions, their exact log-probabilities, the
-    assembled (pruned) cell or the invalid marker, and the reward."""
+    assembled (pruned) cell or the invalid marker, the reward, and the
+    forward pass's hidden states h_0..h_T as one (T+1, hidden) array, which
+    the gradient backpropagates through (`run_reinforce` drops them once
+    its batch's update is taken)."""
 
     actions: tuple
     logprob_terms: tuple
     spec: ModelSpec | None
     invalid: bool
     reward: float = 0.0
+    states: np.ndarray | None = None
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max()
-    return z - math.log(np.exp(z).sum())
-
-
-def _head(controller, arity):
-    return controller.W2 if arity == 2 else controller.W3
-
-
-def _embedding_row(arity: int, action: int) -> int:
-    return _EMB_BINARY[action] if arity == 2 else _EMB_TERNARY[action]
-
-
-def sample(controller: ControllerState, schedule: DecisionSchedule, rng: random.Random) -> SampledArch:
-    """Roll the controller forward for one architecture.
+def _rollout(c: ControllerState, schedule: DecisionSchedule, choose) -> SampledArch:
+    """The controller's one forward pass.
 
     Step input is the embedding of the previous action (the start embedding
     at step one); the arity-matched head plus the step's bias produces
-    logits; the action is drawn from their softmax. Exact per-step
-    log-probabilities are kept for the gradient pass.
+    logits, and `choose(t, probabilities)` picks step t's action from their
+    softmax. Every hidden state and the exact log-probability of each
+    chosen action are kept for the gradient pass.
     """
-    c = controller
     inputs = c.emb @ c.W_e.T + c.b_h  # one row per embedding
-    h = np.zeros(c.hidden_size)
+    W_h, b_step, heads = c.W_h, c.b_step, (None, None, c.W2, c.W3)
+    hs = np.zeros((schedule.num_steps + 1, c.hidden_size))
+    h = hs[0]
     row = _EMB_START
-    actions = []
-    terms = []
+    actions, terms = [], []
+    # .dot gives the bytes of @ with less per-call overhead
     for t, arity in enumerate(schedule.arities):
-        h = np.tanh(inputs[row] + c.W_h @ h)
-        logp = _log_softmax(_head(c, arity) @ h + c.b_step[t, :arity])
-        p = np.exp(logp)
-        r = rng.random()
-        action = arity - 1
-        acc = 0.0
-        for a in range(arity):
-            acc += p[a]
-            if r < acc:
-                action = a
-                break
+        h = np.tanh(inputs[row] + W_h.dot(h), out=hs[t + 1])
+        z = heads[arity].dot(h) + b_step[t, :arity]
+        z -= max(z.tolist())
+        logp = z - math.log(sum(np.exp(z).tolist()))
+        action = choose(t, np.exp(logp).tolist())
         actions.append(action)
-        terms.append(float(logp[action]))
-        row = _embedding_row(arity, action)
+        terms.append(logp.tolist()[action])
+        row = _EMB_ROWS[arity][action]
 
     spec = None
     invalid = False
     if schedule.limits is not None:
         spec = schedule.assemble(actions)
         invalid = spec is None
-    return SampledArch(tuple(actions), tuple(terms), spec, invalid)
+    return SampledArch(tuple(actions), tuple(terms), spec, invalid, states=hs)
+
+
+def sample(controller: ControllerState, schedule: DecisionSchedule, rng: random.Random) -> SampledArch:
+    """Roll the controller forward for one architecture, drawing each action
+    from its step's softmax with one `rng.random()`."""
+
+    def draw(t, p):
+        r = rng.random()
+        acc = 0.0
+        for a, pa in enumerate(p):
+            acc += pa
+            if r < acc:
+                return a
+        return len(p) - 1
+
+    return _rollout(controller, schedule, draw)
+
+
+def follow(controller: ControllerState, schedule: DecisionSchedule, actions) -> SampledArch:
+    """The rollout that takes the given actions: `sample`'s forward pass
+    with each step's action read from `actions` instead of drawn."""
+    if len(actions) != schedule.num_steps:
+        raise ShapeError(f"expected {schedule.num_steps} actions, got {len(actions)}")
+    return _rollout(controller, schedule, lambda t, p: actions[t])
 
 
 def reward_of(s: SampledArch, fitness) -> float:
@@ -316,26 +330,22 @@ def utility(s: SampledArch, best: float) -> float:
     return math.exp(REWARD_SHARPNESS * (s.reward - best))
 
 
-def logprob_and_grad(controller: ControllerState, schedule: DecisionSchedule, actions):
-    """Log-probability of a fixed action sequence and its exact gradient.
+def logprob_and_grad(controller: ControllerState, schedule: DecisionSchedule, rollout: SampledArch):
+    """Log-probability of a rollout's actions and its exact gradient.
 
-    Replays the forward pass, then backpropagates through time. The actions
-    fix every step's input, so only the recurrence runs step by step; the
-    heads and the weight gradients are computed for all steps at once.
-    Returns (logprob, gradient as a flat vector aligned with flatten())."""
+    Backpropagates through time along the hidden states the rollout kept,
+    so the forward recurrence does not run again; the heads and the weight
+    gradients are computed for all steps at once. Returns (logprob,
+    gradient as a flat vector aligned with flatten())."""
     c = controller
     T = schedule.num_steps
+    actions, hs = rollout.actions, rollout.states
     if len(actions) != T:
-        raise ShapeError(f"expected {T} actions, got {len(actions)}")
-
+        raise ShapeError(f"rollout has {len(actions)} actions; the schedule has {T} steps")
     rows = [_EMB_START] + [
-        _embedding_row(arity, a) for arity, a in zip(schedule.arities, actions)
+        _EMB_ROWS[arity][a] for arity, a in zip(schedule.arities, actions)
     ]
     rows = rows[:T]
-    inputs = c.emb[rows] @ c.W_e.T + c.b_h
-    hs = np.zeros((T + 1, c.hidden_size))
-    for t in range(T):
-        hs[t + 1] = np.tanh(inputs[t] + c.W_h @ hs[t])
     H = hs[1:]
 
     g = ControllerState.zeros(c.hidden_size, c.emb_dim)
@@ -343,7 +353,7 @@ def logprob_and_grad(controller: ControllerState, schedule: DecisionSchedule, ac
     logprob = 0.0
     chosen = np.asarray(actions)
     for arity, steps in schedule.steps_by_arity:
-        W = _head(c, arity)
+        W, gW = (c.W2, g.W2) if arity == 2 else (c.W3, g.W3)
         logits = H[steps] @ W.T + c.b_step[steps, :arity]
         logp = logits - logits.max(axis=1, keepdims=True)
         logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))
@@ -351,15 +361,16 @@ def logprob_and_grad(controller: ControllerState, schedule: DecisionSchedule, ac
         logprob += float(logp[picked].sum())
         dlogits = -np.exp(logp)
         dlogits[picked] += 1.0
-        _head(g, arity)[...] = dlogits.T @ H[steps]
+        gW[...] = dlogits.T @ H[steps]
         g.b_step[steps, :arity] = dlogits
         dH[steps] = dlogits @ W
 
     dA = np.zeros_like(H)  # d logprob / d pre-activation of h_t
     dh_next = np.zeros(c.hidden_size)
-    for t in reversed(range(T)):
-        dA[t] = (dH[t] + dh_next) * (1.0 - H[t] ** 2)
-        dh_next = dA[t] @ c.W_h
+    # through time: step T-1 down to 0, one row of dH, 1 - H**2 and dA each
+    for dh, dtanh, da in zip(dH[::-1], 1.0 - H[::-1] ** 2, dA[::-1]):
+        np.multiply(dh + dh_next, dtanh, out=da)
+        dh_next = da.dot(c.W_h)
     g.W_e[...] = dA.T @ c.emb[rows]
     np.add.at(g.emb, rows, dA @ c.W_e)
     g.W_h[...] = dA.T @ hs[:-1]
@@ -387,7 +398,7 @@ def reinforce_update(
         advantage = u - baseline
         if advantage == 0.0:
             continue
-        _, g = logprob_and_grad(controller, schedule, s.actions)
+        _, g = logprob_and_grad(controller, schedule, s)
         total += advantage * g
     theta = controller.flatten() + learning_rate * total / len(batch)
     return ControllerState.from_flat(theta, controller.hidden_size, controller.emb_dim)
@@ -412,6 +423,8 @@ class ReinforceConfig:
             raise ConfigError("learning_rate and init_scale must be positive")
         if not 0.0 <= self.beta < 1.0:
             raise ConfigError("beta must lie in [0, 1)")
+        if self.hidden_size < 1 or self.emb_dim < 1:
+            raise ConfigError("hidden_size and emb_dim must be at least 1")
 
 
 @dataclass
@@ -469,6 +482,8 @@ def run_reinforce(
         controller = reinforce_update(
             controller, schedule, batch, b, cfg.learning_rate, utilities
         )
+        for s in batch:
+            s.states = None  # only this batch's update reads them
         trace.append(it, clock.elapsed_s, best if true_known else None, best)
     return ReinforceResult(controller, baseline, trace, history, invalid_count)
 

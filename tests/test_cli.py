@@ -313,15 +313,25 @@ PINNED_DIGESTS = {
         "trace.csv": "01065fb8a169714c14f7a35bfa139bcc5c4dec918ec2797acd54a543897fb633",
         "stdout": "aee6d2f730a39df555d0590eaf67c1b0ca80b7eaed85855bb91a695a9f9ac50b",
     },
+    # the benchmark's 26-decision, hidden-32 schedule
+    ("run", "--algo", "reinforce", "--fitness", "oracle", "--limits", "7,9",
+     "--batch-size", "5", "--iterations", "10", "--seed", "3"): {
+        "summary.json": "3cfdefbb9df3c09e70b0dd4659e518c8fb7e14e993f82b02a946c4c901861d64",
+        "trace.csv": "7d6e0d69468f4ed12c6da1699f83d8ffd51be12f01b4d408e2603b4def49b5c6",
+        "stdout": "e9c5243ab52136b876c54fe3b25f261a22fb9ab9b1bf05c85eb7f955fc83714f",
+    },
 }
 
 
 @pytest.mark.parametrize(
     "argv", list(PINNED_DIGESTS),
-    ids=["evolution-oracle", "predictor", "label", "reinforce-oracle", "reinforce-predictor"],
+    ids=[
+        "evolution-oracle", "predictor", "label", "reinforce-oracle",
+        "reinforce-predictor", "reinforce-oracle-7-9",
+    ],
 )
 def test_outputs_match_pinned_digests(capsys, tmp_path, argv):
-    """The bytes a refactor must keep: these five runs' files and stdout are
+    """The bytes a refactor must keep: these six runs' files and stdout are
     pinned by sha256. A change meant to alter bytes updates the digests here
     and says so in CHANGES.md."""
     out = tmp_path / "out"
@@ -449,6 +459,21 @@ def test_inconsistent_config_is_usage_error(capsys, tmp_path):
         assert code == 1, obj
         (key,) = obj
         assert repr(key) in err
+
+
+def test_config_file_controller_size_below_one_is_usage_error(capsys, tmp_path):
+    # numpy's "negative dimensions" for -1, a stateless controller for 0
+    cfg_path = tmp_path / "cfg.json"
+    for size in ({"hidden_size": -1}, {"hidden_size": 0}, {"emb_dim": 0}):
+        cfg_path.write_text(json.dumps({"reinforce": size}))
+        out = tmp_path / "bad"
+        code, stdout, err = run_cli(
+            capsys, "run", "--config", str(cfg_path), "--algo", "reinforce",
+            "--limits", "4,9", "--iterations", "2", "--out", str(out),
+        )
+        assert code == 1, size
+        assert "hidden_size and emb_dim must be at least 1" in err
+        assert stdout == "" and not out.exists()
 
 
 def test_one_class_label_pool_error_names_its_flags(capsys, tmp_path):

@@ -5,6 +5,7 @@ baseline, and the batched search loop."""
 import itertools
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from cellsearch.reinforce import (
     DecisionSchedule,
     ReinforceConfig,
     SampledArch,
+    follow,
     logprob_and_grad,
     reinforce_update,
     reward_of,
@@ -42,11 +44,18 @@ BANDIT = DecisionSchedule((3,))
 SCHEDULE_5_9 = DecisionSchedule.from_limits(SpaceLimits(5, 9))
 
 
+def bandit_terms(controller):
+    """(log-probability, gradient) of each action of a single-ternary-step
+    schedule, each along its own rollout."""
+    return [
+        logprob_and_grad(controller, BANDIT, follow(controller, BANDIT, (a,)))
+        for a in range(3)
+    ]
+
+
 def bandit_probs(controller):
     """Action distribution of a single-ternary-step schedule."""
-    return np.exp(
-        [logprob_and_grad(controller, BANDIT, (a,))[0] for a in range(3)]
-    )
+    return np.exp([lp for lp, _ in bandit_terms(controller)])
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +185,7 @@ def test_sample_logprob_matches_replay():
     for _ in range(50):
         s = sample(controller, sched, rng)
         assert all(term <= 0.0 for term in s.logprob_terms)
-        replay, _ = logprob_and_grad(controller, sched, s.actions)
+        replay, _ = logprob_and_grad(controller, sched, s)
         assert abs(sum(s.logprob_terms) - replay) < 1e-12
 
 
@@ -262,10 +271,10 @@ def test_logprob_gradient_matches_finite_differences():
 
         def f(theta):
             c = ControllerState.from_flat(theta, hidden, emb)
-            lp, _ = logprob_and_grad(c, sched, actions)
+            lp, _ = logprob_and_grad(c, sched, follow(c, sched, actions))
             return lp
 
-        _, grad = logprob_and_grad(base, sched, actions)
+        _, grad = logprob_and_grad(base, sched, follow(base, sched, actions))
         numeric = central_differences(f, theta0)
         worst = max(worst, max_relative_error(grad, numeric))
     assert worst <= 1e-4, f"worst relative error {worst}"
@@ -309,16 +318,73 @@ def test_logprob_and_grad_match_step_by_step_reference():
     for draw in range(20):
         controller = ControllerState.seeded(draw, hidden_size=6, emb_dim=3, init_scale=0.7)
         actions = tuple(rng.randrange(arity) for arity in sched.arities)
-        lp, grad = logprob_and_grad(controller, sched, actions)
+        lp, grad = logprob_and_grad(controller, sched, follow(controller, sched, actions))
         ref_lp, ref_grad = _logprob_and_grad_by_step(controller, sched, actions)
         assert abs(lp - ref_lp) < 1e-12
         assert np.allclose(grad, ref_grad, rtol=0, atol=1e-12)
 
 
+def _replayed_states(c, sched, actions):
+    """An independent replay of the hidden states from the actions alone:
+    every step's input row in one product, then the recurrence."""
+    T = sched.num_steps
+    rows = [0] + [
+        (1 + a) if arity == 2 else (3 + a) for arity, a in zip(sched.arities, actions)
+    ]
+    inputs = c.emb[rows[:T]] @ c.W_e.T + c.b_h
+    hs = np.zeros((T + 1, c.hidden_size))
+    for t in range(T):
+        hs[t + 1] = np.tanh(inputs[t] + c.W_h @ hs[t])
+    return hs
+
+
+def test_kept_states_equal_the_replayed_ones_bit_for_bit():
+    # The gradient backpropagates through the states `sample` kept instead
+    # of recomputing them. Over 300 rollouts at (7,9) with a hidden-32
+    # controller, that moves no bit of the states, of the gradients, or of
+    # the parameters after one update per batch of 20.
+    sched = DecisionSchedule.from_limits(SpaceLimits(7, 9))
+    controller = ControllerState.seeded(12, hidden_size=32, emb_dim=8)
+    rng = random.Random(12)
+    for _ in range(15):
+        batch = [sample(controller, sched, rng) for _ in range(20)]
+        replayed = [
+            replace(s, states=_replayed_states(controller, sched, s.actions)) for s in batch
+        ]
+        for s, r in zip(batch, replayed):
+            assert s.states.shape == (27, 32)
+            assert np.array_equal(s.states, r.states)
+            kept_lp, kept_grad = logprob_and_grad(controller, sched, s)
+            replay_lp, replay_grad = logprob_and_grad(controller, sched, r)
+            assert kept_lp == replay_lp and np.array_equal(kept_grad, replay_grad)
+        utilities = [rng.random() for _ in batch]
+        kept, again = (
+            reinforce_update(controller, sched, b, 0.5, 0.5, utilities)
+            for b in (batch, replayed)
+        )
+        assert np.array_equal(kept.flatten(), again.flatten())
+        controller = kept
+
+
+def test_follow_takes_the_given_actions():
+    controller = ControllerState.seeded(2, hidden_size=8, emb_dim=3, init_scale=0.5)
+    sched = DecisionSchedule.from_limits(SpaceLimits(5, 9))
+    rng = random.Random(4)
+    for _ in range(20):
+        s = sample(controller, sched, rng)
+        f = follow(controller, sched, s.actions)
+        assert (f.actions, f.logprob_terms, f.spec) == (s.actions, s.logprob_terms, s.spec)
+        assert np.array_equal(f.states, s.states)
+
+
 def test_logprob_rejects_wrong_length():
     controller = ControllerState.seeded(0, 4, 2)
     with pytest.raises(ShapeError):
-        logprob_and_grad(controller, BANDIT, (0, 1))
+        follow(controller, BANDIT, (0, 1))
+    # a rollout of another schedule is refused too
+    two_steps = follow(controller, DecisionSchedule((3, 3)), (0, 1))
+    with pytest.raises(ShapeError, match="schedule has 1 steps"):
+        logprob_and_grad(controller, BANDIT, two_steps)
 
 
 def test_from_flat_rejects_non_finite_parameters():
@@ -360,8 +426,7 @@ def test_baseline_term_is_analytically_zero():
     for seed in range(5):
         controller = ControllerState.seeded(seed, hidden_size=5, emb_dim=3, init_scale=0.8)
         total = np.zeros(controller.flatten().size)
-        for a in range(3):
-            lp, g = logprob_and_grad(controller, BANDIT, (a,))
+        for lp, g in bandit_terms(controller):
             total += math.exp(lp) * g
         assert np.max(np.abs(total)) < 1e-10
 
@@ -373,7 +438,7 @@ def test_monte_carlo_update_matches_exact_expectation():
     controller = ControllerState.zeros(hidden_size=3, emb_dim=2)
     rewards = (1.0, 0.0, 0.0)
     probs = bandit_probs(controller)
-    grads = [logprob_and_grad(controller, BANDIT, (a,))[1] for a in range(3)]
+    grads = [g for _, g in bandit_terms(controller)]
     exact = sum(probs[a] * rewards[a] * grads[a] for a in range(3))
 
     n = 10_000
@@ -396,7 +461,7 @@ def test_ema_baseline_reduces_estimator_variance():
     # estimate with and without the EMA baseline on identical action draws.
     controller = ControllerState.zeros(hidden_size=3, emb_dim=2)
     rewards = (1.0, 0.0, 0.0)
-    grads = [logprob_and_grad(controller, BANDIT, (a,))[1] for a in range(3)]
+    grads = [g for _, g in bandit_terms(controller)]
     m = 4
     n_batches = 10_000
     rng = random.Random(7)
@@ -424,7 +489,7 @@ def test_utility_update_matches_exact_expectation():
     rewards = (0.8, 0.75, 0.6)
     b = 0.5
     probs = bandit_probs(controller)
-    grads = [logprob_and_grad(controller, BANDIT, (a,))[1] for a in range(3)]
+    grads = [g for _, g in bandit_terms(controller)]
     exact = sum(
         probs[a] * (math.exp(10.0 * (rewards[a] - 0.8)) - b) * grads[a]
         for a in range(3)
@@ -476,7 +541,7 @@ def test_run_replays_the_utility_update_by_hand():
         best = max([best] + rs)
         us = [math.exp(10.0 * (r - best)) for r in rs]
         step = sum(
-            (u - b) * logprob_and_grad(controller, BANDIT, a)[1]
+            (u - b) * logprob_and_grad(controller, BANDIT, follow(controller, BANDIT, a))[1]
             for u, a in zip(us, actions)
         )
         b = sum(us) / 3 if it == 0 else 0.9 * b + 0.1 * sum(us) / 3
@@ -550,6 +615,16 @@ def test_run_oracle_mode_bookkeeping():
     assert res.baseline.initialized
 
 
+def test_run_history_keeps_no_hidden_states():
+    # each batch's states serve only its update; kept in the history they
+    # would add a (T+1, hidden) array per sample to a run's memory
+    cfg = ReinforceConfig(batch_size=5, iterations=4)
+    clock = SimClock()
+    res = run_reinforce(cfg, SCHEDULE_5_9, 1, PaidQueries(SyntheticOracle(), clock), clock)
+    assert len(res.history) == 20
+    assert all(s.states is None for s in res.history)
+
+
 def test_run_predictor_mode_never_charges():
     cfg = ReinforceConfig(batch_size=5, iterations=15)
     clock = SimClock()
@@ -596,3 +671,6 @@ def test_config_validation():
         ReinforceConfig(learning_rate=0.0)
     with pytest.raises(ConfigError):
         ReinforceConfig(beta=1.0)
+    for size in ({"hidden_size": 0}, {"hidden_size": -1}, {"emb_dim": 0}):
+        with pytest.raises(ConfigError, match="at least 1"):
+            ReinforceConfig(**size)
