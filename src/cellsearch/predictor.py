@@ -81,6 +81,11 @@ def _layout(hidden_size: int):
     return tuple(layout), start
 
 
+def _require_finite(theta: np.ndarray) -> None:
+    if not np.isfinite(theta).all():
+        raise ShapeError("predictor parameters contain non-finite entries")
+
+
 @dataclass
 class RnnParams:
     """Weights of the Elman cell plus the scalar output head."""
@@ -106,29 +111,23 @@ class RnnParams:
         cls, seed: int, hidden_size: int = DEFAULT_HIDDEN, init_scale: float = DEFAULT_INIT_SCALE
     ) -> "RnnParams":
         gen = np.random.default_rng(seed)
-        return cls(
-            **{
-                name: gen.uniform(-init_scale, init_scale, shape)
-                for name, shape in _shapes(hidden_size).items()
-            }
-        )
+        shapes = _shapes(hidden_size).items()
+        return cls(**{name: gen.uniform(-init_scale, init_scale, shape) for name, shape in shapes})
 
     def flatten(self) -> np.ndarray:
-        return np.concatenate(
-            [np.asarray(getattr(self, name)).ravel() for name in self._FIELDS]
-        )
+        return np.concatenate([getattr(self, name) for name in self._FIELDS], axis=None)
 
     @classmethod
     def from_flat(cls, theta, hidden_size: int) -> "RnnParams":
-        """Unflatten a parameter vector. Every training step and every
-        loaded file lands here, so this is where bad parameters are caught:
-        a wrong length or non-finite entries raise."""
-        theta = np.array(theta, dtype=float)
+        """Unflatten a parameter vector; the parameters are views into it
+        when it is a float vector already. Every loaded file lands here, so
+        this is where bad parameters are caught: a wrong length or
+        non-finite entries raise."""
+        theta = np.asarray(theta, dtype=float)
         layout, size = _layout(hidden_size)
         if theta.shape != (size,):
             raise ShapeError(f"flat vector has shape {theta.shape}, expected ({size},)")
-        if not np.isfinite(theta).all():
-            raise ShapeError("predictor parameters contain non-finite entries")
+        _require_finite(theta)
         return cls(
             **{name: theta[start:stop].reshape(shape) for name, shape, start, stop in layout}
         )
@@ -152,18 +151,13 @@ class RnnParams:
         for name, shape in _shapes(hidden).items():
             if parts[name].shape != shape:
                 raise ShapeError(f"{name}: expected shape {shape}, got {parts[name].shape}")
-        flat = np.concatenate([parts[name].ravel() for name in cls._FIELDS])
-        return cls.from_flat(flat, hidden)
+        return cls.from_flat(np.concatenate(list(parts.values()), axis=None), hidden)
 
 
-def _sigmoid(z):
-    z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+def _prob(z):
+    """The logistic sigmoid of z, kept inside [_P_LO, _P_HI]."""
+    e = np.exp(-np.abs(z))  # exp(-z) for z >= 0, exp(z) below
+    return np.minimum(np.maximum(np.where(z >= 0, 1.0, e) / (1.0 + e), _P_LO), _P_HI)
 
 
 def _check_tokens(seq) -> np.ndarray:
@@ -178,11 +172,11 @@ def _check_tokens(seq) -> np.ndarray:
 def forward(params: RnnParams, seq) -> float:
     """Run the recurrence over one sequence; return P(label = 1) in (0,1)."""
     seq = _check_tokens(seq)
+    inputs = np.ascontiguousarray(params.W_x.T)  # row t: the input of token t
     h = np.zeros(params.hidden_size)
-    for t in seq:
-        h = np.tanh(params.W_x[:, t] + params.W_h @ h + params.b_h)
-    p = _sigmoid(params.w_o @ h + params.b_o)
-    return float(np.clip(p, _P_LO, _P_HI))
+    for t in seq.tolist():
+        h = np.tanh(inputs[t] + params.W_h.dot(h) + params.b_h)
+    return float(_prob(params.w_o @ h + params.b_o))
 
 
 def pad_batch(batch):
@@ -208,52 +202,66 @@ def pad_batch(batch):
 def loss_and_grad(params: RnnParams, X: np.ndarray, M: np.ndarray, y: np.ndarray):
     """Mean binary cross-entropy over a padded batch plus exact gradients.
 
-    (X, M, y) is a batch as `pad_batch` builds it. Left-padding and masking
-    leave the arithmetic identical to running each sequence alone (the
-    hidden state is carried through padded steps unchanged, starting from
-    the shared zero state). Returns (loss, RnnParams-shaped gradient).
+    (X, M, y) is a batch as `pad_batch` builds it. Returns (loss,
+    RnnParams-shaped gradient), bit for bit what running each sequence
+    alone from the zero state and adding its steps' gradients one at a
+    time gives. States are time-major (hs[t]: every row's state before
+    step t), so a step reads and writes contiguous (B, H) blocks, and no
+    step masks the padding:
+    - forward: a padded slot's input is -b_h. A zero state times W_h is
+      ±0, (-b + ±0) + b is exactly +0.0 for every finite b (±0 too) and
+      tanh(+0.0) is +0.0, so a row stays at the zero state until its
+      first token;
+    - backward: padded rows run unmasked, since their gradients only reach
+      their own earlier, also padded, steps; their slots are zeroed once.
     """
-    B, T = X.shape
-    H = params.hidden_size
+    (B, T), H = X.shape, params.hidden_size
+    W_h, W_hT, b_h = params.W_h, params.W_h.T, params.b_h
     padded = ~M.T  # padded[t]: rows still padding at step t
-    live = ~padded.any(axis=1)  # steps with no padded row need no masking
-    W_hT = params.W_h.T
     x_in = params.W_x.T[X.T]  # (T, B, H): the input column of every token
+    x_in[padded] = -b_h
 
-    # A row's padded steps all come before its first token, so its hidden
-    # state there is the zero state: zeroing those rows is the mask.
-    hs = np.zeros((B, T + 1, H))
+    hs = np.zeros((T + 1, B, H))
+    a = np.empty((B, H))
     for t in range(T):
-        np.tanh(x_in[t] + hs[:, t] @ W_hT + params.b_h, out=hs[:, t + 1])
-        if not live[t]:
-            hs[padded[t], t + 1] = 0.0
+        hs[t].dot(W_hT, out=a)
+        a += x_in[t]
+        a += b_h
+        np.tanh(a, out=hs[t + 1])
 
-    z = hs[:, T] @ params.w_o + params.b_o
-    p = np.clip(_sigmoid(z), _P_LO, _P_HI)
-    loss = float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
-
+    # The gradients read a copy whose rows lie H+1 apart: BLAS sums a dense
+    # matrix of at most 3 columns, and a unit-stride dot, in an order of its
+    # own, which would round w_o's gradient (at hidden 1 W_h's) differently.
+    states = np.empty((T + 1, B, H + 1))[:, :, :H]
+    states[...] = hs
+    hT = states[T]
+    p = _prob(hT @ params.w_o + params.b_o)
+    loss = float(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)).sum() / B)
     dz = (p - y) / B
 
-    # Backprop through time. das[k] is the pre-activation gradient of step
-    # T-1-k, zero on padded rows; a padded row's dh only reaches its
-    # earlier, also padded, steps, so it needs no mask. Each parameter sum
-    # runs over t descending, b ascending, from +0.0, exactly as adding
-    # one step at a time would.
-    dtanh = 1.0 - hs[:, 1:] ** 2
-    das = np.empty((T, B, H))
-    dh = np.outer(dz, params.w_o)
-    for k, t in enumerate(reversed(range(T))):
-        np.multiply(dh, dtanh[:, t], out=das[k])
-        if not live[t]:
-            das[k, padded[t]] = 0.0
-        dh = das[k] @ params.W_h
-    hs_desc = hs[:, T - 1 :: -1]  # hs[:, :T], t descending
+    # Backprop through time: das[k], at first the tanh' of step T-1-k,
+    # becomes its pre-activation gradient.
+    das = np.square(states[T:0:-1])
+    np.subtract(1.0, das, out=das)
+    dh = dz[:, None] * params.w_o
+    for da in das:
+        da *= dh
+        da.dot(W_h, out=dh)
+    das[padded[::-1]] = 0.0
+
+    # Each parameter sum runs over t descending, b ascending, from +0.0.
+    # W_h's and b_h's step terms share one array, so that at hidden 1 too
+    # the sum over t adds rows elementwise; numpy sums a lone row pairwise.
+    terms = np.empty((T, H + 1, H))
+    np.matmul(das.transpose(0, 2, 1), states[T - 1 :: -1], out=terms[:, :H])
+    np.add.reduce(das, 1, out=terms[:, H])
+    sums = np.add.reduce(terms, 0, initial=0.0)
     bins = (X.T[::-1, :, None] * H + np.arange(H)).ravel()
     g = RnnParams(
         W_x=np.bincount(bins, das.ravel(), ALPHABET_SIZE * H).reshape(ALPHABET_SIZE, H).T,
-        W_h=np.add.reduce(das.transpose(0, 2, 1) @ hs_desc.transpose(1, 0, 2), 0, initial=0.0),
-        b_h=np.add.reduce(das.sum(axis=1), 0, initial=0.0),
-        w_o=hs[:, T].T @ dz,
+        W_h=sums[:H],
+        b_h=sums[H],
+        w_o=hT.T @ dz,
         b_o=np.array(dz.sum()),
     )
     return loss, g
@@ -281,8 +289,11 @@ class TrainConfig:
     target_positive_share: float = 0.2
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.init_scale <= 0:
-            raise ConfigError("learning_rate and init_scale must be positive")
+        # NaN fails both tests; the init draws from a width of 2 * init_scale
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be in (0, inf), got {self.learning_rate}")
+        if not 0.0 < 2.0 * self.init_scale < math.inf:
+            raise ConfigError(f"init_scale and twice it must be in (0, inf), got {self.init_scale}")
         if self.epochs <= 0 or self.batch <= 0 or self.hidden_size <= 0:
             raise ConfigError("epochs, batch and hidden_size must be positive")
         if not 0.0 < self.heldout_fraction < 1.0:
@@ -342,7 +353,9 @@ def stratified_split(
 
 def train(data, cfg: TrainConfig, seed: int):
     """Minibatch gradient descent on (spec, y) pairs from a uniform init
-    drawn from `seed`.
+    drawn from `seed`. The parameters are views into one flat vector that
+    each step updates in place and then checks: a step that leaves a
+    non-finite entry raises ShapeError, as `RnnParams.from_flat` would.
 
     Returns (params, per-epoch mean loss list). Fails fast when the data
     cannot define the task (a single class present).
@@ -359,20 +372,21 @@ def train(data, cfg: TrainConfig, seed: int):
     lengths = M.sum(axis=1)
     T = X.shape[1]
     theta = RnnParams.seeded(seed, cfg.hidden_size, cfg.init_scale).flatten()
-    params = RnnParams.from_flat(theta, cfg.hidden_size)
+    params = RnnParams.from_flat(theta, cfg.hidden_size)  # views into theta
     gen = np.random.default_rng(seed + 1)
-    lr = cfg.learning_rate
     epoch_losses = []
     for _ in range(cfg.epochs):
         order = gen.permutation(n)
+        # in epoch order, so that each minibatch is a slice
+        X_e, M_e, y_e, len_e = X[order], M[order], y[order], lengths[order]
         total = 0.0
         for start in range(0, n, cfg.batch):
-            idx = order[start : start + cfg.batch]
-            cut = T - lengths[idx].max()
-            loss, g = loss_and_grad(params, X[idx, cut:], M[idx, cut:], y[idx])
-            total += loss * len(idx)
-            theta = theta - lr * g.flatten()
-            params = RnnParams.from_flat(theta, cfg.hidden_size)
+            rows = slice(start, start + cfg.batch)
+            cut = T - len_e[rows].max()
+            loss, g = loss_and_grad(params, X_e[rows, cut:], M_e[rows, cut:], y_e[rows])
+            total += loss * len(y_e[rows])
+            theta -= cfg.learning_rate * g.flatten()
+            _require_finite(theta)
         epoch_losses.append(total / n)
     return params, epoch_losses
 

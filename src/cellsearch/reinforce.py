@@ -419,8 +419,11 @@ class ReinforceConfig:
             raise ConfigError("batch_size must be at least 1")
         if self.iterations < 0:
             raise ConfigError("iterations must be nonnegative")
-        if self.learning_rate <= 0 or self.init_scale <= 0:
-            raise ConfigError("learning_rate and init_scale must be positive")
+        # as in predictor.TrainConfig
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be in (0, inf), got {self.learning_rate}")
+        if not 0.0 < 2.0 * self.init_scale < math.inf:
+            raise ConfigError(f"init_scale and twice it must be in (0, inf), got {self.init_scale}")
         if not 0.0 <= self.beta < 1.0:
             raise ConfigError("beta must lie in [0, 1)")
         if self.hidden_size < 1 or self.emb_dim < 1:

@@ -427,6 +427,10 @@ def test_inconsistent_config_is_usage_error(capsys, tmp_path):
         ("label", "--n", "0"),
         # both runs would write seed-1/, the second over the first
         ("run", "--limits", "4,9", "--seeds", "0,1,2,1"),
+        # nan <= 0 is False: a NaN or infinite rate once trained until the
+        # parameters went non-finite; the data file is never read
+        ("run", "--algo", "reinforce", "--limits", "4,9", "--learning-rate", "nan"),
+        ("train-predictor", "--data", "unread.jsonl", "--learning-rate", "inf"),
     ):
         out = tmp_path / "bad"
         code, _, err = run_cli(capsys, *argv, "--out", str(out))
@@ -442,6 +446,11 @@ def test_inconsistent_config_is_usage_error(capsys, tmp_path):
         assert "must look like" not in errs[argv]
     assert "--n must be positive" in errs["label", "--n", "0"]
     assert "seed 1 repeated" in errs["run", "--limits", "4,9", "--seeds", "0,1,2,1"]
+    for argv in (
+        ("run", "--algo", "reinforce", "--limits", "4,9", "--learning-rate", "nan"),
+        ("train-predictor", "--data", "unread.jsonl", "--learning-rate", "inf"),
+    ):
+        assert "learning_rate must be in (0, inf)" in errs[argv]
     # so are malformed nested objects in a config file
     cfg_path = tmp_path / "cfg.json"
     for obj in (
@@ -451,6 +460,10 @@ def test_inconsistent_config_is_usage_error(capsys, tmp_path):
         {"limits": [5, 9]},
         {"synthetic": {"base_accuracy": "x"}},
         {"synthetic": {"time_edge_s": -1.0}},
+        # numpy's uniform draw overflows on a width 2 * init_scale of inf
+        {"predictor": {"init_scale": 1e308}},
+        {"predictor": {"learning_rate": float("nan")}},
+        {"reinforce": {"init_scale": float("nan")}},
     ):
         cfg_path.write_text(json.dumps(obj))
         code, _, err = run_cli(
@@ -459,6 +472,10 @@ def test_inconsistent_config_is_usage_error(capsys, tmp_path):
         assert code == 1, obj
         (key,) = obj
         assert repr(key) in err
+        if key in ("predictor", "reinforce"):
+            (field,) = obj[key]
+            assert field in err
+        assert not (tmp_path / "bad").exists()
 
 
 def test_config_file_controller_size_below_one_is_usage_error(capsys, tmp_path):

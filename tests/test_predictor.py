@@ -142,7 +142,7 @@ def test_forward_stays_inside_open_interval(two_vertex):
 
 
 def test_forward_shape_errors():
-    # parameters are checked where they enter: every training step goes
+    # parameters are checked where they enter: every loaded file goes
     # through from_flat, which refuses a vector of the wrong length
     theta = RnnParams.zeros(4).flatten()
     for bad in (theta[:-1], np.append(theta, 0.0), theta.reshape(1, -1)):
@@ -155,8 +155,8 @@ def test_forward_shape_errors():
 
 
 def test_from_flat_rejects_non_finite_parameters():
-    # every training step unflattens through from_flat, so a diverged step
-    # stops here
+    # every loaded file unflattens through from_flat; training runs the
+    # same check on every step
     theta = RnnParams.seeded(0, 4).flatten()
     assert RnnParams.from_flat(theta, 4).flatten().tolist() == theta.tolist()
     theta[7] = np.nan
@@ -288,6 +288,17 @@ def test_train_is_deterministic():
     assert p1.b_o == p2.b_o
 
 
+def _reference_sigmoid(z):
+    """The logistic sigmoid, from exp(-z) at z >= 0 and exp(z) below."""
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return np.clip(out, predictor._P_LO, predictor._P_HI)
+
+
 def _reference_loss_and_grad(params, batch):
     """loss_and_grad as first written: it pads each list batch itself and
     accumulates every gradient inside the backward loop, one step at a
@@ -309,7 +320,7 @@ def _reference_loss_and_grad(params, batch):
         hs[:, t + 1] = np.where(M[:, t : t + 1], np.tanh(a), hs[:, t])
 
     z = hs[:, T] @ params.w_o + params.b_o
-    p = np.clip(predictor._sigmoid(z), predictor._P_LO, predictor._P_HI)
+    p = _reference_sigmoid(z)
     loss = float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
 
     dz = (p - y) / B
@@ -358,39 +369,92 @@ def _mixed_length_pool():
     return items
 
 
+def _bits(value):
+    return np.asarray(value, dtype=float).tobytes()
+
+
 def _assert_params_equal(a, b):
-    for name in ("W_x", "W_h", "b_h", "w_o", "b_o"):
-        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    # bit for bit: the sign of a zero counts too
+    for name in RnnParams._FIELDS:
+        assert _bits(getattr(a, name)) == _bits(getattr(b, name)), name
 
 
-def test_train_is_bit_identical_to_the_per_batch_reference():
+# The kernel's products and sums go through BLAS and numpy reductions,
+# which pick their summation order by shape and stride; tiny hidden sizes
+# take paths of their own, so identity is checked at each of these.
+HIDDEN_SIZES = (1, 2, 3, 4, 8, 16)
+BATCH_SIZES = (1, 2, 5, 16)
+
+
+_SEEDED = RnnParams.seeded
+
+
+def _signed_zero_b_h(seed, hidden_size, init_scale=predictor.DEFAULT_INIT_SCALE):
+    """Seeded parameters whose b_h alternates +0.0 and -0.0, the edge case
+    of the padded steps' -b_h input."""
+    params = _SEEDED(seed, hidden_size, init_scale)
+    params.b_h[0::2] = 0.0
+    params.b_h[1::2] = -0.0
+    return params
+
+
+@pytest.mark.parametrize("signed_zero_b_h", [False, True])
+@pytest.mark.parametrize("batch", BATCH_SIZES)
+@pytest.mark.parametrize("hidden", HIDDEN_SIZES)
+def test_train_is_bit_identical_to_the_per_batch_reference(
+    monkeypatch, hidden, batch, signed_zero_b_h
+):
     # padding once, slicing each minibatch and summing the gradients out of
     # the recurrence must not move a single bit of the trained parameters
+    if signed_zero_b_h:
+        monkeypatch.setattr(RnnParams, "seeded", _signed_zero_b_h)
     data = _mixed_length_pool()
-    cfg = TrainConfig(epochs=8, batch=16)
-    assert len(data) % cfg.batch  # a short last batch too
+    # 8 epochs at batch 16, as first written; fewer at the smaller batches
+    cfg = TrainConfig(epochs=max(1, batch // 2), batch=batch, hidden_size=hidden)
+    assert len(data) % 16 and len(data) % 2  # a short last batch too
     params, losses = train(data, cfg, 4)
     ref_params, ref_losses = _reference_train(data, cfg, 4)
     _assert_params_equal(params, ref_params)
     assert losses == ref_losses
 
 
-def test_loss_and_grad_equals_the_reference_exactly():
+@pytest.mark.parametrize("hidden", HIDDEN_SIZES)
+def test_loss_and_grad_equals_the_reference_exactly(hidden):
     rng = random.Random(21)
     encoded = [(encode(s), y) for s, y in _mixed_length_pool()]
-    params = RnnParams.seeded(13)
-    same_length = [item for item in encoded if len(item[0]) == 14][:5]
-    batches = [rng.sample(encoded, 16) for _ in range(20)]
-    batches += [same_length, encoded[:1], encoded[-1:]]
+    (shortest,) = [item for item in encoded if len(item[0]) == 2]
+    longest = [item for item in encoded if len(item[0]) == 14]
+    batches = [rng.sample(encoded, size) for size in BATCH_SIZES for _ in range(6)]
+    # a 2-token row padded at 12 of 14 steps, and a batch with no padding
+    batches += [[shortest] + longest[:size - 1] for size in BATCH_SIZES[1:]] + [longest[:5]]
     live_and_masked = set()
-    for batch in batches:
-        X, M, y = pad_batch(batch)
-        live_and_masked.update(M.all(axis=0).tolist())
-        loss, g = loss_and_grad(params, X, M, y)
-        ref_loss, ref_g = _reference_loss_and_grad(params, batch)
-        assert loss == ref_loss
-        _assert_params_equal(g, ref_g)
+    for params in (RnnParams.seeded(13, hidden), _signed_zero_b_h(13, hidden)):
+        for batch in batches:
+            X, M, y = pad_batch(batch)
+            live_and_masked.update(M.all(axis=0).tolist())
+            loss, g = loss_and_grad(params, X, M, y)
+            ref_loss, ref_g = _reference_loss_and_grad(params, batch)
+            assert loss == ref_loss
+            _assert_params_equal(g, ref_g)
     assert live_and_masked == {True, False}
+
+
+def _reference_forward(params, seq):
+    """forward as first written: a column of W_x per token and `@` for the
+    recurrence."""
+    h = np.zeros(params.hidden_size)
+    for t in np.asarray(seq, dtype=np.int64):
+        h = np.tanh(params.W_x[:, t] + params.W_h @ h + params.b_h)
+    return float(_reference_sigmoid(params.w_o @ h + params.b_o))
+
+
+@pytest.mark.parametrize("hidden", HIDDEN_SIZES)
+def test_forward_equals_the_reference_exactly(hidden):
+    cells = list(cellspace.enumerate_space(SpaceLimits(5, 9)))[::20]
+    for params in (RnnParams.seeded(17, hidden, 0.8), _signed_zero_b_h(17, hidden, 0.8)):
+        for cell in cells:
+            seq = encode(cell)
+            assert _bits(forward(params, seq)) == _bits(_reference_forward(params, seq))
 
 
 def test_train_calls_loss_and_grad_once_per_minibatch(monkeypatch):
@@ -426,6 +490,42 @@ def test_train_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ConfigError):
         TrainConfig(batch=-1)
+    # nan <= 0 is False, so these once passed: a NaN or infinite rate
+    # trained until the parameters went non-finite, and 1e308 overflowed
+    # the width of the uniform init draw
+    for field, value in (
+        ("learning_rate", math.nan),
+        ("learning_rate", math.inf),
+        ("learning_rate", -math.inf),
+        ("init_scale", math.nan),
+        ("init_scale", math.inf),
+        ("init_scale", 1e308),
+    ):
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig(**{field: value})
+    # huge but finite values are still accepted
+    TrainConfig(learning_rate=1e308, init_scale=8e307)
+
+
+def test_train_raises_on_the_step_that_leaves_a_non_finite_parameter(monkeypatch):
+    # no finite config reaches the per-step check, so a NaN gradient is
+    # planted on the third minibatch
+    calls = []
+    real = predictor.loss_and_grad
+
+    def poisoned(params, X, M, y):
+        calls.append(len(y))
+        loss, g = real(params, X, M, y)
+        if len(calls) == 3:
+            g.W_h[1, 2] = np.nan
+        return loss, g
+
+    monkeypatch.setattr(predictor, "loss_and_grad", poisoned)
+    train_set, _, _ = _split(_toy_dataset(), 5)
+    assert len(train_set) > 3 * 16
+    with pytest.raises(ShapeError, match="non-finite"):
+        train(train_set, TrainConfig(epochs=2, batch=16), 9)
+    assert len(calls) == 3
 
 
 # ---------------------------------------------------------------------------

@@ -669,6 +669,14 @@ def test_config_validation():
         ReinforceConfig(iterations=-1)
     with pytest.raises(ConfigError):
         ReinforceConfig(learning_rate=0.0)
+    for field, value in (
+        ("learning_rate", math.nan),
+        ("learning_rate", math.inf),
+        ("init_scale", math.nan),
+        ("init_scale", 1e308),
+    ):
+        with pytest.raises(ConfigError, match=field):
+            ReinforceConfig(**{field: value})
     with pytest.raises(ConfigError):
         ReinforceConfig(beta=1.0)
     for size in ({"hidden_size": 0}, {"hidden_size": -1}, {"emb_dim": 0}):
