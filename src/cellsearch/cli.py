@@ -57,6 +57,25 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _attach_signed_values(argv: list) -> list:
+    """Rewrite `--flag -inf` as `--flag=-inf`. argparse reads a token that
+    starts with '-' as an option unless it looks like a plain negative
+    number, so a float flag given -inf, -nan or -1e-3 after a space stopped
+    at "expected one argument" instead of reaching the flag's own check."""
+    out = []
+    for token in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and token.startswith("-"):
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                out[-1] = f"{out[-1]}={token}"
+                continue
+        out.append(token)
+    return out
+
+
 def _limits_type(text: str) -> SpaceLimits:
     try:
         v, e = (int(part) for part in text.split(","))
@@ -390,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
         return args.func(args)
     except UsageError as exc:
         sys.stderr.write(parser.format_usage())

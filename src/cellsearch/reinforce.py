@@ -17,7 +17,9 @@ utility instead favours the best cells the controller can find.
 
 Each rollout runs forward once: `sample` keeps its hidden states, and the
 exact gradient backpropagates through them (`follow` runs the same forward
-pass along given actions).
+pass along given actions). Each update runs backward once: one
+`logprob_and_grad` call takes the gradients of a whole batch, a row per
+rollout, each bit for bit the row that rollout's own pass would give.
 """
 
 from __future__ import annotations
@@ -162,17 +164,6 @@ class ControllerState:
     emb_dim: int = DEFAULT_EMB_DIM
 
     _FIELDS = tuple(_shapes(1, 1))
-
-    @classmethod
-    def zeros(cls, hidden_size=DEFAULT_HIDDEN, emb_dim=DEFAULT_EMB_DIM):
-        return cls(
-            hidden_size=hidden_size,
-            emb_dim=emb_dim,
-            **{
-                name: np.zeros(shape)
-                for name, shape in _shapes(hidden_size, emb_dim).items()
-            },
-        )
 
     @classmethod
     def seeded(
@@ -330,52 +321,84 @@ def utility(s: SampledArch, best: float) -> float:
     return math.exp(REWARD_SHARPNESS * (s.reward - best))
 
 
-def logprob_and_grad(controller: ControllerState, schedule: DecisionSchedule, rollout: SampledArch):
-    """Log-probability of a rollout's actions and its exact gradient.
+def _grad_views(n: int, hidden_size: int, emb_dim: int):
+    """An (n, P) zero array with one row per rollout, aligned with
+    flatten(), and each parameter's (n, *shape) view into it."""
+    shapes = _shapes(hidden_size, emb_dim)
+    G = np.zeros((n, sum(math.prod(shape) for shape in shapes.values())))
+    views, start = {}, 0
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        views[name] = G[:, start : start + size].reshape(n, *shape)
+        start += size
+    return G, views
 
-    Backpropagates through time along the hidden states the rollout kept,
+
+def logprob_and_grad(controller: ControllerState, schedule: DecisionSchedule, rollouts):
+    """Log-probabilities of the rollouts' actions and their exact gradients,
+    in one backward pass over the stacked rollouts.
+
+    Backpropagates through time along the hidden states each rollout kept,
     so the forward recurrence does not run again; the heads and the weight
-    gradients are computed for all steps at once. Returns (logprob,
-    gradient as a flat vector aligned with flatten())."""
+    gradients are computed for all steps at once, and the recurrence for
+    all rollouts at once. Every product is a stacked `@` that hands BLAS
+    each rollout's operands in the layout a lone rollout's would have, so
+    no row depends on the rest of the batch. Returns (logprobs of shape
+    (n,), gradients of shape (n, P) with each row aligned with flatten()).
+
+    numpy and BLAS choose a summation order by layout, so the copies here
+    are `np.take`, row-major per rollout: fancy indexing (`H[:, steps]`)
+    leaves the rollout axis innermost, which moved the head gradients at
+    hidden size 1 and the sum of every rollout's picked log-probabilities."""
     c = controller
     T = schedule.num_steps
-    actions, hs = rollout.actions, rollout.states
-    if len(actions) != T:
-        raise ShapeError(f"rollout has {len(actions)} actions; the schedule has {T} steps")
-    rows = [_EMB_START] + [
-        _EMB_ROWS[arity][a] for arity, a in zip(schedule.arities, actions)
-    ]
-    rows = rows[:T]
-    H = hs[1:]
+    for r in rollouts:
+        if len(r.actions) != T:
+            raise ShapeError(f"rollout has {len(r.actions)} actions; the schedule has {T} steps")
+    n = len(rollouts)
+    HS = np.array([r.states for r in rollouts]).reshape(n, T + 1, c.hidden_size)
+    chosen = np.array([r.actions for r in rollouts], dtype=int).reshape(n, T)
+    # step t's input row: the start token, then the row of step t-1's action
+    # (each arity's rows are consecutive)
+    rows = np.full((n, T), _EMB_START)
+    rows[:, 1:] = chosen[:, :-1] + [_EMB_ROWS[a][0] for a in schedule.arities[:-1]]
+    each = np.arange(n)[:, None]
+    H = HS[:, 1:]
 
-    g = ControllerState.zeros(c.hidden_size, c.emb_dim)
-    dH = np.zeros_like(H)  # d logprob / d h_t through step t's head
-    logprob = 0.0
-    chosen = np.asarray(actions)
+    G, g = _grad_views(n, c.hidden_size, c.emb_dim)
+    # d logprob / d h_t through step t's head; the pass through time turns
+    # row t into d logprob / d pre-activation of h_t
+    dA = np.zeros_like(H)
+    logprobs = np.zeros(n)
     for arity, steps in schedule.steps_by_arity:
-        W, gW = (c.W2, g.W2) if arity == 2 else (c.W3, g.W3)
-        logits = H[steps] @ W.T + c.b_step[steps, :arity]
-        logp = logits - logits.max(axis=1, keepdims=True)
-        logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))
-        picked = (np.arange(len(steps)), chosen[steps])
-        logprob += float(logp[picked].sum())
+        W, gW = (c.W2, g["W2"]) if arity == 2 else (c.W3, g["W3"])
+        Hk = np.take(H, steps, axis=1)
+        logits = Hk @ W.T + c.b_step[steps, :arity]
+        logp = logits - logits.max(axis=2, keepdims=True)
+        logp -= np.log(np.exp(logp).sum(axis=2, keepdims=True))
+        picked = (each, np.arange(len(steps)), np.take(chosen, steps, axis=1))
+        logprobs += logp[picked].sum(axis=1)
         dlogits = -np.exp(logp)
         dlogits[picked] += 1.0
-        gW[...] = dlogits.T @ H[steps]
-        g.b_step[steps, :arity] = dlogits
-        dH[steps] = dlogits @ W
+        np.matmul(dlogits.transpose(0, 2, 1), Hk, out=gW)
+        g["b_step"][:, steps, :arity] = dlogits
+        dA[:, steps] = dlogits @ W
 
-    dA = np.zeros_like(H)  # d logprob / d pre-activation of h_t
-    dh_next = np.zeros(c.hidden_size)
-    # through time: step T-1 down to 0, one row of dH, 1 - H**2 and dA each
-    for dh, dtanh, da in zip(dH[::-1], 1.0 - H[::-1] ** 2, dA[::-1]):
-        np.multiply(dh + dh_next, dtanh, out=da)
-        dh_next = da.dot(c.W_h)
-    g.W_e[...] = dA.T @ c.emb[rows]
-    np.add.at(g.emb, rows, dA @ c.W_e)
-    g.W_h[...] = dA.T @ hs[:-1]
-    g.b_h[...] = dA.sum(axis=0)
-    return logprob, g.flatten()
+    dtanh = H**2
+    np.subtract(1.0, dtanh, out=dtanh)
+    dh_next = np.zeros((n, c.hidden_size))
+    # through time, step T-1 down to 0, every rollout's row at once
+    for t in range(T - 1, -1, -1):
+        da = dA[:, t]
+        da += dh_next
+        da *= dtanh[:, t]
+        dh_next = np.matmul(da[:, None], c.W_h)[:, 0]
+    dAT = dA.transpose(0, 2, 1)
+    np.matmul(dAT, c.emb[rows], out=g["W_e"])
+    np.add.at(g["emb"], (each, rows), dA @ c.W_e)
+    np.matmul(dAT, HS[:, :-1], out=g["W_h"])
+    dA.sum(axis=1, out=g["b_h"])
+    return logprobs, G
 
 
 def reinforce_update(
@@ -389,16 +412,16 @@ def reinforce_update(
     """One ascent step along (1/m) sum_k (U_k - b) grad log P(actions_k).
 
     U_k is `utilities[k]`; `baseline` is b, the value read before this
-    batch's baseline update.
+    batch's baseline update. The gradients of the samples whose advantage
+    is nonzero come from one `logprob_and_grad` call and are summed in
+    batch order.
     """
     if not batch:
         raise ConfigError("empty batch")
-    total = np.zeros(controller.flatten().size)
-    for s, u in zip(batch, utilities):
-        advantage = u - baseline
-        if advantage == 0.0:
-            continue
-        _, g = logprob_and_grad(controller, schedule, s)
+    weighted = [(s, u - baseline) for s, u in zip(batch, utilities) if u - baseline != 0.0]
+    _, grads = logprob_and_grad(controller, schedule, [s for s, _ in weighted])
+    total = np.zeros(grads.shape[1])
+    for (_, advantage), g in zip(weighted, grads):
         total += advantage * g
     theta = controller.flatten() + learning_rate * total / len(batch)
     return ControllerState.from_flat(theta, controller.hidden_size, controller.emb_dim)

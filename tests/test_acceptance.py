@@ -169,12 +169,10 @@ def test_criterion_4_estimator_exactness(capsys):
     zero; the EMA baseline strictly reduces estimator variance."""
     controller = ControllerState.seeded(3, hidden_size=3, emb_dim=2, init_scale=0.8)
     rewards = (1.0, 0.4, 0.0)
-    lps = [
-        logprob_and_grad(controller, BANDIT, follow(controller, BANDIT, (a,)))
-        for a in range(3)
-    ]
-    probs = np.exp([lp for lp, _ in lps])
-    grads = [g for _, g in lps]
+    lps, grads = logprob_and_grad(
+        controller, BANDIT, [follow(controller, BANDIT, (a,)) for a in range(3)]
+    )
+    probs = np.exp(lps)
     exact = sum(p * r * g for p, r, g in zip(probs, rewards, grads))
 
     n = 10_000
@@ -195,8 +193,8 @@ def test_criterion_4_estimator_exactness(capsys):
     worst_baseline = 0.0
     for seed in range(5):
         c = ControllerState.seeded(seed, hidden_size=4, emb_dim=2, init_scale=0.8)
-        terms = [logprob_and_grad(c, BANDIT, follow(c, BANDIT, (a,))) for a in range(3)]
-        total = sum(math.exp(lp) * g for lp, g in terms)
+        lps, gs = logprob_and_grad(c, BANDIT, [follow(c, BANDIT, (a,)) for a in range(3)])
+        total = sum(math.exp(lp) * g for lp, g in zip(lps, gs))
         worst_baseline = max(worst_baseline, float(np.max(np.abs(total))))
     base_ok = worst_baseline < 1e-10
 
@@ -242,7 +240,7 @@ def test_criterion_5_reinforce_convergence(optimum, class_accuracies, capsys):
         reward_fn=lambda s, _: rewards[s.actions[0]],
     )
     best_rollout = follow(res.controller, BANDIT, (0,))
-    p_best = math.exp(logprob_and_grad(res.controller, BANDIT, best_rollout)[0])
+    p_best = math.exp(logprob_and_grad(res.controller, BANDIT, [best_rollout])[0][0])
     bandit_ok = p_best >= 0.95
 
     ratios = []
@@ -315,9 +313,9 @@ def test_criterion_6_gradient_checks(capsys):
 
         def flogp(theta):
             c = ControllerState.from_flat(theta, hidden, emb)
-            return logprob_and_grad(c, sched, follow(c, sched, actions))[0]
+            return logprob_and_grad(c, sched, [follow(c, sched, actions)])[0][0]
 
-        _, grad = logprob_and_grad(base, sched, follow(base, sched, actions))
+        _, (grad,) = logprob_and_grad(base, sched, [follow(base, sched, actions)])
         worst_ctrl = max(
             worst_ctrl,
             max_relative_error(grad, central_differences(flogp, base.flatten())),

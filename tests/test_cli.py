@@ -478,6 +478,56 @@ def test_inconsistent_config_is_usage_error(capsys, tmp_path):
         assert not (tmp_path / "bad").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, flag, refusal",
+    [
+        (("run", "--algo", "reinforce", "--limits", "4,9"), "--learning-rate",
+         "learning_rate must be in (0, inf)"),
+        (("run", "--fitness", "predictor", "--limits", "4,9"), "--label-charge",
+         "label_charge must lie in (0, 1]"),
+        (("label", "--limits", "4,9"), "--charge", "label_charge must lie in (0, 1]"),
+        (("train-predictor", "--data", "unread.jsonl"), "--learning-rate",
+         "learning_rate must be in (0, inf)"),
+        (("train-predictor", "--data", "unread.jsonl"), "--heldout-fraction",
+         "heldout_fraction must lie in (0, 1)"),
+        (("train-predictor", "--data", "unread.jsonl"), "--target-positive-share",
+         "target_positive_share must lie in [0, 1)"),
+    ],
+)
+def test_float_flag_takes_signed_values_after_a_space(capsys, tmp_path, argv, flag, refusal):
+    # argparse reads `-inf` as an option, so `--flag -inf` once stopped at
+    # "expected one argument" while `--flag=-inf` reached the range check;
+    # both forms now give the same refusal, before any output is made
+    out = tmp_path / "bad"
+    for value in ("-inf", "-nan", "-1e-3"):
+        results = [
+            run_cli(capsys, *argv, *form, "--out", str(out))
+            for form in ((flag, value), (f"{flag}={value}",))
+        ]
+        assert results[0] == results[1], (flag, value)
+        code, stdout, err = results[0]
+        assert code == 1 and stdout == ""
+        assert refusal in err and "expected one argument" not in err
+        assert not out.exists()
+
+
+def test_signed_values_reach_every_float_flag(capsys, tmp_path):
+    # the flags with no range of their own parse a signed value after a
+    # space as they do after '=': compare's missing summary is the error
+    missing = str(tmp_path / "missing.json")
+    results = [
+        run_cli(capsys, "compare", missing, missing, *form)
+        for form in (("--target", "-inf"), ("--target=-inf",))
+    ]
+    assert results[0] == results[1]
+    code, _, err = results[0]
+    assert code == 2 and "missing.json" in err
+    # a value that is not a number is still an option, and a lone flag
+    # before it still misses its argument
+    code, _, err = run_cli(capsys, "compare", missing, missing, "--target", "-x")
+    assert code == 1 and "expected one argument" in err
+
+
 def test_config_file_controller_size_below_one_is_usage_error(capsys, tmp_path):
     # numpy's "negative dimensions" for -1, a stateless controller for 0
     cfg_path = tmp_path / "cfg.json"

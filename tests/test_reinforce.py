@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cellsearch import cellspace
+from cellsearch import cellspace, reinforce
 from cellsearch.cellspace import OpLabel, SpaceLimits
 from cellsearch.errors import ConfigError, ShapeError
 from cellsearch.oracle import (
@@ -44,13 +44,17 @@ BANDIT = DecisionSchedule((3,))
 SCHEDULE_5_9 = DecisionSchedule.from_limits(SpaceLimits(5, 9))
 
 
+def zero_controller(hidden_size=32, emb_dim=8):
+    """Every parameter 0: the uniform policy."""
+    size = ControllerState.seeded(0, hidden_size, emb_dim).flatten().size
+    return ControllerState.from_flat(np.zeros(size), hidden_size, emb_dim)
+
+
 def bandit_terms(controller):
     """(log-probability, gradient) of each action of a single-ternary-step
     schedule, each along its own rollout."""
-    return [
-        logprob_and_grad(controller, BANDIT, follow(controller, BANDIT, (a,)))
-        for a in range(3)
-    ]
+    rollouts = [follow(controller, BANDIT, (a,)) for a in range(3)]
+    return list(zip(*logprob_and_grad(controller, BANDIT, rollouts)))
 
 
 def bandit_probs(controller):
@@ -143,7 +147,7 @@ def test_schedule_longer_than_the_step_biases_is_refused():
 def test_schedule_without_limits_past_the_step_biases_is_refused():
     # a bandit schedule has no limits to cap it, so its length is checked
     # when it is built, not by an IndexError inside sample
-    sample(ControllerState.zeros(), DecisionSchedule((2,) * MAX_STEPS), random.Random(0))
+    sample(zero_controller(), DecisionSchedule((2,) * MAX_STEPS), random.Random(0))
     with pytest.raises(ConfigError, match=r"27 decisions exceed the controller's 26 steps"):
         DecisionSchedule((2,) * (MAX_STEPS + 1))
 
@@ -163,7 +167,7 @@ def test_schedule_validation():
 
 def test_sample_uniform_at_zero_init():
     sched = DecisionSchedule.from_limits(SpaceLimits(5, 9))
-    controller = ControllerState.zeros(hidden_size=4, emb_dim=2)
+    controller = zero_controller(hidden_size=4, emb_dim=2)
     rng = random.Random(123)
     n = 10_000
     counts = np.zeros((sched.num_steps, 3))
@@ -185,7 +189,7 @@ def test_sample_logprob_matches_replay():
     for _ in range(50):
         s = sample(controller, sched, rng)
         assert all(term <= 0.0 for term in s.logprob_terms)
-        replay, _ = logprob_and_grad(controller, sched, s)
+        (replay,), _ = logprob_and_grad(controller, sched, [s])
         assert abs(sum(s.logprob_terms) - replay) < 1e-12
 
 
@@ -198,7 +202,7 @@ def test_sample_deterministic():
 
 
 def test_sample_invalid_flag_matches_spec_presence():
-    controller = ControllerState.zeros(hidden_size=4, emb_dim=2)
+    controller = zero_controller(hidden_size=4, emb_dim=2)
     sched = DecisionSchedule.from_limits(SpaceLimits(5, 9))
     rng = random.Random(0)
     seen_invalid = seen_valid = False
@@ -271,10 +275,10 @@ def test_logprob_gradient_matches_finite_differences():
 
         def f(theta):
             c = ControllerState.from_flat(theta, hidden, emb)
-            lp, _ = logprob_and_grad(c, sched, follow(c, sched, actions))
+            (lp,), _ = logprob_and_grad(c, sched, [follow(c, sched, actions)])
             return lp
 
-        _, grad = logprob_and_grad(base, sched, follow(base, sched, actions))
+        _, (grad,) = logprob_and_grad(base, sched, [follow(base, sched, actions)])
         numeric = central_differences(f, theta0)
         worst = max(worst, max_relative_error(grad, numeric))
     assert worst <= 1e-4, f"worst relative error {worst}"
@@ -294,7 +298,7 @@ def _logprob_and_grad_by_step(controller, sched, actions):
         probs.append(np.exp(logp))
         logprob += logp[actions[t]]
         row = (1 + actions[t]) if arity == 2 else (3 + actions[t])
-    g = ControllerState.zeros(c.hidden_size, c.emb_dim)
+    g = zero_controller(c.hidden_size, c.emb_dim)
     dh_next = np.zeros(c.hidden_size)
     for t in reversed(range(sched.num_steps)):
         arity = sched.arities[t]
@@ -318,10 +322,125 @@ def test_logprob_and_grad_match_step_by_step_reference():
     for draw in range(20):
         controller = ControllerState.seeded(draw, hidden_size=6, emb_dim=3, init_scale=0.7)
         actions = tuple(rng.randrange(arity) for arity in sched.arities)
-        lp, grad = logprob_and_grad(controller, sched, follow(controller, sched, actions))
+        (lp,), (grad,) = logprob_and_grad(controller, sched, [follow(controller, sched, actions)])
         ref_lp, ref_grad = _logprob_and_grad_by_step(controller, sched, actions)
         assert abs(lp - ref_lp) < 1e-12
         assert np.allclose(grad, ref_grad, rtol=0, atol=1e-12)
+
+
+def _logprob_and_grad_one(controller, schedule, rollout):
+    """Frozen reference: the per-rollout kernel the batch kernel replaced,
+    one rollout per call. Its gradient rows are what every earlier pinned
+    digest was made with."""
+    c = controller
+    T = schedule.num_steps
+    actions, hs = rollout.actions, rollout.states
+    rows = [0] + [
+        (1 + a) if arity == 2 else (3 + a) for arity, a in zip(schedule.arities, actions)
+    ]
+    rows = rows[:T]
+    H = hs[1:]
+
+    g = zero_controller(c.hidden_size, c.emb_dim)
+    dH = np.zeros_like(H)
+    logprob = 0.0
+    chosen = np.asarray(actions)
+    for arity, steps in schedule.steps_by_arity:
+        W, gW = (c.W2, g.W2) if arity == 2 else (c.W3, g.W3)
+        logits = H[steps] @ W.T + c.b_step[steps, :arity]
+        logp = logits - logits.max(axis=1, keepdims=True)
+        logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))
+        picked = (np.arange(len(steps)), chosen[steps])
+        logprob += float(logp[picked].sum())
+        dlogits = -np.exp(logp)
+        dlogits[picked] += 1.0
+        gW[...] = dlogits.T @ H[steps]
+        g.b_step[steps, :arity] = dlogits
+        dH[steps] = dlogits @ W
+
+    dA = np.zeros_like(H)
+    dh_next = np.zeros(c.hidden_size)
+    for dh, dtanh, da in zip(dH[::-1], 1.0 - H[::-1] ** 2, dA[::-1]):
+        np.multiply(dh + dh_next, dtanh, out=da)
+        dh_next = da.dot(c.W_h)
+    g.W_e[...] = dA.T @ c.emb[rows]
+    np.add.at(g.emb, rows, dA @ c.W_e)
+    g.W_h[...] = dA.T @ hs[:-1]
+    g.b_h[...] = dA.sum(axis=0)
+    return logprob, g.flatten()
+
+
+def _bits(x):
+    """The raw bits of a float array, so that 0.0 and -0.0 differ."""
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("hidden", [1, 2, 3, 4, 8, 32])
+def test_batch_kernel_equals_the_per_rollout_reference_bit_for_bit(hidden):
+    # Each rollout's row of one stacked backward pass carries the bits of
+    # that rollout's lone pass: logprobs and every gradient entry, signed
+    # zeros included, at every space and at tiny hidden sizes, where numpy
+    # and BLAS pick their summation order by layout.
+    for limits in ((4, 9), (5, 9), (7, 9)):
+        sched = DecisionSchedule.from_limits(SpaceLimits(*limits))
+        for seed in range(3):
+            controller = ControllerState.seeded(seed, hidden, 3, init_scale=0.5)
+            rng = random.Random(seed)
+            batch = [sample(controller, sched, rng) for _ in range(20)]
+            lps, grads = logprob_and_grad(controller, sched, batch)
+            assert lps.shape == (20,) and grads.shape == (20, controller.flatten().size)
+            for s, lp, g in zip(batch, lps, grads):
+                ref_lp, ref_g = _logprob_and_grad_one(controller, sched, s)
+                assert _bits(lp) == _bits(ref_lp)
+                assert np.array_equal(_bits(g), _bits(ref_g))
+    # interleaved arities, and no rollouts at all
+    sched = DecisionSchedule((2, 3, 2, 3, 3, 2))
+    controller = ControllerState.seeded(9, hidden, 2, init_scale=0.8)
+    rng = random.Random(9)
+    batch = [sample(controller, sched, rng) for _ in range(7)]
+    lps, grads = logprob_and_grad(controller, sched, batch)
+    for s, lp, g in zip(batch, lps, grads):
+        ref_lp, ref_g = _logprob_and_grad_one(controller, sched, s)
+        assert _bits(lp) == _bits(ref_lp)
+        assert np.array_equal(_bits(g), _bits(ref_g))
+    lps, grads = logprob_and_grad(controller, sched, [])
+    assert lps.shape == (0,) and grads.shape == (0, controller.flatten().size)
+
+
+def _reinforce_update_one_by_one(controller, schedule, batch, baseline, learning_rate, utilities):
+    """Frozen reference: the update as a loop over the per-rollout kernel,
+    skipping the samples whose advantage is zero."""
+    total = np.zeros(controller.flatten().size)
+    for s, u in zip(batch, utilities):
+        advantage = u - baseline
+        if advantage == 0.0:
+            continue
+        _, g = _logprob_and_grad_one(controller, schedule, s)
+        total += advantage * g
+    theta = controller.flatten() + learning_rate * total / len(batch)
+    return ControllerState.from_flat(theta, controller.hidden_size, controller.emb_dim)
+
+
+@pytest.mark.parametrize("hidden", [1, 2, 3, 4, 8, 32])
+def test_update_equals_the_per_rollout_reference_loop_bit_for_bit(hidden):
+    # Batches with zero-advantage samples (utility equal to the baseline,
+    # as an invalid sample's 0 is against a baseline of 0) and a batch with
+    # none left: the stacked pass leaves every parameter bit as the loop
+    # did, update after update.
+    for limits in ((4, 9), (5, 9), (7, 9)):
+        sched = DecisionSchedule.from_limits(SpaceLimits(*limits))
+        controller = ControllerState.seeded(hidden, hidden, 3, init_scale=0.5)
+        rng = random.Random(hidden)
+        for step in range(6):
+            batch = [sample(controller, sched, rng) for _ in range(10)]
+            b = 0.0 if step % 2 else 0.25
+            utilities = [b if rng.random() < 0.3 else rng.random() for _ in batch]
+            if step == 5:
+                utilities = [b] * len(batch)
+            new = reinforce_update(controller, sched, batch, b, 0.3, utilities)
+            ref = _reinforce_update_one_by_one(controller, sched, batch, b, 0.3, utilities)
+            assert np.array_equal(_bits(new.flatten()), _bits(ref.flatten()))
+            controller = new
 
 
 def _replayed_states(c, sched, actions):
@@ -354,8 +473,8 @@ def test_kept_states_equal_the_replayed_ones_bit_for_bit():
         for s, r in zip(batch, replayed):
             assert s.states.shape == (27, 32)
             assert np.array_equal(s.states, r.states)
-            kept_lp, kept_grad = logprob_and_grad(controller, sched, s)
-            replay_lp, replay_grad = logprob_and_grad(controller, sched, r)
+            (kept_lp,), (kept_grad,) = logprob_and_grad(controller, sched, [s])
+            (replay_lp,), (replay_grad,) = logprob_and_grad(controller, sched, [r])
             assert kept_lp == replay_lp and np.array_equal(kept_grad, replay_grad)
         utilities = [rng.random() for _ in batch]
         kept, again = (
@@ -384,7 +503,7 @@ def test_logprob_rejects_wrong_length():
     # a rollout of another schedule is refused too
     two_steps = follow(controller, DecisionSchedule((3, 3)), (0, 1))
     with pytest.raises(ShapeError, match="schedule has 1 steps"):
-        logprob_and_grad(controller, BANDIT, two_steps)
+        logprob_and_grad(controller, BANDIT, [two_steps])
 
 
 def test_from_flat_rejects_non_finite_parameters():
@@ -435,7 +554,7 @@ def test_monte_carlo_update_matches_exact_expectation():
     # rewards fixed (1, 0, 0), b = 0: exact update direction is
     # sum_a pi(a) (R_a - b) grad log pi(a); the MC mean over 10,000
     # single-sample draws must agree within 3 sigma coordinate-wise.
-    controller = ControllerState.zeros(hidden_size=3, emb_dim=2)
+    controller = zero_controller(hidden_size=3, emb_dim=2)
     rewards = (1.0, 0.0, 0.0)
     probs = bandit_probs(controller)
     grads = [g for _, g in bandit_terms(controller)]
@@ -459,7 +578,7 @@ def test_monte_carlo_update_matches_exact_expectation():
 def test_ema_baseline_reduces_estimator_variance():
     # Fixed rewards, fixed controller: compare the per-batch gradient
     # estimate with and without the EMA baseline on identical action draws.
-    controller = ControllerState.zeros(hidden_size=3, emb_dim=2)
+    controller = zero_controller(hidden_size=3, emb_dim=2)
     rewards = (1.0, 0.0, 0.0)
     grads = [g for _, g in bandit_terms(controller)]
     m = 4
@@ -541,7 +660,7 @@ def test_run_replays_the_utility_update_by_hand():
         best = max([best] + rs)
         us = [math.exp(10.0 * (r - best)) for r in rs]
         step = sum(
-            (u - b) * logprob_and_grad(controller, BANDIT, follow(controller, BANDIT, a))[1]
+            (u - b) * logprob_and_grad(controller, BANDIT, [follow(controller, BANDIT, a)])[1][0]
             for u, a in zip(us, actions)
         )
         b = sum(us) / 3 if it == 0 else 0.9 * b + 0.1 * sum(us) / 3
@@ -623,6 +742,25 @@ def test_run_history_keeps_no_hidden_states():
     res = run_reinforce(cfg, SCHEDULE_5_9, 1, PaidQueries(SyntheticOracle(), clock), clock)
     assert len(res.history) == 20
     assert all(s.states is None for s in res.history)
+
+
+def test_run_draws_each_sample_through_the_module_attribute(monkeypatch):
+    # perfbench's reinforce-7-9 trace self-check wraps `reinforce.sample`
+    # and expects batch_size x iterations calls a run: one call a rollout,
+    # looked up on the module when it is made. A batched forward pass has to
+    # change this count and that check together.
+    calls = []
+    real = reinforce.sample
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(reinforce, "sample", counted)
+    cfg = ReinforceConfig(batch_size=4, iterations=3)
+    clock = SimClock()
+    res = run_reinforce(cfg, SCHEDULE_5_9, 1, PaidQueries(SyntheticOracle(), clock), clock)
+    assert len(calls) == cfg.batch_size * cfg.iterations == len(res.history)
 
 
 def test_run_predictor_mode_never_charges():
