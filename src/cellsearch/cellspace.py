@@ -85,13 +85,21 @@ class ValidationReport:
     violations: tuple[Violation, ...]
 
 
-def upper_triangle_pairs(num_vertices: int) -> list[tuple[int, int]]:
+def _row_major_pairs(num_vertices: int) -> tuple[tuple[int, int], ...]:
+    return tuple(
+        (i, j) for i in range(num_vertices) for j in range(i + 1, num_vertices)
+    )
+
+
+# the pairs of every vertex count up to the cap, indexed by vertex count
+_PAIRS = tuple(_row_major_pairs(v) for v in range(MAX_VERTICES + 1))
+
+
+def upper_triangle_pairs(num_vertices: int) -> tuple[tuple[int, int], ...]:
     """All (i, j) with i < j, row-major: (0,1), (0,2), ..., (v-2, v-1)."""
-    return [
-        (i, j)
-        for i in range(num_vertices)
-        for j in range(i + 1, num_vertices)
-    ]
+    if 0 <= num_vertices <= MAX_VERTICES:
+        return _PAIRS[num_vertices]
+    return _row_major_pairs(num_vertices)
 
 
 @dataclass(frozen=True)
@@ -147,37 +155,36 @@ class ModelSpec:
         return cls(v, edges, ops)
 
 
-def _on_path(spec: ModelSpec) -> set[int]:
-    """Vertices on some directed input->output path; empty when the output
-    is unreachable from the input. Edges are sorted with i < j, so one
-    forward sweep settles reachability from the input and one backward
-    sweep settles reachability of the output."""
-    v = spec.num_vertices
-    from_input = [True] + [False] * (v - 1)
-    for i, j in spec.edges:
-        if from_input[i]:
-            from_input[j] = True
-    to_output = [False] * (v - 1) + [True]
-    for i, j in reversed(spec.edges):
-        if to_output[j]:
-            to_output[i] = True
-    return {k for k in range(v) if from_input[k] and to_output[k]}
+def _on_path(num_vertices: int, edges) -> int:
+    """Bitmask of the vertices on some directed input->output path; 0 when
+    the output is unreachable from the input. Edges must be sorted with
+    i < j, so one forward sweep settles reachability from the input and one
+    backward sweep settles reachability of the output."""
+    from_input = 1
+    for i, j in edges:
+        if from_input >> i & 1:
+            from_input |= 1 << j
+    to_output = 1 << (num_vertices - 1)
+    for i, j in reversed(edges):
+        if to_output >> j & 1:
+            to_output |= 1 << i
+    return from_input & to_output
 
 
-def _ops_ok(spec: ModelSpec) -> bool:
+def _ops_ok(ops) -> bool:
     """IN and OUT at the terminals, a real operation on every interior vertex."""
     return (
-        spec.ops[0] is OpLabel.IN
-        and spec.ops[-1] is OpLabel.OUT
-        and all(op in INTERIOR_OPS for op in spec.ops[1:-1])
+        ops[0] is OpLabel.IN
+        and ops[-1] is OpLabel.OUT
+        and all(op in INTERIOR_OPS for op in ops[1:-1])
     )
 
 
-def _over_budget(spec: ModelSpec, limits: SpaceLimits) -> list[Violation]:
+def _over_budget(num_vertices: int, num_edges: int, limits: SpaceLimits) -> list[Violation]:
     over = []
-    if spec.num_vertices > limits.max_vertices:
+    if num_vertices > limits.max_vertices:
         over.append(Violation.TOO_MANY_VERTICES)
-    if spec.num_edges > limits.max_edges:
+    if num_edges > limits.max_edges:
         over.append(Violation.TOO_MANY_EDGES)
     return over
 
@@ -185,11 +192,11 @@ def _over_budget(spec: ModelSpec, limits: SpaceLimits) -> list[Violation]:
 def _broken_rules(spec: ModelSpec) -> list[Violation]:
     """The cell rules, without budgets: IN/OUT terminals, real interior
     ops, and every vertex on some directed input->output path."""
-    broken = [] if _ops_ok(spec) else [Violation.BAD_TERMINAL_OPS]
-    on_path = _on_path(spec)
+    broken = [] if _ops_ok(spec.ops) else [Violation.BAD_TERMINAL_OPS]
+    on_path = _on_path(spec.num_vertices, spec.edges)
     if not on_path:
         broken.append(Violation.NO_IN_OUT_PATH)
-    if len(on_path) < spec.num_vertices:
+    if on_path != (1 << spec.num_vertices) - 1:
         broken.append(Violation.DANGLING_VERTEX)
     return broken
 
@@ -202,8 +209,35 @@ def validate(spec: ModelSpec, limits: SpaceLimits) -> ValidationReport:
     interior vertices on real operations, and every vertex lies on some
     directed path from input to output.
     """
-    violations = _over_budget(spec, limits) + _broken_rules(spec)
+    violations = _over_budget(spec.num_vertices, spec.num_edges, limits) + _broken_rules(spec)
     return ValidationReport(valid=not violations, violations=tuple(violations))
+
+
+def _pruning(num_vertices: int, edges, ops) -> tuple | None:
+    """(vertex count, edges, ops) of a genome's pruning, from its parts
+    with edges sorted; None when the output is unreachable from the input.
+    Builds no ModelSpec."""
+    if ops[0] is not OpLabel.IN or ops[-1] is not OpLabel.OUT:
+        raise InvalidSpecError("prune requires IN at vertex 0 and OUT at the last vertex")
+    keep = _on_path(num_vertices, edges)
+    if not keep:
+        return None
+    if keep == (1 << num_vertices) - 1:
+        return num_vertices, edges, ops
+    kept = [k for k in range(num_vertices) if keep >> k & 1]
+    renumber = {old: new for new, old in enumerate(kept)}
+    # an edge between two on-path vertices lies on a path itself
+    edges = tuple(
+        (renumber[i], renumber[j]) for i, j in edges if keep >> i & 1 and keep >> j & 1
+    )
+    return len(kept), edges, tuple(ops[k] for k in kept)
+
+
+def _admitted(num_vertices: int, edges, ops, limits: SpaceLimits) -> bool:
+    """Whether a pruning is a valid cell: pruning keeps exactly the on-path
+    vertices and IN/OUT terminals, so only its budgets and interior ops
+    remain to check."""
+    return not _over_budget(num_vertices, len(edges), limits) and _ops_ok(ops)
 
 
 def prune(spec: ModelSpec) -> ModelSpec:
@@ -218,18 +252,10 @@ def prune(spec: ModelSpec) -> ModelSpec:
 
 
 def _prune(spec: ModelSpec) -> ModelSpec:
-    if spec.ops[0] is not OpLabel.IN or spec.ops[-1] is not OpLabel.OUT:
-        raise InvalidSpecError("prune requires IN at vertex 0 and OUT at the last vertex")
-    keep = sorted(_on_path(spec))
-    if not keep:
+    parts = _pruning(spec.num_vertices, spec.edges, spec.ops)
+    if parts is None:
         raise NoPathError("output is unreachable from input")
-    renumber = {old: new for new, old in enumerate(keep)}
-    kept = set(keep)
-    edges = tuple(
-        (renumber[i], renumber[j]) for i, j in spec.edges if i in kept and j in kept
-    )
-    ops = tuple(spec.ops[old] for old in keep)
-    return ModelSpec(len(keep), edges, ops)
+    return ModelSpec(*parts)
 
 
 # perfbench's tracer wraps only plain functions (`inspect.isfunction`), so
@@ -240,13 +266,25 @@ _prune_memo = functools.lru_cache(maxsize=PRUNE_MEMO_SIZE)(_prune)
 def phenotype(genome: ModelSpec, limits: SpaceLimits) -> ModelSpec | None:
     """The cell a genome denotes: its pruning when that is valid under the
     limits, or None when the output is unreachable or the pruning breaks a
-    rule or budget. A pruning keeps exactly the on-path vertices and IN/OUT
-    terminals, so only its budgets and interior ops remain to check."""
+    rule or budget. Goes through the prune memo, which pays where genomes
+    repeat, as mutation's children do."""
     try:
         cell = prune(genome)
     except NoPathError:
         return None
-    return None if _over_budget(cell, limits) or not _ops_ok(cell) else cell
+    return cell if _admitted(cell.num_vertices, cell.edges, cell.ops, limits) else None
+
+
+def phenotype_of(num_vertices: int, edges, ops, limits: SpaceLimits) -> ModelSpec | None:
+    """`phenotype(ModelSpec(num_vertices, edges, ops), limits)` for a fresh
+    genome given by its parts: `edges` sorted, distinct and in range, as a
+    ModelSpec stores them, and one op per vertex. Bypasses the prune memo
+    and builds only the cell it returns, so a rejected draw costs no
+    ModelSpec."""
+    parts = _pruning(num_vertices, edges, ops)
+    if parts is None or not _admitted(*parts, limits):
+        return None
+    return ModelSpec(*parts)
 
 
 def require_canonical(spec: ModelSpec) -> None:
@@ -259,6 +297,10 @@ def require_canonical(spec: ModelSpec) -> None:
             "spec is not a pruned, valid cell: "
             + ", ".join(rule.value for rule in broken)
         )
+
+
+# the 4-byte length prefix `_h` puts before a 16-byte digest
+_DIGEST_LENGTH = (16).to_bytes(4, "big")
 
 
 def _h(*parts: bytes) -> bytes:
@@ -299,14 +341,24 @@ def _wl_hash(spec: ModelSpec) -> str:
         )
         for k in range(v)
     ]
+    # each round hashes _h's blob of (digest, sorted predecessor digests,
+    # sorted successor digests) in one join; only the digests change
+    # between rounds, so the length prefixes are fixed up front
+    lengths = [
+        ((16 * len(p)).to_bytes(4, "big"), (16 * len(s)).to_bytes(4, "big"))
+        for p, s in zip(preds, succs)
+    ]
     for _ in range(v):
         digests = [
-            _h(
-                digests[k],
-                b"".join(sorted(digests[p] for p in preds[k])),
-                b"".join(sorted(digests[s] for s in succs[k])),
-            )
-            for k in range(v)
+            hashlib.blake2b(
+                b"".join([
+                    _DIGEST_LENGTH, digests[k],
+                    p_len, *sorted([digests[p] for p in preds[k]]),
+                    s_len, *sorted([digests[s] for s in succs[k]]),
+                ]),
+                digest_size=16,
+            ).digest()
+            for k, (p_len, s_len) in enumerate(lengths)
         ]
     return _h(b"".join(sorted(digests)), bytes([v])).hex()
 
@@ -324,15 +376,12 @@ def random_spec(rng, limits: SpaceLimits) -> ModelSpec:
     at (5,9) about 49% of draws are the single 2-vertex class. `rng` is a
     random.Random.
     """
+    uniform, choice = rng.random, rng.choice
     for _ in range(MAX_REJECTION_ATTEMPTS):
         v = rng.randint(2, limits.max_vertices)
-        edges = tuple(p for p in upper_triangle_pairs(v) if rng.random() < 0.5)
-        ops = (
-            (OpLabel.IN,)
-            + tuple(rng.choice(INTERIOR_OPS) for _ in range(v - 2))
-            + (OpLabel.OUT,)
-        )
-        cell = phenotype(ModelSpec(v, edges, ops), limits)
+        edges = tuple([p for p in _PAIRS[v] if uniform() < 0.5])
+        ops = (OpLabel.IN, *[choice(INTERIOR_OPS) for _ in range(v - 2)], OpLabel.OUT)
+        cell = phenotype_of(v, edges, ops, limits)
         if cell is not None:
             return cell
     raise ExhaustedError(

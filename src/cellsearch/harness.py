@@ -12,6 +12,7 @@ shapes so they can be compared on equal terms.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import asdict, dataclass, field
 
@@ -91,6 +92,9 @@ class ExperimentConfig:
             raise ConfigError("predictor-guided search needs a labeling budget")
         if not 0.0 < self.label_charge <= 1.0:
             raise ConfigError("label_charge must lie in (0, 1]")
+        # a NaN threshold labels nothing positive, found only after paying
+        if self.label_threshold is not None and not math.isfinite(self.label_threshold):
+            raise ConfigError(f"label_threshold must be finite, got {self.label_threshold}")
         if self.top_k < 1:
             raise ConfigError("top_k must be at least 1")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):

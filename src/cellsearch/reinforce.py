@@ -32,7 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .cellspace import (
-    INTERIOR_OPS, MAX_VERTICES, ModelSpec, OpLabel, SpaceLimits, phenotype,
+    INTERIOR_OPS, MAX_VERTICES, ModelSpec, OpLabel, SpaceLimits, phenotype_of,
     upper_triangle_pairs,
 )
 from .errors import ConfigError, ShapeError
@@ -102,7 +102,7 @@ class DecisionSchedule:
         without limits."""
         if self.limits is None:
             return ()
-        return tuple(upper_triangle_pairs(self.limits.max_vertices))
+        return upper_triangle_pairs(self.limits.max_vertices)
 
     @property
     def num_steps(self) -> int:
@@ -131,7 +131,7 @@ class DecisionSchedule:
             + tuple(INTERIOR_OPS[a] for a in op_actions)
             + (OpLabel.OUT,)
         )
-        return phenotype(ModelSpec(self.limits.max_vertices, edges, ops), self.limits)
+        return phenotype_of(self.limits.max_vertices, edges, ops, self.limits)
 
 
 def _shapes(hidden_size: int, emb_dim: int) -> dict:

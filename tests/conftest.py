@@ -158,3 +158,22 @@ def make_spec(v, edges, interior_ops):
 @pytest.fixture
 def space59_specs():
     return list(cellspace.enumerate_space(SpaceLimits(5, 9)))
+
+
+# ---------------------------------------------------------------------------
+# construction counter
+
+
+@pytest.fixture
+def spec_builds(monkeypatch):
+    """A one-item list holding the number of ModelSpecs built since the
+    fixture was set up."""
+    builds = [0]
+    post_init = ModelSpec.__post_init__
+
+    def counted(self):
+        builds[0] += 1
+        post_init(self)
+
+    monkeypatch.setattr(ModelSpec, "__post_init__", counted)
+    return builds

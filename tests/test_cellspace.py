@@ -58,19 +58,32 @@ ORDER_DIGESTS = {
     (6, 9): "380404e828a96c77d8fd9fabeceab16353e1b51704f31a8fbb9e501a7167ba08",
 }
 
+# sha256 over each yielded spec's canonical hash, in yield order, as the
+# hash computed them before its refinement rounds were restructured; a
+# faster hash must keep every digest
+HASH_DIGESTS = {
+    (4, 9): "63b9d9811647d9424cbf7a816470f78c1539992b079c6010e0654cc0cae99007",
+    (5, 9): "61f06dbdf57623d014dad7f9a4cbf149333a5d1a13db2098d2ade73eacca4a4a",
+    (6, 9): "e4909f428f499ebda70e40f4286d3f160f1558d65a9592f500c6dcbd4932f3e3",
+}
+
 
 @functools.lru_cache(maxsize=None)
 def enumeration_pass(limits):
-    """(class count, order digest, distinct canonical hashes) from one pass
-    over enumerate_space, shared by the count and order tests."""
+    """(class count, order digest, distinct canonical hashes, digest of the
+    canonical hashes in order) from one pass over enumerate_space, shared by
+    the count, order and hash tests."""
     order = hashlib.sha256()
+    hashes = hashlib.sha256()
     digests = set()
     count = 0
     for spec in enumerate_space(SpaceLimits(*limits)):
         order.update((json.dumps(spec.to_json_obj(), sort_keys=True) + "\n").encode())
-        digests.add(canonical_hash(spec))
+        digest = canonical_hash(spec)
+        hashes.update(digest.encode())
+        digests.add(digest)
         count += 1
-    return count, order.hexdigest(), len(digests)
+    return count, order.hexdigest(), len(digests), hashes.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +411,35 @@ def test_phenotype_equals_prune_then_validate():
     assert min(seen.values()) > 2_000, seen
 
 
+def test_phenotype_of_equals_phenotype_of_the_built_genome():
+    # every genome of up to 5 vertices: each edge mask under each interior
+    # labeling, IN and OUT included; then random genomes of 7 vertices
+    limits_list = (SpaceLimits(5, 9), SpaceLimits(5, 4), SpaceLimits(4, 9))
+    seen = {True: 0, False: 0}
+    for v in range(2, 6):
+        pairs = upper_triangle_pairs(v)
+        for mask in range(1 << len(pairs)):
+            edges = tuple(p for k, p in enumerate(pairs) if mask >> k & 1)
+            for interior in itertools.product(OpLabel, repeat=v - 2):
+                ops = (OpLabel.IN, *interior, OpLabel.OUT)
+                genome = ModelSpec(v, edges, ops)
+                for limits in limits_list:
+                    cell = cellspace.phenotype_of(v, edges, ops, limits)
+                    assert cell == cellspace.phenotype(genome, limits), (genome, limits)
+                    seen[cell is None] += 1
+    assert min(seen.values()) > 50_000, seen
+    rng = random.Random(13)
+    limits = SpaceLimits(7, 9)
+    for _ in range(10_000):
+        edges = tuple(p for p in upper_triangle_pairs(7) if rng.random() < 0.5)
+        ops = (OpLabel.IN, *[rng.choice(cellspace.INTERIOR_OPS) for _ in range(5)], OpLabel.OUT)
+        genome = ModelSpec(7, edges, ops)
+        assert cellspace.phenotype_of(7, edges, ops, limits) == cellspace.phenotype(genome, limits)
+    for ops in ((OpLabel.CONV3X3, OpLabel.OUT), (OpLabel.IN, OpLabel.IN)):
+        with pytest.raises(InvalidSpecError):
+            cellspace.phenotype_of(2, ((0, 1),), ops, limits)
+
+
 def _benchmark_traced_names() -> set[str]:
     """Every 'module.function' that perfbench's worker reads from its trace
     by name, plus the function each workload's trace self-check counts."""
@@ -452,6 +494,50 @@ def test_random_spec_always_valid_and_pruned():
         s = random_spec(rng, limits)
         assert validate(s, limits).valid
         assert prune(s) == s
+
+
+def _frozen_random_spec(rng, limits):
+    """random_spec as it was when every draw built a ModelSpec genome and
+    asked `phenotype` about it: the reference for its cells and its calls
+    on `rng`."""
+    for _ in range(cellspace.MAX_REJECTION_ATTEMPTS):
+        v = rng.randint(2, limits.max_vertices)
+        edges = tuple(p for p in upper_triangle_pairs(v) if rng.random() < 0.5)
+        ops = (
+            (OpLabel.IN,)
+            + tuple(rng.choice(cellspace.INTERIOR_OPS) for _ in range(v - 2))
+            + (OpLabel.OUT,)
+        )
+        cell = cellspace.phenotype(ModelSpec(v, edges, ops), limits)
+        if cell is not None:
+            return cell
+    raise ExhaustedError("no valid random spec")
+
+
+@pytest.mark.parametrize("limits", [(2, 1), (4, 9), (5, 9), (7, 9), (7, 4)])
+def test_random_spec_equals_the_genome_building_reference(limits):
+    limits = SpaceLimits(*limits)
+    ours, theirs = random.Random(0), random.Random(0)
+    for _ in range(20_000):
+        assert random_spec(ours, limits) == _frozen_random_spec(theirs, limits)
+    assert ours.getstate() == theirs.getstate()
+
+
+def test_random_spec_draws_the_two_vertex_class_about_half_the_time_at_5_9():
+    # the docstring's "about 49%": the vertex count is drawn before pruning
+    rng = random.Random(0)
+    limits = SpaceLimits(5, 9)
+    twos = sum(random_spec(rng, limits).num_vertices == 2 for _ in range(20_000))
+    assert 0.47 <= twos / 20_000 <= 0.51, twos
+
+
+@pytest.mark.parametrize("limits", [(5, 9), (7, 9)])
+def test_random_spec_builds_only_the_cell_it_returns(spec_builds, limits):
+    # rejected draws are decided on their raw parts and build no ModelSpec
+    rng = random.Random(3)
+    for n in range(1, 1001):
+        random_spec(rng, SpaceLimits(*limits))
+        assert spec_builds[0] == n
 
 
 def test_random_spec_covers_every_class_at_4_9():
@@ -580,7 +666,7 @@ def test_mutate_deterministic_per_seed():
 @pytest.mark.parametrize("limits,count", sorted(KNOWN_CLASS_COUNTS.items()))
 def test_enumeration_class_counts(limits, count):
     # the distinct-hash count checks WL separation over every class
-    classes, _, distinct_hashes = enumeration_pass(limits)
+    classes, _, distinct_hashes, _ = enumeration_pass(limits)
     assert classes == count
     assert distinct_hashes == count
 
@@ -588,6 +674,11 @@ def test_enumeration_class_counts(limits, count):
 @pytest.mark.parametrize("limits,digest", sorted(ORDER_DIGESTS.items()))
 def test_enumeration_order_is_pinned(limits, digest):
     assert enumeration_pass(limits)[1] == digest
+
+
+@pytest.mark.parametrize("limits,digest", sorted(HASH_DIGESTS.items()))
+def test_canonical_hashes_are_pinned(limits, digest):
+    assert enumeration_pass(limits)[3] == digest
 
 
 def test_enumeration_reaches_the_full_space():

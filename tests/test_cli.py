@@ -11,7 +11,7 @@ from cellsearch import cellspace
 from cellsearch.cellspace import SpaceLimits
 from cellsearch.cli import main
 from cellsearch.harness import read_summary
-from cellsearch.oracle import SyntheticOracleParams, load_table, synth_record
+from cellsearch.oracle import PaidQueries, SyntheticOracleParams, load_table, synth_record
 from cellsearch.predictor import load_predictor
 from cellsearch.traces import TRACE_HEADER, read_trace
 
@@ -526,6 +526,42 @@ def test_signed_values_reach_every_float_flag(capsys, tmp_path):
     # before it still misses its argument
     code, _, err = run_cli(capsys, "compare", missing, missing, "--target", "-x")
     assert code == 1 and "expected one argument" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("label", "--limits", "4,9", "--n", "5"), "--threshold"),
+        (("run", "--fitness", "predictor", "--limits", "4,9", "--n-label", "5"),
+         "--label-threshold"),
+        (("run", "--limits", "4,9"), "--label-threshold"),
+    ],
+)
+def test_non_finite_label_threshold_is_refused_before_any_query(
+    capsys, tmp_path, monkeypatch, argv, flag
+):
+    # a NaN threshold once labeled nothing positive, found only after every
+    # label was paid for, and an oracle run took it without a word
+    def refuse(*args):
+        raise AssertionError("a refused config must pay for no query")
+
+    monkeypatch.setattr(PaidQueries, "query", refuse)
+    out = tmp_path / "bad"
+    for value in ("nan", "-nan", "inf", "-inf"):
+        results = [
+            run_cli(capsys, *argv, *form, "--out", str(out))
+            for form in ((flag, value), (f"{flag}={value}",))
+        ]
+        assert results[0] == results[1], (flag, value)
+        code, stdout, err = results[0]
+        assert code == 1 and stdout == ""
+        assert "label_threshold must be finite" in err
+        assert not out.exists()
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"label_threshold": NaN}')
+    code, stdout, err = run_cli(capsys, "run", "--config", str(cfg_path), "--out", str(out))
+    assert code == 1 and stdout == "" and "label_threshold must be finite" in err
+    assert not out.exists()
 
 
 def test_config_file_controller_size_below_one_is_usage_error(capsys, tmp_path):

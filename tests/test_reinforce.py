@@ -136,6 +136,20 @@ def test_assembly_loses_no_cell(limits, classes, invalid):
     }
 
 
+def test_assembly_builds_only_the_cell_it_keeps(spec_builds):
+    # an invalid rollout is decided on its raw edges and builds no ModelSpec
+    controller = zero_controller(hidden_size=4, emb_dim=2)
+    sched = DecisionSchedule.from_limits(SpaceLimits(7, 9))
+    rng = random.Random(0)
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        before = spec_builds[0]
+        s = sample(controller, sched, rng)
+        assert spec_builds[0] - before == (s.spec is not None)
+        seen[s.spec is None] += 1
+    assert min(seen.values()) > 50, seen
+
+
 def test_schedule_longer_than_the_step_biases_is_refused():
     # the largest space's schedule fills the step biases; SpaceLimits
     # refuses any larger space before a schedule is built
