@@ -23,11 +23,11 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import ExhaustedError, InvalidSpecError, NoPathError
+from .errors import ExhaustedError, InvalidSpecError
 
 MAX_REJECTION_ATTEMPTS = 10_000
 
-# Bounds of the value-keyed memos on `canonical_hash` and `prune`. Search
+# Bounds of the value-keyed memos on `canonical_hash` and `phenotype`. Search
 # re-derives a few hundred distinct cells per seeded run as fresh, equal
 # `ModelSpec` objects; unbounded memos raised peak memory by up to 37% on
 # the predictor pipeline, whose random draws are mostly distinct.
@@ -85,21 +85,15 @@ class ValidationReport:
     violations: tuple[Violation, ...]
 
 
-def _row_major_pairs(num_vertices: int) -> tuple[tuple[int, int], ...]:
-    return tuple(
-        (i, j) for i in range(num_vertices) for j in range(i + 1, num_vertices)
-    )
-
-
 # the pairs of every vertex count up to the cap, indexed by vertex count
-_PAIRS = tuple(_row_major_pairs(v) for v in range(MAX_VERTICES + 1))
+_PAIRS = tuple(
+    tuple((i, j) for i in range(v) for j in range(i + 1, v)) for v in range(MAX_VERTICES + 1)
+)
 
 
 def upper_triangle_pairs(num_vertices: int) -> tuple[tuple[int, int], ...]:
     """All (i, j) with i < j, row-major: (0,1), (0,2), ..., (v-2, v-1)."""
-    if 0 <= num_vertices <= MAX_VERTICES:
-        return _PAIRS[num_vertices]
-    return _row_major_pairs(num_vertices)
+    return _PAIRS[num_vertices]
 
 
 @dataclass(frozen=True)
@@ -107,8 +101,8 @@ class ModelSpec:
     """A labeled DAG cell.
 
     `edges` holds the strictly upper-triangular adjacency as sorted (i, j)
-    pairs with i < j; `ops` holds one label per vertex. Instances are
-    immutable and safe to share across threads.
+    pairs with i < j; `ops` holds one label per vertex, of 2 to MAX_VERTICES.
+    Instances are immutable and safe to share across threads.
     """
 
     num_vertices: int
@@ -117,8 +111,8 @@ class ModelSpec:
 
     def __post_init__(self):
         v = self.num_vertices
-        if v < 2:
-            raise ValueError(f"need at least 2 vertices, got {v}")
+        if not 2 <= v <= MAX_VERTICES:
+            raise ValueError(f"need 2 to {MAX_VERTICES} vertices, got {v}")
         edges = tuple(sorted(tuple(e) for e in self.edges))
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "ops", tuple(self.ops))
@@ -213,78 +207,48 @@ def validate(spec: ModelSpec, limits: SpaceLimits) -> ValidationReport:
     return ValidationReport(valid=not violations, violations=tuple(violations))
 
 
-def _pruning(num_vertices: int, edges, ops) -> tuple | None:
-    """(vertex count, edges, ops) of a genome's pruning, from its parts
-    with edges sorted; None when the output is unreachable from the input.
-    Builds no ModelSpec."""
+def phenotype_of(num_vertices: int, edges, ops, limits: SpaceLimits) -> ModelSpec | None:
+    """The cell a genome denotes, given by its parts as a ModelSpec stores
+    them: the genome less every vertex on no directed input->output path,
+    survivors renumbered in order. None when the output is unreachable or
+    that cell breaks a budget or an interior-op rule; InvalidSpecError
+    unless IN and OUT sit at the terminals. Builds only the cell it
+    returns, so a rejected draw costs no ModelSpec."""
     if ops[0] is not OpLabel.IN or ops[-1] is not OpLabel.OUT:
-        raise InvalidSpecError("prune requires IN at vertex 0 and OUT at the last vertex")
+        raise InvalidSpecError("a genome needs IN at vertex 0 and OUT at the last vertex")
     keep = _on_path(num_vertices, edges)
     if not keep:
         return None
-    if keep == (1 << num_vertices) - 1:
-        return num_vertices, edges, ops
-    kept = [k for k in range(num_vertices) if keep >> k & 1]
-    renumber = {old: new for new, old in enumerate(kept)}
-    # an edge between two on-path vertices lies on a path itself
-    edges = tuple(
-        (renumber[i], renumber[j]) for i, j in edges if keep >> i & 1 and keep >> j & 1
-    )
-    return len(kept), edges, tuple(ops[k] for k in kept)
-
-
-def _admitted(num_vertices: int, edges, ops, limits: SpaceLimits) -> bool:
-    """Whether a pruning is a valid cell: pruning keeps exactly the on-path
-    vertices and IN/OUT terminals, so only its budgets and interior ops
-    remain to check."""
-    return not _over_budget(num_vertices, len(edges), limits) and _ops_ok(ops)
-
-
-def prune(spec: ModelSpec) -> ModelSpec:
-    """Drop every vertex that is not on a directed input->output path.
-
-    Surviving vertices are renumbered in their original order. Idempotent;
-    never grows the graph. Raises NoPathError when the output is unreachable
-    from the input. Equal specs share one memo entry (PRUNE_MEMO_SIZE);
-    errors are raised afresh on every call.
-    """
-    return _prune_memo(spec)
-
-
-def _prune(spec: ModelSpec) -> ModelSpec:
-    parts = _pruning(spec.num_vertices, spec.edges, spec.ops)
-    if parts is None:
-        raise NoPathError("output is unreachable from input")
-    return ModelSpec(*parts)
-
-
-# perfbench's tracer wraps only plain functions (`inspect.isfunction`), so
-# `prune` and `canonical_hash` stay `def`s that call their memos.
-_prune_memo = functools.lru_cache(maxsize=PRUNE_MEMO_SIZE)(_prune)
+    if keep != (1 << num_vertices) - 1:
+        kept = [k for k in range(num_vertices) if keep >> k & 1]
+        renumber = {old: new for new, old in enumerate(kept)}
+        # an edge between two on-path vertices lies on a path itself
+        edges = tuple(
+            (renumber[i], renumber[j]) for i, j in edges if keep >> i & 1 and keep >> j & 1
+        )
+        num_vertices, ops = len(kept), tuple(ops[k] for k in kept)
+    # the cell keeps exactly the on-path vertices and the IN/OUT terminals,
+    # so only its budgets and interior ops remain to check
+    if _over_budget(num_vertices, len(edges), limits) or not _ops_ok(ops):
+        return None
+    return ModelSpec(num_vertices, edges, ops)
 
 
 def phenotype(genome: ModelSpec, limits: SpaceLimits) -> ModelSpec | None:
-    """The cell a genome denotes: its pruning when that is valid under the
-    limits, or None when the output is unreachable or the pruning breaks a
-    rule or budget. Goes through the prune memo, which pays where genomes
-    repeat, as mutation's children do."""
-    try:
-        cell = prune(genome)
-    except NoPathError:
-        return None
-    return cell if _admitted(cell.num_vertices, cell.edges, cell.ops, limits) else None
+    """`phenotype_of` a genome ModelSpec. Equal (genome, limits) pairs share
+    one memo entry (PRUNE_MEMO_SIZE), None answers included, which pays
+    where genomes repeat, as mutation's children do; InvalidSpecError is
+    raised afresh on every call."""
+    return _phenotype_memo(genome, limits)
 
 
-def phenotype_of(num_vertices: int, edges, ops, limits: SpaceLimits) -> ModelSpec | None:
-    """`phenotype(ModelSpec(num_vertices, edges, ops), limits)` for a fresh
-    genome given by its parts: `edges` sorted, distinct and in range, as a
-    ModelSpec stores them, and one op per vertex. Bypasses the prune memo
-    and builds only the cell it returns, so a rejected draw costs no
-    ModelSpec."""
-    parts = _pruning(num_vertices, edges, ops)
-    if parts is None or not _admitted(*parts, limits):
-        return None
-    return ModelSpec(*parts)
+def _genome_phenotype(genome: ModelSpec, limits: SpaceLimits) -> ModelSpec | None:
+    return phenotype_of(genome.num_vertices, genome.edges, genome.ops, limits)
+
+
+# perfbench's tracer wraps only plain functions (`inspect.isfunction`), so
+# `phenotype` and `canonical_hash` stay `def`s that call their memos.
+_phenotype_memo = functools.lru_cache(maxsize=PRUNE_MEMO_SIZE)(_genome_phenotype)
 
 
 def require_canonical(spec: ModelSpec) -> None:
@@ -407,8 +371,9 @@ def _pad_to(spec: ModelSpec, max_vertices: int, rng) -> ModelSpec:
     return ModelSpec(max_vertices, edges, ops)
 
 
-def mutate(parent: ModelSpec, rng, limits: SpaceLimits) -> ModelSpec:
-    """One uniformly-drawn primitive edit of the parent genome.
+def mutate(parent: ModelSpec, rng, limits: SpaceLimits) -> tuple[ModelSpec, ModelSpec]:
+    """One uniformly-drawn primitive edit of the parent genome, returned
+    with the cell it denotes as (child, cell).
 
     The edit is applied to the parent padded out to `max_vertices` with
     dormant (edgeless) interior vertices, and the child is returned
@@ -419,7 +384,7 @@ def mutate(parent: ModelSpec, rng, limits: SpaceLimits) -> ModelSpec:
     here instead would discard those neutral intermediates and the search
     could never regrow vertices, walling itself into small-cell subspaces.
 
-    A child is accepted when the cell it prunes to is valid under the
+    A child is accepted when it denotes a cell (`phenotype`) under the
     limits; otherwise the edit is redrawn (with replacement, up to the
     attempt cap). The child always differs from the padded parent by
     exactly the one edit.
@@ -440,8 +405,9 @@ def mutate(parent: ModelSpec, rng, limits: SpaceLimits) -> ModelSpec:
         else:
             k, op = swaps[r - len(pairs)]
             child = ModelSpec(v, edges, ops[:k] + (op,) + ops[k + 1 :])
-        if phenotype(child, limits) is not None:
-            return child
+        cell = phenotype(child, limits)
+        if cell is not None:
+            return child, cell
     raise ExhaustedError(
         f"no valid mutation of a {parent.num_vertices}-vertex parent "
         f"after {MAX_REJECTION_ATTEMPTS} attempts at {limits}"

@@ -9,10 +9,6 @@ class InvalidSpecError(CellSearchError):
     """A spec failed a precondition (not pruned, bad terminals, bad labels)."""
 
 
-class NoPathError(CellSearchError):
-    """No directed path from the input vertex to the output vertex."""
-
-
 class ExhaustedError(CellSearchError):
     """Rejection sampling hit its attempt cap; limits are likely misconfigured."""
 

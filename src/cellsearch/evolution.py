@@ -22,7 +22,10 @@ from .traces import SearchTrace
 
 @dataclass(frozen=True)
 class Individual:
-    spec: ModelSpec
+    """An unpruned genome, mutation's material, and the cell it denotes."""
+
+    genome: ModelSpec
+    cell: ModelSpec
     fitness: float
     birth_index: int
 
@@ -47,8 +50,8 @@ class EvolutionConfig:
             raise ConfigError("cycles must be at least population_size")
 
 
-def _evaluate(spec: ModelSpec, fitness, birth_index: int) -> Individual:
-    return Individual(spec, fitness.evaluate(spec), birth_index)
+def _evaluate(genome: ModelSpec, cell: ModelSpec, fitness, birth_index: int) -> Individual:
+    return Individual(genome, cell, fitness.evaluate(cell), birth_index)
 
 
 def init_population(cfg: EvolutionConfig, limits: SpaceLimits, fitness, rng: random.Random):
@@ -56,8 +59,8 @@ def init_population(cfg: EvolutionConfig, limits: SpaceLimits, fitness, rng: ran
     population: deque[Individual] = deque()
     history: list[Individual] = []
     while len(population) < cfg.population_size:
-        spec = cellspace.random_spec(rng, limits)
-        ind = _evaluate(spec, fitness, birth_index=len(history))
+        cell = cellspace.random_spec(rng, limits)
+        ind = _evaluate(cell, cell, fitness, birth_index=len(history))
         population.append(ind)
         history.append(ind)
     return population, history
@@ -80,13 +83,13 @@ def evolve_cycle(
     """One aging-evolution step: select, mutate, evaluate, age out."""
     parent = tournament_select(population, cfg.sample_size, rng)
     try:
-        child_spec = cellspace.mutate(parent.spec, rng, limits)
+        genome, cell = cellspace.mutate(parent.genome, rng, limits)
     except ExhaustedError as exc:
-        parent_hash = cellspace.canonical_hash(cellspace.prune(parent.spec))
+        parent_hash = cellspace.canonical_hash(parent.cell)
         raise ExhaustedError(
             f"mutation stuck at cycle {len(history)} (parent {parent_hash}): {exc}"
         ) from exc
-    child = _evaluate(child_spec, fitness, birth_index=len(history))
+    child = _evaluate(genome, cell, fitness, birth_index=len(history))
     population.append(child)
     history.append(child)
     population.popleft()

@@ -332,9 +332,9 @@ def run_predictor_pipeline(cfg: ExperimentConfig, paid: PaidQueries, rng: random
 def topk_revalidate(predictions, k: int, paid: PaidQueries) -> tuple:
     """Ground the k most promising distinct cells of a predictor-guided run.
 
-    `predictions` is the run's `PredictorFitness.predictions`: every pruned
-    cell the search scored, mapped to its probability, in first-scored
-    order. Candidates are distinct canonical hashes ranked by their best
+    `predictions` is the run's `PredictorFitness.predictions`: every cell
+    the search scored (searches hand the fitness cells, never genomes),
+    mapped to its probability, in first-scored order. Candidates are distinct canonical hashes ranked by their best
     score; a class drawn as several cells stands as the first one scored
     best, and ties between classes go to the class scored first. Each is
     queried through `paid` at full charge, so the log holds the true-best

@@ -259,7 +259,8 @@ class PaidQueries:
 
     As the fitness of a ground-truth search, `evaluate` pays for each
     distinct cell once: a hash already paid for is answered from the per-run
-    memo without touching the clock, and counted in `memo_hits`.
+    memo without touching the clock, and counted in `memo_hits`. It refuses
+    a genome that is not a cell with InvalidSpecError, paying nothing.
     """
 
     mode = "ORACLE"
@@ -284,10 +285,7 @@ class PaidQueries:
         self.trace.append(len(self.trace.rows) + 1, self.clock.elapsed_s, best_true, best_true)
         return record
 
-    def evaluate(self, genome: ModelSpec) -> float:
-        # search loops hand over raw genomes; the evaluated object is the
-        # cell they prune to
-        cell = cellspace.prune(genome)
+    def evaluate(self, cell: ModelSpec) -> float:
         digest = cellspace.canonical_hash(cell)
         if digest in self.memo:
             self.memo_hits += 1

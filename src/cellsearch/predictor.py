@@ -458,10 +458,11 @@ class PredictorFitness:
     """Fitness adapter: predicted probability of clearing the threshold.
 
     Free to evaluate — the simulated clock is never charged. Each instance
-    predicts each distinct pruned cell once and answers repeats from
-    `predictions`, its memo of pruned cell -> probability in first-scored
-    order, which is also the run's record of what the search scored (top-k
-    revalidation ranks it). `params` must not change while it is in use;
+    predicts each distinct cell once and answers repeats from `predictions`,
+    its memo of cell -> probability in first-scored order, which is also
+    the run's record of what the search scored (top-k revalidation ranks
+    it); a genome that is not a cell is refused with InvalidSpecError and
+    never enters the memo. `params` must not change while in use;
     `evaluations` counts every call.
     """
 
@@ -472,9 +473,8 @@ class PredictorFitness:
         self.evaluations = 0
         self.predictions: dict[ModelSpec, float] = {}
 
-    def evaluate(self, spec: ModelSpec) -> float:
+    def evaluate(self, cell: ModelSpec) -> float:
         self.evaluations += 1
-        cell = cellspace.prune(spec)
         if cell not in self.predictions:
             self.predictions[cell] = predict(self.params, cell)
         return self.predictions[cell]

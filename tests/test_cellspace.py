@@ -1,4 +1,4 @@
-"""Cell-space tests: structure, validation, pruning, hashing (checked
+"""Cell-space tests: structure, validation, phenotypes, hashing (checked
 exhaustively against a permutation-based isomorphism oracle), sampling,
 mutation, enumeration, and serialization."""
 
@@ -23,12 +23,12 @@ from cellsearch.cellspace import (
     canonical_hash,
     enumerate_space,
     mutate,
-    prune,
+    phenotype,
     random_spec,
     upper_triangle_pairs,
     validate,
 )
-from cellsearch.errors import ExhaustedError, InvalidSpecError, NoPathError
+from cellsearch.errors import ExhaustedError, InvalidSpecError
 
 from conftest import (
     all_paths_vertices,
@@ -111,6 +111,9 @@ def test_rejects_duplicate_edges_and_bad_ops_length():
         ModelSpec(3, ((0, 1),), (OpLabel.IN, OpLabel.OUT))
     with pytest.raises(ValueError):
         ModelSpec(1, (), (OpLabel.IN,))
+    # MAX_VERTICES binds every spec, genome or cell, not only SpaceLimits
+    with pytest.raises(ValueError, match="need 2 to 7 vertices, got 8"):
+        ModelSpec(8, ((0, 7),), (OpLabel.IN,) + (OpLabel.CONV3X3,) * 6 + (OpLabel.OUT,))
 
 
 # ---------------------------------------------------------------------------
@@ -172,15 +175,30 @@ def test_multiple_violations_all_reported():
 
 
 # ---------------------------------------------------------------------------
-# prune
+# pruning: `phenotype` and `phenotype_of` give the cell a genome denotes
+
+# budgets no genome of up to MAX_VERTICES vertices can break, so that only
+# the path rules decide a genome's cell
+OPEN = SpaceLimits(7, 21)
+
+
+def _path_pruning(genome):
+    """The genome less every vertex on no IN->OUT path, survivors renumbered
+    in order, found by path enumeration; None when there is no path."""
+    kept = sorted(all_paths_vertices(genome))
+    if not kept:
+        return None
+    renumber = {old: new for new, old in enumerate(kept)}
+    edges = [(renumber[i], renumber[j]) for i, j in genome.edges if i in renumber and j in renumber]
+    return ModelSpec(len(kept), tuple(edges), tuple(genome.ops[k] for k in kept))
 
 
 def test_prune_removes_isolated_vertex():
     s = make_spec(3, [(0, 2)], [OpLabel.CONV3X3])
-    pruned = prune(s)
-    assert pruned.num_vertices == 2
-    assert pruned.edges == ((0, 1),)
-    assert pruned.ops == (OpLabel.IN, OpLabel.OUT)
+    cell = phenotype(s, OPEN)
+    assert cell.num_vertices == 2
+    assert cell.edges == ((0, 1),)
+    assert cell.ops == (OpLabel.IN, OpLabel.OUT)
 
 
 def test_prune_identity_on_valid_spec():
@@ -189,16 +207,16 @@ def test_prune_identity_on_valid_spec():
         [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)],
         [OpLabel.CONV3X3, OpLabel.CONV1X1, OpLabel.MAXPOOL3X3],
     )
-    assert prune(s) == s
+    assert phenotype(s, OPEN) == s
 
 
 def test_prune_drops_dead_end_vertex():
     # Vertex 2 has an in-edge but no path onward to OUT.
     s = make_spec(4, [(0, 1), (0, 2), (1, 3)], [OpLabel.CONV3X3, OpLabel.CONV1X1])
-    pruned = prune(s)
-    assert pruned.num_vertices == 3
-    assert pruned.edges == ((0, 1), (1, 2))
-    assert pruned.ops == (OpLabel.IN, OpLabel.CONV3X3, OpLabel.OUT)
+    cell = phenotype(s, OPEN)
+    assert cell.num_vertices == 3
+    assert cell.edges == ((0, 1), (1, 2))
+    assert cell.ops == (OpLabel.IN, OpLabel.CONV3X3, OpLabel.OUT)
 
 
 def test_prune_matches_path_enumeration_oracle():
@@ -213,21 +231,10 @@ def test_prune_matches_path_enumeration_oracle():
             + (OpLabel.OUT,)
         )
         s = ModelSpec(v, edges, ops)
-        expected_kept = sorted(all_paths_vertices(s))
-        if not expected_kept:
-            with pytest.raises(NoPathError):
-                prune(s)
-            continue
-        pruned = prune(s)
-        assert pruned.num_vertices == len(expected_kept)
-        assert pruned.ops == tuple(s.ops[old] for old in expected_kept)
-        renumber = {old: new for new, old in enumerate(expected_kept)}
-        kept = set(expected_kept)
-        expected_edges = tuple(
-            sorted((renumber[i], renumber[j]) for i, j in s.edges if i in kept and j in kept)
-        )
-        assert pruned.edges == expected_edges
-        checked += 1
+        expected = _path_pruning(s)
+        assert phenotype(s, OPEN) == expected
+        assert cellspace.phenotype_of(v, edges, ops, OPEN) == expected
+        checked += expected is not None
     assert checked > 100
 
 
@@ -241,25 +248,28 @@ def test_prune_idempotent_and_never_grows():
             + tuple(rng.choice(cellspace.INTERIOR_OPS) for _ in range(v - 2))
             + (OpLabel.OUT,)
         )
-        try:
-            once = prune(ModelSpec(v, edges, ops))
-        except NoPathError:
+        once = phenotype(ModelSpec(v, edges, ops), OPEN)
+        if once is None:
             continue
-        assert prune(once) == once
+        assert phenotype(once, OPEN) == once
         assert once.num_vertices <= v
         assert once.num_edges <= len(edges)
 
 
-def test_prune_no_path_raises(two_vertex):
-    s = ModelSpec(2, (), (OpLabel.IN, OpLabel.OUT))
-    with pytest.raises(NoPathError):
-        prune(s)
+def test_prune_no_path_gives_none():
+    assert phenotype(ModelSpec(2, (), (OpLabel.IN, OpLabel.OUT)), OPEN) is None
+    assert phenotype(make_spec(4, [(0, 1), (2, 3)], [OpLabel.CONV3X3] * 2), OPEN) is None
 
 
 def test_prune_requires_terminal_labels():
-    s = ModelSpec(2, ((0, 1),), (OpLabel.CONV3X3, OpLabel.OUT))
-    with pytest.raises(InvalidSpecError):
-        prune(s)
+    cellspace._phenotype_memo.cache_clear()
+    for ops in ((OpLabel.CONV3X3, OpLabel.OUT), (OpLabel.IN, OpLabel.IN)):
+        for _ in range(3):
+            with pytest.raises(InvalidSpecError):
+                phenotype(ModelSpec(2, ((0, 1),), ops), OPEN)
+            with pytest.raises(InvalidSpecError):
+                cellspace.phenotype_of(2, ((0, 1),), ops, OPEN)
+    assert cellspace._phenotype_memo.cache_info().currsize == 0
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +326,7 @@ def test_hash_invariance_and_separation_exhaustive_v_le_5():
 
 
 # ---------------------------------------------------------------------------
-# value-keyed memos on canonical_hash and prune
+# value-keyed memos on canonical_hash and phenotype
 
 
 def test_hash_memo_keys_on_value_not_identity():
@@ -331,16 +341,38 @@ def test_hash_memo_keys_on_value_not_identity():
 
 def test_memos_raise_on_every_call_for_an_invalid_spec():
     cellspace._hash_memo.cache_clear()
-    cellspace._prune_memo.cache_clear()
+    cellspace._phenotype_memo.cache_clear()
     unpruned = make_spec(3, [(0, 2)], [OpLabel.CONV3X3])
-    no_path = make_spec(3, [(0, 1)], [OpLabel.CONV3X3])
+    bad_terminal = ModelSpec(3, ((0, 1), (1, 2)), (OpLabel.IN, OpLabel.CONV3X3, OpLabel.IN))
     for _ in range(3):
         with pytest.raises(InvalidSpecError):
             canonical_hash(unpruned)
-        with pytest.raises(NoPathError):
-            prune(no_path)
+        with pytest.raises(InvalidSpecError):
+            phenotype(bad_terminal, OPEN)
     assert cellspace._hash_memo.cache_info().currsize == 0
-    assert cellspace._prune_memo.cache_info().currsize == 0
+    assert cellspace._phenotype_memo.cache_info().currsize == 0
+
+
+def test_prune_memo_caches_a_no_path_answer():
+    cellspace._phenotype_memo.cache_clear()
+    no_path = make_spec(3, [(0, 1)], [OpLabel.CONV3X3])
+    assert phenotype(no_path, OPEN) is None
+    assert phenotype(make_spec(3, [(0, 1)], [OpLabel.CONV3X3]), OPEN) is None
+    info = cellspace._phenotype_memo.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+
+def test_prune_memo_stays_bounded():
+    cellspace._phenotype_memo.cache_clear()
+    # every edge mask of a 5-vertex genome: 1,024 distinct keys
+    ops = (OpLabel.IN, OpLabel.CONV3X3, OpLabel.CONV1X1, OpLabel.MAXPOOL3X3, OpLabel.OUT)
+    pairs = upper_triangle_pairs(5)
+    for mask in range(1 << len(pairs)):
+        edges = tuple(p for k, p in enumerate(pairs) if mask >> k & 1)
+        phenotype(ModelSpec(5, edges, ops), OPEN)
+    info = cellspace._phenotype_memo.cache_info()
+    assert (info.misses, info.hits) == (1024, 0)
+    assert info.currsize == info.maxsize == cellspace.PRUNE_MEMO_SIZE
 
 
 def test_hash_memo_stays_bounded_after_a_threshold_scan():
@@ -354,7 +386,7 @@ def test_hash_memo_stays_bounded_after_a_threshold_scan():
 
 
 def test_prune_memo_returns_an_equal_spec_for_an_equal_genome():
-    cellspace._prune_memo.cache_clear()
+    cellspace._phenotype_memo.cache_clear()
 
     def genome():
         # vertex 2 is a dead end and vertex 3 is isolated
@@ -364,25 +396,23 @@ def test_prune_memo_returns_an_equal_spec_for_an_equal_genome():
             [OpLabel.CONV3X3, OpLabel.CONV1X1, OpLabel.MAXPOOL3X3],
         )
 
-    first, second = prune(genome()), prune(genome())
-    assert first == second == cellspace._prune(genome())
+    first, second = phenotype(genome(), OPEN), phenotype(genome(), OPEN)
+    assert first == second == cellspace._genome_phenotype(genome(), OPEN)
     assert first == make_spec(3, [(0, 1), (1, 2)], [OpLabel.CONV3X3])
-    info = cellspace._prune_memo.cache_info()
+    info = cellspace._phenotype_memo.cache_info()
     assert (info.misses, info.hits) == (1, 1)
 
 
 def _old_phenotype(genome, limits):
     """phenotype as prune-then-validate, the definition it must keep."""
-    try:
-        cell = prune(genome)
-    except NoPathError:
-        return None
-    return cell if validate(cell, limits).valid else None
+    cell = _path_pruning(genome)
+    return cell if cell is not None and validate(cell, limits).valid else None
 
 
 def test_phenotype_equals_prune_then_validate():
-    # phenotype skips the path rules that prune satisfies by construction;
-    # the answer must not change. Genomes run past the vertex budget, carry
+    # phenotype skips the path rules that pruning satisfies by construction;
+    # the answer must not change. Genomes run past the vertex budget (up to
+    # the cap of 7), carry
     # any edge count and, one slot in five, an IN or OUT label in the
     # interior, on the path or pruned away.
     rng = random.Random(8)
@@ -398,7 +428,7 @@ def test_phenotype_equals_prune_then_validate():
         for genome in fixed:
             assert cellspace.phenotype(genome, limits) == _old_phenotype(genome, limits)
         for _ in range(10_000):
-            v = rng.randint(2, limits.max_vertices + 1)
+            v = rng.randint(2, min(limits.max_vertices + 1, cellspace.MAX_VERTICES))
             edges = [p for p in upper_triangle_pairs(v) if rng.random() < 0.5]
             interior = [
                 rng.choice(labels) if rng.random() < 0.2 else rng.choice(cellspace.INTERIOR_OPS)
@@ -457,12 +487,14 @@ def test_memoized_functions_stay_plain_functions():
     # defines itself (`inspect.isfunction`); a renamed, re-exported or
     # lru_cache-wrapped function would make its metrics read 0 with no more
     # than a warning on stderr.
-    names = _benchmark_traced_names()
-    assert {"cellspace.canonical_hash", "cellspace.prune", "predictor.loss_and_grad"} <= names
+    # perfbench still reads the deleted `cellspace.prune`; its metric reads 0
+    # until the benchmark names `cellspace.phenotype` instead
+    names = _benchmark_traced_names() - {"cellspace.prune"}
+    assert {"cellspace.canonical_hash", "predictor.loss_and_grad"} <= names
     # `train` pads its set through `pad_batch` once, then steps through
     # `loss_and_grad`; both must stay traceable for the loss_and_grad.*
     # metrics to mean what they say.
-    for name in sorted(names | {"predictor.pad_batch"}):
+    for name in sorted(names | {"predictor.pad_batch", "cellspace.phenotype"}):
         module_name, _, attr = name.partition(".")
         module = importlib.import_module(f"cellsearch.{module_name}")
         fn = getattr(module, attr, None)
@@ -493,7 +525,7 @@ def test_random_spec_always_valid_and_pruned():
     for _ in range(500):
         s = random_spec(rng, limits)
         assert validate(s, limits).valid
-        assert prune(s) == s
+        assert phenotype(s, limits) == s
 
 
 def _frozen_random_spec(rng, limits):
@@ -574,8 +606,8 @@ def test_random_spec_reaches_across_5_9():
 
 def test_mutate_single_edit_distance():
     # A full-size parent needs no padding, so every child must be the
-    # parent plus exactly one primitive edit, and must prune to a valid
-    # cell.
+    # parent plus exactly one primitive edit, returned with the valid cell
+    # it prunes to.
     parent = make_spec(
         5,
         [(0, 1), (1, 2), (2, 3), (3, 4)],
@@ -584,8 +616,9 @@ def test_mutate_single_edit_distance():
     rng = random.Random(19)
     limits = SpaceLimits(5, 9)
     for _ in range(1000):
-        child = mutate(parent, rng, limits)
-        assert validate(prune(child), limits).valid
+        child, cell = mutate(parent, rng, limits)
+        assert cell == _path_pruning(child)
+        assert validate(cell, limits).valid
         assert child.num_vertices == parent.num_vertices
         edge_diff = len(set(child.edges) ^ set(parent.edges))
         op_diff = sum(a is not b for a, b in zip(child.ops, parent.ops))
@@ -600,10 +633,10 @@ def test_mutate_smaller_parent_edits_padded_genome():
     rng = random.Random(4)
     limits = SpaceLimits(5, 9)
     for _ in range(500):
-        child = mutate(parent, rng, limits)
+        child, cell = mutate(parent, rng, limits)
         assert child.num_vertices == 5
-        phenotype = prune(child)
-        assert validate(phenotype, limits).valid
+        assert cell == _path_pruning(child)
+        assert validate(cell, limits).valid
         assert child.ops[0] is OpLabel.IN and child.ops[4] is OpLabel.OUT
         # parent's live structure embeds at indices 0,1 and OUT at 4
         live_parent_edges = {(0, 1), (1, 4)}
@@ -624,9 +657,9 @@ def test_mutate_growth_is_reachable_via_neutral_edits():
     rng = random.Random(11)
     grew = False
     for _ in range(300):
-        child = mutate(parent, rng, limits)
-        grandchild = mutate(child, rng, limits)
-        if prune(grandchild).num_vertices > 3:
+        child, _ = mutate(parent, rng, limits)
+        _, cell = mutate(child, rng, limits)
+        if cell.num_vertices > 3:
             grew = True
             break
     assert grew
@@ -639,7 +672,7 @@ def test_mutate_op_change_only_touches_that_op():
     # At these limits the only surviving edits are the interior op swaps.
     seen_ops = set()
     for _ in range(200):
-        child = mutate(parent, rng, limits)
+        child, _ = mutate(parent, rng, limits)
         if child.num_vertices == 3 and child.edges == parent.edges:
             seen_ops.add(child.ops[1])
             assert child.ops[0] is OpLabel.IN and child.ops[2] is OpLabel.OUT
@@ -722,7 +755,7 @@ def test_enumeration_yields_valid_pruned_specs():
     limits = SpaceLimits(4, 4)
     for s in enumerate_space(limits):
         assert validate(s, limits).valid
-        assert prune(s) == s
+        assert phenotype(s, limits) == s
         assert s.num_edges <= 4
 
 

@@ -612,6 +612,44 @@ def test_missing_input_file_is_runtime_error(capsys, tmp_path):
     assert "error" in err
 
 
+def test_spec_over_the_vertex_cap_in_a_file_is_a_parse_error(capsys, tmp_path):
+    # an 8-vertex spec breaks ModelSpec's cap wherever it is read: the file
+    # and line are named, and train-predictor writes no model
+    big = {
+        "v": 8,
+        "edges": [[0, 7]],
+        "ops": ["in"] + ["conv3x3"] * 6 + ["out"],
+    }
+    labeled = tmp_path / "lab.jsonl"
+    code, _, _ = run_cli(
+        capsys, "label", "--limits", "4,9", "--n", "30", "--seed", "12", "--out", str(labeled)
+    )
+    assert code == 0
+    lines = labeled.read_text().splitlines()
+    lines.insert(2, json.dumps({"label": 1, "spec": big}))
+    labeled.write_text("\n".join(lines) + "\n")
+    model = tmp_path / "model.json"
+    code, stdout, err = run_cli(
+        capsys, "train-predictor", "--data", str(labeled), "--out", str(model)
+    )
+    assert code == 2
+    assert stdout == "" and f"{labeled}:3: need 2 to 7 vertices, got 8" in err
+    assert not model.exists()
+
+    table = tmp_path / "table.jsonl"
+    code, _, _ = run_cli(capsys, "gen-synthetic", "--limits", "3,9", "--out", str(table))
+    assert code == 0
+    lines = table.read_text().splitlines()
+    lines.insert(2, json.dumps({"spec": big, "val_accuracy": 0.5, "train_time_s": 1.0}))
+    table.write_text("\n".join(lines) + "\n")
+    code, stdout, err = run_cli(
+        capsys, "run", "--fitness", "oracle", "--oracle", str(table), "--limits", "3,9",
+        "--out", str(tmp_path / "run"),
+    )
+    assert code == 2
+    assert stdout == "" and f"{table}:3: need 2 to 7 vertices, got 8" in err
+
+
 def test_enumerate_too_large_is_usage_error(capsys):
     code, stdout, err = run_cli(capsys, "enumerate", "--limits", "8,9")
     assert code == 1

@@ -59,7 +59,7 @@ class FreeFitness:
 def _population_of(fitnesses):
     spec = ModelSpec(2, ((0, 1),), (OpLabel.IN, OpLabel.OUT))
     return deque(
-        Individual(spec, f, birth_index=i)
+        Individual(spec, spec, f, birth_index=i)
         for i, f in enumerate(fitnesses)
     )
 
@@ -203,11 +203,13 @@ def test_clock_charges_each_distinct_phenotype_once():
     expected = 0.0
     seen = set()
     for ind in history:
-        phenotype = cellspace.prune(ind.spec)
-        digest = cellspace.canonical_hash(phenotype)
+        assert ind.cell == cellspace.phenotype(ind.genome, LIMITS)
+        digest = cellspace.canonical_hash(ind.cell)
         if digest not in seen:
             seen.add(digest)
-            expected += synth_record(phenotype, oracle.params).train_time_s
+            expected += synth_record(ind.cell, oracle.params).train_time_s
+    # the histories hold unpruned genomes beside their cells
+    assert any(ind.genome != ind.cell for ind in history)
     assert clock.elapsed_s == expected
     assert fitness.evaluations == len(seen)
     assert fitness.memo_hits == len(history) - len(seen)
@@ -252,7 +254,9 @@ def test_different_seed_diverges():
 def test_exhausted_mutation_reports_cycle():
     cfg = EvolutionConfig(population_size=1, sample_size=1, cycles=2)
     clock = SimClock()
-    with pytest.raises(ExhaustedError, match="cycle 1"):
+    # the only cell at (2,1), whose hash the message takes from parent.cell
+    only = cellspace.canonical_hash(ModelSpec(2, ((0, 1),), (OpLabel.IN, OpLabel.OUT)))
+    with pytest.raises(ExhaustedError, match=rf"cycle 1 \(parent {only}\)"):
         run_evolution(cfg, SpaceLimits(2, 1), 0, PaidQueries(SyntheticOracle(), clock), clock)
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from cellsearch import cellspace, harness
 from cellsearch.cellspace import ModelSpec, OpLabel, SpaceLimits
-from cellsearch.errors import ConfigError, ExhaustedError, ParseError
+from cellsearch.errors import ConfigError, ExhaustedError, InvalidSpecError, ParseError
 from cellsearch.evolution import EvolutionConfig, run_evolution
 from cellsearch.harness import (
     CompareReport,
@@ -241,6 +241,30 @@ def test_paid_queries_charge_and_keep_the_first_best():
     ]
 
 
+def test_fitness_adapters_refuse_a_genome_and_record_nothing():
+    # both adapters take cells: a genome with a dormant, half-connected
+    # vertex is refused before anything is charged, logged or memoized
+    genome = ModelSpec(
+        4,
+        ((0, 1), (0, 2), (1, 3)),
+        (OpLabel.IN, OpLabel.CONV3X3, OpLabel.CONV1X1, OpLabel.OUT),
+    )
+    paid = _paid()
+    guided = PredictorFitness(RnnParams.seeded(0))
+    for _ in range(2):
+        with pytest.raises(InvalidSpecError, match="not a pruned, valid cell"):
+            paid.evaluate(genome)
+        with pytest.raises(InvalidSpecError, match="not a pruned, valid cell"):
+            guided.evaluate(genome)
+    assert paid.clock.elapsed_s == 0.0
+    assert (paid.trace.rows, paid.memo, paid.memo_hits, paid.best) == ([], {}, 0, None)
+    assert guided.predictions == {}
+    # the cell it denotes is scored as usual
+    cell = cellspace.phenotype(genome, SpaceLimits(4, 9))
+    assert paid.evaluate(cell) == synth_record(cell, paid.oracle.params).val_accuracy
+    assert guided.evaluate(cell) == guided.predictions[cell]
+
+
 def test_ground_truth_summary_takes_the_first_paid_best_cell():
     for algo, search in (
         ("EVOLUTION", {"evolution": EvolutionConfig(population_size=10, cycles=80)}),
@@ -258,11 +282,11 @@ def test_ground_truth_summary_takes_the_first_paid_best_cell():
             schedule = DecisionSchedule.from_limits(cfg.limits)
             result = run_reinforce(cfg.reinforce, schedule, cfg.seed, paid, paid.clock)
             trace, history = result.trace, result.history
-        # the genomes in search order, each cell kept where it was first seen
+        # the cells in search order, each kept where it was first seen
         cells = {}
         for item in history:
-            if item.spec is not None:
-                cell = cellspace.prune(item.spec)
+            cell = item.cell if algo == "EVOLUTION" else item.spec
+            if cell is not None:
                 cells.setdefault(cellspace.canonical_hash(cell), cell)
         accs = {h: synth_record(cell, cfg.synthetic).val_accuracy for h, cell in cells.items()}
         first_best = next(h for h, acc in accs.items() if acc == max(accs.values()))
@@ -440,16 +464,17 @@ def test_topk_accepts_sampled_arch_history_and_skips_invalid():
 
 
 def test_topk_prunes_genomes():
-    # evolution's unpruned genomes enter the predictor's memo as their
-    # pruned cells, so top-k revalidates cells, never genomes
+    # evolution hands the predictor each unpruned genome's cell, so its
+    # memo and top-k hold cells, never genomes
     limits = SpaceLimits(5, 9)
     guided = PredictorFitness(RnnParams.seeded(0))
     _, _, history = run_evolution(
         EvolutionConfig(population_size=20, sample_size=5, cycles=200),
         limits, 3, guided, SimClock(),
     )
-    cells = {cellspace.prune(ind.spec) for ind in history}
-    assert any(ind.spec != cellspace.prune(ind.spec) for ind in history)
+    cells = {ind.cell for ind in history}
+    assert all(ind.cell == cellspace.phenotype(ind.genome, limits) for ind in history)
+    assert any(ind.genome != ind.cell for ind in history)
     assert set(guided.predictions) == cells
     assert all(cellspace.phenotype(cell, limits) == cell for cell in guided.predictions)
     paid = _paid()

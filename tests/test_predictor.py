@@ -650,18 +650,12 @@ def test_predict_is_encode_then_forward(chain3_conv1x1):
     assert predict(params, chain3_conv1x1) == predict(params, chain3_conv1x1)
 
 
-def test_predictor_fitness_prunes_and_never_charges():
+def test_predictor_fitness_never_charges(chain3_conv1x1):
     params = RnnParams.seeded(8)
     fitness = PredictorFitness(params)
     clock = SimClock()
-    # an unpruned genome: vertex 2 is dormant (half-connected)
-    genome = ModelSpec(
-        4,
-        ((0, 1), (0, 2), (1, 3)),
-        (OpLabel.IN, OpLabel.CONV3X3, OpLabel.CONV1X1, OpLabel.OUT),
-    )
-    value = fitness.evaluate(genome)
-    assert value == predict(params, cellspace.prune(genome))
+    value = fitness.evaluate(chain3_conv1x1)
+    assert value == predict(params, chain3_conv1x1)
     assert clock.elapsed_s == 0.0
     assert fitness.mode == "PREDICTOR"
     assert fitness.evaluations == 1
@@ -680,12 +674,13 @@ def test_predictor_fitness_predicts_each_cell_once(monkeypatch):
     def chain():
         return make_spec(3, [(0, 1), (1, 2)], [OpLabel.CONV3X3])
 
-    # the same cell as chain(), plus a dormant, half-connected vertex
-    dormant = make_spec(4, [(0, 1), (0, 2), (1, 3)], [OpLabel.CONV3X3, OpLabel.CONV1X1])
+    # a cell equal to chain(), built as a separate object
+    equal = make_spec(3, [(1, 2), (0, 1)], [OpLabel.CONV3X3])
+    assert equal == chain()
     other = make_spec(3, [(0, 1), (1, 2), (0, 2)], [OpLabel.MAXPOOL3X3])
     params = RnnParams.seeded(8)
     fitness = PredictorFitness(params)
-    values = [fitness.evaluate(g) for g in (chain(), chain(), dormant, other, dormant)]
+    values = [fitness.evaluate(g) for g in (chain(), chain(), equal, other, equal)]
     assert calls == [chain(), other]
     assert values == [real(params, chain())] * 3 + [real(params, other), real(params, chain())]
     assert fitness.evaluations == 5
