@@ -73,6 +73,10 @@ class SpaceLimits:
     max_edges: int = 9
 
     def __post_init__(self):
+        for name in ("max_vertices", "max_edges"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 2 <= self.max_vertices <= MAX_VERTICES:
             raise ValueError(f"max_vertices must lie in [2, {MAX_VERTICES}]")
         if self.max_edges < 1:

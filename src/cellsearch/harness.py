@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import random
 from dataclasses import asdict, dataclass, field
 
@@ -50,7 +51,7 @@ _LABEL_ATTEMPT_FACTOR = 1000
 
 # config keys holding a nested object -> the function that reads it
 _NESTED = {
-    "limits": lambda obj: SpaceLimits(int(obj["max_vertices"]), int(obj["max_edges"])),
+    "limits": lambda obj: SpaceLimits(obj["max_vertices"], obj["max_edges"]),
     "synthetic": lambda obj: SyntheticOracleParams(**obj),
     "evolution": lambda obj: EvolutionConfig(**obj),
     "reinforce": lambda obj: ReinforceConfig(**obj),
@@ -80,6 +81,14 @@ class ExperimentConfig:
     predictor: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
+        # types first, so that the range checks below compare numbers
+        for name, kind in (("n_label", int), ("top_k", int), ("seed", int),
+                           ("label_charge", numbers.Real), ("label_threshold", numbers.Real)):
+            value = getattr(self, name)
+            typed = isinstance(value, kind) and not isinstance(value, bool)
+            if not typed and not (value is None and name == "label_threshold"):
+                what = "an integer" if kind is int else "a finite real number"
+                raise ConfigError(f"{name} must be {what}, got {value!r}")
         if self.algo not in ("EVOLUTION", "REINFORCE"):
             raise ConfigError(f"unknown algo {self.algo!r}")
         if self.fitness not in ("ORACLE", "PREDICTOR"):
@@ -97,8 +106,6 @@ class ExperimentConfig:
             raise ConfigError(f"label_threshold must be finite, got {self.label_threshold}")
         if self.top_k < 1:
             raise ConfigError("top_k must be at least 1")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
 
     def to_json_obj(self) -> dict:
         return asdict(self)

@@ -10,14 +10,13 @@ numpy directly so the arithmetic is fully inspectable.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import cellspace
+from . import cellspace, flatparams
 from .cellspace import ModelSpec, OpLabel
 from .errors import ConfigError, DegenerateDataError, ParseError, ShapeError
 
@@ -69,23 +68,6 @@ def _shapes(hidden_size: int) -> dict:
     }
 
 
-@functools.lru_cache(maxsize=None)
-def _layout(hidden_size: int):
-    """((name, shape, start, stop) per parameter, flat size): where each
-    parameter of `_shapes` sits in the flat vector."""
-    layout, start = [], 0
-    for name, shape in _shapes(hidden_size).items():
-        stop = start + math.prod(shape)
-        layout.append((name, shape, start, stop))
-        start = stop
-    return tuple(layout), start
-
-
-def _require_finite(theta: np.ndarray) -> None:
-    if not np.isfinite(theta).all():
-        raise ShapeError("predictor parameters contain non-finite entries")
-
-
 @dataclass
 class RnnParams:
     """Weights of the Elman cell plus the scalar output head."""
@@ -103,16 +85,10 @@ class RnnParams:
         return self.W_h.shape[0]
 
     @classmethod
-    def zeros(cls, hidden_size: int = DEFAULT_HIDDEN) -> "RnnParams":
-        return cls(**{name: np.zeros(shape) for name, shape in _shapes(hidden_size).items()})
-
-    @classmethod
     def seeded(
         cls, seed: int, hidden_size: int = DEFAULT_HIDDEN, init_scale: float = DEFAULT_INIT_SCALE
     ) -> "RnnParams":
-        gen = np.random.default_rng(seed)
-        shapes = _shapes(hidden_size).items()
-        return cls(**{name: gen.uniform(-init_scale, init_scale, shape) for name, shape in shapes})
+        return cls(**flatparams.seeded(_shapes(hidden_size), seed, init_scale))
 
     def flatten(self) -> np.ndarray:
         return np.concatenate([getattr(self, name) for name in self._FIELDS], axis=None)
@@ -124,13 +100,7 @@ class RnnParams:
         this is where bad parameters are caught: a wrong length or
         non-finite entries raise."""
         theta = np.asarray(theta, dtype=float)
-        layout, size = _layout(hidden_size)
-        if theta.shape != (size,):
-            raise ShapeError(f"flat vector has shape {theta.shape}, expected ({size},)")
-        _require_finite(theta)
-        return cls(
-            **{name: theta[start:stop].reshape(shape) for name, shape, start, stop in layout}
-        )
+        return cls(**flatparams.unflatten(theta, _shapes(hidden_size), "predictor"))
 
     def to_json_obj(self) -> dict:
         obj = {name: getattr(self, name).tolist() for name in self._FIELDS}
@@ -371,6 +341,7 @@ def train(data, cfg: TrainConfig, seed: int):
     X, M, y = pad_batch([(encode(spec), label) for spec, label in data])
     lengths = M.sum(axis=1)
     T = X.shape[1]
+    shapes = _shapes(cfg.hidden_size)
     theta = RnnParams.seeded(seed, cfg.hidden_size, cfg.init_scale).flatten()
     params = RnnParams.from_flat(theta, cfg.hidden_size)  # views into theta
     gen = np.random.default_rng(seed + 1)
@@ -386,7 +357,7 @@ def train(data, cfg: TrainConfig, seed: int):
             loss, g = loss_and_grad(params, X_e[rows, cut:], M_e[rows, cut:], y_e[rows])
             total += loss * len(y_e[rows])
             theta -= cfg.learning_rate * g.flatten()
-            _require_finite(theta)
+            flatparams.check(theta, shapes, "predictor")
         epoch_losses.append(total / n)
     return params, epoch_losses
 

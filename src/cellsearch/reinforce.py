@@ -31,6 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import flatparams
 from .cellspace import (
     INTERIOR_OPS, MAX_VERTICES, ModelSpec, OpLabel, SpaceLimits, phenotype_of,
     upper_triangle_pairs,
@@ -58,7 +59,7 @@ MAX_STEPS = len(upper_triangle_pairs(MAX_VERTICES)) + MAX_VERTICES - 2
 REWARD_SHARPNESS = 10.0
 
 
-def _layout(limits: SpaceLimits) -> tuple:
+def _arities(limits: SpaceLimits) -> tuple:
     """Arities of the full-space schedule: one binary step per
     upper-triangle pair, then one ternary step per interior vertex."""
     v = limits.max_vertices
@@ -89,12 +90,12 @@ class DecisionSchedule:
         for a in self.arities:
             if a not in (2, 3):
                 raise ConfigError(f"unsupported arity {a}")
-        if self.limits is not None and self.arities != _layout(self.limits):
+        if self.limits is not None and self.arities != _arities(self.limits):
             raise ConfigError(f"arities do not match the assembly layout of {self.limits}")
 
     @classmethod
     def from_limits(cls, limits: SpaceLimits) -> "DecisionSchedule":
-        return cls(_layout(limits), limits)
+        return cls(_arities(limits), limits)
 
     @cached_property
     def edge_pairs(self) -> tuple:
@@ -160,52 +161,31 @@ class ControllerState:
     W2: np.ndarray  # 2 x hidden
     W3: np.ndarray  # 3 x hidden
     b_step: np.ndarray  # MAX_STEPS x 3
-    hidden_size: int = DEFAULT_HIDDEN
-    emb_dim: int = DEFAULT_EMB_DIM
 
     _FIELDS = tuple(_shapes(1, 1))
 
+    @property
+    def hidden_size(self) -> int:
+        return self.W_h.shape[0]
+
+    @property
+    def emb_dim(self) -> int:
+        return self.W_e.shape[1]
+
     @classmethod
-    def seeded(
-        cls,
-        seed: int,
-        hidden_size=DEFAULT_HIDDEN,
-        emb_dim=DEFAULT_EMB_DIM,
-        init_scale: float = 0.1,
-    ):
-        gen = np.random.default_rng(seed)
-        return cls(
-            hidden_size=hidden_size,
-            emb_dim=emb_dim,
-            **{
-                name: gen.uniform(-init_scale, init_scale, shape)
-                for name, shape in _shapes(hidden_size, emb_dim).items()
-            },
-        )
+    def seeded(cls, seed: int, hidden_size=DEFAULT_HIDDEN, emb_dim=DEFAULT_EMB_DIM, init_scale=0.1):
+        return cls(**flatparams.seeded(_shapes(hidden_size, emb_dim), seed, init_scale))
 
     def flatten(self) -> np.ndarray:
-        return np.concatenate(
-            [np.asarray(getattr(self, name)).ravel() for name in self._FIELDS]
-        )
+        return np.concatenate([getattr(self, name) for name in self._FIELDS], axis=None)
 
     @classmethod
     def from_flat(cls, theta, hidden_size, emb_dim):
-        """Unflatten a parameter vector. Every update lands here, so this is
-        where bad parameters are caught: a wrong length or non-finite
-        entries raise."""
+        """Unflatten a copy of a parameter vector. Every update lands here,
+        so this is where bad parameters are caught: a wrong length or
+        non-finite entries raise."""
         theta = np.array(theta, dtype=float)
-        shapes = _shapes(hidden_size, emb_dim)
-        sizes = [int(np.prod(shape)) for shape in shapes.values()]
-        if theta.shape != (sum(sizes),):
-            raise ShapeError(f"flat vector has shape {theta.shape}, expected ({sum(sizes)},)")
-        if not np.all(np.isfinite(theta)):
-            raise ShapeError("controller parameters contain non-finite entries")
-        parts = np.split(theta, np.cumsum(sizes)[:-1])
-        return cls(
-            hidden_size=hidden_size,
-            emb_dim=emb_dim,
-            **{name: part.reshape(shape) for (name, shape), part in zip(shapes.items(), parts)},
-        )
+        return cls(**flatparams.unflatten(theta, _shapes(hidden_size, emb_dim), "controller"))
 
 
 @dataclass
@@ -230,14 +210,13 @@ class Baseline:
 
 @dataclass
 class SampledArch:
-    """One controller rollout: actions, their exact log-probabilities, the
-    assembled (pruned) cell or the invalid marker, the reward, and the
-    forward pass's hidden states h_0..h_T as one (T+1, hidden) array, which
-    the gradient backpropagates through (`run_reinforce` drops them once
-    its batch's update is taken)."""
+    """One controller rollout: actions, the assembled (pruned) cell or the
+    invalid marker, the reward, and the forward pass's hidden states
+    h_0..h_T as one (T+1, hidden) array, which the gradient backpropagates
+    through (`run_reinforce` drops them once its batch's update is
+    taken)."""
 
     actions: tuple
-    logprob_terms: tuple
     spec: ModelSpec | None
     invalid: bool
     reward: float = 0.0
@@ -250,15 +229,14 @@ def _rollout(c: ControllerState, schedule: DecisionSchedule, choose) -> SampledA
     Step input is the embedding of the previous action (the start embedding
     at step one); the arity-matched head plus the step's bias produces
     logits, and `choose(t, probabilities)` picks step t's action from their
-    softmax. Every hidden state and the exact log-probability of each
-    chosen action are kept for the gradient pass.
+    softmax. Every hidden state is kept for the gradient pass.
     """
     inputs = c.emb @ c.W_e.T + c.b_h  # one row per embedding
     W_h, b_step, heads = c.W_h, c.b_step, (None, None, c.W2, c.W3)
     hs = np.zeros((schedule.num_steps + 1, c.hidden_size))
     h = hs[0]
     row = _EMB_START
-    actions, terms = [], []
+    actions = []
     # .dot gives the bytes of @ with less per-call overhead
     for t, arity in enumerate(schedule.arities):
         h = np.tanh(inputs[row] + W_h.dot(h), out=hs[t + 1])
@@ -267,15 +245,11 @@ def _rollout(c: ControllerState, schedule: DecisionSchedule, choose) -> SampledA
         logp = z - math.log(sum(np.exp(z).tolist()))
         action = choose(t, np.exp(logp).tolist())
         actions.append(action)
-        terms.append(logp.tolist()[action])
         row = _EMB_ROWS[arity][action]
 
-    spec = None
-    invalid = False
-    if schedule.limits is not None:
-        spec = schedule.assemble(actions)
-        invalid = spec is None
-    return SampledArch(tuple(actions), tuple(terms), spec, invalid, states=hs)
+    spec = None if schedule.limits is None else schedule.assemble(actions)
+    invalid = schedule.limits is not None and spec is None
+    return SampledArch(tuple(actions), spec, invalid, states=hs)
 
 
 def sample(controller: ControllerState, schedule: DecisionSchedule, rng: random.Random) -> SampledArch:
@@ -321,19 +295,6 @@ def utility(s: SampledArch, best: float) -> float:
     return math.exp(REWARD_SHARPNESS * (s.reward - best))
 
 
-def _grad_views(n: int, hidden_size: int, emb_dim: int):
-    """An (n, P) zero array with one row per rollout, aligned with
-    flatten(), and each parameter's (n, *shape) view into it."""
-    shapes = _shapes(hidden_size, emb_dim)
-    G = np.zeros((n, sum(math.prod(shape) for shape in shapes.values())))
-    views, start = {}, 0
-    for name, shape in shapes.items():
-        size = math.prod(shape)
-        views[name] = G[:, start : start + size].reshape(n, *shape)
-        start += size
-    return G, views
-
-
 def logprob_and_grad(controller: ControllerState, schedule: DecisionSchedule, rollouts):
     """Log-probabilities of the rollouts' actions and their exact gradients,
     in one backward pass over the stacked rollouts.
@@ -365,7 +326,9 @@ def logprob_and_grad(controller: ControllerState, schedule: DecisionSchedule, ro
     each = np.arange(n)[:, None]
     H = HS[:, 1:]
 
-    G, g = _grad_views(n, c.hidden_size, c.emb_dim)
+    shapes = _shapes(c.hidden_size, c.emb_dim)
+    G = np.zeros((n, flatparams.size(shapes)))  # a row per rollout, in flatten() order
+    g = flatparams.views(G, shapes)  # each parameter's (n, *shape) view into G
     # d logprob / d h_t through step t's head; the pass through time turns
     # row t into d logprob / d pre-activation of h_t
     dA = np.zeros_like(H)

@@ -564,6 +564,59 @@ def test_non_finite_label_threshold_is_refused_before_any_query(
     assert not out.exists()
 
 
+_BAD_JSON_VALUES = ('"x"', "[1]", "{}", "true", "null", "1.5", "1e400")
+
+
+@pytest.mark.parametrize(
+    "field, allowed",
+    [
+        ("n_label", ()),
+        ("top_k", ()),
+        ("seed", ()),
+        ("label_charge", ()),
+        ("label_threshold", ("null", "1.5")),
+    ],
+)
+def test_config_file_top_level_type_errors_are_usage_errors(
+    capsys, tmp_path, monkeypatch, field, allowed
+):
+    # ints take an int and not a bool, reals a finite real and not a bool,
+    # and the threshold None too; anything else once crashed with a
+    # TypeError from a range check. 1e400 parses as inf.
+    def refuse(*args):
+        raise AssertionError("a refused config must pay for no query")
+
+    monkeypatch.setattr(PaidQueries, "query", refuse)
+    cfg_path = tmp_path / "cfg.json"
+    out = tmp_path / "bad"
+    for value in _BAD_JSON_VALUES:
+        if value in allowed:
+            continue
+        cfg_path.write_text(f'{{"{field}": {value}}}')
+        code, stdout, err = run_cli(
+            capsys, "run", "--config", str(cfg_path), "--limits", "4,9", "--out", str(out)
+        )
+        assert code == 1 and stdout == "", (field, value, err)
+        assert field in err, (field, value, err)
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("field", ["max_vertices", "max_edges"])
+def test_config_file_limits_must_be_integers(capsys, tmp_path, field):
+    # limits entries were int()-truncated, so max_edges 9.7 ran as 9
+    cfg_path = tmp_path / "cfg.json"
+    out = tmp_path / "bad"
+    for value in _BAD_JSON_VALUES + ("9.7", "4.0"):
+        limits = {"max_vertices": "4", "max_edges": "9", field: value}
+        cfg_path.write_text(
+            '{"limits": {' + ", ".join(f'"{k}": {v}' for k, v in limits.items()) + "}}"
+        )
+        code, stdout, err = run_cli(capsys, "run", "--config", str(cfg_path), "--out", str(out))
+        assert code == 1 and stdout == "", (field, value, err)
+        assert "'limits'" in err and field in err, (field, value, err)
+        assert not out.exists()
+
+
 def test_config_file_controller_size_below_one_is_usage_error(capsys, tmp_path):
     # numpy's "negative dimensions" for -1, a stateless controller for 0
     cfg_path = tmp_path / "cfg.json"

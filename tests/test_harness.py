@@ -126,9 +126,11 @@ def test_config_rejects_unknown_keys():
             ExperimentConfig.from_json_obj(bad)
     with pytest.raises(ConfigError):
         ExperimentConfig.from_json_obj([{"algo": "EVOLUTION"}])
-    # limits entries are coerced to int, as before
-    loose = ExperimentConfig.from_json_obj({"limits": {"max_vertices": "5", "max_edges": 9.0}})
-    assert loose.limits == SpaceLimits(5, 9)
+    # limits entries must be integers: none is coerced, so 9.7 is not read as 9
+    for loose in ({"max_vertices": "5", "max_edges": 9}, {"max_vertices": 5, "max_edges": 9.7},
+                  {"max_vertices": 5, "max_edges": 9.0}, {"max_vertices": True, "max_edges": 9}):
+        with pytest.raises(ConfigError, match="limits.*must be an integer"):
+            ExperimentConfig.from_json_obj({"limits": loose})
 
 
 def test_config_echo_schema():

@@ -8,7 +8,7 @@ import random
 import numpy as np
 import pytest
 
-from cellsearch import cellspace, predictor
+from cellsearch import cellspace, flatparams, predictor
 from cellsearch.cellspace import ModelSpec, OpLabel, SpaceLimits
 from cellsearch.errors import (
     ConfigError,
@@ -49,6 +49,12 @@ from conftest import (
     reference_bce,
     reference_rnn_prob,
 )
+
+
+def zero_params(hidden_size=predictor.DEFAULT_HIDDEN):
+    """Every parameter 0, as views into one vector of the shared layout."""
+    size = flatparams.size(predictor._shapes(hidden_size))
+    return RnnParams.from_flat(np.zeros(size), hidden_size)
 
 
 # ---------------------------------------------------------------------------
@@ -106,13 +112,13 @@ def test_encode_rejects_unpruned():
 
 
 def test_forward_zero_params_is_half(two_vertex, chain3_conv1x1):
-    params = RnnParams.zeros()
+    params = zero_params()
     assert forward(params, encode(two_vertex)) == 0.5
     assert forward(params, encode(chain3_conv1x1)) == 0.5
 
 
 def test_forward_saturated_bias(two_vertex):
-    params = RnnParams.zeros()
+    params = zero_params()
     params.b_o = 20.0
     assert forward(params, encode(two_vertex)) > 0.999
 
@@ -132,7 +138,7 @@ def test_forward_matches_reference_recomputation():
 def test_forward_stays_inside_open_interval(two_vertex):
     seq = encode(two_vertex)
     for b_o in (1000.0, -1000.0):
-        params = RnnParams.zeros()
+        params = zero_params()
         params.b_o = b_o
         p = forward(params, seq)
         assert 0.0 < p < 1.0
@@ -144,14 +150,14 @@ def test_forward_stays_inside_open_interval(two_vertex):
 def test_forward_shape_errors():
     # parameters are checked where they enter: every loaded file goes
     # through from_flat, which refuses a vector of the wrong length
-    theta = RnnParams.zeros(4).flatten()
+    theta = zero_params(4).flatten()
     for bad in (theta[:-1], np.append(theta, 0.0), theta.reshape(1, -1)):
         with pytest.raises(ShapeError):
             RnnParams.from_flat(bad, 4)
     with pytest.raises(ShapeError):
-        forward(RnnParams.zeros(), np.array([0, 6]))
+        forward(zero_params(), np.array([0, 6]))
     with pytest.raises(ShapeError):
-        forward(RnnParams.zeros(), np.array([], dtype=int))
+        forward(zero_params(), np.array([], dtype=int))
 
 
 def test_from_flat_rejects_non_finite_parameters():
@@ -172,7 +178,7 @@ def test_from_flat_rejects_non_finite_parameters():
 
 
 def test_loss_zero_params_is_ln2(two_vertex, chain3_conv1x1):
-    params = RnnParams.zeros()
+    params = zero_params()
     batch = [(encode(two_vertex), 0), (encode(chain3_conv1x1), 1)]
     loss, _ = loss_and_grad(params, *pad_batch(batch))
     assert abs(loss - math.log(2)) < 1e-15
@@ -235,7 +241,7 @@ def test_gradients_match_finite_differences():
 
 def test_loss_rejects_empty_batch():
     with pytest.raises(ValueError):
-        loss_and_grad(RnnParams.zeros(), *pad_batch([]))
+        loss_and_grad(zero_params(), *pad_batch([]))
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +330,7 @@ def _reference_loss_and_grad(params, batch):
     loss = float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
 
     dz = (p - y) / B
-    g = RnnParams.zeros(H)
+    g = zero_params(H)
     g.w_o[...] = hs[:, T].T @ dz
     g.b_o[...] = dz.sum()
     dh = np.outer(dz, params.w_o)

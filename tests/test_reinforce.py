@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cellsearch import cellspace, reinforce
+from cellsearch import cellspace, flatparams, reinforce
 from cellsearch.cellspace import OpLabel, SpaceLimits
 from cellsearch.errors import ConfigError, ShapeError
 from cellsearch.oracle import (
@@ -46,7 +46,7 @@ SCHEDULE_5_9 = DecisionSchedule.from_limits(SpaceLimits(5, 9))
 
 def zero_controller(hidden_size=32, emb_dim=8):
     """Every parameter 0: the uniform policy."""
-    size = ControllerState.seeded(0, hidden_size, emb_dim).flatten().size
+    size = flatparams.size(reinforce._shapes(hidden_size, emb_dim))
     return ControllerState.from_flat(np.zeros(size), hidden_size, emb_dim)
 
 
@@ -197,14 +197,17 @@ def test_sample_uniform_at_zero_init():
 
 
 def test_sample_logprob_matches_replay():
+    # the log-probability of a sampled rollout is that of its actions,
+    # replayed one step at a time
     controller = ControllerState.seeded(4, hidden_size=8, emb_dim=3, init_scale=0.5)
     sched = DecisionSchedule.from_limits(SpaceLimits(5, 9))
     rng = random.Random(9)
     for _ in range(50):
         s = sample(controller, sched, rng)
-        assert all(term <= 0.0 for term in s.logprob_terms)
-        (replay,), _ = logprob_and_grad(controller, sched, [s])
-        assert abs(sum(s.logprob_terms) - replay) < 1e-12
+        (lp,), _ = logprob_and_grad(controller, sched, [s])
+        ref_lp, _ = _logprob_and_grad_by_step(controller, sched, s.actions)
+        assert lp <= 0.0
+        assert abs(lp - ref_lp) < 1e-12
 
 
 def test_sample_deterministic():
@@ -237,7 +240,7 @@ def test_sample_invalid_flag_matches_spec_presence():
 
 def test_reward_invalid_is_free():
     clock = SimClock()
-    s = SampledArch((), (), None, invalid=True)
+    s = SampledArch((), None, invalid=True)
     assert reward_of(s, PaidQueries(SyntheticOracle(), clock)) == 0.0
     assert clock.elapsed_s == 0.0
 
@@ -245,7 +248,7 @@ def test_reward_invalid_is_free():
 def test_reward_oracle_charges_train_time(two_vertex):
     clock = SimClock()
     oracle = SyntheticOracle()
-    s = SampledArch((), (), two_vertex, invalid=False)
+    s = SampledArch((), two_vertex, invalid=False)
     record = synth_record(two_vertex, oracle.params)
     assert reward_of(s, PaidQueries(oracle, clock)) == record.val_accuracy
     assert clock.elapsed_s == record.train_time_s
@@ -254,14 +257,14 @@ def test_reward_oracle_charges_train_time(two_vertex):
 def test_reward_predictor_is_free(two_vertex):
     clock = SimClock()
     fitness = PredictorFitness(RnnParams.seeded(0))
-    s = SampledArch((), (), two_vertex, invalid=False)
+    s = SampledArch((), two_vertex, invalid=False)
     r = reward_of(s, fitness)
     assert 0.0 < r < 1.0
     assert clock.elapsed_s == 0.0
 
 
 def test_reward_without_spec_or_marker_is_an_error():
-    s = SampledArch((0,), (-1.0,), None, invalid=False)
+    s = SampledArch((0,), None, invalid=False)
     with pytest.raises(ConfigError):
         reward_of(s, PaidQueries(SyntheticOracle(), SimClock()))
 
@@ -506,8 +509,10 @@ def test_follow_takes_the_given_actions():
     for _ in range(20):
         s = sample(controller, sched, rng)
         f = follow(controller, sched, s.actions)
-        assert (f.actions, f.logprob_terms, f.spec) == (s.actions, s.logprob_terms, s.spec)
+        assert (f.actions, f.spec) == (s.actions, s.spec)
         assert np.array_equal(f.states, s.states)
+        lps, grads = logprob_and_grad(controller, sched, [s, f])
+        assert lps[0] == lps[1] and np.array_equal(grads[0], grads[1])
 
 
 def test_logprob_rejects_wrong_length():
@@ -648,7 +653,7 @@ def test_utility_update_matches_exact_expectation():
 
 
 def test_utility_of_invalid_sample_is_zero():
-    s = SampledArch((0,), (0.0,), None, invalid=True)
+    s = SampledArch((0,), None, invalid=True)
     assert utility(s, 0.8) == 0.0
 
 
