@@ -36,17 +36,12 @@ def seeded(shapes: dict, seed: int, init_scale: float) -> dict:
     return {name: gen.uniform(-init_scale, init_scale, shape) for name, shape in shapes.items()}
 
 
-def check(theta: np.ndarray, shapes: dict, model: str) -> None:
-    """Raise ShapeError, naming `model`, on a float vector of the wrong
-    length for `shapes` or with a non-finite entry."""
+def unflatten(theta: np.ndarray, shapes: dict, model: str) -> dict:
+    """`views` of a float vector laid out by `shapes`; raise ShapeError,
+    naming `model`, when it has the wrong length or a non-finite entry."""
     n = size(shapes)
     if theta.shape != (n,):
         raise ShapeError(f"flat vector has shape {theta.shape}, expected ({n},)")
     if not np.isfinite(theta).all():
         raise ShapeError(f"{model} parameters contain non-finite entries")
-
-
-def unflatten(theta: np.ndarray, shapes: dict, model: str) -> dict:
-    """`views` of a float vector after `check`ing it."""
-    check(theta, shapes, model)
     return views(theta, shapes)

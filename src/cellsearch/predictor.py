@@ -323,9 +323,9 @@ def stratified_split(
 
 def train(data, cfg: TrainConfig, seed: int):
     """Minibatch gradient descent on (spec, y) pairs from a uniform init
-    drawn from `seed`. The parameters are views into one flat vector that
-    each step updates in place and then checks: a step that leaves a
-    non-finite entry raises ShapeError, as `RnnParams.from_flat` would.
+    drawn from `seed`. Each step updates one flat vector in place and reads
+    the parameters back through `RnnParams.from_flat`, so a step that
+    leaves a non-finite entry raises ShapeError.
 
     Returns (params, per-epoch mean loss list). Fails fast when the data
     cannot define the task (a single class present).
@@ -341,7 +341,6 @@ def train(data, cfg: TrainConfig, seed: int):
     X, M, y = pad_batch([(encode(spec), label) for spec, label in data])
     lengths = M.sum(axis=1)
     T = X.shape[1]
-    shapes = _shapes(cfg.hidden_size)
     theta = RnnParams.seeded(seed, cfg.hidden_size, cfg.init_scale).flatten()
     params = RnnParams.from_flat(theta, cfg.hidden_size)  # views into theta
     gen = np.random.default_rng(seed + 1)
@@ -357,7 +356,7 @@ def train(data, cfg: TrainConfig, seed: int):
             loss, g = loss_and_grad(params, X_e[rows, cut:], M_e[rows, cut:], y_e[rows])
             total += loss * len(y_e[rows])
             theta -= cfg.learning_rate * g.flatten()
-            flatparams.check(theta, shapes, "predictor")
+            params = RnnParams.from_flat(theta, cfg.hidden_size)
         epoch_losses.append(total / n)
     return params, epoch_losses
 

@@ -173,7 +173,9 @@ class ControllerState:
         return self.W_e.shape[1]
 
     @classmethod
-    def seeded(cls, seed: int, hidden_size=DEFAULT_HIDDEN, emb_dim=DEFAULT_EMB_DIM, init_scale=0.1):
+    def seeded(
+        cls, seed: int, hidden_size=DEFAULT_HIDDEN, emb_dim=DEFAULT_EMB_DIM, init_scale: float = 0.1
+    ) -> "ControllerState":
         return cls(**flatparams.seeded(_shapes(hidden_size, emb_dim), seed, init_scale))
 
     def flatten(self) -> np.ndarray:
@@ -247,8 +249,11 @@ def _rollout(c: ControllerState, schedule: DecisionSchedule, choose) -> SampledA
         actions.append(action)
         row = _EMB_ROWS[arity][action]
 
-    spec = None if schedule.limits is None else schedule.assemble(actions)
-    invalid = schedule.limits is not None and spec is None
+    spec = None
+    invalid = False
+    if schedule.limits is not None:
+        spec = schedule.assemble(actions)
+        invalid = spec is None
     return SampledArch(tuple(actions), spec, invalid, states=hs)
 
 

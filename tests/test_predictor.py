@@ -161,8 +161,8 @@ def test_forward_shape_errors():
 
 
 def test_from_flat_rejects_non_finite_parameters():
-    # every loaded file unflattens through from_flat; training runs the
-    # same check on every step
+    # every loaded file and every training step unflattens through
+    # from_flat
     theta = RnnParams.seeded(0, 4).flatten()
     assert RnnParams.from_flat(theta, 4).flatten().tolist() == theta.tolist()
     theta[7] = np.nan

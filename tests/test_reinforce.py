@@ -197,17 +197,32 @@ def test_sample_uniform_at_zero_init():
 
 
 def test_sample_logprob_matches_replay():
-    # the log-probability of a sampled rollout is that of its actions,
-    # replayed one step at a time
+    # on-policy: the probabilities each step is drawn from are those the
+    # score of the sampled actions is taken under
     controller = ControllerState.seeded(4, hidden_size=8, emb_dim=3, init_scale=0.5)
     sched = DecisionSchedule.from_limits(SpaceLimits(5, 9))
-    rng = random.Random(9)
+    rng, twin = random.Random(9), random.Random(9)
     for _ in range(50):
-        s = sample(controller, sched, rng)
+        drawn = []
+
+        def draw(t, p):
+            # sample's inverse-CDF draw, recording the probabilities
+            drawn.append(p)
+            r, acc = rng.random(), 0.0
+            for a, pa in enumerate(p):
+                acc += pa
+                if r < acc:
+                    return a
+            return len(p) - 1
+
+        s = reinforce._rollout(controller, sched, draw)
+        assert s.actions == sample(controller, sched, twin).actions
         (lp,), _ = logprob_and_grad(controller, sched, [s])
-        ref_lp, _ = _logprob_and_grad_by_step(controller, sched, s.actions)
-        assert lp <= 0.0
-        assert abs(lp - ref_lp) < 1e-12
+        _, _, ref_probs = _logprob_and_grad_by_step(controller, sched, s.actions)
+        assert all(0.0 < p[a] <= 1.0 for p, a in zip(drawn, s.actions))
+        assert abs(sum(math.log(p[a]) for p, a in zip(drawn, s.actions)) - lp) < 1e-12
+        for p, ref in zip(drawn, ref_probs, strict=True):
+            assert np.allclose(p, ref, rtol=0, atol=1e-15)
 
 
 def test_sample_deterministic():
@@ -302,7 +317,8 @@ def test_logprob_gradient_matches_finite_differences():
 
 
 def _logprob_and_grad_by_step(controller, sched, actions):
-    """Reference: the forward pass and backpropagation one step at a time."""
+    """Reference: the forward pass and backpropagation one step at a time.
+    Returns (logprob, gradient, each step's action probabilities)."""
     c = controller
     hs, rows, probs, logprob = [np.zeros(c.hidden_size)], [], [], 0.0
     row = 0
@@ -330,7 +346,7 @@ def _logprob_and_grad_by_step(controller, sched, actions):
         g.W_h += np.outer(da, hs[t])
         g.b_h += da
         dh_next = c.W_h.T @ da
-    return logprob, g.flatten()
+    return logprob, g.flatten(), probs
 
 
 def test_logprob_and_grad_match_step_by_step_reference():
@@ -340,7 +356,7 @@ def test_logprob_and_grad_match_step_by_step_reference():
         controller = ControllerState.seeded(draw, hidden_size=6, emb_dim=3, init_scale=0.7)
         actions = tuple(rng.randrange(arity) for arity in sched.arities)
         (lp,), (grad,) = logprob_and_grad(controller, sched, [follow(controller, sched, actions)])
-        ref_lp, ref_grad = _logprob_and_grad_by_step(controller, sched, actions)
+        ref_lp, ref_grad, _ = _logprob_and_grad_by_step(controller, sched, actions)
         assert abs(lp - ref_lp) < 1e-12
         assert np.allclose(grad, ref_grad, rtol=0, atol=1e-12)
 
