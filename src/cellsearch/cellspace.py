@@ -27,10 +27,10 @@ from .errors import ExhaustedError, InvalidSpecError
 
 MAX_REJECTION_ATTEMPTS = 10_000
 
-# Bounds of the value-keyed memos on `canonical_hash` and `phenotype`. Search
-# re-derives a few hundred distinct cells per seeded run as fresh, equal
-# `ModelSpec` objects; unbounded memos raised peak memory by up to 37% on
-# the predictor pipeline, whose random draws are mostly distinct.
+# Bounds of the value-keyed memos on `canonical_hash` and `phenotype_of`
+# (keyed on a genome's raw parts and the limits). Search re-derives a few
+# hundred distinct cells per seeded run; unbounded memos raised peak memory
+# by up to 37% on the predictor pipeline, whose random draws are mostly distinct.
 HASH_MEMO_SIZE = 1024
 PRUNE_MEMO_SIZE = 256
 
@@ -40,6 +40,10 @@ MAX_VERTICES = 7
 
 
 class OpLabel(enum.Enum):
+    # members are singletons compared by identity, so the identity hash
+    # (in C, not Enum's Python-level name hash) is exact
+    __hash__ = object.__hash__
+
     IN = "in"
     OUT = "out"
     CONV3X3 = "conv3x3"
@@ -93,6 +97,7 @@ class ValidationReport:
 _PAIRS = tuple(
     tuple((i, j) for i in range(v) for j in range(i + 1, v)) for v in range(MAX_VERTICES + 1)
 )
+_PAIR_SETS = tuple(frozenset(pairs) for pairs in _PAIRS)
 
 
 def upper_triangle_pairs(num_vertices: int) -> tuple[tuple[int, int], ...]:
@@ -115,20 +120,22 @@ class ModelSpec:
 
     def __post_init__(self):
         v = self.num_vertices
-        if not 2 <= v <= MAX_VERTICES:
+        if not isinstance(v, int) or not 2 <= v <= MAX_VERTICES:
             raise ValueError(f"need 2 to {MAX_VERTICES} vertices, got {v}")
-        edges = tuple(sorted(tuple(e) for e in self.edges))
+        edges = tuple(sorted(map(tuple, self.edges)))
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "ops", tuple(self.ops))
         if len(self.ops) != v:
             raise ValueError(f"ops length {len(self.ops)} != num_vertices {v}")
-        seen = set()
-        for i, j in edges:
+        distinct = frozenset(edges)
+        if len(distinct) == len(edges) and distinct <= _PAIR_SETS[v]:
+            return
+        # name the first bad edge; sorted, a duplicate follows its twin
+        for k, (i, j) in enumerate(edges):
             if not (0 <= i < j < v):
                 raise ValueError(f"edge ({i},{j}) is not strictly upper-triangular in range")
-            if (i, j) in seen:
+            if k and edges[k - 1] == (i, j):
                 raise ValueError(f"duplicate edge ({i},{j})")
-            seen.add((i, j))
 
     @property
     def num_edges(self) -> int:
@@ -216,8 +223,14 @@ def phenotype_of(num_vertices: int, edges, ops, limits: SpaceLimits) -> ModelSpe
     them: the genome less every vertex on no directed input->output path,
     survivors renumbered in order. None when the output is unreachable or
     that cell breaks a budget or an interior-op rule; InvalidSpecError
-    unless IN and OUT sit at the terminals. Builds only the cell it
-    returns, so a rejected draw costs no ModelSpec."""
+    unless IN and OUT sit at the terminals. Builds only the cell it returns.
+    Equal (num_vertices, edges, ops, limits) share one memo entry
+    (PRUNE_MEMO_SIZE), None answers included, so equal genomes share one
+    cell object; InvalidSpecError is raised afresh on every call."""
+    return _phenotype_memo(num_vertices, edges, ops, limits)
+
+
+def _phenotype(num_vertices: int, edges, ops, limits: SpaceLimits) -> ModelSpec | None:
     if ops[0] is not OpLabel.IN or ops[-1] is not OpLabel.OUT:
         raise InvalidSpecError("a genome needs IN at vertex 0 and OUT at the last vertex")
     keep = _on_path(num_vertices, edges)
@@ -238,21 +251,9 @@ def phenotype_of(num_vertices: int, edges, ops, limits: SpaceLimits) -> ModelSpe
     return ModelSpec(num_vertices, edges, ops)
 
 
-def phenotype(genome: ModelSpec, limits: SpaceLimits) -> ModelSpec | None:
-    """`phenotype_of` a genome ModelSpec. Equal (genome, limits) pairs share
-    one memo entry (PRUNE_MEMO_SIZE), None answers included, which pays
-    where genomes repeat, as mutation's children do; InvalidSpecError is
-    raised afresh on every call."""
-    return _phenotype_memo(genome, limits)
-
-
-def _genome_phenotype(genome: ModelSpec, limits: SpaceLimits) -> ModelSpec | None:
-    return phenotype_of(genome.num_vertices, genome.edges, genome.ops, limits)
-
-
 # perfbench's tracer wraps only plain functions (`inspect.isfunction`), so
-# `phenotype` and `canonical_hash` stay `def`s that call their memos.
-_phenotype_memo = functools.lru_cache(maxsize=PRUNE_MEMO_SIZE)(_genome_phenotype)
+# `phenotype_of` and `canonical_hash` stay `def`s that call their memos.
+_phenotype_memo = functools.lru_cache(maxsize=PRUNE_MEMO_SIZE)(_phenotype)
 
 
 def require_canonical(spec: ModelSpec) -> None:
@@ -357,30 +358,13 @@ def random_spec(rng, limits: SpaceLimits) -> ModelSpec:
     )
 
 
-def _pad_to(spec: ModelSpec, max_vertices: int, rng) -> ModelSpec:
-    """Embed a spec into the full-size template: original interiors keep
-    their indices, OUT moves to the last slot, and the new (dormant)
-    interior slots get uniformly drawn ops. Dormant vertices start with no
-    edges, so the padded genome prunes back to the original spec."""
-    v = spec.num_vertices
-    if v == max_vertices:
-        return spec
-    out_new = max_vertices - 1
-    edges = tuple((i, out_new if j == v - 1 else j) for i, j in spec.edges)
-    ops = (
-        spec.ops[: v - 1]
-        + tuple(rng.choice(INTERIOR_OPS) for _ in range(max_vertices - v))
-        + (OpLabel.OUT,)
-    )
-    return ModelSpec(max_vertices, edges, ops)
-
-
 def mutate(parent: ModelSpec, rng, limits: SpaceLimits) -> tuple[ModelSpec, ModelSpec]:
     """One uniformly-drawn primitive edit of the parent genome, returned
     with the cell it denotes as (child, cell).
 
     The edit is applied to the parent padded out to `max_vertices` with
-    dormant (edgeless) interior vertices, and the child is returned
+    dormant (edgeless) interior vertices, whose ops are drawn uniformly
+    (OUT moves to the last slot), and the child is returned
     UNPRUNED: dormant and half-connected vertices are hereditary material.
     A single flip can only give a dead vertex its first edge — the cell it
     computes (the pruning) is unchanged — but a later flip on that child
@@ -388,30 +372,37 @@ def mutate(parent: ModelSpec, rng, limits: SpaceLimits) -> tuple[ModelSpec, Mode
     here instead would discard those neutral intermediates and the search
     could never regrow vertices, walling itself into small-cell subspaces.
 
-    A child is accepted when it denotes a cell (`phenotype`) under the
-    limits; otherwise the edit is redrawn (with replacement, up to the
-    attempt cap). The child always differs from the padded parent by
-    exactly the one edit.
+    A child is accepted when it denotes a cell (`phenotype_of`, on the
+    child's raw parts) under the limits; otherwise the edit is redrawn (with
+    replacement, up to the attempt cap). Only the kept child becomes a
+    ModelSpec; it differs from the padded parent by exactly the one edit.
 
     The edits are one adjacency bit flip anywhere in the upper triangle, or
     one op swap on any interior slot (dormant slots included: their ops are
     real genetic material that matters when a later flip brings the vertex
     alive). One draw below their count picks flip r, or swap r - flips.
     """
-    genome = _pad_to(parent, limits.max_vertices, rng)
-    v, edges, ops = genome.num_vertices, genome.edges, genome.ops
-    pairs = upper_triangle_pairs(v)
+    n, edges, ops = parent.num_vertices, parent.edges, parent.ops
+    v = limits.max_vertices
+    if n > v:
+        raise ValueError(f"a {n}-vertex parent does not fit {limits}")
+    if n < v:
+        # OUT's edges come last among their source's, so the edges stay sorted
+        edges = tuple((i, v - 1 if j == n - 1 else j) for i, j in edges)
+        dormant = tuple(rng.choice(INTERIOR_OPS) for _ in range(v - n))
+        ops = ops[: n - 1] + dormant + (OpLabel.OUT,)
+    pairs = _PAIRS[v]
     swaps = [(k, op) for k in range(1, v - 1) for op in INTERIOR_OPS if op is not ops[k]]
     for _ in range(MAX_REJECTION_ATTEMPTS):
         r = rng.randrange(len(pairs) + len(swaps))
         if r < len(pairs):
-            child = ModelSpec(v, tuple(sorted(set(edges) ^ {pairs[r]})), ops)
+            child_edges, child_ops = tuple(sorted(set(edges) ^ {pairs[r]})), ops
         else:
             k, op = swaps[r - len(pairs)]
-            child = ModelSpec(v, edges, ops[:k] + (op,) + ops[k + 1 :])
-        cell = phenotype(child, limits)
+            child_edges, child_ops = edges, ops[:k] + (op,) + ops[k + 1 :]
+        cell = phenotype_of(v, child_edges, child_ops, limits)
         if cell is not None:
-            return child, cell
+            return ModelSpec(v, child_edges, child_ops), cell
     raise ExhaustedError(
         f"no valid mutation of a {parent.num_vertices}-vertex parent "
         f"after {MAX_REJECTION_ATTEMPTS} attempts at {limits}"

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the config type check
+that raises one."""
+
+import numbers
 
 
 class CellSearchError(Exception):
@@ -35,3 +38,15 @@ class DegenerateDataError(CellSearchError):
 
 class ConfigError(CellSearchError):
     """An experiment configuration is internally inconsistent."""
+
+
+def require_field_types(config, kinds: dict, optional: tuple = ()) -> None:
+    """Raise ConfigError unless each named field of `config` holds its kind,
+    int or numbers.Real, and is no bool; a field named in `optional` may
+    also hold None. Run before range checks, so that they compare numbers."""
+    for name, kind in kinds.items():
+        value = getattr(config, name)
+        typed = isinstance(value, kind) and not isinstance(value, bool)
+        if not typed and not (value is None and name in optional):
+            what = "an integer" if kind is int else "a finite real number"
+            raise ConfigError(f"{name} must be {what}, got {value!r}")

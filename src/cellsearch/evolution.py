@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import cellspace
 from .cellspace import ModelSpec, SpaceLimits
-from .errors import ConfigError, ExhaustedError
+from .errors import ConfigError, ExhaustedError, require_field_types
 from .oracle import SimClock
 from .traces import SearchTrace
 
@@ -42,6 +42,7 @@ class EvolutionConfig:
     cycles: int = 2000
 
     def __post_init__(self):
+        require_field_types(self, {"population_size": int, "sample_size": int, "cycles": int})
         if not 1 <= self.sample_size <= self.population_size:
             raise ConfigError(
                 f"sample_size {self.sample_size} must be in [1, population_size]"
@@ -68,12 +69,12 @@ def init_population(cfg: EvolutionConfig, limits: SpaceLimits, fitness, rng: ran
 
 def tournament_select(population, sample_size: int, rng: random.Random) -> Individual:
     """Best of `sample_size` members drawn uniformly with replacement."""
-    members = list(population)
-    best = None
+    best = best_key = None
     for _ in range(sample_size):
-        candidate = members[rng.randrange(len(members))]
-        if best is None or candidate.key() > best.key():
-            best = candidate
+        candidate = rng.choice(population)
+        key = candidate.key()
+        if best is None or key > best_key:
+            best, best_key = candidate, key
     return best
 
 

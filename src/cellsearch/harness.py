@@ -21,7 +21,9 @@ import numpy as np
 
 from . import cellspace, evolution, predictor, reinforce
 from .cellspace import ModelSpec, SpaceLimits
-from .errors import ConfigError, DegenerateDataError, ExhaustedError, ParseError
+from .errors import (
+    ConfigError, DegenerateDataError, ExhaustedError, ParseError, require_field_types,
+)
 from .evolution import EvolutionConfig
 from .oracle import (
     DEFAULT_LABEL_THRESHOLD,
@@ -81,21 +83,23 @@ class ExperimentConfig:
     predictor: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
-        # types first, so that the range checks below compare numbers
-        for name, kind in (("n_label", int), ("top_k", int), ("seed", int),
-                           ("label_charge", numbers.Real), ("label_threshold", numbers.Real)):
-            value = getattr(self, name)
-            typed = isinstance(value, kind) and not isinstance(value, bool)
-            if not typed and not (value is None and name == "label_threshold"):
-                what = "an integer" if kind is int else "a finite real number"
-                raise ConfigError(f"{name} must be {what}, got {value!r}")
+        require_field_types(
+            self,
+            {"n_label": int, "top_k": int, "seed": int,
+             "label_charge": numbers.Real, "label_threshold": numbers.Real},
+            optional=("label_threshold",),
+        )
         if self.algo not in ("EVOLUTION", "REINFORCE"):
             raise ConfigError(f"unknown algo {self.algo!r}")
         if self.fitness not in ("ORACLE", "PREDICTOR"):
             raise ConfigError(f"unknown fitness mode {self.fitness!r}")
         if self.oracle_source not in ("SYNTHETIC", "FILE"):
             raise ConfigError(f"unknown oracle source {self.oracle_source!r}")
-        if self.oracle_source == "FILE" and not self.table_path:
+        # an int would be opened as a file descriptor
+        path = self.table_path
+        if path is not None and not (isinstance(path, str) and path):
+            raise ConfigError(f"table_path must be a non-empty string, got {path!r}")
+        if self.oracle_source == "FILE" and path is None:
             raise ConfigError("FILE oracle source needs table_path")
         if self.fitness == "PREDICTOR" and self.n_label <= 0:
             raise ConfigError("predictor-guided search needs a labeling budget")

@@ -18,7 +18,9 @@ import numpy as np
 
 from . import cellspace, flatparams
 from .cellspace import ModelSpec, OpLabel
-from .errors import ConfigError, DegenerateDataError, ParseError, ShapeError
+from .errors import (
+    ConfigError, DegenerateDataError, ParseError, ShapeError, require_field_types,
+)
 
 # Token alphabet. Layout of a sequence: (v-2) interior op tokens in index
 # order, one SEP, then v(v-1)/2 adjacency bits in row-major order.
@@ -259,6 +261,7 @@ class TrainConfig:
     target_positive_share: float = 0.2
 
     def __post_init__(self):
+        require_field_types(self, {"epochs": int, "batch": int, "hidden_size": int})
         # NaN fails both tests; the init draws from a width of 2 * init_scale
         if not 0.0 < self.learning_rate < math.inf:
             raise ConfigError(f"learning_rate must be in (0, inf), got {self.learning_rate}")

@@ -36,7 +36,7 @@ from .cellspace import (
     INTERIOR_OPS, MAX_VERTICES, ModelSpec, OpLabel, SpaceLimits, phenotype_of,
     upper_triangle_pairs,
 )
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, require_field_types
 from .oracle import SimClock
 from .traces import SearchTrace
 
@@ -406,6 +406,9 @@ class ReinforceConfig:
     beta: float = 0.9
 
     def __post_init__(self):
+        require_field_types(
+            self, {"batch_size": int, "iterations": int, "hidden_size": int, "emb_dim": int}
+        )
         if self.batch_size < 1:
             raise ConfigError("batch_size must be at least 1")
         if self.iterations < 0:

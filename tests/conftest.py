@@ -155,6 +155,11 @@ def make_spec(v, edges, interior_ops):
     return ModelSpec(v, tuple(edges), ops)
 
 
+def cell_of(genome: ModelSpec, limits: SpaceLimits):
+    """The cell a genome ModelSpec denotes, through `phenotype_of`."""
+    return cellspace.phenotype_of(genome.num_vertices, genome.edges, genome.ops, limits)
+
+
 @pytest.fixture
 def space59_specs():
     return list(cellspace.enumerate_space(SpaceLimits(5, 9)))

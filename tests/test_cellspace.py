@@ -8,6 +8,7 @@ import importlib
 import inspect
 import itertools
 import json
+import pickle
 import random
 import re
 from pathlib import Path
@@ -23,7 +24,6 @@ from cellsearch.cellspace import (
     canonical_hash,
     enumerate_space,
     mutate,
-    phenotype,
     random_spec,
     upper_triangle_pairs,
     validate,
@@ -32,6 +32,7 @@ from cellsearch.errors import ExhaustedError, InvalidSpecError
 
 from conftest import (
     all_paths_vertices,
+    cell_of,
     interior_permutations,
     make_spec,
     perm_canonical_form,
@@ -116,6 +117,43 @@ def test_rejects_duplicate_edges_and_bad_ops_length():
         ModelSpec(8, ((0, 7),), (OpLabel.IN,) + (OpLabel.CONV3X3,) * 6 + (OpLabel.OUT,))
 
 
+def test_construction_errors_name_the_bad_edge():
+    ops = (OpLabel.IN, OpLabel.CONV3X3, OpLabel.OUT)
+    for edge in ((2, 1), (0, 3), (1, 1), (-1, 1)):
+        with pytest.raises(ValueError, match=re.escape(
+            f"edge ({edge[0]},{edge[1]}) is not strictly upper-triangular in range"
+        )):
+            ModelSpec(3, ((0, 1), edge), ops)
+    with pytest.raises(ValueError, match=re.escape("duplicate edge (0,1)")):
+        ModelSpec(3, ((1, 2), (0, 1), (0, 1)), ops)
+    # the first bad edge in sorted order is the one named
+    with pytest.raises(ValueError, match=re.escape("duplicate edge (0,1)")):
+        ModelSpec(3, ((1, 3), (0, 1), (0, 1)), ops)
+
+
+def test_edges_given_as_lists_are_accepted():
+    s = ModelSpec(3, [[1, 2], [0, 1]], [OpLabel.IN, OpLabel.CONV3X3, OpLabel.OUT])
+    assert s.edges == ((0, 1), (1, 2)) and s.ops == (OpLabel.IN, OpLabel.CONV3X3, OpLabel.OUT)
+    assert s == ModelSpec(3, ((0, 1), (1, 2)), s.ops)
+    assert hash(s) == hash(ModelSpec(3, ((0, 1), (1, 2)), s.ops))
+
+
+@pytest.mark.parametrize("v", [3.0, "3", None, True])
+def test_non_int_vertex_count_is_a_value_error(v):
+    with pytest.raises(ValueError, match="need 2 to 7 vertices"):
+        ModelSpec(v, ((0, 1), (1, 2)), (OpLabel.IN, OpLabel.CONV3X3, OpLabel.OUT))
+
+
+def test_op_labels_hash_by_identity_and_survive_pickling():
+    for op in OpLabel:
+        assert hash(op) == object.__hash__(op)
+        assert pickle.loads(pickle.dumps(op)) is op
+    s = make_spec(4, [(0, 1), (1, 2), (2, 3)], [OpLabel.CONV3X3, OpLabel.CONV1X1])
+    back = pickle.loads(pickle.dumps(s))
+    assert back == s and hash(back) == hash(s)
+    assert {s: 1}[back] == 1
+
+
 # ---------------------------------------------------------------------------
 # validate
 
@@ -175,17 +213,18 @@ def test_multiple_violations_all_reported():
 
 
 # ---------------------------------------------------------------------------
-# pruning: `phenotype` and `phenotype_of` give the cell a genome denotes
+# pruning: `phenotype_of` gives the cell a genome denotes
 
 # budgets no genome of up to MAX_VERTICES vertices can break, so that only
 # the path rules decide a genome's cell
 OPEN = SpaceLimits(7, 21)
 
 
-def _path_pruning(genome):
+def _path_pruning(genome, on_path=None):
     """The genome less every vertex on no IN->OUT path, survivors renumbered
-    in order, found by path enumeration; None when there is no path."""
-    kept = sorted(all_paths_vertices(genome))
+    in order, found by path enumeration unless `on_path` gives them; None
+    when there is no path."""
+    kept = sorted(all_paths_vertices(genome) if on_path is None else on_path)
     if not kept:
         return None
     renumber = {old: new for new, old in enumerate(kept)}
@@ -195,7 +234,7 @@ def _path_pruning(genome):
 
 def test_prune_removes_isolated_vertex():
     s = make_spec(3, [(0, 2)], [OpLabel.CONV3X3])
-    cell = phenotype(s, OPEN)
+    cell = cell_of(s, OPEN)
     assert cell.num_vertices == 2
     assert cell.edges == ((0, 1),)
     assert cell.ops == (OpLabel.IN, OpLabel.OUT)
@@ -207,13 +246,13 @@ def test_prune_identity_on_valid_spec():
         [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)],
         [OpLabel.CONV3X3, OpLabel.CONV1X1, OpLabel.MAXPOOL3X3],
     )
-    assert phenotype(s, OPEN) == s
+    assert cell_of(s, OPEN) == s
 
 
 def test_prune_drops_dead_end_vertex():
     # Vertex 2 has an in-edge but no path onward to OUT.
     s = make_spec(4, [(0, 1), (0, 2), (1, 3)], [OpLabel.CONV3X3, OpLabel.CONV1X1])
-    cell = phenotype(s, OPEN)
+    cell = cell_of(s, OPEN)
     assert cell.num_vertices == 3
     assert cell.edges == ((0, 1), (1, 2))
     assert cell.ops == (OpLabel.IN, OpLabel.CONV3X3, OpLabel.OUT)
@@ -232,7 +271,6 @@ def test_prune_matches_path_enumeration_oracle():
         )
         s = ModelSpec(v, edges, ops)
         expected = _path_pruning(s)
-        assert phenotype(s, OPEN) == expected
         assert cellspace.phenotype_of(v, edges, ops, OPEN) == expected
         checked += expected is not None
     assert checked > 100
@@ -248,25 +286,23 @@ def test_prune_idempotent_and_never_grows():
             + tuple(rng.choice(cellspace.INTERIOR_OPS) for _ in range(v - 2))
             + (OpLabel.OUT,)
         )
-        once = phenotype(ModelSpec(v, edges, ops), OPEN)
+        once = cellspace.phenotype_of(v, edges, ops, OPEN)
         if once is None:
             continue
-        assert phenotype(once, OPEN) == once
+        assert cell_of(once, OPEN) == once
         assert once.num_vertices <= v
         assert once.num_edges <= len(edges)
 
 
 def test_prune_no_path_gives_none():
-    assert phenotype(ModelSpec(2, (), (OpLabel.IN, OpLabel.OUT)), OPEN) is None
-    assert phenotype(make_spec(4, [(0, 1), (2, 3)], [OpLabel.CONV3X3] * 2), OPEN) is None
+    assert cellspace.phenotype_of(2, (), (OpLabel.IN, OpLabel.OUT), OPEN) is None
+    assert cell_of(make_spec(4, [(0, 1), (2, 3)], [OpLabel.CONV3X3] * 2), OPEN) is None
 
 
 def test_prune_requires_terminal_labels():
     cellspace._phenotype_memo.cache_clear()
     for ops in ((OpLabel.CONV3X3, OpLabel.OUT), (OpLabel.IN, OpLabel.IN)):
         for _ in range(3):
-            with pytest.raises(InvalidSpecError):
-                phenotype(ModelSpec(2, ((0, 1),), ops), OPEN)
             with pytest.raises(InvalidSpecError):
                 cellspace.phenotype_of(2, ((0, 1),), ops, OPEN)
     assert cellspace._phenotype_memo.cache_info().currsize == 0
@@ -326,7 +362,7 @@ def test_hash_invariance_and_separation_exhaustive_v_le_5():
 
 
 # ---------------------------------------------------------------------------
-# value-keyed memos on canonical_hash and phenotype
+# value-keyed memos on canonical_hash and phenotype_of
 
 
 def test_hash_memo_keys_on_value_not_identity():
@@ -348,16 +384,16 @@ def test_memos_raise_on_every_call_for_an_invalid_spec():
         with pytest.raises(InvalidSpecError):
             canonical_hash(unpruned)
         with pytest.raises(InvalidSpecError):
-            phenotype(bad_terminal, OPEN)
+            cell_of(bad_terminal, OPEN)
     assert cellspace._hash_memo.cache_info().currsize == 0
     assert cellspace._phenotype_memo.cache_info().currsize == 0
 
 
 def test_prune_memo_caches_a_no_path_answer():
     cellspace._phenotype_memo.cache_clear()
-    no_path = make_spec(3, [(0, 1)], [OpLabel.CONV3X3])
-    assert phenotype(no_path, OPEN) is None
-    assert phenotype(make_spec(3, [(0, 1)], [OpLabel.CONV3X3]), OPEN) is None
+    for _ in range(2):
+        ops = tuple([OpLabel.IN, OpLabel.CONV3X3, OpLabel.OUT])
+        assert cellspace.phenotype_of(3, (tuple([0, 1]),), ops, OPEN) is None
     info = cellspace._phenotype_memo.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
@@ -369,7 +405,7 @@ def test_prune_memo_stays_bounded():
     pairs = upper_triangle_pairs(5)
     for mask in range(1 << len(pairs)):
         edges = tuple(p for k, p in enumerate(pairs) if mask >> k & 1)
-        phenotype(ModelSpec(5, edges, ops), OPEN)
+        cellspace.phenotype_of(5, edges, ops, OPEN)
     info = cellspace._phenotype_memo.cache_info()
     assert (info.misses, info.hits) == (1024, 0)
     assert info.currsize == info.maxsize == cellspace.PRUNE_MEMO_SIZE
@@ -388,29 +424,33 @@ def test_hash_memo_stays_bounded_after_a_threshold_scan():
 def test_prune_memo_returns_an_equal_spec_for_an_equal_genome():
     cellspace._phenotype_memo.cache_clear()
 
-    def genome():
-        # vertex 2 is a dead end and vertex 3 is isolated
-        return make_spec(
-            5,
-            [(0, 1), (0, 2), (1, 4)],
-            [OpLabel.CONV3X3, OpLabel.CONV1X1, OpLabel.MAXPOOL3X3],
-        )
+    def parts():
+        # fresh, equal tuples: vertex 2 is a dead end and vertex 3 isolated
+        edges = tuple(tuple(e) for e in [[0, 1], [0, 2], [1, 4]])
+        ops = (OpLabel.IN, *[OpLabel.CONV3X3, OpLabel.CONV1X1, OpLabel.MAXPOOL3X3], OpLabel.OUT)
+        return 5, edges, ops
 
-    first, second = phenotype(genome(), OPEN), phenotype(genome(), OPEN)
-    assert first == second == cellspace._genome_phenotype(genome(), OPEN)
+    first = cellspace.phenotype_of(*parts(), OPEN)
+    second = cellspace.phenotype_of(*parts(), OPEN)
+    assert first is second
+    assert first == cellspace._phenotype(*parts(), OPEN)
     assert first == make_spec(3, [(0, 1), (1, 2)], [OpLabel.CONV3X3])
     info = cellspace._phenotype_memo.cache_info()
     assert (info.misses, info.hits) == (1, 1)
+    # the limits are part of the key
+    assert cellspace.phenotype_of(*parts(), SpaceLimits(7, 1)) is None
+    assert cellspace._phenotype_memo.cache_info().misses == 2
 
 
-def _old_phenotype(genome, limits):
-    """phenotype as prune-then-validate, the definition it must keep."""
-    cell = _path_pruning(genome)
+def _old_phenotype(genome, limits, on_path=None):
+    """phenotype_of as prune-then-validate, the definition it must keep;
+    `on_path` as in `_path_pruning`."""
+    cell = _path_pruning(genome, on_path)
     return cell if cell is not None and validate(cell, limits).valid else None
 
 
 def test_phenotype_equals_prune_then_validate():
-    # phenotype skips the path rules that pruning satisfies by construction;
+    # phenotype_of skips the path rules that pruning satisfies by construction;
     # the answer must not change. Genomes run past the vertex budget (up to
     # the cap of 7), carry
     # any edge count and, one slot in five, an IN or OUT label in the
@@ -426,7 +466,7 @@ def test_phenotype_equals_prune_then_validate():
     seen = {True: 0, False: 0}
     for limits in (SpaceLimits(5, 9), SpaceLimits(7, 9)):
         for genome in fixed:
-            assert cellspace.phenotype(genome, limits) == _old_phenotype(genome, limits)
+            assert cell_of(genome, limits) == _old_phenotype(genome, limits)
         for _ in range(10_000):
             v = rng.randint(2, min(limits.max_vertices + 1, cellspace.MAX_VERTICES))
             edges = [p for p in upper_triangle_pairs(v) if rng.random() < 0.5]
@@ -435,7 +475,7 @@ def test_phenotype_equals_prune_then_validate():
                 for _ in range(v - 2)
             ]
             genome = make_spec(v, edges, interior)
-            cell = cellspace.phenotype(genome, limits)
+            cell = cell_of(genome, limits)
             assert cell == _old_phenotype(genome, limits), genome
             seen[cell is None] += 1
     assert min(seen.values()) > 2_000, seen
@@ -443,19 +483,21 @@ def test_phenotype_equals_prune_then_validate():
 
 def test_phenotype_of_equals_phenotype_of_the_built_genome():
     # every genome of up to 5 vertices: each edge mask under each interior
-    # labeling, IN and OUT included; then random genomes of 7 vertices
+    # labeling, IN and OUT included; then random genomes of 7 vertices. The
+    # path enumeration depends on the edges alone, so it runs once a mask.
     limits_list = (SpaceLimits(5, 9), SpaceLimits(5, 4), SpaceLimits(4, 9))
     seen = {True: 0, False: 0}
     for v in range(2, 6):
         pairs = upper_triangle_pairs(v)
         for mask in range(1 << len(pairs)):
             edges = tuple(p for k, p in enumerate(pairs) if mask >> k & 1)
+            on_path = all_paths_vertices(make_spec(v, edges, [OpLabel.CONV3X3] * (v - 2)))
             for interior in itertools.product(OpLabel, repeat=v - 2):
                 ops = (OpLabel.IN, *interior, OpLabel.OUT)
                 genome = ModelSpec(v, edges, ops)
                 for limits in limits_list:
                     cell = cellspace.phenotype_of(v, edges, ops, limits)
-                    assert cell == cellspace.phenotype(genome, limits), (genome, limits)
+                    assert cell == _old_phenotype(genome, limits, on_path), (genome, limits)
                     seen[cell is None] += 1
     assert min(seen.values()) > 50_000, seen
     rng = random.Random(13)
@@ -464,7 +506,7 @@ def test_phenotype_of_equals_phenotype_of_the_built_genome():
         edges = tuple(p for p in upper_triangle_pairs(7) if rng.random() < 0.5)
         ops = (OpLabel.IN, *[rng.choice(cellspace.INTERIOR_OPS) for _ in range(5)], OpLabel.OUT)
         genome = ModelSpec(7, edges, ops)
-        assert cellspace.phenotype_of(7, edges, ops, limits) == cellspace.phenotype(genome, limits)
+        assert cellspace.phenotype_of(7, edges, ops, limits) == _old_phenotype(genome, limits)
     for ops in ((OpLabel.CONV3X3, OpLabel.OUT), (OpLabel.IN, OpLabel.IN)):
         with pytest.raises(InvalidSpecError):
             cellspace.phenotype_of(2, ((0, 1),), ops, limits)
@@ -488,13 +530,13 @@ def test_memoized_functions_stay_plain_functions():
     # lru_cache-wrapped function would make its metrics read 0 with no more
     # than a warning on stderr.
     # perfbench still reads the deleted `cellspace.prune`; its metric reads 0
-    # until the benchmark names `cellspace.phenotype` instead
+    # until the benchmark names `cellspace.phenotype_of` instead
     names = _benchmark_traced_names() - {"cellspace.prune"}
     assert {"cellspace.canonical_hash", "predictor.loss_and_grad"} <= names
     # `train` pads its set through `pad_batch` once, then steps through
     # `loss_and_grad`; both must stay traceable for the loss_and_grad.*
     # metrics to mean what they say.
-    for name in sorted(names | {"predictor.pad_batch", "cellspace.phenotype"}):
+    for name in sorted(names | {"predictor.pad_batch", "cellspace.phenotype_of"}):
         module_name, _, attr = name.partition(".")
         module = importlib.import_module(f"cellsearch.{module_name}")
         fn = getattr(module, attr, None)
@@ -525,13 +567,13 @@ def test_random_spec_always_valid_and_pruned():
     for _ in range(500):
         s = random_spec(rng, limits)
         assert validate(s, limits).valid
-        assert phenotype(s, limits) == s
+        assert cell_of(s, limits) == s
 
 
 def _frozen_random_spec(rng, limits):
     """random_spec as it was when every draw built a ModelSpec genome and
-    asked `phenotype` about it: the reference for its cells and its calls
-    on `rng`."""
+    asked for its cell, prune-then-validate: the reference for its cells
+    and its calls on `rng`."""
     for _ in range(cellspace.MAX_REJECTION_ATTEMPTS):
         v = rng.randint(2, limits.max_vertices)
         edges = tuple(p for p in upper_triangle_pairs(v) if rng.random() < 0.5)
@@ -540,7 +582,7 @@ def _frozen_random_spec(rng, limits):
             + tuple(rng.choice(cellspace.INTERIOR_OPS) for _ in range(v - 2))
             + (OpLabel.OUT,)
         )
-        cell = cellspace.phenotype(ModelSpec(v, edges, ops), limits)
+        cell = _old_phenotype(ModelSpec(v, edges, ops), limits)
         if cell is not None:
             return cell
     raise ExhaustedError("no valid random spec")
@@ -565,11 +607,16 @@ def test_random_spec_draws_the_two_vertex_class_about_half_the_time_at_5_9():
 
 @pytest.mark.parametrize("limits", [(5, 9), (7, 9)])
 def test_random_spec_builds_only_the_cell_it_returns(spec_builds, limits):
-    # rejected draws are decided on their raw parts and build no ModelSpec
+    # rejected draws are decided on their raw parts and build no ModelSpec;
+    # a draw the memo answers returns a cell built before and builds none
+    cellspace._phenotype_memo.cache_clear()
     rng = random.Random(3)
-    for n in range(1, 1001):
-        random_spec(rng, SpaceLimits(*limits))
-        assert spec_builds[0] == n
+    returned = {}  # held, so that no id is reused
+    for _ in range(1000):
+        cell = random_spec(rng, SpaceLimits(*limits))
+        returned[id(cell)] = cell
+        assert spec_builds[0] == len(returned)
+    assert len(returned) < 1000
 
 
 def test_random_spec_covers_every_class_at_4_9():
@@ -685,6 +732,67 @@ def test_mutate_two_vertex_parent_at_tight_limits_exhausts():
         mutate(parent, random.Random(0), SpaceLimits(2, 1))
 
 
+def _frozen_pad_to(spec, max_vertices, rng):
+    """_pad_to as it was when it built the padded genome as a ModelSpec."""
+    v = spec.num_vertices
+    if v == max_vertices:
+        return spec
+    out_new = max_vertices - 1
+    edges = tuple((i, out_new if j == v - 1 else j) for i, j in spec.edges)
+    ops = (
+        spec.ops[: v - 1]
+        + tuple(rng.choice(cellspace.INTERIOR_OPS) for _ in range(max_vertices - v))
+        + (OpLabel.OUT,)
+    )
+    return ModelSpec(max_vertices, edges, ops)
+
+
+def _frozen_mutate(parent, rng, limits):
+    """mutate as it was when every edit built a ModelSpec child and asked
+    for its cell, here prune-then-validate: the reference for its children,
+    their cells and its calls on `rng`."""
+    genome = _frozen_pad_to(parent, limits.max_vertices, rng)
+    v, edges, ops = genome.num_vertices, genome.edges, genome.ops
+    pairs = upper_triangle_pairs(v)
+    swaps = [
+        (k, op) for k in range(1, v - 1) for op in cellspace.INTERIOR_OPS if op is not ops[k]
+    ]
+    for _ in range(cellspace.MAX_REJECTION_ATTEMPTS):
+        r = rng.randrange(len(pairs) + len(swaps))
+        if r < len(pairs):
+            child = ModelSpec(v, tuple(sorted(set(edges) ^ {pairs[r]})), ops)
+        else:
+            k, op = swaps[r - len(pairs)]
+            child = ModelSpec(v, edges, ops[:k] + (op,) + ops[k + 1 :])
+        cell = _old_phenotype(child, limits)
+        if cell is not None:
+            return child, cell
+    raise ExhaustedError("no valid mutation")
+
+
+@pytest.mark.parametrize("limits", [(4, 9), (5, 9), (7, 9)])
+def test_mutate_equals_the_child_building_reference(limits):
+    # parents are the genomes of a mutation chain and, every third step,
+    # the smaller cell of the last child, which takes the padding path
+    limits = SpaceLimits(*limits)
+    ours, theirs = random.Random(1), random.Random(1)
+    parent = random_spec(random.Random(0), limits)
+    padded = 0
+    for n in range(2_000):
+        padded += parent.num_vertices < limits.max_vertices
+        child, cell = mutate(parent, ours, limits)
+        assert (child, cell) == _frozen_mutate(parent, theirs, limits), parent
+        assert ours.getstate() == theirs.getstate()
+        parent = cell if n % 3 == 0 else child
+    assert padded > 200, padded
+
+
+def test_mutate_refuses_a_parent_larger_than_the_limits():
+    parent = make_spec(5, [(0, 1), (1, 2), (2, 3), (3, 4)], [OpLabel.CONV3X3] * 3)
+    with pytest.raises(ValueError, match="a 5-vertex parent does not fit"):
+        mutate(parent, random.Random(0), SpaceLimits(4, 9))
+
+
 def test_mutate_deterministic_per_seed():
     parent = make_spec(4, [(0, 1), (1, 2), (2, 3)], [OpLabel.CONV3X3, OpLabel.CONV1X1])
     a = mutate(parent, random.Random(9), SpaceLimits(7, 9))
@@ -755,7 +863,7 @@ def test_enumeration_yields_valid_pruned_specs():
     limits = SpaceLimits(4, 4)
     for s in enumerate_space(limits):
         assert validate(s, limits).valid
-        assert phenotype(s, limits) == s
+        assert cell_of(s, limits) == s
         assert s.num_edges <= 4
 
 

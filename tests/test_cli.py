@@ -320,6 +320,19 @@ PINNED_DIGESTS = {
         "trace.csv": "7d6e0d69468f4ed12c6da1699f83d8ffd51be12f01b4d408e2603b4def49b5c6",
         "stdout": "e9c5243ab52136b876c54fe3b25f261a22fb9ab9b1bf05c85eb7f955fc83714f",
     },
+    # aging evolution at the gt-evolution benchmark's shape, and at (7,9)
+    ("run", "--algo", "evolution", "--fitness", "oracle", "--limits", "5,9",
+     "--population-size", "50", "--sample-size", "10", "--cycles", "400", "--seed", "4"): {
+        "summary.json": "240ba5285ad6cec3ac05e5696c87aa2afa42e34ab09445b75674037033302578",
+        "trace.csv": "b7a35c10267137f253c4b5089308dc6b48b93cac3d98ba1cdc202c0a59469d30",
+        "stdout": "d73417686046551f12126310a16bfb98c75c29aa93d7ba57f4800bb163c89fd9",
+    },
+    ("run", "--algo", "evolution", "--fitness", "oracle", "--limits", "7,9",
+     "--cycles", "300", "--seed", "5"): {
+        "summary.json": "a1460fb05f9b1df8d6d2240973fffd17ddb02b894b210d250676231c758e97af",
+        "trace.csv": "63853660b44a8a698a8032d326b8da2f8f8f4da3354c32112d71bb97216fe30a",
+        "stdout": "9c90ef7ee6f7cc40e2e2727a7326354305c92983a4490895272acbcb0565ce73",
+    },
 }
 
 
@@ -327,11 +340,12 @@ PINNED_DIGESTS = {
     "argv", list(PINNED_DIGESTS),
     ids=[
         "evolution-oracle", "predictor", "label", "reinforce-oracle",
-        "reinforce-predictor", "reinforce-oracle-7-9",
+        "reinforce-predictor", "reinforce-oracle-7-9", "evolution-oracle-5-9",
+        "evolution-oracle-7-9",
     ],
 )
 def test_outputs_match_pinned_digests(capsys, tmp_path, argv):
-    """The bytes a refactor must keep: these six runs' files and stdout are
+    """The bytes a refactor must keep: these eight runs' files and stdout are
     pinned by sha256. A change meant to alter bytes updates the digests here
     and says so in CHANGES.md."""
     out = tmp_path / "out"
@@ -599,6 +613,47 @@ def test_config_file_top_level_type_errors_are_usage_errors(
         assert code == 1 and stdout == "", (field, value, err)
         assert field in err, (field, value, err)
         assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["1", "0", "true", '""'])
+def test_config_file_table_path_must_be_a_non_empty_string(capsys, tmp_path, value):
+    # an int was opened as a file descriptor: 1 failed with "Bad file
+    # descriptor" after --out existed, and 0 would have read stdin
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(f'{{"oracle_source": "FILE", "table_path": {value}}}')
+    out = tmp_path / "bad"
+    code, stdout, err = run_cli(
+        capsys, "run", "--config", str(cfg_path), "--limits", "4,9", "--out", str(out)
+    )
+    assert code == 1 and stdout == "", err
+    assert "table_path must be a non-empty string" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"evolution": {"population_size": 50.0}},
+        {"evolution": {"cycles": 1e400}},
+        {"algo": "REINFORCE", "reinforce": {"batch_size": 2.5}},
+        {"algo": "REINFORCE", "reinforce": {"iterations": True}},
+        {"fitness": "PREDICTOR", "predictor": {"epochs": 2.5}},
+    ],
+)
+def test_config_file_nested_int_fields_must_be_integers(capsys, tmp_path, obj):
+    # each passed its range check and crashed with a TypeError at run time,
+    # after --out existed; 1e400 parses as inf
+    key = next(k for k in obj if isinstance(obj[k], dict))
+    (field,) = obj[key]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(obj))
+    out = tmp_path / "bad"
+    code, stdout, err = run_cli(
+        capsys, "run", "--config", str(cfg_path), "--limits", "4,9", "--out", str(out)
+    )
+    assert code == 1 and stdout == "", err
+    assert repr(key) in err and f"{field} must be an integer" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("field", ["max_vertices", "max_edges"])

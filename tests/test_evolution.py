@@ -20,7 +20,7 @@ from cellsearch.evolution import (
 )
 from cellsearch.oracle import PaidQueries, SimClock, SyntheticOracle, synth_record
 
-from conftest import make_spec
+from conftest import cell_of, make_spec
 
 LIMITS = SpaceLimits(5, 9)
 
@@ -108,6 +108,41 @@ def test_tournament_tie_goes_to_younger():
     # deterministic. The younger (birth_index 1) must win the tie.
     winner = tournament_select(population, 8, random.Random(0))
     assert winner.birth_index == 1
+
+
+def _frozen_tournament_select(population, sample_size, rng):
+    """tournament_select as it was, drawing by index from a list copy and
+    calling key() on every comparison: the reference for its winner and
+    its calls on `rng`."""
+    members = list(population)
+    best = None
+    for _ in range(sample_size):
+        candidate = members[rng.randrange(len(members))]
+        if best is None or candidate.key() > best.key():
+            best = candidate
+    return best
+
+
+@pytest.mark.parametrize("limits", [(4, 9), (5, 9), (7, 9)])
+def test_tournament_equals_the_list_copying_reference(limits):
+    # few fitness values and few birth indices: ties in fitness, and ties
+    # in the whole key between distinct members, where the first drawn wins
+    limits = SpaceLimits(*limits)
+    make = random.Random(2)
+    cells = [cellspace.random_spec(make, limits) for _ in range(60)]
+    ours, theirs = random.Random(3), random.Random(3)
+    key_ties = 0
+    for _ in range(2_000):
+        population = deque(
+            Individual(cell, cell, make.choice((0.5, 0.6, 0.7)), make.randrange(8))
+            for cell in make.sample(cells, make.randint(1, 50))
+        )
+        sample_size = make.randint(1, len(population))
+        winner = tournament_select(population, sample_size, ours)
+        assert winner is _frozen_tournament_select(population, sample_size, theirs)
+        assert ours.getstate() == theirs.getstate()
+        key_ties += sum(ind.key() == winner.key() for ind in population) > 1
+    assert key_ties > 200, key_ties
 
 
 def test_tournament_single_member():
@@ -203,7 +238,7 @@ def test_clock_charges_each_distinct_phenotype_once():
     expected = 0.0
     seen = set()
     for ind in history:
-        assert ind.cell == cellspace.phenotype(ind.genome, LIMITS)
+        assert ind.cell == cell_of(ind.genome, LIMITS)
         digest = cellspace.canonical_hash(ind.cell)
         if digest not in seen:
             seen.add(digest)

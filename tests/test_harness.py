@@ -44,6 +44,8 @@ from cellsearch.predictor import PredictorFitness, RnnParams, TrainConfig
 from cellsearch.reinforce import DecisionSchedule, ReinforceConfig, run_reinforce
 from cellsearch.traces import SearchTrace, TraceRow, read_trace, write_trace
 
+from conftest import cell_of
+
 OPTIMUM_HASH_5_9 = "e630aae1d56e850ac87f7aa771b47739"
 
 
@@ -262,7 +264,7 @@ def test_fitness_adapters_refuse_a_genome_and_record_nothing():
     assert (paid.trace.rows, paid.memo, paid.memo_hits, paid.best) == ([], {}, 0, None)
     assert guided.predictions == {}
     # the cell it denotes is scored as usual
-    cell = cellspace.phenotype(genome, SpaceLimits(4, 9))
+    cell = cell_of(genome, SpaceLimits(4, 9))
     assert paid.evaluate(cell) == synth_record(cell, paid.oracle.params).val_accuracy
     assert guided.evaluate(cell) == guided.predictions[cell]
 
@@ -460,7 +462,7 @@ def test_topk_accepts_sampled_arch_history_and_skips_invalid():
     valid = [s.spec for s in result.history if not s.invalid]
     assert result.invalid_count > 0
     assert set(guided.predictions) == set(valid)
-    assert all(cellspace.phenotype(cell, limits) == cell for cell in guided.predictions)
+    assert all(cell_of(cell, limits) == cell for cell in guided.predictions)
     hashes = topk_revalidate(guided.predictions, len(result.history), _paid())
     assert set(hashes) == {cellspace.canonical_hash(s) for s in valid}
 
@@ -475,10 +477,10 @@ def test_topk_prunes_genomes():
         limits, 3, guided, SimClock(),
     )
     cells = {ind.cell for ind in history}
-    assert all(ind.cell == cellspace.phenotype(ind.genome, limits) for ind in history)
+    assert all(ind.cell == cell_of(ind.genome, limits) for ind in history)
     assert any(ind.genome != ind.cell for ind in history)
     assert set(guided.predictions) == cells
-    assert all(cellspace.phenotype(cell, limits) == cell for cell in guided.predictions)
+    assert all(cell_of(cell, limits) == cell for cell in guided.predictions)
     paid = _paid()
     hashes = topk_revalidate(guided.predictions, len(history), paid)
     assert set(hashes) == {cellspace.canonical_hash(c) for c in cells}

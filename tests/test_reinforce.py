@@ -137,15 +137,19 @@ def test_assembly_loses_no_cell(limits, classes, invalid):
 
 
 def test_assembly_builds_only_the_cell_it_keeps(spec_builds):
-    # an invalid rollout is decided on its raw edges and builds no ModelSpec
+    # an invalid rollout is decided on its raw edges and builds no ModelSpec;
+    # a rollout the phenotype memo answers returns a cell built before
+    cellspace._phenotype_memo.cache_clear()
     controller = zero_controller(hidden_size=4, emb_dim=2)
     sched = DecisionSchedule.from_limits(SpaceLimits(7, 9))
     rng = random.Random(0)
     seen = {True: 0, False: 0}
+    returned = {}  # held, so that no id is reused
     for _ in range(300):
-        before = spec_builds[0]
         s = sample(controller, sched, rng)
-        assert spec_builds[0] - before == (s.spec is not None)
+        if s.spec is not None:
+            returned[id(s.spec)] = s.spec
+        assert spec_builds[0] == len(returned)
         seen[s.spec is None] += 1
     assert min(seen.values()) > 50, seen
 
