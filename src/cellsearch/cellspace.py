@@ -335,6 +335,25 @@ def _wl_hash(spec: ModelSpec) -> str:
 _hash_memo = functools.lru_cache(maxsize=HASH_MEMO_SIZE)(_wl_hash)
 
 
+def below(rng, n: int, count: int) -> list[int]:
+    """`count` integers uniform in [0, n). Each is drawn as random.Random's
+    `choice`, `randrange` and `randint` draw one, by repeating
+    `getrandbits(n.bit_length())` until the value lies below n: the same
+    calls on `rng` and the same values, resting on `getrandbits` alone.
+    ValueError for n < 1, before any draw."""
+    if n < 1:
+        raise ValueError(f"nothing lies below {n}")
+    k = n.bit_length()
+    getrandbits = rng.getrandbits
+    draws = []
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        draws.append(r)
+    return draws
+
+
 def random_spec(rng, limits: SpaceLimits) -> ModelSpec:
     """Sample a valid, pruned spec by rejection. Not uniform over cells.
 
@@ -345,11 +364,12 @@ def random_spec(rng, limits: SpaceLimits) -> ModelSpec:
     at (5,9) about 49% of draws are the single 2-vertex class. `rng` is a
     random.Random.
     """
-    uniform, choice = rng.random, rng.choice
+    uniform = rng.random
     for _ in range(MAX_REJECTION_ATTEMPTS):
-        v = rng.randint(2, limits.max_vertices)
+        v = 2 + below(rng, limits.max_vertices - 1, 1)[0]
         edges = tuple([p for p in _PAIRS[v] if uniform() < 0.5])
-        ops = (OpLabel.IN, *[choice(INTERIOR_OPS) for _ in range(v - 2)], OpLabel.OUT)
+        interior = [INTERIOR_OPS[a] for a in below(rng, len(INTERIOR_OPS), v - 2)]
+        ops = (OpLabel.IN, *interior, OpLabel.OUT)
         cell = phenotype_of(v, edges, ops, limits)
         if cell is not None:
             return cell
@@ -389,12 +409,11 @@ def mutate(parent: ModelSpec, rng, limits: SpaceLimits) -> tuple[ModelSpec, Mode
     if n < v:
         # OUT's edges come last among their source's, so the edges stay sorted
         edges = tuple((i, v - 1 if j == n - 1 else j) for i, j in edges)
-        dormant = tuple(rng.choice(INTERIOR_OPS) for _ in range(v - n))
+        dormant = tuple([INTERIOR_OPS[a] for a in below(rng, len(INTERIOR_OPS), v - n)])
         ops = ops[: n - 1] + dormant + (OpLabel.OUT,)
-    pairs = _PAIRS[v]
-    swaps = [(k, op) for k in range(1, v - 1) for op in INTERIOR_OPS if op is not ops[k]]
+    pairs, swaps = _PAIRS[v], _swaps(ops)
     for _ in range(MAX_REJECTION_ATTEMPTS):
-        r = rng.randrange(len(pairs) + len(swaps))
+        r = below(rng, len(pairs) + len(swaps), 1)[0]
         if r < len(pairs):
             child_edges, child_ops = tuple(sorted(set(edges) ^ {pairs[r]})), ops
         else:
@@ -406,6 +425,14 @@ def mutate(parent: ModelSpec, rng, limits: SpaceLimits) -> tuple[ModelSpec, Mode
     raise ExhaustedError(
         f"no valid mutation of a {parent.num_vertices}-vertex parent "
         f"after {MAX_REJECTION_ATTEMPTS} attempts at {limits}"
+    )
+
+
+@functools.cache
+def _swaps(ops) -> tuple:
+    """Every op swap on an interior slot of `ops`: (slot, its new op)."""
+    return tuple(
+        (k, op) for k in range(1, len(ops) - 1) for op in INTERIOR_OPS if op is not ops[k]
     )
 
 

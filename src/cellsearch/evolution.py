@@ -69,12 +69,14 @@ def init_population(cfg: EvolutionConfig, limits: SpaceLimits, fitness, rng: ran
 
 def tournament_select(population, sample_size: int, rng: random.Random) -> Individual:
     """Best of `sample_size` members drawn uniformly with replacement."""
-    best = best_key = None
-    for _ in range(sample_size):
-        candidate = rng.choice(population)
-        key = candidate.key()
-        if best is None or key > best_key:
-            best, best_key = candidate, key
+    best = None
+    for i in cellspace.below(rng, len(population), sample_size):
+        candidate = population[i]
+        # key() compared field by field; a whole-key tie keeps the first drawn
+        if best is None or candidate.fitness > best.fitness or (
+            candidate.fitness == best.fitness and candidate.birth_index > best.birth_index
+        ):
+            best = candidate
     return best
 
 
@@ -123,7 +125,8 @@ def run_evolution(cfg: EvolutionConfig, limits: SpaceLimits, seed: int, fitness,
     record(0)
     for cycle in range(1, cfg.cycles - cfg.population_size + 1):
         evolve_cycle(population, history, cfg, limits, fitness, rng)
-        if history[-1].key() > best.key():
+        # the child is the youngest, so this is key() > best.key()
+        if history[-1].fitness >= best.fitness:
             best = history[-1]
         record(cycle)
     return best, trace, history

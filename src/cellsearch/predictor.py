@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -261,7 +262,12 @@ class TrainConfig:
     target_positive_share: float = 0.2
 
     def __post_init__(self):
-        require_field_types(self, {"epochs": int, "batch": int, "hidden_size": int})
+        require_field_types(
+            self,
+            {"epochs": int, "batch": int, "hidden_size": int,
+             "learning_rate": numbers.Real, "init_scale": numbers.Real,
+             "heldout_fraction": numbers.Real, "target_positive_share": numbers.Real},
+        )
         # NaN fails both tests; the init draws from a width of 2 * init_scale
         if not 0.0 < self.learning_rate < math.inf:
             raise ConfigError(f"learning_rate must be in (0, inf), got {self.learning_rate}")

@@ -25,6 +25,7 @@ rollout, each bit for bit the row that rollout's own pass would give.
 from __future__ import annotations
 
 import math
+import numbers
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -407,7 +408,9 @@ class ReinforceConfig:
 
     def __post_init__(self):
         require_field_types(
-            self, {"batch_size": int, "iterations": int, "hidden_size": int, "emb_dim": int}
+            self,
+            {"batch_size": int, "iterations": int, "hidden_size": int, "emb_dim": int,
+             "learning_rate": numbers.Real, "init_scale": numbers.Real, "beta": numbers.Real},
         )
         if self.batch_size < 1:
             raise ConfigError("batch_size must be at least 1")

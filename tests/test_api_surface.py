@@ -120,3 +120,35 @@ def test_a_name_counts_only_where_it_resolves_to_its_module():
         "layout.size"
     ]
     assert _unused(package, ['TRACED = ("layout.size", "cli.main", "model.score")']) == []
+
+
+# random.Random's integer draws; `cellspace.below` is the package's one
+# integer-draw path, and `rng.random()` its one float draw
+_INTEGER_DRAWS = {"choice", "choices", "randrange", "randint", "sample", "shuffle"}
+
+
+def _integer_draws(source):
+    """(line, method) for every read of an `_INTEGER_DRAWS` attribute, so a
+    call through a bound alias (`choice = rng.choice`) is found too."""
+    return [
+        (node.lineno, node.attr)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in _INTEGER_DRAWS
+    ]
+
+
+def test_integer_draws_go_through_below():
+    found = {
+        path.name: draws for path in PACKAGE if (draws := _integer_draws(path.read_text()))
+    }
+    assert found == {}
+
+
+def test_the_integer_draw_scan_sees_every_form():
+    source = (
+        "def f(rng, xs):\n"
+        "    uniform, choice = rng.random, rng.choice\n"
+        "    return rng.randrange(3) + uniform(), choice(xs), rng.getrandbits(2)\n"
+    )
+    assert sorted(_integer_draws(source)) == [(2, "choice"), (3, "randrange")]
+    assert _integer_draws("import random\nrandom.Random(1).shuffle([])\n") == [(2, "shuffle")]

@@ -545,6 +545,35 @@ def test_memoized_functions_stay_plain_functions():
 
 
 # ---------------------------------------------------------------------------
+# below
+
+
+# every n to 300, which holds 2^k and 2^k +- 1 up to 257, and the same
+# around the 32- and 64-bit word edges of getrandbits and past them
+_BELOW_BOUNDS = list(range(1, 301)) + [
+    2**k + d for k in (31, 32, 33, 63, 64, 65, 100) for d in (-1, 0, 1)
+]
+
+
+@pytest.mark.parametrize("count", [0, 1, 7])
+def test_below_draws_as_randrange_does(count):
+    ours, theirs = random.Random(5), random.Random(5)
+    for n in _BELOW_BOUNDS:
+        draws = cellspace.below(ours, n, count)
+        assert draws == [theirs.randrange(n) for _ in range(count)], n
+        assert ours.getstate() == theirs.getstate(), n
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_below_refuses_an_empty_range_without_drawing(n):
+    rng = random.Random(9)
+    state = rng.getstate()
+    with pytest.raises(ValueError):
+        cellspace.below(rng, n, 1)
+    assert rng.getstate() == state
+
+
+# ---------------------------------------------------------------------------
 # random_spec
 
 

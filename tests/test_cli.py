@@ -656,6 +656,34 @@ def test_config_file_nested_int_fields_must_be_integers(capsys, tmp_path, obj):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "key, field",
+    [
+        ("reinforce", "learning_rate"),
+        ("reinforce", "init_scale"),
+        ("reinforce", "beta"),
+        ("predictor", "learning_rate"),
+        ("predictor", "init_scale"),
+        ("predictor", "heldout_fraction"),
+        ("predictor", "target_positive_share"),
+    ],
+)
+def test_config_file_nested_real_fields_must_be_real_numbers(capsys, tmp_path, key, field):
+    # true passed the range checks as 1.0, and a string was refused only
+    # through the TypeError of a comparison
+    algo = {"reinforce": '"algo": "REINFORCE"', "predictor": '"fitness": "PREDICTOR"'}[key]
+    cfg_path = tmp_path / "cfg.json"
+    out = tmp_path / "bad"
+    for value in ("true", '"x"', "null", "[1]", "{}"):
+        cfg_path.write_text(f'{{{algo}, "{key}": {{"{field}": {value}}}}}')
+        code, stdout, err = run_cli(
+            capsys, "run", "--config", str(cfg_path), "--limits", "4,9", "--out", str(out)
+        )
+        assert code == 1 and stdout == "", (value, err)
+        assert repr(key) in err and f"{field} must be a finite real number" in err, (value, err)
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("field", ["max_vertices", "max_edges"])
 def test_config_file_limits_must_be_integers(capsys, tmp_path, field):
     # limits entries were int()-truncated, so max_edges 9.7 ran as 9

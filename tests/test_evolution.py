@@ -193,6 +193,37 @@ def test_run_returns_history_max_even_after_aging_out():
     assert trace.final_row().best_fitness == 0.9
 
 
+class TiedFitness:
+    """Oracle-mode fitness with few values: `levels` of them, picked by a
+    cell's edge count."""
+
+    mode = "ORACLE"
+
+    def __init__(self, levels):
+        self.levels = levels
+
+    def evaluate(self, cell):
+        return self.levels[cell.num_edges % len(self.levels)]
+
+
+@pytest.mark.parametrize("levels", [(0.5,), (0.2, 0.7, 0.4)])
+@pytest.mark.parametrize("limits", [(4, 9), (5, 9)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_run_returns_the_key_maximum_of_its_history_under_ties(levels, limits, seed):
+    # with ties in fitness, the best is the youngest of the fittest
+    cfg = EvolutionConfig(population_size=10, sample_size=3, cycles=300)
+    clock = SimClock()
+    best, trace, history = run_evolution(
+        cfg, SpaceLimits(*limits), seed, TiedFitness(levels), clock
+    )
+    assert best is max(history, key=Individual.key)
+    prefix_best = [
+        max(ind.fitness for ind in history[: cfg.population_size + k])
+        for k in range(len(trace.rows))
+    ]
+    assert [row.best_fitness for row in trace.rows] == prefix_best
+
+
 def test_cycles_equal_population_does_no_evolution():
     cfg = EvolutionConfig(population_size=4, sample_size=2, cycles=4)
     fitness = ScriptedFitness([0.1, 0.2, 0.3, 0.25])
