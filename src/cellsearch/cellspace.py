@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import ExhaustedError, InvalidSpecError
+from .errors import ExhaustedError, InvalidSpecError, check_fields, check_value
 
 MAX_REJECTION_ATTEMPTS = 10_000
 
@@ -77,10 +77,7 @@ class SpaceLimits:
     max_edges: int = 9
 
     def __post_init__(self):
-        for name in ("max_vertices", "max_edges"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        check_fields(self)
         if not 2 <= self.max_vertices <= MAX_VERTICES:
             raise ValueError(f"max_vertices must lie in [2, {MAX_VERTICES}]")
         if self.max_edges < 1:
@@ -152,8 +149,10 @@ class ModelSpec:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ModelSpec":
         try:
-            v = int(obj["v"])
-            edges = tuple((int(i), int(j)) for i, j in obj["edges"])
+            v, edges = obj["v"], tuple((i, j) for i, j in obj["edges"])
+            check_value("v", v, int)
+            for end in itertools.chain.from_iterable(edges):
+                check_value("edge endpoint", end, int)
             ops = tuple(OpLabel(name) for name in obj["ops"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed spec object: {exc}") from exc

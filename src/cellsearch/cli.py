@@ -6,7 +6,7 @@ dataset file), `train-predictor` (fit the binary predictor from such a
 file), `compare` (speedup report between two run summaries), and
 `gen-synthetic` (materialize the synthetic benchmark as a table file).
 
-Exit codes: 0 success, 1 usage error, 2 runtime error. All stdout output is
+Exit codes: 0 success, 1 usage or config error, 2 runtime error. Stdout is
 line-delimited JSON; files are written deterministically so a rerun with the
 same config and seed is byte-identical. NAS_SEED provides the default seed.
 """
@@ -174,10 +174,7 @@ def _config_from_args(args) -> ExperimentConfig:
 
 
 def cmd_run(args) -> int:
-    try:
-        cfg = _config_from_args(args)
-    except ConfigError as exc:
-        raise UsageError(str(exc)) from None
+    cfg = _config_from_args(args)
     seeds = args.seeds if args.seeds is not None else [cfg.seed]
 
     os.makedirs(args.out, exist_ok=True)
@@ -249,17 +246,14 @@ def cmd_label(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     if args.n <= 0:
         raise UsageError(f"--n must be positive, got {args.n}")
-    try:
-        cfg = ExperimentConfig(
-            limits=args.limits or SpaceLimits(),
-            **_oracle_fields(args.oracle),
-            n_label=args.n,
-            label_charge=args.charge,
-            label_threshold=args.threshold,
-            seed=seed,
-        )
-    except ConfigError as exc:
-        raise UsageError(str(exc)) from None
+    cfg = ExperimentConfig(
+        limits=args.limits or SpaceLimits(),
+        **_oracle_fields(args.oracle),
+        n_label=args.n,
+        label_charge=args.charge,
+        label_threshold=args.threshold,
+        seed=seed,
+    )
 
     paid = PaidQueries(build_oracle(cfg), SimClock())
     labeled, threshold = label_random_specs(cfg, paid, random.Random(seed))
@@ -291,10 +285,7 @@ def cmd_train_predictor(args) -> int:
         for k in TrainConfig.__dataclass_fields__
         if getattr(args, k, None) is not None
     }
-    try:
-        cfg = TrainConfig(**flags)
-    except ConfigError as exc:
-        raise UsageError(str(exc)) from None
+    cfg = TrainConfig(**flags)
     items, meta = read_labeled(args.data)
     trained, split_meta, held_acc, final_loss = fit(
         items,
@@ -411,7 +402,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ConfigError) as exc:
         sys.stderr.write(parser.format_usage())
         sys.stderr.write(f"cellsearch: usage error: {exc}\n")
         return 1

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import cellspace
 from .cellspace import ModelSpec, SpaceLimits
-from .errors import ConfigError, ExhaustedError, require_field_types
+from .errors import ConfigError, ExhaustedError, check_fields
 from .oracle import SimClock
 from .traces import SearchTrace
 
@@ -42,7 +42,7 @@ class EvolutionConfig:
     cycles: int = 2000
 
     def __post_init__(self):
-        require_field_types(self, {"population_size": int, "sample_size": int, "cycles": int})
+        check_fields(self)
         if not 1 <= self.sample_size <= self.population_size:
             raise ConfigError(
                 f"sample_size {self.sample_size} must be in [1, population_size]"

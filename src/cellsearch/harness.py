@@ -13,16 +13,16 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import random
 from dataclasses import asdict, dataclass, field
+from typing import Literal
 
 import numpy as np
 
 from . import cellspace, evolution, predictor, reinforce
 from .cellspace import ModelSpec, SpaceLimits
 from .errors import (
-    ConfigError, DegenerateDataError, ExhaustedError, ParseError, require_field_types,
+    ConfigError, DegenerateDataError, ExhaustedError, ParseError, check_fields, check_value,
 )
 from .evolution import EvolutionConfig
 from .oracle import (
@@ -67,10 +67,10 @@ class ExperimentConfig:
     search space (`limits`) and the `seed` are shared by every algorithm;
     each algorithm's own hyperparameters sit in its config object."""
 
-    algo: str = "EVOLUTION"  # EVOLUTION | REINFORCE
-    fitness: str = "ORACLE"  # ORACLE | PREDICTOR
+    algo: Literal["EVOLUTION", "REINFORCE"] = "EVOLUTION"
+    fitness: Literal["ORACLE", "PREDICTOR"] = "ORACLE"
     limits: SpaceLimits = field(default_factory=SpaceLimits)
-    oracle_source: str = "SYNTHETIC"  # SYNTHETIC | FILE
+    oracle_source: Literal["SYNTHETIC", "FILE"] = "SYNTHETIC"
     table_path: str | None = None
     synthetic: SyntheticOracleParams = field(default_factory=SyntheticOracleParams)
     n_label: int = 400
@@ -83,24 +83,12 @@ class ExperimentConfig:
     predictor: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
-        require_field_types(
-            self,
-            {"n_label": int, "top_k": int, "seed": int,
-             "label_charge": numbers.Real, "label_threshold": numbers.Real},
-            optional=("label_threshold",),
-        )
-        if self.algo not in ("EVOLUTION", "REINFORCE"):
-            raise ConfigError(f"unknown algo {self.algo!r}")
-        if self.fitness not in ("ORACLE", "PREDICTOR"):
-            raise ConfigError(f"unknown fitness mode {self.fitness!r}")
-        if self.oracle_source not in ("SYNTHETIC", "FILE"):
-            raise ConfigError(f"unknown oracle source {self.oracle_source!r}")
-        # an int would be opened as a file descriptor
-        path = self.table_path
-        if path is not None and not (isinstance(path, str) and path):
-            raise ConfigError(f"table_path must be a non-empty string, got {path!r}")
-        if self.oracle_source == "FILE" and path is None:
+        check_fields(self)
+        if self.oracle_source == "FILE" and self.table_path is None:
             raise ConfigError("FILE oracle source needs table_path")
+        # the synthetic oracle reads no table, so its run must not echo one
+        if self.oracle_source != "FILE" and self.table_path is not None:
+            raise ConfigError(f"table_path {self.table_path!r} needs the FILE oracle source")
         if self.fitness == "PREDICTOR" and self.n_label <= 0:
             raise ConfigError("predictor-guided search needs a labeling budget")
         if not 0.0 < self.label_charge <= 1.0:
@@ -128,7 +116,7 @@ class ExperimentConfig:
             if key in kwargs:
                 try:
                     kwargs[key] = build(kwargs[key])
-                except (ConfigError, KeyError, TypeError, ValueError) as exc:
+                except (KeyError, TypeError, ValueError) as exc:
                     raise ConfigError(f"config key {key!r}: {exc}") from None
         return cls(**kwargs)
 
@@ -240,7 +228,7 @@ class RunSummary:
                 improvements=tuple((float(s), float(a)) for s, a in obj["improvements"]),
                 phases=obj.get("phases", {}),
             )
-        except (ConfigError, KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed run summary: {exc}") from exc
 
 
@@ -572,10 +560,9 @@ def read_labeled(path):
         try:
             obj = json.loads(line)
             spec = ModelSpec.from_json_obj(obj["spec"])
-            y = int(obj["label"])
+            y = obj["label"]
+            check_value("label", y, Literal[0, 1])
         except Exception as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
-        if y not in (0, 1):
-            raise ParseError(f"{path}:{lineno}: label must be 0 or 1")
         items.append((spec, y))
     return items, meta

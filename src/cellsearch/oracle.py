@@ -12,14 +12,15 @@ from __future__ import annotations
 import functools
 import json
 import math
-import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import cellspace
 from .cellspace import ModelSpec, SpaceLimits
-from .errors import DuplicateHashError, ParseError, UnknownArchitectureError
+from .errors import (
+    DuplicateHashError, ParseError, UnknownArchitectureError, check_fields, check_value,
+)
 from .traces import SearchTrace
 
 DEFAULT_LABEL_THRESHOLD = 0.90
@@ -72,10 +73,10 @@ class SyntheticOracleParams:
     time_edge_s: float = 40.0
 
     def __post_init__(self):
+        check_fields(self)
         for f in fields(self):
             value = getattr(self, f.name)
-            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            if not real or not math.isfinite(value):
+            if not math.isfinite(value):
                 raise ValueError(f"{f.name} must be a finite real number, got {value!r}")
             if f.name.startswith("time_") and value < 0:
                 raise ValueError(f"{f.name} must be >= 0, got {value!r}")
@@ -233,6 +234,8 @@ def load_table(path) -> BenchmarkTable:
             try:
                 obj = json.loads(line)
                 spec = ModelSpec.from_json_obj(obj["spec"])
+                for name in ("val_accuracy", "train_time_s"):
+                    check_value(name, obj[name], float)
                 record = BenchmarkRecord(
                     spec_hash=cellspace.canonical_hash(spec),
                     val_accuracy=float(obj["val_accuracy"]),

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,7 @@ import numpy as np
 from . import cellspace, flatparams
 from .cellspace import ModelSpec, OpLabel
 from .errors import (
-    ConfigError, DegenerateDataError, ParseError, ShapeError, require_field_types,
+    ConfigError, DegenerateDataError, ParseError, ShapeError, check_fields,
 )
 
 # Token alphabet. Layout of a sequence: (v-2) interior op tokens in index
@@ -262,12 +261,7 @@ class TrainConfig:
     target_positive_share: float = 0.2
 
     def __post_init__(self):
-        require_field_types(
-            self,
-            {"epochs": int, "batch": int, "hidden_size": int,
-             "learning_rate": numbers.Real, "init_scale": numbers.Real,
-             "heldout_fraction": numbers.Real, "target_positive_share": numbers.Real},
-        )
+        check_fields(self)
         # NaN fails both tests; the init draws from a width of 2 * init_scale
         if not 0.0 < self.learning_rate < math.inf:
             raise ConfigError(f"learning_rate must be in (0, inf), got {self.learning_rate}")

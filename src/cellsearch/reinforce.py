@@ -25,7 +25,6 @@ rollout, each bit for bit the row that rollout's own pass would give.
 from __future__ import annotations
 
 import math
-import numbers
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -37,7 +36,7 @@ from .cellspace import (
     INTERIOR_OPS, MAX_VERTICES, ModelSpec, OpLabel, SpaceLimits, phenotype_of,
     upper_triangle_pairs,
 )
-from .errors import ConfigError, ShapeError, require_field_types
+from .errors import ConfigError, ShapeError, check_fields
 from .oracle import SimClock
 from .traces import SearchTrace
 
@@ -407,11 +406,7 @@ class ReinforceConfig:
     beta: float = 0.9
 
     def __post_init__(self):
-        require_field_types(
-            self,
-            {"batch_size": int, "iterations": int, "hidden_size": int, "emb_dim": int,
-             "learning_rate": numbers.Real, "init_scale": numbers.Real, "beta": numbers.Real},
-        )
+        check_fields(self)
         if self.batch_size < 1:
             raise ConfigError("batch_size must be at least 1")
         if self.iterations < 0:

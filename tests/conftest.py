@@ -155,6 +155,18 @@ def make_spec(v, edges, interior_ops):
     return ModelSpec(v, tuple(edges), ops)
 
 
+# spec objects whose numbers int() once truncated into the valid 3-vertex
+# chain in -> conv3x3 -> out, in labeled files, tables and summaries alike
+LOOSE_SPEC_OBJECTS = [
+    {"v": 3.7, "edges": [[0, 1.9], [True, "2"]], "ops": ["in", "conv3x3", "out"]},
+    {"v": 3.0, "edges": [[0, 1], [1, 2]], "ops": ["in", "conv3x3", "out"]},
+    {"v": "3", "edges": [[0, 1], [1, 2]], "ops": ["in", "conv3x3", "out"]},
+    {"v": 3, "edges": [[0, 1.9], [1, 2]], "ops": ["in", "conv3x3", "out"]},
+    {"v": 3, "edges": [[0, 1], [True, 2]], "ops": ["in", "conv3x3", "out"]},
+    {"v": 3, "edges": [[0, 1], [1, "2"]], "ops": ["in", "conv3x3", "out"]},
+]
+
+
 def cell_of(genome: ModelSpec, limits: SpaceLimits):
     """The cell a genome ModelSpec denotes, through `phenotype_of`."""
     return cellspace.phenotype_of(genome.num_vertices, genome.edges, genome.ops, limits)

@@ -1,6 +1,7 @@
 """Command-line contract: subcommand outputs, file artifacts, exit codes,
 seeding, and byte-identical reruns."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -10,7 +11,7 @@ import pytest
 from cellsearch import cellspace
 from cellsearch.cellspace import SpaceLimits
 from cellsearch.cli import main
-from cellsearch.harness import read_summary
+from cellsearch.harness import ExperimentConfig, read_summary
 from cellsearch.oracle import PaidQueries, SyntheticOracleParams, load_table, synth_record
 from cellsearch.predictor import load_predictor
 from cellsearch.traces import TRACE_HEADER, read_trace
@@ -698,6 +699,71 @@ def test_config_file_limits_must_be_integers(capsys, tmp_path, field):
         assert code == 1 and stdout == "", (field, value, err)
         assert "'limits'" in err and field in err, (field, value, err)
         assert not out.exists()
+
+
+def _config_field_paths():
+    """Every leaf config field, top level and nested, as "name" or
+    "key.name", read from the dataclasses so a new field is swept too."""
+    cfg = ExperimentConfig()
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from (f"{f.name}.{g.name}" for g in dataclasses.fields(value))
+        else:
+            yield f.name
+
+
+# the sweep values each field may take; every other one is refused
+_LEGAL_SWEEP_VALUES = {
+    "table_path": ("null",),
+    "label_threshold": ("null", "1.5"),
+    "reinforce.learning_rate": ("1.5",),
+    "reinforce.init_scale": ("1.5",),
+    "predictor.learning_rate": ("1.5",),
+    "predictor.init_scale": ("1.5",),
+    # the synthetic coefficients are unbounded finite reals, time_* >= 0
+    **{f"synthetic.{f.name}": ("1.5",) for f in dataclasses.fields(SyntheticOracleParams)},
+}
+
+
+@pytest.mark.parametrize("path", list(_config_field_paths()))
+def test_every_config_field_refuses_each_bad_value(capsys, tmp_path, monkeypatch, path):
+    # each field set alone (a nested one among its defaults, since limits
+    # needs both entries) to each of the seven values: a refusal exits 1
+    # naming the field, before any query or output; 1e400 parses as inf
+    def refuse(*args):
+        raise AssertionError("a refused config must pay for no query")
+
+    monkeypatch.setattr(PaidQueries, "query", refuse)
+    key, _, name = path.rpartition(".")
+    defaults = ExperimentConfig().to_json_obj()
+    cfg_path = tmp_path / "cfg.json"
+    out = tmp_path / "bad"
+    for value in _BAD_JSON_VALUES:
+        obj = {key: {**defaults[key], name: "@"}} if key else {name: "@"}
+        text = json.dumps(obj).replace('"@"', value)
+        if value in _LEGAL_SWEEP_VALUES.get(path, ()):
+            ExperimentConfig.from_json_obj(json.loads(text))
+            continue
+        cfg_path.write_text(text)
+        code, stdout, err = run_cli(capsys, "run", "--config", str(cfg_path), "--out", str(out))
+        assert code == 1 and stdout == "", (path, value, err)
+        message = err.partition("usage error: ")[2]
+        assert name in message and key in message, (path, value, err)
+        assert not out.exists()
+
+
+def test_config_file_table_path_needs_the_file_oracle(capsys, tmp_path):
+    # the synthetic oracle never read the path, yet summary.json echoed it
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"table_path": "x"}')
+    out = tmp_path / "bad"
+    code, stdout, err = run_cli(
+        capsys, "run", "--config", str(cfg_path), "--limits", "4,9", "--out", str(out)
+    )
+    assert code == 1 and stdout == "", err
+    assert "table_path 'x' needs the FILE oracle source" in err
+    assert not out.exists()
 
 
 def test_config_file_controller_size_below_one_is_usage_error(capsys, tmp_path):

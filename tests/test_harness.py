@@ -3,6 +3,7 @@ revalidation, run summaries, and speedup comparison."""
 
 import json
 import random
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -44,7 +45,7 @@ from cellsearch.predictor import PredictorFitness, RnnParams, TrainConfig
 from cellsearch.reinforce import DecisionSchedule, ReinforceConfig, run_reinforce
 from cellsearch.traces import SearchTrace, TraceRow, read_trace, write_trace
 
-from conftest import cell_of
+from conftest import LOOSE_SPEC_OBJECTS, cell_of
 
 OPTIMUM_HASH_5_9 = "e630aae1d56e850ac87f7aa771b47739"
 
@@ -751,4 +752,26 @@ def test_labeled_file_rejects_garbage(tmp_path):
         + "\n"
     )
     with pytest.raises(ParseError):
+        read_labeled(path)
+
+
+def _write_one_labeled_line(path, obj):
+    path.write_text('{"kind": "labeled-dataset"}\n' + json.dumps(obj) + "\n")
+
+
+@pytest.mark.parametrize("label", [0.9, 1.0, "1", True, None])
+def test_labeled_file_label_must_be_the_int_0_or_1(tmp_path, label):
+    # int() read 0.9 as 0 and "1" as 1
+    a, _, _ = _three_cells()
+    path = tmp_path / "data.jsonl"
+    _write_one_labeled_line(path, {"label": label, "spec": a.to_json_obj()})
+    with pytest.raises(ParseError, match=re.escape(f"{path}:2: label must be one of (0, 1)")):
+        read_labeled(path)
+
+
+@pytest.mark.parametrize("spec", LOOSE_SPEC_OBJECTS)
+def test_labeled_file_refuses_spec_numbers_that_are_not_integers(tmp_path, spec):
+    path = tmp_path / "data.jsonl"
+    _write_one_labeled_line(path, {"label": 1, "spec": spec})
+    with pytest.raises(ParseError, match=re.escape(f"{path}:2: malformed spec object:")):
         read_labeled(path)

@@ -4,6 +4,7 @@ IO, labeling, and the frozen identity of the synthetic optimum."""
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from cellsearch.oracle import (
     synthetic_table,
 )
 
-from conftest import make_spec
+from conftest import LOOSE_SPEC_OBJECTS, make_spec
 
 # Identity of the synthetic-landscape optimum at limits (5,9) with default
 # coefficients, frozen after brute-force enumeration: the depth-4 chain of
@@ -269,6 +270,32 @@ def test_load_rejects_garbage_and_uncanonical(tmp_path):
         json.dumps({"spec": unpruned, "val_accuracy": 0.5, "train_time_s": 1.0}) + "\n"
     )
     with pytest.raises(ParseError, match=":1: .*dangling_vertex"):
+        load_table(path)
+
+
+@pytest.mark.parametrize("spec", LOOSE_SPEC_OBJECTS)
+def test_load_refuses_spec_numbers_that_are_not_integers(tmp_path, two_vertex, spec):
+    path = tmp_path / "bench.jsonl"
+    path.write_text("".join(
+        json.dumps({"spec": s, "val_accuracy": 0.5, "train_time_s": 1.0}) + "\n"
+        for s in (two_vertex.to_json_obj(), spec)
+    ))
+    with pytest.raises(ParseError, match=re.escape(f"{path}:2: malformed spec object:")):
+        load_table(path)
+
+
+@pytest.mark.parametrize(
+    "loose",
+    [{"val_accuracy": "0.5"}, {"val_accuracy": None}, {"train_time_s": True},
+     {"train_time_s": "1.0"}],
+)
+def test_load_refuses_table_numbers_that_are_not_reals(tmp_path, two_vertex, loose):
+    # "0.5" was read as 0.5 and true as 1.0 second of training
+    (name,) = loose
+    path = tmp_path / "bench.jsonl"
+    obj = {"spec": two_vertex.to_json_obj(), "val_accuracy": 0.5, "train_time_s": 1.0, **loose}
+    path.write_text(json.dumps(obj) + "\n")
+    with pytest.raises(ParseError, match=re.escape(f"{path}:1: {name} must be a finite real")):
         load_table(path)
 
 
