@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import ExhaustedError, InvalidSpecError, check_fields, check_value
+from .errors import ExhaustedError, InvalidSpecError, check_fields, check_value, json_tuples
 
 MAX_REJECTION_ATTEMPTS = 10_000
 
@@ -149,11 +149,11 @@ class ModelSpec:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ModelSpec":
         try:
-            v, edges = obj["v"], tuple((i, j) for i, j in obj["edges"])
+            v, edges, ops = obj["v"], json_tuples(obj["edges"]), json_tuples(obj["ops"])
             check_value("v", v, int)
-            for end in itertools.chain.from_iterable(edges):
-                check_value("edge endpoint", end, int)
-            ops = tuple(OpLabel(name) for name in obj["ops"])
+            check_value("edges", edges, tuple[tuple[int, int], ...])
+            check_value("ops", ops, tuple[str, ...])
+            ops = tuple(map(OpLabel, ops))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed spec object: {exc}") from exc
         return cls(v, edges, ops)

@@ -36,7 +36,6 @@ from .harness import (
     write_summary,
 )
 from .oracle import (
-    DEFAULT_LABEL_THRESHOLD,
     PaidQueries,
     SimClock,
     SyntheticOracleParams,
@@ -288,11 +287,7 @@ def cmd_train_predictor(args) -> int:
     cfg = TrainConfig(**flags)
     items, meta = read_labeled(args.data)
     trained, split_meta, held_acc, final_loss = fit(
-        items,
-        cfg,
-        seed,
-        np.random.default_rng(seed),
-        float(meta.get("threshold", DEFAULT_LABEL_THRESHOLD)),
+        items, cfg, seed, np.random.default_rng(seed), meta["threshold"]
     )
     save_predictor(trained, args.out)
     _emit(

@@ -1,8 +1,10 @@
-"""Exception types shared across the package, and the config type check
-that raises one."""
+"""Exception types shared across the package, the one type check of config
+and file values, and the one path from a read failure to a ParseError."""
 
+import contextlib
 import dataclasses
 import functools
+import math
 import numbers
 import typing
 
@@ -45,8 +47,9 @@ class ConfigError(CellSearchError, ValueError):
 
 def check_value(name: str, value, hint) -> None:
     """Raise ConfigError unless `value` has the type `hint`: an int or a
-    real that is no bool, a non-empty str, one of a Literal's values (by
-    type and value), X or None for `X | None`, or an instance of a class."""
+    finite real that is no bool, a non-empty str, one of a Literal's values
+    (by type and value), X or None for `X | None`, a tuple of the items
+    `tuple[X, Y]` or `tuple[X, ...]` names, or an instance of a class."""
     if type(None) in typing.get_args(hint):
         if value is None:
             return
@@ -58,9 +61,15 @@ def check_value(name: str, value, hint) -> None:
     elif hint is int:
         ok, what = isinstance(value, int) and not isinstance(value, bool), "an integer"
     elif hint is float:
-        # finiteness is left to the range checks
         ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
-        what = "a finite real number"
+        ok, what = ok and math.isfinite(value), "a finite real number"
+    elif typing.get_origin(hint) is tuple:
+        items = typing.get_args(hint)
+        if items[1:] == (Ellipsis,) and isinstance(value, tuple):
+            items = items[:1] * len(value)
+        ok, what = isinstance(value, tuple) and len(value) == len(items), f"a {hint}"
+        for k, (item, item_hint) in enumerate(zip(value, items) if ok else ()):
+            check_value(f"{name}[{k}]", item, item_hint)
     elif hint is str:
         ok, what = isinstance(value, str) and value != "", "a non-empty string"
     else:
@@ -72,9 +81,31 @@ def check_value(name: str, value, hint) -> None:
 _type_hints = functools.cache(typing.get_type_hints)
 
 
-def check_fields(config) -> None:
-    """check_value on each field of the dataclass `config` against its
-    annotation; __post_init__ runs it first, so range checks see numbers."""
-    hints = _type_hints(type(config))
-    for f in dataclasses.fields(config):
-        check_value(f.name, getattr(config, f.name), hints[f.name])
+def check_fields(record) -> None:
+    """check_value on each field of the dataclass `record` against its
+    annotation. A config's __post_init__ runs it first, so range checks see
+    numbers; a file reader runs it on the record it built."""
+    hints = _type_hints(type(record))
+    for f in dataclasses.fields(record):
+        check_value(f.name, getattr(record, f.name), hints[f.name])
+
+
+def json_tuples(value):
+    """`value` with every JSON array in it, at any depth, made a tuple, so
+    that check_value can hold it to a tuple annotation."""
+    return tuple(map(json_tuples, value)) if isinstance(value, list) else value
+
+
+@contextlib.contextmanager
+def parsing(path, lineno=None, field=None):
+    """Raise a failure to read `path` in the block (a missing key, a bad
+    value, a spec that breaks a cell rule) as a ParseError naming the file,
+    the line where there is one, and `field` where the failure does not."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, InvalidSpecError) as exc:
+        where = path if lineno is None else f"{path}:{lineno}"
+        if field is not None:
+            where = f"{where}: {field}"
+        reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ParseError(f"{where}: {reason}") from exc

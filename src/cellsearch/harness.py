@@ -12,7 +12,6 @@ shapes so they can be compared on equal terms.
 from __future__ import annotations
 
 import json
-import math
 import random
 from dataclasses import asdict, dataclass, field
 from typing import Literal
@@ -22,7 +21,8 @@ import numpy as np
 from . import cellspace, evolution, predictor, reinforce
 from .cellspace import ModelSpec, SpaceLimits
 from .errors import (
-    ConfigError, DegenerateDataError, ExhaustedError, ParseError, check_fields, check_value,
+    ConfigError, DegenerateDataError, ExhaustedError, check_fields, check_value, json_tuples,
+    parsing,
 )
 from .evolution import EvolutionConfig
 from .oracle import (
@@ -51,9 +51,10 @@ _LABEL_ATTEMPT_FACTOR = 1000
 # configuration
 
 
-# config keys holding a nested object -> the function that reads it
+# config keys holding a nested object -> the function that reads it (an
+# entry missing from limits reads as None, which SpaceLimits refuses)
 _NESTED = {
-    "limits": lambda obj: SpaceLimits(obj["max_vertices"], obj["max_edges"]),
+    "limits": lambda obj: SpaceLimits(**{"max_vertices": None, "max_edges": None, **obj}),
     "synthetic": lambda obj: SyntheticOracleParams(**obj),
     "evolution": lambda obj: EvolutionConfig(**obj),
     "reinforce": lambda obj: ReinforceConfig(**obj),
@@ -93,9 +94,6 @@ class ExperimentConfig:
             raise ConfigError("predictor-guided search needs a labeling budget")
         if not 0.0 < self.label_charge <= 1.0:
             raise ConfigError("label_charge must lie in (0, 1]")
-        # a NaN threshold labels nothing positive, found only after paying
-        if self.label_threshold is not None and not math.isfinite(self.label_threshold):
-            raise ConfigError(f"label_threshold must be finite, got {self.label_threshold}")
         if self.top_k < 1:
             raise ConfigError("top_k must be at least 1")
 
@@ -142,6 +140,12 @@ def effective_label_threshold(cfg: ExperimentConfig) -> float:
 # run summaries
 
 
+# RunSummary fields that summary.json holds as they are, at its top level and in "counts"
+_PLAIN = ("best_hash", "best_true_acc", "best_fitness", "total_sim_seconds", "seed",
+          "improvements", "phases")
+_COUNTS = ("evaluations", "labels", "invalid_samples", "memo_hits")
+
+
 @dataclass
 class RunSummary:
     """End-of-run report; every total must agree with the final trace row."""
@@ -157,7 +161,8 @@ class RunSummary:
     memo_hits: int
     seed: int
     config: ExperimentConfig
-    improvements: tuple  # ((sim_seconds, best_true_acc) at each new true best)
+    # (sim_seconds, best_true_acc) at each new true best
+    improvements: tuple[tuple[float, float], ...]
     phases: dict = field(default_factory=dict)
 
     def cross_check(self, trace: SearchTrace) -> None:
@@ -188,48 +193,24 @@ class RunSummary:
 
     def to_json_obj(self) -> dict:
         return {
+            **{name: getattr(self, name) for name in _PLAIN},
+            "counts": {name: getattr(self, name) for name in _COUNTS},
             "best_spec": None if self.best_spec is None else self.best_spec.to_json_obj(),
-            "best_hash": self.best_hash,
-            "best_true_acc": self.best_true_acc,
-            "best_fitness": self.best_fitness,
-            "total_sim_seconds": self.total_sim_seconds,
-            "counts": {
-                "evaluations": self.evaluations,
-                "labels": self.labels,
-                "invalid_samples": self.invalid_samples,
-                "memo_hits": self.memo_hits,
-            },
-            "seed": self.seed,
             "config": self.config.to_json_obj(),
-            "improvements": [[s, a] for s, a in self.improvements],
-            "phases": self.phases,
         }
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "RunSummary":
-        try:
-            counts = obj["counts"]
-            return cls(
-                best_spec=(
-                    None
-                    if obj["best_spec"] is None
-                    else ModelSpec.from_json_obj(obj["best_spec"])
-                ),
-                best_hash=obj["best_hash"],
-                best_true_acc=obj["best_true_acc"],
-                best_fitness=float(obj["best_fitness"]),
-                total_sim_seconds=float(obj["total_sim_seconds"]),
-                evaluations=int(counts["evaluations"]),
-                labels=int(counts["labels"]),
-                invalid_samples=int(counts["invalid_samples"]),
-                memo_hits=int(counts["memo_hits"]),
-                seed=int(obj["seed"]),
-                config=ExperimentConfig.from_json_obj(obj["config"]),
-                improvements=tuple((float(s), float(a)) for s, a in obj["improvements"]),
-                phases=obj.get("phases", {}),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"malformed run summary: {exc}") from exc
+        """Inverse of to_json_obj, each value held to its annotation."""
+        spec = obj["best_spec"]
+        summary = cls(
+            **{name: json_tuples(obj[name]) for name in _PLAIN},
+            **{name: obj["counts"][name] for name in _COUNTS},
+            best_spec=None if spec is None else ModelSpec.from_json_obj(spec),
+            config=ExperimentConfig.from_json_obj(obj["config"]),
+        )
+        check_fields(summary)
+        return summary
 
 
 def true_acc_improvements(trace: SearchTrace) -> tuple:
@@ -255,12 +236,8 @@ def write_summary(summary: RunSummary, path, trace: SearchTrace | None = None) -
 
 
 def read_summary(path) -> RunSummary:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    return RunSummary.from_json_obj(obj)
+    with open(path, "r", encoding="utf-8") as fh, parsing(path):
+        return RunSummary.from_json_obj(json.load(fh))
 
 
 # ---------------------------------------------------------------------------
@@ -542,27 +519,23 @@ def write_labeled(path, items, meta: dict) -> None:
 
 
 def read_labeled(path):
-    """Returns (items, meta) from a labeled-dataset file."""
+    """Returns (items, meta) from a labeled-dataset file; meta's threshold,
+    DEFAULT_LABEL_THRESHOLD where the file gives none, is a finite real."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    if not lines:
-        raise ParseError(f"{path}: empty file")
-    try:
-        meta = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}:1: {exc}") from exc
-    if not isinstance(meta, dict) or meta.get("kind") != "labeled-dataset":
-        raise ParseError(f"{path}:1: not a labeled-dataset file")
+    with parsing(path, 1):
+        meta = json.loads(lines[0]) if lines else None
+        if not isinstance(meta, dict) or meta.get("kind") != "labeled-dataset":
+            raise ValueError("not a labeled-dataset file")
+        meta.setdefault("threshold", DEFAULT_LABEL_THRESHOLD)
+        check_value("threshold", meta["threshold"], float)
     items = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
-        try:
+        with parsing(path, lineno):
             obj = json.loads(line)
-            spec = ModelSpec.from_json_obj(obj["spec"])
-            y = obj["label"]
+            spec, y = ModelSpec.from_json_obj(obj["spec"]), obj["label"]
             check_value("label", y, Literal[0, 1])
-        except Exception as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from exc
         items.append((spec, y))
     return items, meta

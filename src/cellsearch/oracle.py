@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -19,7 +18,7 @@ import numpy as np
 from . import cellspace
 from .cellspace import ModelSpec, SpaceLimits
 from .errors import (
-    DuplicateHashError, ParseError, UnknownArchitectureError, check_fields, check_value,
+    DuplicateHashError, UnknownArchitectureError, check_fields, check_value, parsing,
 )
 from .traces import SearchTrace
 
@@ -75,11 +74,8 @@ class SyntheticOracleParams:
     def __post_init__(self):
         check_fields(self)
         for f in fields(self):
-            value = getattr(self, f.name)
-            if not math.isfinite(value):
-                raise ValueError(f"{f.name} must be a finite real number, got {value!r}")
-            if f.name.startswith("time_") and value < 0:
-                raise ValueError(f"{f.name} must be >= 0, got {value!r}")
+            if f.name.startswith("time_") and getattr(self, f.name) < 0:
+                raise ValueError(f"{f.name} must be >= 0, got {getattr(self, f.name)!r}")
 
 
 @dataclass
@@ -231,18 +227,17 @@ def load_table(path) -> BenchmarkTable:
             line = line.strip()
             if not line:
                 continue
-            try:
+            with parsing(path, lineno):
                 obj = json.loads(line)
                 spec = ModelSpec.from_json_obj(obj["spec"])
                 for name in ("val_accuracy", "train_time_s"):
                     check_value(name, obj[name], float)
+                # a checked int becomes a float, which trace.csv prints as 1.0
                 record = BenchmarkRecord(
                     spec_hash=cellspace.canonical_hash(spec),
                     val_accuracy=float(obj["val_accuracy"]),
                     train_time_s=float(obj["train_time_s"]),
                 )
-            except Exception as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
             if record.spec_hash in table.records:
                 raise DuplicateHashError(
                     f"{path}:{lineno}: duplicate hash {record.spec_hash}"

@@ -13,13 +13,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
 
 from . import cellspace, flatparams
 from .cellspace import ModelSpec, OpLabel
 from .errors import (
-    ConfigError, DegenerateDataError, ParseError, ShapeError, check_fields,
+    ConfigError, DegenerateDataError, ShapeError, check_fields, check_value, parsing,
 )
 
 # Token alphabet. Layout of a sequence: (v-2) interior op tokens in index
@@ -113,13 +114,10 @@ class RnnParams:
     def from_json_obj(cls, obj: dict) -> "RnnParams":
         """Inverse of to_json_obj; a wrong shape or a non-finite value
         raises ShapeError."""
-        try:
-            if obj["alphabet"] != ALPHABET_SIZE:
-                raise ParseError(f"alphabet size {obj['alphabet']} != {ALPHABET_SIZE}")
-            hidden = int(obj["hidden"])
-            parts = {name: np.asarray(obj[name], dtype=float) for name in cls._FIELDS}
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"malformed predictor object: {exc}") from exc
+        check_value("alphabet", obj["alphabet"], Literal[ALPHABET_SIZE])
+        hidden = obj["hidden"]
+        check_value("hidden", hidden, int)
+        parts = {name: np.asarray(obj[name], dtype=float) for name in cls._FIELDS}
         for name, shape in _shapes(hidden).items():
             if parts[name].shape != shape:
                 raise ShapeError(f"{name}: expected shape {shape}, got {parts[name].shape}")
@@ -262,9 +260,9 @@ class TrainConfig:
 
     def __post_init__(self):
         check_fields(self)
-        # NaN fails both tests; the init draws from a width of 2 * init_scale
-        if not 0.0 < self.learning_rate < math.inf:
+        if self.learning_rate <= 0.0:
             raise ConfigError(f"learning_rate must be in (0, inf), got {self.learning_rate}")
+        # the init draws from a width of 2 * init_scale, which must be finite too
         if not 0.0 < 2.0 * self.init_scale < math.inf:
             raise ConfigError(f"init_scale and twice it must be in (0, inf), got {self.init_scale}")
         if self.epochs <= 0 or self.batch <= 0 or self.hidden_size <= 0:
@@ -411,20 +409,13 @@ def save_predictor(trained: TrainedPredictor, path) -> None:
 
 
 def load_predictor(path) -> TrainedPredictor:
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    params = RnnParams.from_json_obj(obj)
-    try:
-        return TrainedPredictor(
-            params=params,
-            threshold_used=float(obj["threshold_used"]),
-            train_seed=int(obj["train_seed"]),
+    with open(path) as fh, parsing(path):
+        obj = json.load(fh)
+        trained = TrainedPredictor(
+            RnnParams.from_json_obj(obj), obj["threshold_used"], obj["train_seed"]
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: missing or bad metadata: {exc}") from exc
+        check_fields(trained)
+    return trained
 
 
 class PredictorFitness:

@@ -412,7 +412,7 @@ class ReinforceConfig:
         if self.iterations < 0:
             raise ConfigError("iterations must be nonnegative")
         # as in predictor.TrainConfig
-        if not 0.0 < self.learning_rate < math.inf:
+        if self.learning_rate <= 0.0:
             raise ConfigError(f"learning_rate must be in (0, inf), got {self.learning_rate}")
         if not 0.0 < 2.0 * self.init_scale < math.inf:
             raise ConfigError(f"init_scale and twice it must be in (0, inf), got {self.init_scale}")

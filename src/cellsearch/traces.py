@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ParseError
+from .errors import ParseError, check_fields, parsing
 
 TRACE_HEADER = "index,sim_seconds,best_true_acc,best_fitness"
 
@@ -81,14 +81,14 @@ def read_trace(path) -> SearchTrace:
         parts = line.split(",")
         if len(parts) != 4:
             raise ParseError(f"{path}:{lineno}: expected 4 fields")
-        try:
-            trace.append(
-                int(parts[0]),
-                float(parts[1]),
-                None if parts[2] == "" else float(parts[2]),
-                float(parts[3]),
-            )
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from exc
-    trace.validate()
+        values = []
+        for name, text, kind in zip(TRACE_HEADER.split(","), parts, (int, float, float, float)):
+            with parsing(path, lineno, name):
+                values.append(None if name == "best_true_acc" and text == "" else kind(text))
+        row = TraceRow(*values)
+        with parsing(path, lineno):
+            check_fields(row)
+        trace.rows.append(row)
+    with parsing(path):
+        trace.validate()
     return trace

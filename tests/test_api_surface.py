@@ -152,3 +152,34 @@ def test_the_integer_draw_scan_sees_every_form():
     )
     assert sorted(_integer_draws(source)) == [(2, "choice"), (3, "randrange")]
     assert _integer_draws("import random\nrandom.Random(1).shuffle([])\n") == [(2, "shuffle")]
+
+
+def _catch_alls(source):
+    """Line of every bare `except:` and of every handler that names
+    Exception or BaseException, alone or in a tuple."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ExceptHandler):
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(
+                kind is None or isinstance(kind, ast.Name) and kind.id in ("Exception", "BaseException")
+                for kind in caught
+            ):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_no_handler_catches_everything():
+    # a read failure becomes a ParseError through `errors.parsing`, which
+    # names the failures it turns; a catch-all would turn the program's own
+    # faults into parse errors too
+    found = {path.name: lines for path in PACKAGE if (lines := _catch_alls(path.read_text()))}
+    assert found == {}
+
+
+def test_the_catch_all_scan_sees_every_form():
+    source = "".join(
+        f"try:\n    pass\nexcept{kind}:\n    pass\n"
+        for kind in ("", " Exception", " (KeyError, BaseException) as exc", " (KeyError, ValueError)")
+    )
+    assert _catch_alls(source) == [3, 7, 11]

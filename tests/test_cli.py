@@ -1,17 +1,20 @@
 """Command-line contract: subcommand outputs, file artifacts, exit codes,
 seeding, and byte-identical reruns."""
 
+import copy
 import dataclasses
 import hashlib
 import json
 import os
+import re
 
 import pytest
 
 from cellsearch import cellspace
 from cellsearch.cellspace import SpaceLimits
 from cellsearch.cli import main
-from cellsearch.harness import ExperimentConfig, read_summary
+from cellsearch.errors import ParseError
+from cellsearch.harness import ExperimentConfig, read_labeled, read_summary
 from cellsearch.oracle import PaidQueries, SyntheticOracleParams, load_table, synth_record
 from cellsearch.predictor import load_predictor
 from cellsearch.traces import TRACE_HEADER, read_trace
@@ -356,6 +359,17 @@ def test_outputs_match_pinned_digests(capsys, tmp_path, argv):
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
     got["stdout"] = hashlib.sha256(stdout.replace(str(out), "<out>").encode()).hexdigest()
     assert got == PINNED_DIGESTS[argv]
+    # each artifact reads back through its own reader, as the benchmark's
+    # per-seed check reads it: a reader that refuses what the program
+    # writes would fail every benchmark seed
+    if out.is_file():
+        read_labeled(out)
+        return
+    read_summary(out / "summary.json").cross_check(read_trace(out / "trace.csv"))
+    if "search_trace.csv" in got:
+        read_trace(out / "search_trace.csv")
+    if "predictor.json" in got:
+        load_predictor(out / "predictor.json")
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +457,8 @@ def test_inconsistent_config_is_usage_error(capsys, tmp_path):
         # both runs would write seed-1/, the second over the first
         ("run", "--limits", "4,9", "--seeds", "0,1,2,1"),
         # nan <= 0 is False: a NaN or infinite rate once trained until the
-        # parameters went non-finite; the data file is never read
+        # parameters went non-finite; the data file is never read. Both are
+        # refused by the type of the field, as every non-finite real is
         ("run", "--algo", "reinforce", "--limits", "4,9", "--learning-rate", "nan"),
         ("train-predictor", "--data", "unread.jsonl", "--learning-rate", "inf"),
     ):
@@ -465,7 +480,7 @@ def test_inconsistent_config_is_usage_error(capsys, tmp_path):
         ("run", "--algo", "reinforce", "--limits", "4,9", "--learning-rate", "nan"),
         ("train-predictor", "--data", "unread.jsonl", "--learning-rate", "inf"),
     ):
-        assert "learning_rate must be in (0, inf)" in errs[argv]
+        assert "learning_rate must be a finite real number" in errs[argv]
     # so are malformed nested objects in a config file
     cfg_path = tmp_path / "cfg.json"
     for obj in (
@@ -512,9 +527,11 @@ def test_inconsistent_config_is_usage_error(capsys, tmp_path):
 def test_float_flag_takes_signed_values_after_a_space(capsys, tmp_path, argv, flag, refusal):
     # argparse reads `-inf` as an option, so `--flag -inf` once stopped at
     # "expected one argument" while `--flag=-inf` reached the range check;
-    # both forms now give the same refusal, before any output is made
+    # both forms now give the same refusal, before any output is made. A
+    # non-finite value is refused by the field's type, -1e-3 by its range
     out = tmp_path / "bad"
-    for value in ("-inf", "-nan", "-1e-3"):
+    not_finite = f"{refusal.split()[0]} must be a finite real number"
+    for value, reason in (("-inf", not_finite), ("-nan", not_finite), ("-1e-3", refusal)):
         results = [
             run_cli(capsys, *argv, *form, "--out", str(out))
             for form in ((flag, value), (f"{flag}={value}",))
@@ -522,7 +539,7 @@ def test_float_flag_takes_signed_values_after_a_space(capsys, tmp_path, argv, fl
         assert results[0] == results[1], (flag, value)
         code, stdout, err = results[0]
         assert code == 1 and stdout == ""
-        assert refusal in err and "expected one argument" not in err
+        assert reason in err and "expected one argument" not in err
         assert not out.exists()
 
 
@@ -570,12 +587,13 @@ def test_non_finite_label_threshold_is_refused_before_any_query(
         assert results[0] == results[1], (flag, value)
         code, stdout, err = results[0]
         assert code == 1 and stdout == ""
-        assert "label_threshold must be finite" in err
+        assert "label_threshold must be a finite real number" in err
         assert not out.exists()
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text('{"label_threshold": NaN}')
     code, stdout, err = run_cli(capsys, "run", "--config", str(cfg_path), "--out", str(out))
-    assert code == 1 and stdout == "" and "label_threshold must be finite" in err
+    assert code == 1 and stdout == ""
+    assert "label_threshold must be a finite real number" in err
     assert not out.exists()
 
 
@@ -751,6 +769,144 @@ def test_every_config_field_refuses_each_bad_value(capsys, tmp_path, monkeypatch
         message = err.partition("usage error: ")[2]
         assert name in message and key in message, (path, value, err)
         assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# reading files back
+
+
+@pytest.fixture(scope="module")
+def written(tmp_path_factory):
+    """The files a predictor run, `label` and `gen-synthetic` write."""
+    out = tmp_path_factory.mktemp("written")
+    for argv in (
+        ("run", "--fitness", "predictor", "--limits", "4,9", "--n-label", "60", "--seed", "2",
+         "--out", str(out / "run")),
+        ("label", "--limits", "4,9", "--n", "80", "--seed", "3", "--out", str(out / "labeled.jsonl")),
+        ("gen-synthetic", "--limits", "3,9", "--out", str(out / "table.jsonl")),
+    ):
+        assert main(list(argv)) == 0
+    return out
+
+
+def _json_leaves(obj, opaque=()):
+    """The dotted path of every leaf of a JSON object: a value that is no
+    object, or an object whose key is in `opaque`."""
+    for key, value in obj.items():
+        if isinstance(value, dict) and key not in opaque:
+            yield from (f"{key}.{leaf}" for leaf in _json_leaves(value))
+        else:
+            yield key
+
+
+# the sweep values a read field may take; every other one is refused
+_LEGAL_READ_VALUES = {
+    "best_hash": ('"x"', "null"),
+    "best_true_acc": ("null", "1.5"),
+    "best_fitness": ("1.5",),
+    "total_sim_seconds": ("1.5",),
+    "phases": ("{}",),  # a free-form report, read as any object
+    "threshold_used": ("1.5",),
+    "threshold": ("1.5",),
+    "train_time_s": ("1.5",),
+    **{f"config.{path}": values for path, values in _LEGAL_SWEEP_VALUES.items()},
+}
+
+
+def _refused(read, path, lines, k, leaves, numbered):
+    """Write `path` as `lines` with one leaf of the JSON object on line k
+    set to one of the seven values, for each leaf and value, and read it
+    with `read`. A legal value must load; every other one must raise a
+    ParseError naming the file, the line when `numbered`, and the leaf.
+    Yields (leaf, value) while `path` holds each refused case."""
+    obj = json.loads(lines[k])
+    where = f"{path}:{k + 1}: " if numbered else f"{path}: "
+    for leaf in leaves:
+        *outer, name = leaf.split(".")
+        for value in _BAD_JSON_VALUES:
+            bad = copy.deepcopy(obj)
+            node = bad
+            for key in outer:
+                node = node[key]
+            node[name] = "@"
+            text = json.dumps(bad).replace('"@"', value)
+            path.write_text("\n".join([*lines[:k], text, *lines[k + 1:]]) + "\n")
+            if value in _LEGAL_READ_VALUES.get(leaf, ()):
+                read(path)
+                continue
+            with pytest.raises(ParseError) as info:
+                read(path)
+            message = str(info.value)
+            assert message.startswith(where) and name in message, (leaf, value, message)
+            yield leaf, value
+
+
+def test_every_summary_field_refuses_each_bad_value(capsys, written, tmp_path):
+    # seed 2.9 was read as 2 and a total of true as 1.0 simulated seconds,
+    # and compare took the result as a run; the echoed config's 41 fields
+    # are swept too, so its refusals are those of a config file
+    good = written / "run" / "summary.json"
+    lines = good.read_text().splitlines()
+    leaves = list(_json_leaves(json.loads(lines[0]), opaque=("phases",)))
+    # best_spec's three and counts' four among the summary's own 14
+    assert len(leaves) == 14 + len(list(_config_field_paths()))
+    bad = tmp_path / "summary.json"
+    for leaf, value in _refused(read_summary, bad, lines, 0, leaves, numbered=False):
+        code, stdout, err = run_cli(capsys, "compare", str(bad), str(good), "--target", "0.5")
+        assert code == 2 and stdout == "" and f"error: {bad}: " in err, (leaf, value, err)
+
+
+def test_every_predictor_metadata_field_refuses_each_bad_value(written, tmp_path):
+    # train_seed 2.9 was read as 2 and threshold_used "0.5" as 0.5. The
+    # weight arrays are numpy's to read: a wrong shape or a non-finite
+    # entry raises ShapeError (test_load_rejects_inconsistent_shapes)
+    lines = (written / "run" / "predictor.json").read_text().splitlines()
+    leaves = ["alphabet", "hidden", "threshold_used", "train_seed"]
+    assert sorted(json.loads(lines[0])) == sorted(leaves + ["W_h", "W_x", "b_h", "b_o", "w_o"])
+    bad = tmp_path / "predictor.json"
+    # 4 fields x 7 values, less threshold_used's legal 1.5
+    assert len(list(_refused(load_predictor, bad, lines, 0, leaves, numbered=False))) == 27
+
+
+def test_labeled_file_threshold_refuses_each_bad_value(capsys, written, tmp_path):
+    # a threshold of true trained and saved a predictor with 1.0 as its
+    # threshold; now train-predictor stops before training
+    lines = (written / "labeled.jsonl").read_text().splitlines()
+    bad, model = tmp_path / "labeled.jsonl", tmp_path / "model.json"
+    for leaf, value in _refused(read_labeled, bad, lines, 0, ["threshold"], numbered=True):
+        code, stdout, err = run_cli(
+            capsys, "train-predictor", "--data", str(bad), "--out", str(model), "--epochs", "1"
+        )
+        assert code == 2 and stdout == "" and f"{bad}:1: threshold" in err, (value, err)
+        assert not model.exists()
+
+
+def test_table_numbers_refuse_each_bad_value(written, tmp_path):
+    # a train_time_s of 1e400 was read as an infinite training time
+    lines = (written / "table.jsonl").read_text().splitlines()
+    bad = tmp_path / "table.jsonl"
+    leaves = ["val_accuracy", "train_time_s"]
+    # 2 fields x 7 values, less train_time_s's legal 1.5
+    assert len(list(_refused(load_table, bad, lines, 1, leaves, numbered=True))) == 13
+
+
+@pytest.mark.parametrize("column", TRACE_HEADER.split(","))
+def test_every_trace_column_refuses_each_bad_value(written, tmp_path, column):
+    # a row 1,nan,,nan was read as a trace row; an empty best_true_acc is
+    # a row before any true accuracy is known
+    lines = (written / "run" / "trace.csv").read_text().splitlines()
+    k = TRACE_HEADER.split(",").index(column)
+    bad = tmp_path / "trace.csv"
+    for text in ("x", "", "nan", "inf", "1e999") + (("1.5",) if column == "index" else ()):
+        parts = lines[2].split(",")
+        parts[k] = text
+        bad.write_text("\n".join([*lines[:2], ",".join(parts), *lines[3:]]) + "\n")
+        if column == "best_true_acc" and text == "":
+            read_trace(bad)
+            continue
+        with pytest.raises(ParseError, match=re.escape(f"{bad}:3: ")) as info:
+            read_trace(bad)
+        assert column in str(info.value), (text, info.value)
 
 
 def test_config_file_table_path_needs_the_file_oracle(capsys, tmp_path):

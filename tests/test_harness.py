@@ -122,6 +122,8 @@ def test_config_rejects_unknown_keys():
         {"synthetic": {"base_acc": 0.5}},
         {"limits": {"max_vertices": 1, "max_edges": 9}},
         {"limits": {"max_vertices": 5}},
+        # an unknown entry was dropped, so this ran as (5,9)
+        {"limits": {"max_vertices": 5, "max_edges": 9, "bogus": 1}},
         {"limits": [5, 9]},
     ):
         (key,) = bad
