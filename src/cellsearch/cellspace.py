@@ -102,7 +102,7 @@ def upper_triangle_pairs(num_vertices: int) -> tuple[tuple[int, int], ...]:
     return _PAIRS[num_vertices]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ModelSpec:
     """A labeled DAG cell.
 
@@ -115,24 +115,25 @@ class ModelSpec:
     edges: tuple[tuple[int, int], ...]
     ops: tuple[OpLabel, ...]
 
-    def __post_init__(self):
-        v = self.num_vertices
+    def __init__(self, num_vertices: int, edges, ops):
+        v = num_vertices
         if not isinstance(v, int) or not 2 <= v <= MAX_VERTICES:
             raise ValueError(f"need 2 to {MAX_VERTICES} vertices, got {v}")
-        edges = tuple(sorted(map(tuple, self.edges)))
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "ops", tuple(self.ops))
-        if len(self.ops) != v:
-            raise ValueError(f"ops length {len(self.ops)} != num_vertices {v}")
+        edges, ops = tuple(sorted(map(tuple, edges))), tuple(ops)
+        if len(ops) != v:
+            raise ValueError(f"ops length {len(ops)} != num_vertices {v}")
         distinct = frozenset(edges)
-        if len(distinct) == len(edges) and distinct <= _PAIR_SETS[v]:
-            return
-        # name the first bad edge; sorted, a duplicate follows its twin
-        for k, (i, j) in enumerate(edges):
-            if not (0 <= i < j < v):
-                raise ValueError(f"edge ({i},{j}) is not strictly upper-triangular in range")
-            if k and edges[k - 1] == (i, j):
-                raise ValueError(f"duplicate edge ({i},{j})")
+        if len(distinct) != len(edges) or not distinct <= _PAIR_SETS[v]:
+            # name the first bad edge; sorted, a duplicate follows its twin
+            for k, (i, j) in enumerate(edges):
+                if not (0 <= i < j < v):
+                    raise ValueError(f"edge ({i},{j}) is not strictly upper-triangular in range")
+                if k and edges[k - 1] == (i, j):
+                    raise ValueError(f"duplicate edge ({i},{j})")
+        # once each, past the frozen __setattr__; __dict__ writes would slow reads
+        object.__setattr__(self, "num_vertices", v)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "ops", ops)
 
     @property
     def num_edges(self) -> int:

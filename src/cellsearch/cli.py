@@ -14,6 +14,7 @@ same config and seed is byte-identical. NAS_SEED provides the default seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -319,7 +320,9 @@ def cmd_compare(args) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; each parse_args gives a fresh namespace."""
     parser = _Parser(prog="cellsearch", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -2,7 +2,6 @@
 and file values, and the one path from a read failure to a ParseError."""
 
 import contextlib
-import dataclasses
 import functools
 import math
 import numbers
@@ -49,7 +48,8 @@ def check_value(name: str, value, hint) -> None:
     """Raise ConfigError unless `value` has the type `hint`: an int or a
     finite real that is no bool, a non-empty str, one of a Literal's values
     (by type and value), X or None for `X | None`, a tuple of the items
-    `tuple[X, Y]` or `tuple[X, ...]` names, or an instance of a class."""
+    `tuple[X, Y]` or `tuple[X, ...]` names, a dict whose keys and values
+    `dict[K, V]` names, or an instance of a class."""
     if type(None) in typing.get_args(hint):
         if value is None:
             return
@@ -70,6 +70,12 @@ def check_value(name: str, value, hint) -> None:
         ok, what = isinstance(value, tuple) and len(value) == len(items), f"a {hint}"
         for k, (item, item_hint) in enumerate(zip(value, items) if ok else ()):
             check_value(f"{name}[{k}]", item, item_hint)
+    elif typing.get_origin(hint) is dict:
+        key_hint, item_hint = typing.get_args(hint)
+        ok, what = isinstance(value, dict), f"a {hint}"
+        for key, item in value.items() if ok else ():
+            check_value(f"{name}[{key}]", key, key_hint)
+            check_value(f"{name}[{key}]", item, item_hint)
     elif hint is str:
         ok, what = isinstance(value, str) and value != "", "a non-empty string"
     else:
@@ -82,12 +88,11 @@ _type_hints = functools.cache(typing.get_type_hints)
 
 
 def check_fields(record) -> None:
-    """check_value on each field of the dataclass `record` against its
-    annotation. A config's __post_init__ runs it first, so range checks see
-    numbers; a file reader runs it on the record it built."""
-    hints = _type_hints(type(record))
-    for f in dataclasses.fields(record):
-        check_value(f.name, getattr(record, f.name), hints[f.name])
+    """check_value on each field of `record`, a dataclass or named tuple,
+    against its annotation. A config's __post_init__ runs it first, so range
+    checks see numbers; a file reader runs it on the record it built."""
+    for name, hint in _type_hints(type(record)).items():
+        check_value(name, getattr(record, name), hint)
 
 
 def json_tuples(value):

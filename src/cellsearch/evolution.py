@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import cellspace
 from .cellspace import ModelSpec, SpaceLimits
@@ -20,8 +21,7 @@ from .oracle import SimClock
 from .traces import SearchTrace
 
 
-@dataclass(frozen=True)
-class Individual:
+class Individual(NamedTuple):
     """An unpruned genome, mutation's material, and the cell it denotes."""
 
     genome: ModelSpec
@@ -51,17 +51,13 @@ class EvolutionConfig:
             raise ConfigError("cycles must be at least population_size")
 
 
-def _evaluate(genome: ModelSpec, cell: ModelSpec, fitness, birth_index: int) -> Individual:
-    return Individual(genome, cell, fitness.evaluate(cell), birth_index)
-
-
 def init_population(cfg: EvolutionConfig, limits: SpaceLimits, fitness, rng: random.Random):
     """Fill the queue with random architectures, evaluating each."""
     population: deque[Individual] = deque()
     history: list[Individual] = []
     while len(population) < cfg.population_size:
         cell = cellspace.random_spec(rng, limits)
-        ind = _evaluate(cell, cell, fitness, birth_index=len(history))
+        ind = Individual(cell, cell, fitness.evaluate(cell), len(history))
         population.append(ind)
         history.append(ind)
     return population, history
@@ -72,11 +68,12 @@ def tournament_select(population, sample_size: int, rng: random.Random) -> Indiv
     best = None
     for i in cellspace.below(rng, len(population), sample_size):
         candidate = population[i]
+        fitness = candidate.fitness
         # key() compared field by field; a whole-key tie keeps the first drawn
-        if best is None or candidate.fitness > best.fitness or (
-            candidate.fitness == best.fitness and candidate.birth_index > best.birth_index
+        if best is None or fitness > best_fitness or (
+            fitness == best_fitness and candidate.birth_index > best.birth_index
         ):
-            best = candidate
+            best, best_fitness = candidate, fitness
     return best
 
 
@@ -92,7 +89,7 @@ def evolve_cycle(
         raise ExhaustedError(
             f"mutation stuck at cycle {len(history)} (parent {parent_hash}): {exc}"
         ) from exc
-    child = _evaluate(genome, cell, fitness, birth_index=len(history))
+    child = Individual(genome, cell, fitness.evaluate(cell), len(history))
     population.append(child)
     history.append(child)
     population.popleft()

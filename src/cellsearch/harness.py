@@ -163,7 +163,7 @@ class RunSummary:
     config: ExperimentConfig
     # (sim_seconds, best_true_acc) at each new true best
     improvements: tuple[tuple[float, float], ...]
-    phases: dict = field(default_factory=dict)
+    phases: dict[str, dict[str, float]] = field(default_factory=dict)
 
     def cross_check(self, trace: SearchTrace) -> None:
         final = trace.final_row()

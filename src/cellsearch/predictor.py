@@ -10,6 +10,7 @@ numpy directly so the arithmetic is fully inspectable.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -20,7 +21,8 @@ import numpy as np
 from . import cellspace, flatparams
 from .cellspace import ModelSpec, OpLabel
 from .errors import (
-    ConfigError, DegenerateDataError, ShapeError, check_fields, check_value, parsing,
+    ConfigError, DegenerateDataError, ShapeError, check_fields, check_value, json_tuples,
+    parsing,
 )
 
 # Token alphabet. Layout of a sequence: (v-2) interior op tokens in index
@@ -112,15 +114,19 @@ class RnnParams:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "RnnParams":
-        """Inverse of to_json_obj; a wrong shape or a non-finite value
-        raises ShapeError."""
+        """Inverse of to_json_obj; a wrong shape raises ShapeError, and a
+        weight that is no finite real number ConfigError naming it."""
         check_value("alphabet", obj["alphabet"], Literal[ALPHABET_SIZE])
         hidden = obj["hidden"]
         check_value("hidden", hidden, int)
-        parts = {name: np.asarray(obj[name], dtype=float) for name in cls._FIELDS}
+        parts = {name: json_tuples(obj[name]) for name in cls._FIELDS}
         for name, shape in _shapes(hidden).items():
-            if parts[name].shape != shape:
-                raise ShapeError(f"{name}: expected shape {shape}, got {parts[name].shape}")
+            # the shape without converting: check_value names a bad entry
+            got = np.array(parts[name], dtype=object).shape
+            if got != shape:
+                raise ShapeError(f"{name}: expected shape {shape}, got {got}")
+            hint = functools.reduce(lambda inner, _: tuple[inner, ...], shape, float)
+            check_value(name, parts[name], hint)
         return cls.from_flat(np.concatenate(list(parts.values()), axis=None), hidden)
 
 

@@ -9,6 +9,7 @@ yet (predictor-guided search phases).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import ParseError, check_fields, parsing
 
@@ -17,8 +18,8 @@ TRACE_HEADER = "index,sim_seconds,best_true_acc,best_fitness"
 _EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
+    # `index` shadows tuple.index, which nothing calls
     index: int
     sim_seconds: float
     best_true_acc: float | None
@@ -56,11 +57,13 @@ class SearchTrace:
     def to_csv_lines(self) -> list[str]:
         self.validate()
         lines = [TRACE_HEADER]
+        true_acc = fitness = tail = None
         for row in self.rows:
-            true_part = "" if row.best_true_acc is None else repr(row.best_true_acc)
-            lines.append(
-                f"{row.index},{repr(row.sim_seconds)},{true_part},{repr(row.best_fitness)}"
-            )
+            # a run of rows shares one best-so-far pair of objects: format it once
+            if row.best_true_acc is not true_acc or row.best_fitness is not fitness:
+                true_acc, fitness = row.best_true_acc, row.best_fitness
+                tail = f"{'' if true_acc is None else repr(true_acc)},{repr(fitness)}"
+            lines.append(f"{row.index},{repr(row.sim_seconds)},{tail}")
         return lines
 
 

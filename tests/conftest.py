@@ -186,11 +186,11 @@ def spec_builds(monkeypatch):
     """A one-item list holding the number of ModelSpecs built since the
     fixture was set up."""
     builds = [0]
-    post_init = ModelSpec.__post_init__
+    init = ModelSpec.__init__
 
-    def counted(self):
+    def counted(self, *args, **kwargs):
         builds[0] += 1
-        post_init(self)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(ModelSpec, "__post_init__", counted)
+    monkeypatch.setattr(ModelSpec, "__init__", counted)
     return builds

@@ -183,3 +183,70 @@ def test_the_catch_all_scan_sees_every_form():
         for kind in ("", " Exception", " (KeyError, BaseException) as exc", " (KeyError, ValueError)")
     )
     assert _catch_alls(source) == [3, 7, 11]
+
+
+# the records the search loop builds on every cycle (cellspace.ModelSpec,
+# evolution.Individual, traces.TraceRow): each must be built at tuple cost
+_HOT_RECORDS = {"ModelSpec", "Individual", "TraceRow"}
+
+
+def _slow_builds(source):
+    """(class, reason) for each `_HOT_RECORDS` class that gets a generated
+    frozen dataclass __init__ (a `dataclass(frozen=True)` without
+    `init=False`, or a `__post_init__`) or calls `check_fields` in its body."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef) or node.name not in _HOT_RECORDS:
+            continue
+        for deco in node.decorator_list:
+            options = {
+                kw.arg: getattr(kw.value, "value", None)
+                for kw in getattr(deco, "keywords", ())
+            }
+            if options.get("frozen") is True and options.get("init") is not False:
+                found.append((node.name, "generated frozen __init__"))
+        if any(
+            isinstance(item, ast.FunctionDef) and item.name == "__post_init__"
+            for item in node.body
+        ):
+            found.append((node.name, "__post_init__"))
+        if any(
+            isinstance(call, ast.Call)
+            and "check_fields" in (getattr(call.func, "id", None), getattr(call.func, "attr", None))
+            for call in ast.walk(node)
+        ):
+            found.append((node.name, "check_fields"))
+    return found
+
+
+def test_per_cycle_records_are_built_at_tuple_cost():
+    # a frozen dataclass's generated __init__ stores each field through
+    # object.__setattr__, and a type check on construction runs on every
+    # cycle; ModelSpec stores its fields once in its own __init__, and
+    # Individual and TraceRow are named tuples
+    sources = {path.name: path.read_text() for path in PACKAGE}
+    defined = {
+        node.name
+        for source in sources.values()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+    }
+    assert _HOT_RECORDS <= defined
+    found = {name: slow for name, source in sources.items() if (slow := _slow_builds(source))}
+    assert found == {}
+
+
+def test_the_slow_build_scan_sees_every_form():
+    source = (
+        "@dataclass(frozen=True)\nclass ModelSpec:\n    x: int\n\n\n"
+        "@dataclasses.dataclass(frozen=True, init=False)\nclass Individual:\n"
+        "    def __post_init__(self):\n        errors.check_fields(self)\n\n\n"
+        "class TraceRow(NamedTuple):\n    x: int\n\n\n"
+        "@dataclass(frozen=True)\nclass SpaceLimits:\n"
+        "    def __post_init__(self):\n        check_fields(self)\n"
+    )
+    assert _slow_builds(source) == [
+        ("ModelSpec", "generated frozen __init__"),
+        ("Individual", "__post_init__"),
+        ("Individual", "check_fields"),
+    ]

@@ -29,6 +29,8 @@ from cellsearch.cellspace import (
     validate,
 )
 from cellsearch.errors import ExhaustedError, InvalidSpecError
+from cellsearch.evolution import Individual
+from cellsearch.traces import TraceRow
 
 from conftest import (
     all_paths_vertices,
@@ -129,6 +131,42 @@ def test_construction_errors_name_the_bad_edge():
     # the first bad edge in sorted order is the one named
     with pytest.raises(ValueError, match=re.escape("duplicate edge (0,1)")):
         ModelSpec(3, ((1, 3), (0, 1), (0, 1)), ops)
+
+
+def test_construction_refusals_keep_their_messages():
+    ops = (OpLabel.IN, OpLabel.CONV3X3, OpLabel.OUT)
+    for args, message in (
+        ((8, (), ops), "need 2 to 7 vertices, got 8"),
+        ((3, ((0, 1),), ops[::2]), "ops length 2 != num_vertices 3"),
+        ((3, ((1, 2), (2, 1)), ops), "edge (2,1) is not strictly upper-triangular in range"),
+        ((3, ((1, 2), (0, 1), (1, 2)), ops), "duplicate edge (1,2)"),
+    ):
+        with pytest.raises(ValueError) as info:
+            ModelSpec(*args)
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("record, field", [
+    (ModelSpec(2, ((0, 1),), (OpLabel.IN, OpLabel.OUT)), "edges"),
+    (Individual(None, None, 0.5, 0), "fitness"),
+    (TraceRow(0, 0.0, None, 0.5), "index"),
+])
+def test_per_cycle_records_refuse_assignment(record, field):
+    # each field is stored once, as it was built; nothing changes it after
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+
+
+def test_a_spec_keeps_its_normalized_fields_and_generated_repr():
+    s = ModelSpec(3, [[1, 2], [0, 1]], [OpLabel.IN, OpLabel.CONV3X3, OpLabel.OUT])
+    assert vars(s) == {
+        "num_vertices": 3,
+        "edges": ((0, 1), (1, 2)),
+        "ops": (OpLabel.IN, OpLabel.CONV3X3, OpLabel.OUT),
+    }
+    assert repr(s).startswith("ModelSpec(num_vertices=3, edges=((0, 1), (1, 2)), ops=(")
 
 
 def test_edges_given_as_lists_are_accepted():

@@ -13,10 +13,10 @@ import pytest
 from cellsearch import cellspace
 from cellsearch.cellspace import SpaceLimits
 from cellsearch.cli import main
-from cellsearch.errors import ParseError
+from cellsearch.errors import ParseError, ShapeError
 from cellsearch.harness import ExperimentConfig, read_labeled, read_summary
 from cellsearch.oracle import PaidQueries, SyntheticOracleParams, load_table, synth_record
-from cellsearch.predictor import load_predictor
+from cellsearch.predictor import RnnParams, load_predictor
 from cellsearch.traces import TRACE_HEADER, read_trace
 
 OPTIMUM_HASH_5_9 = "e630aae1d56e850ac87f7aa771b47739"
@@ -190,6 +190,34 @@ def test_run_json_flag_prints_full_summary(capsys, tmp_path):
     assert code == 0
     (obj,) = json_lines(stdout)
     assert "config" in obj and "counts" in obj
+
+
+def test_consecutive_calls_in_one_process_share_no_parsed_state(capsys, tmp_path):
+    # main builds its parser once per process; each call parses afresh
+    small = (
+        "run", "--fitness", "oracle", "--limits", "4,9",
+        "--population-size", "8", "--sample-size", "3", "--cycles", "40",
+    )
+    code, stdout, _ = run_cli(capsys, *small, "--seeds", "1,2", "--out", str(tmp_path / "a"))
+    assert code == 0 and [line["seed"] for line in json_lines(stdout)] == [1, 2]
+    code, stdout, _ = run_cli(capsys, *small, "--seed", "3", "--out", str(tmp_path / "b"))
+    assert code == 0
+    (line,) = json_lines(stdout)
+    # one seed, so no seed-<n> subdirectory
+    assert line["seed"] == 3 and line["out"] == str(tmp_path / "b")
+    assert (tmp_path / "b" / "summary.json").exists()
+
+    code, stdout, _ = run_cli(capsys, *small, "--seed", "4", "--json", "--out", str(tmp_path / "c"))
+    assert code == 0 and "config" in json_lines(stdout)[0]
+    code, stdout, err = run_cli(capsys, *small, "--seed", "x", "--out", str(tmp_path / "x"))
+    assert code == 1 and stdout == "" and err.startswith("usage: cellsearch")
+    assert "usage error: argument --seed: invalid int value: 'x'" in err
+    code, stdout, _ = run_cli(capsys, *small, "--seed", "4", "--out", str(tmp_path / "d"))
+    assert code == 0
+    (line,) = json_lines(stdout)
+    assert sorted(line) == ["best_hash", "best_true_acc", "out", "seed", "total_sim_seconds"]
+    for name in ("summary.json", "trace.csv"):
+        assert (tmp_path / "c" / name).read_bytes() == (tmp_path / "d" / name).read_bytes()
 
 
 def test_run_config_file_with_flag_overrides(capsys, tmp_path):
@@ -789,15 +817,22 @@ def written(tmp_path_factory):
     return out
 
 
-def _json_leaves(obj, opaque=()):
+def _json_leaves(obj):
     """The dotted path of every leaf of a JSON object: a value that is no
-    object, or an object whose key is in `opaque`."""
+    object."""
     for key, value in obj.items():
-        if isinstance(value, dict) and key not in opaque:
+        if isinstance(value, dict):
             yield from (f"{key}.{leaf}" for leaf in _json_leaves(value))
         else:
             yield key
 
+
+# the phases of a predictor run's summary and the entries of each
+_PHASES = {
+    "labeling": ("heldout_accuracy", "oracle_queries", "positives", "sim_seconds", "threshold"),
+    "revalidation": ("oracle_queries", "sim_seconds"),
+    "search": ("predictor_queries", "sim_seconds"),
+}
 
 # the sweep values a read field may take; every other one is refused
 _LEGAL_READ_VALUES = {
@@ -805,7 +840,10 @@ _LEGAL_READ_VALUES = {
     "best_true_acc": ("null", "1.5"),
     "best_fitness": ("1.5",),
     "total_sim_seconds": ("1.5",),
-    "phases": ("{}",),  # a free-form report, read as any object
+    # phases: each phase a dict of reals, and no phase is required
+    "phases": ("{}",),
+    **{f"phases.{phase}": ("{}",) for phase in _PHASES},
+    **{f"phases.{phase}.{name}": ("1.5",) for phase, names in _PHASES.items() for name in names},
     "threshold_used": ("1.5",),
     "threshold": ("1.5",),
     "train_time_s": ("1.5",),
@@ -844,12 +882,18 @@ def _refused(read, path, lines, k, leaves, numbered):
 def test_every_summary_field_refuses_each_bad_value(capsys, written, tmp_path):
     # seed 2.9 was read as 2 and a total of true as 1.0 simulated seconds,
     # and compare took the result as a run; the echoed config's 41 fields
-    # are swept too, so its refusals are those of a config file
+    # are swept too, so its refusals are those of a config file. phases
+    # {"labeling": {"positives": "x"}} and {"labeling": 3} were read as any
+    # object; phases, each phase and each entry are swept
     good = written / "run" / "summary.json"
     lines = good.read_text().splitlines()
-    leaves = list(_json_leaves(json.loads(lines[0]), opaque=("phases",)))
-    # best_spec's three and counts' four among the summary's own 14
-    assert len(leaves) == 14 + len(list(_config_field_paths()))
+    obj = json.loads(lines[0])
+    assert {phase: tuple(entries) for phase, entries in obj["phases"].items()} == _PHASES
+    leaves = list(_json_leaves(obj))
+    # best_spec's three and counts' four among the summary's own 13, and
+    # the phases' 9 entries
+    assert len(leaves) == 13 + 9 + len(list(_config_field_paths()))
+    leaves += ["phases", *(f"phases.{phase}" for phase in _PHASES)]
     bad = tmp_path / "summary.json"
     for leaf, value in _refused(read_summary, bad, lines, 0, leaves, numbered=False):
         code, stdout, err = run_cli(capsys, "compare", str(bad), str(good), "--target", "0.5")
@@ -857,15 +901,50 @@ def test_every_summary_field_refuses_each_bad_value(capsys, written, tmp_path):
 
 
 def test_every_predictor_metadata_field_refuses_each_bad_value(written, tmp_path):
-    # train_seed 2.9 was read as 2 and threshold_used "0.5" as 0.5. The
-    # weight arrays are numpy's to read: a wrong shape or a non-finite
-    # entry raises ShapeError (test_load_rejects_inconsistent_shapes)
+    # train_seed 2.9 was read as 2 and threshold_used "0.5" as 0.5; the
+    # weights are swept in test_every_predictor_weight_refuses_each_bad_value
     lines = (written / "run" / "predictor.json").read_text().splitlines()
     leaves = ["alphabet", "hidden", "threshold_used", "train_seed"]
     assert sorted(json.loads(lines[0])) == sorted(leaves + ["W_h", "W_x", "b_h", "b_o", "w_o"])
     bad = tmp_path / "predictor.json"
     # 4 fields x 7 values, less threshold_used's legal 1.5
     assert len(list(_refused(load_predictor, bad, lines, 0, leaves, numbered=False))) == 27
+
+
+def test_every_predictor_weight_refuses_each_bad_value(written, tmp_path):
+    # "b_o": true was read as 1.0 and a w_o of numeric strings as floats.
+    # The first entry of each weight set to each of the seven values: a
+    # list in place of b_o changes its shape (ShapeError), 1.5 loads, and
+    # every other value is a ParseError naming the file and the entry
+    obj = json.loads((written / "run" / "predictor.json").read_text())
+    bad = tmp_path / "predictor.json"
+    first = {"W_x": "[0][0]", "W_h": "[0][0]", "b_h": "[0]", "w_o": "[0]", "b_o": ""}
+    assert sorted(first) == sorted(RnnParams._FIELDS)
+    for name, index in first.items():
+        for value in _BAD_JSON_VALUES:
+            edited = copy.deepcopy(obj)
+            node, key = edited, name
+            for _ in range(index.count("[")):
+                node, key = node[key], 0
+            node[key] = "@"
+            bad.write_text(json.dumps(edited).replace('"@"', value) + "\n")
+            if value == "1.5":
+                load_predictor(bad)
+            elif value == "[1]" and name == "b_o":
+                with pytest.raises(ShapeError, match=re.escape("b_o: expected shape ()")):
+                    load_predictor(bad)
+            else:
+                with pytest.raises(ParseError, match=re.escape(
+                    f"{bad}: {name}{index} must be a finite real number, got "
+                )):
+                    load_predictor(bad)
+    edited = copy.deepcopy(obj)
+    edited["w_o"] = [repr(w) for w in obj["w_o"]]
+    bad.write_text(json.dumps(edited) + "\n")
+    with pytest.raises(ParseError, match=re.escape(
+        f"{bad}: w_o[0] must be a finite real number, got {repr(obj['w_o'][0])!r}"
+    )):
+        load_predictor(bad)
 
 
 def test_labeled_file_threshold_refuses_each_bad_value(capsys, written, tmp_path):

@@ -2,8 +2,10 @@
 persistence. Gradient checks use central finite differences; forward passes
 are cross-checked against a plain-loop reimplementation."""
 
+import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -624,7 +626,6 @@ def test_load_rejects_inconsistent_shapes(tmp_path):
     for name, value in (
         ("W_h", [row[:-1] for row in RnnParams.seeded(1).to_json_obj()["W_h"]]),
         ("b_o", [0.5]),
-        ("b_o", float("nan")),
     ):
         obj = RnnParams.seeded(1).to_json_obj()
         obj[name] = value
@@ -634,6 +635,19 @@ def test_load_rejects_inconsistent_shapes(tmp_path):
         path.write_text(json.dumps(obj))
         with pytest.raises(ShapeError):
             load_predictor(path)
+
+
+def test_load_refuses_a_non_finite_weight_by_its_type(tmp_path):
+    # a weight is a finite real, as every real read from a file is; a
+    # non-finite vector built in memory is refused by from_flat instead
+    obj = RnnParams.seeded(1).to_json_obj()
+    obj.update(b_o=float("nan"), threshold_used=0.9, train_seed=0)
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ParseError, match=re.escape(
+        f"{path}: b_o must be a finite real number, got nan"
+    )):
+        load_predictor(path)
 
 
 def test_load_requires_metadata(tmp_path):
