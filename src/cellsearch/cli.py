@@ -184,7 +184,7 @@ def cmd_run(args) -> int:
         os.makedirs(outdir, exist_ok=True)
         result = run_experiment(run_cfg)
         write_trace(result.trace, os.path.join(outdir, "trace.csv"))
-        write_summary(result.summary, os.path.join(outdir, "summary.json"), result.trace)
+        write_summary(result.summary, os.path.join(outdir, "summary.json"))
         if result.search_trace is not None:
             write_trace(result.search_trace, os.path.join(outdir, "search_trace.csv"))
         if result.trained is not None:

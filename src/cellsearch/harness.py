@@ -5,7 +5,12 @@ comparison between runs.
 Cost accounting rule: a predictor-guided run pays for its labeling queries
 and for the final top-k revalidation queries; the search in between consults
 only the predictor and is free. Ground-truth runs pay for every distinct
-architecture they evaluate. Both kinds of run report the same trace/summary
+architecture they evaluate.
+
+Both kinds of run take one path, `run_experiment`: one log of paid queries,
+labeling and training for a predictor run, the search, revalidation for a
+predictor run, then one summary built from the log and from the run's trace,
+read in the walk that validates it. Both report the same trace/summary
 shapes so they can be compared on equal terms.
 """
 
@@ -38,9 +43,7 @@ from .oracle import (
 )
 from .predictor import PredictorFitness, TrainConfig, TrainedPredictor
 from .reinforce import DecisionSchedule, ReinforceConfig
-from .traces import SearchTrace
-
-_EPS = 1e-12
+from .traces import EPS, SearchTrace
 
 # how many random draws the distinct-by-hash labeling loop will burn per
 # requested label before giving up on the space
@@ -96,6 +99,9 @@ class ExperimentConfig:
             raise ConfigError("label_charge must lie in (0, 1]")
         if self.top_k < 1:
             raise ConfigError("top_k must be at least 1")
+        # a ground-truth run's trace is its search's, which needs one batch
+        if self.algo == "REINFORCE" and self.fitness == "ORACLE" and self.reinforce.iterations < 1:
+            raise ConfigError("reinforce.iterations must be at least 1 for a ground-truth run")
 
     def to_json_obj(self) -> dict:
         return asdict(self)
@@ -166,28 +172,15 @@ class RunSummary:
     phases: dict[str, dict[str, float]] = field(default_factory=dict)
 
     def cross_check(self, trace: SearchTrace) -> None:
-        final = trace.final_row()
-        if self.total_sim_seconds != final.sim_seconds:
-            raise ValueError(
-                f"summary says {self.total_sim_seconds} simulated seconds, "
-                f"trace ends at {final.sim_seconds}"
-            )
-        if self.best_true_acc != final.best_true_acc:
-            raise ValueError(
-                f"summary best_true_acc {self.best_true_acc} != "
-                f"trace {final.best_true_acc}"
-            )
-        if self.best_fitness != final.best_fitness:
-            raise ValueError(
-                f"summary best_fitness {self.best_fitness} != "
-                f"trace {final.best_fitness}"
-            )
-        if self.improvements != true_acc_improvements(trace):
-            raise ValueError("summary improvements do not match the trace")
+        """Raise ValueError unless `trace` is valid and determines this
+        summary's total, best-so-far values and improvements."""
+        for name, value in _read_trace(trace).items():
+            if getattr(self, name) != value:
+                raise ValueError(f"summary {name} {getattr(self, name)!r} != trace {value!r}")
 
     def first_time_reaching(self, target: float):
         for sim_s, acc in self.improvements:
-            if acc >= target - _EPS:
+            if acc >= target - EPS:
                 return sim_s
         return None
 
@@ -213,23 +206,21 @@ class RunSummary:
         return summary
 
 
-def true_acc_improvements(trace: SearchTrace) -> tuple:
-    """(sim_seconds, value) at each strict increase of the best-true-acc
-    column — the minimal data needed to answer time-to-target queries."""
-    out = []
-    best = None
-    for row in trace.rows:
-        if row.best_true_acc is None:
-            continue
-        if best is None or row.best_true_acc > best + _EPS:
-            best = row.best_true_acc
-            out.append((row.sim_seconds, row.best_true_acc))
-    return tuple(out)
+def _read_trace(trace: SearchTrace) -> dict:
+    """The RunSummary fields a trace determines, read in the walk that
+    validates it: the last row's simulated seconds and best-so-far values,
+    and the improvements."""
+    improvements = trace.validate()
+    final = trace.final_row()
+    return {
+        "total_sim_seconds": final.sim_seconds,
+        "best_true_acc": final.best_true_acc,
+        "best_fitness": final.best_fitness,
+        "improvements": improvements,
+    }
 
 
-def write_summary(summary: RunSummary, path, trace: SearchTrace | None = None) -> None:
-    if trace is not None:
-        summary.cross_check(trace)
+def write_summary(summary: RunSummary, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(summary.to_json_obj(), fh, sort_keys=True)
         fh.write("\n")
@@ -356,93 +347,57 @@ def _search(cfg: ExperimentConfig, fitness, clock: SimClock):
     return result.trace, result.invalid_count
 
 
-def _summarise(cfg, trace: SearchTrace, paid: PaidQueries, **counts) -> RunSummary:
-    """Both run kinds' summary: the best cell is the log's first best
-    answer (None when no query was paid), the total bill is its clock (so
-    cross_check catches a charge the trace did not record), and the best
-    true accuracy and fitness and the improvements are read off the run's
-    trace; `counts` holds the remaining RunSummary fields."""
+def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
+    """One seeded end-to-end run under the configured cost model. The
+    summary's best cell is the log's first best answer (None when no query
+    was paid); its total, best values and improvements are read off the
+    run's trace, whose last row must match the log's clock."""
+    paid = PaidQueries(build_oracle(cfg), SimClock())
+    fitness, trained, labels, phases = paid, None, 0, {}
+    if cfg.fitness == "PREDICTOR":
+        trained, phases["labeling"] = run_predictor_pipeline(cfg, paid, random.Random(cfg.seed))
+        fitness, labels = PredictorFitness(trained.params), phases["labeling"]["oracle_queries"]
+    # a ground-truth search pays through the log, and its own trace, one
+    # row per cycle or batch, is the run's trace
+    trace, invalid = _search(cfg, fitness, paid.clock)
+    search_trace = None
+    if trained is None:
+        phases["search"] = {
+            "sim_seconds": paid.clock.elapsed_s,
+            "oracle_queries": paid.evaluations,
+            "memo_hits": paid.memo_hits,
+        }
+    else:
+        phases["search"] = {"sim_seconds": 0.0, "predictor_queries": fitness.evaluations}
+        started_at = paid.clock.elapsed_s
+        revalidated = topk_revalidate(fitness.predictions, cfg.top_k, paid)
+        phases["revalidation"] = {
+            "sim_seconds": paid.clock.elapsed_s - started_at,
+            "oracle_queries": len(revalidated),
+        }
+        # the free search's trace is kept aside; the run's trace is the log
+        # of its paid queries, one row per label, then one per revalidation
+        trace, search_trace = paid.trace, trace
+    read = _read_trace(trace)
+    if read["total_sim_seconds"] != paid.clock.elapsed_s:
+        raise ValueError(
+            f"the clock says {paid.clock.elapsed_s} simulated seconds, "
+            f"the trace ends at {read['total_sim_seconds']}"
+        )
     best_spec, best_hash, _ = paid.best or (None, None, None)
-    final = trace.final_row()
     summary = RunSummary(
+        **read,
         best_spec=best_spec,
         best_hash=best_hash,
-        best_true_acc=final.best_true_acc,
-        best_fitness=final.best_fitness,
-        total_sim_seconds=paid.clock.elapsed_s,
-        seed=cfg.seed,
-        config=cfg,
-        improvements=true_acc_improvements(trace),
-        **counts,
-    )
-    summary.cross_check(trace)
-    return summary
-
-
-def _run_ground_truth(cfg: ExperimentConfig, oracle) -> ExperimentResult:
-    # the search pays through the log; its own trace, one row per cycle or
-    # batch, is the run's trace
-    paid = PaidQueries(oracle, SimClock())
-    trace, invalid = _search(cfg, paid, paid.clock)
-    summary = _summarise(
-        cfg, trace, paid,
-        evaluations=paid.evaluations,
-        labels=0,
+        evaluations=fitness.evaluations,
+        labels=labels,
         invalid_samples=invalid,
         memo_hits=paid.memo_hits,
-        phases={
-            "search": {
-                "sim_seconds": trace.final_row().sim_seconds,
-                "oracle_queries": paid.evaluations,
-                "memo_hits": paid.memo_hits,
-            }
-        },
+        seed=cfg.seed,
+        config=cfg,
+        phases=phases,
     )
-    return ExperimentResult(summary=summary, trace=trace)
-
-
-def _run_predictor_guided(cfg: ExperimentConfig, oracle) -> ExperimentResult:
-    # the run's own trace is the log of its paid ground-truth queries: one
-    # row per label, then one per revalidation (the predictor-guided search
-    # in between is free; its internal trace is kept separately)
-    paid = PaidQueries(oracle, SimClock())
-    trained, labeling = run_predictor_pipeline(cfg, paid, random.Random(cfg.seed))
-
-    guided = PredictorFitness(trained.params)
-    search_trace, invalid = _search(cfg, guided, paid.clock)
-
-    started_at = paid.clock.elapsed_s
-    revalidated = topk_revalidate(guided.predictions, cfg.top_k, paid)
-
-    summary = _summarise(
-        cfg, paid.trace, paid,
-        evaluations=guided.evaluations,
-        labels=labeling["oracle_queries"],
-        invalid_samples=invalid,
-        memo_hits=0,
-        phases={
-            "labeling": labeling,
-            "search": {
-                "sim_seconds": 0.0,
-                "predictor_queries": guided.evaluations,
-            },
-            "revalidation": {
-                "sim_seconds": paid.clock.elapsed_s - started_at,
-                "oracle_queries": len(revalidated),
-            },
-        },
-    )
-    return ExperimentResult(
-        summary=summary, trace=paid.trace, search_trace=search_trace, trained=trained
-    )
-
-
-def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """One seeded end-to-end run under the configured cost model."""
-    oracle = build_oracle(cfg)
-    if cfg.fitness == "ORACLE":
-        return _run_ground_truth(cfg, oracle)
-    return _run_predictor_guided(cfg, oracle)
+    return ExperimentResult(summary, trace, search_trace, trained)
 
 
 # ---------------------------------------------------------------------------
@@ -478,6 +433,7 @@ def default_compare_target(a: RunSummary, b: RunSummary):
 
 
 def compare_runs(a: RunSummary, b: RunSummary, target: float | None = None) -> CompareReport:
+    check_value("target", target, float | None)
     if target is None:
         target = default_compare_target(a, b)
         if target is None:
@@ -536,6 +492,7 @@ def read_labeled(path):
         with parsing(path, lineno):
             obj = json.loads(line)
             spec, y = ModelSpec.from_json_obj(obj["spec"]), obj["label"]
+            cellspace.require_canonical(spec)
             check_value("label", y, Literal[0, 1])
         items.append((spec, y))
     return items, meta

@@ -15,7 +15,9 @@ from .errors import ParseError, check_fields, parsing
 
 TRACE_HEADER = "index,sim_seconds,best_true_acc,best_fitness"
 
-_EPS = 1e-12
+# how far a column may fall and still pass as level, and how far a best
+# true accuracy must rise (or reach toward a target) to count
+EPS = 1e-12
 
 
 class TraceRow(NamedTuple):
@@ -33,21 +35,28 @@ class SearchTrace:
     def append(self, index: int, sim_seconds: float, best_true_acc, best_fitness: float) -> None:
         self.rows.append(TraceRow(index, float(sim_seconds), best_true_acc, float(best_fitness)))
 
-    def validate(self) -> None:
+    def validate(self) -> tuple[tuple[float, float], ...]:
+        """Raise ValueError where a column decreases; else return
+        (sim_seconds, best_true_acc) at each rise of the true-accuracy column
+        above its last such point, the data time-to-target queries need."""
         last_s = -float("inf")
         last_true = -float("inf")
         last_fit = -float("inf")
+        improvements = []
         for row in self.rows:
-            if row.sim_seconds < last_s - _EPS:
+            if row.sim_seconds < last_s - EPS:
                 raise ValueError(f"sim_seconds decreases at row {row.index}")
-            if row.best_fitness < last_fit - _EPS:
+            if row.best_fitness < last_fit - EPS:
                 raise ValueError(f"best_fitness decreases at row {row.index}")
             if row.best_true_acc is not None:
-                if row.best_true_acc < last_true - _EPS:
+                if row.best_true_acc < last_true - EPS:
                     raise ValueError(f"best_true_acc decreases at row {row.index}")
+                if not improvements or row.best_true_acc > improvements[-1][1] + EPS:
+                    improvements.append((row.sim_seconds, row.best_true_acc))
                 last_true = row.best_true_acc
             last_s = row.sim_seconds
             last_fit = row.best_fitness
+        return tuple(improvements)
 
     def final_row(self) -> TraceRow:
         if not self.rows:

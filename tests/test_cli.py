@@ -1,6 +1,7 @@
 """Command-line contract: subcommand outputs, file artifacts, exit codes,
 seeding, and byte-identical reruns."""
 
+import collections
 import copy
 import dataclasses
 import hashlib
@@ -17,14 +18,23 @@ from cellsearch.errors import ParseError, ShapeError
 from cellsearch.harness import ExperimentConfig, read_labeled, read_summary
 from cellsearch.oracle import PaidQueries, SyntheticOracleParams, load_table, synth_record
 from cellsearch.predictor import RnnParams, load_predictor
-from cellsearch.traces import TRACE_HEADER, read_trace
+from cellsearch.traces import TRACE_HEADER, SearchTrace, read_trace
 
 OPTIMUM_HASH_5_9 = "e630aae1d56e850ac87f7aa771b47739"
 
 
+def _not_json(constant):
+    raise ValueError(f"stdout line holds {constant}, which is not JSON")
+
+
 def run_cli(capsys, *argv):
+    """main's exit code, stdout and stderr. Every non-empty stdout line must
+    be strict JSON: NaN, Infinity and -Infinity are refused."""
     code = main(list(argv))
     captured = capsys.readouterr()
+    for line in captured.out.splitlines():
+        if line:
+            json.loads(line, parse_constant=_not_json)
     return code, captured.out, captured.err
 
 
@@ -441,6 +451,54 @@ def test_compare_same_file_is_speedup_one(capsys, tmp_path):
     assert report["speedup"] == 1.0
 
 
+@pytest.mark.parametrize("target", ["nan", "inf", "-inf"])
+def test_compare_refuses_a_target_that_is_not_finite(capsys, tmp_path, target):
+    # nan and inf were printed as the non-JSON NaN and Infinity, and -inf
+    # gave status OK with speedup 1.0
+    out = tmp_path / "r"
+    code, _, _ = run_cli(
+        capsys,
+        "run", "--fitness", "oracle", "--limits", "4,9",
+        "--population-size", "10", "--sample-size", "3", "--cycles", "40",
+        "--seed", "0", "--out", str(out),
+    )
+    assert code == 0
+    summary = str(out / "summary.json")
+    code, stdout, err = run_cli(capsys, "compare", summary, summary, "--target", target)
+    assert code == 1 and stdout == ""
+    assert err.startswith("usage:") and "target must be a finite real number" in err
+
+
+# ---------------------------------------------------------------------------
+# one seed's trace walks
+
+
+def test_one_seed_validates_each_trace_once_and_reads_one_final_row(
+    capsys, tmp_path, monkeypatch
+):
+    # the summary is built from the one walk that validates the run's trace,
+    # and writing a trace validates it; nothing walks a trace again
+    calls = collections.Counter()
+    for name in ("validate", "final_row"):
+        method = getattr(SearchTrace, name)
+
+        def counted(self, _method=method, _name=name):
+            calls[_name] += 1
+            return _method(self)
+
+        monkeypatch.setattr(SearchTrace, name, counted)
+    for fitness, flags, validates in (("oracle", (), 2), ("predictor", ("--n-label", "40"), 3)):
+        calls.clear()
+        code, _, _ = run_cli(
+            capsys,
+            "run", "--fitness", fitness, "--limits", "4,9", *flags,
+            "--population-size", "10", "--sample-size", "3", "--cycles", "60",
+            "--seed", "3", "--out", str(tmp_path / fitness),
+        )
+        assert code == 0
+        assert calls == {"validate": validates, "final_row": 1}, fitness
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -454,6 +512,22 @@ def test_unknown_subcommand_is_usage_error(capsys):
 def test_missing_required_flag_is_usage_error(capsys):
     code, _, _ = run_cli(capsys, "run")  # no --out
     assert code == 1
+
+
+def test_ground_truth_reinforce_needs_an_iteration(capsys, tmp_path):
+    # its trace is the search's, one row per batch: 0 iterations left it
+    # empty, and the run crashed after making --out
+    out = tmp_path / "r"
+    argv = ("run", "--algo", "reinforce", "--iterations", "0", "--limits", "4,9")
+    code, stdout, err = run_cli(capsys, *argv, "--fitness", "oracle", "--out", str(out))
+    assert code == 1 and stdout == ""
+    assert err.startswith("usage:") and "reinforce.iterations" in err
+    assert not out.exists()
+    # a predictor run's trace is its paid log, so it runs without a search batch
+    code, _, _ = run_cli(
+        capsys, *argv, "--fitness", "predictor", "--n-label", "40", "--out", str(out)
+    )
+    assert code == 0
 
 
 def test_bad_limits_is_usage_error(capsys, tmp_path):

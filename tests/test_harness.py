@@ -26,7 +26,6 @@ from cellsearch.harness import (
     run_predictor_pipeline,
     synthetic_optimum,
     topk_revalidate,
-    true_acc_improvements,
     write_labeled,
     write_summary,
 )
@@ -501,7 +500,13 @@ def test_true_acc_improvements_tracks_strict_increases():
     trace.append(1, 20.0, 0.5, 0.5)
     trace.append(2, 30.0, None, 0.6)
     trace.append(3, 40.0, 0.7, 0.7)
-    assert true_acc_improvements(trace) == ((10.0, 0.5), (40.0, 0.7))
+    assert trace.validate() == ((10.0, 0.5), (40.0, 0.7))
+    # each row creeps up by less than the tolerance; a rise counts from the
+    # last improvement, so the third row is one and the second is not
+    creeping = SearchTrace()
+    for k, acc in enumerate((0.5, 0.5 + 6e-13, 0.5 + 1.2e-12)):
+        creeping.append(k, 10.0 * k, acc, acc)
+    assert creeping.validate() == ((0.0, 0.5), (20.0, 0.5 + 1.2e-12))
 
 
 def test_summary_cross_check_catches_tampering():
@@ -524,6 +529,46 @@ def test_summary_cross_check_catches_tampering():
         summary.cross_check(result.trace)
 
 
+def test_summary_cross_check_validates_the_trace():
+    result = run_experiment(
+        ExperimentConfig(
+            fitness="ORACLE",
+            limits=SpaceLimits(4, 9),
+            evolution=EvolutionConfig(population_size=10, sample_size=3, cycles=60),
+            seed=2,
+        )
+    )
+    # row 2 falls below row 1; the last row, and so every summary total, stays
+    rows = list(result.trace.rows)
+    rows[1] = rows[1]._replace(sim_seconds=rows[-1].sim_seconds + 1.0)
+    with pytest.raises(ValueError, match="sim_seconds decreases at row 2"):
+        result.summary.cross_check(SearchTrace(rows))
+
+
+def test_a_charge_the_trace_missed_is_an_error(monkeypatch):
+    cfg = ExperimentConfig(
+        fitness="ORACLE",
+        limits=SpaceLimits(4, 9),
+        evolution=EvolutionConfig(population_size=10, sample_size=3, cycles=60),
+        seed=2,
+    )
+    trace_end = run_experiment(cfg).summary.total_sim_seconds
+    search = harness._search
+
+    def charging_after_the_search(cfg, fitness, clock):
+        out = search(cfg, fitness, clock)
+        clock.charge(5.0)  # past the trace's last row and the log
+        return out
+
+    monkeypatch.setattr(harness, "_search", charging_after_the_search)
+    message = (
+        f"the clock says {trace_end + 5.0} simulated seconds, "
+        f"the trace ends at {trace_end}"
+    )
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_experiment(cfg)
+
+
 def test_summary_file_round_trip(tmp_path):
     result = run_experiment(
         ExperimentConfig(
@@ -534,7 +579,7 @@ def test_summary_file_round_trip(tmp_path):
         )
     )
     path = tmp_path / "summary.json"
-    write_summary(result.summary, path, result.trace)
+    write_summary(result.summary, path)
     loaded = read_summary(path)
     assert loaded == result.summary
     loaded.cross_check(result.trace)
@@ -768,6 +813,15 @@ def test_labeled_file_label_must_be_the_int_0_or_1(tmp_path, label):
     path = tmp_path / "data.jsonl"
     _write_one_labeled_line(path, {"label": label, "spec": a.to_json_obj()})
     with pytest.raises(ParseError, match=re.escape(f"{path}:2: label must be one of (0, 1)")):
+        read_labeled(path)
+
+
+def test_labeled_file_refuses_a_spec_that_breaks_a_cell_rule(tmp_path):
+    path = tmp_path / "data.jsonl"
+    dangling = {"v": 3, "edges": [[0, 2]], "ops": ["in", "conv3x3", "out"]}
+    _write_one_labeled_line(path, {"label": 1, "spec": dangling})
+    reason = "spec is not a pruned, valid cell: dangling_vertex"
+    with pytest.raises(ParseError, match=re.escape(f"{path}:2: {reason}")):
         read_labeled(path)
 
 
