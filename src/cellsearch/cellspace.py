@@ -21,9 +21,9 @@ import functools
 import hashlib
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Annotated, Iterator
 
-from .errors import ExhaustedError, InvalidSpecError, check_fields, check_value, json_tuples
+from .errors import ExhaustedError, In, InvalidSpecError, check_fields, check_value, json_tuples
 
 MAX_REJECTION_ATTEMPTS = 10_000
 
@@ -73,15 +73,11 @@ class Violation(enum.Enum):
 
 @dataclass(frozen=True)
 class SpaceLimits:
-    max_vertices: int = MAX_VERTICES
-    max_edges: int = 9
+    max_vertices: Annotated[int, In(f"[2, {MAX_VERTICES}]")] = MAX_VERTICES
+    max_edges: Annotated[int, In("[1, inf)")] = 9
 
     def __post_init__(self):
         check_fields(self)
-        if not 2 <= self.max_vertices <= MAX_VERTICES:
-            raise ValueError(f"max_vertices must lie in [2, {MAX_VERTICES}]")
-        if self.max_edges < 1:
-            raise ValueError("max_edges must be >= 1")
 
 
 @dataclass(frozen=True)

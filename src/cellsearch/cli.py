@@ -24,9 +24,10 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from .cellspace import SpaceLimits
-from .errors import CellSearchError, ConfigError
+from .errors import CellSearchError, ConfigError, check_value
 from .harness import (
     ExperimentConfig,
+    Seed,
     build_oracle,
     compare_runs,
     label_random_specs,
@@ -176,10 +177,11 @@ def _config_from_args(args) -> ExperimentConfig:
 def cmd_run(args) -> int:
     cfg = _config_from_args(args)
     seeds = args.seeds if args.seeds is not None else [cfg.seed]
+    # every seed's config is checked before the first one runs
+    run_cfgs = [replace(cfg, seed=seed) for seed in seeds]
 
     os.makedirs(args.out, exist_ok=True)
-    for seed in seeds:
-        run_cfg = replace(cfg, seed=seed)
+    for seed, run_cfg in zip(seeds, run_cfgs):
         outdir = args.out if len(seeds) == 1 else os.path.join(args.out, f"seed-{seed}")
         os.makedirs(outdir, exist_ok=True)
         result = run_experiment(run_cfg)
@@ -244,8 +246,6 @@ def cmd_gen_synthetic(args) -> int:
 
 def cmd_label(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
-    if args.n <= 0:
-        raise UsageError(f"--n must be positive, got {args.n}")
     cfg = ExperimentConfig(
         limits=args.limits or SpaceLimits(),
         **_oracle_fields(args.oracle),
@@ -280,6 +280,7 @@ def cmd_label(args) -> int:
 
 def cmd_train_predictor(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
+    check_value("seed", seed, Seed)
     flags = {
         k: getattr(args, k)
         for k in TrainConfig.__dataclass_fields__

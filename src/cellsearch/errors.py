@@ -44,47 +44,68 @@ class ConfigError(CellSearchError, ValueError):
     """A config value has the wrong type or range, or configs disagree."""
 
 
+class In:
+    """An interval written as in mathematics, "(0, 1]" or "[1, inf)": a
+    field annotated `Annotated[T, In(...)]` is a T that lies in it."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.low, self.high = map(float, text[1:-1].split(","))
+
+    def __contains__(self, value) -> bool:
+        above = self.low <= value if self.text[0] == "[" else self.low < value
+        return above and (value <= self.high if self.text[-1] == "]" else value < self.high)
+
+    def __repr__(self) -> str:
+        return self.text
+
+
 def check_value(name: str, value, hint) -> None:
     """Raise ConfigError unless `value` has the type `hint`: an int or a
     finite real that is no bool, a non-empty str, one of a Literal's values
-    (by type and value), X or None for `X | None`, a tuple of the items
+    (by type and value), X or None for `X | None`, a T that lies in the
+    interval for `Annotated[T, In(...)]`, a tuple of the items
     `tuple[X, Y]` or `tuple[X, ...]` names, a dict whose keys and values
     `dict[K, V]` names, or an instance of a class."""
     if type(None) in typing.get_args(hint):
         if value is None:
             return
         (hint,) = set(typing.get_args(hint)) - {type(None)}
-    if typing.get_origin(hint) is typing.Literal:
+    if typing.get_origin(hint) is typing.Annotated:
+        hint, interval = typing.get_args(hint)
+        check_value(name, value, hint)
+        ok, what = value in interval, f"lie in {interval}"
+    elif typing.get_origin(hint) is typing.Literal:
         choices = typing.get_args(hint)
         ok = any(type(value) is type(c) and value == c for c in choices)
-        what = f"one of {choices}"
+        what = f"be one of {choices}"
     elif hint is int:
-        ok, what = isinstance(value, int) and not isinstance(value, bool), "an integer"
+        ok, what = isinstance(value, int) and not isinstance(value, bool), "be an integer"
     elif hint is float:
         ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
-        ok, what = ok and math.isfinite(value), "a finite real number"
+        ok, what = ok and math.isfinite(value), "be a finite real number"
     elif typing.get_origin(hint) is tuple:
         items = typing.get_args(hint)
         if items[1:] == (Ellipsis,) and isinstance(value, tuple):
             items = items[:1] * len(value)
-        ok, what = isinstance(value, tuple) and len(value) == len(items), f"a {hint}"
+        ok, what = isinstance(value, tuple) and len(value) == len(items), f"be a {hint}"
         for k, (item, item_hint) in enumerate(zip(value, items) if ok else ()):
             check_value(f"{name}[{k}]", item, item_hint)
     elif typing.get_origin(hint) is dict:
         key_hint, item_hint = typing.get_args(hint)
-        ok, what = isinstance(value, dict), f"a {hint}"
+        ok, what = isinstance(value, dict), f"be a {hint}"
         for key, item in value.items() if ok else ():
             check_value(f"{name}[{key}]", key, key_hint)
             check_value(f"{name}[{key}]", item, item_hint)
     elif hint is str:
-        ok, what = isinstance(value, str) and value != "", "a non-empty string"
+        ok, what = isinstance(value, str) and value != "", "be a non-empty string"
     else:
-        ok, what = isinstance(value, hint), f"a {hint.__name__}"
+        ok, what = isinstance(value, hint), f"be a {hint.__name__}"
     if not ok:
-        raise ConfigError(f"{name} must be {what}, got {value!r}")
+        raise ConfigError(f"{name} must {what}, got {value!r}")
 
 
-_type_hints = functools.cache(typing.get_type_hints)
+_type_hints = functools.cache(functools.partial(typing.get_type_hints, include_extras=True))
 
 
 def check_fields(record) -> None:

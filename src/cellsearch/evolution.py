@@ -12,11 +12,11 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Annotated, NamedTuple
 
 from . import cellspace
 from .cellspace import ModelSpec, SpaceLimits
-from .errors import ConfigError, ExhaustedError, check_fields
+from .errors import ConfigError, ExhaustedError, In, check_fields
 from .oracle import SimClock
 from .traces import SearchTrace
 
@@ -38,15 +38,13 @@ class Individual(NamedTuple):
 @dataclass(frozen=True)
 class EvolutionConfig:
     population_size: int = 50
-    sample_size: int = 10
+    sample_size: Annotated[int, In("[1, inf)")] = 10
     cycles: int = 2000
 
     def __post_init__(self):
         check_fields(self)
-        if not 1 <= self.sample_size <= self.population_size:
-            raise ConfigError(
-                f"sample_size {self.sample_size} must be in [1, population_size]"
-            )
+        if self.sample_size > self.population_size:
+            raise ConfigError(f"sample_size {self.sample_size} must be at most population_size")
         if self.cycles < self.population_size:
             raise ConfigError("cycles must be at least population_size")
 

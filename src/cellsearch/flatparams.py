@@ -6,10 +6,14 @@ controller each keep one map and read it only through these functions.
 """
 
 import math
+import sys
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import In, ShapeError
+
+# a model's init_scale: `seeded` draws from a width of twice it, which must be finite too
+INIT_SCALE = In(f"(0, {sys.float_info.max / 2!r}]")
 
 
 def size(shapes: dict) -> int:

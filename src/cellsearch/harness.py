@@ -19,15 +19,15 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import asdict, dataclass, field
-from typing import Literal
+from typing import Annotated, Literal
 
 import numpy as np
 
 from . import cellspace, evolution, predictor, reinforce
 from .cellspace import ModelSpec, SpaceLimits
 from .errors import (
-    ConfigError, DegenerateDataError, ExhaustedError, check_fields, check_value, json_tuples,
-    parsing,
+    ConfigError, DegenerateDataError, ExhaustedError, In, check_fields, check_value,
+    json_tuples, parsing,
 )
 from .evolution import EvolutionConfig
 from .oracle import (
@@ -54,6 +54,9 @@ _LABEL_ATTEMPT_FACTOR = 1000
 # configuration
 
 
+# a run's seed; numpy's generators take no negative one
+Seed = Annotated[int, In("[0, inf)")]
+
 # config keys holding a nested object -> the function that reads it (an
 # entry missing from limits reads as None, which SpaceLimits refuses)
 _NESTED = {
@@ -77,11 +80,11 @@ class ExperimentConfig:
     oracle_source: Literal["SYNTHETIC", "FILE"] = "SYNTHETIC"
     table_path: str | None = None
     synthetic: SyntheticOracleParams = field(default_factory=SyntheticOracleParams)
-    n_label: int = 400
-    label_charge: float = 1.0
-    label_threshold: float | None = None  # None: quantile rule / file default
-    top_k: int = 10
-    seed: int = 0
+    n_label: Annotated[int, In("[1, inf)")] = 400
+    label_charge: Annotated[float, In("(0, 1]")] = 1.0
+    label_threshold: Annotated[float, In("[0, 1)")] | None = None  # None: the source's rule
+    top_k: Annotated[int, In("[1, inf)")] = 10
+    seed: Seed = 0
     evolution: EvolutionConfig = field(default_factory=EvolutionConfig)
     reinforce: ReinforceConfig = field(default_factory=ReinforceConfig)
     predictor: TrainConfig = field(default_factory=TrainConfig)
@@ -93,12 +96,6 @@ class ExperimentConfig:
         # the synthetic oracle reads no table, so its run must not echo one
         if self.oracle_source != "FILE" and self.table_path is not None:
             raise ConfigError(f"table_path {self.table_path!r} needs the FILE oracle source")
-        if self.fitness == "PREDICTOR" and self.n_label <= 0:
-            raise ConfigError("predictor-guided search needs a labeling budget")
-        if not 0.0 < self.label_charge <= 1.0:
-            raise ConfigError("label_charge must lie in (0, 1]")
-        if self.top_k < 1:
-            raise ConfigError("top_k must be at least 1")
         # a ground-truth run's trace is its search's, which needs one batch
         if self.algo == "REINFORCE" and self.fitness == "ORACLE" and self.reinforce.iterations < 1:
             raise ConfigError("reinforce.iterations must be at least 1 for a ground-truth run")
@@ -241,8 +238,6 @@ def label_random_specs(cfg: ExperimentConfig, paid: PaidQueries, rng: random.Ran
     effective threshold. Returns (labeled (spec, y) list, threshold). A
     one-class pool raises DegenerateDataError naming the flags of `run` and
     `label` that change it."""
-    if cfg.n_label <= 0:
-        raise ConfigError("n_label must be positive")
     threshold = effective_label_threshold(cfg)
     seen = set()
     labeled = []
@@ -407,8 +402,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 @dataclass(frozen=True)
 class CompareReport:
     """Speedup of run B relative to run A: (time for A to first reach the
-    target) / (same for B). NO_COMMON_TARGET when either run never got
-    there or no target could be derived."""
+    target) / (same for B), None when only B got there at 0 s.
+    NO_COMMON_TARGET when either run never got there or no target could be
+    derived."""
 
     status: str  # OK | NO_COMMON_TARGET
     target: float | None
@@ -450,12 +446,12 @@ def compare_runs(a: RunSummary, b: RunSummary, target: float | None = None) -> C
             reason=f"run {' and '.join(missing)} never reached {target}",
         )
     if time_a == time_b:
-        speedup = 1.0
-    elif time_b == 0.0:
-        speedup = float("inf")
+        speedup, reason = 1.0, ""
+    elif time_b == 0.0:  # an unbounded speedup, which JSON cannot print
+        speedup, reason = None, f"run B reached {target} at 0 simulated seconds"
     else:
-        speedup = time_a / time_b
-    return CompareReport("OK", target, time_a, time_b, speedup)
+        speedup, reason = time_a / time_b, ""
+    return CompareReport("OK", target, time_a, time_b, speedup, reason)
 
 
 # ---------------------------------------------------------------------------

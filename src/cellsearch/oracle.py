@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
+from typing import Annotated
 
 import numpy as np
 
 from . import cellspace
 from .cellspace import ModelSpec, SpaceLimits
 from .errors import (
-    DuplicateHashError, UnknownArchitectureError, check_fields, check_value, parsing,
+    DuplicateHashError, In, UnknownArchitectureError, check_fields, check_value, parsing,
 )
 from .traces import SearchTrace
 
@@ -53,9 +54,9 @@ class SimClock:
 
 @dataclass(frozen=True)
 class SyntheticOracleParams:
-    """Coefficients of the synthetic accuracy/time functions: finite real
-    numbers, the time_* ones >= 0. All defaults are design constants of
-    this artifact, not measured data."""
+    """Coefficients of the synthetic accuracy/time functions: finite reals,
+    `accuracy_cap` in [0, 1] (so every accuracy is) and the time_* ones in
+    [0, inf). All defaults are design constants, not measured data."""
 
     base_accuracy: float = 0.62
     conv3x3_gain: float = 0.045
@@ -63,19 +64,16 @@ class SyntheticOracleParams:
     maxpool_gain: float = 0.010
     depth_gain: float = 0.015
     edge_penalty: float = 0.004
-    accuracy_cap: float = 0.95
+    accuracy_cap: Annotated[float, In("[0, 1]")] = 0.95
     jitter_scale: float = 0.02
-    time_base_s: float = 200.0
-    time_conv3x3_s: float = 300.0
-    time_conv1x1_s: float = 150.0
-    time_maxpool_s: float = 60.0
-    time_edge_s: float = 40.0
+    time_base_s: Annotated[float, In("[0, inf)")] = 200.0
+    time_conv3x3_s: Annotated[float, In("[0, inf)")] = 300.0
+    time_conv1x1_s: Annotated[float, In("[0, inf)")] = 150.0
+    time_maxpool_s: Annotated[float, In("[0, inf)")] = 60.0
+    time_edge_s: Annotated[float, In("[0, inf)")] = 40.0
 
     def __post_init__(self):
         check_fields(self)
-        for f in fields(self):
-            if f.name.startswith("time_") and getattr(self, f.name) < 0:
-                raise ValueError(f"{f.name} must be >= 0, got {getattr(self, f.name)!r}")
 
 
 @dataclass

@@ -12,17 +12,15 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 from dataclasses import dataclass
-from typing import Literal
+from typing import Annotated, Literal
 
 import numpy as np
 
 from . import cellspace, flatparams
 from .cellspace import ModelSpec, OpLabel
 from .errors import (
-    ConfigError, DegenerateDataError, ShapeError, check_fields, check_value, json_tuples,
-    parsing,
+    DegenerateDataError, In, ShapeError, check_fields, check_value, json_tuples, parsing,
 )
 
 # Token alphabet. Layout of a sequence: (v-2) interior op tokens in index
@@ -256,27 +254,16 @@ def predict(params: RnnParams, spec: ModelSpec) -> float:
 class TrainConfig:
     """The predictor's split and training hyperparameters."""
 
-    learning_rate: float = 0.05
-    epochs: int = 200
-    batch: int = 16
-    hidden_size: int = DEFAULT_HIDDEN
-    init_scale: float = DEFAULT_INIT_SCALE
-    heldout_fraction: float = 0.2
-    target_positive_share: float = 0.2
+    learning_rate: Annotated[float, In("(0, inf)")] = 0.05
+    epochs: Annotated[int, In("[1, inf)")] = 200
+    batch: Annotated[int, In("[1, inf)")] = 16
+    hidden_size: Annotated[int, In("[1, inf)")] = DEFAULT_HIDDEN
+    init_scale: Annotated[float, flatparams.INIT_SCALE] = DEFAULT_INIT_SCALE
+    heldout_fraction: Annotated[float, In("(0, 1)")] = 0.2
+    target_positive_share: Annotated[float, In("[0, 1)")] = 0.2
 
     def __post_init__(self):
         check_fields(self)
-        if self.learning_rate <= 0.0:
-            raise ConfigError(f"learning_rate must be in (0, inf), got {self.learning_rate}")
-        # the init draws from a width of 2 * init_scale, which must be finite too
-        if not 0.0 < 2.0 * self.init_scale < math.inf:
-            raise ConfigError(f"init_scale and twice it must be in (0, inf), got {self.init_scale}")
-        if self.epochs <= 0 or self.batch <= 0 or self.hidden_size <= 0:
-            raise ConfigError("epochs, batch and hidden_size must be positive")
-        if not 0.0 < self.heldout_fraction < 1.0:
-            raise ConfigError("heldout_fraction must lie in (0, 1)")
-        if not 0.0 <= self.target_positive_share < 1.0:
-            raise ConfigError("target_positive_share must lie in [0, 1)")
 
 
 def stratified_split(

@@ -28,6 +28,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Annotated
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .cellspace import (
     INTERIOR_OPS, MAX_VERTICES, ModelSpec, OpLabel, SpaceLimits, phenotype_of,
     upper_triangle_pairs,
 )
-from .errors import ConfigError, ShapeError, check_fields
+from .errors import ConfigError, In, ShapeError, check_fields
 from .oracle import SimClock
 from .traces import SearchTrace
 
@@ -397,29 +398,16 @@ def reinforce_update(
 
 @dataclass(frozen=True)
 class ReinforceConfig:
-    batch_size: int = 20
-    iterations: int = 50
-    learning_rate: float = 0.005
-    hidden_size: int = DEFAULT_HIDDEN
-    emb_dim: int = DEFAULT_EMB_DIM
-    init_scale: float = 0.1
-    beta: float = 0.9
+    batch_size: Annotated[int, In("[1, inf)")] = 20
+    iterations: Annotated[int, In("[0, inf)")] = 50
+    learning_rate: Annotated[float, In("(0, inf)")] = 0.005
+    hidden_size: Annotated[int, In("[1, inf)")] = DEFAULT_HIDDEN
+    emb_dim: Annotated[int, In("[1, inf)")] = DEFAULT_EMB_DIM
+    init_scale: Annotated[float, flatparams.INIT_SCALE] = 0.1
+    beta: Annotated[float, In("[0, 1)")] = 0.9
 
     def __post_init__(self):
         check_fields(self)
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be at least 1")
-        if self.iterations < 0:
-            raise ConfigError("iterations must be nonnegative")
-        # as in predictor.TrainConfig
-        if self.learning_rate <= 0.0:
-            raise ConfigError(f"learning_rate must be in (0, inf), got {self.learning_rate}")
-        if not 0.0 < 2.0 * self.init_scale < math.inf:
-            raise ConfigError(f"init_scale and twice it must be in (0, inf), got {self.init_scale}")
-        if not 0.0 <= self.beta < 1.0:
-            raise ConfigError("beta must lie in [0, 1)")
-        if self.hidden_size < 1 or self.emb_dim < 1:
-            raise ConfigError("hidden_size and emb_dim must be at least 1")
 
 
 @dataclass

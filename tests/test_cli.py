@@ -6,8 +6,10 @@ import copy
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import re
+import typing
 
 import pytest
 
@@ -307,6 +309,38 @@ def test_config_file_seed_comes_after_the_flag_and_before_nas_seed(
     assert not (tmp_path / "bad").exists()
 
 
+def test_negative_seeds_are_refused_before_anything_runs(capsys, tmp_path, monkeypatch):
+    # numpy's generators take no negative seed: REINFORCE crashed at once,
+    # a predictor run after paying for its labels, and `--seeds 0,-1` after
+    # writing seed-0's artifacts
+    def refuse(*args):
+        raise AssertionError("a refused seed must pay for no query")
+
+    monkeypatch.setattr(PaidQueries, "query", refuse)
+    out = tmp_path / "bad"
+    reinforce = ("run", "--algo", "reinforce", "--limits", "4,9", "--iterations", "2",
+                 "--batch-size", "2")
+    predictor = ("run", "--fitness", "predictor", "--limits", "4,9", "--n-label", "40")
+    for argv in (
+        (*reinforce, "--seed", "-1"),
+        (*reinforce, "--seeds", "0,-1"),
+        (*predictor, "--seed", "-1"),
+        ("run", "--limits", "4,9", "--seed", "-1"),
+        ("label", "--limits", "4,9", "--seed", "-1"),
+        ("train-predictor", "--data", "unread.jsonl", "--seed", "-1"),
+    ):
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+        assert code == 1 and stdout == "", (argv, err)
+        assert "seed must lie in [0, inf), got -1" in err, (argv, err)
+        assert not out.exists()
+    monkeypatch.setenv("NAS_SEED", "-1")
+    for argv in (predictor, ("label", "--limits", "4,9"), ("train-predictor", "--data", "x")):
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+        assert code == 1 and stdout == "", (argv, err)
+        assert "seed must lie in [0, inf), got -1" in err, (argv, err)
+        assert not out.exists()
+
+
 def test_nas_seed_garbage_is_a_usage_error(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("NAS_SEED", "lucky")
     code, _, err = run_cli(
@@ -451,6 +485,30 @@ def test_compare_same_file_is_speedup_one(capsys, tmp_path):
     assert report["speedup"] == 1.0
 
 
+def test_compare_reports_no_speedup_when_run_b_reaches_the_target_at_0_s(
+    capsys, tmp_path
+):
+    # its speedup was infinite and printed as the non-JSON Infinity
+    args = [
+        "run", "--fitness", "oracle", "--limits", "4,9",
+        "--population-size", "10", "--sample-size", "3", "--cycles", "80", "--seed", "0",
+    ]
+    a, b, free = tmp_path / "a", tmp_path / "b", tmp_path / "free.json"
+    times = {f.name: 0.0 for f in dataclasses.fields(SyntheticOracleParams)
+             if f.name.startswith("time_")}
+    free.write_text(json.dumps({"synthetic": times}))
+    assert run_cli(capsys, *args, "--out", str(a))[0] == 0
+    assert run_cli(capsys, *args, "--config", str(free), "--out", str(b))[0] == 0
+    code, out, _ = run_cli(
+        capsys, "compare", str(a / "summary.json"), str(b / "summary.json"), "--target", "0.7"
+    )
+    assert code == 0
+    (report,) = json_lines(out)
+    assert report["status"] == "OK" and report["time_a"] > 0 and report["time_b"] == 0
+    assert report["speedup"] is None
+    assert report["reason"] == "run B reached 0.7 at 0 simulated seconds"
+
+
 @pytest.mark.parametrize("target", ["nan", "inf", "-inf"])
 def test_compare_refuses_a_target_that_is_not_finite(capsys, tmp_path, target):
     # nan and inf were printed as the non-JSON NaN and Infinity, and -inf
@@ -545,7 +603,7 @@ def test_inconsistent_config_is_usage_error(capsys, tmp_path):
         "--out", str(tmp_path / "r"),
     )
     assert code == 1
-    assert "labeling budget" in err
+    assert "n_label must lie in [1, inf), got 0" in err
     # out-of-range search settings are refused before any output is made
     errs = {}
     for argv in (
@@ -576,7 +634,7 @@ def test_inconsistent_config_is_usage_error(capsys, tmp_path):
     ):
         assert "max_vertices must lie in [2, 7]" in errs[argv]
         assert "must look like" not in errs[argv]
-    assert "--n must be positive" in errs["label", "--n", "0"]
+    assert "n_label must lie in [1, inf), got 0" in errs["label", "--n", "0"]
     assert "seed 1 repeated" in errs["run", "--limits", "4,9", "--seeds", "0,1,2,1"]
     for argv in (
         ("run", "--algo", "reinforce", "--limits", "4,9", "--learning-rate", "nan"),
@@ -614,12 +672,12 @@ def test_inconsistent_config_is_usage_error(capsys, tmp_path):
     "argv, flag, refusal",
     [
         (("run", "--algo", "reinforce", "--limits", "4,9"), "--learning-rate",
-         "learning_rate must be in (0, inf)"),
+         "learning_rate must lie in (0, inf)"),
         (("run", "--fitness", "predictor", "--limits", "4,9"), "--label-charge",
          "label_charge must lie in (0, 1]"),
         (("label", "--limits", "4,9"), "--charge", "label_charge must lie in (0, 1]"),
         (("train-predictor", "--data", "unread.jsonl"), "--learning-rate",
-         "learning_rate must be in (0, inf)"),
+         "learning_rate must lie in (0, inf)"),
         (("train-predictor", "--data", "unread.jsonl"), "--heldout-fraction",
          "heldout_fraction must lie in (0, 1)"),
         (("train-predictor", "--data", "unread.jsonl"), "--target-positive-share",
@@ -675,13 +733,20 @@ def test_non_finite_label_threshold_is_refused_before_any_query(
     capsys, tmp_path, monkeypatch, argv, flag
 ):
     # a NaN threshold once labeled nothing positive, found only after every
-    # label was paid for, and an oracle run took it without a word
+    # label was paid for, and an oracle run took it without a word. So did
+    # one outside [0, 1): an accuracy in [0, 1] is above -0.5 and never
+    # above 1.0, so the pool was one class
     def refuse(*args):
         raise AssertionError("a refused config must pay for no query")
 
     monkeypatch.setattr(PaidQueries, "query", refuse)
     out = tmp_path / "bad"
-    for value in ("nan", "-nan", "inf", "-inf"):
+    not_finite = "label_threshold must be a finite real number"
+    for value, refusal in (
+        *((value, not_finite) for value in ("nan", "-nan", "inf", "-inf")),
+        ("-0.5", "label_threshold must lie in [0, 1), got -0.5"),
+        ("1.0", "label_threshold must lie in [0, 1), got 1.0"),
+    ):
         results = [
             run_cli(capsys, *argv, *form, "--out", str(out))
             for form in ((flag, value), (f"{flag}={value}",))
@@ -689,7 +754,7 @@ def test_non_finite_label_threshold_is_refused_before_any_query(
         assert results[0] == results[1], (flag, value)
         code, stdout, err = results[0]
         assert code == 1 and stdout == ""
-        assert "label_threshold must be a finite real number" in err
+        assert refusal in err
         assert not out.exists()
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text('{"label_threshold": NaN}')
@@ -709,7 +774,7 @@ _BAD_JSON_VALUES = ('"x"', "[1]", "{}", "true", "null", "1.5", "1e400")
         ("top_k", ()),
         ("seed", ()),
         ("label_charge", ()),
-        ("label_threshold", ("null", "1.5")),
+        ("label_threshold", ("null",)),
     ],
 )
 def test_config_file_top_level_type_errors_are_usage_errors(
@@ -833,17 +898,30 @@ def _config_field_paths():
             yield f.name
 
 
-# the sweep values each field may take; every other one is refused
-_LEGAL_SWEEP_VALUES = {
-    "table_path": ("null",),
-    "label_threshold": ("null", "1.5"),
-    "reinforce.learning_rate": ("1.5",),
-    "reinforce.init_scale": ("1.5",),
-    "predictor.learning_rate": ("1.5",),
-    "predictor.init_scale": ("1.5",),
-    # the synthetic coefficients are unbounded finite reals, time_* >= 0
-    **{f"synthetic.{f.name}": ("1.5",) for f in dataclasses.fields(SyntheticOracleParams)},
-}
+def _field_type(path):
+    """(type, interval) of the config field at `path`: its annotation with
+    None and the Annotated wrapper taken off, and its In, or None."""
+    key, _, name = path.rpartition(".")
+    owner = type(getattr(ExperimentConfig(), key)) if key else ExperimentConfig
+    hint = typing.get_type_hints(owner, include_extras=True)[name]
+    if type(None) in typing.get_args(hint):
+        (hint,) = set(typing.get_args(hint)) - {type(None)}
+    if typing.get_origin(hint) is typing.Annotated:
+        return typing.get_args(hint)
+    return hint, None
+
+
+# the sweep values a field may take that its type and interval do not say
+_LEGAL_SWEEP_VALUES = {"table_path": ("null",), "label_threshold": ("null",)}
+
+
+def _legal_sweep_values(path):
+    """The sweep values the config field at `path` takes, every other one
+    being refused: those of _LEGAL_SWEEP_VALUES, and 1.5 when the field is a
+    real and its interval, if it has one, holds 1.5."""
+    kind, interval = _field_type(path)
+    real = kind is float and (interval is None or 1.5 in interval)
+    return _LEGAL_SWEEP_VALUES.get(path, ()) + (("1.5",) if real else ())
 
 
 @pytest.mark.parametrize("path", list(_config_field_paths()))
@@ -862,7 +940,7 @@ def test_every_config_field_refuses_each_bad_value(capsys, tmp_path, monkeypatch
     for value in _BAD_JSON_VALUES:
         obj = {key: {**defaults[key], name: "@"}} if key else {name: "@"}
         text = json.dumps(obj).replace('"@"', value)
-        if value in _LEGAL_SWEEP_VALUES.get(path, ()):
+        if value in _legal_sweep_values(path):
             ExperimentConfig.from_json_obj(json.loads(text))
             continue
         cfg_path.write_text(text)
@@ -871,6 +949,41 @@ def test_every_config_field_refuses_each_bad_value(capsys, tmp_path, monkeypatch
         message = err.partition("usage error: ")[2]
         assert name in message and key in message, (path, value, err)
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "path", [path for path in _config_field_paths() if _field_type(path)[1] is not None]
+)
+def test_every_interval_field_takes_its_closed_bounds_and_refuses_past_them(
+    capsys, tmp_path, monkeypatch, path
+):
+    # a finite bound: a closed one is taken; past it (the bound itself when
+    # it is open, one step out when it is closed) is refused with exit 1,
+    # naming the field, before any query or output
+    def refuse(*args):
+        raise AssertionError("a refused config must pay for no query")
+
+    monkeypatch.setattr(PaidQueries, "query", refuse)
+    key, _, name = path.rpartition(".")
+    kind, interval = _field_type(path)
+    defaults = ExperimentConfig().to_json_obj()
+    setting = lambda value: {key: {**defaults[key], name: value}} if key else {name: value}
+    cfg_path = tmp_path / "cfg.json"
+    out = tmp_path / "bad"
+    closed = interval.text[0] == "[", interval.text[-1] == "]"
+    for bound, closed, step in zip((interval.low, interval.high), closed, (-1, 1)):
+        if math.isinf(bound):
+            continue
+        past = bound = kind(bound)
+        if closed:
+            ExperimentConfig.from_json_obj(setting(bound))
+            past = bound + step if kind is int else math.nextafter(bound, step * math.inf)
+        cfg_path.write_text(json.dumps(setting(past)))
+        code, stdout, err = run_cli(capsys, "run", "--config", str(cfg_path), "--out", str(out))
+        assert code == 1 and stdout == "", (path, past, err)
+        message = err.partition("usage error: ")[2]
+        assert f"{name} must lie in {interval}, got {past!r}" in message, (path, past, err)
+        assert key in message and not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -921,7 +1034,7 @@ _LEGAL_READ_VALUES = {
     "threshold_used": ("1.5",),
     "threshold": ("1.5",),
     "train_time_s": ("1.5",),
-    **{f"config.{path}": values for path, values in _LEGAL_SWEEP_VALUES.items()},
+    **{f"config.{path}": _legal_sweep_values(path) for path in _config_field_paths()},
 }
 
 
@@ -1086,7 +1199,8 @@ def test_config_file_controller_size_below_one_is_usage_error(capsys, tmp_path):
             "--limits", "4,9", "--iterations", "2", "--out", str(out),
         )
         assert code == 1, size
-        assert "hidden_size and emb_dim must be at least 1" in err
+        (name,) = size
+        assert f"{name} must lie in [1, inf), got {size[name]}" in err
         assert stdout == "" and not out.exists()
 
 
@@ -1176,12 +1290,20 @@ def test_gen_synthetic_too_large_leaves_no_file(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "params", [{"base_accuracy": "x"}, {"jitter_scale": True}, {"time_edge_s": -1.0}]
+    "params",
+    [
+        {"base_accuracy": "x"},
+        {"jitter_scale": True},
+        {"time_edge_s": -1.0},
+        # a cap outside [0, 1] crashed with an accuracy outside [0, 1]
+        {"accuracy_cap": -0.5},
+        {"base_accuracy": 0.99, "accuracy_cap": 1.5},
+    ],
 )
 def test_bad_synthetic_params_are_usage_errors(capsys, tmp_path, params):
     path = tmp_path / "p.json"
     path.write_text(json.dumps(params))
-    (name,) = params
+    name = list(params)[-1]
     code, stdout, err = run_cli(capsys, "enumerate", "--limits", "3,9", "--params", str(path))
     assert code == 1
     assert stdout == "" and name in err

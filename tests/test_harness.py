@@ -371,9 +371,13 @@ def test_pipeline_report_consistency(monkeypatch):
 
 
 def test_pipeline_needs_a_budget():
-    cfg = ExperimentConfig(fitness="ORACLE", n_label=0)
-    with pytest.raises(ConfigError):
-        run_predictor_pipeline(cfg, _paid(), random.Random(0))
+    # every config holds n_label to [1, inf), a ground-truth one too, so no
+    # pipeline is handed an empty budget
+    for fitness in ("ORACLE", "PREDICTOR"):
+        for n_label in (0, -1):
+            with pytest.raises(ConfigError, match=r"n_label must lie in \[1, inf\)"):
+                ExperimentConfig(fitness=fitness, n_label=n_label)
+        assert ExperimentConfig(fitness=fitness, n_label=1).n_label == 1
 
 
 # ---------------------------------------------------------------------------

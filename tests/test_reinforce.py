@@ -857,5 +857,5 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         ReinforceConfig(beta=1.0)
     for size in ({"hidden_size": 0}, {"hidden_size": -1}, {"emb_dim": 0}):
-        with pytest.raises(ConfigError, match="at least 1"):
+        with pytest.raises(ConfigError, match=r"must lie in \[1, inf\)"):
             ReinforceConfig(**size)
