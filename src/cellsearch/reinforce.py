@@ -226,29 +226,56 @@ class SampledArch:
     states: np.ndarray | None = None
 
 
-def _rollout(c: ControllerState, schedule: DecisionSchedule, choose) -> SampledArch:
+def _rollout(c: ControllerState, schedule: DecisionSchedule, rng, given) -> SampledArch:
     """The controller's one forward pass.
 
     Step input is the embedding of the previous action (the start embedding
     at step one); the arity-matched head plus the step's bias produces
-    logits, and `choose(t, probabilities)` picks step t's action from their
-    softmax. Every hidden state is kept for the gradient pass.
-    """
-    inputs = c.emb @ c.W_e.T + c.b_h  # one row per embedding
-    W_h, b_step, heads = c.W_h, c.b_step, (None, None, c.W2, c.W3)
+    logits. Step t takes `given[t]`, or with no `given` draws from the
+    logits' softmax with one `rng.random()`. Every hidden state is kept for
+    the gradient pass.
+
+    Only the products, `tanh` and `exp` run in numpy. The 2–3 logits'
+    bias, shift and log-sum, and the inverse-CDF draw, run on Python
+    floats, with the bits of a numpy softmax over the same logits. `np.exp`
+    on one float has the bits of `np.exp` on an array; `math.exp` does
+    not."""
+    inputs = list(c.emb @ c.W_e.T + c.b_h)  # one row per embedding
+    W_h, W2, W3, bias = c.W_h, c.W2, c.W3, c.b_step.tolist()
     hs = np.zeros((schedule.num_steps + 1, c.hidden_size))
-    h = hs[0]
-    row = _EMB_START
+    rows = list(hs)
+    h = rows[0]
+    prev = _EMB_START
     actions = []
+    exp, log = np.exp, math.log
     # .dot gives the bytes of @ with less per-call overhead
     for t, arity in enumerate(schedule.arities):
-        h = np.tanh(inputs[row] + W_h.dot(h), out=hs[t + 1])
-        z = heads[arity].dot(h) + b_step[t, :arity]
-        z -= max(z.tolist())
-        logp = z - math.log(sum(np.exp(z).tolist()))
-        action = choose(t, np.exp(logp).tolist())
+        row = rows[t + 1]
+        W_h.dot(h, out=row)
+        row += inputs[prev]
+        h = np.tanh(row, out=row)
+        if given is not None:
+            action = given[t]
+        elif arity == 2:
+            b0, b1, _ = bias[t]
+            z0, z1 = W2.dot(h).tolist()
+            z0, z1 = z0 + b0, z1 + b1
+            m = z1 if z1 > z0 else z0  # max(z0, z1), tie and all
+            z0, z1 = z0 - m, z1 - m
+            lse = log(sum([float(exp(z0)), float(exp(z1))]))
+            action = 0 if rng.random() < exp(z0 - lse) else 1
+        else:
+            b0, b1, b2 = bias[t]
+            z0, z1, z2 = W3.dot(h).tolist()
+            z0, z1, z2 = z0 + b0, z1 + b1, z2 + b2
+            m = max(z0, z1, z2)
+            z0, z1, z2 = z0 - m, z1 - m, z2 - m
+            lse = log(sum([float(exp(z0)), float(exp(z1)), float(exp(z2))]))
+            p0 = float(exp(z0 - lse))
+            r = rng.random()
+            action = 0 if r < p0 else (1 if r < p0 + float(exp(z1 - lse)) else 2)
         actions.append(action)
-        row = _EMB_ROWS[arity][action]
+        prev = _EMB_ROWS[arity][action]
 
     spec = None
     invalid = False
@@ -260,26 +287,20 @@ def _rollout(c: ControllerState, schedule: DecisionSchedule, choose) -> SampledA
 
 def sample(controller: ControllerState, schedule: DecisionSchedule, rng: random.Random) -> SampledArch:
     """Roll the controller forward for one architecture, drawing each action
-    from its step's softmax with one `rng.random()`."""
-
-    def draw(t, p):
-        r = rng.random()
-        acc = 0.0
-        for a, pa in enumerate(p):
-            acc += pa
-            if r < acc:
-                return a
-        return len(p) - 1
-
-    return _rollout(controller, schedule, draw)
+    from its step's softmax with one `rng.random()` and no other rng call."""
+    return _rollout(controller, schedule, rng, None)
 
 
 def follow(controller: ControllerState, schedule: DecisionSchedule, actions) -> SampledArch:
     """The rollout that takes the given actions: `sample`'s forward pass
-    with each step's action read from `actions` instead of drawn."""
+    with each step's action read from `actions` instead of drawn. Each
+    action must be an int in range(arity) of its step."""
     if len(actions) != schedule.num_steps:
         raise ShapeError(f"expected {schedule.num_steps} actions, got {len(actions)}")
-    return _rollout(controller, schedule, lambda t, p: actions[t])
+    for t, (arity, a) in enumerate(zip(schedule.arities, actions)):
+        if type(a) is not int or not 0 <= a < arity:
+            raise ShapeError(f"action {a!r} at step {t} is not an int in range({arity})")
+    return _rollout(controller, schedule, None, actions)
 
 
 def reward_of(s: SampledArch, fitness) -> float:

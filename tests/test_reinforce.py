@@ -5,6 +5,7 @@ baseline, and the batched search loop."""
 import itertools
 import math
 import random
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -200,33 +201,177 @@ def test_sample_uniform_at_zero_init():
             assert abs(counts[t, a] / n - p) < 3 * sigma, (t, a, counts[t, a] / n)
 
 
+def _rollout_reference(c, schedule, rng=None, given=None, drawn=None):
+    """Frozen reference: the forward pass `sample` (drawing from `rng`) and
+    `follow` (taking `given`) ran before the step loop moved onto Python
+    floats: a numpy softmax per step and the inverse-CDF draw, one
+    `rng.random()` a step. Each step's probabilities are appended to
+    `drawn`. Every earlier pinned digest was made with it."""
+    inputs = c.emb @ c.W_e.T + c.b_h
+    heads = (None, None, c.W2, c.W3)
+    hs = np.zeros((schedule.num_steps + 1, c.hidden_size))
+    h = hs[0]
+    row = 0
+    actions = []
+    for t, arity in enumerate(schedule.arities):
+        h = np.tanh(inputs[row] + c.W_h.dot(h), out=hs[t + 1])
+        z = heads[arity].dot(h) + c.b_step[t, :arity]
+        z -= max(z.tolist())
+        logp = z - math.log(sum(np.exp(z).tolist()))
+        p = np.exp(logp).tolist()
+        if drawn is not None:
+            drawn.append(p)
+        if given is not None:
+            action = given[t]
+        else:
+            r, acc, action = rng.random(), 0.0, arity - 1
+            for a, pa in enumerate(p):
+                acc += pa
+                if r < acc:
+                    action = a
+                    break
+        actions.append(action)
+        row = (1 + action) if arity == 2 else (3 + action)
+    spec = schedule.assemble(actions) if schedule.limits is not None else None
+    return SampledArch(tuple(actions), spec, schedule.limits is not None and spec is None, states=hs)
+
+
+def _assert_same_rollout(s, ref):
+    assert s.actions == ref.actions
+    assert s.spec == ref.spec and s.invalid == ref.invalid
+    assert s.states.shape == ref.states.shape
+    assert np.array_equal(_bits(s.states), _bits(ref.states))  # signed zeros too
+
+
+@pytest.mark.parametrize("hidden", [1, 2, 3, 4, 8, 32])
+def test_sample_and_follow_equal_the_frozen_reference_bit_for_bit(hidden):
+    # From near-uniform logits to saturated ones (at hidden 32 and scale 10
+    # about 40% of steps give one action probability 1.0), in every space
+    # and at tiny hidden sizes: actions, every state bit, the cell, and the
+    # rng's end state.
+    for limits in ((4, 9), (5, 9), (7, 9), (7, 4)):
+        sched = DecisionSchedule.from_limits(SpaceLimits(*limits))
+        for init_scale in (0.01, 0.3, 2.0, 10.0):
+            emb = 1 + hidden % 8
+            controller = ControllerState.seeded(hidden, hidden, emb, init_scale)
+            rng, twin = random.Random(hidden), random.Random(hidden)
+            for _ in range(12):
+                s = sample(controller, sched, rng)
+                ref = _rollout_reference(controller, sched, twin)
+                _assert_same_rollout(s, ref)
+                _assert_same_rollout(follow(controller, sched, s.actions), ref)
+                assert rng.getstate() == twin.getstate()
+    # a schedule without limits: no cell, interleaved arities
+    sched = DecisionSchedule((2, 3, 2, 3, 3, 2))
+    controller = ControllerState.seeded(9, hidden, 2, init_scale=0.8)
+    rng, twin = random.Random(9), random.Random(9)
+    for _ in range(20):
+        s = sample(controller, sched, rng)
+        ref = _rollout_reference(controller, sched, twin)
+        _assert_same_rollout(s, ref)
+        assert s.spec is None and not s.invalid
+    assert rng.getstate() == twin.getstate()
+
+
+class _AtTheEdges:
+    """A generator stand-in for the frozen reference: each step's uniform
+    lies on an edge of that step's CDF, exactly p0 or p0 + p1 or the float
+    just below it, so that a probability one ulp off picks another action.
+    `values` keeps them for a replay."""
+
+    def __init__(self, drawn, seed):
+        self.drawn, self.pick, self.values = drawn, random.Random(seed), []
+
+    def random(self):
+        p = self.drawn[-1]
+        edge = p[0] if len(p) == 2 or self.pick.random() < 0.5 else p[0] + p[1]
+        r = edge if self.pick.random() < 0.5 else math.nextafter(edge, 0.0)
+        self.values.append(r)
+        return r
+
+
+class _Replay:
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def random(self):
+        return next(self.values)
+
+
+@pytest.mark.parametrize("hidden", [1, 3, 8, 32])
+def test_sample_draws_on_the_frozen_references_cdf_edges(hidden):
+    # `sample` returns no probabilities, and a uniform almost never falls
+    # within an ulp of a CDF edge, so uniforms placed on the edges are what
+    # shows a last-bit difference in a step's probabilities.
+    for limits in ((4, 9), (7, 9)):
+        sched = DecisionSchedule.from_limits(SpaceLimits(*limits))
+        for init_scale in (0.01, 0.5, 10.0):
+            controller = ControllerState.seeded(hidden, hidden, 3, init_scale)
+            for seed in range(15):
+                drawn = []
+                edges = _AtTheEdges(drawn, seed)
+                ref = _rollout_reference(controller, sched, edges, drawn=drawn)
+                _assert_same_rollout(sample(controller, sched, _Replay(edges.values)), ref)
+
+
 def test_sample_logprob_matches_replay():
-    # on-policy: the probabilities each step is drawn from are those the
-    # score of the sampled actions is taken under
+    # on-policy: the probabilities each step is drawn from (recorded by the
+    # frozen reference, whose draws `sample` repeats bit for bit) are those
+    # the score of the sampled actions is taken under
     controller = ControllerState.seeded(4, hidden_size=8, emb_dim=3, init_scale=0.5)
     sched = DecisionSchedule.from_limits(SpaceLimits(5, 9))
     rng, twin = random.Random(9), random.Random(9)
     for _ in range(50):
         drawn = []
-
-        def draw(t, p):
-            # sample's inverse-CDF draw, recording the probabilities
-            drawn.append(p)
-            r, acc = rng.random(), 0.0
-            for a, pa in enumerate(p):
-                acc += pa
-                if r < acc:
-                    return a
-            return len(p) - 1
-
-        s = reinforce._rollout(controller, sched, draw)
-        assert s.actions == sample(controller, sched, twin).actions
+        s = sample(controller, sched, rng)
+        assert s.actions == _rollout_reference(controller, sched, twin, drawn=drawn).actions
         (lp,), _ = logprob_and_grad(controller, sched, [s])
         _, _, ref_probs = _logprob_and_grad_by_step(controller, sched, s.actions)
         assert all(0.0 < p[a] <= 1.0 for p, a in zip(drawn, s.actions))
         assert abs(sum(math.log(p[a]) for p, a in zip(drawn, s.actions)) - lp) < 1e-12
         for p, ref in zip(drawn, ref_probs, strict=True):
             assert np.allclose(p, ref, rtol=0, atol=1e-15)
+
+
+class _CountingRandom(random.Random):
+    """Counts `random()` calls, and records every other public attribute
+    looked up on it."""
+
+    def __init__(self, seed):
+        self.other = []
+        super().__init__(seed)
+        self.draws, self.other = 0, []
+
+    def random(self):
+        self.draws += 1
+        return super().random()
+
+    def __getattribute__(self, name):
+        if not name.startswith("_") and name not in ("random", "draws", "other"):
+            object.__getattribute__(self, "other").append(name)
+        return super().__getattribute__(name)
+
+
+def test_sample_draws_one_uniform_a_step_and_follow_none(monkeypatch):
+    # The determinism contract a batched sampler must keep: rollout after
+    # rollout, each step of `sample` takes the next `rng.random()`, and
+    # nothing else touches the generator; `follow` draws nothing.
+    controller = ControllerState.seeded(3, hidden_size=8, emb_dim=3, init_scale=0.5)
+    for sched in (BANDIT, SCHEDULE_5_9, DecisionSchedule.from_limits(SpaceLimits(7, 9))):
+        rng = _CountingRandom(5)
+        batch = [sample(controller, sched, rng) for _ in range(10)]
+        assert rng.draws == 10 * sched.num_steps
+        assert rng.other == []
+
+        def refuse(*args):
+            raise AssertionError("follow drew a random number")
+
+        with monkeypatch.context() as m:
+            for name in ("random", "getrandbits"):
+                m.setattr(random.Random, name, refuse)
+                m.setattr(random, name, refuse)
+            for s in batch:
+                follow(controller, sched, s.actions)
 
 
 def test_sample_deterministic():
@@ -543,6 +688,23 @@ def test_logprob_rejects_wrong_length():
     two_steps = follow(controller, DecisionSchedule((3, 3)), (0, 1))
     with pytest.raises(ShapeError, match="schedule has 1 steps"):
         logprob_and_grad(controller, BANDIT, [two_steps])
+
+
+@pytest.mark.parametrize("step", [2, 6])  # a binary step, a ternary step
+def test_follow_refuses_an_action_outside_its_steps_range(step):
+    # before any forward pass: a controller without weights would fail in
+    # one with another error
+    sched = DecisionSchedule.from_limits(SpaceLimits(4, 9))
+    arity = sched.arities[step]
+    assert arity == (2 if step < 6 else 3)
+    controller = replace(ControllerState.seeded(0, 4, 2), W_e=None, W_h=None)
+    for bad in (-1, arity, 1.0, True):
+        actions = [0] * sched.num_steps
+        actions[step] = bad
+        with pytest.raises(
+            ShapeError, match=re.escape(f"action {bad!r} at step {step} is not an int in range({arity})")
+        ):
+            follow(controller, sched, tuple(actions))
 
 
 def test_from_flat_rejects_non_finite_parameters():
