@@ -28,7 +28,7 @@ from .errors import ExhaustedError, In, InvalidSpecError, check_fields, check_va
 MAX_REJECTION_ATTEMPTS = 10_000
 
 # Bounds of the value-keyed memos on `canonical_hash` and `phenotype_of`
-# (keyed on a genome's raw parts and the limits). Search re-derives a few
+# (keyed on a genome's parts and the limits). Search re-derives a few
 # hundred distinct cells per seeded run; unbounded memos raised peak memory
 # by up to 37% on the predictor pipeline, whose random draws are mostly distinct.
 HASH_MEMO_SIZE = 1024
@@ -62,6 +62,7 @@ OP_CODES = {
 }
 
 INTERIOR_OPS = (OpLabel.CONV3X3, OpLabel.CONV1X1, OpLabel.MAXPOOL3X3)
+_INTERIOR = frozenset(INTERIOR_OPS)
 
 class Violation(enum.Enum):
     TOO_MANY_VERTICES = "too_many_vertices"
@@ -91,6 +92,18 @@ _PAIRS = tuple(
     tuple((i, j) for i in range(v) for j in range(i + 1, v)) for v in range(MAX_VERTICES + 1)
 )
 _PAIR_SETS = tuple(frozenset(pairs) for pairs in _PAIRS)
+# per vertex count, each pair's bit in a genome's mask, and per vertex i < v-1
+# the shift and bits that read its successors from mask << 1 (see `_on_path`)
+_BIT = tuple({p: 1 << k for k, p in enumerate(pairs)} for pairs in _PAIRS)
+_ROWS = tuple(
+    tuple((pairs.index((i, i + 1)) - i, ((1 << (v - 1 - i)) - 1) << (i + 1)) for i in range(v - 1))
+    for v, pairs in enumerate(_PAIRS)
+)
+# per (n, v), each n-vertex mask bit padded to v vertices: OUT's column moves to v - 1
+_PAD_BITS = {
+    (n, v): tuple(_BIT[v][i, v - 1 if j == n - 1 else j] for i, j in _PAIRS[n])
+    for v in range(MAX_VERTICES + 1) for n in range(2, v)
+}
 
 
 def upper_triangle_pairs(num_vertices: int) -> tuple[tuple[int, int], ...]:
@@ -156,29 +169,36 @@ class ModelSpec:
         return cls(v, edges, ops)
 
 
-def _on_path(num_vertices: int, edges) -> int:
-    """Bitmask of the vertices on some directed input->output path; 0 when
-    the output is unreachable from the input. Edges must be sorted with
-    i < j, so one forward sweep settles reachability from the input and one
-    backward sweep settles reachability of the output."""
-    from_input = 1
-    for i, j in edges:
+def genome_of(spec: ModelSpec) -> tuple:
+    """A spec as a genome, (num_vertices, mask, ops): bit k of mask is the
+    k-th pair of `upper_triangle_pairs(num_vertices)`."""
+    return spec.num_vertices, sum(map(_BIT[spec.num_vertices].__getitem__, spec.edges)), spec.ops
+
+
+def _on_path(num_vertices: int, mask: int) -> int:
+    """Bitmask of the vertices on some directed input->output path of an
+    edge mask, 0 if none. Edges point upward, so one forward sweep settles
+    reachability from the input and one backward sweep that of the output."""
+    mask <<= 1
+    rows = _ROWS[num_vertices]
+    from_input, i = 1, 0
+    for shift, successors in rows:
         if from_input >> i & 1:
-            from_input |= 1 << j
-    to_output = 1 << (num_vertices - 1)
-    for i, j in reversed(edges):
-        if to_output >> j & 1:
+            from_input |= mask >> shift & successors
+        i += 1
+    to_output = 1 << i
+    if not from_input & to_output:
+        return 0
+    for shift, successors in reversed(rows):
+        i -= 1
+        if mask >> shift & successors & to_output:
             to_output |= 1 << i
     return from_input & to_output
 
 
 def _ops_ok(ops) -> bool:
     """IN and OUT at the terminals, a real operation on every interior vertex."""
-    return (
-        ops[0] is OpLabel.IN
-        and ops[-1] is OpLabel.OUT
-        and all(op in INTERIOR_OPS for op in ops[1:-1])
-    )
+    return ops[0] is OpLabel.IN and ops[-1] is OpLabel.OUT and _INTERIOR.issuperset(ops[1:-1])
 
 
 def _over_budget(num_vertices: int, num_edges: int, limits: SpaceLimits) -> list[Violation]:
@@ -194,7 +214,7 @@ def _broken_rules(spec: ModelSpec) -> list[Violation]:
     """The cell rules, without budgets: IN/OUT terminals, real interior
     ops, and every vertex on some directed input->output path."""
     broken = [] if _ops_ok(spec.ops) else [Violation.BAD_TERMINAL_OPS]
-    on_path = _on_path(spec.num_vertices, spec.edges)
+    on_path = _on_path(spec.num_vertices, genome_of(spec)[1])
     if not on_path:
         broken.append(Violation.NO_IN_OUT_PATH)
     if on_path != (1 << spec.num_vertices) - 1:
@@ -214,31 +234,32 @@ def validate(spec: ModelSpec, limits: SpaceLimits) -> ValidationReport:
     return ValidationReport(valid=not violations, violations=tuple(violations))
 
 
-def phenotype_of(num_vertices: int, edges, ops, limits: SpaceLimits) -> ModelSpec | None:
-    """The cell a genome denotes, given by its parts as a ModelSpec stores
-    them: the genome less every vertex on no directed input->output path,
-    survivors renumbered in order. None when the output is unreachable or
-    that cell breaks a budget or an interior-op rule; InvalidSpecError
-    unless IN and OUT sit at the terminals. Builds only the cell it returns.
-    Equal (num_vertices, edges, ops, limits) share one memo entry
-    (PRUNE_MEMO_SIZE), None answers included, so equal genomes share one
-    cell object; InvalidSpecError is raised afresh on every call."""
-    return _phenotype_memo(num_vertices, edges, ops, limits)
+def phenotype_of(num_vertices: int, mask: int, ops, limits: SpaceLimits) -> ModelSpec | None:
+    """The cell a genome (see `genome_of`) denotes: the genome less every
+    vertex on no input->output path, survivors renumbered in order. None
+    when there is no path or the cell breaks a budget or an interior-op
+    rule; InvalidSpecError, raised afresh on every call, unless IN and OUT
+    sit at the terminals. Builds only the cell it returns; equal genomes and
+    limits share one memo entry (PRUNE_MEMO_SIZE, None cached too) and cell."""
+    return _phenotype_memo(num_vertices, mask, ops, limits)
 
 
-def _phenotype(num_vertices: int, edges, ops, limits: SpaceLimits) -> ModelSpec | None:
+def _phenotype(num_vertices: int, mask: int, ops, limits: SpaceLimits) -> ModelSpec | None:
     if ops[0] is not OpLabel.IN or ops[-1] is not OpLabel.OUT:
         raise InvalidSpecError("a genome needs IN at vertex 0 and OUT at the last vertex")
-    keep = _on_path(num_vertices, edges)
+    keep = _on_path(num_vertices, mask)
     if not keep:
         return None
+    pairs, edges = _PAIRS[num_vertices], []
+    while mask:  # the set bits, lowest first: the edges, sorted
+        low = mask & -mask
+        edges.append(pairs[low.bit_length() - 1])
+        mask ^= low
     if keep != (1 << num_vertices) - 1:
         kept = [k for k in range(num_vertices) if keep >> k & 1]
         renumber = {old: new for new, old in enumerate(kept)}
         # an edge between two on-path vertices lies on a path itself
-        edges = tuple(
-            (renumber[i], renumber[j]) for i, j in edges if keep >> i & 1 and keep >> j & 1
-        )
+        edges = [(renumber[i], renumber[j]) for i, j in edges if keep >> i & 1 and keep >> j & 1]
         num_vertices, ops = len(kept), tuple(ops[k] for k in kept)
     # the cell keeps exactly the on-path vertices and the IN/OUT terminals,
     # so only its budgets and interior ops remain to check
@@ -258,10 +279,8 @@ def require_canonical(spec: ModelSpec) -> None:
     raise InvalidSpecError naming the rules it breaks."""
     broken = _broken_rules(spec)
     if broken:
-        raise InvalidSpecError(
-            "spec is not a pruned, valid cell: "
-            + ", ".join(rule.value for rule in broken)
-        )
+        rules = ", ".join(rule.value for rule in broken)
+        raise InvalidSpecError(f"spec is not a pruned, valid cell: {rules}")
 
 
 # the 4-byte length prefix `_h` puts before a 16-byte digest
@@ -299,12 +318,8 @@ def _wl_hash(spec: ModelSpec) -> str:
         preds[j].append(i)
         succs[i].append(j)
     digests = [
-        _h(
-            bytes([OP_CODES[spec.ops[k]]]),
-            bytes([len(preds[k])]),
-            bytes([len(succs[k])]),
-        )
-        for k in range(v)
+        _h(bytes([OP_CODES[op]]), bytes([len(p)]), bytes([len(s)]))
+        for op, p, s in zip(spec.ops, preds, succs)
     ]
     # each round hashes _h's blob of (digest, sorted predecessor digests,
     # sorted successor digests) in one join; only the digests change
@@ -363,63 +378,57 @@ def random_spec(rng, limits: SpaceLimits) -> ModelSpec:
     uniform = rng.random
     for _ in range(MAX_REJECTION_ATTEMPTS):
         v = 2 + below(rng, limits.max_vertices - 1, 1)[0]
-        edges = tuple([p for p in _PAIRS[v] if uniform() < 0.5])
+        mask = 0
+        for bit in _BIT[v].values():  # a plain loop: a comprehension costs a call
+            if uniform() < 0.5:
+                mask |= bit
         interior = [INTERIOR_OPS[a] for a in below(rng, len(INTERIOR_OPS), v - 2)]
         ops = (OpLabel.IN, *interior, OpLabel.OUT)
-        cell = phenotype_of(v, edges, ops, limits)
+        cell = phenotype_of(v, mask, ops, limits)
         if cell is not None:
             return cell
-    raise ExhaustedError(
-        f"no valid random spec after {MAX_REJECTION_ATTEMPTS} draws at {limits}"
-    )
+    raise ExhaustedError(f"no valid random spec after {MAX_REJECTION_ATTEMPTS} draws at {limits}")
 
 
-def mutate(parent: ModelSpec, rng, limits: SpaceLimits) -> tuple[ModelSpec, ModelSpec]:
-    """One uniformly-drawn primitive edit of the parent genome, returned
-    with the cell it denotes as (child, cell).
+def mutate(genome: tuple, rng, limits: SpaceLimits) -> tuple[tuple, ModelSpec]:
+    """One uniformly-drawn primitive edit of the parent genome (see
+    `genome_of`), returned with the cell it denotes as (child genome, cell).
 
     The edit is applied to the parent padded out to `max_vertices` with
     dormant (edgeless) interior vertices, whose ops are drawn uniformly
-    (OUT moves to the last slot), and the child is returned
-    UNPRUNED: dormant and half-connected vertices are hereditary material.
-    A single flip can only give a dead vertex its first edge — the cell it
-    computes (the pruning) is unchanged — but a later flip on that child
-    completes the connection and the vertex comes alive. Pruning children
-    here instead would discard those neutral intermediates and the search
-    could never regrow vertices, walling itself into small-cell subspaces.
+    (OUT moves to the last slot), and the child is returned UNPRUNED:
+    dormant and half-connected vertices are hereditary material. One flip
+    can only give a dead vertex its first edge, leaving the cell unchanged,
+    but a later flip completes the connection and the vertex comes alive;
+    pruning children would leave the search unable to regrow vertices.
 
-    A child is accepted when it denotes a cell (`phenotype_of`, on the
-    child's raw parts) under the limits; otherwise the edit is redrawn (with
-    replacement, up to the attempt cap). Only the kept child becomes a
-    ModelSpec; it differs from the padded parent by exactly the one edit.
-
-    The edits are one adjacency bit flip anywhere in the upper triangle, or
-    one op swap on any interior slot (dormant slots included: their ops are
-    real genetic material that matters when a later flip brings the vertex
-    alive). One draw below their count picks flip r, or swap r - flips.
+    A child is accepted when it denotes a cell (`phenotype_of`) under the
+    limits; otherwise the edit is redrawn, up to the attempt cap. An edit is
+    one mask bit flip, or one op swap on any interior slot, dormant ones
+    included. One draw below their count picks flip r, or swap r - flips.
+    No genome becomes a ModelSpec.
     """
-    n, edges, ops = parent.num_vertices, parent.edges, parent.ops
+    n, mask, ops = genome
     v = limits.max_vertices
     if n > v:
         raise ValueError(f"a {n}-vertex parent does not fit {limits}")
     if n < v:
-        # OUT's edges come last among their source's, so the edges stay sorted
-        edges = tuple((i, v - 1 if j == n - 1 else j) for i, j in edges)
+        mask = sum([b for k, b in enumerate(_PAD_BITS[n, v]) if mask >> k & 1])
         dormant = tuple([INTERIOR_OPS[a] for a in below(rng, len(INTERIOR_OPS), v - n)])
         ops = ops[: n - 1] + dormant + (OpLabel.OUT,)
-    pairs, swaps = _PAIRS[v], _swaps(ops)
+    flips, swaps = len(_PAIRS[v]), _swaps(ops)
     for _ in range(MAX_REJECTION_ATTEMPTS):
-        r = below(rng, len(pairs) + len(swaps), 1)[0]
-        if r < len(pairs):
-            child_edges, child_ops = tuple(sorted(set(edges) ^ {pairs[r]})), ops
+        r = below(rng, flips + len(swaps), 1)[0]
+        if r < flips:
+            child_mask, child_ops = mask ^ (1 << r), ops
         else:
-            k, op = swaps[r - len(pairs)]
-            child_edges, child_ops = edges, ops[:k] + (op,) + ops[k + 1 :]
-        cell = phenotype_of(v, child_edges, child_ops, limits)
+            k, op = swaps[r - flips]
+            child_mask, child_ops = mask, ops[:k] + (op,) + ops[k + 1 :]
+        cell = phenotype_of(v, child_mask, child_ops, limits)
         if cell is not None:
-            return ModelSpec(v, child_edges, child_ops), cell
+            return (v, child_mask, child_ops), cell
     raise ExhaustedError(
-        f"no valid mutation of a {parent.num_vertices}-vertex parent "
+        f"no valid mutation of a {n}-vertex parent "
         f"after {MAX_REJECTION_ATTEMPTS} attempts at {limits}"
     )
 
@@ -427,9 +436,7 @@ def mutate(parent: ModelSpec, rng, limits: SpaceLimits) -> tuple[ModelSpec, Mode
 @functools.cache
 def _swaps(ops) -> tuple:
     """Every op swap on an interior slot of `ops`: (slot, its new op)."""
-    return tuple(
-        (k, op) for k in range(1, len(ops) - 1) for op in INTERIOR_OPS if op is not ops[k]
-    )
+    return tuple((k, op) for k in range(1, len(ops) - 1) for op in INTERIOR_OPS if op is not ops[k])
 
 
 def enumerate_space(limits: SpaceLimits) -> Iterator[ModelSpec]:
@@ -444,8 +451,7 @@ def enumerate_space(limits: SpaceLimits) -> Iterator[ModelSpec]:
     it comes first among its images under the structure's automorphisms.
     """
     for v in range(2, limits.max_vertices + 1):
-        pairs = upper_triangle_pairs(v)
-        bit = {p: 1 << k for k, p in enumerate(pairs)}
+        pairs, bit = _PAIRS[v], _BIT[v]
         # edges point upward, so every vertex is on an IN->OUT path exactly
         # when each one but IN has an in-edge and each but OUT an out-edge
         need = [sum(bit[p] for p in pairs if p[1] == k) for k in range(1, v)]

@@ -22,9 +22,9 @@ from .traces import SearchTrace
 
 
 class Individual(NamedTuple):
-    """An unpruned genome, mutation's material, and the cell it denotes."""
+    """An unpruned genome (`cellspace.genome_of`), mutation's material, and its cell."""
 
-    genome: ModelSpec
+    genome: tuple
     cell: ModelSpec
     fitness: float
     birth_index: int
@@ -55,7 +55,7 @@ def init_population(cfg: EvolutionConfig, limits: SpaceLimits, fitness, rng: ran
     history: list[Individual] = []
     while len(population) < cfg.population_size:
         cell = cellspace.random_spec(rng, limits)
-        ind = Individual(cell, cell, fitness.evaluate(cell), len(history))
+        ind = Individual(cellspace.genome_of(cell), cell, fitness.evaluate(cell), len(history))
         population.append(ind)
         history.append(ind)
     return population, history

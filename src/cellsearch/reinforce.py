@@ -124,16 +124,10 @@ class DecisionSchedule:
         cell (no IN->OUT path, or over the edge budget after pruning)."""
         if self.limits is None:
             raise ConfigError("schedule has no assembly layout")
-        edges = tuple(
-            pair for pair, a in zip(self.edge_pairs, actions) if a == 1
-        )
-        op_actions = actions[len(self.edge_pairs) :]
-        ops = (
-            (OpLabel.IN,)
-            + tuple(INTERIOR_OPS[a] for a in op_actions)
-            + (OpLabel.OUT,)
-        )
-        return phenotype_of(self.limits.max_vertices, edges, ops, self.limits)
+        flips = len(self.edge_pairs)  # edge step k decides bit k of the genome's mask
+        mask = sum([1 << k for k, a in enumerate(actions[:flips]) if a == 1])
+        ops = (OpLabel.IN, *[INTERIOR_OPS[a] for a in actions[flips:]], OpLabel.OUT)
+        return phenotype_of(self.limits.max_vertices, mask, ops, self.limits)
 
 
 def _shapes(hidden_size: int, emb_dim: int) -> dict:
@@ -333,6 +327,8 @@ def logprob_and_grad(controller: ControllerState, schedule: DecisionSchedule, ro
     each rollout's operands in the layout a lone rollout's would have, so
     no row depends on the rest of the batch. Returns (logprobs of shape
     (n,), gradients of shape (n, P) with each row aligned with flatten()).
+    ShapeError, as `follow` words it, for an action outside its step's
+    range(arity).
 
     numpy and BLAS choose a summation order by layout, so the copies here
     are `np.take`, row-major per rollout: fancy indexing (`H[:, steps]`)
@@ -346,6 +342,11 @@ def logprob_and_grad(controller: ControllerState, schedule: DecisionSchedule, ro
     n = len(rollouts)
     HS = np.array([r.states for r in rollouts]).reshape(n, T + 1, c.hidden_size)
     chosen = np.array([r.actions for r in rollouts], dtype=int).reshape(n, T)
+    bad = np.argwhere((chosen < 0) | (chosen >= schedule.arities))
+    if bad.size:
+        k, t = bad[0]
+        a, arity = rollouts[k].actions[t], schedule.arities[t]
+        raise ShapeError(f"action {a!r} at step {t} of rollout {k} is not an int in range({arity})")
     # step t's input row: the start token, then the row of step t-1's action
     # (each arity's rows are consecutive)
     rows = np.full((n, T), _EMB_START)

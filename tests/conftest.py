@@ -167,9 +167,36 @@ LOOSE_SPEC_OBJECTS = [
 ]
 
 
+# ---------------------------------------------------------------------------
+# genomes (num_vertices, mask, ops) against the ModelSpecs tests write:
+# bit k of mask is the k-th row-major upper-triangular pair
+
+
+def mask_of(v, edges) -> int:
+    pairs = cellspace.upper_triangle_pairs(v)
+    return sum(1 << pairs.index(tuple(e)) for e in edges)
+
+
+def spec_of(genome) -> ModelSpec:
+    v, mask, ops = genome
+    pairs = cellspace.upper_triangle_pairs(v)
+    return ModelSpec(v, tuple(p for k, p in enumerate(pairs) if mask >> k & 1), ops)
+
+
 def cell_of(genome: ModelSpec, limits: SpaceLimits):
     """The cell a genome ModelSpec denotes, through `phenotype_of`."""
-    return cellspace.phenotype_of(genome.num_vertices, genome.edges, genome.ops, limits)
+    return cellspace.phenotype_of(
+        genome.num_vertices, mask_of(genome.num_vertices, genome.edges), genome.ops, limits
+    )
+
+
+def mutate_spec(parent: ModelSpec, rng, limits: SpaceLimits):
+    """`mutate` on a ModelSpec parent, its child genome returned as a
+    ModelSpec beside the cell."""
+    child, cell = cellspace.mutate(
+        (parent.num_vertices, mask_of(parent.num_vertices, parent.edges), parent.ops), rng, limits
+    )
+    return spec_of(child), cell
 
 
 @pytest.fixture

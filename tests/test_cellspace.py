@@ -30,6 +30,7 @@ from cellsearch.cellspace import (
 )
 from cellsearch.errors import ExhaustedError, InvalidSpecError
 from cellsearch.evolution import Individual
+from cellsearch.reinforce import DecisionSchedule
 from cellsearch.traces import TraceRow
 
 from conftest import (
@@ -37,6 +38,8 @@ from conftest import (
     cell_of,
     interior_permutations,
     make_spec,
+    mask_of,
+    mutate_spec,
     perm_canonical_form,
     relabel_spec,
 )
@@ -309,7 +312,7 @@ def test_prune_matches_path_enumeration_oracle():
         )
         s = ModelSpec(v, edges, ops)
         expected = _path_pruning(s)
-        assert cellspace.phenotype_of(v, edges, ops, OPEN) == expected
+        assert cellspace.phenotype_of(v, mask_of(v, edges), ops, OPEN) == expected
         checked += expected is not None
     assert checked > 100
 
@@ -324,7 +327,7 @@ def test_prune_idempotent_and_never_grows():
             + tuple(rng.choice(cellspace.INTERIOR_OPS) for _ in range(v - 2))
             + (OpLabel.OUT,)
         )
-        once = cellspace.phenotype_of(v, edges, ops, OPEN)
+        once = cellspace.phenotype_of(v, mask_of(v, edges), ops, OPEN)
         if once is None:
             continue
         assert cell_of(once, OPEN) == once
@@ -333,7 +336,7 @@ def test_prune_idempotent_and_never_grows():
 
 
 def test_prune_no_path_gives_none():
-    assert cellspace.phenotype_of(2, (), (OpLabel.IN, OpLabel.OUT), OPEN) is None
+    assert cellspace.phenotype_of(2, mask_of(2, ()), (OpLabel.IN, OpLabel.OUT), OPEN) is None
     assert cell_of(make_spec(4, [(0, 1), (2, 3)], [OpLabel.CONV3X3] * 2), OPEN) is None
 
 
@@ -342,7 +345,7 @@ def test_prune_requires_terminal_labels():
     for ops in ((OpLabel.CONV3X3, OpLabel.OUT), (OpLabel.IN, OpLabel.IN)):
         for _ in range(3):
             with pytest.raises(InvalidSpecError):
-                cellspace.phenotype_of(2, ((0, 1),), ops, OPEN)
+                cellspace.phenotype_of(2, mask_of(2, ((0, 1),)), ops, OPEN)
     assert cellspace._phenotype_memo.cache_info().currsize == 0
 
 
@@ -431,7 +434,7 @@ def test_prune_memo_caches_a_no_path_answer():
     cellspace._phenotype_memo.cache_clear()
     for _ in range(2):
         ops = tuple([OpLabel.IN, OpLabel.CONV3X3, OpLabel.OUT])
-        assert cellspace.phenotype_of(3, (tuple([0, 1]),), ops, OPEN) is None
+        assert cellspace.phenotype_of(3, mask_of(3, (tuple([0, 1]),)), ops, OPEN) is None
     info = cellspace._phenotype_memo.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
@@ -440,13 +443,42 @@ def test_prune_memo_stays_bounded():
     cellspace._phenotype_memo.cache_clear()
     # every edge mask of a 5-vertex genome: 1,024 distinct keys
     ops = (OpLabel.IN, OpLabel.CONV3X3, OpLabel.CONV1X1, OpLabel.MAXPOOL3X3, OpLabel.OUT)
-    pairs = upper_triangle_pairs(5)
-    for mask in range(1 << len(pairs)):
-        edges = tuple(p for k, p in enumerate(pairs) if mask >> k & 1)
-        cellspace.phenotype_of(5, edges, ops, OPEN)
+    for mask in range(1 << len(upper_triangle_pairs(5))):
+        cellspace.phenotype_of(5, mask, ops, OPEN)
     info = cellspace._phenotype_memo.cache_info()
     assert (info.misses, info.hits) == (1024, 0)
     assert info.currsize == info.maxsize == cellspace.PRUNE_MEMO_SIZE
+
+
+def test_draws_assembly_and_mutation_share_one_phenotype_memo():
+    # one genome reached three ways: a random_spec draw, REINFORCE assembly
+    # of the same edge bits and op labels, and a mutate child one flip away
+    limits = SpaceLimits(5, 9)
+    for seed in itertools.count():
+        cellspace._phenotype_memo.cache_clear()
+        cell = random_spec(random.Random(seed), limits)
+        # random_spec's parts, drawn again: vertex count, edge coins, ops
+        rng = random.Random(seed)
+        v = 2 + cellspace.below(rng, 4, 1)[0]
+        bits = [int(rng.random() < 0.5) for _ in upper_triangle_pairs(v)]
+        labels = cellspace.below(rng, 3, v - 2)
+        if v == 5 and cellspace._phenotype_memo.cache_info().misses == 1:
+            break
+    mask = sum(b << k for k, b in enumerate(bits))
+    ops = (OpLabel.IN, *[cellspace.INTERIOR_OPS[a] for a in labels], OpLabel.OUT)
+    assembled = DecisionSchedule.from_limits(limits).assemble((*bits, *labels))
+
+    class FirstFlip:
+        """An rng whose every draw is 0: mutate flips bit 0."""
+
+        def getrandbits(self, k):
+            return 0
+
+    child, mutated = mutate((5, mask ^ 1, ops), FirstFlip(), limits)
+    assert child == (5, mask, ops)
+    assert assembled is cell and mutated is cell
+    info = cellspace._phenotype_memo.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 def test_hash_memo_stays_bounded_after_a_threshold_scan():
@@ -466,7 +498,7 @@ def test_prune_memo_returns_an_equal_spec_for_an_equal_genome():
         # fresh, equal tuples: vertex 2 is a dead end and vertex 3 isolated
         edges = tuple(tuple(e) for e in [[0, 1], [0, 2], [1, 4]])
         ops = (OpLabel.IN, *[OpLabel.CONV3X3, OpLabel.CONV1X1, OpLabel.MAXPOOL3X3], OpLabel.OUT)
-        return 5, edges, ops
+        return 5, mask_of(5, edges), ops
 
     first = cellspace.phenotype_of(*parts(), OPEN)
     second = cellspace.phenotype_of(*parts(), OPEN)
@@ -534,7 +566,7 @@ def test_phenotype_of_equals_phenotype_of_the_built_genome():
                 ops = (OpLabel.IN, *interior, OpLabel.OUT)
                 genome = ModelSpec(v, edges, ops)
                 for limits in limits_list:
-                    cell = cellspace.phenotype_of(v, edges, ops, limits)
+                    cell = cellspace.phenotype_of(v, mask_of(v, edges), ops, limits)
                     assert cell == _old_phenotype(genome, limits, on_path), (genome, limits)
                     seen[cell is None] += 1
     assert min(seen.values()) > 50_000, seen
@@ -544,10 +576,12 @@ def test_phenotype_of_equals_phenotype_of_the_built_genome():
         edges = tuple(p for p in upper_triangle_pairs(7) if rng.random() < 0.5)
         ops = (OpLabel.IN, *[rng.choice(cellspace.INTERIOR_OPS) for _ in range(5)], OpLabel.OUT)
         genome = ModelSpec(7, edges, ops)
-        assert cellspace.phenotype_of(7, edges, ops, limits) == _old_phenotype(genome, limits)
+        assert cellspace.phenotype_of(7, mask_of(7, edges), ops, limits) == _old_phenotype(
+            genome, limits
+        )
     for ops in ((OpLabel.CONV3X3, OpLabel.OUT), (OpLabel.IN, OpLabel.IN)):
         with pytest.raises(InvalidSpecError):
-            cellspace.phenotype_of(2, ((0, 1),), ops, limits)
+            cellspace.phenotype_of(2, mask_of(2, ((0, 1),)), ops, limits)
 
 
 def _benchmark_traced_names() -> set[str]:
@@ -730,7 +764,7 @@ def test_mutate_single_edit_distance():
     rng = random.Random(19)
     limits = SpaceLimits(5, 9)
     for _ in range(1000):
-        child, cell = mutate(parent, rng, limits)
+        child, cell = mutate_spec(parent, rng, limits)
         assert cell == _path_pruning(child)
         assert validate(cell, limits).valid
         assert child.num_vertices == parent.num_vertices
@@ -747,7 +781,7 @@ def test_mutate_smaller_parent_edits_padded_genome():
     rng = random.Random(4)
     limits = SpaceLimits(5, 9)
     for _ in range(500):
-        child, cell = mutate(parent, rng, limits)
+        child, cell = mutate_spec(parent, rng, limits)
         assert child.num_vertices == 5
         assert cell == _path_pruning(child)
         assert validate(cell, limits).valid
@@ -771,8 +805,8 @@ def test_mutate_growth_is_reachable_via_neutral_edits():
     rng = random.Random(11)
     grew = False
     for _ in range(300):
-        child, _ = mutate(parent, rng, limits)
-        _, cell = mutate(child, rng, limits)
+        child, _ = mutate_spec(parent, rng, limits)
+        _, cell = mutate_spec(child, rng, limits)
         if cell.num_vertices > 3:
             grew = True
             break
@@ -786,7 +820,7 @@ def test_mutate_op_change_only_touches_that_op():
     # At these limits the only surviving edits are the interior op swaps.
     seen_ops = set()
     for _ in range(200):
-        child, _ = mutate(parent, rng, limits)
+        child, _ = mutate_spec(parent, rng, limits)
         if child.num_vertices == 3 and child.edges == parent.edges:
             seen_ops.add(child.ops[1])
             assert child.ops[0] is OpLabel.IN and child.ops[2] is OpLabel.OUT
@@ -796,7 +830,7 @@ def test_mutate_op_change_only_touches_that_op():
 def test_mutate_two_vertex_parent_at_tight_limits_exhausts():
     parent = ModelSpec(2, ((0, 1),), (OpLabel.IN, OpLabel.OUT))
     with pytest.raises(ExhaustedError):
-        mutate(parent, random.Random(0), SpaceLimits(2, 1))
+        mutate_spec(parent, random.Random(0), SpaceLimits(2, 1))
 
 
 def _frozen_pad_to(spec, max_vertices, rng):
@@ -837,7 +871,7 @@ def _frozen_mutate(parent, rng, limits):
     raise ExhaustedError("no valid mutation")
 
 
-@pytest.mark.parametrize("limits", [(4, 9), (5, 9), (7, 9)])
+@pytest.mark.parametrize("limits", [(4, 9), (5, 9), (7, 9), (3, 2), (6, 9)])
 def test_mutate_equals_the_child_building_reference(limits):
     # parents are the genomes of a mutation chain and, every third step,
     # the smaller cell of the last child, which takes the padding path
@@ -847,23 +881,36 @@ def test_mutate_equals_the_child_building_reference(limits):
     padded = 0
     for n in range(2_000):
         padded += parent.num_vertices < limits.max_vertices
-        child, cell = mutate(parent, ours, limits)
+        child, cell = mutate_spec(parent, ours, limits)
         assert (child, cell) == _frozen_mutate(parent, theirs, limits), parent
         assert ours.getstate() == theirs.getstate()
         parent = cell if n % 3 == 0 else child
     assert padded > 200, padded
 
 
+def test_pad_table_moves_only_the_out_column():
+    # padding an n-vertex mask to v vertices keeps every pair but OUT's,
+    # whose column moves to the new last vertex
+    for v in range(3, cellspace.MAX_VERTICES + 1):
+        for n in range(2, v):
+            bits = cellspace._PAD_BITS[n, v]
+            pairs = upper_triangle_pairs(n)
+            for mask in range(1 << len(pairs)):
+                edges = [p for k, p in enumerate(pairs) if mask >> k & 1]
+                padded = sum(b for k, b in enumerate(bits) if mask >> k & 1)
+                assert padded == mask_of(v, [(i, v - 1 if j == n - 1 else j) for i, j in edges])
+
+
 def test_mutate_refuses_a_parent_larger_than_the_limits():
     parent = make_spec(5, [(0, 1), (1, 2), (2, 3), (3, 4)], [OpLabel.CONV3X3] * 3)
     with pytest.raises(ValueError, match="a 5-vertex parent does not fit"):
-        mutate(parent, random.Random(0), SpaceLimits(4, 9))
+        mutate_spec(parent, random.Random(0), SpaceLimits(4, 9))
 
 
 def test_mutate_deterministic_per_seed():
     parent = make_spec(4, [(0, 1), (1, 2), (2, 3)], [OpLabel.CONV3X3, OpLabel.CONV1X1])
-    a = mutate(parent, random.Random(9), SpaceLimits(7, 9))
-    b = mutate(parent, random.Random(9), SpaceLimits(7, 9))
+    a = mutate_spec(parent, random.Random(9), SpaceLimits(7, 9))
+    b = mutate_spec(parent, random.Random(9), SpaceLimits(7, 9))
     assert a == b
 
 

@@ -20,7 +20,7 @@ from cellsearch.evolution import (
 )
 from cellsearch.oracle import PaidQueries, SimClock, SyntheticOracle, synth_record
 
-from conftest import cell_of, make_spec
+from conftest import cell_of, make_spec, spec_of
 
 LIMITS = SpaceLimits(5, 9)
 
@@ -269,13 +269,13 @@ def test_clock_charges_each_distinct_phenotype_once():
     expected = 0.0
     seen = set()
     for ind in history:
-        assert ind.cell == cell_of(ind.genome, LIMITS)
+        assert ind.cell == cell_of(spec_of(ind.genome), LIMITS)
         digest = cellspace.canonical_hash(ind.cell)
         if digest not in seen:
             seen.add(digest)
             expected += synth_record(ind.cell, oracle.params).train_time_s
     # the histories hold unpruned genomes beside their cells
-    assert any(ind.genome != ind.cell for ind in history)
+    assert any(spec_of(ind.genome) != ind.cell for ind in history)
     assert clock.elapsed_s == expected
     assert fitness.evaluations == len(seen)
     assert fitness.memo_hits == len(history) - len(seen)

@@ -44,7 +44,7 @@ from cellsearch.predictor import PredictorFitness, RnnParams, TrainConfig
 from cellsearch.reinforce import DecisionSchedule, ReinforceConfig, run_reinforce
 from cellsearch.traces import SearchTrace, TraceRow, read_trace, write_trace
 
-from conftest import LOOSE_SPEC_OBJECTS, cell_of
+from conftest import LOOSE_SPEC_OBJECTS, cell_of, spec_of
 
 OPTIMUM_HASH_5_9 = "e630aae1d56e850ac87f7aa771b47739"
 
@@ -483,8 +483,8 @@ def test_topk_prunes_genomes():
         limits, 3, guided, SimClock(),
     )
     cells = {ind.cell for ind in history}
-    assert all(ind.cell == cell_of(ind.genome, limits) for ind in history)
-    assert any(ind.genome != ind.cell for ind in history)
+    assert all(ind.cell == cell_of(spec_of(ind.genome), limits) for ind in history)
+    assert any(spec_of(ind.genome) != ind.cell for ind in history)
     assert set(guided.predictions) == cells
     assert all(cell_of(cell, limits) == cell for cell in guided.predictions)
     paid = _paid()

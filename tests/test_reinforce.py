@@ -82,6 +82,18 @@ def test_schedule_5_9_has_13_steps():
     assert sched.arities == (2,) * 10 + (3,) * 3
 
 
+@pytest.mark.parametrize("actions, step, arity", [((1, -1), 1, 3), ((1, 3), 1, 3), ((2, 0), 0, 2)])
+def test_logprob_and_grad_refuses_an_action_outside_its_step(actions, step, arity):
+    controller = zero_controller(hidden_size=4, emb_dim=2)
+    schedule = DecisionSchedule((2, 3))
+    good = follow(controller, schedule, (1, 2))
+    bad = replace(good, actions=actions)
+    a = actions[step]
+    message = rf"action {a} at step {step} of rollout 1 is not an int in range\({arity}\)$"
+    with pytest.raises(ShapeError, match=message):
+        logprob_and_grad(controller, schedule, [good, bad])
+
+
 def test_assemble_chain_is_the_known_optimum():
     sched = DecisionSchedule.from_limits(SpaceLimits(5, 9))
     # pairs row-major: (0,1),(0,2),(0,3),(0,4),(1,2),(1,3),(1,4),(2,3),(2,4),(3,4)
