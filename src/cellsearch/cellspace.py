@@ -452,8 +452,9 @@ def enumerate_space(limits: SpaceLimits) -> Iterator[ModelSpec]:
     """
     for v in range(2, limits.max_vertices + 1):
         pairs, bit = _PAIRS[v], _BIT[v]
-        # edges point upward, so every vertex is on an IN->OUT path exactly
-        # when each one but IN has an in-edge and each but OUT an out-edge
+        # edges point upward, so every vertex is on an IN->OUT path exactly when each
+        # but IN has an in-edge and each but OUT an out-edge; this test keeps the same
+        # masks as `_on_path(v, mask) == (1 << v) - 1` in about half the time
         need = [sum(bit[p] for p in pairs if p[1] == k) for k in range(1, v)]
         need += [sum(bit[p] for p in pairs if p[0] == k) for k in range(v - 1)]
         # per interior relabeling, the image bit of each pair; a pair that

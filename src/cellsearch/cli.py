@@ -102,7 +102,9 @@ def _seed_list_type(text: str):
     return seeds
 
 
-def _default_seed() -> int:
+def _default_seed(seed) -> int:
+    if seed is not None:
+        return seed
     raw = os.environ.get("NAS_SEED", "0")
     try:
         return int(raw)
@@ -115,6 +117,8 @@ def _emit(obj) -> None:
 
 
 def _load_params(path) -> SyntheticOracleParams:
+    if not path:
+        return SyntheticOracleParams()
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return SyntheticOracleParams(**json.load(fh))
@@ -154,10 +158,8 @@ def _config_from_args(args) -> ExperimentConfig:
     if args.limits:
         obj["limits"] = asdict(args.limits)
     # seed precedence: --seed (or --seeds, per run), the file, NAS_SEED, 0
-    if args.seed is not None:
-        obj["seed"] = args.seed
-    elif "seed" not in obj and args.seeds is None:
-        obj["seed"] = _default_seed()
+    if args.seed is not None or ("seed" not in obj and args.seeds is None):
+        obj["seed"] = _default_seed(args.seed)
     for name in ("n_label", "label_charge", "label_threshold", "top_k"):
         value = getattr(args, name)
         if value is not None:
@@ -212,7 +214,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    params = _load_params(args.params) if args.params else SyntheticOracleParams()
+    params = _load_params(args.params)
     if args.optimum:
         table = [synthetic_optimum(params, args.limits)]
     else:
@@ -230,7 +232,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_gen_synthetic(args) -> int:
-    params = _load_params(args.params) if args.params else SyntheticOracleParams()
+    params = _load_params(args.params)
     count = 0
     with open(args.out, "w", encoding="utf-8") as fh:
         for line in dump_table_lines(synthetic_table(params, args.limits)):
@@ -245,7 +247,7 @@ def cmd_gen_synthetic(args) -> int:
 
 
 def cmd_label(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _default_seed(args.seed)
     cfg = ExperimentConfig(
         limits=args.limits or SpaceLimits(),
         **_oracle_fields(args.oracle),
@@ -279,7 +281,7 @@ def cmd_label(args) -> int:
 
 
 def cmd_train_predictor(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _default_seed(args.seed)
     check_value("seed", seed, Seed)
     flags = {
         k: getattr(args, k)

@@ -483,7 +483,7 @@ def read_labeled(path):
         check_value("threshold", meta["threshold"], float)
     items = []
     for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
+        if not line.strip():
             continue
         with parsing(path, lineno):
             obj = json.loads(line)

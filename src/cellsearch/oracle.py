@@ -222,8 +222,7 @@ def load_table(path) -> BenchmarkTable:
     table = BenchmarkTable()
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             with parsing(path, lineno):
                 obj = json.loads(line)

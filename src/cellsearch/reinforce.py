@@ -73,9 +73,9 @@ class DecisionSchedule:
     the resulting actions assemble into.
 
     The full-space schedule for max_vertices v is C(v,2) binary edge
-    decisions in row-major upper-triangle order followed by v-2 ternary op
-    decisions, each choosing INTERIOR_OPS[action]; SpaceLimits caps v, so it
-    never has more than MAX_STEPS. Schedules built without limits support
+    decisions, step k setting bit k of the genome's mask, then v-2 ternary
+    op decisions, each choosing INTERIOR_OPS[action]; SpaceLimits caps v, so
+    it never has more than MAX_STEPS. Schedules built without limits support
     sampling and gradients but not assembly — useful for bandit probes of
     the estimator; they too are refused past MAX_STEPS decisions.
     """
@@ -98,14 +98,6 @@ class DecisionSchedule:
     def from_limits(cls, limits: SpaceLimits) -> "DecisionSchedule":
         return cls(_arities(limits), limits)
 
-    @cached_property
-    def edge_pairs(self) -> tuple:
-        """The (i, j) pair each binary step decides, in step order; empty
-        without limits."""
-        if self.limits is None:
-            return ()
-        return upper_triangle_pairs(self.limits.max_vertices)
-
     @property
     def num_steps(self) -> int:
         return len(self.arities)
@@ -124,7 +116,7 @@ class DecisionSchedule:
         cell (no IN->OUT path, or over the edge budget after pruning)."""
         if self.limits is None:
             raise ConfigError("schedule has no assembly layout")
-        flips = len(self.edge_pairs)  # edge step k decides bit k of the genome's mask
+        flips = self.arities.count(2)  # edge step k decides bit k of the genome's mask
         mask = sum([1 << k for k, a in enumerate(actions[:flips]) if a == 1])
         ops = (OpLabel.IN, *[INTERIOR_OPS[a] for a in actions[flips:]], OpLabel.OUT)
         return phenotype_of(self.limits.max_vertices, mask, ops, self.limits)
@@ -188,21 +180,19 @@ class ControllerState:
 @dataclass
 class Baseline:
     """Exponential moving average of batch means (of the utilities, in
-    run_reinforce). Reads as 0.0 until the first update."""
+    run_reinforce). `value` is None, and `read` gives 0.0, until the first update."""
 
-    value: float = 0.0
+    value: float | None = None
     beta: float = 0.9
-    initialized: bool = False
 
     def read(self) -> float:
-        return self.value if self.initialized else 0.0
+        return 0.0 if self.value is None else self.value
 
     def update(self, batch_mean: float) -> None:
-        if self.initialized:
-            self.value = self.beta * self.value + (1.0 - self.beta) * batch_mean
-        else:
+        if self.value is None:
             self.value = float(batch_mean)
-            self.initialized = True
+        else:
+            self.value = self.beta * self.value + (1.0 - self.beta) * batch_mean
 
 
 @dataclass
@@ -285,15 +275,19 @@ def sample(controller: ControllerState, schedule: DecisionSchedule, rng: random.
     return _rollout(controller, schedule, rng, None)
 
 
-def follow(controller: ControllerState, schedule: DecisionSchedule, actions) -> SampledArch:
-    """The rollout that takes the given actions: `sample`'s forward pass
-    with each step's action read from `actions` instead of drawn. Each
-    action must be an int in range(arity) of its step."""
+def _check_actions(schedule: DecisionSchedule, actions, of: str = "") -> None:
+    """ShapeError unless each step has one action, an int in its range(arity)."""
     if len(actions) != schedule.num_steps:
-        raise ShapeError(f"expected {schedule.num_steps} actions, got {len(actions)}")
+        raise ShapeError(f"expected {schedule.num_steps} actions{of}, got {len(actions)}")
     for t, (arity, a) in enumerate(zip(schedule.arities, actions)):
         if type(a) is not int or not 0 <= a < arity:
-            raise ShapeError(f"action {a!r} at step {t} is not an int in range({arity})")
+            raise ShapeError(f"action {a!r} at step {t}{of} is not an int in range({arity})")
+
+
+def follow(controller: ControllerState, schedule: DecisionSchedule, actions) -> SampledArch:
+    """`sample`'s forward pass with each step's action read from `actions`,
+    once they pass `_check_actions`, instead of drawn."""
+    _check_actions(schedule, actions)
     return _rollout(controller, schedule, None, actions)
 
 
@@ -327,8 +321,8 @@ def logprob_and_grad(controller: ControllerState, schedule: DecisionSchedule, ro
     each rollout's operands in the layout a lone rollout's would have, so
     no row depends on the rest of the batch. Returns (logprobs of shape
     (n,), gradients of shape (n, P) with each row aligned with flatten()).
-    ShapeError, as `follow` words it, for an action outside its step's
-    range(arity).
+    Each rollout's actions pass `_check_actions`, as `follow`'s do: any
+    action that is not an int in its step's range(arity) is refused.
 
     numpy and BLAS choose a summation order by layout, so the copies here
     are `np.take`, row-major per rollout: fancy indexing (`H[:, steps]`)
@@ -336,17 +330,11 @@ def logprob_and_grad(controller: ControllerState, schedule: DecisionSchedule, ro
     hidden size 1 and the sum of every rollout's picked log-probabilities."""
     c = controller
     T = schedule.num_steps
-    for r in rollouts:
-        if len(r.actions) != T:
-            raise ShapeError(f"rollout has {len(r.actions)} actions; the schedule has {T} steps")
+    for k, r in enumerate(rollouts):
+        _check_actions(schedule, r.actions, f" of rollout {k}")
     n = len(rollouts)
     HS = np.array([r.states for r in rollouts]).reshape(n, T + 1, c.hidden_size)
     chosen = np.array([r.actions for r in rollouts], dtype=int).reshape(n, T)
-    bad = np.argwhere((chosen < 0) | (chosen >= schedule.arities))
-    if bad.size:
-        k, t = bad[0]
-        a, arity = rollouts[k].actions[t], schedule.arities[t]
-        raise ShapeError(f"action {a!r} at step {t} of rollout {k} is not an int in range({arity})")
     # step t's input row: the start token, then the row of step t-1's action
     # (each arity's rows are consecutive)
     rows = np.full((n, T), _EMB_START)

@@ -88,7 +88,7 @@ def read_trace(path) -> SearchTrace:
     if not lines or lines[0] != TRACE_HEADER:
         raise ParseError(f"{path}: missing trace header")
     for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
+        if not line.strip():
             continue
         parts = line.split(",")
         if len(parts) != 4:

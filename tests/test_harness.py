@@ -37,6 +37,8 @@ from cellsearch.oracle import (
     SimClock,
     SyntheticOracle,
     SyntheticOracleParams,
+    dump_table_lines,
+    load_table,
     synth_record,
     synthetic_label_threshold,
 )
@@ -835,3 +837,38 @@ def test_labeled_file_refuses_spec_numbers_that_are_not_integers(tmp_path, spec)
     _write_one_labeled_line(path, {"label": 1, "spec": spec})
     with pytest.raises(ParseError, match=re.escape(f"{path}:2: malformed spec object:")):
         read_labeled(path)
+
+
+@pytest.mark.parametrize("kind", ["labeled", "trace", "table"])
+def test_every_line_file_reader_skips_whitespace_only_lines(tmp_path, kind):
+    # one rule for the three line-file readers: a line holding only
+    # whitespace is skipped like an empty one (read_labeled and read_trace
+    # used to refuse it), while line 1 stays the header of a labeled file
+    # and of a trace
+    path = tmp_path / kind
+    cells = _three_cells()
+    if kind == "labeled":
+        write_labeled(path, [(c, y) for c, y in zip(cells, (1, 0, 0))], {"threshold": 0.5})
+        read = read_labeled
+    elif kind == "trace":
+        trace = SearchTrace()
+        for i in range(1, 5):
+            trace.append(i, 10.0 * i, 0.1 * i, 0.1 * i)
+        write_trace(trace, path)
+        read = lambda p: read_trace(p).rows
+    else:
+        records = ((c, synth_record(c, SyntheticOracleParams())) for c in cells)
+        path.write_text("\n".join(dump_table_lines(records)) + "\n")
+        read = lambda p: load_table(p).records
+    clean = read(path)
+    lines = path.read_text().splitlines()
+    assert len(lines) >= 3  # the blank goes in as line 3, between data lines
+    for blank in ("   ", "\t", " \t "):
+        path.write_text("\n".join([*lines[:2], blank, *lines[2:], blank]) + "\n")
+        assert read(path) == clean
+        path.write_text("\n".join([blank, *lines]) + "\n")
+        if kind == "table":
+            assert read(path) == clean
+        else:
+            with pytest.raises(ParseError, match=re.escape(f"{path}")):
+                read(path)

@@ -71,9 +71,14 @@ def test_schedule_default_space_has_26_steps():
     sched = DecisionSchedule.from_limits(SpaceLimits(7, 9))
     assert sched.num_steps == 26
     assert sched.arities == (2,) * 21 + (3,) * 5
-    assert sched.edge_pairs[0] == (0, 1)
-    assert sched.edge_pairs[5] == (0, 6)
-    assert sched.edge_pairs[-1] == (5, 6)
+    # edge step k decides the k-th row-major pair: step 0 is (0,1), step 5
+    # is (0,6), IN->OUT, the one edge of the 2-vertex cell, and step 20 is (5,6)
+    def only(step):
+        return sched.assemble(tuple(int(k == step) for k in range(21)) + (0,) * 5)
+
+    cell = only(5)
+    assert (cell.num_vertices, cell.edges, cell.ops) == (2, ((0, 1),), (OpLabel.IN, OpLabel.OUT))
+    assert only(0) is None and only(20) is None
 
 
 def test_schedule_5_9_has_13_steps():
@@ -82,16 +87,32 @@ def test_schedule_5_9_has_13_steps():
     assert sched.arities == (2,) * 10 + (3,) * 3
 
 
-@pytest.mark.parametrize("actions, step, arity", [((1, -1), 1, 3), ((1, 3), 1, 3), ((2, 0), 0, 2)])
-def test_logprob_and_grad_refuses_an_action_outside_its_step(actions, step, arity):
+@pytest.mark.parametrize(
+    "actions, wording",
+    [
+        ((1, 1.5), "action 1.5 at step 1{of} is not an int in range(3)"),
+        ((1, True), "action True at step 1{of} is not an int in range(3)"),
+        ((1, -1), "action -1 at step 1{of} is not an int in range(3)"),
+        ((1, 3), "action 3 at step 1{of} is not an int in range(3)"),
+        ((1, np.int64(1)), f"action {np.int64(1)!r} at step 1{{of}} is not an int in range(3)"),
+        ((2, 0), "action 2 at step 0{of} is not an int in range(2)"),
+        ((1,), "expected 2 actions{of}, got 1"),
+    ],
+    ids=["float", "bool", "negative", "past-arity", "numpy-int", "past-binary", "length"],
+)
+def test_follow_and_logprob_and_grad_refuse_an_action_alike(actions, wording):
+    # one rule behind both entry points, applied before either pass: a
+    # controller without weights would fail in one with another error.
+    # logprob_and_grad used to score 1.5, True and np.int64(1) as action 1.
     controller = zero_controller(hidden_size=4, emb_dim=2)
     schedule = DecisionSchedule((2, 3))
     good = follow(controller, schedule, (1, 2))
-    bad = replace(good, actions=actions)
-    a = actions[step]
-    message = rf"action {a} at step {step} of rollout 1 is not an int in range\({arity}\)$"
-    with pytest.raises(ShapeError, match=message):
-        logprob_and_grad(controller, schedule, [good, bad])
+    weightless = replace(controller, W_e=None, W_h=None)
+    with pytest.raises(ShapeError, match="^" + re.escape(wording.format(of="")) + "$"):
+        follow(weightless, schedule, actions)
+    of_rollout_1 = re.escape(wording.format(of=" of rollout 1"))
+    with pytest.raises(ShapeError, match="^" + of_rollout_1 + "$"):
+        logprob_and_grad(weightless, schedule, [good, replace(good, actions=actions)])
 
 
 def test_assemble_chain_is_the_known_optimum():
@@ -698,7 +719,7 @@ def test_logprob_rejects_wrong_length():
         follow(controller, BANDIT, (0, 1))
     # a rollout of another schedule is refused too
     two_steps = follow(controller, DecisionSchedule((3, 3)), (0, 1))
-    with pytest.raises(ShapeError, match="schedule has 1 steps"):
+    with pytest.raises(ShapeError, match=r"^expected 1 actions of rollout 0, got 2$"):
         logprob_and_grad(controller, BANDIT, [two_steps])
 
 
@@ -890,9 +911,9 @@ def test_run_replays_the_utility_update_by_hand():
 
 def test_baseline_initialization_and_ema():
     b = Baseline()
-    assert b.read() == 0.0
+    assert b.read() == 0.0 and b.value is None
     b.update(0.8)
-    assert b.read() == 0.8 and b.initialized
+    assert b.read() == 0.8 and b.value is not None
     b.update(0.6)
     assert abs(b.read() - 0.78) < 1e-15
 
@@ -944,7 +965,7 @@ def test_run_oracle_mode_bookkeeping():
     assert res.trace.final_row().best_fitness == max(s.reward for s in res.history)
     assert all(r.best_true_acc == r.best_fitness for r in res.trace.rows)
     assert clock.elapsed_s > 0
-    assert res.baseline.initialized
+    assert res.baseline.value is not None
 
 
 def test_run_history_keeps_no_hidden_states():
