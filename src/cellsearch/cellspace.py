@@ -27,12 +27,15 @@ from .errors import ExhaustedError, In, InvalidSpecError, check_fields, check_va
 
 MAX_REJECTION_ATTEMPTS = 10_000
 
-# Bounds of the value-keyed memos on `canonical_hash` and `phenotype_of`
-# (keyed on a genome's parts and the limits). Search re-derives a few
-# hundred distinct cells per seeded run; unbounded memos raised peak memory
-# by up to 37% on the predictor pipeline, whose random draws are mostly distinct.
+# Bounds of the process-wide, value-keyed memos: HASH_MEMO_SIZE cells on
+# `canonical_hash` and `oracle.synth_record`, PRUNE_MEMO_SIZE genomes on
+# `phenotype_of`. A multi-seed run shares them: 46 (5,9) aging-evolution
+# seeds make 105,514 `phenotype_of` lookups of 3,678 genomes (a late seed
+# adds 36-84 new ones) and 11,627 oracle answers of 1,247 cells. Unbounded
+# memos raised peak memory by up to 37% on the predictor pipeline, whose
+# random draws are mostly distinct.
 HASH_MEMO_SIZE = 1024
-PRUNE_MEMO_SIZE = 256
+PRUNE_MEMO_SIZE = 1024
 
 # The package's one vertex cap: the paper's space has up to 7 vertices.
 # REINFORCE sizes its per-step biases from it, and (7,9) enumerates exactly.
@@ -201,11 +204,11 @@ def _ops_ok(ops) -> bool:
     return ops[0] is OpLabel.IN and ops[-1] is OpLabel.OUT and _INTERIOR.issuperset(ops[1:-1])
 
 
-def _over_budget(num_vertices: int, num_edges: int, limits: SpaceLimits) -> list[Violation]:
+def _over_budget(num_vertices: int, num_edges: int, max_vertices: int, max_edges: int):
     over = []
-    if num_vertices > limits.max_vertices:
+    if num_vertices > max_vertices:
         over.append(Violation.TOO_MANY_VERTICES)
-    if num_edges > limits.max_edges:
+    if num_edges > max_edges:
         over.append(Violation.TOO_MANY_EDGES)
     return over
 
@@ -230,7 +233,8 @@ def validate(spec: ModelSpec, limits: SpaceLimits) -> ValidationReport:
     interior vertices on real operations, and every vertex lies on some
     directed path from input to output.
     """
-    violations = _over_budget(spec.num_vertices, spec.num_edges, limits) + _broken_rules(spec)
+    over = _over_budget(spec.num_vertices, spec.num_edges, limits.max_vertices, limits.max_edges)
+    violations = over + _broken_rules(spec)
     return ValidationReport(valid=not violations, violations=tuple(violations))
 
 
@@ -241,10 +245,11 @@ def phenotype_of(num_vertices: int, mask: int, ops, limits: SpaceLimits) -> Mode
     rule; InvalidSpecError, raised afresh on every call, unless IN and OUT
     sit at the terminals. Builds only the cell it returns; equal genomes and
     limits share one memo entry (PRUNE_MEMO_SIZE, None cached too) and cell."""
-    return _phenotype_memo(num_vertices, mask, ops, limits)
+    # the limits' ints, not the dataclass, whose generated __hash__ runs in Python
+    return _phenotype_memo(num_vertices, mask, ops, limits.max_vertices, limits.max_edges)
 
 
-def _phenotype(num_vertices: int, mask: int, ops, limits: SpaceLimits) -> ModelSpec | None:
+def _phenotype(num_vertices: int, mask: int, ops, max_vertices: int, max_edges: int) -> ModelSpec | None:
     if ops[0] is not OpLabel.IN or ops[-1] is not OpLabel.OUT:
         raise InvalidSpecError("a genome needs IN at vertex 0 and OUT at the last vertex")
     keep = _on_path(num_vertices, mask)
@@ -263,7 +268,7 @@ def _phenotype(num_vertices: int, mask: int, ops, limits: SpaceLimits) -> ModelS
         num_vertices, ops = len(kept), tuple(ops[k] for k in kept)
     # the cell keeps exactly the on-path vertices and the IN/OUT terminals,
     # so only its budgets and interior ops remain to check
-    if _over_budget(num_vertices, len(edges), limits) or not _ops_ok(ops):
+    if _over_budget(num_vertices, len(edges), max_vertices, max_edges) or not _ops_ok(ops):
         return None
     return ModelSpec(num_vertices, edges, ops)
 

@@ -441,12 +441,23 @@ def test_prune_memo_caches_a_no_path_answer():
 
 def test_prune_memo_stays_bounded():
     cellspace._phenotype_memo.cache_clear()
-    # every edge mask of a 5-vertex genome: 1,024 distinct keys
-    ops = (OpLabel.IN, OpLabel.CONV3X3, OpLabel.CONV1X1, OpLabel.MAXPOOL3X3, OpLabel.OUT)
-    for mask in range(1 << len(upper_triangle_pairs(5))):
-        cellspace.phenotype_of(5, mask, ops, OPEN)
+    # 5-vertex genomes, every edge mask under each op labeling in turn, to
+    # twice the bound: every key distinct, so the memo must evict
+    genomes = itertools.islice(
+        (
+            (5, mask, (OpLabel.IN, *labels, OpLabel.OUT))
+            for labels in itertools.product(cellspace.INTERIOR_OPS, repeat=3)
+            for mask in range(1 << len(upper_triangle_pairs(5)))
+        ),
+        2 * cellspace.PRUNE_MEMO_SIZE,
+    )
+    made = 0
+    for genome in genomes:
+        cellspace.phenotype_of(*genome, OPEN)
+        made += 1
+    assert made == 2 * cellspace.PRUNE_MEMO_SIZE
     info = cellspace._phenotype_memo.cache_info()
-    assert (info.misses, info.hits) == (1024, 0)
+    assert (info.misses, info.hits) == (made, 0)
     assert info.currsize == info.maxsize == cellspace.PRUNE_MEMO_SIZE
 
 
@@ -484,9 +495,15 @@ def test_draws_assembly_and_mutation_share_one_phenotype_memo():
 def test_hash_memo_stays_bounded_after_a_threshold_scan():
     cellspace._hash_memo.cache_clear()
     oracle._synthetic_scan.cache_clear()
+    # a warm oracle memo would answer its cells without hashing them
+    oracle._record_memo.cache_clear()
     oracle.synthetic_label_threshold(oracle.SyntheticOracleParams(), SpaceLimits(5, 9))
     info = cellspace._hash_memo.cache_info()
     # enumeration hashes nothing, so synth_record hashes each class once
+    assert (info.misses, info.hits) == (2532, 0)
+    assert info.currsize == info.maxsize == cellspace.HASH_MEMO_SIZE
+    # the record memo is asked for each class once too, and evicts alike
+    info = oracle._record_memo.cache_info()
     assert (info.misses, info.hits) == (2532, 0)
     assert info.currsize == info.maxsize == cellspace.HASH_MEMO_SIZE
 
@@ -503,7 +520,7 @@ def test_prune_memo_returns_an_equal_spec_for_an_equal_genome():
     first = cellspace.phenotype_of(*parts(), OPEN)
     second = cellspace.phenotype_of(*parts(), OPEN)
     assert first is second
-    assert first == cellspace._phenotype(*parts(), OPEN)
+    assert first == cellspace._phenotype(*parts(), OPEN.max_vertices, OPEN.max_edges)
     assert first == make_spec(3, [(0, 1), (1, 2)], [OpLabel.CONV3X3])
     info = cellspace._phenotype_memo.cache_info()
     assert (info.misses, info.hits) == (1, 1)

@@ -13,7 +13,7 @@ import typing
 
 import pytest
 
-from cellsearch import cellspace
+from cellsearch import cellspace, oracle
 from cellsearch.cellspace import SpaceLimits
 from cellsearch.cli import main
 from cellsearch.errors import ParseError, ShapeError
@@ -230,6 +230,38 @@ def test_consecutive_calls_in_one_process_share_no_parsed_state(capsys, tmp_path
     assert sorted(line) == ["best_hash", "best_true_acc", "out", "seed", "total_sim_seconds"]
     for name in ("summary.json", "trace.csv"):
         assert (tmp_path / "c" / name).read_bytes() == (tmp_path / "d" / name).read_bytes()
+
+
+def test_a_seeds_bytes_do_not_depend_on_what_ran_before_it(capsys, tmp_path):
+    """The process-wide memos carry cells and oracle records from one seed
+    to the next. A seed writes the same files with every memo cleared, after
+    other seeds in the same process, and inside one `run --seeds`."""
+    gt_evolution = (
+        "run", "--algo", "evolution", "--fitness", "oracle", "--limits", "5,9",
+        "--population-size", "50", "--sample-size", "10", "--cycles", "2000",
+    )
+
+    def files(path):
+        return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+    for memo in (
+        cellspace._hash_memo, cellspace._phenotype_memo, cellspace._swaps,
+        oracle._record_memo, oracle._synthetic_scan,
+    ):
+        memo.cache_clear()
+    assert run_cli(capsys, *gt_evolution, "--seed", "3", "--out", str(tmp_path / "cold"))[0] == 0
+    for seed in (0, 1, 2):
+        out = str(tmp_path / f"warm-{seed}")
+        assert run_cli(capsys, *gt_evolution, "--seed", str(seed), "--out", out)[0] == 0
+    hits = oracle._record_memo.cache_info().hits
+    assert run_cli(capsys, *gt_evolution, "--seed", "3", "--out", str(tmp_path / "warm"))[0] == 0
+    assert oracle._record_memo.cache_info().hits > hits  # the warm run reused records
+    sweep = tmp_path / "sweep"
+    assert run_cli(capsys, *gt_evolution, "--seeds", "0,1,2,3", "--out", str(sweep))[0] == 0
+    cold = files(tmp_path / "cold")
+    assert files(tmp_path / "warm") == files(sweep / "seed-3") == cold
+    for seed in (0, 1, 2):
+        assert files(tmp_path / f"warm-{seed}") == files(sweep / f"seed-{seed}")
 
 
 def test_run_config_file_with_flag_overrides(capsys, tmp_path):

@@ -300,6 +300,55 @@ def test_load_refuses_table_numbers_that_are_not_reals(tmp_path, two_vertex, loo
 
 
 # ---------------------------------------------------------------------------
+# the process-wide memo on synth_record
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        SyntheticOracleParams(),
+        SyntheticOracleParams(base_accuracy=0.5, jitter_scale=0.05, time_edge_s=10.0),
+    ],
+)
+def test_memoized_records_equal_the_uncached_computation(limits59, params):
+    oracle._record_memo.cache_clear()
+    count = 0
+    for spec in cellspace.enumerate_space(limits59):
+        uncached = oracle._synth_record(spec, params)
+        assert synth_record(spec, params) == uncached  # a miss
+        assert synth_record(spec, params) == uncached  # a hit
+        count += 1
+    info = oracle._record_memo.cache_info()
+    assert (info.misses, info.hits) == (count, count) == (2532, 2532)
+
+
+def test_params_differing_only_in_jitter_scale_get_their_own_records():
+    oracle._record_memo.cache_clear()
+    spec = make_spec(4, [(0, 1), (1, 2), (2, 3)], [OpLabel.CONV3X3, OpLabel.CONV1X1])
+    default, wider = SyntheticOracleParams(), SyntheticOracleParams(jitter_scale=0.04)
+    first = synth_record(spec, default)
+    second = synth_record(spec, wider)
+    assert first.val_accuracy != second.val_accuracy
+    assert second == oracle._synth_record(spec, wider)
+    assert synth_record(spec, default) is first
+    info = oracle._record_memo.cache_info()
+    assert (info.misses, info.hits) == (2, 1)
+
+
+def test_params_differing_only_in_the_sign_of_a_zero_share_one_record():
+    # -0.0 == 0.0, so the params are made equal in every bit: the memo then
+    # returns what an uncached computation gives under either
+    oracle._record_memo.cache_clear()
+    spec = make_spec(3, [(0, 1), (1, 2)], [OpLabel.CONV3X3])
+    assert SyntheticOracleParams(accuracy_cap=-0.0).accuracy_cap.hex() == "0x0.0p+0"
+    for cap in (-0.0, 0.0):
+        params = SyntheticOracleParams(accuracy_cap=cap)
+        uncached = oracle._synth_record(spec, params)
+        assert synth_record(spec, params) == uncached
+        assert repr(synth_record(spec, params)) == repr(uncached)
+
+
+# ---------------------------------------------------------------------------
 # the synthetic landscape at (5,9)
 
 
