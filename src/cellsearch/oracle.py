@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import functools
 import json
+import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
 from typing import Annotated
 
-import numpy as np
-
 from . import cellspace
-from .cellspace import ModelSpec, SpaceLimits
+from .cellspace import INTERIOR_OPS, ModelSpec, OpLabel, SpaceLimits
 from .errors import (
     DuplicateHashError, In, UnknownArchitectureError, check_fields, check_value, parsing,
 )
@@ -118,11 +120,11 @@ def longest_path_edges(spec: ModelSpec) -> int:
 
 
 def spec_features(spec: ModelSpec) -> dict:
-    ops = spec.ops[1:-1]
+    ops = spec.ops  # IN and OUT match none of the three
     return {
-        "n_conv3x3": sum(op is cellspace.OpLabel.CONV3X3 for op in ops),
-        "n_conv1x1": sum(op is cellspace.OpLabel.CONV1X1 for op in ops),
-        "n_maxpool": sum(op is cellspace.OpLabel.MAXPOOL3X3 for op in ops),
+        "n_conv3x3": ops.count(OpLabel.CONV3X3),
+        "n_conv1x1": ops.count(OpLabel.CONV1X1),
+        "n_maxpool": ops.count(OpLabel.MAXPOOL3X3),
         "n_edges": spec.num_edges,
         "depth": longest_path_edges(spec),
     }
@@ -143,17 +145,8 @@ def synth_record(spec: ModelSpec, params: SyntheticOracleParams) -> BenchmarkRec
 def _synth_record(spec: ModelSpec, params: SyntheticOracleParams) -> BenchmarkRecord:
     digest = cellspace.canonical_hash(spec)
     f = spec_features(spec)
-    raw = (
-        params.base_accuracy
-        + params.conv3x3_gain * f["n_conv3x3"]
-        + params.conv1x1_gain * f["n_conv1x1"]
-        + params.maxpool_gain * f["n_maxpool"]
-        + params.depth_gain * f["depth"]
-        - params.edge_penalty * f["n_edges"]
-    )
     jitter_fraction = int.from_bytes(bytes.fromhex(digest)[:8], "big") / 2.0**64
-    jitter = (jitter_fraction - 0.5) * params.jitter_scale
-    accuracy = min(max(raw + jitter, 0.0), params.accuracy_cap)
+    accuracy = _accuracy(_raw_accuracy(f, params), jitter_fraction, params)
     time_s = (
         params.time_base_s
         + params.time_conv3x3_s * f["n_conv3x3"]
@@ -162,6 +155,24 @@ def _synth_record(spec: ModelSpec, params: SyntheticOracleParams) -> BenchmarkRe
         + params.time_edge_s * f["n_edges"]
     )
     return BenchmarkRecord(digest, accuracy, time_s)
+
+
+def _raw_accuracy(f: dict, params: SyntheticOracleParams) -> float:
+    """Accuracy before jitter and clamping, from `spec_features`."""
+    return (
+        params.base_accuracy
+        + params.conv3x3_gain * f["n_conv3x3"]
+        + params.conv1x1_gain * f["n_conv1x1"]
+        + params.maxpool_gain * f["n_maxpool"]
+        + params.depth_gain * f["depth"]
+        - params.edge_penalty * f["n_edges"]
+    )
+
+
+def _accuracy(raw: float, fraction: float, params: SyntheticOracleParams) -> float:
+    """`raw` jittered by a fraction in [0, 1] (a digest's can round up to
+    1.0), then clamped: every step is monotone in raw and in fraction."""
+    return min(max(raw + (fraction - 0.5) * params.jitter_scale, 0.0), params.accuracy_cap)
 
 
 # a plain `def` calls the memo, so perfbench's tracer still wraps `synth_record`
@@ -196,33 +207,103 @@ def synthetic_table(params: SyntheticOracleParams, limits: SpaceLimits):
         yield spec, synth_record(spec, params)
 
 
-@functools.lru_cache(maxsize=1)
-def _synthetic_scan(params: SyntheticOracleParams, limits: SpaceLimits):
-    """(label threshold, optimum) from one pass over the synthetic table.
-    Both are pure functions of (params, limits), so the process keeps the
-    last pair: a run, or every seed of one `run`, shares one key."""
-    accs = []
-    best = None
-    for spec, record in synthetic_table(params, limits):
-        accs.append(record.val_accuracy)
-        if best is None or record.val_accuracy > best[1].val_accuracy:
-            best = (spec, record)
-    return float(np.quantile(accs, SYNTHETIC_THRESHOLD_QUANTILE)), best
+def _unpack(key: int) -> ModelSpec:
+    """The cell of a `_SpaceScan` class key."""
+    v, mask, labeling = key >> 29, key >> 8 & 0x1FFFFF, key & 0xFF
+    ops = [INTERIOR_OPS[labeling // 3**k % 3] for k in reversed(range(v - 2))]
+    edges = [pair for k, pair in enumerate(cellspace.upper_triangle_pairs(v)) if mask >> k & 1]
+    return ModelSpec(v, edges, (OpLabel.IN, *ops, OpLabel.OUT))
+
+
+def _linear_quantile(n: int, order_statistics) -> float:
+    """np.quantile(x, 0.9) by its default 'linear' method, bit for bit, for
+    len(x) == n, given x's lo-th and hi-th smallest as order_statistics(lo,
+    hi). numpy clips a virtual index at or past the last rank to rank -1,
+    and reads the weight off the clipped rank."""
+    index = (n - 1) * SYNTHETIC_THRESHOLD_QUANTILE
+    lo = math.floor(index) if index < n - 1 else -1
+    a, b = order_statistics(lo % n, lo + 1 if lo >= 0 else n - 1)
+    t = index - lo
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t  # numpy's `_lerp`
+
+
+def _order_statistic(groups, k: int, bound: int) -> float:
+    # the k-th smallest lower (bound 0) or upper (bound 1) end of (lower, upper, keys) groups
+    ends = sorted((group[bound], len(group[2])) for group in groups)
+    return ends[bisect_right(list(accumulate(count for _, count in ends)), k)][0]
+
+
+class _SpaceScan:
+    """One enumeration of the synthetic space, kept as (lower, upper, keys)
+    groups: the classes of one raw accuracy, whose accuracies all lie in
+    [lower, upper], each as an int key of vertex count, edge mask and
+    labeling that sorts in enumeration order."""
+
+    def __init__(self, params: SyntheticOracleParams, limits: SpaceLimits):
+        self.params, groups = params, {}
+        for spec in cellspace.enumerate_space(limits):
+            v, mask, ops = cellspace.genome_of(spec)
+            labeling = 0
+            for op in ops[1:-1]:  # base-3 digits, first slot first: product order
+                labeling = 3 * labeling + INTERIOR_OPS.index(op)
+            raw = _raw_accuracy(spec_features(spec), params)
+            groups.setdefault(raw, array("L")).append((v << 21 | mask) << 8 | labeling)
+        ends = lambda raw: sorted([_accuracy(raw, 0.0, params), _accuracy(raw, 1.0, params)])
+        self.groups = [(*ends(raw), keys) for raw, keys in groups.items()]
+        self.count = sum(len(keys) for _, _, keys in self.groups)
+
+    def _ranked(self, lo: int, hi: int) -> tuple:
+        """The lo-th and hi-th smallest (accuracy, -key) over the space. Both
+        lie in [lowest, highest], read off the groups' bounds; the groups that
+        reach it are hashed into one exact group a class, those across its
+        middle first, until no inexact group reaches it."""
+        groups = self.groups
+        while True:
+            lowest, highest = _order_statistic(groups, lo, 0), _order_statistic(groups, hi, 1)
+            reach = [g for g in groups if g[0] < g[1] and g[1] >= lowest and g[0] <= highest]
+            if not reach:
+                break
+            middle = (lowest + highest) / 2
+            across = [g for g in reach if g[0] <= middle <= g[1]] or reach
+            groups = [g for g in groups if g not in across]
+            for key in chain.from_iterable(keys for _, _, keys in across):
+                accuracy = synth_record(_unpack(key), self.params).val_accuracy
+                groups.append((accuracy, accuracy, (key,)))
+        below = sum(len(keys) for _, upper, keys in groups if upper < lowest)
+        ranked = sorted((a, -key) for a, b, keys in groups if b >= lowest and a <= highest for key in keys)
+        return ranked[lo - below], ranked[hi - below]
+
+    @functools.cached_property
+    def threshold(self) -> float:
+        return _linear_quantile(self.count, lambda lo, hi: [acc for acc, _ in self._ranked(lo, hi)])
+
+    @functools.cached_property
+    def optimum(self):
+        # the largest (accuracy, -key): of equal accuracies, the first class
+        (_, key), _ = self._ranked(self.count - 1, self.count - 1)
+        spec = _unpack(-key)
+        return spec, synth_record(spec, self.params)
+
+
+# the process keeps the last scan: a run, or every seed of one `run`, shares one key
+_synthetic_scan = functools.lru_cache(maxsize=1)(_SpaceScan)
 
 
 def synthetic_label_threshold(
     params: SyntheticOracleParams, limits: SpaceLimits
 ) -> float:
-    """Label threshold for synthetic runs: the 0.90 quantile of accuracy
-    over the enumerated space, so both classes are populated regardless of
-    where the synthetic accuracy range sits."""
-    return _synthetic_scan(params, limits)[0]
+    """Label threshold for synthetic runs: np.quantile's 0.90 quantile of
+    accuracy over the enumerated space, bit for bit, so both classes are
+    populated wherever the synthetic accuracy range sits. Hashes only the
+    classes whose accuracy interval reaches its two order statistics."""
+    return _synthetic_scan(params, limits).threshold
 
 
 def synthetic_optimum(params: SyntheticOracleParams, limits: SpaceLimits):
     """(spec, record) of the best cell in the enumerated synthetic space
-    (the first in enumeration order on a tie)."""
-    return _synthetic_scan(params, limits)[1]
+    (the first in enumeration order on a tie), hashing only the classes
+    whose accuracy interval can reach the largest accuracy."""
+    return _synthetic_scan(params, limits).optimum
 
 
 def load_table(path) -> BenchmarkTable:

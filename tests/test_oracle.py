@@ -4,7 +4,12 @@ IO, labeling, and the frozen identity of the synthetic optimum."""
 
 import dataclasses
 import json
+import os
+import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -407,6 +412,97 @@ def test_threshold_and_optimum_share_one_enumeration(monkeypatch):
     accs = [rec.val_accuracy for _, rec in table]
     assert thr == float(np.quantile(accs, 0.9))
     assert (spec, record) == table[accs.index(max(accs))]
+
+
+# ---------------------------------------------------------------------------
+# the bounded scan: each answer hashes only the classes that can move it
+
+SCAN_PARAMS = {
+    "default": SyntheticOracleParams(),
+    "no-jitter": SyntheticOracleParams(jitter_scale=0.0),
+    "negative-jitter": SyntheticOracleParams(jitter_scale=-0.03),
+    "ties-at-cap": SyntheticOracleParams(accuracy_cap=0.7),
+}
+
+
+@pytest.mark.parametrize("limits", [SpaceLimits(4, 9), SpaceLimits(5, 9)], ids=["4,9", "5,9"])
+@pytest.mark.parametrize("name", list(SCAN_PARAMS))
+def test_bounded_scan_equals_the_full_scan(limits, name):
+    params = SCAN_PARAMS[name]
+    table = [(spec, synth_record(spec, params)) for spec in cellspace.enumerate_space(limits)]
+    accs = [record.val_accuracy for _, record in table]
+    if name == "ties-at-cap":
+        # 43 of 91 classes at (4,9), 2,189 of 2,532 at (5,9): the quantile
+        # and the optimum sit in the tie, whose first class is the optimum
+        assert accs.count(0.7) > len(accs) / 3
+    oracle._synthetic_scan.cache_clear()
+    threshold = synthetic_label_threshold(params, limits)
+    assert threshold.hex() == float(np.quantile(accs, 0.9)).hex()
+    assert synthetic_optimum(params, limits) == table[accs.index(max(accs))]
+
+
+def test_bounded_scan_keeps_the_full_scan_answers_at_6_9():
+    # what a scan that hashed all 64,542 (6,9) classes gave
+    params, limits = SyntheticOracleParams(), SpaceLimits(6, 9)
+    assert synthetic_label_threshold(params, limits).hex() == (0.8053408037463089).hex()
+    spec, record = synthetic_optimum(params, limits)
+    assert record.spec_hash == "fa2157e148e5077b168dcf5ec07afde1"
+    assert record.val_accuracy.hex() == (0.860541425561927).hex()
+    assert record == synth_record(spec, params)
+
+
+def test_bounded_scan_rebuilds_seven_vertex_cells(monkeypatch):
+    # (7,9) is too slow to scan here, so the scan is handed 7-vertex cells,
+    # whose five interior slots and 21-bit masks its class keys must carry
+    rng, limits, params = random.Random(0), SpaceLimits(7, 9), SyntheticOracleParams()
+    cells = {}
+    while len(cells) < 60:
+        spec = cellspace.random_spec(rng, limits)
+        if spec.num_vertices == 7:
+            cells.setdefault(canonical_hash(spec), spec)
+    specs = list(cells.values())
+    accs = [synth_record(spec, params).val_accuracy for spec in specs]
+    monkeypatch.setattr(cellspace, "enumerate_space", lambda limits: iter(specs))
+    oracle._synthetic_scan.cache_clear()
+    try:
+        assert synthetic_label_threshold(params, limits) == float(np.quantile(accs, 0.9))
+        best = specs[accs.index(max(accs))]
+        assert synthetic_optimum(params, limits) == (best, synth_record(best, params))
+    finally:
+        oracle._synthetic_scan.cache_clear()
+
+
+def test_linear_quantile_equals_numpy_bit_for_bit():
+    # n = 1 reaches numpy's index clipping; the weight (n - 1) * 0.9 % 1 is
+    # at least 0.5 for n = 2 and below it for n = 7, so both `_lerp` branches run
+    rng = np.random.default_rng(0)
+    for n in [*range(1, 601), 2532, 64542, 423624]:
+        for x in (
+            rng.random(n),
+            rng.integers(0, 4, n) / 7,  # repeated values
+            rng.random(n) * 10.0 ** rng.integers(-6, 3, n),
+        ):
+            ordered = sorted(x.tolist())
+            got = oracle._linear_quantile(n, lambda lo, hi: (ordered[lo], ordered[hi]))
+            assert got.hex() == float(np.quantile(x, 0.9)).hex(), n
+
+
+def test_the_threshold_scan_does_not_import_numpy_ma():
+    # The benchmark's predictor-pipeline peak-memory gain rests on this:
+    # np.quantile's first call went through np.unique to np.ma.is_masked,
+    # importing numpy.ma, and cost about 1.3 MB of resident memory.
+    code = (
+        "import sys\n"
+        "import cellsearch.cli\n"
+        "from cellsearch.cellspace import SpaceLimits\n"
+        "from cellsearch.oracle import SyntheticOracleParams, synthetic_label_threshold\n"
+        "synthetic_label_threshold(SyntheticOracleParams(), SpaceLimits(4, 9))\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(oracle.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_isomorphic_storable_drawings_get_identical_records():
