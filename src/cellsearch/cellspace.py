@@ -94,8 +94,7 @@ class ValidationReport:
 _PAIRS = tuple(
     tuple((i, j) for i in range(v) for j in range(i + 1, v)) for v in range(MAX_VERTICES + 1)
 )
-_PAIR_SETS = tuple(frozenset(pairs) for pairs in _PAIRS)
-# per vertex count, each pair's bit in a genome's mask, and per vertex i < v-1
+# per vertex count, each pair's bit in a cell's mask, and per vertex i < v-1
 # the shift and bits that read its successors from mask << 1 (see `_on_path`)
 _BIT = tuple({p: 1 << k for k, p in enumerate(pairs)} for pairs in _PAIRS)
 _ROWS = tuple(
@@ -107,6 +106,7 @@ _PAD_BITS = {
     (n, v): tuple(_BIT[v][i, v - 1 if j == n - 1 else j] for i, j in _PAIRS[n])
     for v in range(MAX_VERTICES + 1) for n in range(2, v)
 }
+_DIGIT = {op: a for a, op in enumerate(INTERIOR_OPS)}
 
 
 def upper_triangle_pairs(num_vertices: int) -> tuple[tuple[int, int], ...]:
@@ -116,40 +116,50 @@ def upper_triangle_pairs(num_vertices: int) -> tuple[tuple[int, int], ...]:
 
 @dataclass(frozen=True, init=False)
 class ModelSpec:
-    """A labeled DAG cell.
-
-    `edges` holds the strictly upper-triangular adjacency as sorted (i, j)
-    pairs with i < j; `ops` holds one label per vertex, of 2 to MAX_VERTICES.
-    Instances are immutable and safe to share across threads.
-    """
+    """A labeled DAG cell, stored as its genome: bit k of `mask` is the edge
+    `upper_triangle_pairs(num_vertices)[k]`, and `ops` holds one label per
+    vertex, of 2 to MAX_VERTICES. Immutable, so safe to share across threads."""
 
     num_vertices: int
-    edges: tuple[tuple[int, int], ...]
+    mask: int
     ops: tuple[OpLabel, ...]
 
-    def __init__(self, num_vertices: int, edges, ops):
+    def __init__(self, num_vertices: int, mask: int, ops):
         v = num_vertices
         if not isinstance(v, int) or not 2 <= v <= MAX_VERTICES:
             raise ValueError(f"need 2 to {MAX_VERTICES} vertices, got {v}")
-        edges, ops = tuple(sorted(map(tuple, edges))), tuple(ops)
+        ops = tuple(ops)
         if len(ops) != v:
             raise ValueError(f"ops length {len(ops)} != num_vertices {v}")
-        distinct = frozenset(edges)
-        if len(distinct) != len(edges) or not distinct <= _PAIR_SETS[v]:
-            # name the first bad edge; sorted, a duplicate follows its twin
-            for k, (i, j) in enumerate(edges):
-                if not (0 <= i < j < v):
-                    raise ValueError(f"edge ({i},{j}) is not strictly upper-triangular in range")
-                if k and edges[k - 1] == (i, j):
-                    raise ValueError(f"duplicate edge ({i},{j})")
+        if type(mask) is not int or not 0 <= mask < 1 << len(_PAIRS[v]):
+            raise ValueError(f"mask {mask!r} is not an edge mask of {v} vertices")
         # once each, past the frozen __setattr__; __dict__ writes would slow reads
         object.__setattr__(self, "num_vertices", v)
-        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "mask", mask)
         object.__setattr__(self, "ops", ops)
+
+    @classmethod
+    def from_edges(cls, num_vertices: int, edges, ops) -> "ModelSpec":
+        """The spec of (i, j) edge pairs in any order, as a file gives them.
+        ValueError names the first bad or repeated edge, in sorted order."""
+        spec = cls(num_vertices, 0, ops)  # the vertex-count and ops refusals
+        bit, mask = _BIT[num_vertices], 0
+        for i, j in sorted(map(tuple, edges)):
+            if (i, j) not in bit:
+                raise ValueError(f"edge ({i},{j}) is not strictly upper-triangular in range")
+            if mask & bit[i, j]:
+                raise ValueError(f"duplicate edge ({i},{j})")
+            mask |= bit[i, j]
+        return cls(num_vertices, mask, spec.ops)
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The mask's (i, j) pairs, sorted."""
+        return _edges(self.num_vertices, self.mask)
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return self.mask.bit_count()
 
     def to_json_obj(self) -> dict:
         """Human-readable form used in every file interface."""
@@ -169,13 +179,33 @@ class ModelSpec:
             ops = tuple(map(OpLabel, ops))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed spec object: {exc}") from exc
-        return cls(v, edges, ops)
+        return cls.from_edges(v, edges, ops)
 
 
-def genome_of(spec: ModelSpec) -> tuple:
-    """A spec as a genome, (num_vertices, mask, ops): bit k of mask is the
-    k-th pair of `upper_triangle_pairs(num_vertices)`."""
-    return spec.num_vertices, sum(map(_BIT[spec.num_vertices].__getitem__, spec.edges)), spec.ops
+def key_of(cell: ModelSpec) -> int:
+    """A cell as one int, (num_vertices << 21 | mask) << 8 | labeling: the
+    labeling (< 3**5 < 2**8) is the interior ops as base-3 digits, first slot
+    first (conv3x3 0, conv1x1 1, maxpool3x3 2). Keys sort as cells enumerate."""
+    labeling = 0
+    for op in cell.ops[1:-1]:
+        labeling = 3 * labeling + _DIGIT[op]
+    return (cell.num_vertices << 21 | cell.mask) << 8 | labeling
+
+
+def cell_of(key: int) -> ModelSpec:
+    """The cell of a `key_of` key."""
+    v, mask, labeling = key >> 29, key >> 8 & 0x1FFFFF, key & 0xFF
+    interior = [INTERIOR_OPS[labeling // 3**k % 3] for k in reversed(range(v - 2))]
+    return ModelSpec(v, mask, (OpLabel.IN, *interior, OpLabel.OUT))
+
+
+def _edges(num_vertices: int, mask: int) -> tuple[tuple[int, int], ...]:
+    pairs, edges = _PAIRS[num_vertices], []
+    while mask:  # the set bits, lowest first
+        low = mask & -mask
+        edges.append(pairs[low.bit_length() - 1])
+        mask ^= low
+    return tuple(edges)
 
 
 def _on_path(num_vertices: int, mask: int) -> int:
@@ -217,7 +247,7 @@ def _broken_rules(spec: ModelSpec) -> list[Violation]:
     """The cell rules, without budgets: IN/OUT terminals, real interior
     ops, and every vertex on some directed input->output path."""
     broken = [] if _ops_ok(spec.ops) else [Violation.BAD_TERMINAL_OPS]
-    on_path = _on_path(spec.num_vertices, genome_of(spec)[1])
+    on_path = _on_path(spec.num_vertices, spec.mask)
     if not on_path:
         broken.append(Violation.NO_IN_OUT_PATH)
     if on_path != (1 << spec.num_vertices) - 1:
@@ -239,7 +269,7 @@ def validate(spec: ModelSpec, limits: SpaceLimits) -> ValidationReport:
 
 
 def phenotype_of(num_vertices: int, mask: int, ops, limits: SpaceLimits) -> ModelSpec | None:
-    """The cell a genome (see `genome_of`) denotes: the genome less every
+    """The cell a genome, a cell's own fields, denotes: the genome less every
     vertex on no input->output path, survivors renumbered in order. None
     when there is no path or the cell breaks a budget or an interior-op
     rule; InvalidSpecError, raised afresh on every call, unless IN and OUT
@@ -255,22 +285,19 @@ def _phenotype(num_vertices: int, mask: int, ops, max_vertices: int, max_edges: 
     keep = _on_path(num_vertices, mask)
     if not keep:
         return None
-    pairs, edges = _PAIRS[num_vertices], []
-    while mask:  # the set bits, lowest first: the edges, sorted
-        low = mask & -mask
-        edges.append(pairs[low.bit_length() - 1])
-        mask ^= low
     if keep != (1 << num_vertices) - 1:
         kept = [k for k in range(num_vertices) if keep >> k & 1]
-        renumber = {old: new for new, old in enumerate(kept)}
-        # an edge between two on-path vertices lies on a path itself
-        edges = [(renumber[i], renumber[j]) for i, j in edges if keep >> i & 1 and keep >> j & 1]
-        num_vertices, ops = len(kept), tuple(ops[k] for k in kept)
+        bit, pruned = _BIT[len(kept)], 0
+        for i, j in _edges(num_vertices, mask):
+            # an edge between two on-path vertices lies on a path itself
+            if keep >> i & 1 and keep >> j & 1:
+                pruned |= bit[kept.index(i), kept.index(j)]
+        num_vertices, mask, ops = len(kept), pruned, tuple(ops[k] for k in kept)
     # the cell keeps exactly the on-path vertices and the IN/OUT terminals,
     # so only its budgets and interior ops remain to check
-    if _over_budget(num_vertices, len(edges), max_vertices, max_edges) or not _ops_ok(ops):
+    if _over_budget(num_vertices, mask.bit_count(), max_vertices, max_edges) or not _ops_ok(ops):
         return None
-    return ModelSpec(num_vertices, edges, ops)
+    return ModelSpec(num_vertices, mask, ops)
 
 
 # perfbench's tracer wraps only plain functions (`inspect.isfunction`), so
@@ -396,8 +423,8 @@ def random_spec(rng, limits: SpaceLimits) -> ModelSpec:
 
 
 def mutate(genome: tuple, rng, limits: SpaceLimits) -> tuple[tuple, ModelSpec]:
-    """One uniformly-drawn primitive edit of the parent genome (see
-    `genome_of`), returned with the cell it denotes as (child genome, cell).
+    """One uniformly-drawn primitive edit of a parent genome, a cell's own
+    fields, returned with the cell it denotes as (child genome, cell).
 
     The edit is applied to the parent padded out to `max_vertices` with
     dormant (edgeless) interior vertices, whose ops are drawn uniformly
@@ -481,11 +508,10 @@ def enumerate_space(limits: SpaceLimits) -> Iterator[ModelSpec]:
                 if image == mask:
                     automorphisms.append(perm)
             else:
-                edges = tuple(pairs[k] for k in on)
                 for labeling in itertools.product(range(3), repeat=v - 2):
                     if all(
                         labeling <= tuple(labeling[p - 1] for p in perm)
                         for perm in automorphisms
                     ):
                         ops = tuple(INTERIOR_OPS[a] for a in labeling)
-                        yield ModelSpec(v, edges, (OpLabel.IN, *ops, OpLabel.OUT))
+                        yield ModelSpec(v, mask, (OpLabel.IN, *ops, OpLabel.OUT))

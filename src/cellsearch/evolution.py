@@ -22,7 +22,7 @@ from .traces import SearchTrace
 
 
 class Individual(NamedTuple):
-    """An unpruned genome (`cellspace.genome_of`), mutation's material, and its cell."""
+    """An unpruned genome (num_vertices, mask, ops), mutation's material, and its cell."""
 
     genome: tuple
     cell: ModelSpec
@@ -55,7 +55,8 @@ def init_population(cfg: EvolutionConfig, limits: SpaceLimits, fitness, rng: ran
     history: list[Individual] = []
     while len(population) < cfg.population_size:
         cell = cellspace.random_spec(rng, limits)
-        ind = Individual(cellspace.genome_of(cell), cell, fitness.evaluate(cell), len(history))
+        genome = (cell.num_vertices, cell.mask, cell.ops)
+        ind = Individual(genome, cell, fitness.evaluate(cell), len(history))
         population.append(ind)
         history.append(ind)
     return population, history

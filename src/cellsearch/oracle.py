@@ -19,7 +19,7 @@ from itertools import accumulate, chain
 from typing import Annotated
 
 from . import cellspace
-from .cellspace import INTERIOR_OPS, ModelSpec, OpLabel, SpaceLimits
+from .cellspace import ModelSpec, OpLabel, SpaceLimits
 from .errors import (
     DuplicateHashError, In, UnknownArchitectureError, check_fields, check_value, parsing,
 )
@@ -207,14 +207,6 @@ def synthetic_table(params: SyntheticOracleParams, limits: SpaceLimits):
         yield spec, synth_record(spec, params)
 
 
-def _unpack(key: int) -> ModelSpec:
-    """The cell of a `_SpaceScan` class key."""
-    v, mask, labeling = key >> 29, key >> 8 & 0x1FFFFF, key & 0xFF
-    ops = [INTERIOR_OPS[labeling // 3**k % 3] for k in reversed(range(v - 2))]
-    edges = [pair for k, pair in enumerate(cellspace.upper_triangle_pairs(v)) if mask >> k & 1]
-    return ModelSpec(v, edges, (OpLabel.IN, *ops, OpLabel.OUT))
-
-
 def _linear_quantile(n: int, order_statistics) -> float:
     """np.quantile(x, 0.9) by its default 'linear' method, bit for bit, for
     len(x) == n, given x's lo-th and hi-th smallest as order_statistics(lo,
@@ -236,18 +228,14 @@ def _order_statistic(groups, k: int, bound: int) -> float:
 class _SpaceScan:
     """One enumeration of the synthetic space, kept as (lower, upper, keys)
     groups: the classes of one raw accuracy, whose accuracies all lie in
-    [lower, upper], each as an int key of vertex count, edge mask and
-    labeling that sorts in enumeration order."""
+    [lower, upper], each as its `cellspace.key_of` key, which sorts in
+    enumeration order."""
 
     def __init__(self, params: SyntheticOracleParams, limits: SpaceLimits):
         self.params, groups = params, {}
         for spec in cellspace.enumerate_space(limits):
-            v, mask, ops = cellspace.genome_of(spec)
-            labeling = 0
-            for op in ops[1:-1]:  # base-3 digits, first slot first: product order
-                labeling = 3 * labeling + INTERIOR_OPS.index(op)
             raw = _raw_accuracy(spec_features(spec), params)
-            groups.setdefault(raw, array("L")).append((v << 21 | mask) << 8 | labeling)
+            groups.setdefault(raw, array("L")).append(cellspace.key_of(spec))
         ends = lambda raw: sorted([_accuracy(raw, 0.0, params), _accuracy(raw, 1.0, params)])
         self.groups = [(*ends(raw), keys) for raw, keys in groups.items()]
         self.count = sum(len(keys) for _, _, keys in self.groups)
@@ -267,7 +255,7 @@ class _SpaceScan:
             across = [g for g in reach if g[0] <= middle <= g[1]] or reach
             groups = [g for g in groups if g not in across]
             for key in chain.from_iterable(keys for _, _, keys in across):
-                accuracy = synth_record(_unpack(key), self.params).val_accuracy
+                accuracy = synth_record(cellspace.cell_of(key), self.params).val_accuracy
                 groups.append((accuracy, accuracy, (key,)))
         below = sum(len(keys) for _, upper, keys in groups if upper < lowest)
         ranked = sorted((a, -key) for a, b, keys in groups if b >= lowest and a <= highest for key in keys)
@@ -281,7 +269,7 @@ class _SpaceScan:
     def optimum(self):
         # the largest (accuracy, -key): of equal accuracies, the first class
         (_, key), _ = self._ranked(self.count - 1, self.count - 1)
-        spec = _unpack(-key)
+        spec = cellspace.cell_of(-key)
         return spec, synth_record(spec, self.params)
 
 

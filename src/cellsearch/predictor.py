@@ -54,9 +54,8 @@ def encode(spec: ModelSpec) -> np.ndarray:
     cellspace.require_canonical(spec)
     tokens = [_OP_TOKENS[op] for op in spec.ops[1:-1]]
     tokens.append(SEP)
-    edges = set(spec.edges)
-    for pair in cellspace.upper_triangle_pairs(spec.num_vertices):
-        tokens.append(EDGE_1 if pair in edges else EDGE_0)
+    bits = range(len(cellspace.upper_triangle_pairs(spec.num_vertices)))
+    tokens += [EDGE_1 if spec.mask >> k & 1 else EDGE_0 for k in bits]
     return np.asarray(tokens, dtype=np.int64)
 
 

@@ -6,6 +6,7 @@ serve as oracles for the package's vectorized/optimized versions.
 """
 
 import itertools
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -58,7 +59,7 @@ def relabel_spec(spec: ModelSpec, perm):
     ops = [None] * v
     for old in range(v):
         ops[new_of_old[old]] = spec.ops[old]
-    return ModelSpec(v, tuple(sorted(mapped)), tuple(ops))
+    return ModelSpec.from_edges(v, mapped, ops)
 
 
 def interior_permutations(spec: ModelSpec):
@@ -138,21 +139,17 @@ def limits59():
 
 @pytest.fixture
 def chain3_conv1x1():
-    return ModelSpec(
-        3,
-        ((0, 1), (1, 2)),
-        (OpLabel.IN, OpLabel.CONV1X1, OpLabel.OUT),
-    )
+    return ModelSpec.from_edges(3, ((0, 1), (1, 2)), (OpLabel.IN, OpLabel.CONV1X1, OpLabel.OUT))
 
 
 @pytest.fixture
 def two_vertex():
-    return ModelSpec(2, ((0, 1),), (OpLabel.IN, OpLabel.OUT))
+    return ModelSpec(2, 1, (OpLabel.IN, OpLabel.OUT))
 
 
 def make_spec(v, edges, interior_ops):
     ops = (OpLabel.IN,) + tuple(interior_ops) + (OpLabel.OUT,)
-    return ModelSpec(v, tuple(edges), ops)
+    return ModelSpec.from_edges(v, edges, ops)
 
 
 # spec objects whose numbers int() once truncated into the valid 3-vertex
@@ -168,35 +165,18 @@ LOOSE_SPEC_OBJECTS = [
 
 
 # ---------------------------------------------------------------------------
-# genomes (num_vertices, mask, ops) against the ModelSpecs tests write:
-# bit k of mask is the k-th row-major upper-triangular pair
+# a ModelSpec holds a genome's own fields, (num_vertices, mask, ops)
 
 
-def mask_of(v, edges) -> int:
-    pairs = cellspace.upper_triangle_pairs(v)
-    return sum(1 << pairs.index(tuple(e)) for e in edges)
-
-
-def spec_of(genome) -> ModelSpec:
-    v, mask, ops = genome
-    pairs = cellspace.upper_triangle_pairs(v)
-    return ModelSpec(v, tuple(p for k, p in enumerate(pairs) if mask >> k & 1), ops)
-
-
-def cell_of(genome: ModelSpec, limits: SpaceLimits):
-    """The cell a genome ModelSpec denotes, through `phenotype_of`."""
-    return cellspace.phenotype_of(
-        genome.num_vertices, mask_of(genome.num_vertices, genome.edges), genome.ops, limits
-    )
+def phenotype(genome: ModelSpec, limits: SpaceLimits):
+    """The cell a genome written as a ModelSpec denotes."""
+    return cellspace.phenotype_of(*astuple(genome), limits)
 
 
 def mutate_spec(parent: ModelSpec, rng, limits: SpaceLimits):
-    """`mutate` on a ModelSpec parent, its child genome returned as a
-    ModelSpec beside the cell."""
-    child, cell = cellspace.mutate(
-        (parent.num_vertices, mask_of(parent.num_vertices, parent.edges), parent.ops), rng, limits
-    )
-    return spec_of(child), cell
+    """`mutate` on a ModelSpec parent, its child genome a ModelSpec too."""
+    child, cell = cellspace.mutate(astuple(parent), rng, limits)
+    return ModelSpec(*child), cell
 
 
 @pytest.fixture

@@ -347,7 +347,7 @@ def test_criterion_7_hash_invariance_and_separation(capsys):
                 (OpLabel.CONV3X3, OpLabel.CONV1X1, OpLabel.MAXPOOL3X3),
                 repeat=v - 2,
             ):
-                spec = ModelSpec(v, edges, (OpLabel.IN,) + interior + (OpLabel.OUT,))
+                spec = ModelSpec.from_edges(v, edges, (OpLabel.IN,) + interior + (OpLabel.OUT,))
                 if not cellspace.validate(spec, LIMITS).valid:
                     continue
                 n_specs += 1

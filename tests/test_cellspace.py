@@ -11,6 +11,7 @@ import json
 import pickle
 import random
 import re
+from dataclasses import astuple
 from pathlib import Path
 
 import pytest
@@ -35,12 +36,11 @@ from cellsearch.traces import TraceRow
 
 from conftest import (
     all_paths_vertices,
-    cell_of,
     interior_permutations,
     make_spec,
-    mask_of,
     mutate_spec,
     perm_canonical_form,
+    phenotype,
     relabel_spec,
 )
 
@@ -97,29 +97,29 @@ def enumeration_pass(limits):
 
 
 def test_edges_are_normalized_sorted():
-    s = ModelSpec(3, ((1, 2), (0, 1)), (OpLabel.IN, OpLabel.CONV3X3, OpLabel.OUT))
+    s = ModelSpec.from_edges(3, ((1, 2), (0, 1)), (OpLabel.IN, OpLabel.CONV3X3, OpLabel.OUT))
     assert s.edges == ((0, 1), (1, 2))
 
 
 def test_rejects_non_upper_triangular_edge():
     with pytest.raises(ValueError):
-        ModelSpec(3, ((2, 1),), (OpLabel.IN, OpLabel.CONV3X3, OpLabel.OUT))
+        ModelSpec.from_edges(3, ((2, 1),), (OpLabel.IN, OpLabel.CONV3X3, OpLabel.OUT))
     with pytest.raises(ValueError):
-        ModelSpec(3, ((0, 3),), (OpLabel.IN, OpLabel.CONV3X3, OpLabel.OUT))
+        ModelSpec.from_edges(3, ((0, 3),), (OpLabel.IN, OpLabel.CONV3X3, OpLabel.OUT))
     with pytest.raises(ValueError):
-        ModelSpec(3, ((1, 1),), (OpLabel.IN, OpLabel.CONV3X3, OpLabel.OUT))
+        ModelSpec.from_edges(3, ((1, 1),), (OpLabel.IN, OpLabel.CONV3X3, OpLabel.OUT))
 
 
 def test_rejects_duplicate_edges_and_bad_ops_length():
     with pytest.raises(ValueError):
-        ModelSpec(3, ((0, 1), (0, 1)), (OpLabel.IN, OpLabel.CONV3X3, OpLabel.OUT))
+        ModelSpec.from_edges(3, ((0, 1), (0, 1)), (OpLabel.IN, OpLabel.CONV3X3, OpLabel.OUT))
     with pytest.raises(ValueError):
-        ModelSpec(3, ((0, 1),), (OpLabel.IN, OpLabel.OUT))
+        ModelSpec.from_edges(3, ((0, 1),), (OpLabel.IN, OpLabel.OUT))
     with pytest.raises(ValueError):
-        ModelSpec(1, (), (OpLabel.IN,))
+        ModelSpec.from_edges(1, (), (OpLabel.IN,))
     # MAX_VERTICES binds every spec, genome or cell, not only SpaceLimits
     with pytest.raises(ValueError, match="need 2 to 7 vertices, got 8"):
-        ModelSpec(8, ((0, 7),), (OpLabel.IN,) + (OpLabel.CONV3X3,) * 6 + (OpLabel.OUT,))
+        ModelSpec.from_edges(8, ((0, 7),), (OpLabel.IN,) + (OpLabel.CONV3X3,) * 6 + (OpLabel.OUT,))
 
 
 def test_construction_errors_name_the_bad_edge():
@@ -128,12 +128,12 @@ def test_construction_errors_name_the_bad_edge():
         with pytest.raises(ValueError, match=re.escape(
             f"edge ({edge[0]},{edge[1]}) is not strictly upper-triangular in range"
         )):
-            ModelSpec(3, ((0, 1), edge), ops)
+            ModelSpec.from_edges(3, ((0, 1), edge), ops)
     with pytest.raises(ValueError, match=re.escape("duplicate edge (0,1)")):
-        ModelSpec(3, ((1, 2), (0, 1), (0, 1)), ops)
+        ModelSpec.from_edges(3, ((1, 2), (0, 1), (0, 1)), ops)
     # the first bad edge in sorted order is the one named
     with pytest.raises(ValueError, match=re.escape("duplicate edge (0,1)")):
-        ModelSpec(3, ((1, 3), (0, 1), (0, 1)), ops)
+        ModelSpec.from_edges(3, ((1, 3), (0, 1), (0, 1)), ops)
 
 
 def test_construction_refusals_keep_their_messages():
@@ -145,17 +145,29 @@ def test_construction_refusals_keep_their_messages():
         ((3, ((1, 2), (0, 1), (1, 2)), ops), "duplicate edge (1,2)"),
     ):
         with pytest.raises(ValueError) as info:
-            ModelSpec(*args)
+            ModelSpec.from_edges(*args)
         assert str(info.value) == message
 
 
+@pytest.mark.parametrize("mask", [8, -1, True, 1.0])
+def test_a_mask_past_the_vertex_counts_pairs_is_refused(mask):
+    # 3 vertices have 3 pairs, bits 0-2; a bool or float is no mask either
+    ops = (OpLabel.IN, OpLabel.CONV3X3, OpLabel.OUT)
+    assert ModelSpec(3, 7, ops).edges == ((0, 1), (0, 2), (1, 2))
+    with pytest.raises(ValueError) as info:
+        ModelSpec(3, mask, ops)
+    assert str(info.value) == f"mask {mask!r} is not an edge mask of 3 vertices"
+
+
 @pytest.mark.parametrize("record, field", [
-    (ModelSpec(2, ((0, 1),), (OpLabel.IN, OpLabel.OUT)), "edges"),
+    (ModelSpec(2, 1, (OpLabel.IN, OpLabel.OUT)), "edges"),
     (Individual(None, None, 0.5, 0), "fitness"),
     (TraceRow(0, 0.0, None, 0.5), "index"),
+    (ModelSpec(2, 1, (OpLabel.IN, OpLabel.OUT)), "mask"),
 ])
 def test_per_cycle_records_refuse_assignment(record, field):
-    # each field is stored once, as it was built; nothing changes it after
+    # each field is stored once, as it was built, and the derived edges
+    # are read-only; nothing changes either after
     with pytest.raises(AttributeError):
         setattr(record, field, getattr(record, field))
     with pytest.raises(AttributeError):
@@ -163,26 +175,26 @@ def test_per_cycle_records_refuse_assignment(record, field):
 
 
 def test_a_spec_keeps_its_normalized_fields_and_generated_repr():
-    s = ModelSpec(3, [[1, 2], [0, 1]], [OpLabel.IN, OpLabel.CONV3X3, OpLabel.OUT])
+    s = ModelSpec.from_edges(3, [[1, 2], [0, 1]], [OpLabel.IN, OpLabel.CONV3X3, OpLabel.OUT])
     assert vars(s) == {
         "num_vertices": 3,
-        "edges": ((0, 1), (1, 2)),
+        "mask": 5,
         "ops": (OpLabel.IN, OpLabel.CONV3X3, OpLabel.OUT),
     }
-    assert repr(s).startswith("ModelSpec(num_vertices=3, edges=((0, 1), (1, 2)), ops=(")
+    assert repr(s).startswith("ModelSpec(num_vertices=3, mask=5, ops=(")
 
 
 def test_edges_given_as_lists_are_accepted():
-    s = ModelSpec(3, [[1, 2], [0, 1]], [OpLabel.IN, OpLabel.CONV3X3, OpLabel.OUT])
+    s = ModelSpec.from_edges(3, [[1, 2], [0, 1]], [OpLabel.IN, OpLabel.CONV3X3, OpLabel.OUT])
     assert s.edges == ((0, 1), (1, 2)) and s.ops == (OpLabel.IN, OpLabel.CONV3X3, OpLabel.OUT)
-    assert s == ModelSpec(3, ((0, 1), (1, 2)), s.ops)
-    assert hash(s) == hash(ModelSpec(3, ((0, 1), (1, 2)), s.ops))
+    assert s == ModelSpec.from_edges(3, ((0, 1), (1, 2)), s.ops)
+    assert hash(s) == hash(ModelSpec.from_edges(3, ((0, 1), (1, 2)), s.ops))
 
 
 @pytest.mark.parametrize("v", [3.0, "3", None, True])
 def test_non_int_vertex_count_is_a_value_error(v):
     with pytest.raises(ValueError, match="need 2 to 7 vertices"):
-        ModelSpec(v, ((0, 1), (1, 2)), (OpLabel.IN, OpLabel.CONV3X3, OpLabel.OUT))
+        ModelSpec.from_edges(v, ((0, 1), (1, 2)), (OpLabel.IN, OpLabel.CONV3X3, OpLabel.OUT))
 
 
 def test_op_labels_hash_by_identity_and_survive_pickling():
@@ -238,10 +250,10 @@ def test_no_in_out_path_flagged():
 
 
 def test_bad_terminal_ops_flagged():
-    s = ModelSpec(3, ((0, 1), (1, 2)), (OpLabel.IN, OpLabel.IN, OpLabel.OUT))
+    s = ModelSpec.from_edges(3, ((0, 1), (1, 2)), (OpLabel.IN, OpLabel.IN, OpLabel.OUT))
     report = validate(s, SpaceLimits(7, 9))
     assert Violation.BAD_TERMINAL_OPS in report.violations
-    s2 = ModelSpec(2, ((0, 1),), (OpLabel.OUT, OpLabel.IN))
+    s2 = ModelSpec.from_edges(2, ((0, 1),), (OpLabel.OUT, OpLabel.IN))
     assert Violation.BAD_TERMINAL_OPS in validate(s2, SpaceLimits(7, 9)).violations
 
 
@@ -270,12 +282,12 @@ def _path_pruning(genome, on_path=None):
         return None
     renumber = {old: new for new, old in enumerate(kept)}
     edges = [(renumber[i], renumber[j]) for i, j in genome.edges if i in renumber and j in renumber]
-    return ModelSpec(len(kept), tuple(edges), tuple(genome.ops[k] for k in kept))
+    return ModelSpec.from_edges(len(kept), tuple(edges), tuple(genome.ops[k] for k in kept))
 
 
 def test_prune_removes_isolated_vertex():
     s = make_spec(3, [(0, 2)], [OpLabel.CONV3X3])
-    cell = cell_of(s, OPEN)
+    cell = phenotype(s, OPEN)
     assert cell.num_vertices == 2
     assert cell.edges == ((0, 1),)
     assert cell.ops == (OpLabel.IN, OpLabel.OUT)
@@ -287,13 +299,13 @@ def test_prune_identity_on_valid_spec():
         [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)],
         [OpLabel.CONV3X3, OpLabel.CONV1X1, OpLabel.MAXPOOL3X3],
     )
-    assert cell_of(s, OPEN) == s
+    assert phenotype(s, OPEN) == s
 
 
 def test_prune_drops_dead_end_vertex():
     # Vertex 2 has an in-edge but no path onward to OUT.
     s = make_spec(4, [(0, 1), (0, 2), (1, 3)], [OpLabel.CONV3X3, OpLabel.CONV1X1])
-    cell = cell_of(s, OPEN)
+    cell = phenotype(s, OPEN)
     assert cell.num_vertices == 3
     assert cell.edges == ((0, 1), (1, 2))
     assert cell.ops == (OpLabel.IN, OpLabel.CONV3X3, OpLabel.OUT)
@@ -310,9 +322,9 @@ def test_prune_matches_path_enumeration_oracle():
             + tuple(rng.choice(cellspace.INTERIOR_OPS) for _ in range(v - 2))
             + (OpLabel.OUT,)
         )
-        s = ModelSpec(v, edges, ops)
+        s = ModelSpec.from_edges(v, edges, ops)
         expected = _path_pruning(s)
-        assert cellspace.phenotype_of(v, mask_of(v, edges), ops, OPEN) == expected
+        assert phenotype(s, OPEN) == expected
         checked += expected is not None
     assert checked > 100
 
@@ -327,17 +339,17 @@ def test_prune_idempotent_and_never_grows():
             + tuple(rng.choice(cellspace.INTERIOR_OPS) for _ in range(v - 2))
             + (OpLabel.OUT,)
         )
-        once = cellspace.phenotype_of(v, mask_of(v, edges), ops, OPEN)
+        once = phenotype(ModelSpec.from_edges(v, edges, ops), OPEN)
         if once is None:
             continue
-        assert cell_of(once, OPEN) == once
+        assert phenotype(once, OPEN) == once
         assert once.num_vertices <= v
         assert once.num_edges <= len(edges)
 
 
 def test_prune_no_path_gives_none():
-    assert cellspace.phenotype_of(2, mask_of(2, ()), (OpLabel.IN, OpLabel.OUT), OPEN) is None
-    assert cell_of(make_spec(4, [(0, 1), (2, 3)], [OpLabel.CONV3X3] * 2), OPEN) is None
+    assert cellspace.phenotype_of(2, 0, (OpLabel.IN, OpLabel.OUT), OPEN) is None
+    assert phenotype(make_spec(4, [(0, 1), (2, 3)], [OpLabel.CONV3X3] * 2), OPEN) is None
 
 
 def test_prune_requires_terminal_labels():
@@ -345,7 +357,7 @@ def test_prune_requires_terminal_labels():
     for ops in ((OpLabel.CONV3X3, OpLabel.OUT), (OpLabel.IN, OpLabel.IN)):
         for _ in range(3):
             with pytest.raises(InvalidSpecError):
-                cellspace.phenotype_of(2, mask_of(2, ((0, 1),)), ops, OPEN)
+                cellspace.phenotype_of(2, 1, ops, OPEN)
     assert cellspace._phenotype_memo.cache_info().currsize == 0
 
 
@@ -420,12 +432,14 @@ def test_memos_raise_on_every_call_for_an_invalid_spec():
     cellspace._hash_memo.cache_clear()
     cellspace._phenotype_memo.cache_clear()
     unpruned = make_spec(3, [(0, 2)], [OpLabel.CONV3X3])
-    bad_terminal = ModelSpec(3, ((0, 1), (1, 2)), (OpLabel.IN, OpLabel.CONV3X3, OpLabel.IN))
+    bad_terminal = ModelSpec.from_edges(
+        3, ((0, 1), (1, 2)), (OpLabel.IN, OpLabel.CONV3X3, OpLabel.IN)
+    )
     for _ in range(3):
         with pytest.raises(InvalidSpecError):
             canonical_hash(unpruned)
         with pytest.raises(InvalidSpecError):
-            cell_of(bad_terminal, OPEN)
+            phenotype(bad_terminal, OPEN)
     assert cellspace._hash_memo.cache_info().currsize == 0
     assert cellspace._phenotype_memo.cache_info().currsize == 0
 
@@ -434,7 +448,7 @@ def test_prune_memo_caches_a_no_path_answer():
     cellspace._phenotype_memo.cache_clear()
     for _ in range(2):
         ops = tuple([OpLabel.IN, OpLabel.CONV3X3, OpLabel.OUT])
-        assert cellspace.phenotype_of(3, mask_of(3, (tuple([0, 1]),)), ops, OPEN) is None
+        assert cellspace.phenotype_of(3, 1, ops, OPEN) is None
     info = cellspace._phenotype_memo.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
@@ -514,9 +528,8 @@ def test_prune_memo_returns_an_equal_spec_for_an_equal_genome():
 
     def parts():
         # fresh, equal tuples: vertex 2 is a dead end and vertex 3 isolated
-        edges = tuple(tuple(e) for e in [[0, 1], [0, 2], [1, 4]])
         ops = (OpLabel.IN, *[OpLabel.CONV3X3, OpLabel.CONV1X1, OpLabel.MAXPOOL3X3], OpLabel.OUT)
-        return 5, mask_of(5, edges), ops
+        return astuple(ModelSpec.from_edges(5, [[0, 1], [0, 2], [1, 4]], ops))
 
     first = cellspace.phenotype_of(*parts(), OPEN)
     second = cellspace.phenotype_of(*parts(), OPEN)
@@ -554,7 +567,7 @@ def test_phenotype_equals_prune_then_validate():
     seen = {True: 0, False: 0}
     for limits in (SpaceLimits(5, 9), SpaceLimits(7, 9)):
         for genome in fixed:
-            assert cell_of(genome, limits) == _old_phenotype(genome, limits)
+            assert phenotype(genome, limits) == _old_phenotype(genome, limits)
         for _ in range(10_000):
             v = rng.randint(2, min(limits.max_vertices + 1, cellspace.MAX_VERTICES))
             edges = [p for p in upper_triangle_pairs(v) if rng.random() < 0.5]
@@ -563,7 +576,7 @@ def test_phenotype_equals_prune_then_validate():
                 for _ in range(v - 2)
             ]
             genome = make_spec(v, edges, interior)
-            cell = cell_of(genome, limits)
+            cell = phenotype(genome, limits)
             assert cell == _old_phenotype(genome, limits), genome
             seen[cell is None] += 1
     assert min(seen.values()) > 2_000, seen
@@ -576,15 +589,14 @@ def test_phenotype_of_equals_phenotype_of_the_built_genome():
     limits_list = (SpaceLimits(5, 9), SpaceLimits(5, 4), SpaceLimits(4, 9))
     seen = {True: 0, False: 0}
     for v in range(2, 6):
-        pairs = upper_triangle_pairs(v)
-        for mask in range(1 << len(pairs)):
-            edges = tuple(p for k, p in enumerate(pairs) if mask >> k & 1)
-            on_path = all_paths_vertices(make_spec(v, edges, [OpLabel.CONV3X3] * (v - 2)))
+        convs = (OpLabel.IN,) + (OpLabel.CONV3X3,) * (v - 2) + (OpLabel.OUT,)
+        for mask in range(1 << len(upper_triangle_pairs(v))):
+            on_path = all_paths_vertices(ModelSpec(v, mask, convs))
             for interior in itertools.product(OpLabel, repeat=v - 2):
                 ops = (OpLabel.IN, *interior, OpLabel.OUT)
-                genome = ModelSpec(v, edges, ops)
+                genome = ModelSpec(v, mask, ops)
                 for limits in limits_list:
-                    cell = cellspace.phenotype_of(v, mask_of(v, edges), ops, limits)
+                    cell = cellspace.phenotype_of(v, mask, ops, limits)
                     assert cell == _old_phenotype(genome, limits, on_path), (genome, limits)
                     seen[cell is None] += 1
     assert min(seen.values()) > 50_000, seen
@@ -593,13 +605,11 @@ def test_phenotype_of_equals_phenotype_of_the_built_genome():
     for _ in range(10_000):
         edges = tuple(p for p in upper_triangle_pairs(7) if rng.random() < 0.5)
         ops = (OpLabel.IN, *[rng.choice(cellspace.INTERIOR_OPS) for _ in range(5)], OpLabel.OUT)
-        genome = ModelSpec(7, edges, ops)
-        assert cellspace.phenotype_of(7, mask_of(7, edges), ops, limits) == _old_phenotype(
-            genome, limits
-        )
+        genome = ModelSpec.from_edges(7, edges, ops)
+        assert phenotype(genome, limits) == _old_phenotype(genome, limits)
     for ops in ((OpLabel.CONV3X3, OpLabel.OUT), (OpLabel.IN, OpLabel.IN)):
         with pytest.raises(InvalidSpecError):
-            cellspace.phenotype_of(2, mask_of(2, ((0, 1),)), ops, limits)
+            cellspace.phenotype_of(2, 1, ops, limits)
 
 
 def _benchmark_traced_names() -> set[str]:
@@ -671,7 +681,7 @@ def test_random_spec_only_option_at_tiny_limits():
     rng = random.Random(0)
     for _ in range(20):
         s = random_spec(rng, SpaceLimits(2, 1))
-        assert s == ModelSpec(2, ((0, 1),), (OpLabel.IN, OpLabel.OUT))
+        assert s == ModelSpec.from_edges(2, ((0, 1),), (OpLabel.IN, OpLabel.OUT))
 
 
 def test_random_spec_deterministic_per_seed():
@@ -686,7 +696,7 @@ def test_random_spec_always_valid_and_pruned():
     for _ in range(500):
         s = random_spec(rng, limits)
         assert validate(s, limits).valid
-        assert cell_of(s, limits) == s
+        assert phenotype(s, limits) == s
 
 
 def _frozen_random_spec(rng, limits):
@@ -701,7 +711,7 @@ def _frozen_random_spec(rng, limits):
             + tuple(rng.choice(cellspace.INTERIOR_OPS) for _ in range(v - 2))
             + (OpLabel.OUT,)
         )
-        cell = _old_phenotype(ModelSpec(v, edges, ops), limits)
+        cell = _old_phenotype(ModelSpec.from_edges(v, edges, ops), limits)
         if cell is not None:
             return cell
     raise ExhaustedError("no valid random spec")
@@ -846,7 +856,7 @@ def test_mutate_op_change_only_touches_that_op():
 
 
 def test_mutate_two_vertex_parent_at_tight_limits_exhausts():
-    parent = ModelSpec(2, ((0, 1),), (OpLabel.IN, OpLabel.OUT))
+    parent = ModelSpec.from_edges(2, ((0, 1),), (OpLabel.IN, OpLabel.OUT))
     with pytest.raises(ExhaustedError):
         mutate_spec(parent, random.Random(0), SpaceLimits(2, 1))
 
@@ -863,7 +873,7 @@ def _frozen_pad_to(spec, max_vertices, rng):
         + tuple(rng.choice(cellspace.INTERIOR_OPS) for _ in range(max_vertices - v))
         + (OpLabel.OUT,)
     )
-    return ModelSpec(max_vertices, edges, ops)
+    return ModelSpec.from_edges(max_vertices, edges, ops)
 
 
 def _frozen_mutate(parent, rng, limits):
@@ -879,10 +889,10 @@ def _frozen_mutate(parent, rng, limits):
     for _ in range(cellspace.MAX_REJECTION_ATTEMPTS):
         r = rng.randrange(len(pairs) + len(swaps))
         if r < len(pairs):
-            child = ModelSpec(v, tuple(sorted(set(edges) ^ {pairs[r]})), ops)
+            child = ModelSpec.from_edges(v, tuple(sorted(set(edges) ^ {pairs[r]})), ops)
         else:
             k, op = swaps[r - len(pairs)]
-            child = ModelSpec(v, edges, ops[:k] + (op,) + ops[k + 1 :])
+            child = ModelSpec.from_edges(v, edges, ops[:k] + (op,) + ops[k + 1 :])
         cell = _old_phenotype(child, limits)
         if cell is not None:
             return child, cell
@@ -915,8 +925,9 @@ def test_pad_table_moves_only_the_out_column():
             pairs = upper_triangle_pairs(n)
             for mask in range(1 << len(pairs)):
                 edges = [p for k, p in enumerate(pairs) if mask >> k & 1]
+                moved = [(i, v - 1 if j == n - 1 else j) for i, j in edges]
                 padded = sum(b for k, b in enumerate(bits) if mask >> k & 1)
-                assert padded == mask_of(v, [(i, v - 1 if j == n - 1 else j) for i, j in edges])
+                assert padded == sum(1 << upper_triangle_pairs(v).index(p) for p in moved)
 
 
 def test_mutate_refuses_a_parent_larger_than_the_limits():
@@ -954,6 +965,29 @@ def test_canonical_hashes_are_pinned(limits, digest):
     assert enumeration_pass(limits)[3] == digest
 
 
+@pytest.mark.parametrize("limits", [(4, 9), (5, 9)])
+def test_keys_round_trip_and_sort_in_enumeration_order(limits):
+    keys = []
+    for cell in enumerate_space(SpaceLimits(*limits)):
+        keys.append(cellspace.key_of(cell))
+        assert cellspace.cell_of(keys[-1]) == cell
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def test_a_key_holds_the_top_mask_bit_and_the_first_slot_as_its_top_digit():
+    # the 7-vertex chain sets mask bit 20, the pair (5, 6); all maxpool is
+    # labeling 22222 in base 3, 242
+    chain = [(i, i + 1) for i in range(6)]
+    top = ModelSpec.from_edges(7, chain, (OpLabel.IN, *[OpLabel.MAXPOOL3X3] * 5, OpLabel.OUT))
+    assert top.mask >> 20 == 1
+    assert cellspace.key_of(top) == (7 << 21 | top.mask) << 8 | 242
+    assert cellspace.cell_of(cellspace.key_of(top)) == top
+    # conv1x1 then maxpool3x3 is labeling 12 in base 3, 5
+    mixed = make_spec(4, chain[:3], [OpLabel.CONV1X1, OpLabel.MAXPOOL3X3])
+    assert cellspace.key_of(mixed) == (4 << 21 | mixed.mask) << 8 | 5
+    assert cellspace.cell_of(cellspace.key_of(mixed)) == mixed
+
+
 def test_enumeration_reaches_the_full_space():
     # the NAS-Bench-101 class count of up to 7 vertices and 9 edges
     assert sum(1 for _ in enumerate_space(SpaceLimits(7, 9))) == 423_624
@@ -977,9 +1011,8 @@ def test_enumeration_agrees_with_permutation_oracle_v4():
     for v in range(2, 5):
         pairs = upper_triangle_pairs(v)
         for mask in range(2 ** len(pairs)):
-            edges = tuple(p for k, p in enumerate(pairs) if mask >> k & 1)
             for labeling in itertools.product(cellspace.INTERIOR_OPS, repeat=v - 2):
-                s = ModelSpec(v, edges, (OpLabel.IN,) + labeling + (OpLabel.OUT,))
+                s = ModelSpec(v, mask, (OpLabel.IN,) + labeling + (OpLabel.OUT,))
                 if validate(s, SpaceLimits(4, 9)).valid:
                     raw_forms.add(perm_canonical_form(s))
     assert forms == raw_forms
@@ -995,7 +1028,7 @@ def test_enumeration_yields_valid_pruned_specs():
     limits = SpaceLimits(4, 4)
     for s in enumerate_space(limits):
         assert validate(s, limits).valid
-        assert cell_of(s, limits) == s
+        assert phenotype(s, limits) == s
         assert s.num_edges <= 4
 
 

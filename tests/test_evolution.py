@@ -20,7 +20,7 @@ from cellsearch.evolution import (
 )
 from cellsearch.oracle import PaidQueries, SimClock, SyntheticOracle, synth_record
 
-from conftest import cell_of, make_spec, spec_of
+from conftest import make_spec
 
 LIMITS = SpaceLimits(5, 9)
 
@@ -57,7 +57,7 @@ class FreeFitness:
 
 
 def _population_of(fitnesses):
-    spec = ModelSpec(2, ((0, 1),), (OpLabel.IN, OpLabel.OUT))
+    spec = ModelSpec.from_edges(2, ((0, 1),), (OpLabel.IN, OpLabel.OUT))
     return deque(
         Individual(spec, spec, f, birth_index=i)
         for i, f in enumerate(fitnesses)
@@ -269,13 +269,13 @@ def test_clock_charges_each_distinct_phenotype_once():
     expected = 0.0
     seen = set()
     for ind in history:
-        assert ind.cell == cell_of(spec_of(ind.genome), LIMITS)
+        assert ind.cell == cellspace.phenotype_of(*ind.genome, LIMITS)
         digest = cellspace.canonical_hash(ind.cell)
         if digest not in seen:
             seen.add(digest)
             expected += synth_record(ind.cell, oracle.params).train_time_s
     # the histories hold unpruned genomes beside their cells
-    assert any(spec_of(ind.genome) != ind.cell for ind in history)
+    assert any(ModelSpec(*ind.genome) != ind.cell for ind in history)
     assert clock.elapsed_s == expected
     assert fitness.evaluations == len(seen)
     assert fitness.memo_hits == len(history) - len(seen)
@@ -321,7 +321,7 @@ def test_exhausted_mutation_reports_cycle():
     cfg = EvolutionConfig(population_size=1, sample_size=1, cycles=2)
     clock = SimClock()
     # the only cell at (2,1), whose hash the message takes from parent.cell
-    only = cellspace.canonical_hash(ModelSpec(2, ((0, 1),), (OpLabel.IN, OpLabel.OUT)))
+    only = cellspace.canonical_hash(ModelSpec.from_edges(2, ((0, 1),), (OpLabel.IN, OpLabel.OUT)))
     with pytest.raises(ExhaustedError, match=rf"cycle 1 \(parent {only}\)"):
         run_evolution(cfg, SpaceLimits(2, 1), 0, PaidQueries(SyntheticOracle(), clock), clock)
 

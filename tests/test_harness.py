@@ -46,7 +46,7 @@ from cellsearch.predictor import PredictorFitness, RnnParams, TrainConfig
 from cellsearch.reinforce import DecisionSchedule, ReinforceConfig, run_reinforce
 from cellsearch.traces import SearchTrace, TraceRow, read_trace, write_trace
 
-from conftest import LOOSE_SPEC_OBJECTS, cell_of, spec_of
+from conftest import LOOSE_SPEC_OBJECTS, phenotype
 
 OPTIMUM_HASH_5_9 = "e630aae1d56e850ac87f7aa771b47739"
 
@@ -252,7 +252,7 @@ def test_paid_queries_charge_and_keep_the_first_best():
 def test_fitness_adapters_refuse_a_genome_and_record_nothing():
     # both adapters take cells: a genome with a dormant, half-connected
     # vertex is refused before anything is charged, logged or memoized
-    genome = ModelSpec(
+    genome = ModelSpec.from_edges(
         4,
         ((0, 1), (0, 2), (1, 3)),
         (OpLabel.IN, OpLabel.CONV3X3, OpLabel.CONV1X1, OpLabel.OUT),
@@ -268,7 +268,7 @@ def test_fitness_adapters_refuse_a_genome_and_record_nothing():
     assert (paid.trace.rows, paid.memo, paid.memo_hits, paid.best) == ([], {}, 0, None)
     assert guided.predictions == {}
     # the cell it denotes is scored as usual
-    cell = cell_of(genome, SpaceLimits(4, 9))
+    cell = phenotype(genome, SpaceLimits(4, 9))
     assert paid.evaluate(cell) == synth_record(cell, paid.oracle.params).val_accuracy
     assert guided.evaluate(cell) == guided.predictions[cell]
 
@@ -387,7 +387,7 @@ def test_pipeline_needs_a_budget():
 
 
 def _three_cells():
-    mk = lambda op: ModelSpec(3, ((0, 1), (1, 2)), (OpLabel.IN, op, OpLabel.OUT))
+    mk = lambda op: ModelSpec.from_edges(3, ((0, 1), (1, 2)), (OpLabel.IN, op, OpLabel.OUT))
     return mk(OpLabel.CONV3X3), mk(OpLabel.CONV1X1), mk(OpLabel.MAXPOOL3X3)
 
 
@@ -395,8 +395,8 @@ def _two_drawings():
     """Two pruned cells of one 4-vertex class: parallel branches whose ops
     sit at swapped indices."""
     edges = ((0, 1), (0, 2), (1, 3), (2, 3))
-    d1 = ModelSpec(4, edges, (OpLabel.IN, OpLabel.CONV3X3, OpLabel.CONV1X1, OpLabel.OUT))
-    d2 = ModelSpec(4, edges, (OpLabel.IN, OpLabel.CONV1X1, OpLabel.CONV3X3, OpLabel.OUT))
+    d1 = ModelSpec.from_edges(4, edges, (OpLabel.IN, OpLabel.CONV3X3, OpLabel.CONV1X1, OpLabel.OUT))
+    d2 = ModelSpec.from_edges(4, edges, (OpLabel.IN, OpLabel.CONV1X1, OpLabel.CONV3X3, OpLabel.OUT))
     assert d1 != d2 and cellspace.canonical_hash(d1) == cellspace.canonical_hash(d2)
     return d1, d2
 
@@ -470,7 +470,7 @@ def test_topk_accepts_sampled_arch_history_and_skips_invalid():
     valid = [s.spec for s in result.history if not s.invalid]
     assert result.invalid_count > 0
     assert set(guided.predictions) == set(valid)
-    assert all(cell_of(cell, limits) == cell for cell in guided.predictions)
+    assert all(phenotype(cell, limits) == cell for cell in guided.predictions)
     hashes = topk_revalidate(guided.predictions, len(result.history), _paid())
     assert set(hashes) == {cellspace.canonical_hash(s) for s in valid}
 
@@ -485,10 +485,10 @@ def test_topk_prunes_genomes():
         limits, 3, guided, SimClock(),
     )
     cells = {ind.cell for ind in history}
-    assert all(ind.cell == cell_of(spec_of(ind.genome), limits) for ind in history)
-    assert any(spec_of(ind.genome) != ind.cell for ind in history)
+    assert all(ind.cell == cellspace.phenotype_of(*ind.genome, limits) for ind in history)
+    assert any(ModelSpec(*ind.genome) != ind.cell for ind in history)
     assert set(guided.predictions) == cells
-    assert all(cell_of(cell, limits) == cell for cell in guided.predictions)
+    assert all(phenotype(cell, limits) == cell for cell in guided.predictions)
     paid = _paid()
     hashes = topk_revalidate(guided.predictions, len(history), paid)
     assert set(hashes) == {cellspace.canonical_hash(c) for c in cells}

@@ -102,7 +102,7 @@ def test_encode_injective_exhaustive_v_le_4():
 
 def test_encode_rejects_unpruned():
     # vertex 1 unreachable from IN
-    spec = ModelSpec(
+    spec = ModelSpec.from_edges(
         3, ((0, 2), (1, 2)), (OpLabel.IN, OpLabel.CONV3X3, OpLabel.OUT)
     )
     with pytest.raises(InvalidSpecError):
