@@ -9,9 +9,9 @@ Interior vertices carry one of three operations (3x3 convolution, 1x1
 convolution, 3x3 max-pool).
 
 Isomorphic cells (same structure and labels under a relabeling of interior
-vertices) are identified by an iterative neighborhood-refinement hash, so
-benchmark lookup never distinguishes two drawings of one cell. Enumeration
-dedupes them exactly, by relabeling, without the hash.
+vertices) share one canonical key, the smallest packed key among their
+drawings, so benchmark lookup never distinguishes two drawings of one cell.
+Enumeration yields each class at that key.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import enum
 import functools
 import hashlib
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Annotated, Iterator
 
@@ -53,16 +54,6 @@ class OpLabel(enum.Enum):
     CONV1X1 = "conv1x1"
     MAXPOOL3X3 = "maxpool3x3"
 
-
-# Op codes, hashed into every canonical digest: changing one changes every
-# hash.
-OP_CODES = {
-    OpLabel.IN: 0,
-    OpLabel.OUT: 1,
-    OpLabel.CONV3X3: 2,
-    OpLabel.CONV1X1: 3,
-    OpLabel.MAXPOOL3X3: 4,
-}
 
 INTERIOR_OPS = (OpLabel.CONV3X3, OpLabel.CONV1X1, OpLabel.MAXPOOL3X3)
 _INTERIOR = frozenset(INTERIOR_OPS)
@@ -192,13 +183,6 @@ def key_of(cell: ModelSpec) -> int:
     return (cell.num_vertices << 21 | cell.mask) << 8 | labeling
 
 
-def cell_of(key: int) -> ModelSpec:
-    """The cell of a `key_of` key."""
-    v, mask, labeling = key >> 29, key >> 8 & 0x1FFFFF, key & 0xFF
-    interior = [INTERIOR_OPS[labeling // 3**k % 3] for k in reversed(range(v - 2))]
-    return ModelSpec(v, mask, (OpLabel.IN, *interior, OpLabel.OUT))
-
-
 def _edges(num_vertices: int, mask: int) -> tuple[tuple[int, int], ...]:
     pairs, edges = _PAIRS[num_vertices], []
     while mask:  # the set bits, lowest first
@@ -315,25 +299,12 @@ def require_canonical(spec: ModelSpec) -> None:
         raise InvalidSpecError(f"spec is not a pruned, valid cell: {rules}")
 
 
-# the 4-byte length prefix `_h` puts before a 16-byte digest
-_DIGEST_LENGTH = (16).to_bytes(4, "big")
-
-
-def _h(*parts: bytes) -> bytes:
-    """128-bit hash of length-prefixed byte parts (4-byte big-endian lengths)."""
-    blob = b"".join(len(p).to_bytes(4, "big") + p for p in parts)
-    return hashlib.blake2b(blob, digest_size=16).digest()
-
-
 def canonical_hash(spec: ModelSpec) -> str:
-    """Isomorphism-invariant 128-bit digest of a pruned, valid spec.
-
-    Each vertex starts from a digest of (op code, in-degree, out-degree);
-    for num_vertices rounds every vertex digest is rehashed with the sorted
-    digests of its predecessors and successors; the final digest hashes the
-    sorted vertex digests together with the vertex count. Relabelings that
-    preserve edges, operations, and the IN/OUT roles cannot change any of
-    those ingredients, so isomorphic specs collide by construction.
+    """Isomorphism-exact 128-bit digest of a pruned, valid spec: the
+    `digest_of_key` of its canonical key, the smallest `key_of` key over
+    every relabeling of its interior vertices that keeps all edges pointing
+    upward (smallest mask first, then smallest labeling). Isomorphic specs
+    share that key, and others differ in it.
 
     Returns 32 lowercase hex characters. Equal specs share one memo entry
     (HASH_MEMO_SIZE); InvalidSpecError is raised afresh on every call.
@@ -341,41 +312,28 @@ def canonical_hash(spec: ModelSpec) -> str:
     return _hash_memo(spec)
 
 
-def _wl_hash(spec: ModelSpec) -> str:
+def digest_of_key(key: int) -> str:
+    """The 32-hex digest of a `key_of` key: blake2b-128 of its 4 big-endian
+    bytes. A class's digest is that of its canonical key, the key at which
+    `enumerate_space` yields it."""
+    return hashlib.blake2b(key.to_bytes(4, "big"), digest_size=16).hexdigest()
+
+
+def _canonical_digest(spec: ModelSpec) -> str:
     require_canonical(spec)
-    v = spec.num_vertices
-    preds: list[list[int]] = [[] for _ in range(v)]
-    succs: list[list[int]] = [[] for _ in range(v)]
-    for i, j in spec.edges:
-        preds[j].append(i)
-        succs[i].append(j)
-    digests = [
-        _h(bytes([OP_CODES[op]]), bytes([len(p)]), bytes([len(s)]))
-        for op, p, s in zip(spec.ops, preds, succs)
-    ]
-    # each round hashes _h's blob of (digest, sorted predecessor digests,
-    # sorted successor digests) in one join; only the digests change
-    # between rounds, so the length prefixes are fixed up front
-    lengths = [
-        ((16 * len(p)).to_bytes(4, "big"), (16 * len(s)).to_bytes(4, "big"))
-        for p, s in zip(preds, succs)
-    ]
-    for _ in range(v):
-        digests = [
-            hashlib.blake2b(
-                b"".join([
-                    _DIGEST_LENGTH, digests[k],
-                    p_len, *sorted([digests[p] for p in preds[k]]),
-                    s_len, *sorted([digests[s] for s in succs[k]]),
-                ]),
-                digest_size=16,
-            ).digest()
-            for k, (p_len, s_len) in enumerate(lengths)
-        ]
-    return _h(b"".join(sorted(digests)), bytes([v])).hex()
+    v, mask = spec.num_vertices, spec.mask
+    set_pairs = _set_pairs(v, mask)
+    digits = [_DIGIT[op] for op in spec.ops[1:-1]]
+    least = (1 << len(_PAIRS[v]), 0)  # past every storable mask
+    for image_bit, weights in _relabelings(v):
+        image = sum(set_pairs(image_bit))
+        if image <= least[0]:
+            least = min(least, (image, sum(map(operator.mul, digits, weights))))
+    image, labeling = least
+    return digest_of_key((v << 21 | image) << 8 | labeling)  # the `key_of` layout
 
 
-_hash_memo = functools.lru_cache(maxsize=HASH_MEMO_SIZE)(_wl_hash)
+_hash_memo = functools.lru_cache(maxsize=HASH_MEMO_SIZE)(_canonical_digest)
 
 
 def below(rng, n: int, count: int) -> list[int]:
@@ -477,10 +435,11 @@ def enumerate_space(limits: SpaceLimits) -> Iterator[ModelSpec]:
     Deterministic order: vertex count ascending, adjacency bitmask ascending
     (bit k = k-th row-major upper-triangular pair), interior labelings in
     product order over (conv3x3, conv1x1, maxpool3x3). Each class is
-    yielded at its first member in that order, found exactly, without
-    hashing: a structure is kept only when no interior relabeling maps it
-    to a smaller storable (upward-pointing) mask, and a labeling only when
-    it comes first among its images under the structure's automorphisms.
+    yielded at its first member in that order, its canonical key (see
+    `canonical_hash`), found without hashing: a structure is kept only when
+    no interior relabeling maps it to a smaller storable (upward-pointing)
+    mask, and a labeling only when it comes first among its images under
+    the structure's automorphisms.
     """
     for v in range(2, limits.max_vertices + 1):
         pairs, bit = _PAIRS[v], _BIT[v]
@@ -489,29 +448,47 @@ def enumerate_space(limits: SpaceLimits) -> Iterator[ModelSpec]:
         # masks as `_on_path(v, mask) == (1 << v) - 1` in about half the time
         need = [sum(bit[p] for p in pairs if p[1] == k) for k in range(1, v)]
         need += [sum(bit[p] for p in pairs if p[0] == k) for k in range(v - 1)]
-        # per interior relabeling, the image bit of each pair; a pair that
-        # would point downward maps past every storable mask
-        past = 1 << len(pairs)
-        relabelings = [
-            (perm[1:-1], [bit.get((perm[i], perm[j]), past) for i, j in pairs])
-            for perm in ((0, *p, v - 1) for p in itertools.permutations(range(1, v - 1)))
-        ]
-        for mask in range(past):
+        relabelings = _relabelings(v)
+        for mask in range(1 << len(pairs)):
             if mask.bit_count() > limits.max_edges or not all(mask & b for b in need):
                 continue
-            on = [k for k in range(len(pairs)) if mask >> k & 1]
+            set_pairs = _set_pairs(v, mask)
             automorphisms = []
-            for perm, image_bit in relabelings:
-                image = sum(image_bit[k] for k in on)
+            for image_bit, weights in relabelings:
+                image = sum(set_pairs(image_bit))
                 if image < mask:
                     break
                 if image == mask:
-                    automorphisms.append(perm)
+                    automorphisms.append(weights)
             else:
-                for labeling in itertools.product(range(3), repeat=v - 2):
-                    if all(
-                        labeling <= tuple(labeling[p - 1] for p in perm)
-                        for perm in automorphisms
-                    ):
-                        ops = tuple(INTERIOR_OPS[a] for a in labeling)
+                # product order is labeling order, so `labeling` counts from 0
+                for labeling, digits in enumerate(itertools.product(range(3), repeat=v - 2)):
+                    if all(labeling <= sum(map(operator.mul, digits, w)) for w in automorphisms):
+                        ops = tuple(INTERIOR_OPS[a] for a in digits)
                         yield ModelSpec(v, mask, (OpLabel.IN, *ops, OpLabel.OUT))
+
+
+@functools.cache
+def _relabelings(num_vertices: int) -> tuple:
+    """Every relabeling of the interior vertices of a `num_vertices` cell,
+    identity first, as (each pair's image bit, then a closing 0; each
+    interior slot's weight): a mask's image is the sum of its set pairs'
+    image bits, where a pair that would point downward maps past every
+    storable mask, and a labeling's image is the sum of its base-3 digits
+    times their slots' weights."""
+    v = num_vertices
+    bit, past = _BIT[v], 1 << len(_PAIRS[v])
+    return tuple(
+        (
+            (*[bit.get((perm[i], perm[j]), past) for i, j in _PAIRS[v]], 0),
+            tuple(3 ** (v - 2 - new) for new in perm[1:-1]),
+        )
+        for perm in ((0, *p, v - 1) for p in itertools.permutations(range(1, v - 1)))
+    )
+
+
+def _set_pairs(num_vertices: int, mask: int) -> operator.itemgetter:
+    """Reads a `_relabelings` row at a mask's set pairs and at its closing
+    0, so that it returns a tuple however few pairs are set."""
+    n = len(_PAIRS[num_vertices])
+    return operator.itemgetter(*[k for k in range(n) if mask >> k & 1], n)

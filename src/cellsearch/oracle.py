@@ -10,12 +10,11 @@ of every convergence trace.
 from __future__ import annotations
 
 import functools
+import heapq
 import json
 import math
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
 from typing import Annotated
 
 from . import cellspace
@@ -143,10 +142,11 @@ def synth_record(spec: ModelSpec, params: SyntheticOracleParams) -> BenchmarkRec
 
 
 def _synth_record(spec: ModelSpec, params: SyntheticOracleParams) -> BenchmarkRecord:
-    digest = cellspace.canonical_hash(spec)
+    return _record(spec, cellspace.canonical_hash(spec), params)
+
+
+def _record(spec: ModelSpec, digest: str, params: SyntheticOracleParams) -> BenchmarkRecord:
     f = spec_features(spec)
-    jitter_fraction = int.from_bytes(bytes.fromhex(digest)[:8], "big") / 2.0**64
-    accuracy = _accuracy(_raw_accuracy(f, params), jitter_fraction, params)
     time_s = (
         params.time_base_s
         + params.time_conv3x3_s * f["n_conv3x3"]
@@ -154,12 +154,13 @@ def _synth_record(spec: ModelSpec, params: SyntheticOracleParams) -> BenchmarkRe
         + params.time_maxpool_s * f["n_maxpool"]
         + params.time_edge_s * f["n_edges"]
     )
-    return BenchmarkRecord(digest, accuracy, time_s)
+    return BenchmarkRecord(digest, _accuracy(f, digest, params), time_s)
 
 
-def _raw_accuracy(f: dict, params: SyntheticOracleParams) -> float:
-    """Accuracy before jitter and clamping, from `spec_features`."""
-    return (
+def _accuracy(f: dict, digest: str, params: SyntheticOracleParams) -> float:
+    """Accuracy from `spec_features`, jittered by the digest's leading 64
+    bits as a fraction in [0, 1], then clamped."""
+    raw = (
         params.base_accuracy
         + params.conv3x3_gain * f["n_conv3x3"]
         + params.conv1x1_gain * f["n_conv1x1"]
@@ -167,11 +168,7 @@ def _raw_accuracy(f: dict, params: SyntheticOracleParams) -> float:
         + params.depth_gain * f["depth"]
         - params.edge_penalty * f["n_edges"]
     )
-
-
-def _accuracy(raw: float, fraction: float, params: SyntheticOracleParams) -> float:
-    """`raw` jittered by a fraction in [0, 1] (a digest's can round up to
-    1.0), then clamped: every step is monotone in raw and in fraction."""
+    fraction = int(digest[:16], 16) / 2.0**64
     return min(max(raw + (fraction - 0.5) * params.jitter_scale, 0.0), params.accuracy_cap)
 
 
@@ -202,9 +199,10 @@ def label(record: BenchmarkRecord, threshold: float = DEFAULT_LABEL_THRESHOLD) -
 
 def synthetic_table(params: SyntheticOracleParams, limits: SpaceLimits):
     """Yield (spec, record) for one representative of every class of the
-    enumerated space, in enumeration order."""
+    enumerated space, in enumeration order. Each class comes at its
+    canonical key, so its digest is that key's, and no memo is filled."""
     for spec in cellspace.enumerate_space(limits):
-        yield spec, synth_record(spec, params)
+        yield spec, _record(spec, cellspace.digest_of_key(cellspace.key_of(spec)), params)
 
 
 def _linear_quantile(n: int, order_statistics) -> float:
@@ -219,58 +217,35 @@ def _linear_quantile(n: int, order_statistics) -> float:
     return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t  # numpy's `_lerp`
 
 
-def _order_statistic(groups, k: int, bound: int) -> float:
-    # the k-th smallest lower (bound 0) or upper (bound 1) end of (lower, upper, keys) groups
-    ends = sorted((group[bound], len(group[2])) for group in groups)
-    return ends[bisect_right(list(accumulate(count for _, count in ends)), k)][0]
-
-
 class _SpaceScan:
-    """One enumeration of the synthetic space, kept as (lower, upper, keys)
-    groups: the classes of one raw accuracy, whose accuracies all lie in
-    [lower, upper], each as its `cellspace.key_of` key, which sorts in
-    enumeration order."""
+    """One pass over the enumerated synthetic space: every class's accuracy,
+    in enumeration order, and the first class of the largest. Each class is
+    yielded at its canonical key, so its digest is that key's, and the scan
+    goes through neither memo."""
 
     def __init__(self, params: SyntheticOracleParams, limits: SpaceLimits):
-        self.params, groups = params, {}
+        self.params, self.accuracies, best = params, array("d"), -math.inf
         for spec in cellspace.enumerate_space(limits):
-            raw = _raw_accuracy(spec_features(spec), params)
-            groups.setdefault(raw, array("L")).append(cellspace.key_of(spec))
-        ends = lambda raw: sorted([_accuracy(raw, 0.0, params), _accuracy(raw, 1.0, params)])
-        self.groups = [(*ends(raw), keys) for raw, keys in groups.items()]
-        self.count = sum(len(keys) for _, _, keys in self.groups)
-
-    def _ranked(self, lo: int, hi: int) -> tuple:
-        """The lo-th and hi-th smallest (accuracy, -key) over the space. Both
-        lie in [lowest, highest], read off the groups' bounds; the groups that
-        reach it are hashed into one exact group a class, those across its
-        middle first, until no inexact group reaches it."""
-        groups = self.groups
-        while True:
-            lowest, highest = _order_statistic(groups, lo, 0), _order_statistic(groups, hi, 1)
-            reach = [g for g in groups if g[0] < g[1] and g[1] >= lowest and g[0] <= highest]
-            if not reach:
-                break
-            middle = (lowest + highest) / 2
-            across = [g for g in reach if g[0] <= middle <= g[1]] or reach
-            groups = [g for g in groups if g not in across]
-            for key in chain.from_iterable(keys for _, _, keys in across):
-                accuracy = synth_record(cellspace.cell_of(key), self.params).val_accuracy
-                groups.append((accuracy, accuracy, (key,)))
-        below = sum(len(keys) for _, upper, keys in groups if upper < lowest)
-        ranked = sorted((a, -key) for a, b, keys in groups if b >= lowest and a <= highest for key in keys)
-        return ranked[lo - below], ranked[hi - below]
+            digest = cellspace.digest_of_key(cellspace.key_of(spec))
+            accuracy = _accuracy(spec_features(spec), digest, params)
+            self.accuracies.append(accuracy)
+            if accuracy > best:
+                best, self.best_spec = accuracy, spec
 
     @functools.cached_property
     def threshold(self) -> float:
-        return _linear_quantile(self.count, lambda lo, hi: [acc for acc, _ in self._ranked(lo, hi)])
+        n = len(self.accuracies)
+
+        def order_statistics(lo, hi):
+            # both lie in the top decile: the (n - lo) largest, descending
+            top = heapq.nlargest(n - lo, self.accuracies)
+            return top[-1], top[n - 1 - hi]
+
+        return _linear_quantile(n, order_statistics)
 
     @functools.cached_property
     def optimum(self):
-        # the largest (accuracy, -key): of equal accuracies, the first class
-        (_, key), _ = self._ranked(self.count - 1, self.count - 1)
-        spec = cellspace.cell_of(-key)
-        return spec, synth_record(spec, self.params)
+        return self.best_spec, synth_record(self.best_spec, self.params)
 
 
 # the process keeps the last scan: a run, or every seed of one `run`, shares one key
@@ -282,15 +257,13 @@ def synthetic_label_threshold(
 ) -> float:
     """Label threshold for synthetic runs: np.quantile's 0.90 quantile of
     accuracy over the enumerated space, bit for bit, so both classes are
-    populated wherever the synthetic accuracy range sits. Hashes only the
-    classes whose accuracy interval reaches its two order statistics."""
+    populated wherever the synthetic accuracy range sits."""
     return _synthetic_scan(params, limits).threshold
 
 
 def synthetic_optimum(params: SyntheticOracleParams, limits: SpaceLimits):
     """(spec, record) of the best cell in the enumerated synthetic space
-    (the first in enumeration order on a tie), hashing only the classes
-    whose accuracy interval can reach the largest accuracy."""
+    (the first in enumeration order on a tie)."""
     return _synthetic_scan(params, limits).optimum
 
 

@@ -65,31 +65,32 @@ ORDER_DIGESTS = {
 }
 
 # sha256 over each yielded spec's canonical hash, in yield order, as the
-# hash computed them before its refinement rounds were restructured; a
-# faster hash must keep every digest
+# blake2b of the smallest relabeled key computes them; a faster hash must
+# keep every digest
 HASH_DIGESTS = {
-    (4, 9): "63b9d9811647d9424cbf7a816470f78c1539992b079c6010e0654cc0cae99007",
-    (5, 9): "61f06dbdf57623d014dad7f9a4cbf149333a5d1a13db2098d2ade73eacca4a4a",
-    (6, 9): "e4909f428f499ebda70e40f4286d3f160f1558d65a9592f500c6dcbd4932f3e3",
+    (4, 9): "00098991db8bf35082b4f3cef57056b76774a80d8c203ec2ae1488f2f85e30be",
+    (5, 9): "9e06d7035c9a2a18e4cd927da745a93ca179e3d106a059a68fdef030d40e5e68",
+    (6, 9): "152039fff8b9d255d6c41e1d37e2a0084b1e5aa1b517f2efe655762b29ba25c5",
 }
 
 
 @functools.lru_cache(maxsize=None)
 def enumeration_pass(limits):
     """(class count, order digest, distinct canonical hashes, digest of the
-    canonical hashes in order) from one pass over enumerate_space, shared by
-    the count, order and hash tests."""
+    canonical hashes in order, classes hashed as their own key) from one
+    pass over enumerate_space, shared by the count, order and hash tests."""
     order = hashlib.sha256()
     hashes = hashlib.sha256()
     digests = set()
-    count = 0
+    count = own_key = 0
     for spec in enumerate_space(SpaceLimits(*limits)):
         order.update((json.dumps(spec.to_json_obj(), sort_keys=True) + "\n").encode())
         digest = canonical_hash(spec)
         hashes.update(digest.encode())
         digests.add(digest)
         count += 1
-    return count, order.hexdigest(), len(digests), hashes.hexdigest()
+        own_key += digest == cellspace.digest_of_key(cellspace.key_of(spec))
+    return count, order.hexdigest(), len(digests), hashes.hexdigest(), own_key
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +415,21 @@ def test_hash_invariance_and_separation_exhaustive_v_le_5():
     assert len(set(digests)) == len(digests), "hash collision across classes"
 
 
+def test_seven_vertex_drawings_hash_as_their_smallest_key():
+    # (7,9) is too large to check in full: 200 random 7-vertex cells, each
+    # against every storable drawing that relabel_spec makes of it
+    rng, limits, cells = random.Random(0), SpaceLimits(7, 9), {}
+    while len(cells) < 200:
+        spec = random_spec(rng, limits)
+        if spec.num_vertices == 7:
+            cells.setdefault(cellspace.key_of(spec), spec)
+    for spec in cells.values():
+        images = [relabel_spec(spec, perm) for perm in interior_permutations(spec)]
+        images = [image for image in images if image is not None]
+        smallest = min(cellspace.key_of(image) for image in images)
+        assert {canonical_hash(image) for image in images} == {cellspace.digest_of_key(smallest)}
+
+
 # ---------------------------------------------------------------------------
 # value-keyed memos on canonical_hash and phenotype_of
 
@@ -423,7 +439,7 @@ def test_hash_memo_keys_on_value_not_identity():
     a = make_spec(4, [(0, 1), (1, 2), (2, 3)], [OpLabel.CONV3X3, OpLabel.CONV1X1])
     b = make_spec(4, [(2, 3), (1, 2), (0, 1)], [OpLabel.CONV3X3, OpLabel.CONV1X1])
     assert a is not b
-    assert canonical_hash(a) == canonical_hash(b) == cellspace._wl_hash(a)
+    assert canonical_hash(a) == canonical_hash(b) == cellspace._canonical_digest(a)
     info = cellspace._hash_memo.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
@@ -509,18 +525,31 @@ def test_draws_assembly_and_mutation_share_one_phenotype_memo():
 def test_hash_memo_stays_bounded_after_a_threshold_scan():
     cellspace._hash_memo.cache_clear()
     oracle._synthetic_scan.cache_clear()
-    # a warm oracle memo would answer its cells without hashing them
     oracle._record_memo.cache_clear()
-    oracle.synthetic_label_threshold(oracle.SyntheticOracleParams(), SpaceLimits(6, 9))
-    info = cellspace._hash_memo.cache_info()
-    # enumeration hashes nothing, and the scan asks synth_record only for the
-    # 7,661 of the 64,542 classes whose accuracy interval reaches the
-    # quantile, each once; both memos fill and evict
-    assert (info.misses, info.hits) == (7661, 0)
-    assert info.currsize == info.maxsize == cellspace.HASH_MEMO_SIZE
-    info = oracle._record_memo.cache_info()
-    assert (info.misses, info.hits) == (7661, 0)
-    assert info.currsize == info.maxsize == cellspace.HASH_MEMO_SIZE
+    params, limits = oracle.SyntheticOracleParams(), SpaceLimits(6, 9)
+    oracle.synthetic_label_threshold(params, limits)
+    # each class's digest is its own key's, so the threshold goes through
+    # neither memo, and the optimum leaves its one record in each
+    assert cellspace._hash_memo.cache_info().currsize == 0
+    assert oracle._record_memo.cache_info().currsize == 0
+    spec, record = oracle.synthetic_optimum(params, limits)
+    assert cellspace._hash_memo.cache_info().currsize == 1
+    assert oracle._record_memo.cache_info().currsize == 1
+    assert oracle._record_memo(spec, params) is record
+
+
+def test_hash_and_record_memos_stay_bounded():
+    cellspace._hash_memo.cache_clear()
+    oracle._record_memo.cache_clear()
+    params = oracle.SyntheticOracleParams()
+    cells = list(itertools.islice(enumerate_space(SpaceLimits(5, 9)), 2 * cellspace.HASH_MEMO_SIZE))
+    for cell in cells:
+        oracle.synth_record(cell, params)  # hashes each distinct cell once
+    assert len(cells) == 2 * cellspace.HASH_MEMO_SIZE
+    for memo in (cellspace._hash_memo, oracle._record_memo):
+        info = memo.cache_info()
+        assert (info.misses, info.hits) == (len(cells), 0)
+        assert info.currsize == info.maxsize == cellspace.HASH_MEMO_SIZE
 
 
 def test_prune_memo_returns_an_equal_spec_for_an_equal_genome():
@@ -949,8 +978,8 @@ def test_mutate_deterministic_per_seed():
 
 @pytest.mark.parametrize("limits,count", sorted(KNOWN_CLASS_COUNTS.items()))
 def test_enumeration_class_counts(limits, count):
-    # the distinct-hash count checks WL separation over every class
-    classes, _, distinct_hashes, _ = enumeration_pass(limits)
+    # the distinct-hash count checks separation over every class
+    classes, _, distinct_hashes, _, _ = enumeration_pass(limits)
     assert classes == count
     assert distinct_hashes == count
 
@@ -965,12 +994,16 @@ def test_canonical_hashes_are_pinned(limits, digest):
     assert enumeration_pass(limits)[3] == digest
 
 
+@pytest.mark.parametrize("limits", [(4, 9), (5, 9), (6, 9)])
+def test_enumeration_yields_each_class_at_its_canonical_key(limits):
+    # canonical_hash(cell) == digest_of_key(key_of(cell)) for every class
+    classes, _, _, _, own_key = enumeration_pass(limits)
+    assert own_key == classes == KNOWN_CLASS_COUNTS[limits]
+
+
 @pytest.mark.parametrize("limits", [(4, 9), (5, 9)])
 def test_keys_round_trip_and_sort_in_enumeration_order(limits):
-    keys = []
-    for cell in enumerate_space(SpaceLimits(*limits)):
-        keys.append(cellspace.key_of(cell))
-        assert cellspace.cell_of(keys[-1]) == cell
+    keys = [cellspace.key_of(cell) for cell in enumerate_space(SpaceLimits(*limits))]
     assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
@@ -981,11 +1014,9 @@ def test_a_key_holds_the_top_mask_bit_and_the_first_slot_as_its_top_digit():
     top = ModelSpec.from_edges(7, chain, (OpLabel.IN, *[OpLabel.MAXPOOL3X3] * 5, OpLabel.OUT))
     assert top.mask >> 20 == 1
     assert cellspace.key_of(top) == (7 << 21 | top.mask) << 8 | 242
-    assert cellspace.cell_of(cellspace.key_of(top)) == top
     # conv1x1 then maxpool3x3 is labeling 12 in base 3, 5
     mixed = make_spec(4, chain[:3], [OpLabel.CONV1X1, OpLabel.MAXPOOL3X3])
     assert cellspace.key_of(mixed) == (4 << 21 | mixed.mask) << 8 | 5
-    assert cellspace.cell_of(cellspace.key_of(mixed)) == mixed
 
 
 def test_enumeration_reaches_the_full_space():

@@ -22,7 +22,7 @@ from cellsearch.oracle import PaidQueries, SyntheticOracleParams, load_table, sy
 from cellsearch.predictor import RnnParams, load_predictor
 from cellsearch.traces import TRACE_HEADER, SearchTrace, read_trace
 
-OPTIMUM_HASH_5_9 = "e630aae1d56e850ac87f7aa771b47739"
+OPTIMUM_HASH_5_9 = "e6f50a3dbee0bfeee91f33fa572fccd4"
 
 
 def _not_json(constant):
@@ -62,7 +62,7 @@ def test_enumerate_optimum(capsys):
     assert code == 0
     (obj,) = json_lines(out)
     assert obj["hash"] == OPTIMUM_HASH_5_9
-    assert obj["val_accuracy"] == pytest.approx(0.8069836021449124)
+    assert obj["val_accuracy"] == pytest.approx(0.7990435302748605)
 
 
 def test_gen_synthetic_writes_a_loadable_table(capsys, tmp_path):
@@ -391,55 +391,55 @@ def test_nas_seed_garbage_is_a_usage_error(capsys, tmp_path, monkeypatch):
 PINNED_DIGESTS = {
     ("run", "--algo", "evolution", "--fitness", "oracle", "--limits", "4,9",
      "--cycles", "200", "--seed", "0"): {
-        "summary.json": "b2d8f781c31e893d3ce52c3af6d57ea6249b6e31817bcae09d428da7132c2f36",
-        "trace.csv": "4bd5d579d65cbb8cf230193810f5b1ae7b8b7a512e97aca7937ca3021a9acc40",
-        "stdout": "a4a4dbdf878e2a4d7477d2daa6356e2fe69eb139a20b6b5f32e5d155ddb37479",
+        "summary.json": "880053b7a8925dab7160bd11f753fa3ae2c8821eaa650a68659473251fa2d641",
+        "trace.csv": "bfd4ff74f056405ac5d21a0f21904db6334c0b770a421d42601379ac3246430d",
+        "stdout": "87d0de1bc91ccb85b778e8f099ab8e827769e0e2df15d24788cc8c6a3b042605",
     },
     ("run", "--fitness", "predictor", "--limits", "4,9", "--n-label", "60",
      "--seed", "2"): {
-        "predictor.json": "85e7774234819b2ef7753b3bac185f60551b4c3fad3f79619b8e1cdb30ea64e5",
-        "search_trace.csv": "0b6a9715b45ddd9f7e1db1bab12e9b72d96c9dfe324b92bed93b46482e879b18",
-        "summary.json": "d239e391a26210b9c4c3b029854a1da621bf95061571255774cd279fca868534",
-        "trace.csv": "6122ab5c67550592cdc02608343b309e54a216666654ceb8e7d084038214cd5d",
-        "stdout": "2a377c88b5513206157c1323eb19c706b036478891e28defa938b6de83f47aca",
+        "predictor.json": "bb3c1c415b9fd6bb9daf0d07498b2fc84b1a65d14af9a50e9fe6bd5b3c0847c3",
+        "search_trace.csv": "497d458c504abda0dbc32372b4ab40a529123ab45b7b2e9e88c5f152d73a65a1",
+        "summary.json": "12c2f2095633e17e7dc75ea15c3facb48533f76a1bd2ecb358f9b60f1e96dab4",
+        "trace.csv": "2cf234a0e004a62629c4be3aa109fb5048caae254e48ded1d422b5326c3e8b7d",
+        "stdout": "5946de354e82bada4fac36f8b034313ecabb28991a233cae1ed49ae9ef4b10c6",
     },
     ("label", "--limits", "4,9", "--n", "80", "--seed", "3"): {
-        "out": "5edd94ae3327446a19d372c4da8a3f0e72ea8c0753d27eb48704c2e165cb8df7",
-        "stdout": "fbe76eb191e717ad9859de958597f169eba456f08ccdec5e49a1cf85eda9c6e2",
+        "out": "5be4ca50a901d6c7f4a5336ab264f9a3e1061b2118175d8d1a58cc6af43311b0",
+        "stdout": "44f7874f28308b6740356ab14d655c6c6aeb1e52f27a4ce2e4e5bd1d689ad8b5",
     },
     ("run", "--algo", "reinforce", "--fitness", "oracle", "--limits", "4,9",
      "--batch-size", "4", "--iterations", "25", "--seed", "1"): {
-        "summary.json": "fb2472655fd0a404a1ae6e493a2480bff855f8c05b8cf24c9bb71a5c20ff4901",
-        "trace.csv": "aa0842b9d4b6fa865c50ecc50d60d15bb3d88b3d27d77199cc996782ffea5da4",
-        "stdout": "7a9474ccfc4aa91d565eadeec62ed3d77c37ee497c5a86aabccce621ff900cb7",
+        "summary.json": "70732ead6b9f9da48cd644b0e7e13466e5bbeadcd2be2e0eb79eec6a28573b56",
+        "trace.csv": "e8cccc8ab84411704c8f5449477335bf49e7b8972b27f0908f75a5d2a3e6940d",
+        "stdout": "e571794635220ae5db326964351032c4619d17160554a06f8f22c19de2e22b90",
     },
     ("run", "--algo", "reinforce", "--fitness", "predictor", "--limits", "4,9",
      "--n-label", "60", "--batch-size", "4", "--iterations", "25", "--seed", "1"): {
-        "predictor.json": "b119d1d08f63c8ee5da1b791f1ba44c5656e603a584b3e865485d1e32df6cde4",
-        "search_trace.csv": "6871ef259688d60c9b88b7bdd9b4f78d098ccc8df42ffac954eb0966c31dc1d8",
-        "summary.json": "c3f457bcd37aed17b581884a4ffbfac649c2363bf73e9f47e59070e700344535",
-        "trace.csv": "01065fb8a169714c14f7a35bfa139bcc5c4dec918ec2797acd54a543897fb633",
-        "stdout": "aee6d2f730a39df555d0590eaf67c1b0ca80b7eaed85855bb91a695a9f9ac50b",
+        "predictor.json": "b78cde078c2946a31e39bcfc276338200a3125d450d407f952f60522f631f002",
+        "search_trace.csv": "2b50d04fd7a39c8387b9714079b94c38278ae2110b243edee4b75e4c75773e55",
+        "summary.json": "feb20498e5037b3a4ca20ac04e2e2031cea575a1914e226eb022d4819a11d39e",
+        "trace.csv": "c9477e24eef4d5e5265b4b6576297da64034e6925ce94671b80341a4dc8a64a7",
+        "stdout": "a425bf89244d2ebd5718388abbf02a020a394269d3201c03b464824726deb7f6",
     },
     # the benchmark's 26-decision, hidden-32 schedule
     ("run", "--algo", "reinforce", "--fitness", "oracle", "--limits", "7,9",
      "--batch-size", "5", "--iterations", "10", "--seed", "3"): {
-        "summary.json": "3cfdefbb9df3c09e70b0dd4659e518c8fb7e14e993f82b02a946c4c901861d64",
-        "trace.csv": "7d6e0d69468f4ed12c6da1699f83d8ffd51be12f01b4d408e2603b4def49b5c6",
-        "stdout": "e9c5243ab52136b876c54fe3b25f261a22fb9ab9b1bf05c85eb7f955fc83714f",
+        "summary.json": "f3a937ce3e1ae19a4f8f2788ce2c9ebf3894a66c57a95f8f4628c501b520dbbb",
+        "trace.csv": "80d4d51d20d9678894e467856ff76029c24bf9dc4d8a516e66f7d4a81cac20a0",
+        "stdout": "e15eaa5a1bfe6e2f176d05a3ed40339e413e962fed826939f0de12674eef8c58",
     },
     # aging evolution at the gt-evolution benchmark's shape, and at (7,9)
     ("run", "--algo", "evolution", "--fitness", "oracle", "--limits", "5,9",
      "--population-size", "50", "--sample-size", "10", "--cycles", "400", "--seed", "4"): {
-        "summary.json": "240ba5285ad6cec3ac05e5696c87aa2afa42e34ab09445b75674037033302578",
-        "trace.csv": "b7a35c10267137f253c4b5089308dc6b48b93cac3d98ba1cdc202c0a59469d30",
-        "stdout": "d73417686046551f12126310a16bfb98c75c29aa93d7ba57f4800bb163c89fd9",
+        "summary.json": "c414273264efc50c834cc8f4292848ab0ec0dff619426e1f25a3a4b7a0a8c70f",
+        "trace.csv": "f1bebc847fc8a333373441b3deffd2a77c1390cd27df9138e82865007a888e74",
+        "stdout": "38fb0b85fea502b1a6b66d1b469cae35088cd8bebd596246d60c82d001b20604",
     },
     ("run", "--algo", "evolution", "--fitness", "oracle", "--limits", "7,9",
      "--cycles", "300", "--seed", "5"): {
-        "summary.json": "a1460fb05f9b1df8d6d2240973fffd17ddb02b894b210d250676231c758e97af",
-        "trace.csv": "63853660b44a8a698a8032d326b8da2f8f8f4da3354c32112d71bb97216fe30a",
-        "stdout": "9c90ef7ee6f7cc40e2e2727a7326354305c92983a4490895272acbcb0565ce73",
+        "summary.json": "997637986172e475e8d7a9ddcac05e3d0c8641f59c38c9f2f38952a5c9a1e8eb",
+        "trace.csv": "38214ccc0995fff92956c7e231d99ecc99091ce23fc2a7b0c8e1af6639b689d2",
+        "stdout": "c4270acd1ab1dfa5cad5ae0380efd7b93feb5a6658d8526783d38d08745be111",
     },
 }
 

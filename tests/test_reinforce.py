@@ -39,7 +39,7 @@ from cellsearch.reinforce import (
 
 from conftest import central_differences, max_relative_error
 
-OPTIMUM_HASH_5_9 = "e630aae1d56e850ac87f7aa771b47739"
+OPTIMUM_HASH_5_9 = "e6f50a3dbee0bfeee91f33fa572fccd4"
 
 BANDIT = DecisionSchedule((3,))
 SCHEDULE_5_9 = DecisionSchedule.from_limits(SpaceLimits(5, 9))
@@ -119,7 +119,8 @@ def test_assemble_chain_is_the_known_optimum():
     sched = DecisionSchedule.from_limits(SpaceLimits(5, 9))
     # pairs row-major: (0,1),(0,2),(0,3),(0,4),(1,2),(1,3),(1,4),(2,3),(2,4),(3,4)
     edge_bits = [0] * 10
-    for idx in (0, 4, 7, 9):  # (0,1),(1,2),(2,3),(3,4)
+    # the optimum is the chain (0,1),(1,2),(2,3),(3,4) with shortcuts (0,4) and (2,4)
+    for idx in (0, 3, 4, 7, 8, 9):
         edge_bits[idx] = 1
     spec = sched.assemble(tuple(edge_bits) + (0, 0, 0))
     assert spec is not None
