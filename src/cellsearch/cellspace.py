@@ -213,6 +213,28 @@ def _on_path(num_vertices: int, mask: int) -> int:
     return from_input & to_output
 
 
+def longest_path_edges(spec: ModelSpec) -> int:
+    """Length in edges of the longest input->output path; ValueError if there
+    is none. Edges point upward, so one forward sweep over the mask's
+    successor rows (as `_on_path` reads them) settles each vertex's depth
+    before its edges out are read."""
+    v, mask = spec.num_vertices, spec.mask << 1
+    depth = [0] + [-v] * (v - 1)  # unreached: -v plus at most v - 2 edges, below 0
+    i = 0
+    for shift, successors in _ROWS[v]:
+        d, succ = depth[i] + 1, mask >> shift & successors
+        while succ:  # i's successors, lowest first
+            low = succ & -succ
+            j = low.bit_length() - 1
+            if depth[j] < d:
+                depth[j] = d
+            succ ^= low
+        i += 1
+    if depth[-1] < 1:
+        raise ValueError("no input->output path")
+    return depth[-1]
+
+
 def _ops_ok(ops) -> bool:
     """IN and OUT at the terminals, a real operation on every interior vertex."""
     return ops[0] is OpLabel.IN and ops[-1] is OpLabel.OUT and _INTERIOR.issuperset(ops[1:-1])

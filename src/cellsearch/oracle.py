@@ -105,19 +105,6 @@ class SyntheticOracle:
         return synth_record(spec, self.params)
 
 
-def longest_path_edges(spec: ModelSpec) -> int:
-    """Length in edges of the longest input->output path. Edges are sorted
-    with i < j, so every edge into i precedes every edge out of it and one
-    forward sweep settles each vertex's depth."""
-    depth = [0] + [None] * (spec.num_vertices - 1)
-    for i, j in spec.edges:
-        if depth[i] is not None and (depth[j] is None or depth[j] <= depth[i]):
-            depth[j] = depth[i] + 1
-    if depth[-1] is None:
-        raise ValueError("no input->output path")
-    return depth[-1]
-
-
 def spec_features(spec: ModelSpec) -> dict:
     ops = spec.ops  # IN and OUT match none of the three
     return {
@@ -125,7 +112,7 @@ def spec_features(spec: ModelSpec) -> dict:
         "n_conv1x1": ops.count(OpLabel.CONV1X1),
         "n_maxpool": ops.count(OpLabel.MAXPOOL3X3),
         "n_edges": spec.num_edges,
-        "depth": longest_path_edges(spec),
+        "depth": cellspace.longest_path_edges(spec),
     }
 
 

@@ -134,34 +134,83 @@ def _prob(z):
 
 
 def _check_tokens(seq) -> np.ndarray:
-    seq = np.asarray(seq, dtype=np.int64)
-    if seq.ndim != 1 or seq.size == 0:
+    """The one input check in front of the kernel: `seq` as an int64 array,
+    or ShapeError unless it is a nonempty 1-d sequence of integer token ids
+    in the alphabet. A float, a bool or a string is refused, inside a list
+    too; an integer array passes without a per-token loop."""
+    tokens = np.asarray(seq)
+    if tokens.ndim != 1 or tokens.size == 0:
         raise ShapeError("token sequence must be a nonempty 1-d array")
-    if seq.min() < 0 or seq.max() >= ALPHABET_SIZE:
+    if tokens.dtype.kind not in "iu" or not isinstance(seq, np.ndarray) and any(
+        isinstance(t, (bool, np.bool_)) for t in seq
+    ):
+        raise ShapeError(f"token ids must be integers, got {seq!r}")
+    tokens = tokens.astype(np.int64, copy=False)
+    if tokens.min() < 0 or tokens.max() >= ALPHABET_SIZE:
         raise ShapeError("token id outside alphabet")
-    return seq
+    return tokens
+
+
+def _run(params: RnnParams, X: np.ndarray, padded: np.ndarray):
+    """The recurrence over a left-padded batch, which scoring and training
+    both run: X is (B, T) tokens and `padded[t]` the rows still padding at
+    step t. Returns (states, p): states[t], every row's state before step
+    t, in a (T+1, B, H) buffer whose rows lie H+1 apart, and each row's
+    P(label = 1).
+
+    States are time-major, so a step reads and writes contiguous (B, H)
+    blocks, and no step masks the padding: a padded slot's input is -b_h.
+    A zero state times W_h is ±0, (-b + ±0) + b is exactly +0.0 for every
+    finite b (±0 too) and tanh(+0.0) is +0.0, so a row stays at the zero
+    state until its first token. b_h is added from a (B, H) block filled
+    once: a same-shape add has the bits of the broadcast add at under half
+    its cost."""
+    (B, T), H = X.shape, params.hidden_size
+    W_hT, b_h = params.W_h.T, params.b_h
+    x_in = params.W_x.T[X.T]  # (T, B, H): the input column of every token
+    x_in[padded] = -b_h
+    bias = np.full((B, H), b_h)
+
+    hs = np.zeros((T + 1, B, H))
+    a = np.empty((B, H))
+    for t in range(T):
+        hs[t].dot(W_hT, out=a)
+        a += x_in[t]
+        a += bias
+        np.tanh(a, out=hs[t + 1])
+
+    # The gradients read a copy whose rows lie H+1 apart: BLAS sums a dense
+    # matrix of at most 3 columns, and a unit-stride dot, in an order of its
+    # own, which would round w_o's gradient (at hidden 1 W_h's) differently.
+    states = np.empty((T + 1, B, H + 1))[:, :, :H]
+    states[...] = hs
+    return states, _prob(states[T] @ params.w_o + params.b_o)
 
 
 def forward(params: RnnParams, seq) -> float:
-    """Run the recurrence over one sequence; return P(label = 1) in (0,1)."""
-    seq = _check_tokens(seq)
-    inputs = np.ascontiguousarray(params.W_x.T)  # row t: the input of token t
-    h = np.zeros(params.hidden_size)
-    for t in seq.tolist():
-        h = np.tanh(inputs[t] + params.W_h.dot(h) + params.b_h)
-    return float(_prob(params.w_o @ h + params.b_o))
+    """P(label = 1) in (0,1) for one token sequence: `loss_and_grad`'s
+    kernel run on it as a one-row batch, so scoring and training agree bit
+    for bit. ShapeError unless `seq` is a nonempty 1-d sequence of integer
+    token ids in the alphabet."""
+    X = _check_tokens(seq)[None]
+    _, p = _run(params, X, np.zeros(X.shape[::-1], dtype=bool))  # no padded slot
+    return float(p[0])
 
 
 def pad_batch(batch):
     """Check a list of (token sequence, 0/1 label) and left-pad it into the
     form `loss_and_grad` takes: (X, M, y), an (n, T) int64 token array with
     T the longest sequence and token 0 in padded slots, its (n, T) bool
-    mask of real tokens, and the (n,) float labels. For rows `idx` whose
-    longest sequence has L tokens, `X[idx, T - L:]` (with M and y alike) is
-    exactly the padding of those rows on their own."""
+    mask of real tokens, and the (n,) float labels. A sequence that
+    `forward` would refuse raises ShapeError, and a label that is not the
+    int 0 or 1 ConfigError. For rows `idx` whose longest sequence has L
+    tokens, `X[idx, T - L:]` (with M and y alike) is exactly the padding of
+    those rows on their own."""
     if not batch:
         raise ValueError("empty batch")
     seqs = [_check_tokens(seq) for seq, _ in batch]
+    for _, label in batch:
+        check_value("label", label, Literal[0, 1])
     y = np.array([float(label) for _, label in batch])
     T = max(len(s) for s in seqs)
     X = np.zeros((len(seqs), T), dtype=np.int64)
@@ -175,40 +224,18 @@ def pad_batch(batch):
 def loss_and_grad(params: RnnParams, X: np.ndarray, M: np.ndarray, y: np.ndarray):
     """Mean binary cross-entropy over a padded batch plus exact gradients.
 
-    (X, M, y) is a batch as `pad_batch` builds it. Returns (loss,
-    RnnParams-shaped gradient), bit for bit what running each sequence
-    alone from the zero state and adding its steps' gradients one at a
-    time gives. States are time-major (hs[t]: every row's state before
-    step t), so a step reads and writes contiguous (B, H) blocks, and no
-    step masks the padding:
-    - forward: a padded slot's input is -b_h. A zero state times W_h is
-      ±0, (-b + ±0) + b is exactly +0.0 for every finite b (±0 too) and
-      tanh(+0.0) is +0.0, so a row stays at the zero state until its
-      first token;
-    - backward: padded rows run unmasked, since their gradients only reach
-      their own earlier, also padded, steps; their slots are zeroed once.
+    (X, M, y) is a batch as `pad_batch` builds it. The forward pass is the
+    kernel `forward` scores with, so a row's probability here is bit for
+    bit its score. Returns (loss, RnnParams-shaped gradient), bit for bit
+    what running each sequence alone from the zero state and adding its
+    steps' gradients one at a time gives. Padded rows run the backward
+    pass unmasked, since their gradients only reach their own earlier,
+    also padded, steps; their slots are zeroed once.
     """
     (B, T), H = X.shape, params.hidden_size
-    W_h, W_hT, b_h = params.W_h, params.W_h.T, params.b_h
     padded = ~M.T  # padded[t]: rows still padding at step t
-    x_in = params.W_x.T[X.T]  # (T, B, H): the input column of every token
-    x_in[padded] = -b_h
-
-    hs = np.zeros((T + 1, B, H))
-    a = np.empty((B, H))
-    for t in range(T):
-        hs[t].dot(W_hT, out=a)
-        a += x_in[t]
-        a += b_h
-        np.tanh(a, out=hs[t + 1])
-
-    # The gradients read a copy whose rows lie H+1 apart: BLAS sums a dense
-    # matrix of at most 3 columns, and a unit-stride dot, in an order of its
-    # own, which would round w_o's gradient (at hidden 1 W_h's) differently.
-    states = np.empty((T + 1, B, H + 1))[:, :, :H]
-    states[...] = hs
+    states, p = _run(params, X, padded)
     hT = states[T]
-    p = _prob(hT @ params.w_o + params.b_o)
     loss = float(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)).sum() / B)
     dz = (p - y) / B
 
@@ -216,7 +243,7 @@ def loss_and_grad(params: RnnParams, X: np.ndarray, M: np.ndarray, y: np.ndarray
     # becomes its pre-activation gradient.
     das = np.square(states[T:0:-1])
     np.subtract(1.0, das, out=das)
-    dh = dz[:, None] * params.w_o
+    dh, W_h = dz[:, None] * params.w_o, params.W_h
     for da in das:
         da *= dh
         da.dot(W_h, out=dh)

@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 
 from cellsearch import cellspace, oracle
-from cellsearch.cellspace import ModelSpec, OpLabel, SpaceLimits, canonical_hash
+from cellsearch.cellspace import (
+    ModelSpec, OpLabel, SpaceLimits, canonical_hash, longest_path_edges,
+)
 from cellsearch.errors import (
     ParseError,
     DuplicateHashError,
@@ -29,7 +31,6 @@ from cellsearch.oracle import (
     dump_table_lines,
     label,
     load_table,
-    longest_path_edges,
     query,
     synth_record,
     synthetic_label_threshold,
@@ -156,6 +157,10 @@ def test_longest_path_hand_cases(two_vertex):
         5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], [OpLabel.CONV3X3] * 3
     )
     assert longest_path_edges(with_skip) == 4
+    # a chain the input does not reach leads to OUT
+    unreached = make_spec(4, [(1, 2), (2, 3)], [OpLabel.CONV3X3] * 2)
+    with pytest.raises(ValueError, match="no input->output path"):
+        longest_path_edges(unreached)
 
 
 def test_longest_path_matches_exhaustive_walk(space59_specs):
@@ -175,7 +180,7 @@ def test_longest_path_matches_exhaustive_walk(space59_specs):
         walk(0, 0)
         return best
 
-    for spec in space59_specs[::37]:
+    for spec in space59_specs:
         assert longest_path_edges(spec) == brute(spec)
 
 

@@ -160,6 +160,24 @@ def test_forward_shape_errors():
         forward(zero_params(), np.array([0, 6]))
     with pytest.raises(ShapeError):
         forward(zero_params(), np.array([], dtype=int))
+    # a token is an integer id: no float, bool or string is cast to one,
+    # inside a list either
+    params = zero_params()
+    for bad in (
+        [5.9, 1.2], np.array([5.0, 1.0]), [True, 1], [1, np.True_], np.array([True, False]),
+        ["5", "1"], [5, "1"], np.array(["5", "1"]), [[5, 1]], [5, None], 5,
+    ):
+        with pytest.raises(ShapeError):
+            forward(params, bad)
+        with pytest.raises(ShapeError):
+            pad_batch([([5, 1], 0), (bad, 1)])
+    seq = encode(make_spec(3, [(0, 1), (1, 2)], [OpLabel.MAXPOOL3X3]))
+    for good in (seq.tolist(), tuple(seq.tolist()), seq.astype(np.uint8), list(seq)):
+        assert forward(params, good) == forward(params, seq)
+    # a label is the int 0 or 1, as a labeled file's must be
+    for label in (0.7, 2, -1, True, 1.0, "1", np.int64(1), None):
+        with pytest.raises(ConfigError, match="label"):
+            pad_batch([([5, 1], 0), ([5, 0, 1], label)])
 
 
 def test_from_flat_rejects_non_finite_parameters():
@@ -465,6 +483,17 @@ def test_forward_equals_the_reference_exactly(hidden):
             assert _bits(forward(params, seq)) == _bits(_reference_forward(params, seq))
 
 
+@pytest.mark.parametrize("hidden", HIDDEN_SIZES)
+def test_scoring_and_training_agree_bit_for_bit(hidden):
+    # scoring and training run one kernel: a one-row batch labeled 0 has
+    # the b_o gradient (p - 0.0) / 1, exactly the probability forward gives
+    for params in (RnnParams.seeded(13, hidden), _signed_zero_b_h(13, hidden)):
+        for spec, _ in _mixed_length_pool():
+            seq = encode(spec)
+            _, g = loss_and_grad(params, *pad_batch([(seq, 0)]))
+            assert _bits(g.b_o) == _bits(forward(params, seq))
+
+
 def test_train_calls_loss_and_grad_once_per_minibatch(monkeypatch):
     # perfbench's tracer counts calls to the module attribute, so train must
     # look it up there, once per minibatch
@@ -481,6 +510,13 @@ def test_train_calls_loss_and_grad_once_per_minibatch(monkeypatch):
     train(train_set, cfg, 9)
     assert len(calls) == cfg.epochs * math.ceil(len(train_set) / cfg.batch)
     assert sum(calls) == cfg.epochs * len(train_set)
+
+
+def test_train_refuses_a_label_that_is_not_0_or_1(two_vertex, chain3_conv1x1):
+    for bad in (0.7, 2, True):
+        data = [(two_vertex, 0), (two_vertex, 0), (chain3_conv1x1, bad)]
+        with pytest.raises(ConfigError, match="label"):
+            train(data, TrainConfig(epochs=1), 0)
 
 
 def test_train_rejects_single_class(two_vertex, chain3_conv1x1):
