@@ -6,9 +6,17 @@ dataset file), `train-predictor` (fit the binary predictor from such a
 file), `compare` (speedup report between two run summaries), and
 `gen-synthetic` (materialize the synthetic benchmark as a table file).
 
+Every subcommand but `compare` builds its settings one way: the object of
+its `--config` file (`run`) or its `--params` file as `synthetic`
+(`enumerate`, `gen-synthetic`), each given flag merged over it at the
+config field its dest names (`--n` sets `n_label`, `--cycles`
+`evolution.cycles`), checked once as an ExperimentConfig. A flag left unset
+keeps the file's value or the field's default. NAS_SEED is the default seed
+of the subcommands that take `--seed`.
+
 Exit codes: 0 success, 1 usage or config error, 2 runtime error. Stdout is
 line-delimited JSON; files are written deterministically so a rerun with the
-same config and seed is byte-identical. NAS_SEED provides the default seed.
+same config and seed is byte-identical.
 """
 
 from __future__ import annotations
@@ -19,15 +27,13 @@ import json
 import os
 import random
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import numpy as np
 
-from .cellspace import SpaceLimits
-from .errors import CellSearchError, ConfigError, check_value
+from .errors import CellSearchError, ConfigError
 from .harness import (
     ExperimentConfig,
-    Seed,
     build_oracle,
     compare_runs,
     label_random_specs,
@@ -40,12 +46,12 @@ from .harness import (
 from .oracle import (
     PaidQueries,
     SimClock,
-    SyntheticOracleParams,
     dump_table_lines,
     synthetic_optimum,
     synthetic_table,
+    table_line,
 )
-from .predictor import TrainConfig, fit, save_predictor
+from .predictor import fit, save_predictor
 from .traces import write_trace
 
 
@@ -77,15 +83,13 @@ def _attach_signed_values(argv: list) -> list:
     return out
 
 
-def _limits_type(text: str) -> SpaceLimits:
+def _limits_type(text: str) -> dict:
+    """`V,E` as the config's `limits` object; its range is checked there."""
     try:
         v, e = (int(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"limits must look like '5,9', got {text!r}") from None
-    try:
-        return SpaceLimits(v, e)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    return {"max_vertices": v, "max_edges": e}
 
 
 def _seed_list_type(text: str):
@@ -102,9 +106,7 @@ def _seed_list_type(text: str):
     return seeds
 
 
-def _default_seed(seed) -> int:
-    if seed is not None:
-        return seed
+def _nas_seed() -> int:
     raw = os.environ.get("NAS_SEED", "0")
     try:
         return int(raw)
@@ -116,18 +118,12 @@ def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True))
 
 
-def _load_params(path) -> SyntheticOracleParams:
-    if not path:
-        return SyntheticOracleParams()
+def _read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return SyntheticOracleParams(**json.load(fh))
-        except (TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
-            raise UsageError(f"{path}: bad synthetic params: {exc}") from None
-
-
-# ---------------------------------------------------------------------------
-# run
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"{path}: {exc}") from None
 
 
 def _oracle_fields(oracle: str) -> dict:
@@ -137,47 +133,43 @@ def _oracle_fields(oracle: str) -> dict:
     return {"oracle_source": "FILE", "table_path": oracle}
 
 
-def _config_from_args(args) -> ExperimentConfig:
-    """The config file's object with the flags merged over it, checked once."""
-    obj = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise UsageError(f"{args.config}: {exc}") from None
-        if not isinstance(obj, dict):
-            raise ConfigError("config must be a JSON object")
-
-    if args.algo:
-        obj["algo"] = args.algo.upper()
-    if args.fitness:
-        obj["fitness"] = args.fitness.upper()
-    if args.oracle:
-        obj.update(_oracle_fields(args.oracle))
-    if args.limits:
-        obj["limits"] = asdict(args.limits)
-    # seed precedence: --seed (or --seeds, per run), the file, NAS_SEED, 0
-    if args.seed is not None or ("seed" not in obj and args.seeds is None):
-        obj["seed"] = _default_seed(args.seed)
-    for name in ("n_label", "label_charge", "label_threshold", "top_k"):
-        value = getattr(args, name)
-        if value is not None:
+def _config(args) -> ExperimentConfig:
+    """The subcommand's settings, checked once: its --config file's object,
+    or its --params file as `synthetic`, with each given flag merged over
+    it at the field its dest names ("n_label", "evolution.cycles"); a dest
+    that names no field is an input (--out, --data, --seeds). The seed
+    comes from --seed (or --seeds, per run), the file, NAS_SEED, then 0;
+    a subcommand without --seed reads no NAS_SEED."""
+    flags = {dest: value for dest, value in vars(args).items() if value is not None}
+    obj = _read_json(flags["config"]) if "config" in flags else {}
+    if not isinstance(obj, dict):
+        raise ConfigError("config must be a JSON object")
+    if "params" in flags:
+        obj["synthetic"] = _read_json(flags["params"])
+    if "oracle" in flags:
+        obj.update(_oracle_fields(flags["oracle"]))
+    if "seed" in vars(args) and not ({"seed", "seeds"} & flags.keys() or "seed" in obj):
+        obj["seed"] = _nas_seed()
+    for dest, value in flags.items():
+        key, _, name = dest.rpartition(".")
+        if (key or name) not in ExperimentConfig.__dataclass_fields__:
+            continue
+        if name in ("algo", "fitness"):
+            value = value.upper()  # the flags' choices are the names in lower case
+        if not key:
             obj[name] = value
-    for key, names in (
-        ("evolution", ("population_size", "sample_size", "cycles")),
-        ("reinforce", ("batch_size", "iterations", "learning_rate")),
-    ):
-        flags = {k: getattr(args, k) for k in names if getattr(args, k) is not None}
-        if flags:
-            nested = obj.get(key, {})
+        elif isinstance(obj.setdefault(key, {}), dict):
             # a malformed nested value is left for from_json_obj to name
-            obj[key] = {**nested, **flags} if isinstance(nested, dict) else nested
+            obj[key][name] = value
     return ExperimentConfig.from_json_obj(obj)
 
 
+# ---------------------------------------------------------------------------
+# run
+
+
 def cmd_run(args) -> int:
-    cfg = _config_from_args(args)
+    cfg = _config(args)
     seeds = args.seeds if args.seeds is not None else [cfg.seed]
     # every seed's config is checked before the first one runs
     run_cfgs = [replace(cfg, seed=seed) for seed in seeds]
@@ -214,28 +206,21 @@ def cmd_run(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    params = _load_params(args.params)
+    cfg = _config(args)
     if args.optimum:
-        table = [synthetic_optimum(params, args.limits)]
+        table = [synthetic_optimum(cfg.synthetic, cfg.limits)]
     else:
-        table = synthetic_table(params, args.limits)
+        table = synthetic_table(cfg.synthetic, cfg.limits)
     for spec, record in table:
-        _emit(
-            {
-                "hash": record.spec_hash,
-                "val_accuracy": record.val_accuracy,
-                "train_time_s": record.train_time_s,
-                "spec": spec.to_json_obj(),
-            }
-        )
+        _emit({**table_line(spec, record), "hash": record.spec_hash})
     return 0
 
 
 def cmd_gen_synthetic(args) -> int:
-    params = _load_params(args.params)
+    cfg = _config(args)
     count = 0
     with open(args.out, "w", encoding="utf-8") as fh:
-        for line in dump_table_lines(synthetic_table(params, args.limits)):
+        for line in dump_table_lines(synthetic_table(cfg.synthetic, cfg.limits)):
             fh.write(line + "\n")
             count += 1
     _emit({"count": count, "out": args.out})
@@ -247,24 +232,15 @@ def cmd_gen_synthetic(args) -> int:
 
 
 def cmd_label(args) -> int:
-    seed = _default_seed(args.seed)
-    cfg = ExperimentConfig(
-        limits=args.limits or SpaceLimits(),
-        **_oracle_fields(args.oracle),
-        n_label=args.n,
-        label_charge=args.charge,
-        label_threshold=args.threshold,
-        seed=seed,
-    )
-
+    cfg = _config(args)
     paid = PaidQueries(build_oracle(cfg), SimClock())
-    labeled, threshold = label_random_specs(cfg, paid, random.Random(seed))
+    labeled, threshold = label_random_specs(cfg, paid, random.Random(cfg.seed))
     meta = {
         "threshold": threshold,
         "limits": [cfg.limits.max_vertices, cfg.limits.max_edges],
         "oracle_source": cfg.oracle_source,
         "label_charge": cfg.label_charge,
-        "seed": seed,
+        "seed": cfg.seed,
         "sim_seconds": paid.clock.elapsed_s,
     }
     write_labeled(args.out, labeled, meta)
@@ -281,17 +257,10 @@ def cmd_label(args) -> int:
 
 
 def cmd_train_predictor(args) -> int:
-    seed = _default_seed(args.seed)
-    check_value("seed", seed, Seed)
-    flags = {
-        k: getattr(args, k)
-        for k in TrainConfig.__dataclass_fields__
-        if getattr(args, k, None) is not None
-    }
-    cfg = TrainConfig(**flags)
+    cfg = _config(args)
     items, meta = read_labeled(args.data)
     trained, split_meta, held_acc, final_loss = fit(
-        items, cfg, seed, np.random.default_rng(seed), meta["threshold"]
+        items, cfg.predictor, cfg.seed, np.random.default_rng(cfg.seed), meta["threshold"]
     )
     save_predictor(trained, args.out)
     _emit(
@@ -340,16 +309,16 @@ def build_parser() -> argparse.ArgumentParser:
     seed_group.add_argument(
         "--seeds", type=_seed_list_type, help="comma-separated; per-seed subdirs"
     )
-    run.add_argument("--population-size", type=int, dest="population_size")
-    run.add_argument("--sample-size", type=int, dest="sample_size")
-    run.add_argument("--cycles", type=int)
-    run.add_argument("--batch-size", type=int, dest="batch_size")
-    run.add_argument("--iterations", type=int)
-    run.add_argument("--learning-rate", type=float, dest="learning_rate")
-    run.add_argument("--n-label", type=int, dest="n_label")
-    run.add_argument("--label-charge", type=float, dest="label_charge")
-    run.add_argument("--label-threshold", type=float, dest="label_threshold")
-    run.add_argument("--top-k", type=int, dest="top_k")
+    run.add_argument("--population-size", type=int, dest="evolution.population_size")
+    run.add_argument("--sample-size", type=int, dest="evolution.sample_size")
+    run.add_argument("--cycles", type=int, dest="evolution.cycles")
+    run.add_argument("--batch-size", type=int, dest="reinforce.batch_size")
+    run.add_argument("--iterations", type=int, dest="reinforce.iterations")
+    run.add_argument("--learning-rate", type=float, dest="reinforce.learning_rate")
+    run.add_argument("--n-label", type=int)
+    run.add_argument("--label-charge", type=float)
+    run.add_argument("--label-threshold", type=float)
+    run.add_argument("--top-k", type=int)
     run.add_argument("--out", required=True)
     run.add_argument("--json", action="store_true", help="print full summaries")
     run.set_defaults(func=cmd_run)
@@ -362,10 +331,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     lab = sub.add_parser("label", help="write a labeled dataset file")
     lab.add_argument("--limits", type=_limits_type)
-    lab.add_argument("--oracle", default="synthetic")
-    lab.add_argument("--n", type=int, default=400)
-    lab.add_argument("--charge", type=float, default=1.0)
-    lab.add_argument("--threshold", type=float)
+    lab.add_argument("--oracle")
+    lab.add_argument("--n", type=int, dest="n_label")
+    lab.add_argument("--charge", type=float, dest="label_charge")
+    lab.add_argument("--threshold", type=float, dest="label_threshold")
     lab.add_argument("--seed", type=int)
     lab.add_argument("--out", required=True)
     lab.set_defaults(func=cmd_label)
@@ -374,13 +343,14 @@ def build_parser() -> argparse.ArgumentParser:
     tp.add_argument("--data", required=True)
     tp.add_argument("--out", required=True)
     tp.add_argument("--seed", type=int)
-    # unset flags keep the TrainConfig defaults
-    tp.add_argument("--epochs", type=int)
-    tp.add_argument("--learning-rate", type=float, dest="learning_rate")
-    tp.add_argument("--batch", type=int)
-    tp.add_argument("--hidden", type=int, dest="hidden_size")
-    tp.add_argument("--heldout-fraction", type=float, dest="heldout_fraction")
-    tp.add_argument("--target-positive-share", type=float, dest="target_positive_share")
+    tp.add_argument("--epochs", type=int, dest="predictor.epochs")
+    tp.add_argument("--learning-rate", type=float, dest="predictor.learning_rate")
+    tp.add_argument("--batch", type=int, dest="predictor.batch")
+    tp.add_argument("--hidden", type=int, dest="predictor.hidden_size")
+    tp.add_argument("--heldout-fraction", type=float, dest="predictor.heldout_fraction")
+    tp.add_argument(
+        "--target-positive-share", type=float, dest="predictor.target_positive_share"
+    )
     tp.set_defaults(func=cmd_train_predictor)
 
     cmp_ = sub.add_parser("compare", help="speedup report between two run summaries")

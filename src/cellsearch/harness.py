@@ -41,7 +41,7 @@ from .oracle import (
     synthetic_label_threshold,
     synthetic_optimum,
 )
-from .predictor import PredictorFitness, TrainConfig, TrainedPredictor
+from .predictor import PredictorFitness, TrainConfig, TrainedPredictor, heldout_count
 from .reinforce import DecisionSchedule, ReinforceConfig
 from .traces import EPS, SearchTrace
 
@@ -80,7 +80,7 @@ class ExperimentConfig:
     oracle_source: Literal["SYNTHETIC", "FILE"] = "SYNTHETIC"
     table_path: str | None = None
     synthetic: SyntheticOracleParams = field(default_factory=SyntheticOracleParams)
-    n_label: Annotated[int, In("[1, inf)")] = 400
+    n_label: Annotated[int, In("[2, inf)")] = 400  # one label is one class
     label_charge: Annotated[float, In("(0, 1]")] = 1.0
     label_threshold: Annotated[float, In("[0, 1)")] | None = None  # None: the source's rule
     top_k: Annotated[int, In("[1, inf)")] = 10
@@ -99,6 +99,15 @@ class ExperimentConfig:
         # a ground-truth run's trace is its search's, which needs one batch
         if self.algo == "REINFORCE" and self.fitness == "ORACLE" and self.reinforce.iterations < 1:
             raise ConfigError("reinforce.iterations must be at least 1 for a ground-truth run")
+        # the split holds out heldout_count of each class, and a pool split
+        # as evenly as it can be holds out the fewest
+        n, fraction = self.n_label, self.predictor.heldout_fraction
+        if self.fitness == "PREDICTOR" and heldout_count(fraction, n - n // 2) == 0:
+            raise ConfigError(
+                f"n_label {n} can leave the held-out set empty: at predictor.heldout_fraction "
+                f"{fraction!r}, a pool split {n // 2}/{n - n // 2} between the classes holds "
+                f"out none of either"
+            )
 
     def to_json_obj(self) -> dict:
         return asdict(self)

@@ -332,15 +332,17 @@ class PaidQueries:
         return accuracy
 
 
+def table_line(spec, record) -> dict:
+    """The object of one benchmark-file line."""
+    return {
+        "spec": spec.to_json_obj(),
+        "val_accuracy": record.val_accuracy,
+        "train_time_s": record.train_time_s,
+    }
+
+
 def dump_table_lines(records):
     """Serialize (spec, record) pairs to benchmark-file lines, one at a
     time."""
     for spec, record in records:
-        yield json.dumps(
-            {
-                "spec": spec.to_json_obj(),
-                "val_accuracy": record.val_accuracy,
-                "train_time_s": record.train_time_s,
-            },
-            sort_keys=True,
-        )
+        yield json.dumps(table_line(spec, record), sort_keys=True)

@@ -292,27 +292,34 @@ class TrainConfig:
         check_fields(self)
 
 
+def heldout_count(heldout_fraction: float, class_size: int) -> int:
+    """How many of a class of `class_size` labels the held-out set takes."""
+    return int(round(heldout_fraction * class_size))
+
+
 def stratified_split(
     labeled, rng: np.random.Generator, heldout_fraction: float, target_positive_share: float
 ):
     """Split labeled (spec, y) pairs into training and held-out lists of
     (spec, y) pairs.
 
-    The held-out set takes `heldout_fraction` of each class (so its base
-    rate matches the pool). The training set keeps every remaining positive
-    and subsamples negatives until positives make up at least
+    The held-out set takes `heldout_count` of each class (so its base rate
+    matches the pool). The training set keeps every remaining positive and
+    subsamples negatives until positives make up at least
     `target_positive_share` of it — well-performing cells are rare, and a
-    classifier fed the raw ratio just learns to say "no". When positives
-    are too scarce to matter the shortfall is reported, not hidden.
+    classifier fed the raw ratio just learns to say "no". A training set
+    left with no positive keeps every negative, and its
+    `train_positive_share` of 0.0 reports the shortfall.
 
-    Returns (train, heldout, meta dict).
+    Returns (train, heldout, meta), meta holding the keys `train-predictor`
+    prints: `train_size`, `heldout_size` and `train_positive_share`.
     """
     pos = [(s, y) for s, y in labeled if y == 1]
     neg = [(s, y) for s, y in labeled if y == 0]
     pos_order = rng.permutation(len(pos))
     neg_order = rng.permutation(len(neg))
-    n_held_pos = int(round(heldout_fraction * len(pos)))
-    n_held_neg = int(round(heldout_fraction * len(neg)))
+    n_held_pos = heldout_count(heldout_fraction, len(pos))
+    n_held_neg = heldout_count(heldout_fraction, len(neg))
     held = [pos[i] for i in pos_order[:n_held_pos]]
     held += [neg[i] for i in neg_order[:n_held_neg]]
     train_pos = [pos[i] for i in pos_order[n_held_pos:]]
@@ -324,19 +331,10 @@ def stratified_split(
         kept_neg = min(kept_neg, cap)
     train = train_pos + train_neg[:kept_neg]
 
-    train_share = (len(train_pos) / len(train)) if train else 0.0
     meta = {
-        "pool_size": len(labeled),
         "train_size": len(train),
         "heldout_size": len(held),
-        "pool_positives": len(pos),
-        "heldout_positives": n_held_pos,
-        "train_positives": len(train_pos),
-        "train_negatives_kept": kept_neg,
-        "train_negatives_dropped": len(train_neg) - kept_neg,
-        "train_positive_share": train_share,
-        "target_positive_share": target_positive_share,
-        "positive_share_shortfall": max(0.0, target_positive_share - train_share),
+        "train_positive_share": (len(train_pos) / len(train)) if train else 0.0,
     }
     return train, held, meta
 

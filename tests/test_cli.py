@@ -1,6 +1,7 @@
 """Command-line contract: subcommand outputs, file artifacts, exit codes,
 seeding, and byte-identical reruns."""
 
+import argparse
 import collections
 import copy
 import dataclasses
@@ -13,13 +14,13 @@ import typing
 
 import pytest
 
-from cellsearch import cellspace, oracle
+from cellsearch import cellspace, cli, oracle
 from cellsearch.cellspace import SpaceLimits
-from cellsearch.cli import main
-from cellsearch.errors import ParseError, ShapeError
+from cellsearch.cli import build_parser, main
+from cellsearch.errors import CellSearchError, ParseError, ShapeError
 from cellsearch.harness import ExperimentConfig, read_labeled, read_summary
 from cellsearch.oracle import PaidQueries, SyntheticOracleParams, load_table, synth_record
-from cellsearch.predictor import RnnParams, load_predictor
+from cellsearch.predictor import RnnParams, TrainConfig, load_predictor
 from cellsearch.traces import TRACE_HEADER, SearchTrace, read_trace
 
 OPTIMUM_HASH_5_9 = "e6f50a3dbee0bfeee91f33fa572fccd4"
@@ -384,6 +385,72 @@ def test_nas_seed_garbage_is_a_usage_error(capsys, tmp_path, monkeypatch):
     assert "NAS_SEED" in err
 
 
+def test_nas_seed_is_read_only_by_subcommands_with_a_seed(capsys, tmp_path, monkeypatch):
+    # enumerate, gen-synthetic and compare take no --seed, so a NAS_SEED
+    # that is no integer leaves their exit code and stdout as they are
+    run_dir = tmp_path / "r"
+    code, _, _ = run_cli(
+        capsys,
+        "run", "--fitness", "oracle", "--limits", "4,9", "--population-size", "8",
+        "--sample-size", "3", "--cycles", "40", "--seed", "0", "--out", str(run_dir),
+    )
+    assert code == 0
+    summary = str(run_dir / "summary.json")
+    for argv in (
+        ("enumerate", "--limits", "3,9"),
+        ("enumerate", "--limits", "4,9", "--optimum"),
+        ("gen-synthetic", "--limits", "3,9", "--out", str(tmp_path / "table.jsonl")),
+        ("compare", summary, summary),
+    ):
+        monkeypatch.delenv("NAS_SEED", raising=False)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and out, (argv, err)
+        monkeypatch.setenv("NAS_SEED", "lucky")
+        assert run_cli(capsys, *argv)[:2] == (code, out), argv
+
+
+def test_label_and_train_predictor_build_their_config_through_the_merge(
+    capsys, tmp_path, monkeypatch
+):
+    # their unset flags restate no default: each builds ExperimentConfig's
+    # defaults, and each set flag lands on the field its dest names
+    built = []
+
+    def capture(*args):
+        built.append(args)
+        raise CellSearchError("captured")
+
+    monkeypatch.delenv("NAS_SEED", raising=False)
+    monkeypatch.setattr(cli, "build_oracle", capture)
+    monkeypatch.setattr(cli, "read_labeled", lambda path: ([], {"threshold": 0.5}))
+    monkeypatch.setattr(cli, "fit", capture)
+    out = tmp_path / "out"
+    label = ("label", "--limits", "4,9", "--n", "7", "--charge", "0.5", "--threshold", "0.7",
+             "--oracle", "table.jsonl", "--seed", "3")
+    train = ("train-predictor", "--data", "x", "--epochs", "7", "--learning-rate", "0.1",
+             "--batch", "3", "--hidden", "5", "--heldout-fraction", "0.3",
+             "--target-positive-share", "0.4", "--seed", "2")
+    for argv in (("label",), label, ("train-predictor", "--data", "x"), train):
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+        assert code == 2 and stdout == "" and "captured" in err, (argv, err)
+        assert not out.exists()
+    assert built[0] == (ExperimentConfig(),)
+    assert built[1] == (
+        ExperimentConfig(
+            limits=SpaceLimits(4, 9), oracle_source="FILE", table_path="table.jsonl",
+            n_label=7, label_charge=0.5, label_threshold=0.7, seed=3,
+        ),
+    )
+    assert built[2][1:3] == (TrainConfig(), 0)
+    assert built[3][1:3] == (
+        TrainConfig(
+            epochs=7, learning_rate=0.1, batch=3, hidden_size=5, heldout_fraction=0.3,
+            target_positive_share=0.4,
+        ),
+        2,
+    )
+
+
 # ---------------------------------------------------------------------------
 # pinned bytes
 
@@ -635,7 +702,7 @@ def test_inconsistent_config_is_usage_error(capsys, tmp_path):
         "--out", str(tmp_path / "r"),
     )
     assert code == 1
-    assert "n_label must lie in [1, inf), got 0" in err
+    assert "n_label must lie in [2, inf), got 0" in err
     # out-of-range search settings are refused before any output is made
     errs = {}
     for argv in (
@@ -646,6 +713,12 @@ def test_inconsistent_config_is_usage_error(capsys, tmp_path):
         ("run", "--algo", "reinforce", "--limits", "8,9"),
         ("label", "--limits", "8,9", "--n", "10"),
         ("label", "--n", "0"),
+        # one label is one class, and a predictor pool of 2-4 split as evenly
+        # as it can be holds out round(0.2 * k) = 0 of each class of k: both
+        # once exited 2 only after paying for every label
+        ("label", "--limits", "4,9", "--n", "1", "--threshold", "0.63", "--seed", "0"),
+        *(("run", "--fitness", "predictor", "--limits", "4,9", "--n-label", n,
+           "--label-threshold", "0.66", "--seed", "0") for n in ("2", "3", "4")),
         # both runs would write seed-1/, the second over the first
         ("run", "--limits", "4,9", "--seeds", "0,1,2,1"),
         # nan <= 0 is False: a NaN or infinite rate once trained until the
@@ -666,7 +739,15 @@ def test_inconsistent_config_is_usage_error(capsys, tmp_path):
     ):
         assert "max_vertices must lie in [2, 7]" in errs[argv]
         assert "must look like" not in errs[argv]
-    assert "n_label must lie in [1, inf), got 0" in errs["label", "--n", "0"]
+    assert "n_label must lie in [2, inf), got 0" in errs["label", "--n", "0"]
+    assert "n_label must lie in [2, inf), got 1" in errs[
+        "label", "--limits", "4,9", "--n", "1", "--threshold", "0.63", "--seed", "0"
+    ]
+    for n in ("2", "3", "4"):
+        assert f"n_label {n} can leave the held-out set empty" in errs[
+            "run", "--fitness", "predictor", "--limits", "4,9", "--n-label", n,
+            "--label-threshold", "0.66", "--seed", "0"
+        ]
     assert "seed 1 repeated" in errs["run", "--limits", "4,9", "--seeds", "0,1,2,1"]
     for argv in (
         ("run", "--algo", "reinforce", "--limits", "4,9", "--learning-rate", "nan"),
@@ -1346,6 +1427,38 @@ def test_bad_synthetic_params_are_usage_errors(capsys, tmp_path, params):
     assert code == 1
     assert stdout == "" and name in err
     assert not out.exists()
+
+
+# the options whose value is an input of the subcommand, not a config setting
+_INPUT_OPTIONS = {
+    "--out", "--config", "--params", "--seeds", "--json", "--data", "--optimum", "--target",
+    "--oracle", "summary_a", "summary_b",
+}
+
+
+def test_every_option_names_the_config_field_it_sets():
+    # a flag reaches the config only through the one merge, at the field
+    # its dest names (top level or "nested.field"), so a new flag that is
+    # neither such a field nor a named input cannot bypass it; and no
+    # field's flag has a default of its own to restate the field's
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)} | set(_config_field_paths())
+    (subparsers,) = (
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    seen = set()
+    for command, parser in subparsers.choices.items():
+        for action in parser._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            names = set(action.option_strings or [action.dest])
+            seen |= names
+            if action.dest in fields:
+                assert not names & _INPUT_OPTIONS, (command, names)
+                assert action.default is None, (command, names)
+            else:
+                assert names <= _INPUT_OPTIONS, (command, names, action.dest)
+    assert _INPUT_OPTIONS <= seen
 
 
 def test_help_exits_zero(capsys):

@@ -42,7 +42,9 @@ from cellsearch.oracle import (
     synth_record,
     synthetic_label_threshold,
 )
-from cellsearch.predictor import PredictorFitness, RnnParams, TrainConfig
+from cellsearch.predictor import (
+    PredictorFitness, RnnParams, TrainConfig, heldout_count, stratified_split,
+)
 from cellsearch.reinforce import DecisionSchedule, ReinforceConfig, run_reinforce
 from cellsearch.traces import SearchTrace, TraceRow, read_trace, write_trace
 
@@ -369,17 +371,44 @@ def test_pipeline_report_consistency(monkeypatch):
     assert 0.0 <= labeling["heldout_accuracy"] <= 1.0
     assert trained.threshold_used == labeling["threshold"]
     assert trained.train_seed == cfg.seed
-    assert meta["pool_size"] == cfg.n_label
+    # the split saw the whole pool: it held out its share of each class
+    assert len(pool) == cfg.n_label
+    assert meta["heldout_size"] == sum(
+        heldout_count(cfg.predictor.heldout_fraction, k)
+        for k in (labeling["positives"], cfg.n_label - labeling["positives"])
+    )
 
 
 def test_pipeline_needs_a_budget():
-    # every config holds n_label to [1, inf), a ground-truth one too, so no
-    # pipeline is handed an empty budget
+    # every config holds n_label to [2, inf), a ground-truth one too, since
+    # a pool of one label is one class and can never train the predictor
     for fitness in ("ORACLE", "PREDICTOR"):
-        for n_label in (0, -1):
-            with pytest.raises(ConfigError, match=r"n_label must lie in \[1, inf\)"):
+        for n_label in (1, 0, -1):
+            with pytest.raises(ConfigError, match=r"n_label must lie in \[2, inf\)"):
                 ExperimentConfig(fitness=fitness, n_label=n_label)
-        assert ExperimentConfig(fitness=fitness, n_label=1).n_label == 1
+    # and a predictor config is refused exactly when some split of its pool
+    # into two nonempty classes holds out nothing, by the split's own
+    # rounding; a ground-truth run never splits its pool
+    refused = set()
+    for fraction in (0.05, 0.1, 0.2, 0.25, 1 / 3, 0.5, 0.7, 0.95):
+        for n_label in range(2, 41):
+            empty = any(
+                not stratified_split(
+                    [(None, 1)] * k + [(None, 0)] * (n_label - k),
+                    np.random.default_rng(0), fraction, 0.2,
+                )[1]
+                for k in range(1, n_label)
+            )
+            kw = dict(n_label=n_label, predictor=TrainConfig(heldout_fraction=fraction))
+            ExperimentConfig(fitness="ORACLE", **kw)
+            if empty:
+                with pytest.raises(ConfigError, match=f"n_label {n_label} can leave the held-out"):
+                    ExperimentConfig(fitness="PREDICTOR", **kw)
+                refused.add((fraction, n_label))
+            else:
+                ExperimentConfig(fitness="PREDICTOR", **kw)
+    # at the default fraction that is a pool of 4 or fewer
+    assert {n for fraction, n in refused if fraction == 0.2} == {2, 3, 4}
 
 
 # ---------------------------------------------------------------------------
