@@ -233,6 +233,7 @@ def cmd_gen_synthetic(args) -> int:
 
 def cmd_label(args) -> int:
     cfg = _config(args)
+    cfg.check_pool_split()  # the pool is for train-predictor's split
     paid = PaidQueries(build_oracle(cfg), SimClock())
     labeled, threshold = label_random_specs(cfg, paid, random.Random(cfg.seed))
     meta = {

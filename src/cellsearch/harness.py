@@ -2,10 +2,13 @@
 revalidate pipeline for predictor-guided runs, run summaries, and speedup
 comparison between runs.
 
-Cost accounting rule: a predictor-guided run pays for its labeling queries
-and for the final top-k revalidation queries; the search in between consults
-only the predictor and is free. Ground-truth runs pay for every distinct
-architecture they evaluate.
+Cost accounting rule: every ground-truth query goes through the run's one
+log, `oracle.PaidQueries`, which answers a class it holds at the query's
+charge or more for free, so a run pays for a class's full training at most
+once. A predictor-guided run pays for its labels and for the top-k
+revalidations that labeling did not pay in full; the search in between
+consults only the predictor and is free. Ground-truth runs pay for every
+distinct architecture they evaluate.
 
 Both kinds of run take one path, `run_experiment`: one log of paid queries,
 labeling and training for a predictor run, the search, revalidation for a
@@ -99,14 +102,26 @@ class ExperimentConfig:
         # a ground-truth run's trace is its search's, which needs one batch
         if self.algo == "REINFORCE" and self.fitness == "ORACLE" and self.reinforce.iterations < 1:
             raise ConfigError("reinforce.iterations must be at least 1 for a ground-truth run")
-        # the split holds out heldout_count of each class, and a pool split
-        # as evenly as it can be holds out the fewest
+        if self.fitness == "PREDICTOR":
+            self.check_pool_split()
+
+    def check_pool_split(self) -> None:
+        """Refuse an n_label whose pool the predictor's split may leave with
+        no held-out label, or with one class to train on."""
+        # the split holds out heldout_count of each class: a pool split as
+        # evenly as it can be holds out the fewest, and below a fraction of 1
+        # a class of one label is the first it holds out whole
         n, fraction = self.n_label, self.predictor.heldout_fraction
-        if self.fitness == "PREDICTOR" and heldout_count(fraction, n - n // 2) == 0:
+        if heldout_count(fraction, n - n // 2) == 0:
             raise ConfigError(
                 f"n_label {n} can leave the held-out set empty: at predictor.heldout_fraction "
                 f"{fraction!r}, a pool split {n // 2}/{n - n // 2} between the classes holds "
                 f"out none of either"
+            )
+        if heldout_count(fraction, 1) == 1:
+            raise ConfigError(
+                f"predictor.heldout_fraction {fraction!r} can leave training with one class: "
+                f"it holds out the whole of a class of one label"
             )
 
     def to_json_obj(self) -> dict:
@@ -242,13 +257,12 @@ def read_summary(path) -> RunSummary:
 
 
 def label_random_specs(cfg: ExperimentConfig, paid: PaidQueries, rng: random.Random):
-    """Draw cfg.n_label distinct-by-hash random cells, query each one through
-    `paid` (charging label_charge x its training time), and binarize at the
-    effective threshold. Returns (labeled (spec, y) list, threshold). A
-    one-class pool raises DegenerateDataError naming the flags of `run` and
-    `label` that change it."""
+    """Draw cfg.n_label random cells of classes that `paid` does not yet
+    hold, query each one through it (charging label_charge x its training
+    time), and binarize at the effective threshold. Returns (labeled (spec,
+    y) list, threshold). A one-class pool raises DegenerateDataError naming
+    the flags of `run` and `label` that change it."""
     threshold = effective_label_threshold(cfg)
-    seen = set()
     labeled = []
     attempts = 0
     while len(labeled) < cfg.n_label:
@@ -260,9 +274,8 @@ def label_random_specs(cfg: ExperimentConfig, paid: PaidQueries, rng: random.Ran
             )
         spec = cellspace.random_spec(rng, cfg.limits)
         digest = cellspace.canonical_hash(spec)
-        if digest in seen:
+        if digest in paid.answers:
             continue
-        seen.add(digest)
         record = paid.query(spec, digest, cfg.label_charge)
         labeled.append((spec, binary_label(record, threshold)))
     positives = sum(y for _, y in labeled)
@@ -309,7 +322,9 @@ def topk_revalidate(predictions, k: int, paid: PaidQueries) -> tuple:
     score; a class drawn as several cells stands as the first one scored
     best, and ties between classes go to the class scored first. Each is
     queried through `paid` at full charge, so the log holds the true-best
-    answer. k larger than the distinct count just revalidates everything.
+    answer: a class that labeling already paid for in full is answered
+    from the log for free, and one labeled below full charge is paid again
+    in full. k larger than the distinct count just revalidates everything.
     Returns the revalidated hashes in query order.
     """
     if k < 1:
@@ -373,14 +388,15 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         }
     else:
         phases["search"] = {"sim_seconds": 0.0, "predictor_queries": fitness.evaluations}
-        started_at = paid.clock.elapsed_s
-        revalidated = topk_revalidate(fitness.predictions, cfg.top_k, paid)
+        started_at, queries, hits = paid.clock.elapsed_s, paid.evaluations, paid.memo_hits
+        topk_revalidate(fitness.predictions, cfg.top_k, paid)
         phases["revalidation"] = {
             "sim_seconds": paid.clock.elapsed_s - started_at,
-            "oracle_queries": len(revalidated),
+            "oracle_queries": paid.evaluations - queries,
+            "memo_hits": paid.memo_hits - hits,
         }
         # the free search's trace is kept aside; the run's trace is the log
-        # of its paid queries, one row per label, then one per revalidation
+        # of its paid queries, one row per label, then one per paid revalidation
         trace, search_trace = paid.trace, trace
     read = _read_trace(trace)
     if read["total_sim_seconds"] != paid.clock.elapsed_s:

@@ -2,9 +2,9 @@
 synthetic benchmark, the simulated training-time clock, and the log of a
 run's paid queries.
 
-Every ground-truth query charges the run's clock with the architecture's
-training time (scaled by the query's charge fraction), which is the x-axis
-of every convergence trace.
+Every paid ground-truth query charges the run's clock with the
+architecture's training time (scaled by the query's charge fraction), which
+is the x-axis of every convergence trace.
 """
 
 from __future__ import annotations
@@ -287,17 +287,19 @@ def load_table(path) -> BenchmarkTable:
 
 @dataclass
 class PaidQueries:
-    """The run's paid ground-truth queries, recorded where they are made.
+    """The run's ground-truth queries and its one payment rule.
 
-    Each query charges the clock, keeps the best (spec, hash, true accuracy)
-    answered so far (only a strictly better answer replaces it) and appends
-    the trace row (n, clock, best, best). A predictor-guided run's trace is
-    this log.
+    A query for a class that the log holds at a charge at least the query's
+    is answered from the log for free: no clock charge, no trace row, one
+    more `memo_hits`. Any other is paid: it charges the clock, keeps the
+    best (spec, hash, true accuracy) so far (only a strictly better answer
+    replaces it), appends the trace row (n, clock, best, best) and logs the
+    answer at its charge. So a run pays for a class's full training at most
+    once. A predictor-guided run's trace is this log.
 
-    As the fitness of a ground-truth search, `evaluate` pays for each
-    distinct cell once: a hash already paid for is answered from the per-run
-    memo without touching the clock, and counted in `memo_hits`. It refuses
-    a genome that is not a cell with InvalidSpecError, paying nothing.
+    `evaluate`, the fitness of a ground-truth search, is that query at full
+    charge; it refuses a genome that is not a cell with InvalidSpecError,
+    paying nothing.
     """
 
     mode = "ORACLE"
@@ -306,7 +308,8 @@ class PaidQueries:
     clock: SimClock
     trace: SearchTrace = field(default_factory=SearchTrace)
     best: tuple | None = None  # (spec, hash, true accuracy)
-    memo: dict[str, float] = field(default_factory=dict)
+    # hash -> (record, charge) of every paid query, at its highest charge
+    answers: dict[str, tuple[BenchmarkRecord, float]] = field(default_factory=dict)
     memo_hits: int = 0
 
     @property
@@ -315,7 +318,13 @@ class PaidQueries:
         return len(self.trace.rows)
 
     def query(self, spec: ModelSpec, digest: str, charge: float) -> BenchmarkRecord:
+        logged = self.answers.get(digest)
+        # a charge outside [0, 1] falls through to `query`, which refuses it
+        if logged is not None and 0.0 <= charge <= logged[1]:
+            self.memo_hits += 1
+            return logged[0]
         record = query(self.oracle, spec, self.clock, charge=charge)
+        self.answers[digest] = (record, charge)
         if self.best is None or record.val_accuracy > self.best[2]:
             self.best = (spec, digest, record.val_accuracy)
         best_true = self.best[2]
@@ -323,13 +332,7 @@ class PaidQueries:
         return record
 
     def evaluate(self, cell: ModelSpec) -> float:
-        digest = cellspace.canonical_hash(cell)
-        if digest in self.memo:
-            self.memo_hits += 1
-            return self.memo[digest]
-        accuracy = self.query(cell, digest, 1.0).val_accuracy
-        self.memo[digest] = accuracy
-        return accuracy
+        return self.query(cell, cellspace.canonical_hash(cell), 1.0).val_accuracy
 
 
 def table_line(spec, record) -> dict:

@@ -342,6 +342,36 @@ def test_config_file_seed_comes_after_the_flag_and_before_nas_seed(
     assert not (tmp_path / "bad").exists()
 
 
+def test_label_refuses_a_pool_that_train_predictor_cannot_split(capsys, tmp_path, monkeypatch):
+    # label --n 2 to --n 4 paid for a pool on which train-predictor trained
+    # and then stopped with "empty held-out set"; the pool is held to a
+    # predictor run's rule at the config's heldout_fraction, before any
+    # label is paid for
+    paid = []
+    real_query = PaidQueries.query
+
+    def counting_query(self, *args):
+        paid.append(args)
+        return real_query(self, *args)
+
+    monkeypatch.setattr(PaidQueries, "query", counting_query)
+    out = tmp_path / "labeled.jsonl"
+    for n in ("2", "3", "4"):
+        code, stdout, err = run_cli(
+            capsys, "label", "--limits", "4,9", "--n", n, "--threshold", "0.66", "--seed", "0",
+            "--out", str(out),
+        )
+        assert (code, stdout) == (1, "")
+        assert f"n_label {n} can leave the held-out set empty" in err
+        assert not out.exists() and paid == []
+    # the smallest pool the split can use is labeled, one payment a label
+    code, _, _ = run_cli(
+        capsys, "label", "--limits", "4,9", "--n", "5", "--threshold", "0.66", "--seed", "0",
+        "--out", str(out),
+    )
+    assert code == 0 and out.exists() and len(paid) == 5
+
+
 def test_negative_seeds_are_refused_before_anything_runs(capsys, tmp_path, monkeypatch):
     # numpy's generators take no negative seed: REINFORCE crashed at once,
     # a predictor run after paying for its labels, and `--seeds 0,-1` after
@@ -466,9 +496,9 @@ PINNED_DIGESTS = {
      "--seed", "2"): {
         "predictor.json": "bb3c1c415b9fd6bb9daf0d07498b2fc84b1a65d14af9a50e9fe6bd5b3c0847c3",
         "search_trace.csv": "497d458c504abda0dbc32372b4ab40a529123ab45b7b2e9e88c5f152d73a65a1",
-        "summary.json": "12c2f2095633e17e7dc75ea15c3facb48533f76a1bd2ecb358f9b60f1e96dab4",
-        "trace.csv": "2cf234a0e004a62629c4be3aa109fb5048caae254e48ded1d422b5326c3e8b7d",
-        "stdout": "5946de354e82bada4fac36f8b034313ecabb28991a233cae1ed49ae9ef4b10c6",
+        "summary.json": "27ea779ec389a7b7ada2af81b3abbf50afe3854bd524e3eb3e87f5c852d68a5a",
+        "trace.csv": "43cd0acc5b1583335de8a773f5f3af15fe72c56e44882df177da94da6d3f56a6",
+        "stdout": "f38566604355e600eec2c199d5e6a2b324d9aab972c26bf87f9832b22f7190c0",
     },
     ("label", "--limits", "4,9", "--n", "80", "--seed", "3"): {
         "out": "5be4ca50a901d6c7f4a5336ab264f9a3e1061b2118175d8d1a58cc6af43311b0",
@@ -484,9 +514,9 @@ PINNED_DIGESTS = {
      "--n-label", "60", "--batch-size", "4", "--iterations", "25", "--seed", "1"): {
         "predictor.json": "b78cde078c2946a31e39bcfc276338200a3125d450d407f952f60522f631f002",
         "search_trace.csv": "2b50d04fd7a39c8387b9714079b94c38278ae2110b243edee4b75e4c75773e55",
-        "summary.json": "feb20498e5037b3a4ca20ac04e2e2031cea575a1914e226eb022d4819a11d39e",
-        "trace.csv": "c9477e24eef4d5e5265b4b6576297da64034e6925ce94671b80341a4dc8a64a7",
-        "stdout": "a425bf89244d2ebd5718388abbf02a020a394269d3201c03b464824726deb7f6",
+        "summary.json": "213264ed2799fe31f93bd6cc8a21cdbbe4bc78d2eec82b864d404d2bd471b7ff",
+        "trace.csv": "c2c11bf4e341b16ccc29b94359211e04f1b7fa8b68da3b2a5ed31fa531aa6280",
+        "stdout": "5a571be70918f4232a0925ab481db2b7b714066bb73fac0073a7a338c2315258",
     },
     # the benchmark's 26-decision, hidden-32 schedule
     ("run", "--algo", "reinforce", "--fitness", "oracle", "--limits", "7,9",
@@ -1130,7 +1160,7 @@ def _json_leaves(obj):
 # the phases of a predictor run's summary and the entries of each
 _PHASES = {
     "labeling": ("heldout_accuracy", "oracle_queries", "positives", "sim_seconds", "threshold"),
-    "revalidation": ("oracle_queries", "sim_seconds"),
+    "revalidation": ("memo_hits", "oracle_queries", "sim_seconds"),
     "search": ("predictor_queries", "sim_seconds"),
 }
 
@@ -1191,8 +1221,8 @@ def test_every_summary_field_refuses_each_bad_value(capsys, written, tmp_path):
     assert {phase: tuple(entries) for phase, entries in obj["phases"].items()} == _PHASES
     leaves = list(_json_leaves(obj))
     # best_spec's three and counts' four among the summary's own 13, and
-    # the phases' 9 entries
-    assert len(leaves) == 13 + 9 + len(list(_config_field_paths()))
+    # the phases' 10 entries
+    assert len(leaves) == 13 + 10 + len(list(_config_field_paths()))
     leaves += ["phases", *(f"phases.{phase}" for phase in _PHASES)]
     bad = tmp_path / "summary.json"
     for leaf, value in _refused(read_summary, bad, lines, 0, leaves, numbered=False):

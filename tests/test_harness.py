@@ -267,7 +267,7 @@ def test_fitness_adapters_refuse_a_genome_and_record_nothing():
         with pytest.raises(InvalidSpecError, match="not a pruned, valid cell"):
             guided.evaluate(genome)
     assert paid.clock.elapsed_s == 0.0
-    assert (paid.trace.rows, paid.memo, paid.memo_hits, paid.best) == ([], {}, 0, None)
+    assert (paid.trace.rows, paid.answers, paid.memo_hits, paid.best) == ([], {}, 0, None)
     assert guided.predictions == {}
     # the cell it denotes is scored as usual
     cell = phenotype(genome, SpaceLimits(4, 9))
@@ -387,28 +387,35 @@ def test_pipeline_needs_a_budget():
             with pytest.raises(ConfigError, match=r"n_label must lie in \[2, inf\)"):
                 ExperimentConfig(fitness=fitness, n_label=n_label)
     # and a predictor config is refused exactly when some split of its pool
-    # into two nonempty classes holds out nothing, by the split's own
-    # rounding; a ground-truth run never splits its pool
+    # into two nonempty classes holds out nothing, or leaves training one
+    # class, by the split's own rounding; a ground-truth run never splits
+    # its pool
     refused = set()
     for fraction in (0.05, 0.1, 0.2, 0.25, 1 / 3, 0.5, 0.7, 0.95):
         for n_label in range(2, 41):
-            empty = any(
-                not stratified_split(
+            splits = [
+                stratified_split(
                     [(None, 1)] * k + [(None, 0)] * (n_label - k),
                     np.random.default_rng(0), fraction, 0.2,
-                )[1]
+                )
                 for k in range(1, n_label)
-            )
+            ]
+            empty = any(not held for _, held, _ in splits)
+            one_class = any({y for _, y in train} != {0, 1} for train, _, _ in splits)
             kw = dict(n_label=n_label, predictor=TrainConfig(heldout_fraction=fraction))
             ExperimentConfig(fitness="ORACLE", **kw)
-            if empty:
-                with pytest.raises(ConfigError, match=f"n_label {n_label} can leave the held-out"):
+            if empty or one_class:
+                message = (f"n_label {n_label} can leave the held-out" if empty else
+                           f"heldout_fraction {fraction!r} can leave training with one class")
+                with pytest.raises(ConfigError, match=re.escape(message)):
                     ExperimentConfig(fitness="PREDICTOR", **kw)
                 refused.add((fraction, n_label))
             else:
                 ExperimentConfig(fitness="PREDICTOR", **kw)
-    # at the default fraction that is a pool of 4 or fewer
+    # at the default fraction that is a pool of 4 or fewer, and every
+    # fraction above 0.5 is refused at every pool size
     assert {n for fraction, n in refused if fraction == 0.2} == {2, 3, 4}
+    assert all((fraction, n) in refused for fraction in (0.7, 0.95) for n in range(2, 41))
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +481,80 @@ def test_topk_tie_breaks_by_first_seen():
     d1, d2 = _two_drawings()
     hashes = topk_revalidate({d1: 0.6, a: 0.8, d2: 0.8}, 1, _paid())
     assert hashes[0] == cellspace.canonical_hash(d1)
+
+
+def test_topk_answers_a_class_labeled_in_full_from_the_log():
+    # labeling paid this class's full training: revalidating it pays nothing
+    a, b, _ = _three_cells()
+    paid = _paid()
+    for cell in (a, b):
+        paid.query(cell, cellspace.canonical_hash(cell), 1.0)
+    clock, rows, best = paid.clock.elapsed_s, list(paid.trace.rows), paid.best
+    assert topk_revalidate({a: 0.9}, 1, paid) == (cellspace.canonical_hash(a),)
+    assert (paid.clock.elapsed_s, paid.trace.rows, paid.best) == (clock, rows, best)
+    assert paid.memo_hits == 1
+
+
+def test_topk_pays_in_full_for_a_class_labeled_below_full_charge():
+    a, _, _ = _three_cells()
+    digest, record = cellspace.canonical_hash(a), synth_record(a, SyntheticOracleParams())
+    paid = _paid()
+    paid.query(a, digest, 0.5)
+    topk_revalidate({a: 0.9}, 1, paid)
+    assert paid.clock.elapsed_s == 1.5 * record.train_time_s
+    assert len(paid.trace.rows) == 2 and paid.memo_hits == 0
+    assert paid.answers[digest] == (record, 1.0)
+    # and once paid in full it is answered at any charge
+    for charge in (1.0, 0.5, 0.0):
+        assert paid.query(a, digest, charge) is record
+    assert (paid.clock.elapsed_s, len(paid.trace.rows), paid.memo_hits) == (
+        1.5 * record.train_time_s, 2, 3,
+    )
+
+
+def test_revalidation_phase_counts_paid_queries_and_log_answers_apart(monkeypatch):
+    # the classes revalidation finds in the log at full charge are answered
+    # from it; every other ranked class is paid, and so is every one when
+    # labels were charged at half
+    seen = []
+    real_topk = harness.topk_revalidate
+
+    def recording_topk(predictions, k, paid):
+        labeled = {digest for digest, (_, charge) in paid.answers.items() if charge == 1.0}
+        ranked = real_topk(predictions, k, paid)
+        seen.append((labeled, ranked))
+        return ranked
+
+    monkeypatch.setattr(harness, "topk_revalidate", recording_topk)
+    counts = []
+    for seed, charge in ((0, 1.0), (6, 1.0), (6, 0.5)):
+        phase = run_experiment(small_cfg(seed=seed, label_charge=charge)).summary.phases[
+            "revalidation"
+        ]
+        labeled, ranked = seen.pop()
+        assert phase["memo_hits"] == len(labeled & set(ranked))
+        assert phase["oracle_queries"] == len(set(ranked) - labeled)
+        counts.append((phase["oracle_queries"], phase["memo_hits"]))
+    # both kinds happen at full charge, and at half charge every class is paid
+    (paid_0, logged_0), (paid_6, logged_6), (paid_half, logged_half) = counts
+    assert paid_0 + paid_6 > 0 and logged_0 + logged_6 > 0
+    assert logged_half == 0 and paid_half == len(ranked)
+
+
+def test_labeling_draws_the_classes_of_a_distinct_by_hash_loop():
+    # labeling skips a class the log already holds; on a fresh log that is
+    # a loop over distinct hashes, which draws the same classes from the
+    # same stream and leaves the rng where that loop leaves it
+    cfg = ExperimentConfig(limits=SpaceLimits(4, 9), n_label=50, seed=3)
+    rng, reference = random.Random(3), random.Random(3)
+    labeled, _ = label_random_specs(cfg, _paid(), rng)
+    seen = []
+    while len(seen) < cfg.n_label:
+        digest = cellspace.canonical_hash(cellspace.random_spec(reference, cfg.limits))
+        if digest not in seen:
+            seen.append(digest)
+    assert [cellspace.canonical_hash(spec) for spec, _ in labeled] == seen
+    assert rng.getstate() == reference.getstate()
 
 
 def test_topk_rejects_bad_k():
@@ -679,15 +760,27 @@ def test_reinforce_oracle_run():
     s.cross_check(result.trace)
 
 
-def test_predictor_run_cost_model():
+def test_predictor_run_cost_model(monkeypatch):
+    ranked = []
+    real_topk = harness.topk_revalidate
+
+    def recording_topk(*args):
+        hashes = real_topk(*args)
+        ranked.extend(hashes)
+        return hashes
+
+    monkeypatch.setattr(harness, "topk_revalidate", recording_topk)
     cfg = small_cfg(seed=6)
     result = run_experiment(cfg)
     s = result.summary
     assert s.labels == cfg.n_label
-    assert s.memo_hits == 0
-    # trace: one row per labeling query + one per revalidation query
+    # every class ranked is either paid for or answered from the log, and
+    # only revalidation repeats a class
     n_reval = s.phases["revalidation"]["oracle_queries"]
-    assert 1 <= n_reval <= cfg.top_k
+    n_logged = s.phases["revalidation"]["memo_hits"]
+    assert 1 <= n_reval + n_logged == len(ranked) <= cfg.top_k
+    assert s.memo_hits == n_logged
+    # trace: one row per labeling query + one per paid revalidation query
     assert len(result.trace.rows) == cfg.n_label + n_reval
     # search consults only the predictor: it contributes nothing to the bill
     assert s.total_sim_seconds == pytest.approx(
