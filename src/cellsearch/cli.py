@@ -233,7 +233,7 @@ def cmd_gen_synthetic(args) -> int:
 
 def cmd_label(args) -> int:
     cfg = _config(args)
-    cfg.check_pool_split()  # the pool is for train-predictor's split
+    cfg.check_pool_split(cfg.n_label)  # the pool is for train-predictor's split
     paid = PaidQueries(build_oracle(cfg), SimClock())
     labeled, threshold = label_random_specs(cfg, paid, random.Random(cfg.seed))
     meta = {
@@ -260,6 +260,7 @@ def cmd_label(args) -> int:
 def cmd_train_predictor(args) -> int:
     cfg = _config(args)
     items, meta = read_labeled(args.data)
+    cfg.check_pool_split(len(items))
     trained, split_meta, held_acc, final_loss = fit(
         items, cfg.predictor, cfg.seed, np.random.default_rng(cfg.seed), meta["threshold"]
     )

@@ -4,7 +4,9 @@ The population is a FIFO queue of fixed capacity: every cycle one child
 (mutated from a tournament-selected parent) joins on the right and the
 oldest individual falls off the left, regardless of fitness. The final
 answer is the best individual ever seen in the history, not the best
-survivor.
+survivor. The loop records nothing but its history: the fitness it is handed
+pays for what it evaluates, and the caller reads the run's trace off that
+payment (a ground-truth run) or off the history (a predictor-guided one).
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from typing import Annotated, NamedTuple
 from . import cellspace
 from .cellspace import ModelSpec, SpaceLimits
 from .errors import ConfigError, ExhaustedError, In, check_fields
-from .oracle import SimClock
-from .traces import SearchTrace
 
 
 class Individual(NamedTuple):
@@ -94,35 +94,13 @@ def evolve_cycle(
     population.popleft()
 
 
-def run_evolution(cfg: EvolutionConfig, limits: SpaceLimits, seed: int, fitness, clock: SimClock):
-    """Initialize, evolve until the history holds `cycles` individuals, and
-    return (best-ever individual, trace, history). `seed` drives every
-    random draw; cells stay within `limits`. `clock` is the one the fitness
-    charges, if any; it only stamps the trace rows here.
-
-    The trace gets one row after initialization (index 0) and one per cycle;
-    the true-accuracy column is filled in oracle mode, where fitness IS the
-    measured accuracy, and left unknown in predictor mode.
-    """
+def run_evolution(cfg: EvolutionConfig, limits: SpaceLimits, seed: int, fitness) -> list[Individual]:
+    """Initialize, then evolve until the history holds `cycles` individuals,
+    and return that history in birth order; its best-ever individual is
+    `max(history, key=Individual.key)`. `seed` drives every random draw;
+    cells stay within `limits`."""
     rng = random.Random(seed)
     population, history = init_population(cfg, limits, fitness, rng)
-    best = max(history, key=Individual.key)
-    trace = SearchTrace()
-    true_known = fitness.mode == "ORACLE"
-
-    def record(index: int) -> None:
-        trace.append(
-            index,
-            clock.elapsed_s,
-            best.fitness if true_known else None,
-            best.fitness,
-        )
-
-    record(0)
-    for cycle in range(1, cfg.cycles - cfg.population_size + 1):
+    for _ in range(cfg.cycles - cfg.population_size):
         evolve_cycle(population, history, cfg, limits, fitness, rng)
-        # the child is the youngest, so this is key() > best.key()
-        if history[-1].fitness >= best.fitness:
-            best = history[-1]
-        record(cycle)
-    return best, trace, history
+    return history

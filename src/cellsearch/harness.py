@@ -13,13 +13,16 @@ distinct architecture they evaluate.
 Both kinds of run take one path, `run_experiment`: one log of paid queries,
 labeling and training for a predictor run, the search, revalidation for a
 predictor run, then one summary built from the log and from the run's trace,
-read in the walk that validates it. Both report the same trace/summary
-shapes so they can be compared on equal terms.
+read in the walk that validates it. The run's trace is that log, one row
+per paid query, for both kinds, so they can be compared on equal terms; a
+search loop returns its history and stamps nothing, and a predictor run
+derives its search trace from that history.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import asdict, dataclass, field
 from typing import Annotated, Literal
@@ -99,19 +102,16 @@ class ExperimentConfig:
         # the synthetic oracle reads no table, so its run must not echo one
         if self.oracle_source != "FILE" and self.table_path is not None:
             raise ConfigError(f"table_path {self.table_path!r} needs the FILE oracle source")
-        # a ground-truth run's trace is its search's, which needs one batch
-        if self.algo == "REINFORCE" and self.fitness == "ORACLE" and self.reinforce.iterations < 1:
-            raise ConfigError("reinforce.iterations must be at least 1 for a ground-truth run")
         if self.fitness == "PREDICTOR":
-            self.check_pool_split()
+            self.check_pool_split(self.n_label)
 
-    def check_pool_split(self) -> None:
-        """Refuse an n_label whose pool the predictor's split may leave with
-        no held-out label, or with one class to train on."""
+    def check_pool_split(self, n: int) -> None:
+        """Refuse a pool of n labels that the predictor's split may leave
+        with no held-out label, or with one class to train on."""
         # the split holds out heldout_count of each class: a pool split as
         # evenly as it can be holds out the fewest, and below a fraction of 1
         # a class of one label is the first it holds out whole
-        n, fraction = self.n_label, self.predictor.heldout_fraction
+        fraction = self.predictor.heldout_fraction
         if heldout_count(fraction, n - n // 2) == 0:
             raise ConfigError(
                 f"n_label {n} can leave the held-out set empty: at predictor.heldout_fraction "
@@ -175,12 +175,14 @@ _COUNTS = ("evaluations", "labels", "invalid_samples", "memo_hits")
 
 @dataclass
 class RunSummary:
-    """End-of-run report; every total must agree with the final trace row."""
+    """End-of-run report; every total must agree with the final trace row.
+    A run that paid for nothing has no row, no improvement, a total of 0.0
+    and no best cell or values."""
 
     best_spec: ModelSpec | None
     best_hash: str | None
     best_true_acc: float | None
-    best_fitness: float
+    best_fitness: float | None
     total_sim_seconds: float
     evaluations: int
     labels: int
@@ -229,14 +231,14 @@ class RunSummary:
 
 def _read_trace(trace: SearchTrace) -> dict:
     """The RunSummary fields a trace determines, read in the walk that
-    validates it: the last row's simulated seconds and best-so-far values,
-    and the improvements."""
+    validates it: the last row's simulated seconds and best-so-far values
+    (0.0 and None where there is no row), and the improvements."""
     improvements = trace.validate()
-    final = trace.final_row()
+    sim_s, best_true, best_fit = trace.final_row()[1:] if trace.rows else (0.0, None, None)
     return {
-        "total_sim_seconds": final.sim_seconds,
-        "best_true_acc": final.best_true_acc,
-        "best_fitness": final.best_fitness,
+        "total_sim_seconds": sim_s,
+        "best_true_acc": best_true,
+        "best_fitness": best_fit,
         "improvements": improvements,
     }
 
@@ -348,37 +350,45 @@ def topk_revalidate(predictions, k: int, paid: PaidQueries) -> tuple:
 @dataclass
 class ExperimentResult:
     summary: RunSummary
-    trace: SearchTrace  # the run's cost/true-accuracy record (written to disk)
-    search_trace: SearchTrace | None = None  # predictor-phase internal trace
+    trace: SearchTrace  # the run's log of paid queries, one row each (written to disk)
+    search_trace: SearchTrace | None = None  # a predictor run's, one row per searched cell
     trained: TrainedPredictor | None = None
 
 
-def _search(cfg: ExperimentConfig, fitness, clock: SimClock):
-    """Dispatch to the configured search loop; returns (trace, invalid
-    count)."""
+def _search(cfg: ExperimentConfig, fitness):
+    """Dispatch to the configured search loop; returns (the fitness of each
+    searched cell, in the order it was born or sampled, invalid count)."""
     if cfg.algo == "EVOLUTION":
-        _, trace, _ = evolution.run_evolution(
-            cfg.evolution, cfg.limits, cfg.seed, fitness, clock
-        )
-        return trace, 0
+        history = evolution.run_evolution(cfg.evolution, cfg.limits, cfg.seed, fitness)
+        return [ind.fitness for ind in history], 0
     schedule = DecisionSchedule.from_limits(cfg.limits)
-    result = reinforce.run_reinforce(cfg.reinforce, schedule, cfg.seed, fitness, clock)
-    return result.trace, result.invalid_count
+    result = reinforce.run_reinforce(cfg.reinforce, schedule, cfg.seed, fitness)
+    return [s.reward for s in result.history], result.invalid_count
+
+
+def _search_trace(scores, sim_seconds: float) -> SearchTrace:
+    """A predictor-guided search's trace: row k for the k-th searched cell,
+    at the clock the search ran at, with the best score so far and no true
+    accuracy."""
+    trace, best = SearchTrace(), -math.inf
+    for k, score in enumerate(scores, start=1):
+        best = max(best, score)
+        trace.append(k, sim_seconds, None, best)
+    return trace
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """One seeded end-to-end run under the configured cost model. The
-    summary's best cell is the log's first best answer (None when no query
-    was paid); its total, best values and improvements are read off the
-    run's trace, whose last row must match the log's clock."""
+    """One seeded end-to-end run under the configured cost model. The run's
+    trace is its log of paid queries, whose last row must match the log's
+    clock; the summary's total, best values and improvements are read off
+    it, and its best cell is the log's first best answer (none when no
+    query was paid)."""
     paid = PaidQueries(build_oracle(cfg), SimClock())
     fitness, trained, labels, phases = paid, None, 0, {}
     if cfg.fitness == "PREDICTOR":
         trained, phases["labeling"] = run_predictor_pipeline(cfg, paid, random.Random(cfg.seed))
         fitness, labels = PredictorFitness(trained.params), phases["labeling"]["oracle_queries"]
-    # a ground-truth search pays through the log, and its own trace, one
-    # row per cycle or batch, is the run's trace
-    trace, invalid = _search(cfg, fitness, paid.clock)
+    scores, invalid = _search(cfg, fitness)
     search_trace = None
     if trained is None:
         phases["search"] = {
@@ -388,6 +398,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         }
     else:
         phases["search"] = {"sim_seconds": 0.0, "predictor_queries": fitness.evaluations}
+        search_trace = _search_trace(scores, paid.clock.elapsed_s)
         started_at, queries, hits = paid.clock.elapsed_s, paid.evaluations, paid.memo_hits
         topk_revalidate(fitness.predictions, cfg.top_k, paid)
         phases["revalidation"] = {
@@ -395,10 +406,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             "oracle_queries": paid.evaluations - queries,
             "memo_hits": paid.memo_hits - hits,
         }
-        # the free search's trace is kept aside; the run's trace is the log
-        # of its paid queries, one row per label, then one per paid revalidation
-        trace, search_trace = paid.trace, trace
-    read = _read_trace(trace)
+    read = _read_trace(paid.trace)
     if read["total_sim_seconds"] != paid.clock.elapsed_s:
         raise ValueError(
             f"the clock says {paid.clock.elapsed_s} simulated seconds, "
@@ -417,7 +425,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         config=cfg,
         phases=phases,
     )
-    return ExperimentResult(summary, trace, search_trace, trained)
+    return ExperimentResult(summary, paid.trace, search_trace, trained)
 
 
 # ---------------------------------------------------------------------------

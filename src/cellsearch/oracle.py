@@ -295,14 +295,12 @@ class PaidQueries:
     best (spec, hash, true accuracy) so far (only a strictly better answer
     replaces it), appends the trace row (n, clock, best, best) and logs the
     answer at its charge. So a run pays for a class's full training at most
-    once. A predictor-guided run's trace is this log.
+    once. Every run's trace is this log.
 
     `evaluate`, the fitness of a ground-truth search, is that query at full
     charge; it refuses a genome that is not a cell with InvalidSpecError,
     paying nothing.
     """
-
-    mode = "ORACLE"
 
     oracle: BenchmarkTable | SyntheticOracle
     clock: SimClock

@@ -447,8 +447,6 @@ class PredictorFitness:
     `evaluations` counts every call.
     """
 
-    mode = "PREDICTOR"
-
     def __init__(self, params: RnnParams):
         self.params = params
         self.evaluations = 0

@@ -38,8 +38,6 @@ from .cellspace import (
     upper_triangle_pairs,
 )
 from .errors import ConfigError, In, ShapeError, check_fields
-from .oracle import SimClock
-from .traces import SearchTrace
 
 # Embedding-table rows: the learned start token, then one row per
 # (step type, action) pair; _EMB_ROWS[arity][action] is the row a step's
@@ -424,7 +422,6 @@ class ReinforceConfig:
 class ReinforceResult:
     controller: ControllerState
     baseline: Baseline
-    trace: SearchTrace
     history: list  # of SampledArch, in sampling order
     invalid_count: int
 
@@ -434,7 +431,6 @@ def run_reinforce(
     schedule: DecisionSchedule,
     seed: int,
     fitness,
-    clock: SimClock,
     reward_fn=None,
 ) -> ReinforceResult:
     """Batched policy-gradient loop.
@@ -443,28 +439,26 @@ def run_reinforce(
     best reward so far, turn each reward into its utility (see `utility`),
     read the baseline, fold the batch-mean utility into the baseline, then
     take the ascent step on the utilities using the pre-update baseline
-    value. One trace row per batch, stamped with `clock`; its fitness is
-    the best reward itself. A custom `reward_fn(sample, clock)` replaces the fitness adapter
-    (bandit probes); otherwise fitness supplies rewards via reward_of.
-    `seed` drives the controller init and every sampling draw.
+    value. The loop records nothing but its history of samples, each with
+    its reward: the fitness pays for what it evaluates, and the caller
+    reads the run's trace off that payment or off the history. A custom
+    `reward_fn(sample)` replaces the fitness adapter (bandit probes);
+    otherwise fitness supplies rewards via reward_of. `seed` drives the
+    controller init and every sampling draw.
     """
     if reward_fn is None and fitness is None:
         raise ConfigError("need a fitness adapter or a reward function")
     controller = ControllerState.seeded(seed, cfg.hidden_size, cfg.emb_dim, cfg.init_scale)
     rng = random.Random(seed)
     baseline = Baseline(beta=cfg.beta)
-    trace = SearchTrace()
     history = []
     invalid_count = 0
     best = 0.0
-    true_known = reward_fn is None and getattr(fitness, "mode", None) == "ORACLE"
 
-    for it in range(1, cfg.iterations + 1):
+    for _ in range(cfg.iterations):
         batch = [sample(controller, schedule, rng) for _ in range(cfg.batch_size)]
         for s in batch:
-            s.reward = (
-                reward_fn(s, clock) if reward_fn is not None else reward_of(s, fitness)
-            )
+            s.reward = reward_fn(s) if reward_fn is not None else reward_of(s, fitness)
             invalid_count += s.invalid
             history.append(s)
             if s.reward > best:
@@ -477,6 +471,4 @@ def run_reinforce(
         )
         for s in batch:
             s.states = None  # only this batch's update reads them
-        trace.append(it, clock.elapsed_s, best if true_known else None, best)
-    return ReinforceResult(controller, baseline, trace, history, invalid_count)
-
+    return ReinforceResult(controller, baseline, history, invalid_count)

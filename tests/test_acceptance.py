@@ -236,8 +236,7 @@ def test_criterion_5_reinforce_convergence(optimum, class_accuracies, capsys):
     rewards = (1.0, 0.0, 0.0)
     cfg = ReinforceConfig(batch_size=20, iterations=2000, learning_rate=0.005)
     res = run_reinforce(
-        cfg, BANDIT, 0, None, SimClock(),
-        reward_fn=lambda s, _: rewards[s.actions[0]],
+        cfg, BANDIT, 0, None, reward_fn=lambda s: rewards[s.actions[0]],
     )
     best_rollout = follow(res.controller, BANDIT, (0,))
     p_best = math.exp(logprob_and_grad(res.controller, BANDIT, [best_rollout])[0][0])
@@ -248,12 +247,11 @@ def test_criterion_5_reinforce_convergence(optimum, class_accuracies, capsys):
     invalid = []
     for seed in SEEDS:
         run_cfg = ReinforceConfig(batch_size=2, iterations=500, learning_rate=0.2)
-        clock = SimClock()
         result = run_reinforce(
             run_cfg, DecisionSchedule.from_limits(LIMITS), seed,
-            PaidQueries(SyntheticOracle(), clock), clock,
+            PaidQueries(SyntheticOracle(), SimClock()),
         )
-        best = result.trace.final_row().best_fitness
+        best = max(s.reward for s in result.history)
         ratios.append(best / optimum.val_accuracy)
         ranks.append(1 + sum(acc > best for acc in class_accuracies))
         invalid.append(result.invalid_count)

@@ -372,6 +372,35 @@ def test_label_refuses_a_pool_that_train_predictor_cannot_split(capsys, tmp_path
     assert code == 0 and out.exists() and len(paid) == 5
 
 
+def test_train_predictor_refuses_a_pool_its_split_cannot_use(capsys, tmp_path, monkeypatch):
+    # a 5-label file split at --heldout-fraction 0.1 holds out nothing: it
+    # trained all its epochs and then stopped with "empty held-out set"
+    data, out = tmp_path / "labeled.jsonl", tmp_path / "predictor.json"
+    code, _, _ = run_cli(
+        capsys, "label", "--limits", "4,9", "--n", "5", "--threshold", "0.66", "--seed", "0",
+        "--out", str(data),
+    )
+    assert code == 0
+
+    def refuse(*args):
+        raise AssertionError("a refused pool must not be trained on")
+
+    monkeypatch.setattr(cli, "fit", refuse)
+    code, stdout, err = run_cli(
+        capsys, "train-predictor", "--data", str(data), "--heldout-fraction", "0.1",
+        "--out", str(out),
+    )
+    assert (code, stdout) == (1, "")
+    assert err.startswith("usage:") and "n_label 5 can leave the held-out set empty" in err
+    assert not out.exists()
+    # at the default fraction the same file trains
+    monkeypatch.undo()
+    code, _, err = run_cli(
+        capsys, "train-predictor", "--data", str(data), "--epochs", "2", "--out", str(out)
+    )
+    assert code == 0 and out.exists(), err
+
+
 def test_negative_seeds_are_refused_before_anything_runs(capsys, tmp_path, monkeypatch):
     # numpy's generators take no negative seed: REINFORCE crashed at once,
     # a predictor run after paying for its labels, and `--seeds 0,-1` after
@@ -452,7 +481,8 @@ def test_label_and_train_predictor_build_their_config_through_the_merge(
 
     monkeypatch.delenv("NAS_SEED", raising=False)
     monkeypatch.setattr(cli, "build_oracle", capture)
-    monkeypatch.setattr(cli, "read_labeled", lambda path: ([], {"threshold": 0.5}))
+    # a pool of 10 labels, which the split can use at every fraction tried
+    monkeypatch.setattr(cli, "read_labeled", lambda path: ([None] * 10, {"threshold": 0.5}))
     monkeypatch.setattr(cli, "fit", capture)
     out = tmp_path / "out"
     label = ("label", "--limits", "4,9", "--n", "7", "--charge", "0.5", "--threshold", "0.7",
@@ -488,14 +518,14 @@ def test_label_and_train_predictor_build_their_config_through_the_merge(
 PINNED_DIGESTS = {
     ("run", "--algo", "evolution", "--fitness", "oracle", "--limits", "4,9",
      "--cycles", "200", "--seed", "0"): {
-        "summary.json": "880053b7a8925dab7160bd11f753fa3ae2c8821eaa650a68659473251fa2d641",
-        "trace.csv": "bfd4ff74f056405ac5d21a0f21904db6334c0b770a421d42601379ac3246430d",
+        "summary.json": "d1f24f92f5a3aa4296ad19a5c2a0f175b4212deb13f5cf7c714ff738bcc4dba6",
+        "trace.csv": "c9b3591fbac9bc1e3ac1e07b4addae1732f1bfa549e92fbb7a2c4643fa1d50a7",
         "stdout": "87d0de1bc91ccb85b778e8f099ab8e827769e0e2df15d24788cc8c6a3b042605",
     },
     ("run", "--fitness", "predictor", "--limits", "4,9", "--n-label", "60",
      "--seed", "2"): {
         "predictor.json": "bb3c1c415b9fd6bb9daf0d07498b2fc84b1a65d14af9a50e9fe6bd5b3c0847c3",
-        "search_trace.csv": "497d458c504abda0dbc32372b4ab40a529123ab45b7b2e9e88c5f152d73a65a1",
+        "search_trace.csv": "1bfde14c58eef1ba415be8b872992eea3fa4846143fd98ff651fce5acc47d910",
         "summary.json": "27ea779ec389a7b7ada2af81b3abbf50afe3854bd524e3eb3e87f5c852d68a5a",
         "trace.csv": "43cd0acc5b1583335de8a773f5f3af15fe72c56e44882df177da94da6d3f56a6",
         "stdout": "f38566604355e600eec2c199d5e6a2b324d9aab972c26bf87f9832b22f7190c0",
@@ -506,14 +536,14 @@ PINNED_DIGESTS = {
     },
     ("run", "--algo", "reinforce", "--fitness", "oracle", "--limits", "4,9",
      "--batch-size", "4", "--iterations", "25", "--seed", "1"): {
-        "summary.json": "70732ead6b9f9da48cd644b0e7e13466e5bbeadcd2be2e0eb79eec6a28573b56",
-        "trace.csv": "e8cccc8ab84411704c8f5449477335bf49e7b8972b27f0908f75a5d2a3e6940d",
+        "summary.json": "82327e795ec8c4a35fdf7f0c180c4da24f331420537e9baa3a2d561b0013d1c5",
+        "trace.csv": "ae54fec18cfb1a64104c5b68ca85eb0c71b5f0cc06a5a1665e0b7ce3a71178c9",
         "stdout": "e571794635220ae5db326964351032c4619d17160554a06f8f22c19de2e22b90",
     },
     ("run", "--algo", "reinforce", "--fitness", "predictor", "--limits", "4,9",
      "--n-label", "60", "--batch-size", "4", "--iterations", "25", "--seed", "1"): {
         "predictor.json": "b78cde078c2946a31e39bcfc276338200a3125d450d407f952f60522f631f002",
-        "search_trace.csv": "2b50d04fd7a39c8387b9714079b94c38278ae2110b243edee4b75e4c75773e55",
+        "search_trace.csv": "dd2a1ee50f382fcdc4ac62b52c1a0895c606b2afc15b513fe2a638f90a36bdf7",
         "summary.json": "213264ed2799fe31f93bd6cc8a21cdbbe4bc78d2eec82b864d404d2bd471b7ff",
         "trace.csv": "c2c11bf4e341b16ccc29b94359211e04f1b7fa8b68da3b2a5ed31fa531aa6280",
         "stdout": "5a571be70918f4232a0925ab481db2b7b714066bb73fac0073a7a338c2315258",
@@ -521,21 +551,21 @@ PINNED_DIGESTS = {
     # the benchmark's 26-decision, hidden-32 schedule
     ("run", "--algo", "reinforce", "--fitness", "oracle", "--limits", "7,9",
      "--batch-size", "5", "--iterations", "10", "--seed", "3"): {
-        "summary.json": "f3a937ce3e1ae19a4f8f2788ce2c9ebf3894a66c57a95f8f4628c501b520dbbb",
-        "trace.csv": "80d4d51d20d9678894e467856ff76029c24bf9dc4d8a516e66f7d4a81cac20a0",
+        "summary.json": "8ecd8a1e5ec0daafa9a574cbe6404b915dc1cc510c94bef34b45c4fce8762a10",
+        "trace.csv": "c32205492228305c244f2136df204971d543fb9f326d72707f6a0f14c68f95c2",
         "stdout": "e15eaa5a1bfe6e2f176d05a3ed40339e413e962fed826939f0de12674eef8c58",
     },
     # aging evolution at the gt-evolution benchmark's shape, and at (7,9)
     ("run", "--algo", "evolution", "--fitness", "oracle", "--limits", "5,9",
      "--population-size", "50", "--sample-size", "10", "--cycles", "400", "--seed", "4"): {
-        "summary.json": "c414273264efc50c834cc8f4292848ab0ec0dff619426e1f25a3a4b7a0a8c70f",
-        "trace.csv": "f1bebc847fc8a333373441b3deffd2a77c1390cd27df9138e82865007a888e74",
+        "summary.json": "a7b3fd859596237e214463a2b15dd648f9d1122e04d9e797e3fd37e16d23cca3",
+        "trace.csv": "edadbd3f61cc29b0dca13fad3f458996df0af1abbfe008ffad906d6bf45127ce",
         "stdout": "38fb0b85fea502b1a6b66d1b469cae35088cd8bebd596246d60c82d001b20604",
     },
     ("run", "--algo", "evolution", "--fitness", "oracle", "--limits", "7,9",
      "--cycles", "300", "--seed", "5"): {
-        "summary.json": "997637986172e475e8d7a9ddcac05e3d0c8641f59c38c9f2f38952a5c9a1e8eb",
-        "trace.csv": "38214ccc0995fff92956c7e231d99ecc99091ce23fc2a7b0c8e1af6639b689d2",
+        "summary.json": "c21e413fd4fdec9014a8329fc37b7f660b92b4ffc8b4b76e60cd752a77bd2885",
+        "trace.csv": "9f6c07950fdaa9f79c4c5dc71e7f9547826b539c3673d586c6e7cd439e5c7128",
         "stdout": "c4270acd1ab1dfa5cad5ae0380efd7b93feb5a6658d8526783d38d08745be111",
     },
 }
@@ -701,20 +731,66 @@ def test_missing_required_flag_is_usage_error(capsys):
     assert code == 1
 
 
-def test_ground_truth_reinforce_needs_an_iteration(capsys, tmp_path):
-    # its trace is the search's, one row per batch: 0 iterations left it
-    # empty, and the run crashed after making --out
-    out = tmp_path / "r"
+def test_ground_truth_reinforce_runs_without_an_iteration(capsys, tmp_path):
+    # a run's trace is its paid log, so a search with no batch pays for
+    # nothing and writes the header alone; it was refused while a
+    # ground-truth run's trace was its search's, one row per batch
     argv = ("run", "--algo", "reinforce", "--iterations", "0", "--limits", "4,9")
-    code, stdout, err = run_cli(capsys, *argv, "--fitness", "oracle", "--out", str(out))
-    assert code == 1 and stdout == ""
-    assert err.startswith("usage:") and "reinforce.iterations" in err
-    assert not out.exists()
-    # a predictor run's trace is its paid log, so it runs without a search batch
-    code, _, _ = run_cli(
-        capsys, *argv, "--fitness", "predictor", "--n-label", "40", "--out", str(out)
+    for fitness, flags in (("oracle", ()), ("predictor", ("--n-label", "40"))):
+        out = tmp_path / fitness
+        code, _, err = run_cli(capsys, *argv, "--fitness", fitness, *flags, "--out", str(out))
+        assert code == 0, err
+        read_summary(out / "summary.json").cross_check(read_trace(out / "trace.csv"))
+    assert (tmp_path / "oracle" / "trace.csv").read_text() == TRACE_HEADER + "\n"
+
+
+@pytest.mark.parametrize("seed", [4, 5, 6])
+def test_a_run_that_pays_for_nothing_reports_no_cell(capsys, tmp_path, seed):
+    # at (7,9) these seeds' one sample is invalid: no query is paid, so the
+    # run has no best cell, where it once printed best_true_acc 0.0
+    out, other = tmp_path / "empty", tmp_path / "other"
+    code, stdout, err = run_cli(
+        capsys, "run", "--algo", "reinforce", "--fitness", "oracle", "--limits", "7,9",
+        "--batch-size", "1", "--iterations", "1", "--seed", str(seed), "--out", str(out),
     )
-    assert code == 0
+    assert code == 0, err
+    (line,) = json_lines(stdout)
+    assert (line["best_hash"], line["best_true_acc"], line["total_sim_seconds"]) == (
+        None, None, 0.0
+    )
+    assert (out / "trace.csv").read_text() == TRACE_HEADER + "\n"
+    summary = read_summary(out / "summary.json")
+    summary.cross_check(read_trace(out / "trace.csv"))
+    assert (summary.best_spec, summary.best_hash, summary.best_true_acc,
+            summary.best_fitness) == (None, None, None, None)
+    assert (summary.total_sim_seconds, summary.improvements) == (0.0, ())
+    assert (summary.evaluations, summary.invalid_samples) == (0, 1)
+    # compare takes it, and it never reached any target
+    assert run_cli(
+        capsys, "run", "--limits", "7,9", "--cycles", "60", "--seed", "0", "--out", str(other)
+    )[0] == 0
+    for a, b, target, missing in ((out, other, "0.5", "A"), (out, out, None, "A and B")):
+        flags = ("--target", target) if target else ()
+        code, stdout, _ = run_cli(
+            capsys, "compare", str(a / "summary.json"), str(b / "summary.json"), *flags
+        )
+        assert code == 0
+        (report,) = json_lines(stdout)
+        assert report["status"] == "NO_COMMON_TARGET" and report["speedup"] is None
+        assert report["reason"].startswith(f"run {missing} never reached")
+
+
+@pytest.mark.parametrize(
+    "argv", [argv for argv in PINNED_DIGESTS if argv[0] == "run"],
+    ids=lambda argv: "-".join(argv[1:]),
+)
+def test_trace_has_one_row_per_paid_query(capsys, tmp_path, argv):
+    # every run's trace is its paid log: a row per query its phases paid for
+    out = tmp_path / "out"
+    assert run_cli(capsys, *argv, "--out", str(out))[0] == 0
+    summary = read_summary(out / "summary.json")
+    paid = sum(phase.get("oracle_queries", 0) for phase in summary.phases.values())
+    assert len(read_trace(out / "trace.csv").rows) == paid > 0
 
 
 def test_bad_limits_is_usage_error(capsys, tmp_path):
@@ -1168,7 +1244,7 @@ _PHASES = {
 _LEGAL_READ_VALUES = {
     "best_hash": ('"x"', "null"),
     "best_true_acc": ("null", "1.5"),
-    "best_fitness": ("1.5",),
+    "best_fitness": ("null", "1.5"),
     "total_sim_seconds": ("1.5",),
     # phases: each phase a dict of reals, and no phase is required
     "phases": ("{}",),

@@ -1,5 +1,5 @@
 """Aging-evolution loop: selection distribution, FIFO aging, history-max
-semantics, clock accounting, and end-to-end optimum discovery."""
+semantics, the paid log's accounting, and end-to-end optimum discovery."""
 
 import math
 import random
@@ -26,28 +26,20 @@ LIMITS = SpaceLimits(5, 9)
 
 
 class ScriptedFitness:
-    """Returns a fixed sequence of fitness values; charges its own clock a
-    flat time."""
+    """Returns a fixed sequence of fitness values."""
 
-    mode = "ORACLE"
-
-    def __init__(self, values, time_per_eval=10.0):
+    def __init__(self, values):
         self.values = list(values)
         self.calls = 0
-        self.time_per_eval = time_per_eval
-        self.clock = SimClock()
 
     def evaluate(self, spec):
         value = self.values[self.calls]
         self.calls += 1
-        self.clock.charge(self.time_per_eval)
         return value
 
 
 class FreeFitness:
-    """Predictor-style fitness: never touches the clock."""
-
-    mode = "PREDICTOR"
+    """Predictor-style fitness: a fresh draw per call, paying for nothing."""
 
     def __init__(self, rng):
         self.rng = rng
@@ -184,20 +176,17 @@ def test_population_is_fifo_window_of_history():
 def test_run_returns_history_max_even_after_aging_out():
     values = [0.9, 0.1, 0.2, 0.3, 0.35, 0.4]
     cfg = EvolutionConfig(population_size=3, sample_size=2, cycles=6)
-    fitness = ScriptedFitness(values)
-    best, trace, history = run_evolution(cfg, LIMITS, 0, fitness, fitness.clock)
+    history = run_evolution(cfg, LIMITS, 0, ScriptedFitness(values))
+    best = max(history, key=Individual.key)
     assert best.fitness == 0.9 and best.birth_index == 0
     # the champion has aged out: every survivor is strictly worse
     final_window = history[-cfg.population_size :]
     assert max(ind.fitness for ind in final_window) == 0.4
-    assert trace.final_row().best_fitness == 0.9
 
 
 class TiedFitness:
-    """Oracle-mode fitness with few values: `levels` of them, picked by a
-    cell's edge count."""
-
-    mode = "ORACLE"
+    """Fitness with few values: `levels` of them, picked by a cell's edge
+    count."""
 
     def __init__(self, levels):
         self.levels = levels
@@ -212,48 +201,45 @@ class TiedFitness:
 def test_run_returns_the_key_maximum_of_its_history_under_ties(levels, limits, seed):
     # with ties in fitness, the best is the youngest of the fittest
     cfg = EvolutionConfig(population_size=10, sample_size=3, cycles=300)
-    clock = SimClock()
-    best, trace, history = run_evolution(
-        cfg, SpaceLimits(*limits), seed, TiedFitness(levels), clock
-    )
-    assert best is max(history, key=Individual.key)
-    prefix_best = [
-        max(ind.fitness for ind in history[: cfg.population_size + k])
-        for k in range(len(trace.rows))
-    ]
-    assert [row.best_fitness for row in trace.rows] == prefix_best
+    history = run_evolution(cfg, SpaceLimits(*limits), seed, TiedFitness(levels))
+    assert [ind.birth_index for ind in history] == list(range(cfg.cycles))
+    assert all(ind.fitness == levels[ind.cell.num_edges % len(levels)] for ind in history)
+    fittest = max(ind.fitness for ind in history)
+    youngest = [ind for ind in history if ind.fitness == fittest][-1]
+    assert max(history, key=Individual.key) is youngest
 
 
 def test_cycles_equal_population_does_no_evolution():
     cfg = EvolutionConfig(population_size=4, sample_size=2, cycles=4)
     fitness = ScriptedFitness([0.1, 0.2, 0.3, 0.25])
-    best, trace, history = run_evolution(cfg, LIMITS, 0, fitness, fitness.clock)
-    assert len(history) == 4
-    assert len(trace.rows) == 1 and trace.rows[0].index == 0
-    assert best.fitness == 0.3
+    history = run_evolution(cfg, LIMITS, 0, fitness)
+    assert len(history) == 4 and fitness.calls == 4
+    assert max(history, key=Individual.key).fitness == 0.3
 
 
 def test_trace_shape_and_monotonicity():
+    # the run's trace is its paid log: one row per paid query, numbered from 1
     cfg = EvolutionConfig(population_size=5, sample_size=3, cycles=40)
-    clock = SimClock()
-    best, trace, history = run_evolution(
-        cfg, LIMITS, 2, PaidQueries(SyntheticOracle(), clock), clock
-    )
-    assert len(trace.rows) == cfg.cycles - cfg.population_size + 1
-    assert [r.index for r in trace.rows] == list(range(len(trace.rows)))
+    paid = PaidQueries(SyntheticOracle(), SimClock())
+    history = run_evolution(cfg, LIMITS, 2, paid)
+    trace = paid.trace
+    assert len(trace.rows) == paid.evaluations == len(history) - paid.memo_hits
+    assert [r.index for r in trace.rows] == list(range(1, len(trace.rows) + 1))
     fits = [r.best_fitness for r in trace.rows]
     assert fits == sorted(fits)
-    assert trace.final_row().best_fitness == best.fitness
-    # oracle mode: true accuracy column filled and equal to fitness
+    assert trace.final_row().best_fitness == max(history, key=Individual.key).fitness
+    # a paid answer is a true accuracy: both columns hold it
     assert all(r.best_true_acc == r.best_fitness for r in trace.rows)
+    assert trace.final_row().sim_seconds == paid.clock.elapsed_s
 
 
 def test_predictor_mode_leaves_clock_and_true_column_alone():
+    # the loop reads its fitness through one evaluate call per individual,
+    # in birth order, and keeps no clock or trace of its own
     cfg = EvolutionConfig(population_size=5, sample_size=2, cycles=25)
-    clock = SimClock()
-    best, trace, history = run_evolution(cfg, LIMITS, 3, FreeFitness(random.Random(5)), clock)
-    assert clock.elapsed_s == 0.0
-    assert all(r.best_true_acc is None for r in trace.rows)
+    history = run_evolution(cfg, LIMITS, 3, FreeFitness(random.Random(5)))
+    replay = random.Random(5)
+    assert [ind.fitness for ind in history] == [replay.random() for _ in range(cfg.cycles)]
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +251,7 @@ def test_clock_charges_each_distinct_phenotype_once():
     clock = SimClock()
     oracle = SyntheticOracle()
     fitness = PaidQueries(oracle, clock)
-    best, trace, history = run_evolution(cfg, LIMITS, 4, fitness, clock)
+    history = run_evolution(cfg, LIMITS, 4, fitness)
     expected = 0.0
     seen = set()
     for ind in history:
@@ -289,10 +275,9 @@ def test_same_seed_reproduces_run_exactly():
     cfg = EvolutionConfig(population_size=8, sample_size=3, cycles=60)
 
     def one():
-        clock = SimClock()
-        fitness = PaidQueries(SyntheticOracle(), clock)
-        best, trace, history = run_evolution(cfg, LIMITS, 7, fitness, clock)
-        return trace.to_csv_lines(), history, best
+        fitness = PaidQueries(SyntheticOracle(), SimClock())
+        history = run_evolution(cfg, LIMITS, 7, fitness)
+        return fitness.trace.to_csv_lines(), history, max(history, key=Individual.key)
 
     lines_a, hist_a, best_a = one()
     lines_b, hist_b, best_b = one()
@@ -304,11 +289,9 @@ def test_same_seed_reproduces_run_exactly():
 def test_different_seed_diverges():
     def run(seed):
         cfg = EvolutionConfig(population_size=8, sample_size=3, cycles=60)
-        clock = SimClock()
-        _, trace, _ = run_evolution(
-            cfg, LIMITS, seed, PaidQueries(SyntheticOracle(), clock), clock
-        )
-        return trace.to_csv_lines()
+        fitness = PaidQueries(SyntheticOracle(), SimClock())
+        run_evolution(cfg, LIMITS, seed, fitness)
+        return fitness.trace.to_csv_lines()
 
     assert run(7) != run(8)
 
@@ -319,11 +302,10 @@ def test_different_seed_diverges():
 
 def test_exhausted_mutation_reports_cycle():
     cfg = EvolutionConfig(population_size=1, sample_size=1, cycles=2)
-    clock = SimClock()
     # the only cell at (2,1), whose hash the message takes from parent.cell
     only = cellspace.canonical_hash(ModelSpec.from_edges(2, ((0, 1),), (OpLabel.IN, OpLabel.OUT)))
     with pytest.raises(ExhaustedError, match=rf"cycle 1 \(parent {only}\)"):
-        run_evolution(cfg, SpaceLimits(2, 1), 0, PaidQueries(SyntheticOracle(), clock), clock)
+        run_evolution(cfg, SpaceLimits(2, 1), 0, PaidQueries(SyntheticOracle(), SimClock()))
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +321,6 @@ def test_evolution_finds_global_optimum_small_seeds():
     found = 0
     for seed in range(3):
         cfg = EvolutionConfig(population_size=50, sample_size=10, cycles=2000)
-        clock = SimClock()
-        best, trace, _ = run_evolution(cfg, limits, seed, PaidQueries(oracle, clock), clock)
-        found += best.fitness >= opt_acc - 1e-12
+        history = run_evolution(cfg, limits, seed, PaidQueries(oracle, SimClock()))
+        found += max(ind.fitness for ind in history) >= opt_acc - 1e-12
     assert found == 3

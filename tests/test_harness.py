@@ -1,6 +1,7 @@
 """Experiment orchestration: config plumbing, the labeling pipeline, top-k
 revalidation, run summaries, and speedup comparison."""
 
+import itertools
 import json
 import random
 import re
@@ -285,13 +286,10 @@ def test_ground_truth_summary_takes_the_first_paid_best_cell():
         )
         paid = PaidQueries(harness.build_oracle(cfg), SimClock())
         if algo == "EVOLUTION":
-            _, trace, history = run_evolution(
-                cfg.evolution, cfg.limits, cfg.seed, paid, paid.clock
-            )
+            history = run_evolution(cfg.evolution, cfg.limits, cfg.seed, paid)
         else:
             schedule = DecisionSchedule.from_limits(cfg.limits)
-            result = run_reinforce(cfg.reinforce, schedule, cfg.seed, paid, paid.clock)
-            trace, history = result.trace, result.history
+            history = run_reinforce(cfg.reinforce, schedule, cfg.seed, paid).history
         # the cells in search order, each kept where it was first seen
         cells = {}
         for item in history:
@@ -304,7 +302,7 @@ def test_ground_truth_summary_takes_the_first_paid_best_cell():
         assert paid.best == (cells[first_best], first_best, accs[first_best])
         s = run_experiment(cfg).summary
         assert (s.best_spec, s.best_hash) == paid.best[:2]
-        assert s.best_true_acc == trace.final_row().best_true_acc == paid.best[2]
+        assert s.best_true_acc == paid.trace.final_row().best_true_acc == paid.best[2]
 
 
 def test_labeling_distinct_and_charged():
@@ -575,7 +573,7 @@ def test_topk_accepts_sampled_arch_history_and_skips_invalid():
     guided = PredictorFitness(RnnParams.seeded(0))
     result = run_reinforce(
         ReinforceConfig(batch_size=5, iterations=20),
-        DecisionSchedule.from_limits(limits), 3, guided, SimClock(),
+        DecisionSchedule.from_limits(limits), 3, guided,
     )
     valid = [s.spec for s in result.history if not s.invalid]
     assert result.invalid_count > 0
@@ -590,9 +588,8 @@ def test_topk_prunes_genomes():
     # memo and top-k hold cells, never genomes
     limits = SpaceLimits(5, 9)
     guided = PredictorFitness(RnnParams.seeded(0))
-    _, _, history = run_evolution(
-        EvolutionConfig(population_size=20, sample_size=5, cycles=200),
-        limits, 3, guided, SimClock(),
+    history = run_evolution(
+        EvolutionConfig(population_size=20, sample_size=5, cycles=200), limits, 3, guided
     )
     cells = {ind.cell for ind in history}
     assert all(ind.cell == cellspace.phenotype_of(*ind.genome, limits) for ind in history)
@@ -656,7 +653,7 @@ def test_summary_cross_check_validates_the_trace():
     )
     # row 2 falls below row 1; the last row, and so every summary total, stays
     rows = list(result.trace.rows)
-    rows[1] = rows[1]._replace(sim_seconds=rows[-1].sim_seconds + 1.0)
+    rows[0] = rows[0]._replace(sim_seconds=rows[-1].sim_seconds + 1.0)
     with pytest.raises(ValueError, match="sim_seconds decreases at row 2"):
         result.summary.cross_check(SearchTrace(rows))
 
@@ -671,9 +668,9 @@ def test_a_charge_the_trace_missed_is_an_error(monkeypatch):
     trace_end = run_experiment(cfg).summary.total_sim_seconds
     search = harness._search
 
-    def charging_after_the_search(cfg, fitness, clock):
-        out = search(cfg, fitness, clock)
-        clock.charge(5.0)  # past the trace's last row and the log
+    def charging_after_the_search(cfg, fitness):
+        out = search(cfg, fitness)
+        fitness.clock.charge(5.0)  # past the trace's last row and the log
         return out
 
     monkeypatch.setattr(harness, "_search", charging_after_the_search)
@@ -755,7 +752,8 @@ def test_reinforce_oracle_run():
     )
     result = run_experiment(cfg)
     s = result.summary
-    assert len(result.trace.rows) == 20
+    # the trace is the paid log: one row per paid query
+    assert len(result.trace.rows) == s.evaluations == s.phases["search"]["oracle_queries"]
     assert s.evaluations + s.memo_hits == 120 - s.invalid_samples
     s.cross_check(result.trace)
 
@@ -809,6 +807,59 @@ def test_predictor_run_with_reinforce_search():
     result = run_experiment(cfg)
     assert result.summary.phases["search"]["predictor_queries"] > 0
     result.summary.cross_check(result.trace)
+
+
+@pytest.mark.parametrize("algo", ["EVOLUTION", "REINFORCE"])
+def test_predictor_search_trace_has_a_row_per_searched_cell(algo):
+    # row k is the k-th cell born or sampled, with the best score so far
+    cfg = small_cfg(algo=algo, reinforce=ReinforceConfig(batch_size=5, iterations=15), seed=2)
+    result = run_experiment(cfg)
+    # the search again, on the trained predictor, scores the same cells alike
+    fitness = PredictorFitness(result.trained.params)
+    if algo == "EVOLUTION":
+        history = run_evolution(cfg.evolution, cfg.limits, cfg.seed, fitness)
+        scores = [ind.fitness for ind in history]
+    else:
+        schedule = DecisionSchedule.from_limits(cfg.limits)
+        history = run_reinforce(cfg.reinforce, schedule, cfg.seed, fitness).history
+        scores = [s.reward for s in history]
+    rows = result.search_trace.rows
+    assert [r.index for r in rows] == list(range(1, len(history) + 1))
+    assert [r.best_fitness for r in rows] == list(itertools.accumulate(scores, max))
+    assert all(r.best_true_acc is None for r in rows)
+    # the search runs, free, once labeling is paid for
+    assert {r.sim_seconds for r in rows} == {result.summary.phases["labeling"]["sim_seconds"]}
+
+
+def test_ground_truth_reinforce_dates_each_improvement_at_the_query_that_paid(monkeypatch):
+    # at (7,9) seed 4 the best cell was paid for 32,270 simulated seconds
+    # in, mid-batch; a trace of one row per batch dated it at the batch's
+    # end, 38,600
+    paying = []  # (clock, true accuracy) after each paid query
+    real_query = PaidQueries.query
+
+    def recording_query(self, *args):
+        rows = len(self.trace.rows)
+        record = real_query(self, *args)
+        if len(self.trace.rows) > rows:
+            paying.append((self.clock.elapsed_s, record.val_accuracy))
+        return record
+
+    monkeypatch.setattr(PaidQueries, "query", recording_query)
+    cfg = ExperimentConfig(
+        algo="REINFORCE", fitness="ORACLE", limits=SpaceLimits(7, 9),
+        reinforce=ReinforceConfig(batch_size=20, iterations=50), seed=4,
+    )
+    result = run_experiment(cfg)
+    s = result.summary
+    expected = []
+    for sim_s, acc in paying:
+        if not expected or acc > expected[-1][1]:
+            expected.append((sim_s, acc))
+    assert s.improvements == tuple(expected)
+    for sim_s, acc in s.improvements:
+        assert sim_s == next(r.sim_seconds for r in result.trace.rows if r.best_true_acc == acc)
+    assert s.improvements[-1] == (32270.0, s.best_true_acc)
 
 
 # ---------------------------------------------------------------------------

@@ -717,7 +717,6 @@ def test_predictor_fitness_never_charges(chain3_conv1x1):
     value = fitness.evaluate(chain3_conv1x1)
     assert value == predict(params, chain3_conv1x1)
     assert clock.elapsed_s == 0.0
-    assert fitness.mode == "PREDICTOR"
     assert fitness.evaluations == 1
 
 

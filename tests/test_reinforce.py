@@ -881,8 +881,7 @@ def test_run_replays_the_utility_update_by_hand():
     cfg = ReinforceConfig(batch_size=3, iterations=2, learning_rate=0.3,
                           hidden_size=3, emb_dim=2, init_scale=0.5)
     res = run_reinforce(
-        cfg, BANDIT, 5, None, SimClock(),
-        reward_fn=lambda s, _: rewards[s.actions[0]],
+        cfg, BANDIT, 5, None, reward_fn=lambda s: rewards[s.actions[0]],
     )
 
     controller = ControllerState.seeded(5, 3, 2, 0.5)
@@ -947,25 +946,28 @@ def test_baseline_stays_within_reward_hull():
 
 def test_run_zero_iterations_is_a_no_op():
     cfg = ReinforceConfig(iterations=0)
-    clock = SimClock()
-    res = run_reinforce(cfg, SCHEDULE_5_9, 3, PaidQueries(SyntheticOracle(), clock), clock)
-    assert len(res.trace.rows) == 0
+    paid = PaidQueries(SyntheticOracle(), SimClock())
+    res = run_reinforce(cfg, SCHEDULE_5_9, 3, paid)
+    assert len(paid.trace.rows) == 0
     assert res.history == [] and res.invalid_count == 0
-    assert clock.elapsed_s == 0.0
+    assert paid.clock.elapsed_s == 0.0
     fresh = ControllerState.seeded(3, cfg.hidden_size, cfg.emb_dim, cfg.init_scale)
     assert np.array_equal(res.controller.flatten(), fresh.flatten())
 
 
 def test_run_oracle_mode_bookkeeping():
+    # the paid log holds one row per distinct class the valid samples hold
     cfg = ReinforceConfig(batch_size=5, iterations=20)
-    clock = SimClock()
-    res = run_reinforce(cfg, SCHEDULE_5_9, 1, PaidQueries(SyntheticOracle(), clock), clock)
-    assert len(res.trace.rows) == 20
+    paid = PaidQueries(SyntheticOracle(), SimClock())
+    res = run_reinforce(cfg, SCHEDULE_5_9, 1, paid)
     assert len(res.history) == 100
     assert res.invalid_count == sum(s.invalid for s in res.history)
-    assert res.trace.final_row().best_fitness == max(s.reward for s in res.history)
-    assert all(r.best_true_acc == r.best_fitness for r in res.trace.rows)
-    assert clock.elapsed_s > 0
+    valid = [s for s in res.history if not s.invalid]
+    assert len(paid.trace.rows) == len({cellspace.canonical_hash(s.spec) for s in valid})
+    assert len(paid.trace.rows) + paid.memo_hits == len(valid)
+    assert paid.trace.final_row().best_fitness == max(s.reward for s in res.history)
+    assert all(r.best_true_acc == r.best_fitness for r in paid.trace.rows)
+    assert paid.clock.elapsed_s > 0
     assert res.baseline.value is not None
 
 
@@ -973,8 +975,7 @@ def test_run_history_keeps_no_hidden_states():
     # each batch's states serve only its update; kept in the history they
     # would add a (T+1, hidden) array per sample to a run's memory
     cfg = ReinforceConfig(batch_size=5, iterations=4)
-    clock = SimClock()
-    res = run_reinforce(cfg, SCHEDULE_5_9, 1, PaidQueries(SyntheticOracle(), clock), clock)
+    res = run_reinforce(cfg, SCHEDULE_5_9, 1, PaidQueries(SyntheticOracle(), SimClock()))
     assert len(res.history) == 20
     assert all(s.states is None for s in res.history)
 
@@ -993,26 +994,29 @@ def test_run_draws_each_sample_through_the_module_attribute(monkeypatch):
 
     monkeypatch.setattr(reinforce, "sample", counted)
     cfg = ReinforceConfig(batch_size=4, iterations=3)
-    clock = SimClock()
-    res = run_reinforce(cfg, SCHEDULE_5_9, 1, PaidQueries(SyntheticOracle(), clock), clock)
+    res = run_reinforce(cfg, SCHEDULE_5_9, 1, PaidQueries(SyntheticOracle(), SimClock()))
     assert len(calls) == cfg.batch_size * cfg.iterations == len(res.history)
 
 
 def test_run_predictor_mode_never_charges():
+    # a predictor-guided run's rewards are the predictor's scores, and an
+    # invalid sample's is 0.0; nothing is paid for
     cfg = ReinforceConfig(batch_size=5, iterations=15)
-    clock = SimClock()
-    res = run_reinforce(cfg, SCHEDULE_5_9, 2, PredictorFitness(RnnParams.seeded(0)), clock)
-    assert clock.elapsed_s == 0.0
-    assert all(r.best_true_acc is None for r in res.trace.rows)
+    fitness = PredictorFitness(RnnParams.seeded(0))
+    res = run_reinforce(cfg, SCHEDULE_5_9, 2, fitness)
+    assert all(
+        s.reward == (0.0 if s.invalid else fitness.predictions[s.spec]) for s in res.history
+    )
+    assert fitness.evaluations == len(res.history) - res.invalid_count
 
 
 def test_run_is_deterministic():
     cfg = ReinforceConfig(batch_size=4, iterations=25)
 
     def one():
-        clock = SimClock()
-        res = run_reinforce(cfg, SCHEDULE_5_9, 11, PaidQueries(SyntheticOracle(), clock), clock)
-        return res.trace.to_csv_lines(), res.controller.flatten()
+        paid = PaidQueries(SyntheticOracle(), SimClock())
+        res = run_reinforce(cfg, SCHEDULE_5_9, 11, paid)
+        return paid.trace.to_csv_lines(), res.controller.flatten()
 
     lines_a, theta_a = one()
     lines_b, theta_b = one()
@@ -1024,15 +1028,14 @@ def test_run_bandit_converges_toward_best_action():
     rewards = (1.0, 0.0, 0.0)
     cfg = ReinforceConfig(batch_size=20, iterations=500, learning_rate=0.05)
     res = run_reinforce(
-        cfg, BANDIT, 0, None, SimClock(),
-        reward_fn=lambda s, _: rewards[s.actions[0]],
+        cfg, BANDIT, 0, None, reward_fn=lambda s: rewards[s.actions[0]],
     )
     assert bandit_probs(res.controller)[0] > 0.9
 
 
 def test_run_requires_some_reward_source():
     with pytest.raises(ConfigError):
-        run_reinforce(ReinforceConfig(iterations=1), BANDIT, 0, None, SimClock())
+        run_reinforce(ReinforceConfig(iterations=1), BANDIT, 0, None)
 
 
 def test_config_validation():
