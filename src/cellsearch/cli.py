@@ -45,7 +45,6 @@ from .harness import (
 )
 from .oracle import (
     PaidQueries,
-    SimClock,
     dump_table_lines,
     synthetic_optimum,
     synthetic_table,
@@ -234,7 +233,7 @@ def cmd_gen_synthetic(args) -> int:
 def cmd_label(args) -> int:
     cfg = _config(args)
     cfg.check_pool_split(cfg.n_label)  # the pool is for train-predictor's split
-    paid = PaidQueries(build_oracle(cfg), SimClock())
+    paid = PaidQueries(build_oracle(cfg))
     labeled, threshold = label_random_specs(cfg, paid, random.Random(cfg.seed))
     meta = {
         "threshold": threshold,
@@ -242,7 +241,7 @@ def cmd_label(args) -> int:
         "oracle_source": cfg.oracle_source,
         "label_charge": cfg.label_charge,
         "seed": cfg.seed,
-        "sim_seconds": paid.clock.elapsed_s,
+        "sim_seconds": paid.sim_seconds,
     }
     write_labeled(args.out, labeled, meta)
     _emit(
@@ -250,7 +249,7 @@ def cmd_label(args) -> int:
             "n_labeled": len(labeled),
             "positives": sum(y for _, y in labeled),
             "threshold": threshold,
-            "sim_seconds": paid.clock.elapsed_s,
+            "sim_seconds": paid.sim_seconds,
             "out": args.out,
         }
     )

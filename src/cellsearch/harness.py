@@ -14,9 +14,10 @@ Both kinds of run take one path, `run_experiment`: one log of paid queries,
 labeling and training for a predictor run, the search, revalidation for a
 predictor run, then one summary built from the log and from the run's trace,
 read in the walk that validates it. The run's trace is that log, one row
-per paid query, for both kinds, so they can be compared on equal terms; a
-search loop returns its history and stamps nothing, and a predictor run
-derives its search trace from that history.
+(n, simulated seconds, best true accuracy) per paid query, for both kinds,
+so they can be compared on equal terms; a search loop returns its history
+and stamps nothing, and a predictor run derives its search trace, of best
+predicted scores, from that history.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .evolution import EvolutionConfig
 from .oracle import (
     DEFAULT_LABEL_THRESHOLD,
     PaidQueries,
-    SimClock,
     SyntheticOracle,
     SyntheticOracleParams,
     label as binary_label,
@@ -168,8 +168,7 @@ def effective_label_threshold(cfg: ExperimentConfig) -> float:
 
 
 # RunSummary fields that summary.json holds as they are, at its top level and in "counts"
-_PLAIN = ("best_hash", "best_true_acc", "best_fitness", "total_sim_seconds", "seed",
-          "improvements", "phases")
+_PLAIN = ("best_hash", "best_true_acc", "total_sim_seconds", "seed", "improvements", "phases")
 _COUNTS = ("evaluations", "labels", "invalid_samples", "memo_hits")
 
 
@@ -177,12 +176,11 @@ _COUNTS = ("evaluations", "labels", "invalid_samples", "memo_hits")
 class RunSummary:
     """End-of-run report; every total must agree with the final trace row.
     A run that paid for nothing has no row, no improvement, a total of 0.0
-    and no best cell or values."""
+    and no best cell or accuracy."""
 
     best_spec: ModelSpec | None
     best_hash: str | None
     best_true_acc: float | None
-    best_fitness: float | None
     total_sim_seconds: float
     evaluations: int
     labels: int
@@ -196,7 +194,7 @@ class RunSummary:
 
     def cross_check(self, trace: SearchTrace) -> None:
         """Raise ValueError unless `trace` is valid and determines this
-        summary's total, best-so-far values and improvements."""
+        summary's total, best true accuracy and improvements."""
         for name, value in _read_trace(trace).items():
             if getattr(self, name) != value:
                 raise ValueError(f"summary {name} {getattr(self, name)!r} != trace {value!r}")
@@ -217,7 +215,14 @@ class RunSummary:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "RunSummary":
-        """Inverse of to_json_obj, each value held to its annotation."""
+        """Inverse of to_json_obj, each value held to its annotation. An
+        unknown key, at the top level or in "counts", raises ValueError
+        naming it."""
+        for where, names, keys in (("summary", {*_PLAIN, "counts", "best_spec", "config"}, obj),
+                                   ("counts", _COUNTS, obj["counts"])):
+            unknown = set(keys) - set(names)
+            if unknown:
+                raise ValueError(f"unknown {where} keys: {sorted(unknown)}")
         spec = obj["best_spec"]
         summary = cls(
             **{name: json_tuples(obj[name]) for name in _PLAIN},
@@ -231,16 +236,11 @@ class RunSummary:
 
 def _read_trace(trace: SearchTrace) -> dict:
     """The RunSummary fields a trace determines, read in the walk that
-    validates it: the last row's simulated seconds and best-so-far values
-    (0.0 and None where there is no row), and the improvements."""
+    validates it: the last row's simulated seconds and best (0.0 and None
+    where there is no row), and the improvements."""
     improvements = trace.validate()
-    sim_s, best_true, best_fit = trace.final_row()[1:] if trace.rows else (0.0, None, None)
-    return {
-        "total_sim_seconds": sim_s,
-        "best_true_acc": best_true,
-        "best_fitness": best_fit,
-        "improvements": improvements,
-    }
+    sim_s, best = trace.rows[-1][1:] if trace.rows else (0.0, None)
+    return {"total_sim_seconds": sim_s, "best_true_acc": best, "improvements": improvements}
 
 
 def write_summary(summary: RunSummary, path) -> None:
@@ -295,12 +295,13 @@ def run_predictor_pipeline(cfg: ExperimentConfig, paid: PaidQueries, rng: random
     """Label N distinct random cells, then fit the binary predictor.
 
     Phase 1 charges `label_charge` x training time per distinct-by-hash
-    architecture; phase 2 (the 80/20 stratified split and the training loop)
-    is free. Returns (TrainedPredictor, the labeling phase's summary entry).
+    architecture; phase 2 (the stratified split, which holds out
+    `predictor.heldout_fraction` of each class, and the training loop) is
+    free. Returns (TrainedPredictor, the labeling phase's summary entry).
     """
-    started_at = paid.clock.elapsed_s
+    started_at = paid.sim_seconds
     labeled, threshold = label_random_specs(cfg, paid, rng)
-    labeling_cost = paid.clock.elapsed_s - started_at
+    labeling_cost = paid.sim_seconds - started_at
 
     split_gen = np.random.default_rng(rng.getrandbits(32))
     trained, _, held_acc, _ = predictor.fit(
@@ -368,22 +369,21 @@ def _search(cfg: ExperimentConfig, fitness):
 
 def _search_trace(scores, sim_seconds: float) -> SearchTrace:
     """A predictor-guided search's trace: row k for the k-th searched cell,
-    at the clock the search ran at, with the best score so far and no true
-    accuracy."""
+    at the simulated seconds the search ran at, with the best predicted
+    score so far."""
     trace, best = SearchTrace(), -math.inf
     for k, score in enumerate(scores, start=1):
         best = max(best, score)
-        trace.append(k, sim_seconds, None, best)
+        trace.append(k, sim_seconds, best)
     return trace
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """One seeded end-to-end run under the configured cost model. The run's
-    trace is its log of paid queries, whose last row must match the log's
-    clock; the summary's total, best values and improvements are read off
-    it, and its best cell is the log's first best answer (none when no
-    query was paid)."""
-    paid = PaidQueries(build_oracle(cfg), SimClock())
+    trace is its log of paid queries; the summary's total, best true
+    accuracy and improvements are read off it, and its best cell is the
+    log's first best answer (none when no query was paid)."""
+    paid = PaidQueries(build_oracle(cfg))
     fitness, trained, labels, phases = paid, None, 0, {}
     if cfg.fitness == "PREDICTOR":
         trained, phases["labeling"] = run_predictor_pipeline(cfg, paid, random.Random(cfg.seed))
@@ -392,29 +392,23 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     search_trace = None
     if trained is None:
         phases["search"] = {
-            "sim_seconds": paid.clock.elapsed_s,
+            "sim_seconds": paid.sim_seconds,
             "oracle_queries": paid.evaluations,
             "memo_hits": paid.memo_hits,
         }
     else:
         phases["search"] = {"sim_seconds": 0.0, "predictor_queries": fitness.evaluations}
-        search_trace = _search_trace(scores, paid.clock.elapsed_s)
-        started_at, queries, hits = paid.clock.elapsed_s, paid.evaluations, paid.memo_hits
+        search_trace = _search_trace(scores, paid.sim_seconds)
+        started_at, queries, hits = paid.sim_seconds, paid.evaluations, paid.memo_hits
         topk_revalidate(fitness.predictions, cfg.top_k, paid)
         phases["revalidation"] = {
-            "sim_seconds": paid.clock.elapsed_s - started_at,
+            "sim_seconds": paid.sim_seconds - started_at,
             "oracle_queries": paid.evaluations - queries,
             "memo_hits": paid.memo_hits - hits,
         }
-    read = _read_trace(paid.trace)
-    if read["total_sim_seconds"] != paid.clock.elapsed_s:
-        raise ValueError(
-            f"the clock says {paid.clock.elapsed_s} simulated seconds, "
-            f"the trace ends at {read['total_sim_seconds']}"
-        )
     best_spec, best_hash, _ = paid.best or (None, None, None)
     summary = RunSummary(
-        **read,
+        **_read_trace(paid.trace),
         best_spec=best_spec,
         best_hash=best_hash,
         evaluations=fitness.evaluations,

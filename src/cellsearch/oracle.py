@@ -1,10 +1,9 @@
 """Ground-truth fitness: a file-backed benchmark table or a deterministic
-synthetic benchmark, the simulated training-time clock, and the log of a
-run's paid queries.
+synthetic benchmark, and the log of a run's paid queries.
 
-Every paid ground-truth query charges the run's clock with the
-architecture's training time (scaled by the query's charge fraction), which
-is the x-axis of every convergence trace.
+Every paid ground-truth query adds the architecture's training time (scaled
+by the query's charge fraction) to the log's simulated seconds, which are
+the x-axis of every convergence trace.
 """
 
 from __future__ import annotations
@@ -39,18 +38,6 @@ class BenchmarkRecord:
             raise ValueError(f"val_accuracy {self.val_accuracy} outside [0, 1]")
         if self.train_time_s < 0.0:
             raise ValueError(f"train_time_s {self.train_time_s} is negative")
-
-
-class SimClock:
-    """Monotone accumulator of simulated training seconds."""
-
-    def __init__(self):
-        self.elapsed_s = 0.0
-
-    def charge(self, seconds: float) -> None:
-        if seconds < 0:
-            raise ValueError("cannot charge negative time")
-        self.elapsed_s += seconds
 
 
 @dataclass(frozen=True)
@@ -164,19 +151,15 @@ _record_memo = functools.lru_cache(maxsize=cellspace.HASH_MEMO_SIZE)(_synth_reco
 
 
 def query(
-    oracle: BenchmarkTable | SyntheticOracle,
-    spec: ModelSpec,
-    clock: SimClock,
-    charge: float = 1.0,
-) -> BenchmarkRecord:
-    """Fetch the ground-truth record for a spec, charging the clock
-    `charge * train_time_s`. Full training charges 1.0; labeling may
-    charge less."""
+    oracle: BenchmarkTable | SyntheticOracle, spec: ModelSpec, charge: float
+) -> tuple[BenchmarkRecord, float]:
+    """The ground-truth record for a spec and the simulated seconds that
+    training it at `charge` costs, `charge * train_time_s`. Full training
+    charges 1.0; labeling may charge less."""
     if not 0.0 <= charge <= 1.0:
         raise ValueError(f"charge {charge} outside [0, 1]")
     record = oracle.record_for(spec)
-    clock.charge(charge * record.train_time_s)
-    return record
+    return record, charge * record.train_time_s
 
 
 def label(record: BenchmarkRecord, threshold: float = DEFAULT_LABEL_THRESHOLD) -> int:
@@ -290,12 +273,12 @@ class PaidQueries:
     """The run's ground-truth queries and its one payment rule.
 
     A query for a class that the log holds at a charge at least the query's
-    is answered from the log for free: no clock charge, no trace row, one
-    more `memo_hits`. Any other is paid: it charges the clock, keeps the
-    best (spec, hash, true accuracy) so far (only a strictly better answer
-    replaces it), appends the trace row (n, clock, best, best) and logs the
-    answer at its charge. So a run pays for a class's full training at most
-    once. Every run's trace is this log.
+    is answered from the log for free: no seconds, no trace row, one more
+    `memo_hits`. Any other is paid: it adds its cost to `sim_seconds`, keeps
+    the best (spec, hash, true accuracy) so far (only a strictly better
+    answer replaces it), appends the trace row (n, sim_seconds, best true
+    accuracy) and logs the answer at its charge. So a run pays for a
+    class's full training at most once. Every run's trace is this log.
 
     `evaluate`, the fitness of a ground-truth search, is that query at full
     charge; it refuses a genome that is not a cell with InvalidSpecError,
@@ -303,7 +286,7 @@ class PaidQueries:
     """
 
     oracle: BenchmarkTable | SyntheticOracle
-    clock: SimClock
+    sim_seconds: float = 0.0  # the paid queries' summed cost
     trace: SearchTrace = field(default_factory=SearchTrace)
     best: tuple | None = None  # (spec, hash, true accuracy)
     # hash -> (record, charge) of every paid query, at its highest charge
@@ -321,12 +304,12 @@ class PaidQueries:
         if logged is not None and 0.0 <= charge <= logged[1]:
             self.memo_hits += 1
             return logged[0]
-        record = query(self.oracle, spec, self.clock, charge=charge)
+        record, seconds = query(self.oracle, spec, charge)
         self.answers[digest] = (record, charge)
         if self.best is None or record.val_accuracy > self.best[2]:
             self.best = (spec, digest, record.val_accuracy)
-        best_true = self.best[2]
-        self.trace.append(len(self.trace.rows) + 1, self.clock.elapsed_s, best_true, best_true)
+        self.sim_seconds += seconds
+        self.trace.append(len(self.trace.rows) + 1, self.sim_seconds, self.best[2])
         return record
 
     def evaluate(self, cell: ModelSpec) -> float:

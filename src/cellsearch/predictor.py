@@ -268,7 +268,7 @@ def loss_and_grad(params: RnnParams, X: np.ndarray, M: np.ndarray, y: np.ndarray
 
 
 def predict(params: RnnParams, spec: ModelSpec) -> float:
-    """encode + forward. Pure; never touches any clock."""
+    """encode + forward. Pure; pays no simulated seconds."""
     return forward(params, encode(spec))
 
 
@@ -438,7 +438,7 @@ def load_predictor(path) -> TrainedPredictor:
 class PredictorFitness:
     """Fitness adapter: predicted probability of clearing the threshold.
 
-    Free to evaluate — the simulated clock is never charged. Each instance
+    Free to evaluate: it pays no simulated seconds. Each instance
     predicts each distinct cell once and answers repeats from `predictions`,
     its memo of cell -> probability in first-scored order, which is also
     the run's record of what the search scored (top-k revalidation ranks

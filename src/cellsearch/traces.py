@@ -1,9 +1,9 @@
-"""Convergence traces: rows of (step index, simulated seconds, best-so-far
-true accuracy where known, best-so-far fitness).
+"""Convergence traces: rows of (step index, simulated seconds, best so far).
 
-Simulated seconds and both best-so-far columns are nondecreasing; the true
-accuracy column may be empty on rows where no ground truth has been observed
-yet (predictor-guided search phases).
+A run's trace is its log of paid queries, whose best is the best true
+accuracy the run has paid for; a predictor run's search trace holds the best
+predicted score of the cells searched so far. Neither column after the index
+falls below its running maximum.
 """
 
 from __future__ import annotations
@@ -13,10 +13,10 @@ from typing import NamedTuple
 
 from .errors import ParseError, check_fields, parsing
 
-TRACE_HEADER = "index,sim_seconds,best_true_acc,best_fitness"
+TRACE_HEADER = "index,sim_seconds,best"
 
-# how far a column may fall and still pass as level, and how far a best
-# true accuracy must rise (or reach toward a target) to count
+# how far a column may fall below its running maximum and still pass as
+# level, and how far a best must rise (or reach toward a target) to count
 EPS = 1e-12
 
 
@@ -24,55 +24,43 @@ class TraceRow(NamedTuple):
     # `index` shadows tuple.index, which nothing calls
     index: int
     sim_seconds: float
-    best_true_acc: float | None
-    best_fitness: float
+    best: float
 
 
 @dataclass
 class SearchTrace:
     rows: list[TraceRow] = field(default_factory=list)
 
-    def append(self, index: int, sim_seconds: float, best_true_acc, best_fitness: float) -> None:
-        self.rows.append(TraceRow(index, float(sim_seconds), best_true_acc, float(best_fitness)))
+    def append(self, index: int, sim_seconds: float, best: float) -> None:
+        self.rows.append(TraceRow(index, float(sim_seconds), float(best)))
 
     def validate(self) -> tuple[tuple[float, float], ...]:
-        """Raise ValueError where a column decreases; else return
-        (sim_seconds, best_true_acc) at each rise of the true-accuracy column
-        above its last such point, the data time-to-target queries need."""
-        last_s = -float("inf")
-        last_true = -float("inf")
-        last_fit = -float("inf")
+        """Raise ValueError where a column falls more than EPS below its
+        running maximum; else return (sim_seconds, best) at each rise of the
+        best more than EPS above its last such point, the data
+        time-to-target queries need."""
+        top_s = top_best = -float("inf")
         improvements = []
         for row in self.rows:
-            if row.sim_seconds < last_s - EPS:
+            if row.sim_seconds < top_s - EPS:
                 raise ValueError(f"sim_seconds decreases at row {row.index}")
-            if row.best_fitness < last_fit - EPS:
-                raise ValueError(f"best_fitness decreases at row {row.index}")
-            if row.best_true_acc is not None:
-                if row.best_true_acc < last_true - EPS:
-                    raise ValueError(f"best_true_acc decreases at row {row.index}")
-                if not improvements or row.best_true_acc > improvements[-1][1] + EPS:
-                    improvements.append((row.sim_seconds, row.best_true_acc))
-                last_true = row.best_true_acc
-            last_s = row.sim_seconds
-            last_fit = row.best_fitness
+            if row.best < top_best - EPS:
+                raise ValueError(f"best decreases at row {row.index}")
+            if not improvements or row.best > improvements[-1][1] + EPS:
+                improvements.append((row.sim_seconds, row.best))
+            if row.sim_seconds > top_s:
+                top_s = row.sim_seconds
+            if row.best > top_best:
+                top_best = row.best
         return tuple(improvements)
-
-    def final_row(self) -> TraceRow:
-        if not self.rows:
-            raise ValueError("empty trace")
-        return self.rows[-1]
 
     def to_csv_lines(self) -> list[str]:
         self.validate()
-        lines = [TRACE_HEADER]
-        true_acc = fitness = tail = None
-        for row in self.rows:
-            # a run of rows shares one best-so-far pair of objects: format it once
-            if row.best_true_acc is not true_acc or row.best_fitness is not fitness:
-                true_acc, fitness = row.best_true_acc, row.best_fitness
-                tail = f"{'' if true_acc is None else repr(true_acc)},{repr(fitness)}"
-            lines.append(f"{row.index},{repr(row.sim_seconds)},{tail}")
+        lines, best, text = [TRACE_HEADER], None, ""
+        for i, s, b in self.rows:
+            if b is not best:  # a run of rows shares one best object: format it once
+                best, text = b, repr(b)
+            lines.append(f"{i},{s!r},{text}")
         return lines
 
 
@@ -86,17 +74,17 @@ def read_trace(path) -> SearchTrace:
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != TRACE_HEADER:
-        raise ParseError(f"{path}: missing trace header")
+        raise ParseError(f'{path}: expected header "{TRACE_HEADER}"')
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split(",")
-        if len(parts) != 4:
-            raise ParseError(f"{path}:{lineno}: expected 4 fields")
+        if len(parts) != 3:
+            raise ParseError(f"{path}:{lineno}: expected 3 fields")
         values = []
-        for name, text, kind in zip(TRACE_HEADER.split(","), parts, (int, float, float, float)):
+        for name, text, kind in zip(TRACE_HEADER.split(","), parts, (int, float, float)):
             with parsing(path, lineno, name):
-                values.append(None if name == "best_true_acc" and text == "" else kind(text))
+                values.append(kind(text))
         row = TraceRow(*values)
         with parsing(path, lineno):
             check_fields(row)

@@ -33,7 +33,6 @@ from cellsearch.harness import (
 )
 from cellsearch.oracle import (
     PaidQueries,
-    SimClock,
     SyntheticOracle,
     SyntheticOracleParams,
     synth_record,
@@ -249,7 +248,7 @@ def test_criterion_5_reinforce_convergence(optimum, class_accuracies, capsys):
         run_cfg = ReinforceConfig(batch_size=2, iterations=500, learning_rate=0.2)
         result = run_reinforce(
             run_cfg, DecisionSchedule.from_limits(LIMITS), seed,
-            PaidQueries(SyntheticOracle(), SimClock()),
+            PaidQueries(SyntheticOracle()),
         )
         best = max(s.reward for s in result.history)
         ratios.append(best / optimum.val_accuracy)

@@ -163,7 +163,7 @@ def test_a_mask_past_the_vertex_counts_pairs_is_refused(mask):
 @pytest.mark.parametrize("record, field", [
     (ModelSpec(2, 1, (OpLabel.IN, OpLabel.OUT)), "edges"),
     (Individual(None, None, 0.5, 0), "fitness"),
-    (TraceRow(0, 0.0, None, 0.5), "index"),
+    (TraceRow(0, 0.0, 0.5), "index"),
     (ModelSpec(2, 1, (OpLabel.IN, OpLabel.OUT)), "mask"),
 ])
 def test_per_cycle_records_refuse_assignment(record, field):

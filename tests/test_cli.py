@@ -6,6 +6,7 @@ import collections
 import copy
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -518,16 +519,16 @@ def test_label_and_train_predictor_build_their_config_through_the_merge(
 PINNED_DIGESTS = {
     ("run", "--algo", "evolution", "--fitness", "oracle", "--limits", "4,9",
      "--cycles", "200", "--seed", "0"): {
-        "summary.json": "d1f24f92f5a3aa4296ad19a5c2a0f175b4212deb13f5cf7c714ff738bcc4dba6",
-        "trace.csv": "c9b3591fbac9bc1e3ac1e07b4addae1732f1bfa549e92fbb7a2c4643fa1d50a7",
+        "summary.json": "ceddc6985453ed932520164a975db5f900841bec14d8b07b5b8cd003bbdf4848",
+        "trace.csv": "7cca54decc7bacaae0d359efc73c4bae91b7dac9374a14a4be667445d01b6b00",
         "stdout": "87d0de1bc91ccb85b778e8f099ab8e827769e0e2df15d24788cc8c6a3b042605",
     },
     ("run", "--fitness", "predictor", "--limits", "4,9", "--n-label", "60",
      "--seed", "2"): {
         "predictor.json": "bb3c1c415b9fd6bb9daf0d07498b2fc84b1a65d14af9a50e9fe6bd5b3c0847c3",
-        "search_trace.csv": "1bfde14c58eef1ba415be8b872992eea3fa4846143fd98ff651fce5acc47d910",
-        "summary.json": "27ea779ec389a7b7ada2af81b3abbf50afe3854bd524e3eb3e87f5c852d68a5a",
-        "trace.csv": "43cd0acc5b1583335de8a773f5f3af15fe72c56e44882df177da94da6d3f56a6",
+        "search_trace.csv": "00da7836ecd58528a5fe81a2246cbce9cba4a73a2b96bb997b36d21c6a5a4d9b",
+        "summary.json": "170c5167d8f2f4e68e226b3ecbc911946f577cbe597e154c1152e6ce0099d83b",
+        "trace.csv": "72b03703222dcf2a95f121714ae5b289edffc2fa27db254fe28c474c1b0b61aa",
         "stdout": "f38566604355e600eec2c199d5e6a2b324d9aab972c26bf87f9832b22f7190c0",
     },
     ("label", "--limits", "4,9", "--n", "80", "--seed", "3"): {
@@ -536,36 +537,36 @@ PINNED_DIGESTS = {
     },
     ("run", "--algo", "reinforce", "--fitness", "oracle", "--limits", "4,9",
      "--batch-size", "4", "--iterations", "25", "--seed", "1"): {
-        "summary.json": "82327e795ec8c4a35fdf7f0c180c4da24f331420537e9baa3a2d561b0013d1c5",
-        "trace.csv": "ae54fec18cfb1a64104c5b68ca85eb0c71b5f0cc06a5a1665e0b7ce3a71178c9",
+        "summary.json": "802d57dae3f504fa722965729bc3c661c39433a93e1c61456bb9ddcc924b1f7c",
+        "trace.csv": "c22355397b80fcd7c13e675a2bdb80cea7893748f14a96276e1e945bbe0b0e3a",
         "stdout": "e571794635220ae5db326964351032c4619d17160554a06f8f22c19de2e22b90",
     },
     ("run", "--algo", "reinforce", "--fitness", "predictor", "--limits", "4,9",
      "--n-label", "60", "--batch-size", "4", "--iterations", "25", "--seed", "1"): {
         "predictor.json": "b78cde078c2946a31e39bcfc276338200a3125d450d407f952f60522f631f002",
-        "search_trace.csv": "dd2a1ee50f382fcdc4ac62b52c1a0895c606b2afc15b513fe2a638f90a36bdf7",
-        "summary.json": "213264ed2799fe31f93bd6cc8a21cdbbe4bc78d2eec82b864d404d2bd471b7ff",
-        "trace.csv": "c2c11bf4e341b16ccc29b94359211e04f1b7fa8b68da3b2a5ed31fa531aa6280",
+        "search_trace.csv": "ad6e2b8a51f10a8b13e93df3a07a4137f1d9f607f17538085aac17692016d1ed",
+        "summary.json": "378286848e546bbdeb152b83cd12a4ee574fca2229e496c615cb3ebf958692e0",
+        "trace.csv": "094f8166dd7223bf2e522b1a9f2a255cab29291c418a99e796702c7820a8b822",
         "stdout": "5a571be70918f4232a0925ab481db2b7b714066bb73fac0073a7a338c2315258",
     },
     # the benchmark's 26-decision, hidden-32 schedule
     ("run", "--algo", "reinforce", "--fitness", "oracle", "--limits", "7,9",
      "--batch-size", "5", "--iterations", "10", "--seed", "3"): {
-        "summary.json": "8ecd8a1e5ec0daafa9a574cbe6404b915dc1cc510c94bef34b45c4fce8762a10",
-        "trace.csv": "c32205492228305c244f2136df204971d543fb9f326d72707f6a0f14c68f95c2",
+        "summary.json": "1b98320b232e8886cae46bd4516d6fe14dac40bf4474ad2755ec008e84ad2bbe",
+        "trace.csv": "057ed154289352db2660b36b20ddfeb20cfbedd3dcd145382ad5a8693bdb01c3",
         "stdout": "e15eaa5a1bfe6e2f176d05a3ed40339e413e962fed826939f0de12674eef8c58",
     },
     # aging evolution at the gt-evolution benchmark's shape, and at (7,9)
     ("run", "--algo", "evolution", "--fitness", "oracle", "--limits", "5,9",
      "--population-size", "50", "--sample-size", "10", "--cycles", "400", "--seed", "4"): {
-        "summary.json": "a7b3fd859596237e214463a2b15dd648f9d1122e04d9e797e3fd37e16d23cca3",
-        "trace.csv": "edadbd3f61cc29b0dca13fad3f458996df0af1abbfe008ffad906d6bf45127ce",
+        "summary.json": "f26ca6f1b5185161d66320db547af497158e88225c6dbe552888644043d4693a",
+        "trace.csv": "41ea21e897cc24048e7bb6626378ac0a7c88a368e242e183752bc67730f7965e",
         "stdout": "38fb0b85fea502b1a6b66d1b469cae35088cd8bebd596246d60c82d001b20604",
     },
     ("run", "--algo", "evolution", "--fitness", "oracle", "--limits", "7,9",
      "--cycles", "300", "--seed", "5"): {
-        "summary.json": "c21e413fd4fdec9014a8329fc37b7f660b92b4ffc8b4b76e60cd752a77bd2885",
-        "trace.csv": "9f6c07950fdaa9f79c4c5dc71e7f9547826b539c3673d586c6e7cd439e5c7128",
+        "summary.json": "d100acabaee78ef61bbd6fdfa21a8e6602d7ba0be28d827d0f52f57f5fea7b7f",
+        "trace.csv": "df5354ea7cb0e8f07e5573d209f5683a44d62fbcd7bbb49743ff28f79e36130b",
         "stdout": "c4270acd1ab1dfa5cad5ae0380efd7b93feb5a6658d8526783d38d08745be111",
     },
 }
@@ -696,14 +697,13 @@ def test_one_seed_validates_each_trace_once_and_reads_one_final_row(
     # the summary is built from the one walk that validates the run's trace,
     # and writing a trace validates it; nothing walks a trace again
     calls = collections.Counter()
-    for name in ("validate", "final_row"):
-        method = getattr(SearchTrace, name)
+    validate = SearchTrace.validate
 
-        def counted(self, _method=method, _name=name):
-            calls[_name] += 1
-            return _method(self)
+    def counted(self):
+        calls["validate"] += 1
+        return validate(self)
 
-        monkeypatch.setattr(SearchTrace, name, counted)
+    monkeypatch.setattr(SearchTrace, "validate", counted)
     for fitness, flags, validates in (("oracle", (), 2), ("predictor", ("--n-label", "40"), 3)):
         calls.clear()
         code, _, _ = run_cli(
@@ -713,7 +713,7 @@ def test_one_seed_validates_each_trace_once_and_reads_one_final_row(
             "--seed", "3", "--out", str(tmp_path / fitness),
         )
         assert code == 0
-        assert calls == {"validate": validates, "final_row": 1}, fitness
+        assert calls == {"validate": validates}, fitness
 
 
 # ---------------------------------------------------------------------------
@@ -761,8 +761,7 @@ def test_a_run_that_pays_for_nothing_reports_no_cell(capsys, tmp_path, seed):
     assert (out / "trace.csv").read_text() == TRACE_HEADER + "\n"
     summary = read_summary(out / "summary.json")
     summary.cross_check(read_trace(out / "trace.csv"))
-    assert (summary.best_spec, summary.best_hash, summary.best_true_acc,
-            summary.best_fitness) == (None, None, None, None)
+    assert (summary.best_spec, summary.best_hash, summary.best_true_acc) == (None, None, None)
     assert (summary.total_sim_seconds, summary.improvements) == (0.0, ())
     assert (summary.evaluations, summary.invalid_samples) == (0, 1)
     # compare takes it, and it never reached any target
@@ -791,6 +790,32 @@ def test_trace_has_one_row_per_paid_query(capsys, tmp_path, argv):
     summary = read_summary(out / "summary.json")
     paid = sum(phase.get("oracle_queries", 0) for phase in summary.phases.values())
     assert len(read_trace(out / "trace.csv").rows) == paid > 0
+
+
+@pytest.mark.parametrize(
+    "argv", [argv for argv in PINNED_DIGESTS if argv[0] == "run"],
+    ids=lambda argv: "-".join(argv[1:]),
+)
+def test_each_trace_row_sums_the_paid_costs_and_keeps_the_best_answer(
+    capsys, tmp_path, monkeypatch, argv
+):
+    # row k holds the summed cost of the first k paid queries and the best
+    # true accuracy among their answers
+    answers = []  # (true accuracy, seconds) of each paid query
+    real_query = oracle.query
+
+    def recording_query(*args):
+        record, seconds = real_query(*args)
+        answers.append((record.val_accuracy, seconds))
+        return record, seconds
+
+    monkeypatch.setattr(oracle, "query", recording_query)
+    out = tmp_path / "out"
+    assert run_cli(capsys, *argv, "--out", str(out))[0] == 0
+    rows = read_trace(out / "trace.csv").rows
+    assert len(rows) == len(answers) > 0
+    assert [r.sim_seconds for r in rows] == list(itertools.accumulate(s for _, s in answers))
+    assert [r.best for r in rows] == list(itertools.accumulate((a for a, _ in answers), max))
 
 
 def test_bad_limits_is_usage_error(capsys, tmp_path):
@@ -1244,7 +1269,6 @@ _PHASES = {
 _LEGAL_READ_VALUES = {
     "best_hash": ('"x"', "null"),
     "best_true_acc": ("null", "1.5"),
-    "best_fitness": ("null", "1.5"),
     "total_sim_seconds": ("1.5",),
     # phases: each phase a dict of reals, and no phase is required
     "phases": ("{}",),
@@ -1296,14 +1320,35 @@ def test_every_summary_field_refuses_each_bad_value(capsys, written, tmp_path):
     obj = json.loads(lines[0])
     assert {phase: tuple(entries) for phase, entries in obj["phases"].items()} == _PHASES
     leaves = list(_json_leaves(obj))
-    # best_spec's three and counts' four among the summary's own 13, and
+    # best_spec's three and counts' four among the summary's own 12, and
     # the phases' 10 entries
-    assert len(leaves) == 13 + 10 + len(list(_config_field_paths()))
+    assert len(leaves) == 12 + 10 + len(list(_config_field_paths()))
     leaves += ["phases", *(f"phases.{phase}" for phase in _PHASES)]
     bad = tmp_path / "summary.json"
     for leaf, value in _refused(read_summary, bad, lines, 0, leaves, numbered=False):
         code, stdout, err = run_cli(capsys, "compare", str(bad), str(good), "--target", "0.5")
         assert code == 2 and stdout == "" and f"error: {bad}: " in err, (leaf, value, err)
+
+
+def test_a_summary_with_an_unknown_key_is_refused(capsys, written, tmp_path):
+    # a summary with an added "extra": 1 or counts.bogus was read, and
+    # compare on it exited 0; so was one that still holds best_fitness
+    good = written / "run" / "summary.json"
+    obj = json.loads(good.read_text())
+    bad = tmp_path / "summary.json"
+    for where, key in (((), "extra"), (("counts",), "bogus"), ((), "best_fitness")):
+        changed = copy.deepcopy(obj)
+        node = changed
+        for name in where:
+            node = node[name]
+        node[key] = 1
+        bad.write_text(json.dumps(changed) + "\n")
+        kind = where[0] if where else "summary"
+        message = f"{bad}: unknown {kind} keys: [{key!r}]"
+        with pytest.raises(ParseError, match=re.escape(message)):
+            read_summary(bad)
+        code, stdout, err = run_cli(capsys, "compare", str(bad), str(good), "--target", "0.5")
+        assert code == 2 and stdout == "" and message in err, err
 
 
 def test_every_predictor_metadata_field_refuses_each_bad_value(written, tmp_path):
@@ -1377,8 +1422,7 @@ def test_table_numbers_refuse_each_bad_value(written, tmp_path):
 
 @pytest.mark.parametrize("column", TRACE_HEADER.split(","))
 def test_every_trace_column_refuses_each_bad_value(written, tmp_path, column):
-    # a row 1,nan,,nan was read as a trace row; an empty best_true_acc is
-    # a row before any true accuracy is known
+    # a row 1,nan,nan was read as a trace row
     lines = (written / "run" / "trace.csv").read_text().splitlines()
     k = TRACE_HEADER.split(",").index(column)
     bad = tmp_path / "trace.csv"
@@ -1386,12 +1430,37 @@ def test_every_trace_column_refuses_each_bad_value(written, tmp_path, column):
         parts = lines[2].split(",")
         parts[k] = text
         bad.write_text("\n".join([*lines[:2], ",".join(parts), *lines[3:]]) + "\n")
-        if column == "best_true_acc" and text == "":
-            read_trace(bad)
-            continue
         with pytest.raises(ParseError, match=re.escape(f"{bad}:3: ")) as info:
             read_trace(bad)
         assert column in str(info.value), (text, info.value)
+
+
+def test_a_trace_in_another_layout_names_the_expected_header(tmp_path):
+    # a trace written with the two best columns explains its refusal
+    path = tmp_path / "trace.csv"
+    path.write_text("index,sim_seconds,best_true_acc,best_fitness\n1,240.0,0.7,0.7\n")
+    message = f'{path}: expected header "index,sim_seconds,best"'
+    for text in (path.read_text(), "", "1,240.0,0.7\n"):
+        path.write_text(text)
+        with pytest.raises(ParseError, match=re.escape(message)):
+            read_trace(path)
+
+
+@pytest.mark.parametrize("column", ["sim_seconds", "best"])
+def test_a_trace_that_drifts_down_within_eps_each_row_is_refused(tmp_path, column):
+    # 2,000 rows, each 0.9e-12 below the row before: every step is inside
+    # EPS, yet the column ends 1.8e-9 below its maximum
+    k = TRACE_HEADER.split(",").index(column)
+    values = [[i, 100.0, 0.5] for i in range(1, 2001)]
+    for i, row in enumerate(values):
+        row[k] -= i * 0.9e-12
+    path = tmp_path / "trace.csv"
+    path.write_text("\n".join([TRACE_HEADER, *(f"{i},{s!r},{b!r}" for i, s, b in values)]) + "\n")
+    with pytest.raises(ParseError, match=re.escape(f"{column} decreases at row 3")):
+        read_trace(path)
+    # one step inside EPS below the maximum passes as level
+    path.write_text("\n".join([TRACE_HEADER, *(f"{i},{s!r},{b!r}" for i, s, b in values[:2])]) + "\n")
+    assert len(read_trace(path).rows) == 2
 
 
 def test_config_file_table_path_needs_the_file_oracle(capsys, tmp_path):

@@ -18,7 +18,7 @@ from cellsearch.evolution import (
     run_evolution,
     tournament_select,
 )
-from cellsearch.oracle import PaidQueries, SimClock, SyntheticOracle, synth_record
+from cellsearch.oracle import PaidQueries, SyntheticOracle, synth_record
 
 from conftest import make_spec
 
@@ -165,7 +165,7 @@ def test_config_rejects_cycles_below_population():
 def test_population_is_fifo_window_of_history():
     cfg = EvolutionConfig(population_size=5, sample_size=2, cycles=30)
     rng = random.Random(1)
-    fitness = PaidQueries(SyntheticOracle(), SimClock())
+    fitness = PaidQueries(SyntheticOracle())
     population, history = init_population(cfg, LIMITS, fitness, rng)
     for _ in range(12):
         evolve_cycle(population, history, cfg, LIMITS, fitness, rng)
@@ -220,17 +220,15 @@ def test_cycles_equal_population_does_no_evolution():
 def test_trace_shape_and_monotonicity():
     # the run's trace is its paid log: one row per paid query, numbered from 1
     cfg = EvolutionConfig(population_size=5, sample_size=3, cycles=40)
-    paid = PaidQueries(SyntheticOracle(), SimClock())
+    paid = PaidQueries(SyntheticOracle())
     history = run_evolution(cfg, LIMITS, 2, paid)
     trace = paid.trace
     assert len(trace.rows) == paid.evaluations == len(history) - paid.memo_hits
     assert [r.index for r in trace.rows] == list(range(1, len(trace.rows) + 1))
-    fits = [r.best_fitness for r in trace.rows]
+    fits = [r.best for r in trace.rows]
     assert fits == sorted(fits)
-    assert trace.final_row().best_fitness == max(history, key=Individual.key).fitness
-    # a paid answer is a true accuracy: both columns hold it
-    assert all(r.best_true_acc == r.best_fitness for r in trace.rows)
-    assert trace.final_row().sim_seconds == paid.clock.elapsed_s
+    assert trace.rows[-1].best == max(history, key=Individual.key).fitness
+    assert trace.rows[-1].sim_seconds == paid.sim_seconds
 
 
 def test_predictor_mode_leaves_clock_and_true_column_alone():
@@ -248,9 +246,8 @@ def test_predictor_mode_leaves_clock_and_true_column_alone():
 
 def test_clock_charges_each_distinct_phenotype_once():
     cfg = EvolutionConfig(population_size=10, sample_size=3, cycles=120)
-    clock = SimClock()
     oracle = SyntheticOracle()
-    fitness = PaidQueries(oracle, clock)
+    fitness = PaidQueries(oracle)
     history = run_evolution(cfg, LIMITS, 4, fitness)
     expected = 0.0
     seen = set()
@@ -262,7 +259,7 @@ def test_clock_charges_each_distinct_phenotype_once():
             expected += synth_record(ind.cell, oracle.params).train_time_s
     # the histories hold unpruned genomes beside their cells
     assert any(ModelSpec(*ind.genome) != ind.cell for ind in history)
-    assert clock.elapsed_s == expected
+    assert fitness.sim_seconds == expected
     assert fitness.evaluations == len(seen)
     assert fitness.memo_hits == len(history) - len(seen)
 
@@ -275,7 +272,7 @@ def test_same_seed_reproduces_run_exactly():
     cfg = EvolutionConfig(population_size=8, sample_size=3, cycles=60)
 
     def one():
-        fitness = PaidQueries(SyntheticOracle(), SimClock())
+        fitness = PaidQueries(SyntheticOracle())
         history = run_evolution(cfg, LIMITS, 7, fitness)
         return fitness.trace.to_csv_lines(), history, max(history, key=Individual.key)
 
@@ -289,7 +286,7 @@ def test_same_seed_reproduces_run_exactly():
 def test_different_seed_diverges():
     def run(seed):
         cfg = EvolutionConfig(population_size=8, sample_size=3, cycles=60)
-        fitness = PaidQueries(SyntheticOracle(), SimClock())
+        fitness = PaidQueries(SyntheticOracle())
         run_evolution(cfg, LIMITS, seed, fitness)
         return fitness.trace.to_csv_lines()
 
@@ -305,7 +302,7 @@ def test_exhausted_mutation_reports_cycle():
     # the only cell at (2,1), whose hash the message takes from parent.cell
     only = cellspace.canonical_hash(ModelSpec.from_edges(2, ((0, 1),), (OpLabel.IN, OpLabel.OUT)))
     with pytest.raises(ExhaustedError, match=rf"cycle 1 \(parent {only}\)"):
-        run_evolution(cfg, SpaceLimits(2, 1), 0, PaidQueries(SyntheticOracle(), SimClock()))
+        run_evolution(cfg, SpaceLimits(2, 1), 0, PaidQueries(SyntheticOracle()))
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +318,6 @@ def test_evolution_finds_global_optimum_small_seeds():
     found = 0
     for seed in range(3):
         cfg = EvolutionConfig(population_size=50, sample_size=10, cycles=2000)
-        history = run_evolution(cfg, limits, seed, PaidQueries(oracle, SimClock()))
+        history = run_evolution(cfg, limits, seed, PaidQueries(oracle))
         found += max(ind.fitness for ind in history) >= opt_acc - 1e-12
     assert found == 3

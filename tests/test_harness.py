@@ -35,7 +35,6 @@ from cellsearch.oracle import (
     BenchmarkRecord,
     BenchmarkTable,
     PaidQueries,
-    SimClock,
     SyntheticOracle,
     SyntheticOracleParams,
     dump_table_lines,
@@ -225,9 +224,9 @@ def test_synthetic_optimum_matches_enumeration():
 # labeling
 
 
-def _paid(clock=None):
+def _paid():
     """A query log over the default synthetic oracle."""
-    return PaidQueries(SyntheticOracle(), clock or SimClock())
+    return PaidQueries(SyntheticOracle())
 
 
 def test_paid_queries_charge_and_keep_the_first_best():
@@ -240,15 +239,15 @@ def test_paid_queries_charge_and_keep_the_first_best():
             for spec, acc in ((a, 0.5), (b, 0.7), (c, 0.7))
         }
     )
-    paid = PaidQueries(table, SimClock())
+    paid = PaidQueries(table)
     for spec, charge in ((a, 1.0), (b, 0.5), (c, 1.0)):
         paid.query(spec, cellspace.canonical_hash(spec), charge)
     # a tie does not replace the best: c matches b's 0.7 and b stays
     assert paid.best == (b, cellspace.canonical_hash(b), 0.7)
     assert paid.trace.rows == [
-        TraceRow(1, 100.0, 0.5, 0.5),
-        TraceRow(2, 150.0, 0.7, 0.7),
-        TraceRow(3, 250.0, 0.7, 0.7),
+        TraceRow(1, 100.0, 0.5),
+        TraceRow(2, 150.0, 0.7),
+        TraceRow(3, 250.0, 0.7),
     ]
 
 
@@ -267,7 +266,7 @@ def test_fitness_adapters_refuse_a_genome_and_record_nothing():
             paid.evaluate(genome)
         with pytest.raises(InvalidSpecError, match="not a pruned, valid cell"):
             guided.evaluate(genome)
-    assert paid.clock.elapsed_s == 0.0
+    assert paid.sim_seconds == 0.0
     assert (paid.trace.rows, paid.answers, paid.memo_hits, paid.best) == ([], {}, 0, None)
     assert guided.predictions == {}
     # the cell it denotes is scored as usual
@@ -284,7 +283,7 @@ def test_ground_truth_summary_takes_the_first_paid_best_cell():
         cfg = ExperimentConfig(
             algo=algo, fitness="ORACLE", limits=SpaceLimits(4, 9), seed=2, **search
         )
-        paid = PaidQueries(harness.build_oracle(cfg), SimClock())
+        paid = PaidQueries(harness.build_oracle(cfg))
         if algo == "EVOLUTION":
             history = run_evolution(cfg.evolution, cfg.limits, cfg.seed, paid)
         else:
@@ -302,7 +301,7 @@ def test_ground_truth_summary_takes_the_first_paid_best_cell():
         assert paid.best == (cells[first_best], first_best, accs[first_best])
         s = run_experiment(cfg).summary
         assert (s.best_spec, s.best_hash) == paid.best[:2]
-        assert s.best_true_acc == paid.trace.final_row().best_true_acc == paid.best[2]
+        assert s.best_true_acc == paid.trace.rows[-1].best == paid.best[2]
 
 
 def test_labeling_distinct_and_charged():
@@ -315,7 +314,7 @@ def test_labeling_distinct_and_charged():
     expected_cost = sum(
         synth_record(spec, cfg.synthetic).train_time_s for spec, _ in labeled
     )
-    assert paid.clock.elapsed_s == pytest.approx(expected_cost)
+    assert paid.sim_seconds == pytest.approx(expected_cost)
     for spec, y in labeled:
         assert y == (1 if synth_record(spec, cfg.synthetic).val_accuracy > threshold else 0)
 
@@ -323,10 +322,10 @@ def test_labeling_distinct_and_charged():
 def test_labeling_partial_charge_scales_cost():
     cfg_full = ExperimentConfig(limits=SpaceLimits(4, 9), n_label=30, seed=1)
     cfg_half = replace(cfg_full, label_charge=0.5)
-    full, half = SimClock(), SimClock()
-    label_random_specs(cfg_full, _paid(full), random.Random(1))
-    label_random_specs(cfg_half, _paid(half), random.Random(1))
-    assert half.elapsed_s == pytest.approx(0.5 * full.elapsed_s)
+    full, half = _paid(), _paid()
+    label_random_specs(cfg_full, full, random.Random(1))
+    label_random_specs(cfg_half, half, random.Random(1))
+    assert half.sim_seconds == pytest.approx(0.5 * full.sim_seconds)
 
 
 def test_labeling_space_too_small():
@@ -365,7 +364,7 @@ def test_pipeline_report_consistency(monkeypatch):
         1 for spec, _ in pool
         if synth_record(spec, cfg.synthetic).val_accuracy > labeling["threshold"]
     )
-    assert labeling["sim_seconds"] == paid.clock.elapsed_s
+    assert labeling["sim_seconds"] == paid.sim_seconds
     assert 0.0 <= labeling["heldout_accuracy"] <= 1.0
     assert trained.threshold_used == labeling["threshold"]
     assert trained.train_seed == cfg.seed
@@ -441,7 +440,7 @@ def test_topk_one_charge_for_k_one():
     hashes = topk_revalidate({a: 0.9, b: 0.5, c: 0.1}, 1, paid)
     assert len(hashes) == 1
     record = synth_record(a, SyntheticOracleParams())
-    assert paid.clock.elapsed_s == record.train_time_s
+    assert paid.sim_seconds == record.train_time_s
     _, best_hash, best_true_acc = paid.best
     assert best_hash == record.spec_hash
     assert best_true_acc == record.val_accuracy
@@ -487,9 +486,9 @@ def test_topk_answers_a_class_labeled_in_full_from_the_log():
     paid = _paid()
     for cell in (a, b):
         paid.query(cell, cellspace.canonical_hash(cell), 1.0)
-    clock, rows, best = paid.clock.elapsed_s, list(paid.trace.rows), paid.best
+    sim_s, rows, best = paid.sim_seconds, list(paid.trace.rows), paid.best
     assert topk_revalidate({a: 0.9}, 1, paid) == (cellspace.canonical_hash(a),)
-    assert (paid.clock.elapsed_s, paid.trace.rows, paid.best) == (clock, rows, best)
+    assert (paid.sim_seconds, paid.trace.rows, paid.best) == (sim_s, rows, best)
     assert paid.memo_hits == 1
 
 
@@ -499,13 +498,13 @@ def test_topk_pays_in_full_for_a_class_labeled_below_full_charge():
     paid = _paid()
     paid.query(a, digest, 0.5)
     topk_revalidate({a: 0.9}, 1, paid)
-    assert paid.clock.elapsed_s == 1.5 * record.train_time_s
+    assert paid.sim_seconds == 1.5 * record.train_time_s
     assert len(paid.trace.rows) == 2 and paid.memo_hits == 0
     assert paid.answers[digest] == (record, 1.0)
     # and once paid in full it is answered at any charge
     for charge in (1.0, 0.5, 0.0):
         assert paid.query(a, digest, charge) is record
-    assert (paid.clock.elapsed_s, len(paid.trace.rows), paid.memo_hits) == (
+    assert (paid.sim_seconds, len(paid.trace.rows), paid.memo_hits) == (
         1.5 * record.train_time_s, 2, 3,
     )
 
@@ -609,16 +608,15 @@ def test_topk_prunes_genomes():
 
 def test_true_acc_improvements_tracks_strict_increases():
     trace = SearchTrace()
-    trace.append(0, 10.0, 0.5, 0.5)
-    trace.append(1, 20.0, 0.5, 0.5)
-    trace.append(2, 30.0, None, 0.6)
-    trace.append(3, 40.0, 0.7, 0.7)
+    trace.append(0, 10.0, 0.5)
+    trace.append(1, 20.0, 0.5)
+    trace.append(2, 40.0, 0.7)
     assert trace.validate() == ((10.0, 0.5), (40.0, 0.7))
     # each row creeps up by less than the tolerance; a rise counts from the
     # last improvement, so the third row is one and the second is not
     creeping = SearchTrace()
     for k, acc in enumerate((0.5, 0.5 + 6e-13, 0.5 + 1.2e-12)):
-        creeping.append(k, 10.0 * k, acc, acc)
+        creeping.append(k, 10.0 * k, acc)
     assert creeping.validate() == ((0.0, 0.5), (20.0, 0.5 + 1.2e-12))
 
 
@@ -656,30 +654,6 @@ def test_summary_cross_check_validates_the_trace():
     rows[0] = rows[0]._replace(sim_seconds=rows[-1].sim_seconds + 1.0)
     with pytest.raises(ValueError, match="sim_seconds decreases at row 2"):
         result.summary.cross_check(SearchTrace(rows))
-
-
-def test_a_charge_the_trace_missed_is_an_error(monkeypatch):
-    cfg = ExperimentConfig(
-        fitness="ORACLE",
-        limits=SpaceLimits(4, 9),
-        evolution=EvolutionConfig(population_size=10, sample_size=3, cycles=60),
-        seed=2,
-    )
-    trace_end = run_experiment(cfg).summary.total_sim_seconds
-    search = harness._search
-
-    def charging_after_the_search(cfg, fitness):
-        out = search(cfg, fitness)
-        fitness.clock.charge(5.0)  # past the trace's last row and the log
-        return out
-
-    monkeypatch.setattr(harness, "_search", charging_after_the_search)
-    message = (
-        f"the clock says {trace_end + 5.0} simulated seconds, "
-        f"the trace ends at {trace_end}"
-    )
-    with pytest.raises(ValueError, match=re.escape(message)):
-        run_experiment(cfg)
 
 
 def test_summary_file_round_trip(tmp_path):
@@ -725,7 +699,6 @@ def test_ground_truth_run_bookkeeping():
     assert s.evaluations + s.memo_hits == 120
     assert s.best_hash == cellspace.canonical_hash(s.best_spec)
     assert cellspace.validate(s.best_spec, cfg.limits).valid
-    assert s.best_true_acc == s.best_fitness
     # 120 distinct-or-memoized queries, all full charge
     assert s.total_sim_seconds > 0
 
@@ -825,8 +798,7 @@ def test_predictor_search_trace_has_a_row_per_searched_cell(algo):
         scores = [s.reward for s in history]
     rows = result.search_trace.rows
     assert [r.index for r in rows] == list(range(1, len(history) + 1))
-    assert [r.best_fitness for r in rows] == list(itertools.accumulate(scores, max))
-    assert all(r.best_true_acc is None for r in rows)
+    assert [r.best for r in rows] == list(itertools.accumulate(scores, max))
     # the search runs, free, once labeling is paid for
     assert {r.sim_seconds for r in rows} == {result.summary.phases["labeling"]["sim_seconds"]}
 
@@ -835,14 +807,14 @@ def test_ground_truth_reinforce_dates_each_improvement_at_the_query_that_paid(mo
     # at (7,9) seed 4 the best cell was paid for 32,270 simulated seconds
     # in, mid-batch; a trace of one row per batch dated it at the batch's
     # end, 38,600
-    paying = []  # (clock, true accuracy) after each paid query
+    paying = []  # (sim seconds, true accuracy) after each paid query
     real_query = PaidQueries.query
 
     def recording_query(self, *args):
         rows = len(self.trace.rows)
         record = real_query(self, *args)
         if len(self.trace.rows) > rows:
-            paying.append((self.clock.elapsed_s, record.val_accuracy))
+            paying.append((self.sim_seconds, record.val_accuracy))
         return record
 
     monkeypatch.setattr(PaidQueries, "query", recording_query)
@@ -858,7 +830,7 @@ def test_ground_truth_reinforce_dates_each_improvement_at_the_query_that_paid(mo
             expected.append((sim_s, acc))
     assert s.improvements == tuple(expected)
     for sim_s, acc in s.improvements:
-        assert sim_s == next(r.sim_seconds for r in result.trace.rows if r.best_true_acc == acc)
+        assert sim_s == next(r.sim_seconds for r in result.trace.rows if r.best == acc)
     assert s.improvements[-1] == (32270.0, s.best_true_acc)
 
 
@@ -872,7 +844,6 @@ def _summary_with(improvements, cfg=None, seed=0):
         best_spec=None,
         best_hash=None,
         best_true_acc=improvements[-1][1] if improvements else None,
-        best_fitness=improvements[-1][1] if improvements else 0.0,
         total_sim_seconds=improvements[-1][0] if improvements else 0.0,
         evaluations=0,
         labels=0,
@@ -1026,7 +997,7 @@ def test_every_line_file_reader_skips_whitespace_only_lines(tmp_path, kind):
     elif kind == "trace":
         trace = SearchTrace()
         for i in range(1, 5):
-            trace.append(i, 10.0 * i, 0.1 * i, 0.1 * i)
+            trace.append(i, 10.0 * i, 0.1 * i)
         write_trace(trace, path)
         read = lambda p: read_trace(p).rows
     else:

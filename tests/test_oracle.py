@@ -1,4 +1,4 @@
-"""Ground-truth oracle tests: record validation, the simulated clock,
+"""Ground-truth oracle tests: record validation, a query's simulated cost,
 synthetic accuracy/time formulas (recomputed independently), benchmark file
 IO, labeling, and the frozen identity of the synthetic optimum."""
 
@@ -25,7 +25,6 @@ from cellsearch.errors import (
 from cellsearch.oracle import (
     BenchmarkRecord,
     BenchmarkTable,
-    SimClock,
     SyntheticOracle,
     SyntheticOracleParams,
     dump_table_lines,
@@ -52,7 +51,7 @@ def jitter_of(spec, scale=0.02):
 
 
 # ---------------------------------------------------------------------------
-# records and clock
+# records
 
 
 def test_record_range_checks():
@@ -63,16 +62,6 @@ def test_record_range_checks():
         BenchmarkRecord("00" * 16, -0.1, 100.0)
     with pytest.raises(ValueError):
         BenchmarkRecord("00" * 16, 0.5, -1.0)
-
-
-def test_clock_accumulates_and_rejects_negative():
-    clock = SimClock()
-    assert clock.elapsed_s == 0.0
-    clock.charge(240.0)
-    clock.charge(500.0)
-    assert clock.elapsed_s == 740.0
-    with pytest.raises(ValueError):
-        clock.charge(-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -190,15 +179,14 @@ def test_longest_path_matches_exhaustive_walk(space59_specs):
 
 def test_query_charges_scaled_time(two_vertex):
     synth = SyntheticOracle()
-    clock = SimClock()
-    rec = query(synth, two_vertex, clock, charge=1.0)
-    assert clock.elapsed_s == rec.train_time_s == 240.0
-    query(synth, two_vertex, clock, charge=0.0)
-    assert clock.elapsed_s == 240.0
-    query(synth, two_vertex, clock, charge=0.5)
-    assert clock.elapsed_s == 360.0
-    with pytest.raises(ValueError):
-        query(synth, two_vertex, clock, charge=1.5)
+    rec, seconds = query(synth, two_vertex, 1.0)
+    assert seconds == rec.train_time_s == 240.0
+    assert query(synth, two_vertex, 0.0) == (rec, 0.0)
+    assert query(synth, two_vertex, 0.5) == (rec, 120.0)
+    # with train_time_s never negative, no query can cost negative seconds
+    for charge in (1.5, -0.5):
+        with pytest.raises(ValueError):
+            query(synth, two_vertex, charge)
 
 
 def test_query_file_mode_hit_and_miss(two_vertex, chain3_conv1x1):
@@ -206,13 +194,10 @@ def test_query_file_mode_hit_and_miss(two_vertex, chain3_conv1x1):
     table = BenchmarkTable(
         records={digest: BenchmarkRecord(digest, 0.7, 500.0)}
     )
-    clock = SimClock()
-    rec = query(table, two_vertex, clock, charge=1.0)
-    assert rec.val_accuracy == 0.7
-    assert clock.elapsed_s == 500.0
+    rec, seconds = query(table, two_vertex, 1.0)
+    assert (rec.val_accuracy, seconds) == (0.7, 500.0)
     with pytest.raises(UnknownArchitectureError):
-        query(table, chain3_conv1x1, clock, charge=1.0)
-    assert clock.elapsed_s == 500.0  # failed lookup charges nothing
+        query(table, chain3_conv1x1, 1.0)
 
 
 def test_label_boundaries():
@@ -242,9 +227,8 @@ def test_load_round_trip(tmp_path, space59_specs):
     path.write_text("\n".join(lines) + "\n")
     table = load_table(path)
     assert len(table.records) == 3
-    clock = SimClock()
     for s in specs:
-        assert query(table, s, clock, 0.0) == synth_record(s, params)
+        assert query(table, s, 0.0) == (synth_record(s, params), 0.0)
 
 
 def test_load_rejects_out_of_range_accuracy(tmp_path, two_vertex):

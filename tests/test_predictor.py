@@ -19,7 +19,6 @@ from cellsearch.errors import (
     ParseError,
     ShapeError,
 )
-from cellsearch.oracle import SimClock
 from cellsearch.predictor import (
     ALPHABET_SIZE,
     EDGE_0,
@@ -713,10 +712,8 @@ def test_predict_is_encode_then_forward(chain3_conv1x1):
 def test_predictor_fitness_never_charges(chain3_conv1x1):
     params = RnnParams.seeded(8)
     fitness = PredictorFitness(params)
-    clock = SimClock()
     value = fitness.evaluate(chain3_conv1x1)
     assert value == predict(params, chain3_conv1x1)
-    assert clock.elapsed_s == 0.0
     assert fitness.evaluations == 1
 
 

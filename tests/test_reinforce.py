@@ -16,7 +16,6 @@ from cellsearch.cellspace import OpLabel, SpaceLimits
 from cellsearch.errors import ConfigError, ShapeError
 from cellsearch.oracle import (
     PaidQueries,
-    SimClock,
     SyntheticOracle,
     synth_record,
 )
@@ -437,34 +436,31 @@ def test_sample_invalid_flag_matches_spec_presence():
 
 
 def test_reward_invalid_is_free():
-    clock = SimClock()
+    paid = PaidQueries(SyntheticOracle())
     s = SampledArch((), None, invalid=True)
-    assert reward_of(s, PaidQueries(SyntheticOracle(), clock)) == 0.0
-    assert clock.elapsed_s == 0.0
+    assert reward_of(s, paid) == 0.0
+    assert paid.sim_seconds == 0.0
 
 
 def test_reward_oracle_charges_train_time(two_vertex):
-    clock = SimClock()
-    oracle = SyntheticOracle()
+    paid = PaidQueries(SyntheticOracle())
     s = SampledArch((), two_vertex, invalid=False)
-    record = synth_record(two_vertex, oracle.params)
-    assert reward_of(s, PaidQueries(oracle, clock)) == record.val_accuracy
-    assert clock.elapsed_s == record.train_time_s
+    record = synth_record(two_vertex, paid.oracle.params)
+    assert reward_of(s, paid) == record.val_accuracy
+    assert paid.sim_seconds == record.train_time_s
 
 
 def test_reward_predictor_is_free(two_vertex):
-    clock = SimClock()
     fitness = PredictorFitness(RnnParams.seeded(0))
     s = SampledArch((), two_vertex, invalid=False)
     r = reward_of(s, fitness)
     assert 0.0 < r < 1.0
-    assert clock.elapsed_s == 0.0
 
 
 def test_reward_without_spec_or_marker_is_an_error():
     s = SampledArch((0,), None, invalid=False)
     with pytest.raises(ConfigError):
-        reward_of(s, PaidQueries(SyntheticOracle(), SimClock()))
+        reward_of(s, PaidQueries(SyntheticOracle()))
 
 
 # ---------------------------------------------------------------------------
@@ -946,11 +942,11 @@ def test_baseline_stays_within_reward_hull():
 
 def test_run_zero_iterations_is_a_no_op():
     cfg = ReinforceConfig(iterations=0)
-    paid = PaidQueries(SyntheticOracle(), SimClock())
+    paid = PaidQueries(SyntheticOracle())
     res = run_reinforce(cfg, SCHEDULE_5_9, 3, paid)
     assert len(paid.trace.rows) == 0
     assert res.history == [] and res.invalid_count == 0
-    assert paid.clock.elapsed_s == 0.0
+    assert paid.sim_seconds == 0.0
     fresh = ControllerState.seeded(3, cfg.hidden_size, cfg.emb_dim, cfg.init_scale)
     assert np.array_equal(res.controller.flatten(), fresh.flatten())
 
@@ -958,16 +954,15 @@ def test_run_zero_iterations_is_a_no_op():
 def test_run_oracle_mode_bookkeeping():
     # the paid log holds one row per distinct class the valid samples hold
     cfg = ReinforceConfig(batch_size=5, iterations=20)
-    paid = PaidQueries(SyntheticOracle(), SimClock())
+    paid = PaidQueries(SyntheticOracle())
     res = run_reinforce(cfg, SCHEDULE_5_9, 1, paid)
     assert len(res.history) == 100
     assert res.invalid_count == sum(s.invalid for s in res.history)
     valid = [s for s in res.history if not s.invalid]
     assert len(paid.trace.rows) == len({cellspace.canonical_hash(s.spec) for s in valid})
     assert len(paid.trace.rows) + paid.memo_hits == len(valid)
-    assert paid.trace.final_row().best_fitness == max(s.reward for s in res.history)
-    assert all(r.best_true_acc == r.best_fitness for r in paid.trace.rows)
-    assert paid.clock.elapsed_s > 0
+    assert paid.trace.rows[-1].best == max(s.reward for s in res.history)
+    assert paid.sim_seconds > 0
     assert res.baseline.value is not None
 
 
@@ -975,7 +970,7 @@ def test_run_history_keeps_no_hidden_states():
     # each batch's states serve only its update; kept in the history they
     # would add a (T+1, hidden) array per sample to a run's memory
     cfg = ReinforceConfig(batch_size=5, iterations=4)
-    res = run_reinforce(cfg, SCHEDULE_5_9, 1, PaidQueries(SyntheticOracle(), SimClock()))
+    res = run_reinforce(cfg, SCHEDULE_5_9, 1, PaidQueries(SyntheticOracle()))
     assert len(res.history) == 20
     assert all(s.states is None for s in res.history)
 
@@ -994,7 +989,7 @@ def test_run_draws_each_sample_through_the_module_attribute(monkeypatch):
 
     monkeypatch.setattr(reinforce, "sample", counted)
     cfg = ReinforceConfig(batch_size=4, iterations=3)
-    res = run_reinforce(cfg, SCHEDULE_5_9, 1, PaidQueries(SyntheticOracle(), SimClock()))
+    res = run_reinforce(cfg, SCHEDULE_5_9, 1, PaidQueries(SyntheticOracle()))
     assert len(calls) == cfg.batch_size * cfg.iterations == len(res.history)
 
 
@@ -1014,7 +1009,7 @@ def test_run_is_deterministic():
     cfg = ReinforceConfig(batch_size=4, iterations=25)
 
     def one():
-        paid = PaidQueries(SyntheticOracle(), SimClock())
+        paid = PaidQueries(SyntheticOracle())
         res = run_reinforce(cfg, SCHEDULE_5_9, 11, paid)
         return paid.trace.to_csv_lines(), res.controller.flatten()
 
