@@ -346,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     tp.add_argument("--seed", type=int)
     tp.add_argument("--epochs", type=int, dest="predictor.epochs")
     tp.add_argument("--learning-rate", type=float, dest="predictor.learning_rate")
-    tp.add_argument("--batch", type=int, dest="predictor.batch")
     tp.add_argument("--hidden", type=int, dest="predictor.hidden_size")
     tp.add_argument("--heldout-fraction", type=float, dest="predictor.heldout_fraction")
     tp.add_argument(

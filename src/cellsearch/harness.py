@@ -170,6 +170,14 @@ def effective_label_threshold(cfg: ExperimentConfig) -> float:
 # RunSummary fields that summary.json holds as they are, at its top level and in "counts"
 _PLAIN = ("best_hash", "best_true_acc", "total_sim_seconds", "seed", "improvements", "phases")
 _COUNTS = ("evaluations", "labels", "invalid_samples", "memo_hits")
+_PAID = {"sim_seconds", "oracle_queries", "memo_hits"}
+# phase -> each entry set `run_experiment` writes for it
+_PHASE_ENTRIES = {
+    "labeling": [{"sim_seconds", "oracle_queries", "positives", "threshold", "train_size",
+                  "train_loss", "heldout_accuracy"}],
+    "search": [_PAID, {"sim_seconds", "predictor_queries"}],
+    "revalidation": [_PAID],
+}
 
 
 @dataclass
@@ -216,8 +224,8 @@ class RunSummary:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "RunSummary":
         """Inverse of to_json_obj, each value held to its annotation. An
-        unknown key, at the top level or in "counts", raises ValueError
-        naming it."""
+        unknown key (top level or "counts"), or a phase that no run writes
+        with its entries, raises ValueError naming it."""
         for where, names, keys in (("summary", {*_PLAIN, "counts", "best_spec", "config"}, obj),
                                    ("counts", _COUNTS, obj["counts"])):
             unknown = set(keys) - set(names)
@@ -231,6 +239,9 @@ class RunSummary:
             config=ExperimentConfig.from_json_obj(obj["config"]),
         )
         check_fields(summary)
+        for phase, entries in summary.phases.items():
+            if set(entries) not in _PHASE_ENTRIES.get(phase, []):
+                raise ValueError(f"no run writes phase {phase!r} with entries {sorted(entries)}")
         return summary
 
 
@@ -304,7 +315,7 @@ def run_predictor_pipeline(cfg: ExperimentConfig, paid: PaidQueries, rng: random
     labeling_cost = paid.sim_seconds - started_at
 
     split_gen = np.random.default_rng(rng.getrandbits(32))
-    trained, _, held_acc, _ = predictor.fit(
+    trained, meta, held_acc, train_loss = predictor.fit(
         labeled, cfg.predictor, cfg.seed, split_gen, threshold
     )
     return trained, {
@@ -312,6 +323,8 @@ def run_predictor_pipeline(cfg: ExperimentConfig, paid: PaidQueries, rng: random
         "oracle_queries": len(labeled),
         "positives": sum(y for _, y in labeled),
         "threshold": threshold,
+        "train_size": meta["train_size"],
+        "train_loss": train_loss,
         "heldout_accuracy": held_acc,
     }
 

@@ -4,8 +4,8 @@ A cell is flattened to a token sequence (interior ops, a separator, then
 the upper-triangular adjacency bits) and fed through a single-layer tanh
 recurrence; the final hidden state is squashed to the probability that
 the architecture clears the accuracy threshold. Everything — forward,
-backprop-through-time, minibatch gradient descent — is written against
-numpy directly so the arithmetic is fully inspectable.
+backprop-through-time, one full-batch gradient step per epoch — is written
+against numpy directly so the arithmetic is fully inspectable.
 """
 
 from __future__ import annotations
@@ -203,9 +203,7 @@ def pad_batch(batch):
     T the longest sequence and token 0 in padded slots, its (n, T) bool
     mask of real tokens, and the (n,) float labels. A sequence that
     `forward` would refuse raises ShapeError, and a label that is not the
-    int 0 or 1 ConfigError. For rows `idx` whose longest sequence has L
-    tokens, `X[idx, T - L:]` (with M and y alike) is exactly the padding of
-    those rows on their own."""
+    int 0 or 1 ConfigError."""
     if not batch:
         raise ValueError("empty batch")
     seqs = [_check_tokens(seq) for seq, _ in batch]
@@ -280,9 +278,8 @@ def predict(params: RnnParams, spec: ModelSpec) -> float:
 class TrainConfig:
     """The predictor's split and training hyperparameters."""
 
-    learning_rate: Annotated[float, In("(0, inf)")] = 0.05
+    learning_rate: Annotated[float, In("(0, inf)")] = 0.2
     epochs: Annotated[int, In("[1, inf)")] = 200
-    batch: Annotated[int, In("[1, inf)")] = 16
     hidden_size: Annotated[int, In("[1, inf)")] = DEFAULT_HIDDEN
     init_scale: Annotated[float, flatparams.INIT_SCALE] = DEFAULT_INIT_SCALE
     heldout_fraction: Annotated[float, In("(0, 1)")] = 0.2
@@ -340,14 +337,13 @@ def stratified_split(
 
 
 def train(data, cfg: TrainConfig, seed: int):
-    """Minibatch gradient descent on (spec, y) pairs from a uniform init
-    drawn from `seed`. Each step updates one flat vector in place and reads
-    the parameters back through `RnnParams.from_flat`, so a step that
-    leaves a non-finite entry raises ShapeError.
+    """Full-batch gradient descent on (spec, y) pairs from a uniform init
+    drawn from `seed`: one exact step on every row per epoch, updating one
+    flat vector in place and reading it back through `RnnParams.from_flat`,
+    so a step that leaves a non-finite entry raises ShapeError.
 
-    Returns (params, per-epoch mean loss list). Fails fast when the data
-    cannot define the task (a single class present).
-    """
+    Returns (params, each epoch's full-batch loss before its step). Fails
+    fast when the data cannot define the task (a single class present)."""
     n = len(data)
     if n == 0:
         raise DegenerateDataError("empty training set")
@@ -357,25 +353,14 @@ def train(data, cfg: TrainConfig, seed: int):
             f"training set has {n_pos}/{n} positives; both classes are required"
         )
     X, M, y = pad_batch([(encode(spec), label) for spec, label in data])
-    lengths = M.sum(axis=1)
-    T = X.shape[1]
     theta = RnnParams.seeded(seed, cfg.hidden_size, cfg.init_scale).flatten()
     params = RnnParams.from_flat(theta, cfg.hidden_size)  # views into theta
-    gen = np.random.default_rng(seed + 1)
     epoch_losses = []
     for _ in range(cfg.epochs):
-        order = gen.permutation(n)
-        # in epoch order, so that each minibatch is a slice
-        X_e, M_e, y_e, len_e = X[order], M[order], y[order], lengths[order]
-        total = 0.0
-        for start in range(0, n, cfg.batch):
-            rows = slice(start, start + cfg.batch)
-            cut = T - len_e[rows].max()
-            loss, g = loss_and_grad(params, X_e[rows, cut:], M_e[rows, cut:], y_e[rows])
-            total += loss * len(y_e[rows])
-            theta -= cfg.learning_rate * g.flatten()
-            params = RnnParams.from_flat(theta, cfg.hidden_size)
-        epoch_losses.append(total / n)
+        loss, g = loss_and_grad(params, X, M, y)
+        epoch_losses.append(loss)
+        theta -= cfg.learning_rate * g.flatten()
+        params = RnnParams.from_flat(theta, cfg.hidden_size)
     return params, epoch_losses
 
 
@@ -389,11 +374,11 @@ def heldout_accuracy(params: RnnParams, data) -> float:
 
 def fit(labeled, cfg: TrainConfig, seed: int, split_gen: np.random.Generator, threshold: float):
     """Split labeled (spec, y) pairs with `split_gen` (see stratified_split),
-    train on the training part and score on the held-out part. `threshold`
-    is the accuracy the labels were cut at, kept as provenance.
+    train on the training part (see train) and score on the held-out part.
+    `threshold` is the accuracy the labels were cut at, kept as provenance.
 
-    Returns (TrainedPredictor, split meta, held-out accuracy, final
-    per-epoch training loss).
+    Returns (TrainedPredictor, split meta, held-out accuracy, the last
+    epoch's full-batch training loss).
     """
     train_ds, held_ds, meta = stratified_split(
         labeled, split_gen, cfg.heldout_fraction, cfg.target_positive_share

@@ -9,8 +9,8 @@ implementation actually achieves.
 Criterion 1 fails: its median speedup is 0.00 (need >= 2.0). Under its
 fixed config, labeling 400 cells costs more simulated time than
 ground-truth evolution needs to reach the optimum, so unless a labeling
-draw is itself the optimum no seed can exceed a speedup of about 0.47; its
-line prints that bound per seed. The other seven
+draw is itself the optimum no seed can exceed the ratio of the two, 0.23
+to 0.67 over seeds 0-9; its line prints that bound per seed. The other seven
 gates pass; criterion 5's median best/optimum is 1.000 (need >= 0.99).
 """
 

@@ -489,7 +489,7 @@ def test_label_and_train_predictor_build_their_config_through_the_merge(
     label = ("label", "--limits", "4,9", "--n", "7", "--charge", "0.5", "--threshold", "0.7",
              "--oracle", "table.jsonl", "--seed", "3")
     train = ("train-predictor", "--data", "x", "--epochs", "7", "--learning-rate", "0.1",
-             "--batch", "3", "--hidden", "5", "--heldout-fraction", "0.3",
+             "--hidden", "5", "--heldout-fraction", "0.3",
              "--target-positive-share", "0.4", "--seed", "2")
     for argv in (("label",), label, ("train-predictor", "--data", "x"), train):
         code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
@@ -505,11 +505,17 @@ def test_label_and_train_predictor_build_their_config_through_the_merge(
     assert built[2][1:3] == (TrainConfig(), 0)
     assert built[3][1:3] == (
         TrainConfig(
-            epochs=7, learning_rate=0.1, batch=3, hidden_size=5, heldout_fraction=0.3,
+            epochs=7, learning_rate=0.1, hidden_size=5, heldout_fraction=0.3,
             target_positive_share=0.4,
         ),
         2,
     )
+    # training takes one full-batch step per epoch, so there is no batch
+    # size to set: the flag is gone, and a usage error
+    code, stdout, err = run_cli(capsys, "train-predictor", "--data", "x", "--batch", "3",
+                                "--out", str(out))
+    assert code == 1 and stdout == "" and "unrecognized arguments: --batch 3" in err, err
+    assert len(built) == 4 and not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -519,17 +525,17 @@ def test_label_and_train_predictor_build_their_config_through_the_merge(
 PINNED_DIGESTS = {
     ("run", "--algo", "evolution", "--fitness", "oracle", "--limits", "4,9",
      "--cycles", "200", "--seed", "0"): {
-        "summary.json": "ceddc6985453ed932520164a975db5f900841bec14d8b07b5b8cd003bbdf4848",
+        "summary.json": "e11672d4499d37dc863f6b3a7bf56f29d2ea93afbfd610225211025e8d2cc061",
         "trace.csv": "7cca54decc7bacaae0d359efc73c4bae91b7dac9374a14a4be667445d01b6b00",
         "stdout": "87d0de1bc91ccb85b778e8f099ab8e827769e0e2df15d24788cc8c6a3b042605",
     },
     ("run", "--fitness", "predictor", "--limits", "4,9", "--n-label", "60",
      "--seed", "2"): {
-        "predictor.json": "bb3c1c415b9fd6bb9daf0d07498b2fc84b1a65d14af9a50e9fe6bd5b3c0847c3",
-        "search_trace.csv": "00da7836ecd58528a5fe81a2246cbce9cba4a73a2b96bb997b36d21c6a5a4d9b",
-        "summary.json": "170c5167d8f2f4e68e226b3ecbc911946f577cbe597e154c1152e6ce0099d83b",
-        "trace.csv": "72b03703222dcf2a95f121714ae5b289edffc2fa27db254fe28c474c1b0b61aa",
-        "stdout": "f38566604355e600eec2c199d5e6a2b324d9aab972c26bf87f9832b22f7190c0",
+        "predictor.json": "4ccc9da57cc4a95e933e8744d4e296470c85baeef66544ae2f904d8534357b5a",
+        "search_trace.csv": "31f134cbb9419082e4e91298ee219803b7a4d7bc1b3ad6914fd7274ad6ded846",
+        "summary.json": "2cc9bd47ecda52a3713160fbbae9d0f65b5c56ef942b7059b736ad7a0e902121",
+        "trace.csv": "125ed91fa32d810b7806db09197a5a73e9a6c36a109c926b7e27385594ad4ee5",
+        "stdout": "d07178f3fc8a788f13bf768ff26ceb6e92b61b4a6255742f16e172bb79264ec0",
     },
     ("label", "--limits", "4,9", "--n", "80", "--seed", "3"): {
         "out": "5be4ca50a901d6c7f4a5336ab264f9a3e1061b2118175d8d1a58cc6af43311b0",
@@ -537,35 +543,35 @@ PINNED_DIGESTS = {
     },
     ("run", "--algo", "reinforce", "--fitness", "oracle", "--limits", "4,9",
      "--batch-size", "4", "--iterations", "25", "--seed", "1"): {
-        "summary.json": "802d57dae3f504fa722965729bc3c661c39433a93e1c61456bb9ddcc924b1f7c",
+        "summary.json": "e7fc8f8ac547408bf0caee6ce9b9a3389b02cef031bfb8393698daba26b1ed2d",
         "trace.csv": "c22355397b80fcd7c13e675a2bdb80cea7893748f14a96276e1e945bbe0b0e3a",
         "stdout": "e571794635220ae5db326964351032c4619d17160554a06f8f22c19de2e22b90",
     },
     ("run", "--algo", "reinforce", "--fitness", "predictor", "--limits", "4,9",
      "--n-label", "60", "--batch-size", "4", "--iterations", "25", "--seed", "1"): {
-        "predictor.json": "b78cde078c2946a31e39bcfc276338200a3125d450d407f952f60522f631f002",
-        "search_trace.csv": "ad6e2b8a51f10a8b13e93df3a07a4137f1d9f607f17538085aac17692016d1ed",
-        "summary.json": "378286848e546bbdeb152b83cd12a4ee574fca2229e496c615cb3ebf958692e0",
+        "predictor.json": "ffc1a51e353438368987fc3b9c9a14d8e43f2dc41d526f30bd4023867db29f23",
+        "search_trace.csv": "c74884288485ebe2c1b5e9d4851a076bb48e4c35fbff0e0bfc8869990ede3115",
+        "summary.json": "ed7d98125c831c869fb3e4d5192cad898232d382cf5fe620fe7c61c330dfd4ab",
         "trace.csv": "094f8166dd7223bf2e522b1a9f2a255cab29291c418a99e796702c7820a8b822",
-        "stdout": "5a571be70918f4232a0925ab481db2b7b714066bb73fac0073a7a338c2315258",
+        "stdout": "0113c9e99179a48dc32d9c1668f65797d812fa02147af82267de9f81754a597e",
     },
     # the benchmark's 26-decision, hidden-32 schedule
     ("run", "--algo", "reinforce", "--fitness", "oracle", "--limits", "7,9",
      "--batch-size", "5", "--iterations", "10", "--seed", "3"): {
-        "summary.json": "1b98320b232e8886cae46bd4516d6fe14dac40bf4474ad2755ec008e84ad2bbe",
+        "summary.json": "47ea46b4d82c5f946f0c9c8bdad30a055c8bceadf0d9982fcc251ccdd3570417",
         "trace.csv": "057ed154289352db2660b36b20ddfeb20cfbedd3dcd145382ad5a8693bdb01c3",
         "stdout": "e15eaa5a1bfe6e2f176d05a3ed40339e413e962fed826939f0de12674eef8c58",
     },
     # aging evolution at the gt-evolution benchmark's shape, and at (7,9)
     ("run", "--algo", "evolution", "--fitness", "oracle", "--limits", "5,9",
      "--population-size", "50", "--sample-size", "10", "--cycles", "400", "--seed", "4"): {
-        "summary.json": "f26ca6f1b5185161d66320db547af497158e88225c6dbe552888644043d4693a",
+        "summary.json": "f7c3a8ed3f18b5907229c7721c5a0e048a438a09e26df6ae45920f6901248c84",
         "trace.csv": "41ea21e897cc24048e7bb6626378ac0a7c88a368e242e183752bc67730f7965e",
         "stdout": "38fb0b85fea502b1a6b66d1b469cae35088cd8bebd596246d60c82d001b20604",
     },
     ("run", "--algo", "evolution", "--fitness", "oracle", "--limits", "7,9",
      "--cycles", "300", "--seed", "5"): {
-        "summary.json": "d100acabaee78ef61bbd6fdfa21a8e6602d7ba0be28d827d0f52f57f5fea7b7f",
+        "summary.json": "5bc41cf222e5c6f7204679014064edf6e1f08ea445f2c20cc04b62bf2b985d72",
         "trace.csv": "df5354ea7cb0e8f07e5573d209f5683a44d62fbcd7bbb49743ff28f79e36130b",
         "stdout": "c4270acd1ab1dfa5cad5ae0380efd7b93feb5a6658d8526783d38d08745be111",
     },
@@ -1260,7 +1266,8 @@ def _json_leaves(obj):
 
 # the phases of a predictor run's summary and the entries of each
 _PHASES = {
-    "labeling": ("heldout_accuracy", "oracle_queries", "positives", "sim_seconds", "threshold"),
+    "labeling": ("heldout_accuracy", "oracle_queries", "positives", "sim_seconds", "threshold",
+                 "train_loss", "train_size"),
     "revalidation": ("memo_hits", "oracle_queries", "sim_seconds"),
     "search": ("predictor_queries", "sim_seconds"),
 }
@@ -1270,9 +1277,9 @@ _LEGAL_READ_VALUES = {
     "best_hash": ('"x"', "null"),
     "best_true_acc": ("null", "1.5"),
     "total_sim_seconds": ("1.5",),
-    # phases: each phase a dict of reals, and no phase is required
+    # phases: no phase is required, and each present one holds the entries
+    # a run writes, each a real
     "phases": ("{}",),
-    **{f"phases.{phase}": ("{}",) for phase in _PHASES},
     **{f"phases.{phase}.{name}": ("1.5",) for phase, names in _PHASES.items() for name in names},
     "threshold_used": ("1.5",),
     "threshold": ("1.5",),
@@ -1321,8 +1328,8 @@ def test_every_summary_field_refuses_each_bad_value(capsys, written, tmp_path):
     assert {phase: tuple(entries) for phase, entries in obj["phases"].items()} == _PHASES
     leaves = list(_json_leaves(obj))
     # best_spec's three and counts' four among the summary's own 12, and
-    # the phases' 10 entries
-    assert len(leaves) == 12 + 10 + len(list(_config_field_paths()))
+    # the phases' 12 entries
+    assert len(leaves) == 12 + 12 + len(list(_config_field_paths()))
     leaves += ["phases", *(f"phases.{phase}" for phase in _PHASES)]
     bad = tmp_path / "summary.json"
     for leaf, value in _refused(read_summary, bad, lines, 0, leaves, numbered=False):
@@ -1346,6 +1353,32 @@ def test_a_summary_with_an_unknown_key_is_refused(capsys, written, tmp_path):
         kind = where[0] if where else "summary"
         message = f"{bad}: unknown {kind} keys: [{key!r}]"
         with pytest.raises(ParseError, match=re.escape(message)):
+            read_summary(bad)
+        code, stdout, err = run_cli(capsys, "compare", str(bad), str(good), "--target", "0.5")
+        assert code == 2 and stdout == "" and message in err, err
+
+
+def test_a_summary_phase_holds_the_entries_a_run_writes(capsys, written, tmp_path):
+    # phases {"bogus": {"x": 1.0}} and an added phases.labeling.extra were
+    # read; each present phase is held to the entries run_experiment writes
+    # for it, and a ground-truth run's search phase reads back too
+    good = written / "run" / "summary.json"
+    obj = json.loads(good.read_text())
+    bad = tmp_path / "summary.json"
+    searched = {"sim_seconds": 1.5, "oracle_queries": 3, "memo_hits": 0}
+    bad.write_text(json.dumps({**obj, "phases": {"search": searched}}) + "\n")
+    assert read_summary(bad).phases == {"search": searched}
+    labeling = obj["phases"]["labeling"]
+    for phase, entries in (
+        ("bogus", {"x": 1.0}),
+        ("labeling", {**labeling, "extra": 1.0}),
+        ("labeling", {name: v for name, v in labeling.items() if name != "train_loss"}),
+        ("search", {**searched, "predictor_queries": 5}),
+        ("revalidation", {"sim_seconds": 0.0}),
+    ):
+        bad.write_text(json.dumps({**obj, "phases": {**obj["phases"], phase: entries}}) + "\n")
+        message = f"no run writes phase {phase!r} with entries {sorted(entries)}"
+        with pytest.raises(ParseError, match=re.escape(f"{bad}: {message}")):
             read_summary(bad)
         code, stdout, err = run_cli(capsys, "compare", str(bad), str(good), "--target", "0.5")
         assert code == 2 and stdout == "" and message in err, err

@@ -184,9 +184,8 @@ def test_config_echo_schema():
         "beta": 0.9,
     }
     assert obj["predictor"] == {
-        "learning_rate": 0.05,
+        "learning_rate": 0.2,
         "epochs": 200,
-        "batch": 16,
         "hidden_size": 16,
         "init_scale": 0.4,
         "heldout_fraction": 0.2,

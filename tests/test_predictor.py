@@ -19,6 +19,7 @@ from cellsearch.errors import (
     ParseError,
     ShapeError,
 )
+from cellsearch.harness import ExperimentConfig
 from cellsearch.predictor import (
     ALPHABET_SIZE,
     EDGE_0,
@@ -364,23 +365,18 @@ def _reference_loss_and_grad(params, batch):
 
 
 def _reference_train(data, cfg, seed):
-    """train as first written: encode per item, a list batch per step,
-    padded per call, and the update through flatten() and from_flat."""
+    """train as first written, at one batch per epoch: encode per item, the
+    whole list as the batch in data order, padded per call, and the update
+    through flatten() and from_flat."""
     encoded = [(encode(spec), label) for spec, label in data]
     params = RnnParams.seeded(seed, cfg.hidden_size, cfg.init_scale)
-    gen = np.random.default_rng(seed + 1)
     losses = []
     for _ in range(cfg.epochs):
-        order = gen.permutation(len(encoded))
-        total = 0.0
-        for start in range(0, len(encoded), cfg.batch):
-            batch = [encoded[i] for i in order[start : start + cfg.batch]]
-            loss, g = _reference_loss_and_grad(params, batch)
-            total += loss * len(batch)
-            params = RnnParams.from_flat(
-                params.flatten() - cfg.learning_rate * g.flatten(), cfg.hidden_size
-            )
-        losses.append(total / len(encoded))
+        loss, g = _reference_loss_and_grad(params, encoded)
+        losses.append(loss)
+        params = RnnParams.from_flat(
+            params.flatten() - cfg.learning_rate * g.flatten(), cfg.hidden_size
+        )
     return params, losses
 
 
@@ -409,6 +405,7 @@ def _assert_params_equal(a, b):
 # take paths of their own, so identity is checked at each of these.
 HIDDEN_SIZES = (1, 2, 3, 4, 8, 16)
 BATCH_SIZES = (1, 2, 5, 16)
+EPOCH_COUNTS = (1, 2, 5, 16)
 
 
 _SEEDED = RnnParams.seeded
@@ -424,19 +421,18 @@ def _signed_zero_b_h(seed, hidden_size, init_scale=predictor.DEFAULT_INIT_SCALE)
 
 
 @pytest.mark.parametrize("signed_zero_b_h", [False, True])
-@pytest.mark.parametrize("batch", BATCH_SIZES)
+@pytest.mark.parametrize("epochs", EPOCH_COUNTS)
 @pytest.mark.parametrize("hidden", HIDDEN_SIZES)
 def test_train_is_bit_identical_to_the_per_batch_reference(
-    monkeypatch, hidden, batch, signed_zero_b_h
+    monkeypatch, hidden, epochs, signed_zero_b_h
 ):
-    # padding once, slicing each minibatch and summing the gradients out of
-    # the recurrence must not move a single bit of the trained parameters
+    # padding once, one full-batch step per epoch and summing the gradients
+    # out of the recurrence must not move a single bit of the trained
+    # parameters or of any epoch's loss
     if signed_zero_b_h:
         monkeypatch.setattr(RnnParams, "seeded", _signed_zero_b_h)
     data = _mixed_length_pool()
-    # 8 epochs at batch 16, as first written; fewer at the smaller batches
-    cfg = TrainConfig(epochs=max(1, batch // 2), batch=batch, hidden_size=hidden)
-    assert len(data) % 16 and len(data) % 2  # a short last batch too
+    cfg = TrainConfig(epochs=epochs, hidden_size=hidden)
     params, losses = train(data, cfg, 4)
     ref_params, ref_losses = _reference_train(data, cfg, 4)
     _assert_params_equal(params, ref_params)
@@ -452,6 +448,10 @@ def test_loss_and_grad_equals_the_reference_exactly(hidden):
     batches = [rng.sample(encoded, size) for size in BATCH_SIZES for _ in range(6)]
     # a 2-token row padded at 12 of 14 steps, and a batch with no padding
     batches += [[shortest] + longest[:size - 1] for size in BATCH_SIZES[1:]] + [longest[:5]]
+    # the shapes training runs: the whole pool (85 rows), and 145 rows, the
+    # largest C1 training set
+    assert len(encoded) == 85
+    batches += [encoded, rng.choices(encoded, k=145)]
     live_and_masked = set()
     for params in (RnnParams.seeded(13, hidden), _signed_zero_b_h(13, hidden)):
         for batch in batches:
@@ -493,9 +493,9 @@ def test_scoring_and_training_agree_bit_for_bit(hidden):
             assert _bits(g.b_o) == _bits(forward(params, seq))
 
 
-def test_train_calls_loss_and_grad_once_per_minibatch(monkeypatch):
+def test_train_calls_loss_and_grad_once_per_epoch_on_all_rows(monkeypatch):
     # perfbench's tracer counts calls to the module attribute, so train must
-    # look it up there, once per minibatch
+    # look it up there, once per epoch, each time on every training row
     calls = []
     real = predictor.loss_and_grad
 
@@ -505,10 +505,9 @@ def test_train_calls_loss_and_grad_once_per_minibatch(monkeypatch):
 
     monkeypatch.setattr(predictor, "loss_and_grad", counting)
     train_set, _, _ = _split(_toy_dataset(), 5)
-    cfg = TrainConfig(epochs=3, batch=16)
+    cfg = TrainConfig(epochs=3)
     train(train_set, cfg, 9)
-    assert len(calls) == cfg.epochs * math.ceil(len(train_set) / cfg.batch)
-    assert sum(calls) == cfg.epochs * len(train_set)
+    assert calls == [len(train_set)] * cfg.epochs
 
 
 def test_train_refuses_a_label_that_is_not_0_or_1(two_vertex, chain3_conv1x1):
@@ -531,8 +530,10 @@ def test_train_config_validation():
         TrainConfig(learning_rate=0.0)
     with pytest.raises(ConfigError):
         TrainConfig(epochs=0)
-    with pytest.raises(ConfigError):
-        TrainConfig(batch=-1)
+    # training takes one full-batch step per epoch: a config that still
+    # sets a minibatch size is refused, naming the key
+    with pytest.raises(ConfigError, match=r"config key 'predictor'.*batch"):
+        ExperimentConfig.from_json_obj({"predictor": {"batch": 16}})
     # nan <= 0 is False, so these once passed: a NaN or infinite rate
     # trained until the parameters went non-finite, and 1e308 overflowed
     # the width of the uniform init draw
@@ -552,7 +553,7 @@ def test_train_config_validation():
 
 def test_train_raises_on_the_step_that_leaves_a_non_finite_parameter(monkeypatch):
     # no finite config reaches the per-step check, so a NaN gradient is
-    # planted on the third minibatch
+    # planted on the third epoch's step
     calls = []
     real = predictor.loss_and_grad
 
@@ -565,10 +566,9 @@ def test_train_raises_on_the_step_that_leaves_a_non_finite_parameter(monkeypatch
 
     monkeypatch.setattr(predictor, "loss_and_grad", poisoned)
     train_set, _, _ = _split(_toy_dataset(), 5)
-    assert len(train_set) > 3 * 16
     with pytest.raises(ShapeError, match="non-finite"):
-        train(train_set, TrainConfig(epochs=2, batch=16), 9)
-    assert len(calls) == 3
+        train(train_set, TrainConfig(epochs=5), 9)
+    assert calls == [len(train_set)] * 3
 
 
 # ---------------------------------------------------------------------------
