@@ -171,12 +171,15 @@ def effective_label_threshold(cfg: ExperimentConfig) -> float:
 _PLAIN = ("best_hash", "best_true_acc", "total_sim_seconds", "seed", "improvements", "phases")
 _COUNTS = ("evaluations", "labels", "invalid_samples", "memo_hits")
 _PAID = {"sim_seconds", "oracle_queries", "memo_hits"}
-# phase -> each entry set `run_experiment` writes for it
+# fitness -> each phase `run_experiment` writes for a run of it -> the phase's entries
 _PHASE_ENTRIES = {
-    "labeling": [{"sim_seconds", "oracle_queries", "positives", "threshold", "train_size",
-                  "train_loss", "heldout_accuracy"}],
-    "search": [_PAID, {"sim_seconds", "predictor_queries"}],
-    "revalidation": [_PAID],
+    "ORACLE": {"search": _PAID},
+    "PREDICTOR": {
+        "labeling": {"sim_seconds", "oracle_queries", "positives", "threshold", "train_size",
+                     "train_loss", "heldout_accuracy"},
+        "search": {"sim_seconds", "predictor_queries"},
+        "revalidation": _PAID,
+    },
 }
 
 
@@ -224,8 +227,9 @@ class RunSummary:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "RunSummary":
         """Inverse of to_json_obj, each value held to its annotation. An
-        unknown key (top level or "counts"), or a phase that no run writes
-        with its entries, raises ValueError naming it."""
+        unknown key (top level or "counts"), a set of phases other than the
+        one a run of the echoed config's fitness writes, or a phase without
+        its entries, raises ValueError naming it."""
         for where, names, keys in (("summary", {*_PLAIN, "counts", "best_spec", "config"}, obj),
                                    ("counts", _COUNTS, obj["counts"])):
             unknown = set(keys) - set(names)
@@ -239,9 +243,16 @@ class RunSummary:
             config=ExperimentConfig.from_json_obj(obj["config"]),
         )
         check_fields(summary)
+        run = f"a run of fitness {summary.config.fitness} writes"
+        expected = _PHASE_ENTRIES[summary.config.fitness]
+        missing, extra = expected.keys() - summary.phases, summary.phases.keys() - expected
+        if missing or extra:
+            raise ValueError(f"{run} phases {sorted(expected)}: missing {sorted(missing)},"
+                             f" extra {sorted(extra)}")
         for phase, entries in summary.phases.items():
-            if set(entries) not in _PHASE_ENTRIES.get(phase, []):
-                raise ValueError(f"no run writes phase {phase!r} with entries {sorted(entries)}")
+            if set(entries) != expected[phase]:
+                raise ValueError(f"{run} phase {phase!r} with entries"
+                                 f" {sorted(expected[phase])}, not {sorted(entries)}")
         return summary
 
 

@@ -151,38 +151,74 @@ def _check_tokens(seq) -> np.ndarray:
     return tokens
 
 
-def _run(params: RnnParams, X: np.ndarray, padded: np.ndarray):
+class _Steps:
+    """The time-major form of a left-padded (B, T) batch and the buffers the
+    recurrence `_run` writes for it at hidden size H, in place on every
+    run. `forward` builds one per call; a `Workspace` adds what the
+    backward pass needs."""
+
+    def __init__(self, X: np.ndarray, M: np.ndarray, hidden_size: int):
+        (B, T), H = X.shape, hidden_size
+        self.tokens = np.ascontiguousarray(X.T)  # (T, B): the W_x gather reads these
+        self.padded = ~M.T  # padded[t]: rows still padding at step t
+        self.x_in = np.empty((T, B, H))
+        self.bias = np.empty((B, H))
+        self.a = np.empty((B, H))
+        self.hs = np.zeros((T + 1, B, H))  # hs[0], the zero state, is never written
+        # The gradients read a copy whose rows lie H+1 apart: BLAS sums a
+        # dense matrix of at most 3 columns, and a unit-stride dot, in an
+        # order of its own, which would round w_o's gradient (at hidden 1
+        # W_h's) differently.
+        self.states = np.empty((T + 1, B, H + 1))[:, :, :H]
+
+
+class Workspace(_Steps):
+    """A padded batch (X, M, y) as `pad_batch` builds it, with everything
+    `loss_and_grad` computes from it alone and every buffer the kernel
+    writes at hidden size H. `train` builds one and each epoch's call
+    writes into it; a workspace serves parameters of its hidden size
+    only."""
+
+    def __init__(self, X: np.ndarray, M: np.ndarray, y: np.ndarray, hidden_size: int):
+        super().__init__(X, M, hidden_size)
+        (B, T), H = X.shape, hidden_size
+        self.y = y
+        self.padded_backward = self.padded[::-1].copy()  # step T-1 first
+        self.das = np.empty((T, B, H))
+        self.terms = np.empty((T, H + 1, H))
+        # das[k, b, j] adds into the W_x gradient at (token of row b at step T-1-k, j)
+        self.bins = (self.tokens[::-1, :, None] * H + np.arange(H)).ravel()
+
+
+def _run(params: RnnParams, steps: _Steps):
     """The recurrence over a left-padded batch, which scoring and training
-    both run: X is (B, T) tokens and `padded[t]` the rows still padding at
-    step t. Returns (states, p): states[t], every row's state before step
-    t, in a (T+1, B, H) buffer whose rows lie H+1 apart, and each row's
-    P(label = 1).
+    both run, written into `steps`' buffers. Returns (states, p): states[t],
+    every row's state before step t, in a (T+1, B, H) buffer whose rows lie
+    H+1 apart, and each row's P(label = 1).
 
     States are time-major, so a step reads and writes contiguous (B, H)
     blocks, and no step masks the padding: a padded slot's input is -b_h.
     A zero state times W_h is ±0, (-b + ±0) + b is exactly +0.0 for every
     finite b (±0 too) and tanh(+0.0) is +0.0, so a row stays at the zero
-    state until its first token. b_h is added from a (B, H) block filled
-    once: a same-shape add has the bits of the broadcast add at under half
-    its cost."""
-    (B, T), H = X.shape, params.hidden_size
-    W_hT, b_h = params.W_h.T, params.b_h
-    x_in = params.W_x.T[X.T]  # (T, B, H): the input column of every token
-    x_in[padded] = -b_h
-    bias = np.full((B, H), b_h)
+    state until its first token. b_h is added from a (B, H) block: a
+    same-shape add has the bits of the broadcast add at under half its
+    cost."""
+    T = steps.tokens.shape[0]
+    x_in, hs, a = steps.x_in, steps.hs, steps.a
+    # tokens are checked in the alphabet already; clip keeps `take` from
+    # buffering its output
+    np.take(params.W_x.T, steps.tokens, axis=0, out=x_in, mode="clip")
+    x_in[steps.padded] = -params.b_h
+    steps.bias[...] = params.b_h
 
-    hs = np.zeros((T + 1, B, H))
-    a = np.empty((B, H))
+    W_hT = params.W_h.T
     for t in range(T):
         hs[t].dot(W_hT, out=a)
         a += x_in[t]
-        a += bias
+        a += steps.bias
         np.tanh(a, out=hs[t + 1])
 
-    # The gradients read a copy whose rows lie H+1 apart: BLAS sums a dense
-    # matrix of at most 3 columns, and a unit-stride dot, in an order of its
-    # own, which would round w_o's gradient (at hidden 1 W_h's) differently.
-    states = np.empty((T + 1, B, H + 1))[:, :, :H]
+    states = steps.states
     states[...] = hs
     return states, _prob(states[T] @ params.w_o + params.b_o)
 
@@ -193,17 +229,17 @@ def forward(params: RnnParams, seq) -> float:
     for bit. ShapeError unless `seq` is a nonempty 1-d sequence of integer
     token ids in the alphabet."""
     X = _check_tokens(seq)[None]
-    _, p = _run(params, X, np.zeros(X.shape[::-1], dtype=bool))  # no padded slot
+    _, p = _run(params, _Steps(X, np.ones(X.shape, dtype=bool), params.hidden_size))
     return float(p[0])
 
 
 def pad_batch(batch):
     """Check a list of (token sequence, 0/1 label) and left-pad it into the
-    form `loss_and_grad` takes: (X, M, y), an (n, T) int64 token array with
-    T the longest sequence and token 0 in padded slots, its (n, T) bool
-    mask of real tokens, and the (n,) float labels. A sequence that
-    `forward` would refuse raises ShapeError, and a label that is not the
-    int 0 or 1 ConfigError."""
+    form a `Workspace` is built from: (X, M, y), an (n, T) int64 token
+    array with T the longest sequence and token 0 in padded slots, its
+    (n, T) bool mask of real tokens, and the (n,) float labels. A sequence
+    that `forward` would refuse raises ShapeError, and a label that is not
+    the int 0 or 1 ConfigError."""
     if not batch:
         raise ValueError("empty batch")
     seqs = [_check_tokens(seq) for seq, _ in batch]
@@ -219,44 +255,44 @@ def pad_batch(batch):
     return X, M, y
 
 
-def loss_and_grad(params: RnnParams, X: np.ndarray, M: np.ndarray, y: np.ndarray):
+def loss_and_grad(params: RnnParams, work: Workspace):
     """Mean binary cross-entropy over a padded batch plus exact gradients.
 
-    (X, M, y) is a batch as `pad_batch` builds it. The forward pass is the
-    kernel `forward` scores with, so a row's probability here is bit for
-    bit its score. Returns (loss, RnnParams-shaped gradient), bit for bit
-    what running each sequence alone from the zero state and adding its
-    steps' gradients one at a time gives. Padded rows run the backward
-    pass unmasked, since their gradients only reach their own earlier,
-    also padded, steps; their slots are zeroed once.
+    `work` holds the batch and the buffers this call writes. The forward
+    pass is the kernel `forward` scores with, so a row's probability here
+    is bit for bit its score. Returns (loss, RnnParams-shaped gradient),
+    bit for bit what running each sequence alone from the zero state and
+    adding its steps' gradients one at a time gives; the gradient shares
+    no memory with `work`. Padded rows run the backward pass unmasked,
+    since their gradients only reach their own earlier, also padded,
+    steps; their slots are zeroed once.
     """
-    (B, T), H = X.shape, params.hidden_size
-    padded = ~M.T  # padded[t]: rows still padding at step t
-    states, p = _run(params, X, padded)
-    hT = states[T]
+    (T, B), H = work.tokens.shape, params.hidden_size
+    states, p = _run(params, work)
+    hT, y = states[T], work.y
     loss = float(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)).sum() / B)
     dz = (p - y) / B
 
     # Backprop through time: das[k], at first the tanh' of step T-1-k,
     # becomes its pre-activation gradient.
-    das = np.square(states[T:0:-1])
+    das = work.das
+    np.square(states[T:0:-1], out=das)
     np.subtract(1.0, das, out=das)
     dh, W_h = dz[:, None] * params.w_o, params.W_h
     for da in das:
         da *= dh
         da.dot(W_h, out=dh)
-    das[padded[::-1]] = 0.0
+    das[work.padded_backward] = 0.0
 
     # Each parameter sum runs over t descending, b ascending, from +0.0.
     # W_h's and b_h's step terms share one array, so that at hidden 1 too
     # the sum over t adds rows elementwise; numpy sums a lone row pairwise.
-    terms = np.empty((T, H + 1, H))
+    terms = work.terms
     np.matmul(das.transpose(0, 2, 1), states[T - 1 :: -1], out=terms[:, :H])
     np.add.reduce(das, 1, out=terms[:, H])
     sums = np.add.reduce(terms, 0, initial=0.0)
-    bins = (X.T[::-1, :, None] * H + np.arange(H)).ravel()
     g = RnnParams(
-        W_x=np.bincount(bins, das.ravel(), ALPHABET_SIZE * H).reshape(ALPHABET_SIZE, H).T,
+        W_x=np.bincount(work.bins, das.ravel(), ALPHABET_SIZE * H).reshape(ALPHABET_SIZE, H).T,
         W_h=sums[:H],
         b_h=sums[H],
         w_o=hT.T @ dz,
@@ -338,9 +374,11 @@ def stratified_split(
 
 def train(data, cfg: TrainConfig, seed: int):
     """Full-batch gradient descent on (spec, y) pairs from a uniform init
-    drawn from `seed`: one exact step on every row per epoch, updating one
-    flat vector in place and reading it back through `RnnParams.from_flat`,
-    so a step that leaves a non-finite entry raises ShapeError.
+    drawn from `seed`: one exact step on every row per epoch, each epoch's
+    `loss_and_grad` writing into the one `Workspace` built for this call,
+    updating one flat vector in place and reading it back through
+    `RnnParams.from_flat`, so a step that leaves a non-finite entry raises
+    ShapeError.
 
     Returns (params, each epoch's full-batch loss before its step). Fails
     fast when the data cannot define the task (a single class present)."""
@@ -352,12 +390,12 @@ def train(data, cfg: TrainConfig, seed: int):
         raise DegenerateDataError(
             f"training set has {n_pos}/{n} positives; both classes are required"
         )
-    X, M, y = pad_batch([(encode(spec), label) for spec, label in data])
+    work = Workspace(*pad_batch([(encode(spec), label) for spec, label in data]), cfg.hidden_size)
     theta = RnnParams.seeded(seed, cfg.hidden_size, cfg.init_scale).flatten()
     params = RnnParams.from_flat(theta, cfg.hidden_size)  # views into theta
     epoch_losses = []
     for _ in range(cfg.epochs):
-        loss, g = loss_and_grad(params, X, M, y)
+        loss, g = loss_and_grad(params, work)
         epoch_losses.append(loss)
         theta -= cfg.learning_rate * g.flatten()
         params = RnnParams.from_flat(theta, cfg.hidden_size)

@@ -37,7 +37,7 @@ from cellsearch.oracle import (
     SyntheticOracleParams,
     synth_record,
 )
-from cellsearch.predictor import RnnParams, encode, loss_and_grad, pad_batch
+from cellsearch.predictor import RnnParams, Workspace, encode, loss_and_grad, pad_batch
 from cellsearch.reinforce import (
     ControllerState,
     DecisionSchedule,
@@ -283,12 +283,12 @@ def test_criterion_6_gradient_checks(capsys):
         specs = [
             cellspace.random_spec(rng, LIMITS) for _ in range(rng.randint(1, 3))
         ]
-        batch = pad_batch([(encode(s), rng.randrange(2)) for s in specs])
+        work = Workspace(*pad_batch([(encode(s), rng.randrange(2)) for s in specs]), hidden)
 
         def floss(theta):
-            return loss_and_grad(RnnParams.from_flat(theta, hidden), *batch)[0]
+            return loss_and_grad(RnnParams.from_flat(theta, hidden), work)[0]
 
-        _, grad = loss_and_grad(RnnParams.from_flat(theta0, hidden), *batch)
+        _, grad = loss_and_grad(RnnParams.from_flat(theta0, hidden), work)
         worst_pred = max(
             worst_pred,
             max_relative_error(grad.flatten(), central_differences(floss, theta0)),

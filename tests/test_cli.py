@@ -1277,9 +1277,8 @@ _LEGAL_READ_VALUES = {
     "best_hash": ('"x"', "null"),
     "best_true_acc": ("null", "1.5"),
     "total_sim_seconds": ("1.5",),
-    # phases: no phase is required, and each present one holds the entries
-    # a run writes, each a real
-    "phases": ("{}",),
+    # phases: a run writes each phase of its fitness, each with the entries
+    # it writes, each a real
     **{f"phases.{phase}.{name}": ("1.5",) for phase, names in _PHASES.items() for name in names},
     "threshold_used": ("1.5",),
     "threshold": ("1.5",),
@@ -1358,30 +1357,72 @@ def test_a_summary_with_an_unknown_key_is_refused(capsys, written, tmp_path):
         assert code == 2 and stdout == "" and message in err, err
 
 
+def _refuses_summary(capsys, bad, good, obj, message):
+    """`bad`, written as `obj`, is refused with `message` by read_summary,
+    and compare on it exits 2 with the same message."""
+    bad.write_text(json.dumps(obj) + "\n")
+    with pytest.raises(ParseError, match=re.escape(f"{bad}: {message}")):
+        read_summary(bad)
+    code, stdout, err = run_cli(capsys, "compare", str(bad), str(good), "--target", "0.5")
+    assert code == 2 and stdout == "" and message in err, err
+
+
 def test_a_summary_phase_holds_the_entries_a_run_writes(capsys, written, tmp_path):
     # phases {"bogus": {"x": 1.0}} and an added phases.labeling.extra were
     # read; each present phase is held to the entries run_experiment writes
-    # for it, and a ground-truth run's search phase reads back too
+    # for it in a run of the echoed fitness
     good = written / "run" / "summary.json"
     obj = json.loads(good.read_text())
     bad = tmp_path / "summary.json"
     searched = {"sim_seconds": 1.5, "oracle_queries": 3, "memo_hits": 0}
-    bad.write_text(json.dumps({**obj, "phases": {"search": searched}}) + "\n")
+    gt = {**obj, "config": {**obj["config"], "fitness": "ORACLE"}, "phases": {"search": searched}}
+    bad.write_text(json.dumps(gt) + "\n")
     assert read_summary(bad).phases == {"search": searched}
     labeling = obj["phases"]["labeling"]
-    for phase, entries in (
-        ("bogus", {"x": 1.0}),
-        ("labeling", {**labeling, "extra": 1.0}),
-        ("labeling", {name: v for name, v in labeling.items() if name != "train_loss"}),
-        ("search", {**searched, "predictor_queries": 5}),
-        ("revalidation", {"sim_seconds": 0.0}),
+    for phase, entries, expected in (
+        ("labeling", {**labeling, "extra": 1.0}, sorted(labeling)),
+        ("labeling", {name: v for name, v in labeling.items() if name != "train_loss"},
+         sorted(labeling)),
+        ("search", searched, ["predictor_queries", "sim_seconds"]),
+        ("search", {**searched, "predictor_queries": 5}, ["predictor_queries", "sim_seconds"]),
+        ("revalidation", {"sim_seconds": 0.0}, sorted(searched)),
     ):
-        bad.write_text(json.dumps({**obj, "phases": {**obj["phases"], phase: entries}}) + "\n")
-        message = f"no run writes phase {phase!r} with entries {sorted(entries)}"
-        with pytest.raises(ParseError, match=re.escape(f"{bad}: {message}")):
-            read_summary(bad)
-        code, stdout, err = run_cli(capsys, "compare", str(bad), str(good), "--target", "0.5")
-        assert code == 2 and stdout == "" and message in err, err
+        message = (f"a run of fitness PREDICTOR writes phase {phase!r} with entries {expected},"
+                   f" not {sorted(entries)}")
+        _refuses_summary(capsys, bad, good, {**obj, "phases": {**obj["phases"], phase: entries}},
+                         message)
+    _refuses_summary(capsys, bad, good, {**gt, "phases": {"search": {}}},
+                     "a run of fitness ORACLE writes phase 'search' with entries"
+                     f" {sorted(searched)}, not []")
+
+
+def test_a_summary_holds_the_phases_its_fitness_writes(capsys, written, tmp_path):
+    # a predictor summary whose phases were a lone search phase was read,
+    # though a predictor run writes labeling, search and revalidation; a
+    # ground-truth run writes its paid search alone
+    good = written / "run" / "summary.json"
+    obj = json.loads(good.read_text())
+    bad = tmp_path / "summary.json"
+    predictor_phases = "['labeling', 'revalidation', 'search']"
+    searched = {"sim_seconds": 0.0, "predictor_queries": 5}
+    gt_config = {**obj["config"], "fitness": "ORACLE"}
+    for config, phases, message in (
+        (obj["config"], {"search": searched},
+         f"a run of fitness PREDICTOR writes phases {predictor_phases}:"
+         " missing ['labeling', 'revalidation'], extra []"),
+        (obj["config"], {**obj["phases"], "bogus": {"x": 1.0}},
+         f"a run of fitness PREDICTOR writes phases {predictor_phases}:"
+         " missing [], extra ['bogus']"),
+        (obj["config"], {},
+         f"a run of fitness PREDICTOR writes phases {predictor_phases}:"
+         " missing ['labeling', 'revalidation', 'search'], extra []"),
+        (gt_config, obj["phases"],
+         "a run of fitness ORACLE writes phases ['search']:"
+         " missing [], extra ['labeling', 'revalidation']"),
+        (gt_config, {},
+         "a run of fitness ORACLE writes phases ['search']: missing ['search'], extra []"),
+    ):
+        _refuses_summary(capsys, bad, good, {**obj, "config": config, "phases": phases}, message)
 
 
 def test_every_predictor_metadata_field_refuses_each_bad_value(written, tmp_path):

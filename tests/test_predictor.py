@@ -6,6 +6,7 @@ import json
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from cellsearch.predictor import (
     RnnParams,
     TrainConfig,
     TrainedPredictor,
+    Workspace,
     encode,
     forward,
     heldout_accuracy,
@@ -57,6 +59,12 @@ def zero_params(hidden_size=predictor.DEFAULT_HIDDEN):
     """Every parameter 0, as views into one vector of the shared layout."""
     size = flatparams.size(predictor._shapes(hidden_size))
     return RnnParams.from_flat(np.zeros(size), hidden_size)
+
+
+def batch_loss_and_grad(params, batch):
+    """loss_and_grad on a list of (token sequence, label), padded into a
+    workspace of its own."""
+    return loss_and_grad(params, Workspace(*pad_batch(batch), params.hidden_size))
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +153,7 @@ def test_forward_stays_inside_open_interval(two_vertex):
         p = forward(params, seq)
         assert 0.0 < p < 1.0
         # and the resulting loss is finite
-        loss, _ = loss_and_grad(params, *pad_batch([(seq, 0), (seq, 1)]))
+        loss, _ = batch_loss_and_grad(params, [(seq, 0), (seq, 1)])
         assert math.isfinite(loss)
 
 
@@ -200,7 +208,7 @@ def test_from_flat_rejects_non_finite_parameters():
 def test_loss_zero_params_is_ln2(two_vertex, chain3_conv1x1):
     params = zero_params()
     batch = [(encode(two_vertex), 0), (encode(chain3_conv1x1), 1)]
-    loss, _ = loss_and_grad(params, *pad_batch(batch))
+    loss, _ = batch_loss_and_grad(params, batch)
     assert abs(loss - math.log(2)) < 1e-15
 
 
@@ -210,7 +218,7 @@ def test_loss_matches_reference_bce_mixed_lengths():
     specs = [cellspace.random_spec(rng, SpaceLimits(7, 9)) for _ in range(8)]
     labels = [rng.randrange(2) for _ in specs]
     batch = [(encode(s), y) for s, y in zip(specs, labels)]
-    loss, _ = loss_and_grad(params, *pad_batch(batch))
+    loss, _ = batch_loss_and_grad(params, batch)
     expected = float(
         np.mean(
             [
@@ -246,13 +254,14 @@ def test_gradients_match_finite_differences():
             cellspace.random_spec(rng, SpaceLimits(7, 9))
             for _ in range(rng.randint(1, 5))
         ]
-        batch = pad_batch([(encode(s), rng.randrange(2)) for s in specs])
+        # one workspace serves every parameter vector of the sweep
+        work = Workspace(*pad_batch([(encode(s), rng.randrange(2)) for s in specs]), hidden)
 
         def f(theta):
-            loss, _ = loss_and_grad(RnnParams.from_flat(theta, hidden), *batch)
+            loss, _ = loss_and_grad(RnnParams.from_flat(theta, hidden), work)
             return loss
 
-        _, grad = loss_and_grad(RnnParams.from_flat(theta0, hidden), *batch)
+        _, grad = loss_and_grad(RnnParams.from_flat(theta0, hidden), work)
         numeric = central_differences(f, theta0)
         err = max_relative_error(grad.flatten(), numeric)
         worst = max(worst, err)
@@ -261,7 +270,7 @@ def test_gradients_match_finite_differences():
 
 def test_loss_rejects_empty_batch():
     with pytest.raises(ValueError):
-        loss_and_grad(zero_params(), *pad_batch([]))
+        batch_loss_and_grad(zero_params(), [])
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +466,7 @@ def test_loss_and_grad_equals_the_reference_exactly(hidden):
         for batch in batches:
             X, M, y = pad_batch(batch)
             live_and_masked.update(M.all(axis=0).tolist())
-            loss, g = loss_and_grad(params, X, M, y)
+            loss, g = loss_and_grad(params, Workspace(X, M, y, hidden))
             ref_loss, ref_g = _reference_loss_and_grad(params, batch)
             assert loss == ref_loss
             _assert_params_equal(g, ref_g)
@@ -489,25 +498,92 @@ def test_scoring_and_training_agree_bit_for_bit(hidden):
     for params in (RnnParams.seeded(13, hidden), _signed_zero_b_h(13, hidden)):
         for spec, _ in _mixed_length_pool():
             seq = encode(spec)
-            _, g = loss_and_grad(params, *pad_batch([(seq, 0)]))
+            _, g = batch_loss_and_grad(params, [(seq, 0)])
             assert _bits(g.b_o) == _bits(forward(params, seq))
 
 
 def test_train_calls_loss_and_grad_once_per_epoch_on_all_rows(monkeypatch):
     # perfbench's tracer counts calls to the module attribute, so train must
-    # look it up there, once per epoch, each time on every training row
-    calls = []
+    # look it up there, once per epoch, each time on every training row and
+    # in the one workspace train built
+    calls, works = [], []
     real = predictor.loss_and_grad
 
-    def counting(*args):
-        calls.append(args[1].shape[0])
-        return real(*args)
+    def counting(params, work):
+        calls.append(len(work.y))
+        works.append(work)
+        return real(params, work)
 
     monkeypatch.setattr(predictor, "loss_and_grad", counting)
     train_set, _, _ = _split(_toy_dataset(), 5)
     cfg = TrainConfig(epochs=3)
     train(train_set, cfg, 9)
     assert calls == [len(train_set)] * cfg.epochs
+    assert all(work is works[0] for work in works)
+
+
+@pytest.mark.parametrize("hidden", HIDDEN_SIZES)
+def test_a_reused_workspace_gives_each_call_the_reference_bits(hidden):
+    # train writes every epoch into one workspace: nothing a call leaves in
+    # it (the zero state row, the padded slots' inputs, the b_h block) may
+    # reach a later call, and no gradient may share its memory
+    batch = [(encode(s), y) for s, y in _mixed_length_pool()]
+    work = Workspace(*pad_batch(batch), hidden)
+    results = []
+    for seed, make in enumerate((_SEEDED, _signed_zero_b_h, _SEEDED)):
+        params = make(13 + seed, hidden)
+        for _ in range(3):
+            loss, g = loss_and_grad(params, work)
+            ref_loss, ref_g = _reference_loss_and_grad(params, batch)
+            assert loss == ref_loss
+            _assert_params_equal(g, ref_g)
+            results.append((g, ref_g))
+            params = RnnParams.from_flat(params.flatten() - 0.5 * g.flatten(), hidden)
+    for g, ref_g in results:
+        _assert_params_equal(g, ref_g)
+
+
+def test_consecutive_trainings_each_equal_a_fresh_run():
+    # a workspace lives and dies with its train call: runs at other hidden
+    # sizes and batch shapes in between change no bit of a run
+    pool = _mixed_length_pool()
+    short = [(s, y) for s, y in pool if len(encode(s)) <= 9]
+    assert len(short) < len(pool) and {y for _, y in short} == {0, 1}
+    runs = [(pool, 16), (short, 3), (pool[::2], 8), (pool, 1), (pool, 16)]
+    for data, hidden in runs:
+        cfg = TrainConfig(epochs=3, hidden_size=hidden)
+        params, losses = train(data, cfg, 6)
+        ref_params, ref_losses = _reference_train(data, cfg, 6)
+        _assert_params_equal(params, ref_params)
+        assert losses == ref_losses
+
+
+def test_a_training_epoch_allocates_no_kernel_sized_block(monkeypatch):
+    # every (T+1, B, H) buffer lives in the workspace train builds once, so
+    # an epoch's call grows the heap by well under two (T, B, H) float
+    # blocks (about 0.45: np.square buffers its reversed operand); a kernel
+    # that allocates its buffers per call grows it by over four
+    growth = []
+    real = predictor.loss_and_grad
+
+    def measured(params, work):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        out = real(params, work)
+        growth.append(tracemalloc.get_traced_memory()[1] - before)
+        return out
+
+    monkeypatch.setattr(predictor, "loss_and_grad", measured)
+    data = _mixed_length_pool()
+    (B, T), H = pad_batch([(encode(s), y) for s, y in data])[0].shape, 16
+    assert (B, T) == (85, 14)
+    tracemalloc.start()
+    try:
+        train(data, TrainConfig(epochs=6, hidden_size=H), 0)
+    finally:
+        tracemalloc.stop()
+    assert len(growth) == 6
+    assert max(growth) <= 2 * T * B * H * 8, growth
 
 
 def test_train_refuses_a_label_that_is_not_0_or_1(two_vertex, chain3_conv1x1):
@@ -557,9 +633,9 @@ def test_train_raises_on_the_step_that_leaves_a_non_finite_parameter(monkeypatch
     calls = []
     real = predictor.loss_and_grad
 
-    def poisoned(params, X, M, y):
-        calls.append(len(y))
-        loss, g = real(params, X, M, y)
+    def poisoned(params, work):
+        calls.append(len(work.y))
+        loss, g = real(params, work)
         if len(calls) == 3:
             g.W_h[1, 2] = np.nan
         return loss, g
