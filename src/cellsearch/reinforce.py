@@ -19,7 +19,9 @@ Each rollout runs forward once: `sample` keeps its hidden states, and the
 exact gradient backpropagates through them (`follow` runs the same forward
 pass along given actions). Each update runs backward once: one
 `logprob_and_grad` call takes the gradients of a whole batch, a row per
-rollout, each bit for bit the row that rollout's own pass would give.
+rollout, each bit for bit the row that rollout's own pass would give. It
+writes into a `Workspace` that `run_reinforce` builds once for its batch
+size, and what it returns shares no memory with that workspace.
 """
 
 from __future__ import annotations
@@ -221,7 +223,8 @@ def _rollout(c: ControllerState, schedule: DecisionSchedule, rng, given) -> Samp
     bias, shift and log-sum, and the inverse-CDF draw, run on Python
     floats, with the bits of a numpy softmax over the same logits. `np.exp`
     on one float has the bits of `np.exp` on an array; `math.exp` does
-    not."""
+    not. A shifted logit is exactly 0.0 where it is the maximum, and there
+    the log-sum takes 1.0 for its `np.exp`, which is exactly 1.0."""
     inputs = list(c.emb @ c.W_e.T + c.b_h)  # one row per embedding
     W_h, W2, W3, bias = c.W_h, c.W2, c.W3, c.b_step.tolist()
     hs = np.zeros((schedule.num_steps + 1, c.hidden_size))
@@ -244,7 +247,7 @@ def _rollout(c: ControllerState, schedule: DecisionSchedule, rng, given) -> Samp
             z0, z1 = z0 + b0, z1 + b1
             m = z1 if z1 > z0 else z0  # max(z0, z1), tie and all
             z0, z1 = z0 - m, z1 - m
-            lse = log(sum([float(exp(z0)), float(exp(z1))]))
+            lse = log(sum([float(exp(z0)) if z0 else 1.0, float(exp(z1)) if z1 else 1.0]))
             action = 0 if rng.random() < exp(z0 - lse) else 1
         else:
             b0, b1, b2 = bias[t]
@@ -252,7 +255,8 @@ def _rollout(c: ControllerState, schedule: DecisionSchedule, rng, given) -> Samp
             z0, z1, z2 = z0 + b0, z1 + b1, z2 + b2
             m = max(z0, z1, z2)
             z0, z1, z2 = z0 - m, z1 - m, z2 - m
-            lse = log(sum([float(exp(z0)), float(exp(z1)), float(exp(z2))]))
+            lse = log(sum([float(exp(z0)) if z0 else 1.0, float(exp(z1)) if z1 else 1.0,
+                           float(exp(z2)) if z2 else 1.0]))
             p0 = float(exp(z0 - lse))
             r = rng.random()
             action = 0 if r < p0 else (1 if r < p0 + float(exp(z1 - lse)) else 2)
@@ -308,9 +312,47 @@ def utility(s: SampledArch, best: float) -> float:
     return math.exp(REWARD_SHARPNESS * (s.reward - best))
 
 
-def logprob_and_grad(controller: ControllerState, schedule: DecisionSchedule, rollouts):
+class Workspace:
+    """Every buffer `logprob_and_grad` writes for up to `batch_size`
+    rollouts of `schedule` at one (hidden_size, emb_dim), with the
+    schedule's loop-invariant index work. `run_reinforce` builds one and
+    each batch's update writes into it. A call on n rollouts uses each
+    buffer's leading n rows, which are C-contiguous, so BLAS sees each
+    rollout's operands in the layout a lone rollout's would have."""
+
+    def __init__(self, schedule: DecisionSchedule, hidden_size: int, emb_dim: int, batch_size: int):
+        T, H = schedule.num_steps, hidden_size
+        self.schedule = schedule
+        self.shapes = _shapes(hidden_size, emb_dim)
+        self.states = np.empty((batch_size, T + 1, H))
+        # a row per rollout, in flatten() order, with each parameter's
+        # (batch, *shape) view; what no call writes (an unused head, the
+        # binary steps' third bias, the biases past T) stays +0.0
+        self.G = np.zeros((batch_size, flatparams.size(self.shapes)))
+        self.g = flatparams.views(self.G, self.shapes)
+        self.dA = np.empty((batch_size, T, H))
+        self.dtanh = np.empty((batch_size, T, H))
+        self.dh = np.empty((batch_size, 1, H))
+        # the embedding gradient's terms by (rollout, step, row), +0.0
+        # between calls
+        self.emb_terms = np.zeros((batch_size, T, N_EMBEDDINGS, emb_dim))
+        self.each = np.arange(batch_size)[:, None]
+        self.times = np.arange(T)
+        # (arity, its steps, their positions, a buffer for the steps'
+        # states, which then takes their d logprob / d h_t)
+        self.by_arity = tuple(
+            (a, steps, np.arange(len(steps)), np.empty((batch_size, len(steps), H)))
+            for a, steps in schedule.steps_by_arity
+        )
+        # step t's input row: the start token, then the row of step t-1's
+        # action, its arity's first row plus the action
+        self.rows = np.full((batch_size, T), _EMB_START)
+        self.offsets = np.array([_EMB_ROWS[a][0] for a in schedule.arities[:-1]], dtype=int)
+
+
+def logprob_and_grad(controller: ControllerState, schedule: DecisionSchedule, rollouts, work: Workspace):
     """Log-probabilities of the rollouts' actions and their exact gradients,
-    in one backward pass over the stacked rollouts.
+    in one backward pass over the stacked rollouts, written into `work`.
 
     Backpropagates through time along the hidden states each rollout kept,
     so the forward recurrence does not run again; the heads and the weight
@@ -318,64 +360,76 @@ def logprob_and_grad(controller: ControllerState, schedule: DecisionSchedule, ro
     all rollouts at once. Every product is a stacked `@` that hands BLAS
     each rollout's operands in the layout a lone rollout's would have, so
     no row depends on the rest of the batch. Returns (logprobs of shape
-    (n,), gradients of shape (n, P) with each row aligned with flatten()).
-    Each rollout's actions pass `_check_actions`, as `follow`'s do: any
-    action that is not an int in its step's range(arity) is refused.
+    (n,), gradients of shape (n, P) with each row aligned with flatten()),
+    neither sharing memory with `work`. Each rollout's actions pass
+    `_check_actions`, as `follow`'s do: any action that is not an int in
+    its step's range(arity) is refused, as are more rollouts than `work`
+    has rows and a workspace of another schedule or controller size.
 
     numpy and BLAS choose a summation order by layout, so the copies here
     are `np.take`, row-major per rollout: fancy indexing (`H[:, steps]`)
     leaves the rollout axis innermost, which moved the head gradients at
-    hidden size 1 and the sum of every rollout's picked log-probabilities."""
+    hidden size 1 and the sum of every rollout's picked log-probabilities.
+    The embedding gradient sums each (rollout, row)'s terms in increasing
+    step order from +0.0, the other steps adding +0.0, which never changes
+    a sum that started at +0.0."""
     c = controller
     T = schedule.num_steps
     for k, r in enumerate(rollouts):
         _check_actions(schedule, r.actions, f" of rollout {k}")
     n = len(rollouts)
-    HS = np.array([r.states for r in rollouts]).reshape(n, T + 1, c.hidden_size)
+    if (work.schedule, work.shapes) != (schedule, _shapes(c.hidden_size, c.emb_dim)):
+        raise ShapeError("workspace was built for another schedule or controller size")
+    if n > len(work.G):
+        raise ShapeError(f"{n} rollouts exceed the workspace's {len(work.G)} rows")
+    HS = work.states[:n]
+    if n:
+        np.stack([r.states for r in rollouts], out=HS)
     chosen = np.array([r.actions for r in rollouts], dtype=int).reshape(n, T)
-    # step t's input row: the start token, then the row of step t-1's action
-    # (each arity's rows are consecutive)
-    rows = np.full((n, T), _EMB_START)
-    rows[:, 1:] = chosen[:, :-1] + [_EMB_ROWS[a][0] for a in schedule.arities[:-1]]
-    each = np.arange(n)[:, None]
+    rows = work.rows[:n]
+    np.add(chosen[:, :-1], work.offsets, out=rows[:, 1:])
+    each = work.each[:n]
     H = HS[:, 1:]
 
-    shapes = _shapes(c.hidden_size, c.emb_dim)
-    G = np.zeros((n, flatparams.size(shapes)))  # a row per rollout, in flatten() order
-    g = flatparams.views(G, shapes)  # each parameter's (n, *shape) view into G
+    g = {name: view[:n] for name, view in work.g.items()}
     # d logprob / d h_t through step t's head; the pass through time turns
     # row t into d logprob / d pre-activation of h_t
-    dA = np.zeros_like(H)
+    dA = work.dA[:n]
     logprobs = np.zeros(n)
-    for arity, steps in schedule.steps_by_arity:
+    for arity, steps, across, hk in work.by_arity:
         W, gW = (c.W2, g["W2"]) if arity == 2 else (c.W3, g["W3"])
-        Hk = np.take(H, steps, axis=1)
+        # the steps lie in range; clip keeps `take` from buffering its output
+        Hk = np.take(H, steps, axis=1, out=hk[:n], mode="clip")
         logits = Hk @ W.T + c.b_step[steps, :arity]
         logp = logits - logits.max(axis=2, keepdims=True)
         logp -= np.log(np.exp(logp).sum(axis=2, keepdims=True))
-        picked = (each, np.arange(len(steps)), np.take(chosen, steps, axis=1))
+        picked = (each, across, np.take(chosen, steps, axis=1))
         logprobs += logp[picked].sum(axis=1)
         dlogits = -np.exp(logp)
         dlogits[picked] += 1.0
         np.matmul(dlogits.transpose(0, 2, 1), Hk, out=gW)
         g["b_step"][:, steps, :arity] = dlogits
-        dA[:, steps] = dlogits @ W
+        dA[:, steps] = np.matmul(dlogits, W, out=Hk)
 
-    dtanh = H**2
+    dtanh = np.square(H, out=work.dtanh[:n])
     np.subtract(1.0, dtanh, out=dtanh)
-    dh_next = np.zeros((n, c.hidden_size))
+    dh = work.dh[:n]
+    dh[...] = 0.0
     # through time, step T-1 down to 0, every rollout's row at once
     for t in range(T - 1, -1, -1):
         da = dA[:, t]
-        da += dh_next
+        da += dh[:, 0]
         da *= dtanh[:, t]
-        dh_next = np.matmul(da[:, None], c.W_h)[:, 0]
+        np.matmul(da[:, None], c.W_h, out=dh)
     dAT = dA.transpose(0, 2, 1)
     np.matmul(dAT, c.emb[rows], out=g["W_e"])
-    np.add.at(g["emb"], (each, rows), dA @ c.W_e)
+    terms, scatter = work.emb_terms[:n], (each, work.times, rows)
+    terms[scatter] = dA @ c.W_e
+    np.add.reduce(terms, 1, out=g["emb"], initial=0.0)
+    terms[scatter] = 0.0
     np.matmul(dAT, HS[:, :-1], out=g["W_h"])
     dA.sum(axis=1, out=g["b_h"])
-    return logprobs, G
+    return logprobs, work.G[:n].copy()
 
 
 def reinforce_update(
@@ -385,18 +439,19 @@ def reinforce_update(
     baseline,
     learning_rate: float,
     utilities,
+    work: Workspace,
 ) -> ControllerState:
     """One ascent step along (1/m) sum_k (U_k - b) grad log P(actions_k).
 
     U_k is `utilities[k]`; `baseline` is b, the value read before this
     batch's baseline update. The gradients of the samples whose advantage
-    is nonzero come from one `logprob_and_grad` call and are summed in
-    batch order.
+    is nonzero come from one `logprob_and_grad` call, written into `work`,
+    and are summed in batch order.
     """
     if not batch:
         raise ConfigError("empty batch")
     weighted = [(s, u - baseline) for s, u in zip(batch, utilities) if u - baseline != 0.0]
-    _, grads = logprob_and_grad(controller, schedule, [s for s, _ in weighted])
+    _, grads = logprob_and_grad(controller, schedule, [s for s, _ in weighted], work)
     total = np.zeros(grads.shape[1])
     for (_, advantage), g in zip(weighted, grads):
         total += advantage * g
@@ -451,6 +506,7 @@ def run_reinforce(
     controller = ControllerState.seeded(seed, cfg.hidden_size, cfg.emb_dim, cfg.init_scale)
     rng = random.Random(seed)
     baseline = Baseline(beta=cfg.beta)
+    work = Workspace(schedule, cfg.hidden_size, cfg.emb_dim, cfg.batch_size)
     history = []
     invalid_count = 0
     best = 0.0
@@ -467,7 +523,7 @@ def run_reinforce(
         b = baseline.read()
         baseline.update(sum(utilities) / len(batch))
         controller = reinforce_update(
-            controller, schedule, batch, b, cfg.learning_rate, utilities
+            controller, schedule, batch, b, cfg.learning_rate, utilities, work
         )
         for s in batch:
             s.states = None  # only this batch's update reads them

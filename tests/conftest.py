@@ -11,7 +11,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from cellsearch import cellspace
+from cellsearch import cellspace, reinforce
 from cellsearch.cellspace import ModelSpec, OpLabel, SpaceLimits
 
 # ---------------------------------------------------------------------------
@@ -126,6 +126,29 @@ def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     metric, safe at zero."""
     denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
     return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+# ---------------------------------------------------------------------------
+# the controller's backward pass for callers that bring no workspace
+
+
+def fresh_workspace(controller, schedule, n):
+    """A `reinforce.Workspace` of its own for n rollouts of `controller`."""
+    return reinforce.Workspace(schedule, controller.hidden_size, controller.emb_dim, n)
+
+
+def logprob_and_grad(controller, schedule, rollouts):
+    """`reinforce.logprob_and_grad` in a fresh workspace sized to `rollouts`."""
+    work = fresh_workspace(controller, schedule, len(rollouts))
+    return reinforce.logprob_and_grad(controller, schedule, rollouts, work)
+
+
+def reinforce_update(controller, schedule, batch, baseline, learning_rate, utilities):
+    """`reinforce.reinforce_update` in a fresh workspace sized to `batch`."""
+    work = fresh_workspace(controller, schedule, len(batch))
+    return reinforce.reinforce_update(
+        controller, schedule, batch, baseline, learning_rate, utilities, work
+    )
 
 
 # ---------------------------------------------------------------------------

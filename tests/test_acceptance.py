@@ -43,12 +43,13 @@ from cellsearch.reinforce import (
     DecisionSchedule,
     ReinforceConfig,
     follow,
-    logprob_and_grad,
     run_reinforce,
     sample,
 )
 
-from conftest import central_differences, max_relative_error, perm_canonical_form
+from conftest import (
+    central_differences, logprob_and_grad, max_relative_error, perm_canonical_form,
+)
 
 LIMITS = SpaceLimits(5, 9)
 SEEDS = range(10)

@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -28,15 +29,16 @@ from cellsearch.reinforce import (
     ReinforceConfig,
     SampledArch,
     follow,
-    logprob_and_grad,
-    reinforce_update,
     reward_of,
     run_reinforce,
     sample,
     utility,
 )
 
-from conftest import central_differences, max_relative_error
+from conftest import (
+    central_differences, fresh_workspace, logprob_and_grad, max_relative_error,
+    reinforce_update,
+)
 
 OPTIMUM_HASH_5_9 = "e6f50a3dbee0bfeee91f33fa572fccd4"
 
@@ -110,8 +112,9 @@ def test_follow_and_logprob_and_grad_refuse_an_action_alike(actions, wording):
     with pytest.raises(ShapeError, match="^" + re.escape(wording.format(of="")) + "$"):
         follow(weightless, schedule, actions)
     of_rollout_1 = re.escape(wording.format(of=" of rollout 1"))
+    work = fresh_workspace(controller, schedule, 2)
     with pytest.raises(ShapeError, match="^" + of_rollout_1 + "$"):
-        logprob_and_grad(weightless, schedule, [good, replace(good, actions=actions)])
+        reinforce.logprob_and_grad(weightless, schedule, [good, replace(good, actions=actions)], work)
 
 
 def test_assemble_chain_is_the_known_optimum():
@@ -697,6 +700,61 @@ def test_kept_states_equal_the_replayed_ones_bit_for_bit():
         controller = kept
 
 
+def _reference_bits(controller, sched, batch):
+    """Each rollout's (logprob, gradient) from the frozen per-rollout kernel."""
+    return [_logprob_and_grad_one(controller, sched, s) for s in batch]
+
+
+def _assert_same_bits(lps, grads, refs):
+    assert len(lps) == len(grads) == len(refs)
+    for lp, g, (ref_lp, ref_g) in zip(lps, grads, refs):
+        assert _bits(lp) == _bits(ref_lp)
+        assert np.array_equal(_bits(g), _bits(ref_g))
+
+
+@pytest.mark.parametrize("hidden", [1, 2, 3, 4, 8, 32])
+def test_a_reused_workspace_gives_each_call_the_reference_bits(hidden):
+    # run_reinforce writes every batch into one workspace: nothing a call
+    # leaves in it (the embedding terms, the through-time row, the rows
+    # past a smaller batch) may reach a later call, and no returned array
+    # may share its memory
+    schedules = [DecisionSchedule.from_limits(SpaceLimits(*lim)) for lim in ((4, 9), (5, 9), (7, 9))]
+    for sched in schedules + [DecisionSchedule((2, 3, 2, 3, 3, 2))]:
+        controllers = (
+            ControllerState.seeded(hidden, hidden, 3, init_scale=0.5),
+            zero_controller(hidden, 3),
+            ControllerState.seeded(hidden + 1, hidden, 3, init_scale=2.0),
+        )
+        work = fresh_workspace(controllers[0], sched, 20)
+        rng = random.Random(hidden)
+        results = []
+        for controller in controllers:
+            for n in (20, 16, 1, 0):
+                batch = [sample(controller, sched, rng) for _ in range(n)]
+                lps, grads = reinforce.logprob_and_grad(controller, sched, batch, work)
+                refs = _reference_bits(controller, sched, batch)
+                _assert_same_bits(lps, grads, refs)
+                assert grads.shape == (n, controller.flatten().size)
+                results.append((lps, grads, refs))
+        for lps, grads, refs in results:
+            _assert_same_bits(lps, grads, refs)
+
+
+def test_a_workspace_refuses_what_it_was_not_built_for():
+    controller = ControllerState.seeded(0, 4, 2)
+    sched = DecisionSchedule((2, 3))
+    batch = [sample(controller, sched, random.Random(k)) for k in range(3)]
+    with pytest.raises(ShapeError, match=r"^3 rollouts exceed the workspace's 2 rows$"):
+        reinforce.logprob_and_grad(controller, sched, batch, fresh_workspace(controller, sched, 2))
+    for work in (
+        fresh_workspace(controller, DecisionSchedule((2, 2)), 3),
+        fresh_workspace(ControllerState.seeded(0, 5, 2), sched, 3),
+        fresh_workspace(ControllerState.seeded(0, 4, 3), sched, 3),
+    ):
+        with pytest.raises(ShapeError, match="another schedule or controller size"):
+            reinforce.logprob_and_grad(controller, sched, batch, work)
+
+
 def test_follow_takes_the_given_actions():
     controller = ControllerState.seeded(2, hidden_size=8, emb_dim=3, init_scale=0.5)
     sched = DecisionSchedule.from_limits(SpaceLimits(5, 9))
@@ -991,6 +1049,105 @@ def test_run_draws_each_sample_through_the_module_attribute(monkeypatch):
     cfg = ReinforceConfig(batch_size=4, iterations=3)
     res = run_reinforce(cfg, SCHEDULE_5_9, 1, PaidQueries(SyntheticOracle()))
     assert len(calls) == cfg.batch_size * cfg.iterations == len(res.history)
+
+
+def test_run_takes_one_update_and_one_backward_pass_an_iteration(monkeypatch):
+    # perfbench's per-layer `logprob_and_grad.calls` and
+    # `reinforce_update.self_s` wrap the module attributes, so the loop
+    # must look both up there, once an iteration, each call writing into
+    # the one workspace the run built
+    updates, passes = [], []
+    real_update, real_pass = reinforce.reinforce_update, reinforce.logprob_and_grad
+
+    def update(*args):
+        updates.append(args[-1])
+        return real_update(*args)
+
+    def backward(*args):
+        passes.append(args[-1])
+        return real_pass(*args)
+
+    monkeypatch.setattr(reinforce, "reinforce_update", update)
+    monkeypatch.setattr(reinforce, "logprob_and_grad", backward)
+    cfg = ReinforceConfig(batch_size=4, iterations=3)
+    run_reinforce(cfg, SCHEDULE_5_9, 1, PaidQueries(SyntheticOracle()))
+    assert len(updates) == len(passes) == cfg.iterations
+    assert all(work is updates[0] for work in updates + passes)
+    assert isinstance(updates[0], reinforce.Workspace)
+
+
+def _action_reward(s):
+    """A reward read off the actions alone, 0.0 for an invalid cell."""
+    return 0.0 if s.invalid else sum((t % 5) * a for t, a in enumerate(s.actions)) % 11 / 10
+
+
+def _reference_run(cfg, schedule, seed):
+    """run_reinforce's loop over the frozen per-rollout update, rewarded by
+    `_action_reward`: (controller, baseline, history)."""
+    controller = ControllerState.seeded(seed, cfg.hidden_size, cfg.emb_dim, cfg.init_scale)
+    rng = random.Random(seed)
+    baseline = Baseline(beta=cfg.beta)
+    best, history = 0.0, []
+    for _ in range(cfg.iterations):
+        batch = [sample(controller, schedule, rng) for _ in range(cfg.batch_size)]
+        for s in batch:
+            s.reward = _action_reward(s)
+            best = max(best, s.reward)
+        history += batch
+        utilities = [utility(s, best) for s in batch]
+        b = baseline.read()
+        baseline.update(sum(utilities) / len(batch))
+        controller = _reinforce_update_one_by_one(
+            controller, schedule, batch, b, cfg.learning_rate, utilities
+        )
+    return controller, baseline, history
+
+
+def test_consecutive_runs_each_equal_a_fresh_run():
+    # a workspace lives and dies with its run: runs at other batch sizes,
+    # limits and hidden sizes in between change no bit of a run, and a run
+    # whose batch is larger than the one before it fits its own
+    for limits, batch_size, hidden in (
+        ((7, 9), 20, 8), ((4, 9), 5, 3), ((5, 9), 20, 1), ((7, 9), 32, 2), ((7, 9), 20, 8),
+    ):
+        sched = DecisionSchedule.from_limits(SpaceLimits(*limits))
+        cfg = ReinforceConfig(batch_size=batch_size, iterations=3, hidden_size=hidden,
+                              learning_rate=0.5, init_scale=0.5)
+        res = run_reinforce(cfg, sched, 4, None, reward_fn=_action_reward)
+        controller, baseline, history = _reference_run(cfg, sched, 4)
+        assert np.array_equal(_bits(res.controller.flatten()), _bits(controller.flatten()))
+        assert _bits(res.baseline.value) == _bits(baseline.value)
+        assert [(s.actions, s.reward) for s in res.history] == [
+            (s.actions, s.reward) for s in history
+        ]
+
+
+def test_a_backward_pass_allocates_no_kernel_sized_block(monkeypatch):
+    # every stacked buffer lives in the workspace run_reinforce builds
+    # once, so a call grows the heap by the (n, P) gradient rows it returns
+    # and at most one (n, T, H) float block more; a kernel that allocates
+    # its buffers per call grows it by several
+    growth = []
+    real = reinforce.logprob_and_grad
+
+    def measured(controller, schedule, rollouts, work):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        out = real(controller, schedule, rollouts, work)
+        growth.append((len(rollouts), tracemalloc.get_traced_memory()[1] - before))
+        return out
+
+    monkeypatch.setattr(reinforce, "logprob_and_grad", measured)
+    sched = DecisionSchedule.from_limits(SpaceLimits(7, 9))
+    cfg = ReinforceConfig(batch_size=20, iterations=6)
+    P, T, H = ControllerState.seeded(0).flatten().size, sched.num_steps, cfg.hidden_size
+    tracemalloc.start()
+    try:
+        run_reinforce(cfg, sched, 11000, None, reward_fn=_action_reward)
+    finally:
+        tracemalloc.stop()
+    assert len(growth) == 6 and all(n > 0 for n, _ in growth)
+    assert all(peak <= n * (P + T * H) * 8 for n, peak in growth), growth
 
 
 def test_run_predictor_mode_never_charges():
