@@ -239,7 +239,6 @@ def cmd_label(args) -> int:
         "threshold": threshold,
         "limits": [cfg.limits.max_vertices, cfg.limits.max_edges],
         "oracle_source": cfg.oracle_source,
-        "label_charge": cfg.label_charge,
         "seed": cfg.seed,
         "sim_seconds": paid.sim_seconds,
     }
@@ -317,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--iterations", type=int, dest="reinforce.iterations")
     run.add_argument("--learning-rate", type=float, dest="reinforce.learning_rate")
     run.add_argument("--n-label", type=int)
-    run.add_argument("--label-charge", type=float)
     run.add_argument("--label-threshold", type=float)
     run.add_argument("--top-k", type=int)
     run.add_argument("--out", required=True)
@@ -334,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     lab.add_argument("--limits", type=_limits_type)
     lab.add_argument("--oracle")
     lab.add_argument("--n", type=int, dest="n_label")
-    lab.add_argument("--charge", type=float, dest="label_charge")
     lab.add_argument("--threshold", type=float, dest="label_threshold")
     lab.add_argument("--seed", type=int)
     lab.add_argument("--out", required=True)

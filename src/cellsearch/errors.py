@@ -25,7 +25,7 @@ class ParseError(CellSearchError):
 
 
 class DuplicateHashError(CellSearchError):
-    """Two benchmark records share one canonical hash."""
+    """Two records of one benchmark or labeled file share a canonical hash."""
 
 
 class UnknownArchitectureError(CellSearchError):

@@ -3,12 +3,11 @@ revalidate pipeline for predictor-guided runs, run summaries, and speedup
 comparison between runs.
 
 Cost accounting rule: every ground-truth query goes through the run's one
-log, `oracle.PaidQueries`, which answers a class it holds at the query's
-charge or more for free, so a run pays for a class's full training at most
-once. A predictor-guided run pays for its labels and for the top-k
-revalidations that labeling did not pay in full; the search in between
-consults only the predictor and is free. Ground-truth runs pay for every
-distinct architecture they evaluate.
+log, `oracle.PaidQueries`, which answers a class it holds for free, so a
+run pays for a class's training at most once. A predictor-guided run pays
+for its labels and for the top-k revalidations of classes it did not label;
+the search in between consults only the predictor and is free.
+Ground-truth runs pay for every distinct architecture they evaluate.
 
 Both kinds of run take one path, `run_experiment`: one log of paid queries,
 labeling and training for a predictor run, the search, revalidation for a
@@ -33,8 +32,8 @@ import numpy as np
 from . import cellspace, evolution, predictor, reinforce
 from .cellspace import ModelSpec, SpaceLimits
 from .errors import (
-    ConfigError, DegenerateDataError, ExhaustedError, In, check_fields, check_value,
-    json_tuples, parsing,
+    ConfigError, DegenerateDataError, DuplicateHashError, ExhaustedError, In, check_fields,
+    check_value, json_tuples, parsing,
 )
 from .evolution import EvolutionConfig
 from .oracle import (
@@ -87,7 +86,6 @@ class ExperimentConfig:
     table_path: str | None = None
     synthetic: SyntheticOracleParams = field(default_factory=SyntheticOracleParams)
     n_label: Annotated[int, In("[2, inf)")] = 400  # one label is one class
-    label_charge: Annotated[float, In("(0, 1]")] = 1.0
     label_threshold: Annotated[float, In("[0, 1)")] | None = None  # None: the source's rule
     top_k: Annotated[int, In("[1, inf)")] = 10
     seed: Seed = 0
@@ -282,10 +280,10 @@ def read_summary(path) -> RunSummary:
 
 def label_random_specs(cfg: ExperimentConfig, paid: PaidQueries, rng: random.Random):
     """Draw cfg.n_label random cells of classes that `paid` does not yet
-    hold, query each one through it (charging label_charge x its training
-    time), and binarize at the effective threshold. Returns (labeled (spec,
-    y) list, threshold). A one-class pool raises DegenerateDataError naming
-    the flags of `run` and `label` that change it."""
+    hold, query each one through it (paying its training time), and
+    binarize at the effective threshold. Returns (labeled (spec, y) list,
+    threshold). A one-class pool raises DegenerateDataError naming the
+    flags of `run` and `label` that change it."""
     threshold = effective_label_threshold(cfg)
     labeled = []
     attempts = 0
@@ -300,7 +298,7 @@ def label_random_specs(cfg: ExperimentConfig, paid: PaidQueries, rng: random.Ran
         digest = cellspace.canonical_hash(spec)
         if digest in paid.answers:
             continue
-        record = paid.query(spec, digest, cfg.label_charge)
+        record = paid.query(spec, digest)
         labeled.append((spec, binary_label(record, threshold)))
     positives = sum(y for _, y in labeled)
     if positives in (0, len(labeled)):
@@ -316,10 +314,10 @@ def label_random_specs(cfg: ExperimentConfig, paid: PaidQueries, rng: random.Ran
 def run_predictor_pipeline(cfg: ExperimentConfig, paid: PaidQueries, rng: random.Random):
     """Label N distinct random cells, then fit the binary predictor.
 
-    Phase 1 charges `label_charge` x training time per distinct-by-hash
-    architecture; phase 2 (the stratified split, which holds out
-    `predictor.heldout_fraction` of each class, and the training loop) is
-    free. Returns (TrainedPredictor, the labeling phase's summary entry).
+    Phase 1 pays the training time of each distinct-by-hash architecture;
+    phase 2 (the stratified split, which holds out `predictor.heldout_fraction`
+    of each class, and the training loop) is free. Returns (TrainedPredictor,
+    the labeling phase's summary entry).
     """
     started_at = paid.sim_seconds
     labeled, threshold = label_random_specs(cfg, paid, rng)
@@ -348,10 +346,9 @@ def topk_revalidate(predictions, k: int, paid: PaidQueries) -> tuple:
     mapped to its probability, in first-scored order. Candidates are distinct canonical hashes ranked by their best
     score; a class drawn as several cells stands as the first one scored
     best, and ties between classes go to the class scored first. Each is
-    queried through `paid` at full charge, so the log holds the true-best
-    answer: a class that labeling already paid for in full is answered
-    from the log for free, and one labeled below full charge is paid again
-    in full. k larger than the distinct count just revalidates everything.
+    queried through `paid`, so a class that labeling already paid for is
+    answered from the log for free. k larger than the distinct count just
+    revalidates everything.
     Returns the revalidated hashes in query order.
     """
     if k < 1:
@@ -364,7 +361,7 @@ def topk_revalidate(predictions, k: int, paid: PaidQueries) -> tuple:
     # a stable sort keeps first-scored order among equal scores
     candidates = sorted(best.items(), key=lambda kv: -kv[1][0])[:k]
     for digest, (_, cell) in candidates:
-        paid.query(cell, digest, 1.0)
+        paid.query(cell, digest)
     return tuple(digest for digest, _ in candidates)
 
 
@@ -523,7 +520,8 @@ def write_labeled(path, items, meta: dict) -> None:
 
 def read_labeled(path):
     """Returns (items, meta) from a labeled-dataset file; meta's threshold,
-    DEFAULT_LABEL_THRESHOLD where the file gives none, is a finite real."""
+    DEFAULT_LABEL_THRESHOLD where the file gives none, is a finite real, and
+    no other meta key is read. A class labeled twice raises DuplicateHashError."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     with parsing(path, 1):
@@ -532,7 +530,7 @@ def read_labeled(path):
             raise ValueError("not a labeled-dataset file")
         meta.setdefault("threshold", DEFAULT_LABEL_THRESHOLD)
         check_value("threshold", meta["threshold"], float)
-    items = []
+    items, first_line = [], {}  # hash -> the line that labeled it
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -541,5 +539,11 @@ def read_labeled(path):
             spec, y = ModelSpec.from_json_obj(obj["spec"]), obj["label"]
             cellspace.require_canonical(spec)
             check_value("label", y, Literal[0, 1])
+        digest = cellspace.canonical_hash(spec)
+        first = first_line.setdefault(digest, lineno)
+        if first != lineno:
+            raise DuplicateHashError(
+                f"{path}:{lineno}: duplicate hash {digest}, first on line {first}"
+            )
         items.append((spec, y))
     return items, meta

@@ -1,9 +1,9 @@
 """Ground-truth fitness: a file-backed benchmark table or a deterministic
 synthetic benchmark, and the log of a run's paid queries.
 
-Every paid ground-truth query adds the architecture's training time (scaled
-by the query's charge fraction) to the log's simulated seconds, which are
-the x-axis of every convergence trace.
+Every paid ground-truth query adds the architecture's full training time
+to the log's simulated seconds, which are the x-axis of every convergence
+trace; a class the log already holds is answered for free.
 """
 
 from __future__ import annotations
@@ -151,15 +151,14 @@ _record_memo = functools.lru_cache(maxsize=cellspace.HASH_MEMO_SIZE)(_synth_reco
 
 
 def query(
-    oracle: BenchmarkTable | SyntheticOracle, spec: ModelSpec, charge: float
+    oracle: BenchmarkTable | SyntheticOracle, spec: ModelSpec
 ) -> tuple[BenchmarkRecord, float]:
     """The ground-truth record for a spec and the simulated seconds that
-    training it at `charge` costs, `charge * train_time_s`. Full training
-    charges 1.0; labeling may charge less."""
-    if not 0.0 <= charge <= 1.0:
-        raise ValueError(f"charge {charge} outside [0, 1]")
+    training it costs, its `train_time_s`. `PaidQueries.query` calls this
+    module function once per paid query, so a tracer or a spy that counts
+    `oracle.query` calls counts the paid queries."""
     record = oracle.record_for(spec)
-    return record, charge * record.train_time_s
+    return record, record.train_time_s
 
 
 def label(record: BenchmarkRecord, threshold: float = DEFAULT_LABEL_THRESHOLD) -> int:
@@ -272,16 +271,16 @@ def load_table(path) -> BenchmarkTable:
 class PaidQueries:
     """The run's ground-truth queries and its one payment rule.
 
-    A query for a class that the log holds at a charge at least the query's
-    is answered from the log for free: no seconds, no trace row, one more
-    `memo_hits`. Any other is paid: it adds its cost to `sim_seconds`, keeps
-    the best (spec, hash, true accuracy) so far (only a strictly better
-    answer replaces it), appends the trace row (n, sim_seconds, best true
-    accuracy) and logs the answer at its charge. So a run pays for a
-    class's full training at most once. Every run's trace is this log.
+    A query for a class that the log holds is answered from the log for
+    free: no seconds, no trace row, one more `memo_hits`. Any other is
+    paid: it adds the class's training time to `sim_seconds`, keeps the
+    best (spec, hash, true accuracy) so far (only a strictly better answer
+    replaces it), appends the trace row (n, sim_seconds, best true
+    accuracy) and logs the answer. So a run pays for a class's training at
+    most once. Every run's trace is this log.
 
-    `evaluate`, the fitness of a ground-truth search, is that query at full
-    charge; it refuses a genome that is not a cell with InvalidSpecError,
+    `evaluate`, the fitness of a ground-truth search, is that query for a
+    cell; it refuses a genome that is not a cell with InvalidSpecError,
     paying nothing.
     """
 
@@ -289,8 +288,7 @@ class PaidQueries:
     sim_seconds: float = 0.0  # the paid queries' summed cost
     trace: SearchTrace = field(default_factory=SearchTrace)
     best: tuple | None = None  # (spec, hash, true accuracy)
-    # hash -> (record, charge) of every paid query, at its highest charge
-    answers: dict[str, tuple[BenchmarkRecord, float]] = field(default_factory=dict)
+    answers: dict[str, BenchmarkRecord] = field(default_factory=dict)  # hash -> paid answer
     memo_hits: int = 0
 
     @property
@@ -298,14 +296,13 @@ class PaidQueries:
         """Paid queries so far, one trace row each."""
         return len(self.trace.rows)
 
-    def query(self, spec: ModelSpec, digest: str, charge: float) -> BenchmarkRecord:
+    def query(self, spec: ModelSpec, digest: str) -> BenchmarkRecord:
         logged = self.answers.get(digest)
-        # a charge outside [0, 1] falls through to `query`, which refuses it
-        if logged is not None and 0.0 <= charge <= logged[1]:
+        if logged is not None:
             self.memo_hits += 1
-            return logged[0]
-        record, seconds = query(self.oracle, spec, charge)
-        self.answers[digest] = (record, charge)
+            return logged
+        record, seconds = query(self.oracle, spec)
+        self.answers[digest] = record
         if self.best is None or record.val_accuracy > self.best[2]:
             self.best = (spec, digest, record.val_accuracy)
         self.sim_seconds += seconds
@@ -313,7 +310,7 @@ class PaidQueries:
         return record
 
     def evaluate(self, cell: ModelSpec) -> float:
-        return self.query(cell, cellspace.canonical_hash(cell), 1.0).val_accuracy
+        return self.query(cell, cellspace.canonical_hash(cell)).val_accuracy
 
 
 def table_line(spec, record) -> dict:

@@ -86,8 +86,8 @@ def gt_runs():
 
 @pytest.fixture(scope="module")
 def pipeline_runs():
-    """400 full-charge labels -> predictor-guided evolution -> top-10
-    revalidation, seeds 0-9."""
+    """400 labels, each paid its full training time -> predictor-guided
+    evolution -> top-10 revalidation, seeds 0-9."""
     cfg = ExperimentConfig(
         algo="EVOLUTION", fitness="PREDICTOR", limits=LIMITS, n_label=400, top_k=10
     )

@@ -402,6 +402,72 @@ def test_train_predictor_refuses_a_pool_its_split_cannot_use(capsys, tmp_path, m
     assert code == 0 and out.exists(), err
 
 
+def _label_file(capsys, path):
+    code, _, err = run_cli(
+        capsys, "label", "--limits", "4,9", "--n", "20", "--threshold", "0.66", "--seed", "0",
+        "--out", str(path),
+    )
+    assert code == 0, err
+    return path.read_text().splitlines()
+
+
+def test_train_predictor_refuses_a_file_that_labels_one_class_twice(capsys, tmp_path):
+    # every item line written twice trained with exit 0, 32 train and 8
+    # held-out labels for 20 classes, a class on both sides of the split
+    data, out = tmp_path / "labeled.jsonl", tmp_path / "predictor.json"
+    meta, *items = _label_file(capsys, data)
+    data.write_text("\n".join([meta, *items, *items]) + "\n")
+    code, stdout, err = run_cli(capsys, "train-predictor", "--data", str(data), "--out", str(out))
+    first = cellspace.ModelSpec.from_json_obj(json.loads(items[0])["spec"])
+    digest = cellspace.canonical_hash(first)
+    assert (code, stdout) == (2, "") and not out.exists()
+    assert f"{data}:22: duplicate hash {digest}, first on line 2" in err, err
+
+
+def test_a_labeled_file_whose_meta_holds_a_label_charge_still_trains(capsys, tmp_path):
+    # files written while labels had a charge hold it in their meta line;
+    # their labels are full-training answers, so they train as any other
+    data, old = tmp_path / "labeled.jsonl", tmp_path / "old.jsonl"
+    meta, *items = _label_file(capsys, data)
+    old.write_text("\n".join([json.dumps({**json.loads(meta), "label_charge": 0.5}), *items]))
+    outputs = []
+    for path in (data, old):
+        out = tmp_path / f"{path.stem}.json"
+        code, stdout, err = run_cli(capsys, "train-predictor", "--data", str(path),
+                                    "--epochs", "5", "--out", str(out))
+        assert code == 0, err
+        outputs.append((stdout.replace(str(out), "<out>"), out.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+def test_stale_label_charge_input_is_refused(capsys, tmp_path, monkeypatch):
+    # labels have one charge, full training: a config key, summary echo or
+    # flag that sets another is unknown input, refused before any payment
+    run = ("run", "--fitness", "oracle", "--limits", "4,9", "--population-size", "10",
+           "--sample-size", "3", "--cycles", "20")
+    summary = tmp_path / "ok" / "summary.json"
+    assert run_cli(capsys, *run, "--out", str(tmp_path / "ok"))[0] == 0
+    stale = tmp_path / "stale.json"
+    obj = json.loads(summary.read_text())
+    obj["config"]["label_charge"] = 1.0
+    stale.write_text(json.dumps(obj))
+
+    def refuse(*args):
+        raise AssertionError("refused input must pay for no query")
+
+    monkeypatch.setattr(PaidQueries, "query", refuse)
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "bad"
+    cfg_path.write_text('{"label_charge": 0.5}')
+    code, stdout, err = run_cli(capsys, *run, "--config", str(cfg_path), "--out", str(out))
+    assert (code, stdout) == (1, "") and "unknown config keys: ['label_charge']" in err, err
+    code, stdout, err = run_cli(capsys, "compare", str(summary), str(stale))
+    assert (code, stdout) == (2, "") and "unknown config keys: ['label_charge']" in err, err
+    for argv in (("run", "--label-charge", "0.5"), ("label", "--charge", "0.5")):
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+        assert (code, stdout) == (1, "") and f"unrecognized arguments: {argv[1]} 0.5" in err
+    assert not out.exists()
+
+
 def test_negative_seeds_are_refused_before_anything_runs(capsys, tmp_path, monkeypatch):
     # numpy's generators take no negative seed: REINFORCE crashed at once,
     # a predictor run after paying for its labels, and `--seeds 0,-1` after
@@ -486,7 +552,7 @@ def test_label_and_train_predictor_build_their_config_through_the_merge(
     monkeypatch.setattr(cli, "read_labeled", lambda path: ([None] * 10, {"threshold": 0.5}))
     monkeypatch.setattr(cli, "fit", capture)
     out = tmp_path / "out"
-    label = ("label", "--limits", "4,9", "--n", "7", "--charge", "0.5", "--threshold", "0.7",
+    label = ("label", "--limits", "4,9", "--n", "7", "--threshold", "0.7",
              "--oracle", "table.jsonl", "--seed", "3")
     train = ("train-predictor", "--data", "x", "--epochs", "7", "--learning-rate", "0.1",
              "--hidden", "5", "--heldout-fraction", "0.3",
@@ -499,7 +565,7 @@ def test_label_and_train_predictor_build_their_config_through_the_merge(
     assert built[1] == (
         ExperimentConfig(
             limits=SpaceLimits(4, 9), oracle_source="FILE", table_path="table.jsonl",
-            n_label=7, label_charge=0.5, label_threshold=0.7, seed=3,
+            n_label=7, label_threshold=0.7, seed=3,
         ),
     )
     assert built[2][1:3] == (TrainConfig(), 0)
@@ -525,7 +591,7 @@ def test_label_and_train_predictor_build_their_config_through_the_merge(
 PINNED_DIGESTS = {
     ("run", "--algo", "evolution", "--fitness", "oracle", "--limits", "4,9",
      "--cycles", "200", "--seed", "0"): {
-        "summary.json": "e11672d4499d37dc863f6b3a7bf56f29d2ea93afbfd610225211025e8d2cc061",
+        "summary.json": "d93bf3dd132961f3f60c51b3fd9312fc07b7d6a719b4e46c7c9b25d7a2659f4a",
         "trace.csv": "7cca54decc7bacaae0d359efc73c4bae91b7dac9374a14a4be667445d01b6b00",
         "stdout": "87d0de1bc91ccb85b778e8f099ab8e827769e0e2df15d24788cc8c6a3b042605",
     },
@@ -533,17 +599,17 @@ PINNED_DIGESTS = {
      "--seed", "2"): {
         "predictor.json": "4ccc9da57cc4a95e933e8744d4e296470c85baeef66544ae2f904d8534357b5a",
         "search_trace.csv": "31f134cbb9419082e4e91298ee219803b7a4d7bc1b3ad6914fd7274ad6ded846",
-        "summary.json": "2cc9bd47ecda52a3713160fbbae9d0f65b5c56ef942b7059b736ad7a0e902121",
+        "summary.json": "55825a424177e6d9dec931423c0ccebecf42fef7281f90aa7cea8c436fae1681",
         "trace.csv": "125ed91fa32d810b7806db09197a5a73e9a6c36a109c926b7e27385594ad4ee5",
         "stdout": "d07178f3fc8a788f13bf768ff26ceb6e92b61b4a6255742f16e172bb79264ec0",
     },
     ("label", "--limits", "4,9", "--n", "80", "--seed", "3"): {
-        "out": "5be4ca50a901d6c7f4a5336ab264f9a3e1061b2118175d8d1a58cc6af43311b0",
+        "out": "dcb3e67cd9e753b5c7ee2952a6be0ca1865194e5980e735bd37d4f4bf10cf495",
         "stdout": "44f7874f28308b6740356ab14d655c6c6aeb1e52f27a4ce2e4e5bd1d689ad8b5",
     },
     ("run", "--algo", "reinforce", "--fitness", "oracle", "--limits", "4,9",
      "--batch-size", "4", "--iterations", "25", "--seed", "1"): {
-        "summary.json": "e7fc8f8ac547408bf0caee6ce9b9a3389b02cef031bfb8393698daba26b1ed2d",
+        "summary.json": "d19b589006481e565317365c8489a864dcb9fbb06ba314067507f3c0d2a77eaf",
         "trace.csv": "c22355397b80fcd7c13e675a2bdb80cea7893748f14a96276e1e945bbe0b0e3a",
         "stdout": "e571794635220ae5db326964351032c4619d17160554a06f8f22c19de2e22b90",
     },
@@ -551,27 +617,27 @@ PINNED_DIGESTS = {
      "--n-label", "60", "--batch-size", "4", "--iterations", "25", "--seed", "1"): {
         "predictor.json": "ffc1a51e353438368987fc3b9c9a14d8e43f2dc41d526f30bd4023867db29f23",
         "search_trace.csv": "c74884288485ebe2c1b5e9d4851a076bb48e4c35fbff0e0bfc8869990ede3115",
-        "summary.json": "ed7d98125c831c869fb3e4d5192cad898232d382cf5fe620fe7c61c330dfd4ab",
+        "summary.json": "4b2124f032913fa31ad8b08cdeeafd4b4dc88a43f015a104b295503cf45ecd2d",
         "trace.csv": "094f8166dd7223bf2e522b1a9f2a255cab29291c418a99e796702c7820a8b822",
         "stdout": "0113c9e99179a48dc32d9c1668f65797d812fa02147af82267de9f81754a597e",
     },
     # the benchmark's 26-decision, hidden-32 schedule
     ("run", "--algo", "reinforce", "--fitness", "oracle", "--limits", "7,9",
      "--batch-size", "5", "--iterations", "10", "--seed", "3"): {
-        "summary.json": "47ea46b4d82c5f946f0c9c8bdad30a055c8bceadf0d9982fcc251ccdd3570417",
+        "summary.json": "40fd3aa037e4117c3d9308bd2fea5538096eec2123a38fb7d3d14beb09697c1a",
         "trace.csv": "057ed154289352db2660b36b20ddfeb20cfbedd3dcd145382ad5a8693bdb01c3",
         "stdout": "e15eaa5a1bfe6e2f176d05a3ed40339e413e962fed826939f0de12674eef8c58",
     },
     # aging evolution at the gt-evolution benchmark's shape, and at (7,9)
     ("run", "--algo", "evolution", "--fitness", "oracle", "--limits", "5,9",
      "--population-size", "50", "--sample-size", "10", "--cycles", "400", "--seed", "4"): {
-        "summary.json": "f7c3a8ed3f18b5907229c7721c5a0e048a438a09e26df6ae45920f6901248c84",
+        "summary.json": "8539d63bc3b2489a1a6dd62eff47ca145d6c52424f62de45f52502da0050202a",
         "trace.csv": "41ea21e897cc24048e7bb6626378ac0a7c88a368e242e183752bc67730f7965e",
         "stdout": "38fb0b85fea502b1a6b66d1b469cae35088cd8bebd596246d60c82d001b20604",
     },
     ("run", "--algo", "evolution", "--fitness", "oracle", "--limits", "7,9",
      "--cycles", "300", "--seed", "5"): {
-        "summary.json": "5bc41cf222e5c6f7204679014064edf6e1f08ea445f2c20cc04b62bf2b985d72",
+        "summary.json": "13c5e1d86772dcf68309c97b3a18fa0a654ad4643e2d0bce2656077345c8d13d",
         "trace.csv": "df5354ea7cb0e8f07e5573d209f5683a44d62fbcd7bbb49743ff28f79e36130b",
         "stdout": "c4270acd1ab1dfa5cad5ae0380efd7b93feb5a6658d8526783d38d08745be111",
     },
@@ -923,9 +989,9 @@ def test_inconsistent_config_is_usage_error(capsys, tmp_path):
     [
         (("run", "--algo", "reinforce", "--limits", "4,9"), "--learning-rate",
          "learning_rate must lie in (0, inf)"),
-        (("run", "--fitness", "predictor", "--limits", "4,9"), "--label-charge",
-         "label_charge must lie in (0, 1]"),
-        (("label", "--limits", "4,9"), "--charge", "label_charge must lie in (0, 1]"),
+        (("run", "--fitness", "predictor", "--limits", "4,9"), "--label-threshold",
+         "label_threshold must lie in [0, 1)"),
+        (("label", "--limits", "4,9"), "--threshold", "label_threshold must lie in [0, 1)"),
         (("train-predictor", "--data", "unread.jsonl"), "--learning-rate",
          "learning_rate must lie in (0, inf)"),
         (("train-predictor", "--data", "unread.jsonl"), "--heldout-fraction",
@@ -1023,7 +1089,6 @@ _BAD_JSON_VALUES = ('"x"', "[1]", "{}", "true", "null", "1.5", "1e400")
         ("n_label", ()),
         ("top_k", ()),
         ("seed", ()),
-        ("label_charge", ()),
         ("label_threshold", ("null",)),
     ],
 )
@@ -1047,7 +1112,8 @@ def test_config_file_top_level_type_errors_are_usage_errors(
             capsys, "run", "--config", str(cfg_path), "--limits", "4,9", "--out", str(out)
         )
         assert code == 1 and stdout == "", (field, value, err)
-        assert field in err, (field, value, err)
+        # the field's own check refuses it, not the unknown-key check
+        assert field in err and "unknown config keys" not in err, (field, value, err)
         assert not out.exists()
 
 

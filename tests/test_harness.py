@@ -5,14 +5,15 @@ import itertools
 import json
 import random
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cellsearch import cellspace, harness
 from cellsearch.cellspace import ModelSpec, OpLabel, SpaceLimits
-from cellsearch.errors import ConfigError, ExhaustedError, InvalidSpecError, ParseError
+from cellsearch.errors import (
+    ConfigError, DuplicateHashError, ExhaustedError, InvalidSpecError, ParseError,
+)
 from cellsearch.evolution import EvolutionConfig, run_evolution
 from cellsearch.harness import (
     CompareReport,
@@ -83,10 +84,6 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         ExperimentConfig(fitness="PREDICTOR", n_label=0)
     with pytest.raises(ConfigError):
-        ExperimentConfig(label_charge=0.0)
-    with pytest.raises(ConfigError):
-        ExperimentConfig(label_charge=1.5)
-    with pytest.raises(ConfigError):
         ExperimentConfig(top_k=0)
 
 
@@ -98,7 +95,6 @@ def test_config_json_round_trip():
         oracle_source="SYNTHETIC",
         synthetic=SyntheticOracleParams(base_accuracy=0.5, jitter_scale=0.01),
         n_label=123,
-        label_charge=0.25,
         label_threshold=0.81,
         top_k=4,
         seed=99,
@@ -152,7 +148,6 @@ def test_config_echo_schema():
         "oracle_source": "SYNTHETIC",
         "table_path": None,
         "n_label": 400,
-        "label_charge": 1.0,
         "label_threshold": None,
         "top_k": 10,
         "seed": 0,
@@ -239,15 +234,17 @@ def test_paid_queries_charge_and_keep_the_first_best():
         }
     )
     paid = PaidQueries(table)
-    for spec, charge in ((a, 1.0), (b, 0.5), (c, 1.0)):
-        paid.query(spec, cellspace.canonical_hash(spec), charge)
+    for spec in (a, b, c, b):
+        paid.query(spec, cellspace.canonical_hash(spec))
     # a tie does not replace the best: c matches b's 0.7 and b stays
     assert paid.best == (b, cellspace.canonical_hash(b), 0.7)
+    # the second query for b is answered from the log, with no row
     assert paid.trace.rows == [
         TraceRow(1, 100.0, 0.5),
-        TraceRow(2, 150.0, 0.7),
-        TraceRow(3, 250.0, 0.7),
+        TraceRow(2, 200.0, 0.7),
+        TraceRow(3, 300.0, 0.7),
     ]
+    assert paid.memo_hits == 1 and paid.answers == table.records
 
 
 def test_fitness_adapters_refuse_a_genome_and_record_nothing():
@@ -316,15 +313,6 @@ def test_labeling_distinct_and_charged():
     assert paid.sim_seconds == pytest.approx(expected_cost)
     for spec, y in labeled:
         assert y == (1 if synth_record(spec, cfg.synthetic).val_accuracy > threshold else 0)
-
-
-def test_labeling_partial_charge_scales_cost():
-    cfg_full = ExperimentConfig(limits=SpaceLimits(4, 9), n_label=30, seed=1)
-    cfg_half = replace(cfg_full, label_charge=0.5)
-    full, half = _paid(), _paid()
-    label_random_specs(cfg_full, full, random.Random(1))
-    label_random_specs(cfg_half, half, random.Random(1))
-    assert half.sim_seconds == pytest.approx(0.5 * full.sim_seconds)
 
 
 def test_labeling_space_too_small():
@@ -484,57 +472,50 @@ def test_topk_answers_a_class_labeled_in_full_from_the_log():
     a, b, _ = _three_cells()
     paid = _paid()
     for cell in (a, b):
-        paid.query(cell, cellspace.canonical_hash(cell), 1.0)
+        paid.query(cell, cellspace.canonical_hash(cell))
     sim_s, rows, best = paid.sim_seconds, list(paid.trace.rows), paid.best
     assert topk_revalidate({a: 0.9}, 1, paid) == (cellspace.canonical_hash(a),)
     assert (paid.sim_seconds, paid.trace.rows, paid.best) == (sim_s, rows, best)
     assert paid.memo_hits == 1
 
 
-def test_topk_pays_in_full_for_a_class_labeled_below_full_charge():
-    a, _, _ = _three_cells()
-    digest, record = cellspace.canonical_hash(a), synth_record(a, SyntheticOracleParams())
+def test_every_caller_finds_a_labeled_class_in_the_log():
+    # labeling, `evaluate` and revalidation make one call: a class labeling
+    # paid for is answered from the log to each of them, paying nothing
+    cfg = ExperimentConfig(limits=SpaceLimits(4, 9), n_label=20, seed=5)
     paid = _paid()
-    paid.query(a, digest, 0.5)
-    topk_revalidate({a: 0.9}, 1, paid)
-    assert paid.sim_seconds == 1.5 * record.train_time_s
-    assert len(paid.trace.rows) == 2 and paid.memo_hits == 0
-    assert paid.answers[digest] == (record, 1.0)
-    # and once paid in full it is answered at any charge
-    for charge in (1.0, 0.5, 0.0):
-        assert paid.query(a, digest, charge) is record
-    assert (paid.sim_seconds, len(paid.trace.rows), paid.memo_hits) == (
-        1.5 * record.train_time_s, 2, 3,
-    )
+    labeled, _ = label_random_specs(cfg, paid, random.Random(5))
+    sim_s, rows, best = paid.sim_seconds, list(paid.trace.rows), paid.best
+    for spec, _ in labeled:
+        assert paid.evaluate(spec) == paid.answers[cellspace.canonical_hash(spec)].val_accuracy
+    topk_revalidate({spec: 0.5 for spec, _ in labeled}, len(labeled), paid)
+    assert (paid.sim_seconds, paid.trace.rows, paid.best) == (sim_s, rows, best)
+    assert paid.memo_hits == 2 * len(labeled)
 
 
 def test_revalidation_phase_counts_paid_queries_and_log_answers_apart(monkeypatch):
-    # the classes revalidation finds in the log at full charge are answered
-    # from it; every other ranked class is paid, and so is every one when
-    # labels were charged at half
+    # the classes revalidation finds in the log are answered from it; every
+    # other ranked class is paid
     seen = []
     real_topk = harness.topk_revalidate
 
     def recording_topk(predictions, k, paid):
-        labeled = {digest for digest, (_, charge) in paid.answers.items() if charge == 1.0}
+        labeled = set(paid.answers)
         ranked = real_topk(predictions, k, paid)
         seen.append((labeled, ranked))
         return ranked
 
     monkeypatch.setattr(harness, "topk_revalidate", recording_topk)
     counts = []
-    for seed, charge in ((0, 1.0), (6, 1.0), (6, 0.5)):
-        phase = run_experiment(small_cfg(seed=seed, label_charge=charge)).summary.phases[
-            "revalidation"
-        ]
+    for seed in (0, 6):
+        phase = run_experiment(small_cfg(seed=seed)).summary.phases["revalidation"]
         labeled, ranked = seen.pop()
         assert phase["memo_hits"] == len(labeled & set(ranked))
         assert phase["oracle_queries"] == len(set(ranked) - labeled)
         counts.append((phase["oracle_queries"], phase["memo_hits"]))
-    # both kinds happen at full charge, and at half charge every class is paid
-    (paid_0, logged_0), (paid_6, logged_6), (paid_half, logged_half) = counts
+    # both kinds happen
+    (paid_0, logged_0), (paid_6, logged_6) = counts
     assert paid_0 + paid_6 > 0 and logged_0 + logged_6 > 0
-    assert logged_half == 0 and paid_half == len(ranked)
 
 
 def test_labeling_draws_the_classes_of_a_distinct_by_hash_loop():
@@ -698,7 +679,7 @@ def test_ground_truth_run_bookkeeping():
     assert s.evaluations + s.memo_hits == 120
     assert s.best_hash == cellspace.canonical_hash(s.best_spec)
     assert cellspace.validate(s.best_spec, cfg.limits).valid
-    # 120 distinct-or-memoized queries, all full charge
+    # 120 distinct-or-memoized queries
     assert s.total_sim_seconds > 0
 
 
@@ -948,6 +929,18 @@ def test_labeled_file_rejects_garbage(tmp_path):
         + "\n"
     )
     with pytest.raises(ParseError):
+        read_labeled(path)
+
+
+def test_labeled_file_refuses_two_drawings_of_one_class(tmp_path):
+    # one label is one class: isomorphic drawings share a canonical hash
+    a, _, _ = _three_cells()
+    d1, d2 = _two_drawings()
+    path = tmp_path / "data.jsonl"
+    write_labeled(path, [(d1, 1), (a, 0), (d2, 0)], {"threshold": 0.5})
+    digest = cellspace.canonical_hash(d1)
+    reason = f"{path}:4: duplicate hash {digest}, first on line 2"
+    with pytest.raises(DuplicateHashError, match=re.escape(reason)):
         read_labeled(path)
 
 

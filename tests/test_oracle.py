@@ -177,16 +177,11 @@ def test_longest_path_matches_exhaustive_walk(space59_specs):
 # query and labeling
 
 
-def test_query_charges_scaled_time(two_vertex):
+def test_query_charges_train_time(two_vertex):
     synth = SyntheticOracle()
-    rec, seconds = query(synth, two_vertex, 1.0)
+    rec, seconds = query(synth, two_vertex)
     assert seconds == rec.train_time_s == 240.0
-    assert query(synth, two_vertex, 0.0) == (rec, 0.0)
-    assert query(synth, two_vertex, 0.5) == (rec, 120.0)
-    # with train_time_s never negative, no query can cost negative seconds
-    for charge in (1.5, -0.5):
-        with pytest.raises(ValueError):
-            query(synth, two_vertex, charge)
+    assert rec == synth_record(two_vertex, synth.params)
 
 
 def test_query_file_mode_hit_and_miss(two_vertex, chain3_conv1x1):
@@ -194,10 +189,10 @@ def test_query_file_mode_hit_and_miss(two_vertex, chain3_conv1x1):
     table = BenchmarkTable(
         records={digest: BenchmarkRecord(digest, 0.7, 500.0)}
     )
-    rec, seconds = query(table, two_vertex, 1.0)
+    rec, seconds = query(table, two_vertex)
     assert (rec.val_accuracy, seconds) == (0.7, 500.0)
     with pytest.raises(UnknownArchitectureError):
-        query(table, chain3_conv1x1, 1.0)
+        query(table, chain3_conv1x1)
 
 
 def test_label_boundaries():
@@ -228,7 +223,8 @@ def test_load_round_trip(tmp_path, space59_specs):
     table = load_table(path)
     assert len(table.records) == 3
     for s in specs:
-        assert query(table, s, 0.0) == (synth_record(s, params), 0.0)
+        record = synth_record(s, params)
+        assert query(table, s) == (record, record.train_time_s)
 
 
 def test_load_rejects_out_of_range_accuracy(tmp_path, two_vertex):
