@@ -991,7 +991,10 @@ def test_inconsistent_config_is_usage_error(capsys, tmp_path):
          "learning_rate must lie in (0, inf)"),
         (("run", "--fitness", "predictor", "--limits", "4,9"), "--label-threshold",
          "label_threshold must lie in [0, 1)"),
-        (("label", "--limits", "4,9"), "--threshold", "label_threshold must lie in [0, 1)"),
+        # an explicit id: the generated one, cut to 100 characters, ends in a space
+        pytest.param(("label", "--limits", "4,9"), "--threshold",
+                     "label_threshold must lie in [0, 1)",
+                     id="argv2-label---threshold-label_threshold must lie in [0, 1)"),
         (("train-predictor", "--data", "unread.jsonl"), "--learning-rate",
          "learning_rate must lie in (0, inf)"),
         (("train-predictor", "--data", "unread.jsonl"), "--heldout-fraction",
