@@ -30,11 +30,13 @@ MAX_REJECTION_ATTEMPTS = 10_000
 
 # Bounds of the process-wide, value-keyed memos: HASH_MEMO_SIZE cells on
 # `canonical_hash` and `oracle.synth_record`, PRUNE_MEMO_SIZE genomes on
-# `phenotype_of`. A multi-seed run shares them: 46 (5,9) aging-evolution
-# seeds make 105,514 `phenotype_of` lookups of 3,678 genomes (a late seed
-# adds 36-84 new ones) and 11,627 oracle answers of 1,247 cells. Unbounded
-# memos raised peak memory by up to 37% on the predictor pipeline, whose
-# random draws are mostly distinct.
+# `phenotype_of`, and 2 * PRUNE_MEMO_SIZE structures on `_shape_memo`,
+# keyed (v, mask, max_vertices, max_edges), enough for all 1,098 that
+# (5,9) draws can make. A multi-seed run shares them: 46 (5,9)
+# aging-evolution seeds make 105,514 `phenotype_of` lookups of 3,678
+# genomes (a late seed adds 36-84 new ones) and 11,627 oracle answers of
+# 1,247 cells. Unbounded memos raised peak memory by up to 37% on the
+# predictor pipeline, whose random draws are mostly distinct.
 HASH_MEMO_SIZE = 1024
 PRUNE_MEMO_SIZE = 1024
 
@@ -57,6 +59,8 @@ class OpLabel(enum.Enum):
 
 INTERIOR_OPS = (OpLabel.CONV3X3, OpLabel.CONV1X1, OpLabel.MAXPOOL3X3)
 _INTERIOR = frozenset(INTERIOR_OPS)
+# read as module globals: `OpLabel.IN` on the class costs about 0.1 us, a global 0.007 us
+_IN, _OUT = OpLabel.IN, OpLabel.OUT
 
 class Violation(enum.Enum):
     TOO_MANY_VERTICES = "too_many_vertices"
@@ -237,7 +241,7 @@ def longest_path_edges(spec: ModelSpec) -> int:
 
 def _ops_ok(ops) -> bool:
     """IN and OUT at the terminals, a real operation on every interior vertex."""
-    return ops[0] is OpLabel.IN and ops[-1] is OpLabel.OUT and _INTERIOR.issuperset(ops[1:-1])
+    return ops[0] is _IN and ops[-1] is _OUT and _INTERIOR.issuperset(ops[1:-1])
 
 
 def _over_budget(num_vertices: int, num_edges: int, max_vertices: int, max_edges: int):
@@ -280,35 +284,52 @@ def phenotype_of(num_vertices: int, mask: int, ops, limits: SpaceLimits) -> Mode
     when there is no path or the cell breaks a budget or an interior-op
     rule; InvalidSpecError, raised afresh on every call, unless IN and OUT
     sit at the terminals. Builds only the cell it returns; equal genomes and
-    limits share one memo entry (PRUNE_MEMO_SIZE, None cached too) and cell."""
+    limits share one memo entry (PRUNE_MEMO_SIZE, None cached too) and cell,
+    and equal structures one `_shape_memo` entry."""
     # the limits' ints, not the dataclass, whose generated __hash__ runs in Python
     return _phenotype_memo(num_vertices, mask, ops, limits.max_vertices, limits.max_edges)
 
 
-def _phenotype(num_vertices: int, mask: int, ops, max_vertices: int, max_edges: int) -> ModelSpec | None:
-    if ops[0] is not OpLabel.IN or ops[-1] is not OpLabel.OUT:
-        raise InvalidSpecError("a genome needs IN at vertex 0 and OUT at the last vertex")
+def _shape(num_vertices: int, mask: int, max_vertices: int, max_edges: int):
+    """The ops-free half of `_phenotype`: (the on-path vertices as a tuple,
+    the mask pruned to them and renumbered in order), or None when there is
+    no path or the pruned structure breaks a budget."""
     keep = _on_path(num_vertices, mask)
     if not keep:
         return None
-    if keep != (1 << num_vertices) - 1:
-        kept = [k for k in range(num_vertices) if keep >> k & 1]
+    kept = tuple([k for k in range(num_vertices) if keep >> k & 1])
+    if len(kept) < num_vertices:
         bit, pruned = _BIT[len(kept)], 0
         for i, j in _edges(num_vertices, mask):
             # an edge between two on-path vertices lies on a path itself
             if keep >> i & 1 and keep >> j & 1:
                 pruned |= bit[kept.index(i), kept.index(j)]
-        num_vertices, mask, ops = len(kept), pruned, tuple(ops[k] for k in kept)
-    # the cell keeps exactly the on-path vertices and the IN/OUT terminals,
-    # so only its budgets and interior ops remain to check
-    if _over_budget(num_vertices, mask.bit_count(), max_vertices, max_edges) or not _ops_ok(ops):
+        mask = pruned
+    if len(kept) > max_vertices or mask.bit_count() > max_edges:
         return None
-    return ModelSpec(num_vertices, mask, ops)
+    return kept, mask
+
+
+def _phenotype(num_vertices: int, mask: int, ops, max_vertices: int, max_edges: int) -> ModelSpec | None:
+    if ops[0] is not _IN or ops[-1] is not _OUT:
+        raise InvalidSpecError("a genome needs IN at vertex 0 and OUT at the last vertex")
+    shape = _shape_memo(num_vertices, mask, max_vertices, max_edges)
+    if shape is None:
+        return None
+    kept, mask = shape
+    if len(kept) < num_vertices:
+        ops = tuple([ops[k] for k in kept])
+    # the kept vertices include the IN/OUT terminals, so only the interior
+    # ops remain to check
+    if not _INTERIOR.issuperset(ops[1:-1]):
+        return None
+    return ModelSpec(len(kept), mask, ops)
 
 
 # perfbench's tracer wraps only plain functions (`inspect.isfunction`), so
 # `phenotype_of` and `canonical_hash` stay `def`s that call their memos.
 _phenotype_memo = functools.lru_cache(maxsize=PRUNE_MEMO_SIZE)(_phenotype)
+_shape_memo = functools.lru_cache(maxsize=2 * PRUNE_MEMO_SIZE)(_shape)
 
 
 def require_canonical(spec: ModelSpec) -> None:
@@ -363,7 +384,9 @@ def below(rng, n: int, count: int) -> list[int]:
     `choice`, `randrange` and `randint` draw one, by repeating
     `getrandbits(n.bit_length())` until the value lies below n: the same
     calls on `rng` and the same values, resting on `getrandbits` alone.
-    ValueError for n < 1, before any draw."""
+    ValueError for n < 1, before any draw. `random_spec` writes this rule
+    inline: its two calls an attempt and the lists they return took about
+    a fifth of (5,9) labeling's time (47 -> 36 ms a pipeline seed)."""
     if n < 1:
         raise ValueError(f"nothing lies below {n}")
     k = n.bit_length()
@@ -386,17 +409,32 @@ def random_spec(rng, limits: SpaceLimits) -> ModelSpec:
     before pruning, and pruning only shrinks cells, so small cells dominate:
     at (5,9) about 49% of draws are the single 2-vertex class. `rng` is a
     random.Random.
+
+    Each attempt is one pass: its integers are drawn by `below`'s rule,
+    written inline (the same calls on `rng`, the same values), and its
+    genome goes straight to `phenotype_of`'s memo.
     """
-    uniform = rng.random
+    getrandbits, uniform = rng.getrandbits, rng.random
+    max_vertices, max_edges = limits.max_vertices, limits.max_edges
+    n = max_vertices - 1  # v - 2 lies below n
+    k = n.bit_length()
     for _ in range(MAX_REJECTION_ATTEMPTS):
-        v = 2 + below(rng, limits.max_vertices - 1, 1)[0]
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        v = 2 + r
         mask = 0
         for bit in _BIT[v].values():  # a plain loop: a comprehension costs a call
             if uniform() < 0.5:
                 mask |= bit
-        interior = [INTERIOR_OPS[a] for a in below(rng, len(INTERIOR_OPS), v - 2)]
-        ops = (OpLabel.IN, *interior, OpLabel.OUT)
-        cell = phenotype_of(v, mask, ops, limits)
+        ops = [_IN]
+        for _ in range(v - 2):
+            a = getrandbits(2)  # 3 interior ops: 2 bits, redrawn at 3
+            while a == 3:
+                a = getrandbits(2)
+            ops.append(INTERIOR_OPS[a])
+        ops.append(_OUT)
+        cell = _phenotype_memo(v, mask, tuple(ops), max_vertices, max_edges)
         if cell is not None:
             return cell
     raise ExhaustedError(f"no valid random spec after {MAX_REJECTION_ATTEMPTS} draws at {limits}")
@@ -427,7 +465,7 @@ def mutate(genome: tuple, rng, limits: SpaceLimits) -> tuple[tuple, ModelSpec]:
     if n < v:
         mask = sum([b for k, b in enumerate(_PAD_BITS[n, v]) if mask >> k & 1])
         dormant = tuple([INTERIOR_OPS[a] for a in below(rng, len(INTERIOR_OPS), v - n)])
-        ops = ops[: n - 1] + dormant + (OpLabel.OUT,)
+        ops = ops[: n - 1] + dormant + (_OUT,)
     flips, swaps = len(_PAIRS[v]), _swaps(ops)
     for _ in range(MAX_REJECTION_ATTEMPTS):
         r = below(rng, flips + len(swaps), 1)[0]
@@ -487,7 +525,7 @@ def enumerate_space(limits: SpaceLimits) -> Iterator[ModelSpec]:
                 for labeling, digits in enumerate(itertools.product(range(3), repeat=v - 2)):
                     if all(labeling <= sum(map(operator.mul, digits, w)) for w in automorphisms):
                         ops = tuple(INTERIOR_OPS[a] for a in digits)
-                        yield ModelSpec(v, mask, (OpLabel.IN, *ops, OpLabel.OUT))
+                        yield ModelSpec(v, mask, (_IN, *ops, _OUT))
 
 
 @functools.cache

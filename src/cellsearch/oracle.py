@@ -241,9 +241,10 @@ def load_table(path) -> BenchmarkTable:
 
     Each line is a JSON object {"spec": <spec object>, "val_accuracy": x,
     "train_time_s": t}. Hashes are recomputed from the spec; a repeated
-    hash is an error, as is any accuracy outside [0, 1].
+    hash is an error naming the line that first held it, as is any accuracy
+    outside [0, 1].
     """
-    table = BenchmarkTable()
+    table, first_line = BenchmarkTable(), {}  # hash -> the line that held it
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -259,9 +260,10 @@ def load_table(path) -> BenchmarkTable:
                     val_accuracy=float(obj["val_accuracy"]),
                     train_time_s=float(obj["train_time_s"]),
                 )
-            if record.spec_hash in table.records:
+            first = first_line.setdefault(record.spec_hash, lineno)
+            if first != lineno:
                 raise DuplicateHashError(
-                    f"{path}:{lineno}: duplicate hash {record.spec_hash}"
+                    f"{path}:{lineno}: duplicate hash {record.spec_hash}, first on line {first}"
                 )
             table.records[record.spec_hash] = record
     return table

@@ -225,8 +225,10 @@ def _run(params: RnnParams, steps: _Steps):
 
 def forward(params: RnnParams, seq) -> float:
     """P(label = 1) in (0,1) for one token sequence: `loss_and_grad`'s
-    kernel run on it as a one-row batch, so scoring and training agree bit
-    for bit. ShapeError unless `seq` is a nonempty 1-d sequence of integer
+    kernel run on it as a one-row batch, so a one-row training batch
+    computes exactly this probability. A row of a larger batch may differ
+    from it by a few ulps: BLAS picks the products' summation order by
+    shape. ShapeError unless `seq` is a nonempty 1-d sequence of integer
     token ids in the alphabet."""
     X = _check_tokens(seq)[None]
     _, p = _run(params, _Steps(X, np.ones(X.shape, dtype=bool), params.hidden_size))
@@ -259,13 +261,14 @@ def loss_and_grad(params: RnnParams, work: Workspace):
     """Mean binary cross-entropy over a padded batch plus exact gradients.
 
     `work` holds the batch and the buffers this call writes. The forward
-    pass is the kernel `forward` scores with, so a row's probability here
-    is bit for bit its score. Returns (loss, RnnParams-shaped gradient),
-    bit for bit what running each sequence alone from the zero state and
-    adding its steps' gradients one at a time gives; the gradient shares
-    no memory with `work`. Padded rows run the backward pass unmasked,
-    since their gradients only reach their own earlier, also padded,
-    steps; their slots are zeroed once.
+    pass is the kernel `forward` scores with: a one-row batch's probability
+    is bit for bit its score, and a row of a larger batch may differ from
+    it by a few ulps. Returns (loss, RnnParams-shaped gradient), bit for
+    bit what running the whole padded batch from the zero state, padding
+    masked, and adding each step's gradients one at a time gives; the
+    gradient shares no memory with `work`. Padded rows run the backward
+    pass unmasked, since their gradients only reach their own earlier, also
+    padded, steps; their slots are zeroed once.
     """
     (T, B), H = work.tokens.shape, params.hidden_size
     states, p = _run(params, work)

@@ -122,8 +122,9 @@ def test_a_name_counts_only_where_it_resolves_to_its_module():
     assert _unused(package, ['TRACED = ("layout.size", "cli.main", "model.score")']) == []
 
 
-# random.Random's integer draws; `cellspace.below` is the package's one
-# integer-draw path, and `rng.random()` its one float draw
+# random.Random's integer draws; `cellspace.below`'s `getrandbits` rule,
+# which `random_spec` writes inline, is the package's one integer-draw
+# path, and `rng.random()` its one float draw
 _INTEGER_DRAWS = {"choice", "choices", "randrange", "randint", "sample", "shuffle"}
 
 

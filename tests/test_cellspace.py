@@ -522,6 +522,113 @@ def test_draws_assembly_and_mutation_share_one_phenotype_memo():
     assert (info.misses, info.hits) == (1, 2)
 
 
+# every (num_vertices, mask) pair a (5,9) draw can make: 2 + 8 + 64 + 1,024
+_SHAPES_AT_5_9 = sum(1 << len(upper_triangle_pairs(v)) for v in range(2, 6))
+
+
+def test_structure_memo_holds_every_5_9_structure_and_a_second_stream_only_hits():
+    assert _SHAPES_AT_5_9 == 1_098 <= cellspace._shape_memo.cache_info().maxsize
+    limits = SpaceLimits(5, 9)
+    cellspace._shape_memo.cache_clear()
+    cellspace._phenotype_memo.cache_clear()
+    rng = random.Random(0)
+    for _ in range(10_000):
+        random_spec(rng, limits)
+    info = cellspace._shape_memo.cache_info()
+    assert info.currsize == info.misses <= _SHAPES_AT_5_9
+    # every genome-memo miss asks the structure memo once
+    assert info.misses + info.hits == cellspace._phenotype_memo.cache_info().misses
+    # the rest of the 1,098, then a second stream that finds all of them held
+    for v in range(2, 6):
+        for mask in range(1 << len(upper_triangle_pairs(v))):
+            cellspace._shape_memo(v, mask, limits.max_vertices, limits.max_edges)
+    filled = cellspace._shape_memo.cache_info()
+    assert filled.currsize == filled.misses == _SHAPES_AT_5_9
+    genome_misses = cellspace._phenotype_memo.cache_info().misses
+    rng = random.Random(1)
+    for _ in range(10_000):
+        random_spec(rng, limits)
+    after = cellspace._shape_memo.cache_info()
+    asked = cellspace._phenotype_memo.cache_info().misses - genome_misses
+    assert asked > 1_000
+    assert (after.misses, after.currsize) == (filled.misses, _SHAPES_AT_5_9)
+    assert after.hits - filled.hits == asked
+
+
+def test_structure_memo_stays_bounded_at_7_9():
+    cellspace._shape_memo.cache_clear()
+    limits = SpaceLimits(7, 9)
+    ops = (OpLabel.IN, *[OpLabel.CONV3X3] * 5, OpLabel.OUT)
+    size = cellspace._shape_memo.cache_info().maxsize
+    assert size == 2 * cellspace.PRUNE_MEMO_SIZE
+    for mask in range(2 * size):  # distinct 7-vertex masks, twice the bound
+        cellspace.phenotype_of(7, mask, ops, limits)
+    info = cellspace._shape_memo.cache_info()
+    assert (info.misses, info.hits) == (2 * size, 0)
+    assert info.currsize == info.maxsize
+
+
+def test_bad_terminals_raise_even_when_the_structure_is_memoized():
+    cellspace._shape_memo.cache_clear()
+    cellspace._phenotype_memo.cache_clear()
+    mask = 0b111  # (0,1), (0,2), (1,2): every vertex on a path
+    good = (OpLabel.IN, OpLabel.CONV3X3, OpLabel.OUT)
+    assert cellspace.phenotype_of(3, mask, good, OPEN) == ModelSpec(3, mask, good)
+    assert cellspace._shape_memo.cache_info().currsize == 1
+    for ops in (
+        (OpLabel.OUT, OpLabel.CONV3X3, OpLabel.OUT),
+        (OpLabel.IN, OpLabel.CONV3X3, OpLabel.IN),
+        (OpLabel.CONV1X1, OpLabel.CONV3X3, OpLabel.MAXPOOL3X3),
+    ):
+        for _ in range(3):
+            with pytest.raises(InvalidSpecError):
+                cellspace.phenotype_of(3, mask, ops, OPEN)
+    # the terminals are refused before the structure memo is asked
+    info = cellspace._shape_memo.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 0, 1)
+    assert cellspace._phenotype_memo.cache_info().currsize == 1
+
+
+def test_a_pathless_mask_denotes_no_cell_whatever_its_interior_ops():
+    pathless = 0
+    for v in range(2, 6):
+        convs = (OpLabel.IN, *[OpLabel.CONV3X3] * (v - 2), OpLabel.OUT)
+        for mask in range(1 << len(upper_triangle_pairs(v))):
+            if all_paths_vertices(ModelSpec(v, mask, convs)):
+                continue
+            pathless += 1
+            assert cellspace._shape_memo(v, mask, OPEN.max_vertices, OPEN.max_edges) is None
+            for interior in itertools.product(OpLabel, repeat=v - 2):
+                ops = (OpLabel.IN, *interior, OpLabel.OUT)
+                assert cellspace.phenotype_of(v, mask, ops, OPEN) is None
+    assert pathless > 100
+
+
+def test_every_memo_value_is_immutable():
+    limits = SpaceLimits(5, 9)
+    rng = random.Random(4)
+    cells = [random_spec(rng, limits) for _ in range(500)]
+    cells += [mutate(astuple(cell), rng, limits)[1] for cell in cells[:100]]
+    # a structure's value is computed from its key alone, so reading every
+    # (5,9) key reads every value the memo can hold there
+    for v in range(2, 6):
+        for mask in range(1 << len(upper_triangle_pairs(v))):
+            shape = cellspace._shape_memo(v, mask, limits.max_vertices, limits.max_edges)
+            if shape is None:
+                continue
+            kept, pruned = shape
+            assert type(shape) is tuple and type(kept) is tuple and type(pruned) is int
+            assert all(type(k) is int for k in kept)
+            assert kept[0] == 0 and kept[-1] == v - 1 and list(kept) == sorted(set(kept))
+            assert 0 <= pruned < 1 << len(upper_triangle_pairs(len(kept)))
+            hash(shape)
+    for cell in cells:
+        assert type(cell) is ModelSpec and type(cell.ops) is tuple
+        with pytest.raises(AttributeError):
+            cell.mask = 0
+        hash(cell)
+
+
 def test_hash_memo_stays_bounded_after_a_threshold_scan():
     cellspace._hash_memo.cache_clear()
     oracle._synthetic_scan.cache_clear()

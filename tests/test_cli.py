@@ -424,6 +424,25 @@ def test_train_predictor_refuses_a_file_that_labels_one_class_twice(capsys, tmp_
     assert f"{data}:22: duplicate hash {digest}, first on line 2" in err, err
 
 
+def test_run_refuses_an_oracle_table_that_holds_one_class_twice(capsys, tmp_path):
+    # a (3,9) table with its first line appended again as line 8: the error
+    # names both lines, as the labeled-file reader's does
+    table, out = tmp_path / "t2.jsonl", tmp_path / "run"
+    code, _, err = run_cli(capsys, "gen-synthetic", "--limits", "3,9", "--out", str(table))
+    assert code == 0, err
+    lines = table.read_text().splitlines()
+    assert len(lines) == 7
+    table.write_text("\n".join([*lines, lines[0]]) + "\n")
+    code, stdout, err = run_cli(
+        capsys, "run", "--oracle", str(table), "--limits", "3,9", "--out", str(out)
+    )
+    first = cellspace.ModelSpec.from_json_obj(json.loads(lines[0])["spec"])
+    digest = cellspace.canonical_hash(first)
+    assert (code, stdout) == (2, "")
+    assert not (out / "summary.json").exists() and not (out / "trace.csv").exists()
+    assert f"{table}:8: duplicate hash {digest}, first on line 1" in err, err
+
+
 def test_a_labeled_file_whose_meta_holds_a_label_charge_still_trains(capsys, tmp_path):
     # files written while labels had a charge hold it in their meta line;
     # their labels are full-training answers, so they train as any other

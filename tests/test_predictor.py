@@ -502,6 +502,25 @@ def test_scoring_and_training_agree_bit_for_bit(hidden):
             assert _bits(g.b_o) == _bits(forward(params, seq))
 
 
+def test_a_batch_row_scores_within_ulps_of_its_one_row_forward():
+    # in a larger batch BLAS may sum the products in another order, so a
+    # row's probability need not be its one-row score's bits; it stays
+    # within a few ulps and on the same side of 0.5
+    specs = list(cellspace.enumerate_space(SpaceLimits(5, 9)))[::15]
+    seqs = [encode(s) for s in specs]
+    assert {len(s) for s in seqs} >= {2, 14}
+    pool = [(s, int(s.num_edges % 3 == 0 or OpLabel.MAXPOOL3X3 in s.ops)) for s in specs]
+    trained, _ = train(pool, TrainConfig(epochs=200, hidden_size=16), 4)
+    assert 0 < sum(forward(trained, seq) > 0.5 for seq in seqs) < len(seqs)
+    for params in (RnnParams.seeded(13, 16), trained):
+        scores = np.array([forward(params, seq) for seq in seqs])
+        for size in (2, 32, 160, len(seqs)):
+            X, M, y = pad_batch([(seq, 0) for seq in seqs[:size]])
+            _, p = predictor._run(params, Workspace(X, M, y, params.hidden_size))
+            assert np.abs(p - scores[:size]).max() <= 1e-12, size
+            assert np.array_equal(p > 0.5, scores[:size] > 0.5), size
+
+
 def test_train_calls_loss_and_grad_once_per_epoch_on_all_rows(monkeypatch):
     # perfbench's tracer counts calls to the module attribute, so train must
     # look it up there, once per epoch, each time on every training row and
